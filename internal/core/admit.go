@@ -1,0 +1,438 @@
+package core
+
+import (
+	"errors"
+	"runtime"
+	"time"
+
+	"github.com/patree/patree/internal/sim"
+)
+
+// ErrStopped is returned for operations admitted after Stop.
+var ErrStopped = errors.New("core: tree stopped")
+
+// ErrBacklog is returned by TryAdmit/TryAdmitBatch when the bounded
+// admission ring is full — backpressure the embedder can react to.
+var ErrBacklog = errors.New("core: admission ring full")
+
+// Admit hands an operation to the working thread. Safe to call from any
+// goroutine (real mode) or any simulation context (sim mode). When the
+// bounded admission ring is full, Admit blocks until the working thread
+// drains room (backpressure); use TryAdmit for a non-blocking variant.
+func (t *Tree) Admit(o *Op) {
+	t.admitters.Add(1)
+	o.Res.Admitted = t.now()
+	// enqueuedAt is (re)stamped before every push attempt, so admit-wait
+	// (enqueuedAt − Admitted) measures the backpressure this op absorbed.
+	// The ring's release-store publishes it with the rest of the op.
+	o.enqueuedAt = o.Res.Admitted
+	t.notePending(o)
+	t.noteEntered(o)
+	if t.stopped.Load() {
+		t.admitters.Add(-1)
+		t.failAdmit(o)
+		return
+	}
+	if !t.inbox.TryPush(o) {
+		t.admitWaits.Add(1)
+		spins := 0
+		for {
+			if t.stopped.Load() {
+				t.admitters.Add(-1)
+				t.failAdmit(o)
+				return
+			}
+			t.admitBackoff(&spins)
+			o.enqueuedAt = t.now()
+			if t.inbox.TryPush(o) {
+				break
+			}
+		}
+	}
+	t.admitters.Add(-1)
+	if t.wake != nil {
+		t.wake()
+	}
+}
+
+// TryAdmit is Admit without blocking: it returns ErrBacklog (touching
+// nothing) when the ring is full, and ErrStopped (after completing o with
+// that error) when the tree has stopped; nil means o was admitted.
+func (t *Tree) TryAdmit(o *Op) error {
+	t.admitters.Add(1)
+	o.Res.Admitted = t.now()
+	o.enqueuedAt = o.Res.Admitted
+	t.notePending(o)
+	t.noteEntered(o)
+	if t.stopped.Load() {
+		t.admitters.Add(-1)
+		t.failAdmit(o)
+		return ErrStopped
+	}
+	if !t.inbox.TryPush(o) {
+		t.admitters.Add(-1)
+		t.unnotePending(o)
+		t.unnoteEntered(o)
+		return ErrBacklog
+	}
+	t.admitters.Add(-1)
+	if t.wake != nil {
+		t.wake()
+	}
+	return nil
+}
+
+// AdmitBatch admits ops as contiguous transactions on the ring: no
+// foreign operation interleaves into a chunk, so a batch is processed as
+// a group in admission order. Batches larger than the ring are split into
+// ring-sized chunks. Like Admit it blocks under backpressure, and fails
+// every (remaining) op with ErrStopped once the tree has stopped.
+func (t *Tree) AdmitBatch(ops []*Op) {
+	t.admitters.Add(1)
+	now := t.now()
+	for _, o := range ops {
+		o.Res.Admitted = now
+		o.enqueuedAt = now
+		t.notePending(o)
+		t.noteEntered(o)
+	}
+	for len(ops) > 0 {
+		if t.stopped.Load() {
+			t.admitters.Add(-1)
+			for _, o := range ops {
+				t.failAdmit(o)
+			}
+			return
+		}
+		chunk := ops
+		if len(chunk) > t.inbox.Cap() {
+			chunk = chunk[:t.inbox.Cap()]
+		}
+		if !t.inbox.TryPushN(chunk) {
+			t.admitWaits.Add(1)
+			spins := 0
+			for {
+				if t.stopped.Load() {
+					t.admitters.Add(-1)
+					for _, o := range ops {
+						t.failAdmit(o)
+					}
+					return
+				}
+				t.admitBackoff(&spins)
+				retry := t.now()
+				for _, o := range chunk {
+					o.enqueuedAt = retry
+				}
+				if t.inbox.TryPushN(chunk) {
+					break
+				}
+			}
+		}
+		ops = ops[len(chunk):]
+	}
+	t.admitters.Add(-1)
+	if t.wake != nil {
+		t.wake()
+	}
+}
+
+// TryAdmitBatch admits ops as one contiguous ring transaction or not at
+// all: it returns ErrBacklog (touching nothing) when the ring lacks room
+// for the whole batch right now, and ErrStopped (after completing every
+// op with that error) when the tree has stopped.
+func (t *Tree) TryAdmitBatch(ops []*Op) error {
+	if len(ops) > t.inbox.Cap() {
+		return ErrBacklog
+	}
+	t.admitters.Add(1)
+	now := t.now()
+	for _, o := range ops {
+		o.Res.Admitted = now
+		o.enqueuedAt = now
+		t.notePending(o)
+		t.noteEntered(o)
+	}
+	if t.stopped.Load() {
+		t.admitters.Add(-1)
+		for _, o := range ops {
+			t.failAdmit(o)
+		}
+		return ErrStopped
+	}
+	if !t.inbox.TryPushN(ops) {
+		t.admitters.Add(-1)
+		for _, o := range ops {
+			t.unnotePending(o)
+			t.unnoteEntered(o)
+		}
+		return ErrBacklog
+	}
+	t.admitters.Add(-1)
+	if t.wake != nil {
+		t.wake()
+	}
+	return nil
+}
+
+// Reservation is a claimed-but-unpublished span of the admission ring,
+// the building block for all-or-nothing admission across several trees
+// (a sharded batch commit): reserve room on every tree first, then
+// publish everywhere, or abort the claims already made. Between
+// TryReserve and Publish/Abort the reserving goroutine counts as an
+// in-flight admitter, so the worker never exits under a live claim.
+type Reservation struct {
+	t   *Tree
+	pos uint64
+	n   int
+}
+
+// TryReserve claims room for n operations or returns ErrBacklog without
+// side effects. A successful reservation (n >= 1) MUST be finished with
+// Publish or Abort — an abandoned claim wedges the worker.
+func (t *Tree) TryReserve(n int) (Reservation, error) {
+	if n <= 0 {
+		return Reservation{}, nil
+	}
+	if n > t.inbox.Cap() {
+		return Reservation{}, ErrBacklog
+	}
+	t.admitters.Add(1)
+	if t.stopped.Load() {
+		t.admitters.Add(-1)
+		return Reservation{}, ErrStopped
+	}
+	pos, ok := t.inbox.tryClaim(n)
+	if !ok {
+		t.admitters.Add(-1)
+		return Reservation{}, ErrBacklog
+	}
+	return Reservation{t: t, pos: pos, n: n}, nil
+}
+
+// Publish fills the reservation with ops (len(ops) must equal the
+// reserved count) and releases the span to the worker. If the tree
+// stopped after the reservation was taken the ops are still drained by
+// the worker's shutdown path — the admitters count keeps it alive.
+func (r Reservation) Publish(ops []*Op) {
+	if r.t == nil {
+		return
+	}
+	if len(ops) != r.n {
+		panic("core: Reservation.Publish with mismatched op count")
+	}
+	now := r.t.now()
+	for i, o := range ops {
+		o.Res.Admitted = now
+		o.enqueuedAt = now
+		r.t.notePending(o)
+		r.t.noteEntered(o)
+		r.t.inbox.publishAt(r.pos, i, o)
+	}
+	r.t.admitters.Add(-1)
+	if r.t.wake != nil {
+		r.t.wake()
+	}
+}
+
+// Abort releases the reservation by publishing internal no-ops into the
+// claimed slots (the span cannot be un-claimed once later producers may
+// have queued behind it); the no-ops flow through the worker and free
+// themselves.
+func (r Reservation) Abort() {
+	if r.t == nil {
+		return
+	}
+	now := r.t.now()
+	for i := 0; i < r.n; i++ {
+		o := AcquireOp().InitNop()
+		o.Done = func(o *Op) { o.Release() }
+		o.Res.Admitted = now
+		o.enqueuedAt = now
+		r.t.inbox.publishAt(r.pos, i, o)
+	}
+	r.t.admitters.Add(-1)
+	if r.t.wake != nil {
+		r.t.wake()
+	}
+}
+
+// failAdmit completes an operation that cannot be admitted.
+func (t *Tree) failAdmit(o *Op) {
+	t.unnotePending(o)
+	t.unnoteEntered(o)
+	o.Res.Err = ErrStopped
+	o.Res.Completed = o.Res.Admitted
+	if o.Done != nil {
+		o.Done(o)
+	}
+}
+
+// notePending registers a write op's key in the pending-key registry (the
+// optimistic readers' read-your-writes fence). It MUST run before the op
+// is pushed onto the ring: the worker can complete the op (and decrement)
+// the instant it is visible there. Every note is balanced by exactly one
+// unnote, at op teardown or on the admission failure paths; o.pendingMark
+// carries the obligation.
+func (t *Tree) notePending(o *Op) {
+	if t.pub == nil || o.pendingMark {
+		return
+	}
+	switch o.kind {
+	case KindInsert, KindUpdate, KindDelete:
+		o.pendingMark = true
+		t.pub.pend.inc(o.key)
+	}
+}
+
+// unnotePending releases a notePending mark, if any.
+func (t *Tree) unnotePending(o *Op) {
+	if o.pendingMark {
+		o.pendingMark = false
+		t.pub.pend.dec(o.key)
+	}
+}
+
+// noteEntered counts o into the engine-depth gauge. Like notePending it
+// MUST run before the op is visible on the ring (the worker can complete
+// it — and decrement — the instant it is published there), and every
+// mark is balanced exactly once: by completeOp, or by unnoteEntered on
+// the admission-failure paths. Reservation.Abort's internal no-ops are
+// never marked, so they pass through the worker without touching the
+// gauge.
+func (t *Tree) noteEntered(o *Op) {
+	o.engMark = true
+	t.engineDepth.Add(1)
+}
+
+// unnoteEntered releases a noteEntered mark, if any.
+func (t *Tree) unnoteEntered(o *Op) {
+	if o.engMark {
+		o.engMark = false
+		t.engineDepth.Add(-1)
+	}
+}
+
+// EngineDepth reports how many operations are currently inside the
+// engine: admitted onto the ring and not yet completed. Safe from any
+// goroutine; the reading is a momentary gauge, not a fence.
+func (t *Tree) EngineDepth() int { return int(t.engineDepth.Load()) }
+
+// QueueWaitEWMA reports the exponentially weighted moving average
+// (α = 1/8) of recently completed operations' ready-queue wait — the
+// live congestion signal behind per-shard admission weighting. Safe
+// from any goroutine.
+func (t *Tree) QueueWaitEWMA() time.Duration {
+	return time.Duration(t.qwEWMA.Load())
+}
+
+// admitBackoff parks a producer blocked on a full ring. Only the real
+// environment can legitimately reach it: there the worker drains the ring
+// concurrently. In the cooperative simulation the worker cannot run while
+// the admitting callback spins, so a full ring there is a configuration
+// error (raise Config.InboxDepth above the offered concurrency) and is
+// reported as such rather than deadlocking silently.
+func (t *Tree) admitBackoff(spins *int) {
+	*spins++
+	if t.wake == nil && *spins > 1<<20 {
+		panic("core: admission ring full in a simulated environment; raise Config.InboxDepth")
+	}
+	if *spins%64 == 0 {
+		time.Sleep(time.Microsecond)
+	} else {
+		runtime.Gosched()
+	}
+}
+
+func (t *Tree) drainInbox() {
+	drained := 0
+	var drainNow sim.Time
+	for {
+		o, ok := t.inbox.Pop()
+		if !ok {
+			break
+		}
+		if drained == 0 {
+			// One clock read covers the whole drain batch: every op in it
+			// becomes ready at the same instant.
+			drainNow = t.now()
+		}
+		drained++
+		if o.kind == KindSync {
+			t.enroll(o, stSyncRun)
+		} else {
+			t.enroll(o, stEntry)
+		}
+		o.drainedAt = drainNow
+		if t.tr != nil {
+			// Producer-side events, emitted retroactively now that the op
+			// is on the worker (the tracer is single-threaded by design).
+			if w := o.enqueuedAt.Sub(o.Res.Admitted); w > 0 {
+				t.tr.Emit(tcAdmitWait, uint16(o.kind), o.seq, 0, int64(o.Res.Admitted), int64(w))
+			}
+			t.tr.Emit(tcInbox, uint16(o.kind), o.seq, 0, int64(o.enqueuedAt), int64(drainNow.Sub(o.enqueuedAt)))
+		}
+		if t.cfg.Pipelined && (pointKind(o.kind) || o.kind == KindRange) {
+			// A range scan's start key predicts its descent path just like
+			// a point key does; the sibling read-ahead takes over once the
+			// scan reaches the leaf level (specScanAhead).
+			t.specKeys = append(t.specKeys, o.key)
+		}
+		if pointKind(o.kind) {
+			o.keyGated = true
+			if tail, ok := t.keyDeps[o.key]; ok {
+				// A point op on this key is still in flight: park behind it
+				// (released by opTeardown) to preserve admission order.
+				tail.keyNext = o
+				t.keyDeps[o.key] = o
+				continue
+			}
+			if t.keyDeps == nil {
+				t.keyDeps = make(map[uint64]*Op)
+			}
+			t.keyDeps[o.key] = o
+		}
+		t.pushReady(o, drainNow)
+	}
+	if drained > 0 {
+		t.policy.OnAdmit(drained, drainNow)
+		if t.cfg.Pipelined {
+			t.speculate(drainNow)
+		}
+	}
+}
+
+// pointKind reports whether a kind addresses exactly one key and thus
+// participates in the per-key dependency chain.
+func pointKind(k Kind) bool {
+	switch k {
+	case KindSearch, KindInsert, KindUpdate, KindDelete:
+		return true
+	}
+	return false
+}
+
+func (t *Tree) inboxEmpty() bool { return t.inbox.Empty() }
+
+// adoptOp injects a tree-spawned operation directly into the live set,
+// bypassing the admission ring. Worker-thread only.
+func (t *Tree) adoptOp(o *Op, st opState) {
+	now := t.now()
+	o.Res.Admitted = now
+	o.enqueuedAt = now
+	o.drainedAt = now
+	t.enroll(o, st)
+	t.pushReady(o, now)
+}
+
+// enroll makes o a live operation of this tree, entering at state st.
+func (t *Tree) enroll(o *Op, st opState) {
+	t.seq++
+	o.seq = t.seq
+	o.tree = t
+	if o.grantFn == nil {
+		o.grantFn = func() { o.tree.grantLatch(o) }
+	}
+	o.state = st
+	t.liveOps++
+}

@@ -171,36 +171,20 @@ type Config struct {
 	// is off by default and sim experiments that pin byte-identical
 	// schedules keep it off.
 	ConcurrentReads bool
-	// SpeculativePrefetch enables the pipelined loop's speculative child
-	// prefetch: at drain time the worker walks each queued point
-	// operation's predicted root-to-leaf path through buffer-resident
-	// pages and issues the first missing page's read before the
-	// operation's turn, so the read completes (or is in flight) by the
-	// time the operation reaches it. Mispredictions are detected at
-	// completion — any intervening data-page write, or residency via
+	// Pipelined overlaps I/O with computation on the working thread
+	// (DESIGN.md §17). Speculative child prefetch: at drain time the
+	// worker walks each queued operation's predicted root-to-leaf path
+	// through buffer-resident pages and issues the first missing page's
+	// read before the operation's turn; mispredictions are detected at
+	// completion — any intervening write of the page, or residency via
 	// another path, drops the speculative image — and operations that
 	// reach a page with a speculative read already in flight coalesce
-	// onto it instead of issuing a duplicate. Off by default: speculative
-	// reads change the simulated I/O schedule, so deterministic
-	// experiments that pin byte-identical traces keep it off. See
-	// pipeline.go and DESIGN.md §17.
-	SpeculativePrefetch bool
-	// SpecBudget bounds the speculative reads in flight at once (0
-	// selects the default 16 when SpeculativePrefetch is on). The
-	// effective budget per pass is additionally capped by device-queue
-	// headroom and deferred while the probe policy predicts imminent
-	// completions, so speculation fills idle submission slots instead of
-	// competing with demand I/O.
-	SpecBudget int
-	// WALWriteDepth bounds how many WAL block writes the tree-level
-	// journal writer keeps in flight at once. 0 or 1 is the classic
-	// single-in-flight writer (byte-identical schedules); higher values
-	// pipeline writes of distinct log blocks — rewrites of a block with a
-	// write still in flight queue behind it, and the durability watermark
-	// only advances over the contiguous completed prefix of the log, so
-	// log order and the gate-before-mutation rule are preserved. See
-	// DESIGN.md §17.
-	WALWriteDepth int
+	// onto it (pipeline.go). Deeper journal writer: up to
+	// walDepthPipelined WAL block writes in flight instead of one, with
+	// log order and the contiguous-prefix durability watermark preserved
+	// (journal.go). Off by default: both reshape the simulated I/O
+	// schedule, so the paper's experiments run the classic loop.
+	Pipelined bool
 }
 
 // WithDefaults fills zero fields.
@@ -221,12 +205,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 50 * time.Microsecond
-	}
-	if c.SpeculativePrefetch && c.SpecBudget <= 0 {
-		c.SpecBudget = 16
-	}
-	if c.WALWriteDepth < 1 {
-		c.WALWriteDepth = 1
 	}
 	if c.Policy == nil {
 		m, err := probe.Default()

@@ -1,0 +1,479 @@
+package core
+
+// This file is every way the package hands a command to a device. The
+// working thread has exactly one: Tree.submit, reaped by Tree.reap
+// (Algorithm 2's "submit to the queue pair" and "process the completion").
+// Setup paths that run before a worker exists (Format, ReadMeta) use the
+// blocking syncIO helper at the bottom; crash recovery has its own in
+// recover.go.
+//
+// Command classes and what the seam does for each:
+//
+//	class            issued by       queue full        transient error            counters
+//	demand read      submitRead      stall the op      op budget, backoff, rerun  ReadsIssued
+//	speculative read specIssue       drop the guess    dropped, never retried     ReadsIssued SpecIssued SpecCancelled
+//	op write         submitOpWrite   stall the op      op budget, backoff, rerun  WritesIssued
+//	write-back       submitBG        stays in bgQueue  own budget, backoff        WritesIssued
+//	WAL block        jwSubmit        stays in jwq      entry budget, resubmit     WritesIssued
+//	sync page        submitSyncPage  stall the op      op budget, requeue page    WritesIssued
+//	sync phase write submitSyncCmd   stall the op      op budget, resend phase    WritesIssued
+//	flush            submitSyncCmd   stall the op      op budget, resend phase    —
+//
+// Every errored command counts in Stats.IOErrors and every retry in
+// Stats.IORetries. A budget is Config.MaxIORetries transient statuses;
+// beyond it, or on any other status, the tree enters the failed state.
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"github.com/patree/patree/internal/buffer"
+	"github.com/patree/patree/internal/metrics"
+	"github.com/patree/patree/internal/nvme"
+	"github.com/patree/patree/internal/sim"
+	"github.com/patree/patree/internal/storage"
+)
+
+// ErrDeviceFailed is the terminal error: an I/O failed beyond the retry
+// budget (or with a non-transient status), the tree entered its failed
+// state, and every live and future operation completes with this error.
+// The working thread keeps running so pending operations drain cleanly;
+// Tree.FailCause reports the underlying device error.
+var ErrDeviceFailed = errors.New("core: device failed")
+
+// errCorruptRead marks a read whose page image failed its checksum
+// (bit rot, or a torn write surfacing later). It is transient from the
+// retry machinery's point of view: a re-read may return clean data.
+var errCorruptRead = errors.New("core: page image failed checksum")
+
+// transientIOErr reports whether a device error is worth retrying.
+func transientIOErr(err error) bool {
+	return err == nvme.ErrMedia || err == nvme.ErrTimeout || err == errCorruptRead
+}
+
+// ioResult is the seam's verdict on a reaped command.
+type ioResult uint8
+
+const (
+	ioOK      ioResult = iota
+	ioRetry            // transient error, one retry charged to the budget: issue it again
+	ioDropped          // errored with no budget to draw on (advisory command): forget it
+	ioFailed           // budget spent or terminal status: the tree has entered the failed state
+)
+
+// ioCmd is one worker-issued device command between submit and reap. It
+// embeds the nvme.Command so command and context are one allocation; the
+// completion closure is the other.
+type ioCmd struct {
+	nvme.Command
+	// op is the operation the command belongs to: it is stalled when the
+	// queue is full, credited the I/O wait, named in the trace event and
+	// handed ErrDeviceFailed on terminal failure. Nil for tree-level
+	// traffic (write-backs, WAL blocks, speculative reads), which stays
+	// in its own queue — or is dropped — when the submission queue is full.
+	op *Op
+	// retries is the budget transient errors draw from, compared against
+	// Config.MaxIORetries when the error is reaped. Nil means errors are
+	// never retried and never fail the tree.
+	retries *int
+	// done is the class's completion handler, a method expression so it
+	// costs no closure.
+	done      func(t *Tree, c *ioCmd, res ioResult, now sim.Time)
+	submitted sim.Time
+
+	// Class payload, read back by done. Four fields for eight classes is
+	// the price of not allocating a second closure per command; a class
+	// that needs more goes behind one pointer field, not more fields here.
+	epoch uint64   // write-back, sync page: buffer epoch of the image being persisted
+	tries int      // write-back: its budget (retries points here)
+	jw    *jwEntry // WAL block: its writer-queue entry
+	onOK  func()   // sync phase command: advances the phase
+}
+
+// dirty is the buffer entry a write-back or sync-page command persists.
+func (c *ioCmd) dirty() buffer.Dirty {
+	return buffer.Dirty{ID: storage.PageID(c.LBA), Data: c.Buf, Epoch: c.epoch}
+}
+
+// pageRead and pageWrite build the single-page commands every class but
+// the flush issues.
+func pageRead(id storage.PageID) nvme.Command {
+	return nvme.Command{Op: nvme.OpRead, LBA: uint64(id), Blocks: 1, Buf: make([]byte, storage.PageSize)}
+}
+
+func pageWrite(id storage.PageID, data []byte) nvme.Command {
+	return nvme.Command{Op: nvme.OpWrite, LBA: uint64(id), Blocks: 1, Buf: data}
+}
+
+// submit hands c to the queue pair. It returns false when the command was
+// not accepted; c.op, if any, is then on the stalled list and re-enters
+// the ready set on the next main-loop pass.
+func (t *Tree) submit(c *ioCmd) bool {
+	if c.Op == nvme.OpWrite {
+		// The device image of this page is about to go stale under any
+		// speculative read of it still in flight.
+		t.specInvalidate(storage.PageID(c.LBA))
+	}
+	c.submitted = t.now()
+	c.Callback = func(done nvme.Completion) { t.reap(c, done.Err) }
+	t.charge(metrics.CatNVMe, t.cfg.Costs.IOSubmit)
+	if err := t.qp.Submit(&c.Command); err != nil {
+		if c.op != nil {
+			t.stalled = append(t.stalled, c.op)
+		}
+		return false
+	}
+	t.policy.OnSubmit(c.Op, c.submitted)
+	t.ioBlocked++
+	switch c.Op {
+	case nvme.OpRead:
+		t.stats.ReadsIssued++
+	case nvme.OpWrite:
+		t.stats.WritesIssued++
+	}
+	return true
+}
+
+// reap runs when a probe detects c's completion: it settles the
+// bookkeeping submit opened, classifies an error against the budget, and
+// hands the verdict to the class handler.
+func (t *Tree) reap(c *ioCmd, err error) {
+	t.ioBlocked--
+	now := t.now()
+	t.policy.OnDetected(c.Op, c.submitted, now)
+	class, seq := uint16(classNone), uint64(0)
+	if o := c.op; o != nil {
+		o.ioWait += now.Sub(c.submitted)
+		class, seq = uint16(o.kind), o.seq
+	}
+	if t.tr != nil {
+		code := uint16(tcIOWrite)
+		if c.Op == nvme.OpRead {
+			code = tcIORead
+		}
+		t.tr.Emit(code, class, seq, c.LBA, int64(c.submitted), int64(now.Sub(c.submitted)))
+	}
+	if err == nil && c.Op == nvme.OpRead && !storage.VerifyPage(c.Buf) {
+		// Bit rot or a torn write: never admit a checksum-failed image
+		// into the buffers. A re-read may heal transient corruption.
+		err = errCorruptRead
+	}
+	res := ioOK
+	if err != nil {
+		t.stats.IOErrors++
+		switch {
+		case c.retries == nil:
+			res = ioDropped
+		case !t.failed && transientIOErr(err) && *c.retries < t.cfg.MaxIORetries:
+			*c.retries++
+			t.stats.IORetries++
+			res = ioRetry
+		default:
+			t.enterFailed(err)
+			if c.op != nil {
+				c.op.pendingErr = ErrDeviceFailed
+			}
+			res = ioFailed
+		}
+	}
+	c.done(t, c, res, now)
+}
+
+// ─── Retries and the terminal failed state ──────────────────────────────
+
+// retryEntry parks an op until its backoff elapses (promoteRetries).
+type retryEntry struct {
+	op  *Op
+	due sim.Time
+}
+
+// retryDelay is the exponential backoff before the attempt-th retry.
+func (t *Tree) retryDelay(attempt int) time.Duration {
+	d := t.cfg.RetryBackoff
+	for i := 1; i < attempt && d < time.Second; i++ {
+		d *= 2
+	}
+	return d
+}
+
+// scheduleRetry parks o until its backoff elapses. Only ops with no
+// other pending wake-up source (no outstanding commands, no latch
+// request) may be parked here, so a promotion can never double-schedule
+// an op that moved on in the meantime.
+func (t *Tree) scheduleRetry(o *Op, d time.Duration) {
+	t.retryq = append(t.retryq, retryEntry{op: o, due: t.now().Add(d)})
+}
+
+// promoteRetries pushes parked ops whose backoff elapsed back into the
+// ready set. In the failed state every entry is promoted immediately so
+// the pipeline drains without waiting out backoffs.
+func (t *Tree) promoteRetries() {
+	if len(t.retryq) == 0 {
+		return
+	}
+	now := t.now()
+	rest := t.retryq[:0]
+	for _, e := range t.retryq {
+		if t.failed || e.due <= now {
+			t.pushReady(e.op, now)
+		} else {
+			rest = append(rest, e)
+		}
+	}
+	t.retryq = rest
+}
+
+// enterFailed flips the tree into its terminal failed state: background
+// write-backs are dropped and every parked operation is woken so it
+// drains with ErrDeviceFailed. The working thread itself stays healthy —
+// Run keeps going until every live op has completed, so no waiter is
+// stranded and Close still works.
+func (t *Tree) enterFailed(cause error) {
+	if t.failed {
+		return
+	}
+	t.failed = true
+	t.failCause = cause
+	t.bgQueue = t.bgQueue[:0]
+	if t.pub != nil {
+		// Withdraw the fast path: optimistic reads must not keep serving a
+		// frozen snapshot of a failed tree. Every read now falls back to
+		// the pipeline, which drains it with ErrDeviceFailed.
+		t.pub.withdrawRoot()
+	}
+	t.promoteRetries()
+	t.promoteJWaiters()
+	for _, sr := range t.specInflight {
+		// Wake ops parked on speculative reads: the failed drain at the
+		// top of process() handles them, and the reads' own completions
+		// will find no waiters left.
+		t.promoteSpecWaiters(sr, t.now())
+	}
+}
+
+// Failed reports whether the tree is in the terminal failed state.
+// Worker-thread only.
+func (t *Tree) Failed() bool { return t.failed }
+
+// FailCause returns the device error that moved the tree into the failed
+// state (nil while healthy). Worker-thread only.
+func (t *Tree) FailCause() error { return t.failCause }
+
+// ─── Background write-back (weak persistence) ───────────────────────────
+
+// bgWrite is one queued background write-back, with its retry budget and
+// the earliest instant it may be (re)submitted.
+type bgWrite struct {
+	buffer.Dirty
+	retries int
+	due     sim.Time
+}
+
+// bufferWrite stores a weak-mode page update and schedules any evicted
+// dirty victim for background write-back.
+func (t *Tree) bufferWrite(id storage.PageID, data []byte) {
+	t.specInvalidate(id)
+	if victim, ev := t.rw.Write(id, data); ev {
+		t.queueBG(victim)
+	}
+	// With buffering disabled (capacity 0) the write must still reach the
+	// device: treat it as its own write-back.
+	if t.rw.Len() == 0 {
+		t.queueBG(buffer.Dirty{ID: id, Data: data, Epoch: 0})
+	}
+}
+
+func (t *Tree) queueBG(d buffer.Dirty) {
+	if t.failed {
+		return // terminal state: durability is already lost, drop quietly
+	}
+	// Coalesce with a queued-but-unsubmitted write of the same page: the
+	// newest image supersedes (same-page submission order must hold, or a
+	// retried stale image could overwrite fresher data).
+	for i := range t.bgQueue {
+		if t.bgQueue[i].ID == d.ID {
+			t.bgQueue[i].Dirty = d
+			t.bgQueue[i].retries = 0
+			t.bgQueue[i].due = 0
+			t.drainBG()
+			return
+		}
+	}
+	t.bgQueue = append(t.bgQueue, bgWrite{Dirty: d})
+	t.drainBG()
+}
+
+// drainBG submits queued background write-backs whose backoff has
+// elapsed, leaving the rest queued when the submission queue is full.
+func (t *Tree) drainBG() {
+	if len(t.bgQueue) == 0 {
+		return
+	}
+	if t.failed {
+		t.bgQueue = t.bgQueue[:0]
+		return
+	}
+	now := t.now()
+	rest := t.bgQueue[:0]
+	for i := 0; i < len(t.bgQueue); i++ {
+		w := t.bgQueue[i]
+		if w.due > now {
+			rest = append(rest, w)
+			continue
+		}
+		if !t.submitBG(w) {
+			// Submission queue full: keep this and everything after it.
+			rest = append(rest, t.bgQueue[i:]...)
+			break
+		}
+	}
+	t.bgQueue = rest
+}
+
+// submitBG issues one background write-back. Returns false when the
+// submission queue is full (the entry stays queued). A transient error
+// re-queues the write with backoff until its retry budget runs out.
+func (t *Tree) submitBG(w bgWrite) bool {
+	c := &ioCmd{
+		Command: pageWrite(w.ID, w.Data),
+		done:    (*Tree).bgDone,
+		epoch:   w.Epoch,
+		tries:   w.retries,
+	}
+	c.retries = &c.tries
+	t.inflight[w.ID] = w.Data
+	if !t.submit(c) {
+		delete(t.inflight, w.ID)
+		return false // retried by the main loop's drainBG
+	}
+	return true
+}
+
+func (t *Tree) bgDone(c *ioCmd, res ioResult, now sim.Time) {
+	d := c.dirty()
+	if cur, ok := t.inflight[d.ID]; ok && &cur[0] == &d.Data[0] {
+		delete(t.inflight, d.ID)
+	}
+	switch res {
+	case ioRetry:
+		t.requeueBG(bgWrite{Dirty: d, retries: c.tries, due: now.Add(t.retryDelay(c.tries))})
+	case ioOK:
+		if d.Epoch != 0 {
+			t.rw.MarkClean(d.ID, d.Epoch)
+		}
+	}
+}
+
+// requeueBG re-queues a failed background write for retry — unless a
+// newer image of the same page is already queued, which supersedes it.
+func (t *Tree) requeueBG(w bgWrite) {
+	for i := range t.bgQueue {
+		if t.bgQueue[i].ID == w.ID {
+			return
+		}
+	}
+	t.bgQueue = append(t.bgQueue, w)
+}
+
+// ─── Setup I/O: blocking, before any worker runs ───────────────────────
+
+// Format initializes a fresh device with an empty tree (meta page + empty
+// root leaf) using direct synchronous I/O, and returns the meta image.
+// When the device is large enough, a WAL region is carved from its top
+// and recorded in the meta page; the redo journal (Config.Journal) and
+// crash recovery use it, and it costs nothing when left disabled.
+func Format(dev nvme.Device) (*storage.Meta, error) {
+	return FormatShard(dev, 0, 0)
+}
+
+// FormatShard is Format with a shard identity stamped into the meta
+// page: shard id of count trees hash-partitioning one keyspace
+// (0 of 0 = unsharded). Open-time checks compare the recorded identity
+// against the requested shard layout, so a device formatted for one
+// layout cannot silently open under another.
+func FormatShard(dev nvme.Device, id, count uint16) (*storage.Meta, error) {
+	return FormatShardDevice(dev, id, count, 0, 0)
+}
+
+// FormatShardDevice is FormatShard with a device placement stamped
+// alongside the shard identity: the shard lives on device devID of
+// devCount in a multi-device topology (0 of 0 = single-device layout).
+// Open-time checks compare it against the offered device list, so a
+// topology formatted across M devices cannot silently open with a
+// different device count or order.
+func FormatShardDevice(dev nvme.Device, id, count, devID, devCount uint16) (*storage.Meta, error) {
+	root := storage.NewLeaf(1)
+	walStart, walBlocks := walGeometry(dev.NumBlocks())
+	meta := &storage.Meta{Root: 1, Height: 1, Watermark: 2,
+		WALStart: walStart, WALBlocks: walBlocks,
+		ShardID: id, ShardCount: count,
+		DeviceID: devID, DeviceCount: devCount}
+	if walBlocks > 0 {
+		meta.WALGen = 1
+		// Zero the region's first block so stale frames from a previous
+		// life of the device can never be replayed.
+		if err := syncWrite(dev, storage.PageID(walStart), make([]byte, storage.PageSize)); err != nil {
+			return nil, err
+		}
+	}
+	if err := syncWrite(dev, 1, root.Encode()); err != nil {
+		return nil, err
+	}
+	if err := syncWrite(dev, 0, meta.Encode()); err != nil {
+		return nil, err
+	}
+	return meta, nil
+}
+
+// ReadMeta loads the meta page from the device synchronously.
+func ReadMeta(dev nvme.Device) (*storage.Meta, error) {
+	buf := make([]byte, storage.PageSize)
+	if err := syncRead(dev, 0, buf); err != nil {
+		return nil, err
+	}
+	return storage.DecodeMeta(buf)
+}
+
+// syncWrite performs a blocking single-page write: submit, then poll.
+// Used only for setup/recovery paths, never on the index hot path.
+func syncWrite(dev nvme.Device, id storage.PageID, data []byte) error {
+	return syncIO(dev, &nvme.Command{Op: nvme.OpWrite, LBA: uint64(id), Blocks: 1, Buf: data})
+}
+
+func syncRead(dev nvme.Device, id storage.PageID, buf []byte) error {
+	return syncIO(dev, &nvme.Command{Op: nvme.OpRead, LBA: uint64(id), Blocks: 1, Buf: buf})
+}
+
+func syncIO(dev nvme.Device, cmd *nvme.Command) error {
+	qp, err := dev.AllocQueuePair(4)
+	if err != nil {
+		return err
+	}
+	defer qp.Free()
+	done := false
+	var ioErr error
+	cmd.Callback = func(c nvme.Completion) { done = true; ioErr = c.Err }
+	if err := qp.Submit(cmd); err != nil {
+		return err
+	}
+	// On a simulated device (or a partition/fault wrapper over one),
+	// Advance drains the engine and the completion is ready immediately.
+	// Wrappers over real-time devices expose a no-op Advance, so fall
+	// through to wall-clock polling whenever the completion is not there.
+	if sd, ok := dev.(interface{ Advance() }); ok {
+		sd.Advance()
+		qp.Probe(0)
+		if done {
+			return ioErr
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !done {
+		qp.Probe(0)
+		if time.Now().After(deadline) {
+			return fmt.Errorf("core: sync I/O timed out")
+		}
+	}
+	return ioErr
+}

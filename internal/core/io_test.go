@@ -1,0 +1,389 @@
+package core
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"github.com/patree/patree/internal/buffer"
+	"github.com/patree/patree/internal/metrics"
+	"github.com/patree/patree/internal/nvme"
+	"github.com/patree/patree/internal/sched"
+	"github.com/patree/patree/internal/sim"
+	"github.com/patree/patree/internal/storage"
+)
+
+// scriptQP is a queue pair the test drives by hand: Submit accepts or
+// bounces on command, and nothing completes until the test says so and
+// with what status.
+type scriptQP struct {
+	full    bool
+	pending []*nvme.Command
+	image   []byte // copied into a successfully completed read
+}
+
+func (q *scriptQP) Submit(c *nvme.Command) error {
+	if q.full {
+		return nvme.ErrQueueFull
+	}
+	q.pending = append(q.pending, c)
+	return nil
+}
+func (q *scriptQP) Probe(int) int    { return 0 }
+func (q *scriptQP) Outstanding() int { return len(q.pending) }
+func (q *scriptQP) Free() error      { return nil }
+
+// complete reaps the oldest accepted command with status err.
+func (q *scriptQP) complete(err error) {
+	c := q.pending[0]
+	q.pending = q.pending[1:]
+	if err == nil && c.Op == nvme.OpRead {
+		copy(c.Buf, q.image)
+	}
+	c.Callback(nvme.Completion{Cmd: c, Err: err})
+}
+
+type scriptDev struct{ qp *scriptQP }
+
+func (d scriptDev) AllocQueuePair(int) (nvme.QueuePair, error) { return d.qp, nil }
+func (scriptDev) BlockSize() int                               { return storage.PageSize }
+func (scriptDev) NumBlocks() uint64                            { return 1 << 16 }
+func (scriptDev) Close() error                                 { return nil }
+
+// tickEnv is a clock that advances 1µs per reading, so every wait the
+// seam measures is non-zero and every backoff lies in the future.
+type tickEnv struct {
+	now sim.Time
+	cpu metrics.CPUAccount
+}
+
+func (e *tickEnv) Now() sim.Time                               { e.now += sim.Time(time.Microsecond); return e.now }
+func (e *tickEnv) Work(c metrics.CPUCategory, d time.Duration) { e.cpu.Charge(c, d) }
+func (e *tickEnv) Sleep(time.Duration)                         {}
+func (e *tickEnv) CPU() *metrics.CPUAccount                    { return &e.cpu }
+
+// seamTree builds a tree over a scripted queue pair. Run is never
+// started: the test plays the working thread and calls the submit sites
+// directly.
+func seamTree(t *testing.T, cfg Config) (*Tree, *scriptQP) {
+	t.Helper()
+	qp := &scriptQP{image: storage.NewLeaf(seamPage).Encode()}
+	cfg.Policy = sched.NewAlwaysProbe()
+	cfg.MaxIORetries = 2
+	meta := &storage.Meta{Root: 1, Height: 1, Watermark: 2, WALStart: 1 << 15, WALBlocks: 256, WALGen: 1}
+	tree, err := New(scriptDev{qp}, cfg, &tickEnv{}, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree, qp
+}
+
+// seamPage is the page every class in the table reads or writes.
+const seamPage storage.PageID = 5
+
+// ioClassRow is one command class: how to issue one command of it for
+// seamPage, and where the seam's verdicts must leave it.
+type ioClassRow struct {
+	name string
+	cfg  Config
+	// issue submits one command through the class's real site. o is a
+	// live op for the classes that have an owner, nil otherwise.
+	issue         func(t *Tree, o *Op)
+	owner         bool   // has an owning op: stalled when full, handed ErrDeviceFailed on terminal failure
+	write         bool   // page write: must invalidate an in-flight speculative read of the page
+	reads, writes uint64 // ReadsIssued / WritesIssued per accepted command
+	// kept reports whether a bounced command is still where the main
+	// loop will find it (tree-level classes; owners are on t.stalled).
+	kept func(t *Tree) bool
+	// retried reports whether a transient error put the command back on
+	// its class's retry path (nil for the class that has none).
+	retried func(t *Tree, o *Op, qp *scriptQP) bool
+}
+
+var weakCfg = Config{Persistence: WeakPersistence, BufferPages: 8}
+var journalCfg = Config{Persistence: WeakPersistence, BufferPages: 8, Journal: true}
+
+func ioClassRows() []ioClassRow {
+	page := storage.NewLeaf(seamPage).Encode()
+	return []ioClassRow{
+		{
+			name: "demand read", owner: true, reads: 1,
+			issue:   func(t *Tree, o *Op) { o.cur = seamPage; t.submitRead(o) },
+			retried: func(t *Tree, o *Op, _ *scriptQP) bool { return len(t.retryq) == 1 && t.retryq[0].op == o && !o.inReady },
+		},
+		{
+			name: "speculative read", reads: 1,
+			issue: func(t *Tree, _ *Op) { t.specIssue(seamPage) },
+			kept:  func(t *Tree) bool { return len(t.specInflight) == 0 }, // dropped: nothing retained
+		},
+		{
+			name: "op write", owner: true, write: true, writes: 1,
+			issue: func(t *Tree, o *Op) {
+				o.writes, o.wIdx = []writeReq{{id: seamPage, data: page}}, 0
+				t.submitOpWrite(o)
+			},
+			retried: func(t *Tree, o *Op, _ *scriptQP) bool { return len(t.retryq) == 1 && o.wIdx == 0 && !o.inReady },
+		},
+		{
+			name: "background write-back", cfg: weakCfg, write: true, writes: 1,
+			issue: func(t *Tree, _ *Op) { t.queueBG(buffer.Dirty{ID: seamPage, Data: page}) },
+			kept:  func(t *Tree) bool { return len(t.bgQueue) == 1 && len(t.inflight) == 0 },
+			retried: func(t *Tree, _ *Op, _ *scriptQP) bool {
+				return len(t.bgQueue) == 1 && t.bgQueue[0].retries == 1 && t.bgQueue[0].due > t.now() && len(t.inflight) == 0
+			},
+		},
+		{
+			name: "WAL block", cfg: journalCfg, write: true, writes: 1,
+			issue: func(t *Tree, _ *Op) { t.jwEnqueue(seamPage, page); t.jwKick() },
+			kept:  func(t *Tree) bool { return len(t.jwq) == 1 && !t.jwq[0].inflight && t.jwInflight == 0 },
+			retried: func(t *Tree, _ *Op, qp *scriptQP) bool {
+				return len(qp.pending) == 1 && t.jwq[0].inflight && t.jwq[0].retries == 1
+			},
+		},
+		{
+			name: "sync page", cfg: weakCfg, owner: true, write: true, writes: 1,
+			issue: func(t *Tree, o *Op) { t.submitSyncPage(o, buffer.Dirty{ID: seamPage, Data: page}) },
+			retried: func(t *Tree, o *Op, _ *scriptQP) bool {
+				return len(o.syncQueue) == 1 && o.syncQueue[0].ID == seamPage && o.syncOutstanding == 0 && o.inReady
+			},
+		},
+		{
+			name: "sync phase write", cfg: weakCfg, owner: true, write: true, writes: 1,
+			issue: func(t *Tree, o *Op) {
+				o.syncSent = t.submitSyncCmd(o, pageWrite(seamPage, page), func() { o.syncPhase = spDone })
+			},
+			retried: func(t *Tree, o *Op, _ *scriptQP) bool { return !o.syncSent && o.syncOutstanding == 0 && o.inReady },
+		},
+		{
+			name: "flush", cfg: weakCfg, owner: true,
+			issue: func(t *Tree, o *Op) {
+				o.syncSent = t.submitSyncCmd(o, nvme.Command{Op: nvme.OpFlush}, func() { o.syncPhase = spDone })
+			},
+			retried: func(t *Tree, o *Op, _ *scriptQP) bool { return !o.syncSent && o.syncOutstanding == 0 && o.inReady },
+		},
+	}
+}
+
+// TestIOSeamClasses drives every command class through Tree.submit and
+// Tree.reap over a scripted queue pair and checks the class's declared
+// queue-full policy, error policy and counters (the table in io.go).
+func TestIOSeamClasses(t *testing.T) {
+	terminal := errors.New("controller gone")
+	for _, row := range ioClassRows() {
+		row := row
+		setup := func(t *testing.T) (*Tree, *scriptQP, *Op) {
+			tree, qp := seamTree(t, row.cfg)
+			var o *Op
+			if row.owner {
+				o = NewSync(nil)
+				tree.enroll(o, stDone)
+			}
+			return tree, qp, o
+		}
+
+		t.Run(row.name+"/accepted", func(t *testing.T) {
+			tree, qp, o := setup(t)
+			if row.write {
+				// A speculative read of the page is in flight when the
+				// write goes out: the seam must mark it stale.
+				if !tree.specIssue(seamPage) {
+					t.Fatal("speculative read not issued")
+				}
+				tree.stats = Stats{Stages: tree.stats.Stages}
+			}
+			row.issue(tree, o)
+			want := 1
+			if row.write {
+				want = 2
+				if !tree.specInflight[seamPage].stale {
+					t.Error("page write left the in-flight speculative read of its page live")
+				}
+			}
+			if len(qp.pending) != want || tree.ioBlocked != want {
+				t.Fatalf("after issue: %d commands on the queue, ioBlocked=%d, want %d", len(qp.pending), tree.ioBlocked, want)
+			}
+			if tree.stats.ReadsIssued != row.reads || tree.stats.WritesIssued != row.writes {
+				t.Errorf("issue counters: reads=%d writes=%d, want %d and %d",
+					tree.stats.ReadsIssued, tree.stats.WritesIssued, row.reads, row.writes)
+			}
+			for len(qp.pending) > 0 {
+				qp.complete(nil)
+			}
+			if tree.ioBlocked != 0 {
+				t.Errorf("ioBlocked=%d after every completion was reaped", tree.ioBlocked)
+			}
+			if tree.stats.IOErrors != 0 || tree.stats.IORetries != 0 || tree.failed {
+				t.Errorf("clean completion moved the error state: %+v failed=%v", tree.stats, tree.failed)
+			}
+			if o != nil && (o.ioWait <= 0 || !o.inReady) {
+				t.Errorf("owner after completion: ioWait=%v inReady=%v", o.ioWait, o.inReady)
+			}
+		})
+
+		t.Run(row.name+"/queue full", func(t *testing.T) {
+			tree, qp, o := setup(t)
+			qp.full = true
+			row.issue(tree, o)
+			if tree.ioBlocked != 0 || tree.stats.ReadsIssued+tree.stats.WritesIssued != 0 {
+				t.Fatalf("bounced command was accounted as issued: ioBlocked=%d stats=%+v", tree.ioBlocked, tree.stats)
+			}
+			if row.owner {
+				if len(tree.stalled) != 1 || tree.stalled[0] != o {
+					t.Fatalf("owner not on the stalled list: %v", tree.stalled)
+				}
+				tree.resubmitStalled()
+				if !o.inReady {
+					t.Fatal("stalled owner did not re-enter the ready set")
+				}
+			} else {
+				if len(tree.stalled) != 0 {
+					t.Fatalf("ownerless command stalled something: %v", tree.stalled)
+				}
+				if !row.kept(tree) {
+					t.Fatal("bounced command is not where its class's policy leaves it")
+				}
+			}
+			// Whatever was kept goes out once the queue has room.
+			qp.full = false
+			tree.drainBG()
+			tree.jwKick()
+			if !row.owner && row.name != "speculative read" && len(qp.pending) != 1 {
+				t.Fatalf("kept command did not go out on the next pass: %d pending", len(qp.pending))
+			}
+		})
+
+		t.Run(row.name+"/transient error", func(t *testing.T) {
+			tree, qp, o := setup(t)
+			row.issue(tree, o)
+			qp.complete(nvme.ErrTimeout)
+			if tree.stats.IOErrors != 1 {
+				t.Errorf("IOErrors=%d, want 1", tree.stats.IOErrors)
+			}
+			if tree.failed {
+				t.Fatalf("one transient error failed the tree: %v", tree.failCause)
+			}
+			if row.name == "speculative read" {
+				if tree.stats.IORetries != 0 || tree.stats.SpecCancelled != 1 || len(qp.pending) != 0 || len(tree.specInflight) != 0 {
+					t.Fatalf("errored speculative read must be dropped and counted, never retried: %+v", tree.stats)
+				}
+				return
+			}
+			if tree.stats.IORetries != 1 {
+				t.Errorf("IORetries=%d, want 1", tree.stats.IORetries)
+			}
+			if !row.retried(tree, o, qp) {
+				t.Fatal("transient error did not take the class's retry path")
+			}
+			if o != nil && o.ioRetries != 1 {
+				t.Errorf("owner budget charged %d, want 1", o.ioRetries)
+			}
+		})
+
+		t.Run(row.name+"/terminal error", func(t *testing.T) {
+			tree, qp, o := setup(t)
+			row.issue(tree, o)
+			qp.complete(terminal)
+			if tree.stats.IOErrors != 1 || tree.stats.IORetries != 0 {
+				t.Errorf("IOErrors=%d IORetries=%d, want 1 and 0", tree.stats.IOErrors, tree.stats.IORetries)
+			}
+			if row.name == "speculative read" {
+				if tree.failed {
+					t.Fatal("an advisory read failed the tree")
+				}
+				return
+			}
+			if !tree.failed || tree.failCause != terminal {
+				t.Fatalf("failed=%v cause=%v, want the terminal status", tree.failed, tree.failCause)
+			}
+			if o != nil && (o.pendingErr != ErrDeviceFailed || !o.inReady) {
+				t.Fatalf("owner: pendingErr=%v inReady=%v, want ErrDeviceFailed and ready to drain", o.pendingErr, o.inReady)
+			}
+			if tree.ioBlocked != 0 {
+				t.Errorf("ioBlocked=%d", tree.ioBlocked)
+			}
+		})
+
+		if row.name == "speculative read" {
+			continue
+		}
+		t.Run(row.name+"/budget exhausted", func(t *testing.T) {
+			tree, qp, o := setup(t)
+			row.issue(tree, o)
+			for i := 0; !tree.failed; i++ {
+				if i > tree.cfg.MaxIORetries {
+					t.Fatalf("still healthy after %d transient errors on a budget of %d", i, tree.cfg.MaxIORetries)
+				}
+				if len(qp.pending) == 0 {
+					// Play the main loop: let backoffs elapse and reissue.
+					tree.env.(*tickEnv).now += sim.Time(time.Second)
+					tree.promoteRetries()
+					tree.drainBG()
+					if o != nil {
+						o.inReady = false
+						row.issue(tree, o)
+					}
+				}
+				qp.complete(nvme.ErrTimeout)
+			}
+			if tree.failCause != nvme.ErrTimeout || tree.stats.IORetries != uint64(tree.cfg.MaxIORetries) {
+				t.Fatalf("cause=%v IORetries=%d, want the timeout after exactly %d retries",
+					tree.failCause, tree.stats.IORetries, tree.cfg.MaxIORetries)
+			}
+		})
+	}
+}
+
+// TestJournalWriterDepthOne pins the serial writer: a rewrite of the
+// tail block is superseded in place while merely queued and queues behind
+// while the tail is in flight, a transient error resubmits the same head
+// entry, the durability watermark wakes the ops it covers, and a terminal
+// error wakes every parked op.
+func TestJournalWriterDepthOne(t *testing.T) {
+	tree, qp := seamTree(t, journalCfg)
+	if tree.jwDepth != walDepthClassic {
+		t.Fatalf("zero Config writer depth = %d", tree.jwDepth)
+	}
+	blk := storage.PageID(tree.walStart)
+	img := func(b byte) []byte { p := make([]byte, storage.PageSize); p[0] = b; return p }
+	park := func(need int) *Op {
+		o := NewInsert(1, nil, nil)
+		tree.enroll(o, stJournal)
+		o.jNeed, o.jParked = need, true
+		tree.jWaiters = append(tree.jWaiters, o)
+		return o
+	}
+
+	tree.jwEnqueue(blk, img(1))
+	tree.jwq[0].certify = 100
+	tree.jwKick()
+	tree.jwEnqueue(blk, img(2)) // tail in flight: queues behind
+	tree.jwEnqueue(blk, img(3)) // tail merely queued: superseded in place
+	tree.jwq[1].certify = 200
+	tree.jwEnqueue(blk+1, img(4))
+	tree.jwKick()
+	if len(tree.jwq) != 3 || tree.jwq[1].data[0] != 3 || len(qp.pending) != 1 || tree.jwInflight != 1 {
+		t.Fatalf("queue=%d second=%d pending=%d inflight=%d, want 3 entries, image 3, one write in flight",
+			len(tree.jwq), tree.jwq[1].data[0], len(qp.pending), tree.jwInflight)
+	}
+	first, second := park(100), park(200)
+
+	qp.complete(nvme.ErrTimeout)
+	if len(qp.pending) != 1 || qp.pending[0].Buf[0] != 1 || tree.jwq[0].retries != 1 || first.inReady {
+		t.Fatalf("head retry: pending=%d image=%d retries=%d woke=%v, want the same entry back in flight",
+			len(qp.pending), qp.pending[0].Buf[0], tree.jwq[0].retries, first.inReady)
+	}
+	qp.complete(nil)
+	if tree.jDurable != 100 || !first.inReady || second.inReady {
+		t.Fatalf("jDurable=%d first=%v second=%v, want 100 and only the first op woken", tree.jDurable, first.inReady, second.inReady)
+	}
+	if len(qp.pending) != 1 || qp.pending[0].Buf[0] != 3 || len(tree.jwq) != 2 {
+		t.Fatalf("completion did not chain the next entry: pending=%d queue=%d", len(qp.pending), len(tree.jwq))
+	}
+
+	third := park(300)
+	qp.complete(errors.New("controller gone"))
+	if !tree.failed || !second.inReady || !third.inReady || len(tree.jWaiters) != 0 || len(tree.jwq) != 0 {
+		t.Fatalf("failed=%v second=%v third=%v waiters=%d queue=%d, want every parked op woken",
+			tree.failed, second.inReady, third.inReady, len(tree.jWaiters), len(tree.jwq))
+	}
+}

@@ -176,20 +176,18 @@ type Op struct {
 	wIdx     int
 	commit   func()
 
-	// sync bookkeeping
+	// Sync bookkeeping: the pipeline advances through numbered phases
+	// (see runSync). syncQueue is the page snapshot still to write and
+	// syncOutstanding the commands in flight; syncSent marks a single
+	// in-flight phase command, syncResetDone that the in-memory log has
+	// already been reset, syncFenced that this op owns the append fence.
 	syncStarted     bool
 	syncQueue       []buffer.Dirty
 	syncOutstanding int
-	syncFlushSent   bool
-	syncFlushDone   bool
-	// journaled-sync bookkeeping: the checkpoint pipeline advances through
-	// numbered phases (see runSyncJournaled); syncSent marks a single
-	// in-flight phase command, syncResetDone that the in-memory log has
-	// already been reset, syncFenced that this op owns the append fence.
-	syncPhase     int
-	syncSent      bool
-	syncResetDone bool
-	syncFenced    bool
+	syncPhase       int
+	syncSent        bool
+	syncResetDone   bool
+	syncFenced      bool
 	// internal marks tree-spawned operations (checkpoint syncs) so their
 	// completion can release pipeline-serialization flags.
 	internal bool
@@ -373,8 +371,6 @@ func (o *Op) reset() {
 	o.syncStarted = false
 	o.syncQueue = nil
 	o.syncOutstanding = 0
-	o.syncFlushSent = false
-	o.syncFlushDone = false
 	o.syncPhase = 0
 	o.syncSent = false
 	o.syncResetDone = false

@@ -1,6 +1,6 @@
 package core
 
-// Speculative child prefetch (Config.SpeculativePrefetch): the drain-time
+// Speculative child prefetch (Config.Pipelined): the drain-time
 // half of the pipelined polled loop of DESIGN.md §17.
 //
 // The polled worker normally discovers each operation's next page one
@@ -19,7 +19,7 @@ package core
 //
 // Speculation is advisory and strictly bounded:
 //
-//   - a budget (Config.SpecBudget) caps speculative reads in flight, the
+//   - a budget (specBudget) caps speculative reads in flight, the
 //     pass is additionally capped by submission-queue headroom (half the
 //     ring is reserved for demand traffic), and it is skipped entirely
 //     while the probe policy predicts completions are ready to reap —
@@ -48,7 +48,6 @@ package core
 
 import (
 	"github.com/patree/patree/internal/metrics"
-	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/sim"
 	"github.com/patree/patree/internal/storage"
 )
@@ -114,7 +113,7 @@ func (t *Tree) speculate(now sim.Time) {
 // predicts completions are ready to reap. The policy consult pays the
 // same per-evaluation overhead the main loop's probe gate pays.
 func (t *Tree) specBudgetNow(now sim.Time) int {
-	b := t.cfg.SpecBudget - len(t.specInflight)
+	b := specBudget - len(t.specInflight)
 	if head := t.cfg.QueueDepth/2 - t.qp.Outstanding(); head < b {
 		b = head
 	}
@@ -187,48 +186,29 @@ func (t *Tree) specIssue(id storage.PageID, keys ...uint64) bool {
 	if t.specInflight == nil {
 		t.specInflight = make(map[storage.PageID]*specRead)
 	}
-	sr := &specRead{id: id, keys: keys}
-	buf := make([]byte, storage.PageSize)
-	submitted := t.now()
-	cmd := &nvme.Command{Op: nvme.OpRead, LBA: uint64(id), Blocks: 1, Buf: buf}
-	cmd.Callback = func(c nvme.Completion) {
-		t.ioBlocked--
-		now := t.now()
-		t.policy.OnDetected(nvme.OpRead, submitted, now)
-		if t.tr != nil {
-			t.tr.Emit(tcIORead, classNone, 0, uint64(id), int64(submitted), int64(now.Sub(submitted)))
-		}
-		delete(t.specInflight, id)
-		t.specComplete(sr, buf, c.Err, now)
+	ok := t.submit(&ioCmd{Command: pageRead(id), done: (*Tree).specComplete})
+	if ok {
+		t.stats.SpecIssued++
+		t.specInflight[id] = &specRead{id: id, keys: keys}
 	}
-	t.charge(metrics.CatNVMe, t.cfg.Costs.IOSubmit)
-	if err := t.qp.Submit(cmd); err != nil {
-		return false
-	}
-	t.policy.OnSubmit(nvme.OpRead, submitted)
-	t.ioBlocked++
-	t.stats.ReadsIssued++
-	t.stats.SpecIssued++
-	t.specInflight[id] = sr
-	return true
+	return ok
 }
 
 // specComplete validates and installs one landed speculative image, wakes
 // the operations parked on it, and chains the prediction one page deeper
 // for the keys that rode on it.
-func (t *Tree) specComplete(sr *specRead, buf []byte, err error, now sim.Time) {
+func (t *Tree) specComplete(c *ioCmd, res ioResult, now sim.Time) {
+	sr := t.specInflight[storage.PageID(c.LBA)]
+	delete(t.specInflight, sr.id)
 	_, resident := t.specResident(sr.id)
-	if err != nil || resident || sr.stale || !storage.VerifyPage(buf) {
-		if err != nil {
-			t.stats.IOErrors++
-		}
+	if res != ioOK || resident || sr.stale {
 		// Mispredict: drop the image. Waiters wake and issue their own
 		// demand reads (fresh image, full retry budget).
 		t.stats.SpecCancelled++
 		t.promoteSpecWaiters(sr, now)
 		return
 	}
-	t.fillOnRead(sr.id, buf)
+	t.fillOnRead(sr.id, c.Buf)
 	if len(sr.waiters) == 0 {
 		t.stats.SpecWasted++
 	}
@@ -265,7 +245,7 @@ func (t *Tree) specScanAhead(o *Op, node *storage.Node, idx int) {
 		if node.Keys[j-1] > o.endKey {
 			return
 		}
-		if len(t.specInflight) >= t.cfg.SpecBudget ||
+		if len(t.specInflight) >= specBudget ||
 			t.qp.Outstanding() >= t.cfg.QueueDepth/2 {
 			return
 		}
@@ -278,6 +258,13 @@ func (t *Tree) specScanAhead(o *Op, node *storage.Node, idx int) {
 		}
 	}
 }
+
+// specBudget caps the speculative reads in flight at once. The effective
+// budget per pass is additionally capped by device-queue headroom and
+// deferred while the probe policy predicts imminent completions, so
+// speculation fills idle submission slots instead of competing with
+// demand I/O.
+const specBudget = 16
 
 // specScanAheadDepth bounds how many sibling leaves one scan prefetches:
 // at the default 64-pair scan length and ~20-byte entries a scan spans

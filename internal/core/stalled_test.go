@@ -89,10 +89,38 @@ func (r *stormRig) drive(ops []*Op) {
 			r.tree.Admit(op)
 		}
 	})
-	for remaining > 0 && r.eng.Step() {
+	// The worker busy-polls while ops are live, so a stranded op shows up
+	// as an endless run, not an idle engine: bound the steps.
+	for steps := 0; remaining > 0 && steps < 20_000_000 && r.eng.Step(); steps++ {
 	}
 	if remaining > 0 {
 		r.t.Fatalf("%d operations never completed", remaining)
+	}
+}
+
+// TestWeakSyncResumesFromFullQueue pins that an unjournaled Sync stalls
+// and resumes like every other command class: its page snapshot is
+// larger than the submission queue and point traffic competes for the
+// slots, so its writes bounce while it has nothing of its own in flight
+// to reschedule it.
+func TestWeakSyncResumesFromFullQueue(t *testing.T) {
+	r := newStormRig(t, Config{Persistence: WeakPersistence, BufferPages: 32, QueueDepth: 6})
+	r.qp.rejectEvery = 0 // the six-slot ring is the choke
+	var ops []*Op
+	for i := uint64(1); i <= 600; i++ {
+		ops = append(ops, NewInsert(i%400+1, []byte(fmt.Sprintf("value-%d", i)), nil))
+		if i%40 == 0 {
+			ops = append(ops, NewSync(nil))
+		}
+	}
+	r.drive(ops)
+	for _, op := range ops {
+		if op.Res.Err != nil {
+			t.Fatalf("%s failed: %v", op.kind, op.Res.Err)
+		}
+	}
+	if len(r.tree.stalled) != 0 {
+		t.Fatalf("%d entries left on the stalled list", len(r.tree.stalled))
 	}
 }
 

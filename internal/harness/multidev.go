@@ -21,8 +21,8 @@ type MultiDevConfig struct {
 	Shards int
 	// Devices is the simulated device count (M). Each device gets its
 	// own SimDevice built from the Device template with a per-device
-	// seed; device 0's seed matches the single-device harness so a
-	// {N, 1} topology reproduces RunShardedPATree exactly.
+	// seed; device 0's seed matches the single-device harness
+	// (RunPATree), which a {1, 1} topology reproduces exactly.
 	Devices int
 	// Placement maps shard index -> device index. Nil means round-robin
 	// (shard i on device i % M), the same default the embedder uses.
@@ -74,8 +74,9 @@ func multiDevSeed(seed uint64, d int) uint64 {
 // core.ShardOf; the preload is split among the shards' partitions and
 // each is bulk-loaded independently; the closed-loop driver keeps
 // Scale.Concurrency operations outstanding per shard, routing each to
-// its key's owner. With Devices == 1 the layout (and for Shards == 1
-// the raw-device placement) matches RunShardedPATree exactly.
+// its key's owner. Devices == 1 is the single-device sharded run
+// (RunShardedPATree), and with Shards == 1 as well the tree sits on the
+// raw device exactly as in RunPATree (TestShardsOneByteCompat).
 func RunMultiDevice(cfg MultiDevConfig) MultiDevStats {
 	n := cfg.Shards
 	if n < 1 {
@@ -101,8 +102,8 @@ func RunMultiDevice(cfg MultiDevConfig) MultiDevStats {
 	}
 
 	// Carve one partition per shard. The single-shard single-device
-	// topology places the tree on the raw device, mirroring
-	// RunShardedPATree (and RunPATree) exactly.
+	// topology places the tree on the raw device, mirroring RunPATree
+	// exactly.
 	shardDev := make([]nvme.Device, n)
 	if n == 1 && m == 1 {
 		shardDev[0] = devs[0]
@@ -217,6 +218,9 @@ func RunMultiDevice(cfg MultiDevConfig) MultiDevStats {
 				}
 			}
 		}
+		// Range ops stay on the low key's shard: the sharded harness
+		// measures throughput scaling, and the swept workloads are
+		// point-op mixes (the embedder API does the real scatter-gather).
 		si := core.ShardOf(w.Key, n)
 		op := toOp(w, doneFns[si])
 		if gov != nil && gov.Throttled(si, inflight[si]) {
@@ -285,29 +289,7 @@ func RunMultiDevice(cfg MultiDevConfig) MultiDevStats {
 		out.Outstanding += dst.AvgOutstanding
 	}
 	out.IOPS = float64(completedIO) / secs
-	var total metrics.CPUAccount
-	for _, a := range cpus {
-		total.Merge(a)
-	}
-	if idleSpin > 0 {
-		other := total.Get(metrics.CatOther) - idleSpin
-		if other < 0 {
-			other = 0
-		}
-		adj := metrics.CPUAccount{}
-		for _, c := range metrics.Categories() {
-			if c == metrics.CatOther {
-				adj.Charge(c, other)
-			} else {
-				adj.Charge(c, total.Get(c))
-			}
-		}
-		total = adj
-	}
-	out.Breakdown = total.Fractions()
-	if measuredOps > 0 {
-		out.CyclesPerOp = total.Total().Seconds() * CPUGHz * 1e9 / float64(measuredOps) / 1e3
-	}
+	out.attributeCPU(cpus, measuredOps, idleSpin)
 	out.Throttled = throttled
 
 	// Drain: parked ops flow through the engine once stopping is set so

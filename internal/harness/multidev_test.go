@@ -45,46 +45,67 @@ func TestRunMultiDeviceProducesStats(t *testing.T) {
 }
 
 // TestMultiDevOneDeviceCompat pins the Devices=1 degenerate case to the
-// existing sharded driver: same seed, same workload, the multi-device
-// runner on one device must reproduce RunShardedPATree's measurements
-// exactly — the partition layout, per-device seed and admission order
-// are all identical, so any divergence means the generalized runner
-// changed the single-device experiments it subsumes.
+// sharded entry point the single-device figures call: same seed, same
+// workload, RunShardedPATree and RunMultiDevice on one device must
+// report the same measurements exactly. RunShardedPATree is an adapter
+// over RunMultiDevice, so a divergence means the adapter dropped or
+// mangled a field; the last case sets every field it forwards.
 func TestMultiDevOneDeviceCompat(t *testing.T) {
 	s := tinyScale()
-	for _, shards := range []int{1, 4} {
-		a := RunShardedPATree(ShardedPAConfig{
-			Scale:  s,
-			Shards: shards,
-			MkTree: mdTree,
-			Gen:    defaultGen(s, 10, 0.3),
+	weakTree := func() core.Config { return paTreeConfig(64, core.WeakPersistence) }
+	for _, tc := range []struct {
+		name      string
+		shards    int
+		mkTree    func() core.Config
+		device    nvme.SimConfig
+		syncEvery int
+	}{
+		{name: "shards=1", shards: 1, mkTree: mdTree},
+		{name: "shards=4", shards: 4, mkTree: mdTree},
+		{name: "shards=2 weak sync", shards: 2, mkTree: weakTree,
+			device: nvme.SimConfig{Parallelism: 256}, syncEvery: 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := RunShardedPATree(ShardedPAConfig{
+				Scale:     s,
+				Shards:    tc.shards,
+				MkTree:    tc.mkTree,
+				Gen:       defaultGen(s, 10, 0.3),
+				Device:    tc.device,
+				SyncEvery: tc.syncEvery,
+			})
+			b := RunMultiDevice(MultiDevConfig{
+				Scale:     s,
+				Shards:    tc.shards,
+				Devices:   1,
+				MkTree:    tc.mkTree,
+				Gen:       defaultGen(s, 10, 0.3),
+				Device:    tc.device,
+				SyncEvery: tc.syncEvery,
+			})
+			if a.Ops == 0 {
+				t.Errorf("no ops measured")
+			}
+			if a.Ops != b.Ops {
+				t.Errorf("ops diverged: sharded=%d multidev=%d", a.Ops, b.Ops)
+			}
+			if a.Throughput != b.Throughput {
+				t.Errorf("throughput diverged: sharded=%v multidev=%v", a.Throughput, b.Throughput)
+			}
+			if a.MeanLatency != b.MeanLatency || a.P99Latency != b.P99Latency {
+				t.Errorf("latency diverged: sharded mean=%v p99=%v, multidev mean=%v p99=%v",
+					a.MeanLatency, a.P99Latency, b.MeanLatency, b.P99Latency)
+			}
+			if a.Probes != b.Probes {
+				t.Errorf("probes diverged: sharded=%d multidev=%d", a.Probes, b.Probes)
+			}
+			if a.LatchWaits != b.LatchWaits {
+				t.Errorf("latch waits diverged: sharded=%d multidev=%d", a.LatchWaits, b.LatchWaits)
+			}
+			if a.IOPS != b.IOPS {
+				t.Errorf("IOPS diverged: sharded=%v multidev=%v", a.IOPS, b.IOPS)
+			}
 		})
-		b := RunMultiDevice(MultiDevConfig{
-			Scale:   s,
-			Shards:  shards,
-			Devices: 1,
-			MkTree:  mdTree,
-			Gen:     defaultGen(s, 10, 0.3),
-		})
-		if a.Ops != b.Ops {
-			t.Errorf("shards=%d: ops diverged: sharded=%d multidev=%d", shards, a.Ops, b.Ops)
-		}
-		if a.Throughput != b.Throughput {
-			t.Errorf("shards=%d: throughput diverged: sharded=%v multidev=%v", shards, a.Throughput, b.Throughput)
-		}
-		if a.MeanLatency != b.MeanLatency || a.P99Latency != b.P99Latency {
-			t.Errorf("shards=%d: latency diverged: sharded mean=%v p99=%v, multidev mean=%v p99=%v",
-				shards, a.MeanLatency, a.P99Latency, b.MeanLatency, b.P99Latency)
-		}
-		if a.Probes != b.Probes {
-			t.Errorf("shards=%d: probes diverged: sharded=%d multidev=%d", shards, a.Probes, b.Probes)
-		}
-		if a.LatchWaits != b.LatchWaits {
-			t.Errorf("shards=%d: latch waits diverged: sharded=%d multidev=%d", shards, a.LatchWaits, b.LatchWaits)
-		}
-		if a.IOPS != b.IOPS {
-			t.Errorf("shards=%d: IOPS diverged: sharded=%v multidev=%v", shards, a.IOPS, b.IOPS)
-		}
 	}
 }
 

@@ -23,7 +23,7 @@ type PipelineMix struct {
 	UpdatePercent int
 	// Journal turns on the redo journal; with it on, the classic writer
 	// keeps at most one WAL block write in flight, which is the
-	// bottleneck WALWriteDepth > 1 removes.
+	// bottleneck core.Config.Pipelined removes.
 	Journal bool
 	// BufferDiv sizes the page buffer as PreloadKeys/BufferDiv pages; a
 	// large divisor leaves the tree cold so point descents miss and the
@@ -73,8 +73,7 @@ func RunPipelineMix(scale Scale, mix PipelineMix, pipelined bool) RunStats {
 	cfg := paTreeConfig(scale.PreloadKeys/mix.BufferDiv, core.StrongPersistence)
 	cfg.Journal = mix.Journal
 	if pipelined {
-		cfg.SpeculativePrefetch = true
-		cfg.WALWriteDepth = 8
+		cfg.Pipelined = true
 	}
 	gen := workload.NewYCSB(workload.YCSBConfig{
 		Keys:          uint64(scale.PreloadKeys),

@@ -17,10 +17,9 @@ import (
 // mixed workload and returns the Chrome trace. pipelined toggles the
 // overlap machinery — speculative child prefetch and depth-8 WAL write
 // pipelining — which by design DOES change the simulated I/O schedule;
-// what must hold is that any given configuration is same-seed
-// reproducible, and that the default (off) configuration is
-// byte-identical to an explicitly-disabled one.
-func pipelineTraceRun(t *testing.T, seed uint64, pipelined, explicitOff bool) []byte {
+// what must hold is that either configuration is same-seed
+// reproducible, and that the zero Config is the classic loop.
+func pipelineTraceRun(t *testing.T, seed uint64, pipelined bool) []byte {
 	t.Helper()
 	eng := sim.NewEngine()
 	sd := nvme.NewSimDevice(eng, nvme.SimConfig{Seed: seed, NumBlocks: 1 << 13})
@@ -36,14 +35,7 @@ func pipelineTraceRun(t *testing.T, seed uint64, pipelined, explicitOff bool) []
 		Journal:     true,
 		Tracer:      tracer,
 	}
-	if pipelined {
-		cfg.SpeculativePrefetch = true
-		cfg.WALWriteDepth = 8
-	} else if explicitOff {
-		cfg.SpeculativePrefetch = false
-		cfg.SpecBudget = 16 // budget without the switch must stay inert
-		cfg.WALWriteDepth = 1
-	}
+	cfg.Pipelined = pipelined
 	var tree *core.Tree
 	th := osched.Spawn("patree", func(*simos.Thread) { tree.Run() })
 	tree, err = core.New(sd, cfg, core.SimEnv{T: th}, meta)
@@ -93,29 +85,18 @@ func pipelineTraceRun(t *testing.T, seed uint64, pipelined, explicitOff bool) []
 }
 
 // TestPipelinedOffTraceDeterminism is the determinism regression for
-// the overlap machinery (ISSUE 10): the options default to off, and a
-// default-configured run must export a byte-identical trace to one
-// where speculation and WAL pipelining are explicitly disabled — the
-// gates must leave the classic single-in-flight schedule untouched. If
-// this breaks, every pinned simulated experiment is suspect.
+// the overlap machinery (ISSUE 10): the zero Config is the classic
+// loop — WithDefaults must not switch Pipelined on, a default run must
+// issue no speculative read (checked in pipelineTraceRun), and its trace
+// must be same-seed reproducible. If this breaks, every pinned simulated
+// experiment is suspect.
 func TestPipelinedOffTraceDeterminism(t *testing.T) {
-	if (core.Config{}).SpeculativePrefetch {
-		t.Fatal("SpeculativePrefetch must default to off")
-	}
-	d := (core.Config{}).WithDefaults()
-	if d.SpeculativePrefetch {
-		t.Fatal("WithDefaults must not switch SpeculativePrefetch on")
-	}
-	if d.WALWriteDepth != 1 {
-		t.Fatalf("WithDefaults WALWriteDepth = %d, want the classic 1", d.WALWriteDepth)
+	if (core.Config{}).WithDefaults().Pipelined {
+		t.Fatal("WithDefaults must not switch Pipelined on")
 	}
 	const seed = 42
-	def := pipelineTraceRun(t, seed, false, false)
-	off := pipelineTraceRun(t, seed, false, true)
-	if !bytes.Equal(def, off) {
-		t.Fatalf("seed %d: explicit-off config changed the simulated trace (%d vs %d bytes) — the pipelining gates leak into the classic path", seed, len(def), len(off))
-	}
-	def2 := pipelineTraceRun(t, seed, false, false)
+	def := pipelineTraceRun(t, seed, false)
+	def2 := pipelineTraceRun(t, seed, false)
 	if !bytes.Equal(def, def2) {
 		t.Fatalf("seed %d: same-seed default runs diverged (%d vs %d bytes)", seed, len(def), len(def2))
 	}
@@ -128,8 +109,8 @@ func TestPipelinedOffTraceDeterminism(t *testing.T) {
 // it.
 func TestPipelinedOnTraceRepeatable(t *testing.T) {
 	const seed = 77
-	on1 := pipelineTraceRun(t, seed, true, false)
-	on2 := pipelineTraceRun(t, seed, true, false)
+	on1 := pipelineTraceRun(t, seed, true)
+	on2 := pipelineTraceRun(t, seed, true)
 	if !bytes.Equal(on1, on2) {
 		t.Fatalf("seed %d: same-seed pipelined runs diverged (%d vs %d bytes)", seed, len(on1), len(on2))
 	}

@@ -136,6 +136,12 @@ func (m *machine) finish(rs *RunStats, measure time.Duration, cpus []*metrics.CP
 	dst := m.dev.Stats()
 	rs.IOPS = float64(dst.CompletedReads+dst.CompletedWrites) / secs
 	rs.Outstanding = dst.AvgOutstanding
+	rs.attributeCPU(cpus, ops, idleSpin)
+}
+
+// attributeCPU fills the per-category CPU breakdown and cycles per
+// operation from the workers' accounts, leaving idleSpin out.
+func (rs *RunStats) attributeCPU(cpus []*metrics.CPUAccount, ops uint64, idleSpin time.Duration) {
 	var total metrics.CPUAccount
 	for _, a := range cpus {
 		total.Merge(a)
@@ -163,10 +169,10 @@ func (m *machine) finish(rs *RunStats, measure time.Duration, cpus []*metrics.CP
 
 // PAConfig configures a PA-Tree run.
 type PAConfig struct {
-	Scale   Scale
-	Tree    core.Config
-	Gen     workload.Generator
-	Device  nvme.SimConfig
+	Scale  Scale
+	Tree   core.Config
+	Gen    workload.Generator
+	Device nvme.SimConfig
 	// ArrivalRate > 0 switches to an open-loop driver with Poisson
 	// arrivals at that many ops/s (Figure 13); otherwise the driver is
 	// closed-loop with Scale.Concurrency outstanding operations.
@@ -305,117 +311,21 @@ type ShardedPAConfig struct {
 }
 
 // RunShardedPATree executes one sharded configuration and reports the
-// merged stats. The keyspace is hash-partitioned by core.ShardOf: the
-// preload is split among the shards' partitions (each bulk-loaded
-// independently), and the closed-loop driver keeps Scale.Concurrency
-// operations outstanding PER SHARD, routing each to its key's owner.
-// Shards <= 1 places the single tree directly on the device — exactly
-// the RunPATree layout, so same-seed runs produce identical traces.
+// merged stats: the one-device case of RunMultiDevice, which documents
+// the layout and the driver. Shards <= 1 places the single tree directly
+// on the device — exactly the RunPATree layout, so same-seed runs produce
+// identical traces.
 func RunShardedPATree(cfg ShardedPAConfig) RunStats {
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	m := newMachine(cfg.Scale.Seed, cfg.Device)
-
-	// Split the preload by owning shard; each slice stays sorted because
-	// splitting preserves order.
-	preload := cfg.Gen.Preload()
-	parts := make([][]core.KV, n)
-	for _, kv := range preload {
-		si := core.ShardOf(kv.Key, n)
-		parts[si] = append(parts[si], kv)
-	}
-
-	trees := make([]*core.Tree, n)
-	workers := make([]*simos.Thread, n)
-	per := m.dev.NumBlocks() / uint64(n)
-	for i := 0; i < n; i++ {
-		var dev nvme.Device = m.dev
-		if n > 1 {
-			p, err := nvme.NewPartition(m.dev, uint64(i)*per, per)
-			if err != nil {
-				panic(err)
-			}
-			dev = p
-		}
-		meta, err := core.BulkLoad(dev.(core.ImageWriter), parts[i], 0.7)
-		if err != nil {
-			panic(err)
-		}
-		i := i
-		workers[i] = m.os.Spawn(fmt.Sprintf("patree-shard%d", i), func(*simos.Thread) { trees[i].Run() })
-		trees[i], err = core.New(dev, cfg.MkTree(), core.SimEnv{T: workers[i]}, meta)
-		if err != nil {
-			panic(err)
-		}
-	}
-
-	measuredOps := uint64(0)
-	inWindow := false
-	stopping := false
-	updates := 0
-	var admit func()
-	onDone := func(*core.Op) {
-		if inWindow {
-			measuredOps++
-		}
-		if !stopping {
-			admit()
-		}
-	}
-	admit = func() {
-		w := cfg.Gen.Next()
-		if w.Kind != workload.OpSearch && w.Kind != workload.OpRange {
-			updates++
-			if cfg.SyncEvery > 0 && updates%cfg.SyncEvery == 0 {
-				for _, t := range trees {
-					t.Admit(core.NewSync(nil))
-				}
-			}
-		}
-		// Range ops stay on the low key's shard: the sharded harness
-		// measures throughput scaling, and the swept workloads are
-		// point-op mixes (the embedder API does the real scatter-gather).
-		trees[core.ShardOf(w.Key, n)].Admit(toOp(w, onDone))
-	}
-	conc := cfg.Scale.Concurrency
-	if conc <= 0 {
-		conc = 64
-	}
-	base := m.eng.Now()
-	m.eng.After(0, func() {
-		for i := 0; i < conc*n; i++ {
-			admit()
-		}
-	})
-	m.resetAt(base.Add(cfg.Scale.Warmup), func() {
-		for i, t := range trees {
-			t.ResetStats()
-			workers[i].CPU.Reset()
-		}
-		inWindow = true
-	})
-	m.eng.RunUntil(base.Add(cfg.Scale.Warmup + cfg.Scale.Measure))
-
-	rs := RunStats{Label: fmt.Sprintf("PA-Tree x%d", n)}
-	lat := metrics.NewHistogram()
-	var cpus []*metrics.CPUAccount
-	var idleSpin time.Duration
-	for _, t := range trees {
-		st := t.StatsSnapshot()
-		lat.Merge(st.Latency)
-		idleSpin += st.IdleSpinTime
-		cpus = append(cpus, t.CPUSnapshot())
-		rs.LatchWaits += t.LatchWaits()
-		rs.Probes += st.Probes
-	}
-	m.finish(&rs, cfg.Scale.Measure, cpus, measuredOps, lat, idleSpin)
-	stopping = true
-	for _, t := range trees {
-		t.Stop()
-	}
-	m.eng.RunFor(2 * time.Second)
+	rs := RunMultiDevice(MultiDevConfig{
+		Scale:     cfg.Scale,
+		Shards:    cfg.Shards,
+		Devices:   1,
+		MkTree:    cfg.MkTree,
+		Gen:       cfg.Gen,
+		Device:    cfg.Device,
+		SyncEvery: cfg.SyncEvery,
+	}).RunStats
+	rs.Label = fmt.Sprintf("PA-Tree x%d", max(cfg.Shards, 1))
 	return rs
 }
 

@@ -183,12 +183,3 @@ func (t *Table) Waits() uint64 { return t.waits }
 
 // ResetStats zeroes the cumulative counters.
 func (t *Table) ResetStats() { t.grants, t.waits = 0, 0 }
-
-// Dump describes all latch state for diagnostics.
-func (t *Table) Dump() string {
-	s := ""
-	for id, nl := range t.nodes {
-		s += fmt.Sprintf("node %d: r=%d w=%d pending=%d; ", id, nl.r, nl.w, len(nl.pending))
-	}
-	return s
-}

@@ -156,7 +156,8 @@ type Options struct {
 	// refused. A single-entry Devices is exactly the classic layout.
 	Devices []nvme.Device
 	// Placement maps shard index to device index (len must equal the
-	// shard count; nil = round-robin). Ignored unless Devices is set.
+	// shard count, checked for a single-entry Devices too; nil =
+	// round-robin). Ignored unless Devices is set.
 	Placement []int
 	// AdmissionWeighting turns on hot-shard adaptation for skewed
 	// traffic: each shard's physical admission ring is allocated at twice
@@ -187,7 +188,7 @@ type Options struct {
 	// drained operations' predicted descent paths through resident pages
 	// and issues the first missing page's read ahead of the operation's
 	// turn, budget-bounded and cancelled on mispredict), pipelined WAL
-	// block writes (up to WALWriteDepth journal blocks in flight, log
+	// block writes (several journal blocks in flight instead of one, log
 	// order and gate-before-mutation preserved — only meaningful with
 	// Journal), and off-worker scan merge (multi-shard Scan results are
 	// k-way merged on the waiting goroutine instead of the last-finishing
@@ -195,14 +196,6 @@ type Options struct {
 	// deterministic simulation runs keep it off — speculative reads and
 	// deeper WAL pipelining reshape the simulated I/O schedule.
 	Pipelined bool
-	// SpecBudget caps each shard's speculative prefetch reads in flight
-	// (0 = default 16). Ignored unless Pipelined.
-	SpecBudget int
-	// WALWriteDepth bounds each shard's in-flight journal block writes
-	// (0 = 8 when Pipelined, else the classic single-in-flight writer;
-	// 1 forces the classic writer even when Pipelined). Ignored unless
-	// Journal.
-	WALWriteDepth int
 }
 
 // Stats reports tree activity, summed across shards.
@@ -311,25 +304,18 @@ func Open(opts Options) (*DB, error) {
 	if len(opts.Devices) > 0 && opts.Device != nil {
 		return nil, fmt.Errorf("patree: set Options.Device or Options.Devices, not both")
 	}
-	if len(opts.Devices) == 1 {
-		// A one-device topology is exactly the classic layout; normalize
-		// so the single- and multi-device paths stay byte-identical.
-		for i, d := range opts.Placement {
-			if d != 0 {
-				return nil, fmt.Errorf("patree: shard %d placed on device %d, have 1 device", i, d)
-			}
-		}
-		opts.Device = opts.Devices[0]
-		opts.Devices = nil
-	}
-	dev := opts.Device
+	devs := opts.Devices
 	owns := false
-	if dev == nil && len(opts.Devices) == 0 {
-		if opts.DeviceBlocks == 0 {
-			opts.DeviceBlocks = 1 << 20
+	if len(devs) == 0 {
+		if opts.Device == nil {
+			if opts.DeviceBlocks == 0 {
+				opts.DeviceBlocks = 1 << 20
+			}
+			opts.Device = nvme.NewRAMDevice(nvme.RAMConfig{NumBlocks: opts.DeviceBlocks})
+			owns = true
 		}
-		dev = nvme.NewRAMDevice(nvme.RAMConfig{NumBlocks: opts.DeviceBlocks})
-		owns = true
+		devs = []nvme.Device{opts.Device}
+		opts.Placement = nil // documented as ignored unless Devices is set
 	}
 	if opts.BufferPages == 0 {
 		opts.BufferPages = 4096
@@ -337,74 +323,10 @@ func Open(opts Options) (*DB, error) {
 	if opts.InboxDepth == 0 {
 		opts.InboxDepth = 4096
 	}
-	n := opts.Shards
-	if n <= 1 {
-		n = 1
-	}
+	n, m := max(opts.Shards, 1), len(devs)
 	if n > 1<<16-1 {
 		return nil, fmt.Errorf("patree: %d shards exceeds the format limit", n)
 	}
-	if opts.Pipelined && opts.WALWriteDepth == 0 {
-		opts.WALWriteDepth = 8
-	}
-	db := &DB{dev: dev, ownsDev: owns, devices: 1, concReads: opts.ConcurrentReads, deferMerge: opts.Pipelined}
-	if opts.AdmissionWeighting {
-		// The governor works the nominal depth; the physical ring is
-		// doubled below so a throttled topology still has the deeper ring
-		// the hot shard's writers were promised.
-		db.gov = core.NewGovernor(n, opts.InboxDepth)
-		opts.InboxDepth *= 2
-	}
-	if len(opts.Devices) > 1 {
-		return openMultiDevice(db, opts, n)
-	}
-	if n == 1 {
-		// Single worker: the device is used directly, exactly the
-		// pre-sharding layout (shard identity 0/0 in the superblock).
-		s, err := openShard(dev, opts, opts.BufferPages, 0, 0, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		db.shards = []*shard{s}
-		return db, nil
-	}
-	per := dev.NumBlocks() / uint64(n)
-	if per < minShardBlocks {
-		return nil, fmt.Errorf("patree: device of %d blocks too small for %d shards (need %d blocks each)",
-			dev.NumBlocks(), n, minShardBlocks)
-	}
-	bufPer := opts.BufferPages / n
-	if bufPer < 64 {
-		bufPer = 64
-	}
-	shards := make([]*shard, n)
-	for i := 0; i < n; i++ {
-		part, err := nvme.NewPartition(dev, uint64(i)*per, per)
-		if err != nil {
-			return nil, err
-		}
-		s, err := openShard(part, opts, bufPer, uint16(i), uint16(n), 0, 0)
-		if err != nil {
-			// Unwind the workers already started so no goroutine leaks.
-			for _, prev := range shards[:i] {
-				prev.tree.Stop()
-				<-prev.done
-			}
-			return nil, fmt.Errorf("patree: shard %d/%d: %w", i, n, err)
-		}
-		s.idx = i
-		shards[i] = s
-	}
-	db.shards = shards
-	return db, nil
-}
-
-// openMultiDevice opens the N-shards × M-devices topology: each shard
-// lives on a partition of its placed device (nvme.ShardPartitions), with
-// the placement stamped into the shard's superblock so the same device
-// list — same count, same order — is required to reopen it.
-func openMultiDevice(db *DB, opts Options, n int) (*DB, error) {
-	m := len(opts.Devices)
 	if n < m {
 		return nil, fmt.Errorf("patree: %d shards cannot cover %d devices — every device must host at least one shard (raise Options.Shards or drop devices)", n, m)
 	}
@@ -415,47 +337,58 @@ func openMultiDevice(db *DB, opts Options, n int) (*DB, error) {
 			place[i] = i % m
 		}
 	}
-	parts, err := nvme.ShardPartitions(opts.Devices, n, place)
+	parts, err := nvme.ShardPartitions(devs, n, place)
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range parts {
-		if p.NumBlocks() < minShardBlocks {
-			return nil, fmt.Errorf("patree: device %d of %d blocks too small for its %d shards (shard %d needs %d blocks)",
-				place[i], opts.Devices[place[i]].NumBlocks(), countPlaced(place, place[i]), i, minShardBlocks)
+	bufPer := opts.BufferPages
+	if n > 1 {
+		bufPer = max(opts.BufferPages/n, 64)
+		for i, p := range parts {
+			if p.NumBlocks() < minShardBlocks {
+				return nil, fmt.Errorf("patree: device %d of %d blocks too small for its shards (shard %d gets %d blocks, needs %d)",
+					place[i], devs[place[i]].NumBlocks(), i, p.NumBlocks(), minShardBlocks)
+			}
 		}
 	}
-	bufPer := opts.BufferPages / n
-	if bufPer < 64 {
-		bufPer = 64
+	db := &DB{dev: opts.Device, ownsDev: owns, devices: m, concReads: opts.ConcurrentReads, deferMerge: opts.Pipelined}
+	if opts.AdmissionWeighting {
+		// The governor works the nominal depth; the physical ring is
+		// doubled so a throttled topology still has the deeper ring the
+		// hot shard's writers were promised.
+		db.gov = core.NewGovernor(n, opts.InboxDepth)
+		opts.InboxDepth *= 2
 	}
-	shards := make([]*shard, n)
-	for i, part := range parts {
-		s, err := openShard(part, opts, bufPer, uint16(i), uint16(n), uint16(place[i]), uint16(m))
+	db.shards = make([]*shard, n)
+	for i, p := range parts {
+		// The superblock identity each shard must carry. A lone worker
+		// uses its device directly as shard 0 of 0 — the pre-sharding
+		// layout — and a one-device topology records placement 0 of 0, so
+		// Options.Device and a single-entry Options.Devices are one image.
+		var dev nvme.Device = p
+		id, count, devID, devCount := uint16(i), uint16(n), uint16(0), uint16(0)
+		if n == 1 {
+			dev, count = devs[0], 0
+		}
+		if m > 1 {
+			devID, devCount = uint16(place[i]), uint16(m)
+		}
+		s, err := openShard(dev, opts, bufPer, id, count, devID, devCount)
 		if err != nil {
-			for _, prev := range shards[:i] {
+			// Unwind the workers already started so no goroutine leaks.
+			for _, prev := range db.shards[:i] {
 				prev.tree.Stop()
 				<-prev.done
 			}
-			return nil, fmt.Errorf("patree: shard %d/%d (device %d/%d): %w", i, n, place[i], m, err)
+			if n > 1 {
+				err = fmt.Errorf("patree: shard %d/%d (device %d/%d): %w", i, n, place[i], m, err)
+			}
+			return nil, err
 		}
 		s.idx = i
-		shards[i] = s
+		db.shards[i] = s
 	}
-	db.shards = shards
-	db.devices = m
 	return db, nil
-}
-
-// countPlaced counts the shards a placement assigns to device d.
-func countPlaced(place []int, d int) int {
-	k := 0
-	for _, p := range place {
-		if p == d {
-			k++
-		}
-	}
-	return k
 }
 
 // openShard formats/recovers one device (or partition) as shard id of
@@ -518,17 +451,15 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 		tracer = core.NewTracer(opts.TraceEvents)
 	}
 	tree, err := core.New(dev, core.Config{
-		Persistence:         opts.Persistence,
-		BufferPages:         bufferPages,
-		InboxDepth:          opts.InboxDepth,
-		Journal:             opts.Journal,
-		MaxIORetries:        opts.MaxIORetries,
-		Policy:              policy,
-		Tracer:              tracer,
-		ConcurrentReads:     opts.ConcurrentReads,
-		SpeculativePrefetch: opts.Pipelined,
-		SpecBudget:          opts.SpecBudget,
-		WALWriteDepth:       opts.WALWriteDepth,
+		Persistence:     opts.Persistence,
+		BufferPages:     bufferPages,
+		InboxDepth:      opts.InboxDepth,
+		Journal:         opts.Journal,
+		MaxIORetries:    opts.MaxIORetries,
+		Policy:          policy,
+		Tracer:          tracer,
+		ConcurrentReads: opts.ConcurrentReads,
+		Pipelined:       opts.Pipelined,
 	}, env, meta)
 	if err != nil {
 		return nil, err
