@@ -3,9 +3,8 @@ package core
 // This file is every way the package hands a command to a device. The
 // working thread has exactly one: Tree.submit, reaped by Tree.reap
 // (Algorithm 2's "submit to the queue pair" and "process the completion").
-// Setup paths that run before a worker exists (Format, ReadMeta) use the
-// blocking syncIO helper at the bottom; crash recovery has its own in
-// recover.go.
+// Everything that runs before a worker exists (Format, ReadMeta, Recover)
+// goes through the blocking setupIO helper at the bottom.
 //
 // Command classes and what the seam does for each:
 //
@@ -26,6 +25,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"github.com/patree/patree/internal/buffer"
@@ -49,7 +49,7 @@ var errCorruptRead = errors.New("core: page image failed checksum")
 
 // transientIOErr reports whether a device error is worth retrying.
 func transientIOErr(err error) bool {
-	return err == nvme.ErrMedia || err == nvme.ErrTimeout || err == errCorruptRead
+	return errors.Is(err, nvme.ErrMedia) || errors.Is(err, nvme.ErrTimeout) || errors.Is(err, errCorruptRead)
 }
 
 // ioResult is the seam's verdict on a reaped command.
@@ -409,18 +409,15 @@ func FormatShardDevice(dev nvme.Device, id, count, devID, devCount uint16) (*sto
 		WALStart: walStart, WALBlocks: walBlocks,
 		ShardID: id, ShardCount: count,
 		DeviceID: devID, DeviceCount: devCount}
+	var cmds []nvme.Command
 	if walBlocks > 0 {
 		meta.WALGen = 1
 		// Zero the region's first block so stale frames from a previous
 		// life of the device can never be replayed.
-		if err := syncWrite(dev, storage.PageID(walStart), make([]byte, storage.PageSize)); err != nil {
-			return nil, err
-		}
+		cmds = append(cmds, pageWrite(storage.PageID(walStart), make([]byte, storage.PageSize)))
 	}
-	if err := syncWrite(dev, 1, root.Encode()); err != nil {
-		return nil, err
-	}
-	if err := syncWrite(dev, 0, meta.Encode()); err != nil {
+	cmds = append(cmds, pageWrite(1, root.Encode()), pageWrite(0, meta.Encode()))
+	if err := syncIO(dev, cmds...); err != nil {
 		return nil, err
 	}
 	return meta, nil
@@ -428,52 +425,163 @@ func FormatShardDevice(dev nvme.Device, id, count, devID, devCount uint16) (*sto
 
 // ReadMeta loads the meta page from the device synchronously.
 func ReadMeta(dev nvme.Device) (*storage.Meta, error) {
-	buf := make([]byte, storage.PageSize)
-	if err := syncRead(dev, 0, buf); err != nil {
+	page0 := pageRead(0)
+	if err := syncIO(dev, page0); err != nil {
 		return nil, err
 	}
-	return storage.DecodeMeta(buf)
+	return storage.DecodeMeta(page0.Buf)
 }
 
-// syncWrite performs a blocking single-page write: submit, then poll.
-// Used only for setup/recovery paths, never on the index hot path.
-func syncWrite(dev nvme.Device, id storage.PageID, data []byte) error {
-	return syncIO(dev, &nvme.Command{Op: nvme.OpWrite, LBA: uint64(id), Blocks: 1, Buf: data})
-}
-
-func syncRead(dev nvme.Device, id storage.PageID, buf []byte) error {
-	return syncIO(dev, &nvme.Command{Op: nvme.OpRead, LBA: uint64(id), Blocks: 1, Buf: buf})
-}
-
-func syncIO(dev nvme.Device, cmd *nvme.Command) error {
-	qp, err := dev.AllocQueuePair(4)
+// syncIO runs cmds one after another on a queue pair of its own.
+func syncIO(dev nvme.Device, cmds ...nvme.Command) error {
+	s, err := newSetupIO(dev)
 	if err != nil {
 		return err
 	}
-	defer qp.Free()
-	done := false
-	var ioErr error
-	cmd.Callback = func(c nvme.Completion) { done = true; ioErr = c.Err }
-	if err := qp.Submit(cmd); err != nil {
-		return err
+	defer s.close()
+	return s.seq(cmds...)
+}
+
+// setupDepth is the queue-pair depth setup I/O asks for (a device may grant
+// less: run learns that from ErrQueueFull); setupRetries is each command's
+// budget of transient statuses, the default of Config.MaxIORetries.
+const setupDepth, setupRetries = 32, 3
+
+// setupIO is the one blocking submitter of everything that runs before a
+// worker exists (Format, ReadMeta, Recover): a queue pair kept as full as
+// the caller's commands allow, completions reaped in whatever order they
+// arrive. Recover holds one throughout: the simulated device never recycles
+// queue-pair slots, so a pair per command would exhaust it.
+type setupIO struct {
+	dev      nvme.Device
+	qp       nvme.QueuePair
+	slots    [setupDepth]setupSlot
+	free     []int // slots with no command in flight
+	reaped   []int // slots whose completion arrived and awaits run's verdict
+	inflight int
+}
+
+// setupSlot is one command between submit and verdict.
+type setupSlot struct {
+	cmd   nvme.Command
+	cb    func(nvme.Completion)
+	item  int // the caller's index of the command
+	tries int
+	err   error
+}
+
+func newSetupIO(dev nvme.Device) (*setupIO, error) {
+	qp, err := dev.AllocQueuePair(setupDepth)
+	if err != nil {
+		return nil, err
 	}
-	// On a simulated device (or a partition/fault wrapper over one),
-	// Advance drains the engine and the completion is ready immediately.
-	// Wrappers over real-time devices expose a no-op Advance, so fall
-	// through to wall-clock polling whenever the completion is not there.
-	if sd, ok := dev.(interface{ Advance() }); ok {
+	s := &setupIO{dev: dev, qp: qp}
+	for k := range s.slots {
+		s.slots[k].cb = func(c nvme.Completion) {
+			s.slots[k].err = c.Err
+			s.reaped = append(s.reaped, k)
+			s.inflight--
+		}
+		s.free = append(s.free, k)
+	}
+	return s, nil
+}
+
+func (s *setupIO) close() { s.qp.Free() }
+
+// seq runs cmds one at a time, each complete before the next is issued.
+func (s *setupIO) seq(cmds ...nvme.Command) error {
+	for i := range cmds {
+		if err := s.run(1, func(int, int) nvme.Command { return cmds[i] }, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// run issues commands 0..n-1 in order, as many in flight as the pair
+// takes, and returns once none is. issue(i, slot) builds command i (again,
+// should the pair turn it away); the slot (< setupDepth) is the command's
+// alone until its verdict, so callers index per-slot buffers by it. done(i, slot), when not nil, runs as
+// command i completes without a device error, in completion order, and
+// may fail it with a verdict of its own (a checksum). A transient error,
+// the device's or done's, reissues the command up to setupRetries times.
+// The first error that stands ends issue and done; run still drains what
+// is in flight before returning it, so no completion lands in a buffer and
+// no callback fires after run has returned (a timeout excepted: the
+// commands it gave up on are still the device's).
+func (s *setupIO) run(n int, issue func(i, slot int) nvme.Command, done func(i, slot int) error) error {
+	var first error
+	for next := 0; ; {
+		for first == nil && next < n && len(s.free) > 0 {
+			k := s.free[len(s.free)-1]
+			sl := &s.slots[k]
+			sl.cmd, sl.item, sl.tries = issue(next, k), next, 0
+			if err := s.submit(k); errors.Is(err, nvme.ErrQueueFull) && s.inflight > 0 {
+				// The device granted a shallower pair than asked for: what
+				// is in flight is its depth, and the spare slots go unused.
+				s.free = s.free[:0]
+			} else if err != nil {
+				first = err
+			} else {
+				s.free = s.free[:len(s.free)-1]
+				next++
+			}
+		}
+		if s.inflight == 0 {
+			return first
+		}
+		if err := s.wait(); err != nil {
+			return err
+		}
+		for _, k := range s.reaped {
+			sl := &s.slots[k]
+			err := sl.err
+			if err == nil && first == nil && done != nil {
+				err = done(sl.item, k)
+			}
+			if err != nil && first == nil && transientIOErr(err) && sl.tries < setupRetries {
+				sl.tries++
+				if err = s.submit(k); err == nil {
+					continue
+				}
+			}
+			if err != nil && first == nil {
+				first = err
+			}
+			s.free = append(s.free, k)
+		}
+		s.reaped = s.reaped[:0]
+	}
+}
+
+func (s *setupIO) submit(k int) error {
+	sl := &s.slots[k]
+	sl.cmd.Callback = sl.cb
+	err := s.qp.Submit(&sl.cmd)
+	if err == nil {
+		s.inflight++
+	}
+	return err
+}
+
+// wait blocks until at least one in-flight command's callback has run.
+func (s *setupIO) wait() error {
+	// On a simulated device (or a partition/fault wrapper over one) Advance
+	// drains the engine and the completions are there at once; over a
+	// real-time device it is a no-op and they are polled for. An empty probe
+	// yields — with one P the device's goroutines need this very processor —
+	// and every 1024th looks at the 10 s deadline.
+	if sd, ok := s.dev.(interface{ Advance() }); ok {
 		sd.Advance()
-		qp.Probe(0)
-		if done {
-			return ioErr
+	}
+	s.qp.Probe(0)
+	for start, spins := time.Now(), 1; len(s.reaped) == 0; spins++ {
+		runtime.Gosched()
+		s.qp.Probe(0)
+		if spins%1024 == 0 && time.Since(start) > 10*time.Second {
+			return fmt.Errorf("core: setup I/O timed out with %d commands in flight", s.inflight)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !done {
-		qp.Probe(0)
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: sync I/O timed out")
-		}
-	}
-	return ioErr
+	return nil
 }

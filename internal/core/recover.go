@@ -1,8 +1,8 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"time"
 
 	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/storage"
@@ -52,61 +52,11 @@ type RecoverReport struct {
 	MetaRepaired bool
 }
 
-// recoverIO batches all of recovery's synchronous I/O through one queue
-// pair: the simulated device never recycles queue-pair slots, so the
-// per-call AllocQueuePair in syncIO would exhaust it on a large region.
-type recoverIO struct {
-	dev nvme.Device
-	qp  nvme.QueuePair
-}
-
-func newRecoverIO(dev nvme.Device) (*recoverIO, error) {
-	qp, err := dev.AllocQueuePair(32)
-	if err != nil {
-		return nil, err
-	}
-	return &recoverIO{dev: dev, qp: qp}, nil
-}
-
-func (r *recoverIO) close() { r.qp.Free() }
-
-func (r *recoverIO) do(cmd *nvme.Command) error {
-	done := false
-	var ioErr error
-	cmd.Callback = func(c nvme.Completion) { done = true; ioErr = c.Err }
-	if err := r.qp.Submit(cmd); err != nil {
-		return err
-	}
-	// See syncIO: Advance covers simulated backings (including partition
-	// or fault wrappers); anything still pending falls back to polling.
-	if sd, ok := r.dev.(interface{ Advance() }); ok {
-		sd.Advance()
-		r.qp.Probe(0)
-		if done {
-			return ioErr
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !done {
-		r.qp.Probe(0)
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: recovery I/O timed out")
-		}
-	}
-	return ioErr
-}
-
-func (r *recoverIO) read(lba, blocks uint64, buf []byte) error {
-	return r.do(&nvme.Command{Op: nvme.OpRead, LBA: lba, Blocks: int(blocks), Buf: buf})
-}
-
-func (r *recoverIO) write(id storage.PageID, data []byte) error {
-	return r.do(&nvme.Command{Op: nvme.OpWrite, LBA: uint64(id), Blocks: 1, Buf: data})
-}
-
-func (r *recoverIO) flush() error {
-	return r.do(&nvme.Command{Op: nvme.OpFlush})
-}
+// ErrUnformatted is Recover's verdict on a device that holds no tree:
+// page 0 does not decode as a superblock and the journal region, if the
+// device has room for one, holds no replacement image. It is the only
+// outcome after which formatting destroys nothing.
+var ErrUnformatted = errors.New("core: device holds no tree")
 
 // Recover replays the journal region of a crashed device image and
 // verifies the resulting tree, leaving the device in a state a fresh Tree
@@ -124,7 +74,7 @@ func (r *recoverIO) flush() error {
 // with a bumped generation fence and zero the region's first block.
 func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 	rep := &RecoverReport{}
-	io, err := newRecoverIO(dev)
+	io, err := newSetupIO(dev)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,12 +86,14 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 	}
 
 	// Superblock: may be torn (crash during a meta write). A torn meta is
-	// recoverable when the journal holds its replacement image.
-	metaBuf := make([]byte, storage.PageSize)
-	if err := io.read(0, 1, metaBuf); err != nil {
-		return nil, nil, err
+	// recoverable when the journal holds its replacement image. Only a
+	// page that was read and does not decode counts as torn: a device
+	// error is returned as one, never taken for a missing tree.
+	page0 := pageRead(0)
+	if err := io.seq(page0); err != nil {
+		return nil, nil, fmt.Errorf("core: recover: read meta: %w", err)
 	}
-	meta, metaErr := storage.DecodeMeta(metaBuf)
+	meta, metaErr := storage.DecodeMeta(page0.Buf)
 
 	var walStart, walBlocks uint64
 	var fenceGen uint32
@@ -153,28 +105,31 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 		}
 		walStart, walBlocks = meta.WALStart, meta.WALBlocks
 		fenceGen = meta.WALGen
+	} else if !errors.Is(metaErr, storage.ErrCorruptPage) && !errors.Is(metaErr, storage.ErrNotMeta) {
+		// A sealed superblock this build cannot read (another version) is
+		// somebody's tree, not a torn or missing one.
+		return nil, nil, fmt.Errorf("core: recover: %w", metaErr)
 	} else {
 		// Torn superblock: fall back to the region Format would have laid
 		// out. If the device never had one, there is nothing to recover
 		// from and the image is unusable.
 		walStart, walBlocks = walGeometry(dev.NumBlocks())
 		if walBlocks == 0 {
-			return nil, nil, fmt.Errorf("core: recover: unreadable meta and no journal region: %w", metaErr)
+			return nil, nil, fmt.Errorf("%w: unreadable meta and no journal region: %v", ErrUnformatted, metaErr)
 		}
 	}
 	rep.Journaled = true
 
-	// Read the whole region in bounded chunks.
+	// Read the whole region in bounded chunks, all in flight together.
 	region := make([]byte, walBlocks*pageSize)
 	const chunk = 128
-	for off := uint64(0); off < walBlocks; off += chunk {
-		n := walBlocks - off
-		if n > chunk {
-			n = chunk
-		}
-		if err := io.read(walStart+off, n, region[off*pageSize:(off+n)*pageSize]); err != nil {
-			return nil, nil, err
-		}
+	err = io.run(int((walBlocks+chunk-1)/chunk), func(i, _ int) nvme.Command {
+		off := uint64(i) * chunk
+		n := min(chunk, walBlocks-off)
+		return nvme.Command{Op: nvme.OpRead, LBA: walStart + off, Blocks: int(n), Buf: region[off*pageSize : (off+n)*pageSize]}
+	}, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: recover: read journal region: %w", err)
 	}
 
 	records, gen := wal.Recover(region)
@@ -191,7 +146,8 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 	// Parse records into operation groups. A group is cnt records
 	// [opSeq, idx 0..cnt-1, pageID, image] emitted atomically by one
 	// operation; only complete groups are redone — an incomplete trailing
-	// group is an operation that was never acknowledged.
+	// group is an operation that was never acknowledged. The images stay
+	// where wal.Recover put them: each record is its own copy already.
 	type redoPage struct {
 		id    storage.PageID
 		image []byte
@@ -200,16 +156,6 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 	var group []redoPage
 	var groupSeq uint64
 	var journaledMeta []byte // newest journaled page-0 image, if any
-	flushGroup := func() {
-		for _, p := range group {
-			if p.id == 0 {
-				journaledMeta = p.image
-			}
-			redo = append(redo, p)
-		}
-		rep.Groups++
-		group = group[:0]
-	}
 	for _, rec := range records {
 		if len(rec) != journalRecordBytes {
 			break // foreign record shape: stop scanning, drop the rest
@@ -228,41 +174,60 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 			group = group[:0]
 			continue // out-of-order fragment: unusable
 		}
-		img := make([]byte, storage.PageSize)
-		copy(img, rec[18:])
-		group = append(group, redoPage{id: id, image: img})
-		if idx == cnt-1 {
-			flushGroup()
+		group = append(group, redoPage{id: id, image: rec[18:]})
+		if idx < cnt-1 {
+			continue
 		}
+		for _, p := range group {
+			if !storage.VerifyPage(p.image) {
+				return nil, nil, fmt.Errorf("core: recover: journaled image for page %d fails checksum", p.id)
+			}
+			if p.id == 0 {
+				journaledMeta = p.image
+			}
+		}
+		redo = append(redo, group...)
+		rep.Groups++
+		group = group[:0]
 	}
 	rep.DroppedTail += len(group)
 
-	// Redo in log order: later images of the same page overwrite earlier
-	// ones, converging on the newest acknowledged state.
-	for _, p := range redo {
-		if !storage.VerifyPage(p.image) {
-			return nil, nil, fmt.Errorf("core: recover: journaled image for page %d fails checksum", p.id)
+	// Redo in log order, queue-deep: later images of the same page
+	// overwrite earlier ones, converging on the newest acknowledged state.
+	// The device completes what is in flight in any order, so two images
+	// of one page never are: a batch ends before the first page it
+	// already holds, and drains before the next begins.
+	inBatch := make(map[storage.PageID]bool)
+	for batch := redo; len(batch) > 0; {
+		clear(inBatch)
+		n := 0
+		for n < len(batch) && !inBatch[batch[n].id] {
+			inBatch[batch[n].id] = true
+			n++
 		}
-		if err := io.write(p.id, p.image); err != nil {
-			return nil, nil, err
+		err = io.run(n, func(i, _ int) nvme.Command { return pageWrite(batch[i].id, batch[i].image) }, nil)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: recover: redo: %w", err)
 		}
-		rep.PagesRedone++
+		batch = batch[n:]
 	}
+	rep.PagesRedone = len(redo)
 
 	// Re-establish the superblock. If page 0 was torn, the journal must
 	// have supplied a replacement image (the meta page is journaled
 	// whenever the root moves).
 	if metaErr != nil {
 		if journaledMeta == nil {
-			return nil, nil, fmt.Errorf("core: recover: unreadable meta and no journaled replacement: %w", metaErr)
+			return nil, nil, fmt.Errorf("%w: unreadable meta and no journaled replacement: %v", ErrUnformatted, metaErr)
 		}
 		meta, err = storage.DecodeMeta(journaledMeta)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: recover: journaled meta image invalid: %w", err)
 		}
 		rep.MetaRepaired = true
-	} else if rep.PagesRedone > 0 {
-		if rebuilt, err2 := storage.DecodeMeta(journaledMetaOr(metaBuf, journaledMeta)); err2 == nil {
+	} else if journaledMeta != nil {
+		// Replay rewrote page 0: the image read from it earlier is stale.
+		if rebuilt, err := storage.DecodeMeta(journaledMeta); err == nil {
 			meta = rebuilt
 		}
 	}
@@ -272,37 +237,17 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 
 	// Verification walk: every reachable page must read and decode (the
 	// checksum rejects torn pages), recounting keys and the allocation
-	// watermark. The walk is breadth-first per level using sibling links
-	// on leaves and child fan-out on inner nodes.
+	// watermark.
 	var keys uint64
 	maxID := meta.Root
-	level := []storage.PageID{meta.Root}
-	buf := make([]byte, storage.PageSize)
-	seen := 0
-	for len(level) > 0 {
-		var next []storage.PageID
-		for _, id := range level {
-			seen++
-			if seen > int(dev.NumBlocks()) {
-				return nil, nil, fmt.Errorf("core: recover: tree walk exceeds device size (cycle?)")
-			}
-			if err := io.read(uint64(id), 1, buf); err != nil {
-				return nil, nil, err
-			}
-			n, err := storage.DecodeNode(id, buf)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: recover: page %d unreadable after replay: %w", id, err)
-			}
-			if id > maxID {
-				maxID = id
-			}
-			if n.IsLeaf() {
-				keys += uint64(len(n.Keys))
-			} else {
-				next = append(next, n.Children...)
-			}
+	err = walkTree(io, meta.Root, func(n *storage.Node) {
+		maxID = max(maxID, n.ID)
+		if n.IsLeaf() {
+			keys += uint64(len(n.Keys))
 		}
-		level = next
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: recover: %w", err)
 	}
 	rep.KeysCounted = keys
 	if meta.NumKeys != keys {
@@ -326,27 +271,48 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 		newGen = 1
 	}
 	meta.WALGen = newGen
-	if err := io.write(0, meta.Encode()); err != nil {
-		return nil, nil, err
-	}
-	if err := io.flush(); err != nil {
-		return nil, nil, err
-	}
-	if err := io.write(storage.PageID(meta.WALStart), make([]byte, storage.PageSize)); err != nil {
-		return nil, nil, err
-	}
-	if err := io.flush(); err != nil {
-		return nil, nil, err
+	err = io.seq(pageWrite(0, meta.Encode()), nvme.Command{Op: nvme.OpFlush},
+		pageWrite(storage.PageID(meta.WALStart), make([]byte, storage.PageSize)), nvme.Command{Op: nvme.OpFlush})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: recover: fence: %w", err)
 	}
 	return meta, rep, nil
 }
 
-// journaledMetaOr prefers the newest journaled page-0 image over the one
-// read from the device: when replay rewrote page 0, the on-device bytes
-// read earlier are stale.
-func journaledMetaOr(onDevice, journaled []byte) []byte {
-	if journaled != nil {
-		return journaled
+// walkTree reads every page reachable from root and hands each decoded
+// node to visit. It goes breadth-first, so all of a level's page ids are
+// known before any of them is read: the level is issued at queue depth
+// into per-slot buffers and decoded as completions arrive, in their
+// order. A page that fails its checksum is re-read within the setup
+// budget and is an error beyond it; reading more pages than the device
+// has blocks means the links form a cycle.
+func walkTree(io *setupIO, root storage.PageID, visit func(*storage.Node)) error {
+	bufs := make([]byte, setupDepth*storage.PageSize)
+	page := func(slot int) []byte { return bufs[slot*storage.PageSize : (slot+1)*storage.PageSize] }
+	seen := uint64(0)
+	for level := []storage.PageID{root}; len(level) > 0; {
+		var next []storage.PageID
+		err := io.run(len(level), func(i, slot int) nvme.Command {
+			return nvme.Command{Op: nvme.OpRead, LBA: uint64(level[i]), Blocks: 1, Buf: page(slot)}
+		}, func(i, slot int) error {
+			n, err := storage.DecodeNode(level[i], page(slot))
+			if errors.Is(err, storage.ErrCorruptPage) {
+				err = errCorruptRead
+			}
+			if err != nil {
+				return fmt.Errorf("page %d unreadable: %w", level[i], err)
+			}
+			if seen++; seen > io.dev.NumBlocks() {
+				return fmt.Errorf("tree walk exceeds device size (cycle?)")
+			}
+			visit(n)
+			next = append(next, n.Children...)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		level = next
 	}
-	return onDevice
+	return nil
 }

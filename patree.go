@@ -402,13 +402,21 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 			return nil, fmt.Errorf("patree: format: %w", err)
 		}
 	case err != nil:
-		// The superblock is unreadable — possibly torn by a crash mid
-		// meta write. Recovery can rebuild it from the journaled image;
-		// only a device with no recoverable tree at all is formatted.
-		if m, _, rerr := core.Recover(dev); rerr == nil {
+		// Page 0 gave no superblock — possibly torn by a crash mid meta
+		// write, possibly a device error. Recovery reads it again and can
+		// rebuild it from the journaled image. Only its verdict that the
+		// device holds no tree at all leads to a format: an I/O error or a
+		// damaged tree is returned, never formatted over.
+		m, _, rerr := core.Recover(dev)
+		switch {
+		case rerr == nil:
 			meta = m
-		} else if meta, err = core.FormatShardDevice(dev, id, count, devID, devCount); err != nil {
-			return nil, fmt.Errorf("patree: format: %w", err)
+		case !errors.Is(rerr, core.ErrUnformatted):
+			return nil, fmt.Errorf("patree: recover: %w", rerr)
+		default:
+			if meta, err = core.FormatShardDevice(dev, id, count, devID, devCount); err != nil {
+				return nil, fmt.Errorf("patree: format: %w", err)
+			}
 		}
 	case meta.WALBlocks != 0:
 		// The device describes a journal region: replay whatever an
