@@ -1,6 +1,7 @@
 package patree
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -31,13 +32,13 @@ type Handle struct {
 	// built once per handle lifetime, it survives pool recycling so a
 	// steady-state async operation allocates neither closure nor channel.
 	doneFn func(*core.Op)
-	// lazyMerge, when non-nil after the completion token is consumed,
-	// computes the final result on the consuming goroutine (resolveLazy)
-	// instead of on the working thread that delivered last — the
-	// off-worker scan merge of Options.Pipelined. Written before the
+	// agg, when non-nil after the completion token is consumed, holds the
+	// per-shard results of a scattered operation; the consuming goroutine
+	// merges them (resolve) so the k-way merge never steals poll cycles
+	// from the working thread that delivered last. Written before the
 	// token is published, read after it is consumed, so the channel
 	// orders the accesses.
-	lazyMerge func() core.Result
+	agg *fanAgg
 }
 
 // Handle lifecycle states.
@@ -62,7 +63,7 @@ var handlePool = sync.Pool{
 func acquireHandle() *Handle {
 	h := handlePool.Get().(*Handle)
 	h.res = core.Result{}
-	h.lazyMerge = nil
+	h.agg = nil
 	h.waited = false
 	h.state.Store(hPending)
 	// Defensive: a well-behaved lifecycle never leaves a token behind,
@@ -87,48 +88,37 @@ func (h *Handle) complete(o *core.Op) {
 	h.deliver(res)
 }
 
-// deliver resolves the handle with res. It is the single fulfilment
-// path: complete uses it for one-op handles, a fanAgg uses it after
-// merging the per-shard results of a scattered operation.
+// deliver resolves the handle with res: complete uses it for one-op
+// handles, remote backends for theirs.
 func (h *Handle) deliver(res core.Result) {
 	h.res = res
 	h.res.Err = mapErr(h.res.Err)
+	h.publish()
+}
+
+// publish hands the completion token to the waiter. It is the single
+// fulfilment path, run once per handle by whoever holds its outcome.
+func (h *Handle) publish() {
 	if h.state.CompareAndSwap(hPending, hCompleted) {
 		h.ch <- struct{}{} // cap 1: never blocks the working thread
 	} else {
 		// Detached by a cancelled WaitContext: nobody will consume the
-		// result, so the completion also recycles the handle.
+		// result (a scattered operation's merge is dropped unrun), so the
+		// completion also recycles the handle.
 		h.recycle()
 	}
 }
 
-// deliverLazy resolves the handle without computing the result yet: the
-// completion token is published immediately, and merge runs on the first
-// goroutine that consumes it (resolveLazy) — the caller — rather than on
-// the working thread that happened to deliver last. This is the
-// off-worker scan merge of Options.Pipelined: large fan-in merges stop
-// stealing poll cycles from the shard whose completion closed the
-// scatter. A handle detached by a cancelled WaitContext has no consumer,
-// so the merge is dropped unrun and the handle recycled.
-func (h *Handle) deliverLazy(merge func() core.Result) {
-	h.lazyMerge = merge
-	if h.state.CompareAndSwap(hPending, hCompleted) {
-		h.ch <- struct{}{} // cap 1: never blocks the working thread
-	} else {
-		h.lazyMerge = nil
-		h.recycle()
-	}
-}
-
-// resolveLazy materializes a lazily delivered result. Must run on the
-// goroutine that just consumed the completion token, before any h.res
-// read.
-func (h *Handle) resolveLazy() {
-	if h.lazyMerge != nil {
-		h.res = h.lazyMerge()
+// resolve finishes a wait on the goroutine that just consumed the
+// completion token, before any h.res read: a scattered operation's
+// per-shard results are merged here, off the working threads.
+func (h *Handle) resolve() {
+	if h.agg != nil {
+		h.res = h.agg.merged()
 		h.res.Err = mapErr(h.res.Err)
-		h.lazyMerge = nil
+		h.agg = nil
 	}
+	h.waited = true
 }
 
 // Wait blocks until the operation completes and returns its error.
@@ -138,8 +128,7 @@ func (h *Handle) Wait() error {
 	if !h.waited {
 		h.checkLive("Wait")
 		<-h.ch
-		h.resolveLazy()
-		h.waited = true
+		h.resolve()
 	}
 	return h.res.Err
 }
@@ -195,7 +184,7 @@ func (h *Handle) Release() {
 // zeroed result.
 func (h *Handle) recycle() {
 	h.res = core.Result{}
-	h.lazyMerge = nil
+	h.agg = nil
 	h.waited = false
 	h.state.Store(hReleased)
 	handlePool.Put(h)
@@ -207,33 +196,17 @@ func (h *Handle) abandon() {
 	h.recycle()
 }
 
-// admitAsync pairs op with a pooled handle and admits it on s. If the
-// inbox ring is full this blocks until the working thread frees space
-// (bounded-queue backpressure).
-func (db *DB) admitAsync(s *shard, op *core.Op) (*Handle, error) {
-	h := acquireHandle()
-	op.Done = h.doneFn
-	db.throttle(s)
-	if err := db.admit(s, op); err != nil {
-		h.abandon()
-		return nil, err
-	}
-	return h, nil
-}
-
 // fanAgg aggregates one logical operation scattered across every shard
 // into a single Handle: each shard's Done callback stores its result,
-// and whichever callback finishes last merges them and delivers. The
-// per-shard slots make the result deterministic regardless of
-// completion order.
+// and whichever callback finishes last publishes the handle; the waiter
+// merges. The per-shard slots make the result deterministic regardless
+// of completion order.
 type fanAgg struct {
 	h         *Handle
 	remaining atomic.Int32
 	res       []core.Result
-	merge     func([]core.Result) core.Result
-	// deferred (Options.Pipelined) delivers the merge lazily so it runs
-	// on the waiting goroutine instead of the last-finishing worker.
-	deferred bool
+	scan      bool // merge-sort Pairs under limit; otherwise only errors and times fold
+	limit     int
 }
 
 // done returns the Done callback for shard slot i.
@@ -242,82 +215,126 @@ func (a *fanAgg) done(i int) func(*core.Op) {
 		a.res[i] = o.Res
 		o.Release()
 		if a.remaining.Add(-1) == 0 {
-			if a.deferred {
-				a.h.deliverLazy(func() core.Result { return a.merge(a.res) })
-			} else {
-				a.h.deliver(a.merge(a.res))
-			}
+			a.h.agg = a
+			a.h.publish()
 		}
 	}
 }
 
-// fanOut admits one operation per shard (built by mk) under a single
-// admission-lock hold, returning the aggregated future. Holding the
-// lock across all admissions makes the fan-out atomic against Close:
-// either every shard receives its piece or none does.
-func (db *DB) fanOut(mk func() *core.Op, merge func([]core.Result) core.Result) (*Handle, error) {
+// merged folds the per-shard results into the operation's one result.
+func (a *fanAgg) merged() core.Result {
+	if a.scan {
+		return mergeScan(a.res, a.limit)
+	}
+	return mergeFirstErr(a.res)
+}
+
+// materialize is the one place a logical operation becomes physical
+// core operations: it maps the kind to its core constructor, stamps the
+// trace span, routes by key, and hands each physical op with its shard
+// index to put. An operation landing on one shard completes straight
+// into h; one scattered over several (a scan or sync on a sharded DB)
+// gets one op per shard behind a fanAgg. One shard needs no aggregator —
+// that is the only difference between the classic tree and N shards.
+func (db *DB) materialize(bo *BatchOp, h *Handle, put func(shard int, op *core.Op)) {
+	lo, hi := db.span(bo)
+	var agg *fanAgg
+	if hi-lo > 1 {
+		agg = &fanAgg{h: h, res: make([]core.Result, hi-lo), scan: bo.Kind == OpScan, limit: bo.Limit}
+		agg.remaining.Store(int32(hi - lo))
+	}
+	for si := lo; si < hi; si++ {
+		op := core.AcquireOp()
+		switch bo.Kind {
+		case OpPut:
+			op.InitInsert(bo.Key, bo.Value)
+		case OpGet:
+			op.InitSearch(bo.Key)
+		case OpUpdate:
+			op.InitUpdate(bo.Key, bo.Value)
+		case OpDelete:
+			op.InitDelete(bo.Key)
+		case OpScan:
+			op.InitRange(bo.Key, bo.End, bo.Limit)
+		case OpSync:
+			op.InitSync()
+		default:
+			panic(fmt.Sprintf("patree: invalid op kind %d", bo.Kind))
+		}
+		op.Span = bo.Span
+		if agg == nil {
+			op.Done = h.doneFn
+		} else {
+			op.Done = agg.done(si - lo)
+		}
+		put(si, op)
+	}
+}
+
+// admitTo hands op to shard si's working thread, blocking while its ring
+// is full (bounded-queue backpressure). The caller holds the admission
+// lock; see DB.mu.
+func (db *DB) admitTo(si int, op *core.Op) { db.shards[si].tree.Admit(op) }
+
+// issue admits one logical operation and returns its future; every
+// single-operation spelling (blocking, Async, Context) goes through it.
+// With Options.ConcurrentReads a read the optimistic path can serve is
+// answered on the calling goroutine instead: the returned handle is
+// already resolved and its Wait will not block. Holding the admission
+// lock across a whole scatter makes it atomic against Close: either every
+// shard receives its piece or none does.
+func (db *DB) issue(bo *BatchOp) (*Handle, error) {
+	if res, ok := db.tryConcRead(bo); ok {
+		return resolvedHandle(res), nil
+	}
 	h := acquireHandle()
-	agg := &fanAgg{h: h, res: make([]core.Result, len(db.shards)), merge: merge, deferred: db.deferMerge}
-	agg.remaining.Store(int32(len(db.shards)))
-	ops := make([]*core.Op, len(db.shards))
-	for i := range ops {
-		op := mk()
-		op.Done = agg.done(i)
-		ops[i] = op
+	if db.gov != nil {
+		lo, hi := db.span(bo)
+		for _, s := range db.shards[lo:hi] {
+			db.throttle(s)
+		}
 	}
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
-		for _, op := range ops {
-			op.Release()
-		}
 		h.abandon()
 		return nil, ErrClosed
 	}
-	for i, s := range db.shards {
-		s.tree.Admit(ops[i])
-	}
+	db.materialize(bo, h, db.admitTo)
 	db.mu.RUnlock()
 	return h, nil
 }
 
 // resolvedHandle wraps an already-computed result (an optimistic read
-// served outside the pipeline) in a pooled handle so the async and
-// context APIs keep one uniform shape. The handle is born completed:
-// deliver runs before the caller ever sees it, so Wait returns without
-// blocking.
+// served outside the pipeline) in a pooled handle so every spelling keeps
+// one uniform shape. The handle is born waited-on: no completion token
+// is ever sent, and Wait returns without blocking.
 func resolvedHandle(res core.Result) *Handle {
 	h := acquireHandle()
-	h.deliver(res)
+	h.res = res
+	h.state.Store(hCompleted)
+	h.waited = true
 	return h
 }
 
 // PutAsync admits an insert-or-replace and returns its future.
 func (db *DB) PutAsync(key uint64, value []byte) (*Handle, error) {
-	return db.admitAsync(db.shardFor(key), core.AcquireOp().InitInsert(key, value))
+	return db.issue(&BatchOp{Kind: OpPut, Key: key, Value: value})
 }
 
-// GetAsync admits a point lookup and returns its future. With
-// Options.ConcurrentReads a lookup the optimistic read path can serve is
-// answered immediately: the returned handle is already resolved and its
-// Wait will not block.
+// GetAsync admits a point lookup and returns its future.
 func (db *DB) GetAsync(key uint64) (*Handle, error) {
-	if db.concReads {
-		if res, ok := db.tryConcGet(key); ok {
-			return resolvedHandle(res), nil
-		}
-	}
-	return db.admitAsync(db.shardFor(key), core.AcquireOp().InitSearch(key))
+	return db.issue(&BatchOp{Kind: OpGet, Key: key})
 }
 
 // UpdateAsync admits a replace-if-present and returns its future.
 func (db *DB) UpdateAsync(key uint64, value []byte) (*Handle, error) {
-	return db.admitAsync(db.shardFor(key), core.AcquireOp().InitUpdate(key, value))
+	return db.issue(&BatchOp{Kind: OpUpdate, Key: key, Value: value})
 }
 
 // DeleteAsync admits a delete and returns its future.
 func (db *DB) DeleteAsync(key uint64) (*Handle, error) {
-	return db.admitAsync(db.shardFor(key), core.AcquireOp().InitDelete(key))
+	return db.issue(&BatchOp{Kind: OpDelete, Key: key})
 }
 
 // ScanAsync admits a range scan over [lo, hi] (limit <= 0 = unlimited)
@@ -325,27 +342,10 @@ func (db *DB) DeleteAsync(key uint64) (*Handle, error) {
 // — each with the full limit, since any single shard could own the
 // first limit keys of the range — and merges on completion.
 func (db *DB) ScanAsync(lo, hi uint64, limit int) (*Handle, error) {
-	if db.concReads {
-		if res, ok := db.tryConcScan(lo, hi, limit); ok {
-			return resolvedHandle(res), nil
-		}
-	}
-	if len(db.shards) == 1 {
-		return db.admitAsync(db.shards[0], core.AcquireOp().InitRange(lo, hi, limit))
-	}
-	return db.fanOut(
-		func() *core.Op { return core.AcquireOp().InitRange(lo, hi, limit) },
-		func(rs []core.Result) core.Result { return mergeScan(rs, limit) },
-	)
+	return db.issue(&BatchOp{Kind: OpScan, Key: lo, End: hi, Limit: limit})
 }
 
 // SyncAsync admits a sync (on every shard) and returns its future.
 func (db *DB) SyncAsync() (*Handle, error) {
-	if len(db.shards) == 1 {
-		return db.admitAsync(db.shards[0], core.AcquireOp().InitSync())
-	}
-	return db.fanOut(
-		func() *core.Op { return core.AcquireOp().InitSync() },
-		mergeFirstErr,
-	)
+	return db.issue(&BatchOp{Kind: OpSync})
 }

@@ -42,12 +42,13 @@ type Batch struct {
 	staged    []BatchOp
 	handles   []*Handle
 	committed bool
-	// ops/shardIdx are the embedded backend's scratch: the physical
-	// core operations materialized at commit (a logical scan/sync over N
-	// shards becomes N physical ops behind one handle). Kept on the
-	// batch so pooled reuse re-admits without allocating.
-	ops      []*core.Op
-	shardIdx []int
+	// groups/resv are the embedded backend's commit scratch, indexed by
+	// shard: the physical core operations bound for each shard in staging
+	// order (a logical scan/sync over N shards becomes N physical ops
+	// behind one handle), and the ring span TryCommit reserved for them.
+	// Kept on the batch so pooled reuse re-admits without allocating.
+	groups [][]*core.Op
+	resv   []core.Reservation
 }
 
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
@@ -121,104 +122,25 @@ func (b *Batch) SetSpan(i int, span uint64) {
 	b.staged[i].Span = span
 }
 
-// materialize builds the physical core operations for the embedded
-// backend: one op per point operation, one op per shard behind a fanAgg
-// for scans and syncs when sharded. The results land in b.ops and
-// b.shardIdx (scratch, reused across pooled lifetimes).
-func (b *Batch) materialize() {
-	shards := len(b.db.shards)
-	for i, so := range b.staged {
-		h := b.handles[i]
-		start := len(b.ops)
-		switch so.Kind {
-		case OpPut:
-			b.addOp(core.AcquireOp().InitInsert(so.Key, so.Value), h, so.Key, shards)
-		case OpGet:
-			b.addOp(core.AcquireOp().InitSearch(so.Key), h, so.Key, shards)
-		case OpUpdate:
-			b.addOp(core.AcquireOp().InitUpdate(so.Key, so.Value), h, so.Key, shards)
-		case OpDelete:
-			b.addOp(core.AcquireOp().InitDelete(so.Key), h, so.Key, shards)
-		case OpScan:
-			if shards == 1 {
-				op := core.AcquireOp().InitRange(so.Key, so.End, so.Limit)
-				op.Done = h.doneFn
-				b.ops = append(b.ops, op)
-				b.shardIdx = append(b.shardIdx, 0)
-			} else {
-				lo, hi, limit := so.Key, so.End, so.Limit
-				b.addFanned(h, shards,
-					func() *core.Op { return core.AcquireOp().InitRange(lo, hi, limit) },
-					func(rs []core.Result) core.Result { return mergeScan(rs, limit) })
-			}
-		case OpSync:
-			if shards == 1 {
-				op := core.AcquireOp().InitSync()
-				op.Done = h.doneFn
-				b.ops = append(b.ops, op)
-				b.shardIdx = append(b.shardIdx, 0)
-			} else {
-				b.addFanned(h, shards,
-					func() *core.Op { return core.AcquireOp().InitSync() },
-					mergeFirstErr)
-			}
-		default:
-			panic(fmt.Sprintf("patree: Batch staged invalid op kind %d", so.Kind))
-		}
-		if so.Span != 0 {
-			// Every physical op materialized for this staged entry (one, or
-			// one per shard for fanned scans/syncs) carries its span.
-			for _, op := range b.ops[start:] {
-				op.Span = so.Span
-			}
-		}
-	}
-}
-
-// addOp appends one single-shard physical op routed by key.
-func (b *Batch) addOp(op *core.Op, h *Handle, key uint64, shards int) {
-	op.Done = h.doneFn
-	si := 0
-	if shards > 1 {
-		si = core.ShardOf(key, shards)
-	}
-	b.ops = append(b.ops, op)
-	b.shardIdx = append(b.shardIdx, si)
-}
-
-// addFanned appends one physical op per shard, aggregated behind h.
-func (b *Batch) addFanned(h *Handle, shards int, mk func() *core.Op, merge func([]core.Result) core.Result) {
-	agg := &fanAgg{h: h, res: make([]core.Result, shards), merge: merge, deferred: b.db.deferMerge}
-	agg.remaining.Store(int32(shards))
-	for i := 0; i < shards; i++ {
-		op := mk()
-		op.Done = agg.done(i)
-		b.ops = append(b.ops, op)
-		b.shardIdx = append(b.shardIdx, i)
-	}
-}
-
 // dropOps releases materialized-but-unadmitted physical ops (a commit
 // attempt that failed); the staged ops and handles remain intact for a
 // retry.
 func (b *Batch) dropOps() {
-	for i, o := range b.ops {
-		o.Release()
-		b.ops[i] = nil
+	for _, ops := range b.groups {
+		for _, o := range ops {
+			o.Release()
+		}
 	}
-	b.ops = b.ops[:0]
-	b.shardIdx = b.shardIdx[:0]
+	b.clearGroups()
 }
 
-// perShard splits the materialized physical ops by owning shard,
-// preserving staging order within each shard.
-func (b *Batch) perShard() [][]*core.Op {
-	groups := make([][]*core.Op, len(b.db.shards))
-	for i, op := range b.ops {
-		si := b.shardIdx[i]
-		groups[si] = append(groups[si], op)
+// clearGroups empties the per-shard scratch without keeping references
+// to operations the backend now owns (or that went back to their pool).
+func (b *Batch) clearGroups() {
+	for si, ops := range b.groups {
+		clear(ops)
+		b.groups[si] = ops[:0]
 	}
-	return groups
 }
 
 // Commit admits every staged operation in order as one transaction per
@@ -231,112 +153,99 @@ func (b *Batch) Commit() error {
 	if b.committed {
 		panic("patree: Batch.Commit called twice")
 	}
-	if len(b.staged) == 0 {
-		b.committed = true
-		return nil
-	}
-	if b.committer != nil {
-		return b.commitRemote(false)
-	}
-	db := b.db
-	b.materialize()
-	// Hot-shard weighting holds the commit back before the admission lock
-	// is taken (a throttled producer must never delay Close).
-	if db.gov != nil {
-		if len(db.shards) == 1 {
-			db.throttle(db.shards[0])
-		} else {
-			for si, ops := range b.perShard() {
-				if len(ops) > 0 {
-					db.throttle(db.shards[si])
-				}
-			}
-		}
-	}
-	db.mu.RLock()
-	if db.closed {
-		db.mu.RUnlock()
-		b.dropOps()
-		return ErrClosed
-	}
-	if len(db.shards) == 1 {
-		db.shards[0].tree.AdmitBatch(b.ops)
-	} else {
-		for si, ops := range b.perShard() {
-			if len(ops) > 0 {
-				db.shards[si].tree.AdmitBatch(ops)
-			}
-		}
-	}
-	db.mu.RUnlock()
-	b.finishCommit()
-	return nil
+	return b.commit(false)
 }
 
 // TryCommit is Commit without blocking: if the backend cannot accept
 // the whole batch as one transaction right now it returns ErrBacklog
-// and admits nothing anywhere — over a sharded DB, room is reserved on
-// every shard before anything is published, and the reservations of the
-// shards that had space are aborted when a later one is full. The batch
-// stays staged and may be retried.
+// and admits nothing anywhere — room is reserved on every shard's ring
+// before anything is published, and the reservations of the shards that
+// had space are aborted when a later one is full. The batch stays staged
+// and may be retried.
 func (b *Batch) TryCommit() error {
 	if b.committed {
 		panic("patree: Batch.TryCommit after Commit")
 	}
+	return b.commit(true)
+}
+
+// commit is the one body behind Commit and TryCommit: materialize the
+// staged operations into per-shard groups, admit them, and on refusal
+// release the physical ops so the batch stays staged for a retry.
+func (b *Batch) commit(try bool) error {
 	if len(b.staged) == 0 {
 		b.committed = true
 		return nil
 	}
 	if b.committer != nil {
-		return b.commitRemote(true)
+		return b.commitRemote(try)
 	}
+	n := len(b.db.shards)
+	if cap(b.groups) < n {
+		b.groups = make([][]*core.Op, n)
+		b.resv = make([]core.Reservation, n)
+	}
+	b.groups, b.resv = b.groups[:n], b.resv[:n]
+	group := func(si int, op *core.Op) { b.groups[si] = append(b.groups[si], op) }
+	for i := range b.staged {
+		b.db.materialize(&b.staged[i], b.handles[i], group)
+	}
+	if err := b.admit(try); err != nil {
+		b.dropOps()
+		return err
+	}
+	b.finishCommit()
+	return nil
+}
+
+// admit hands the materialized groups to their shards. The two modes
+// differ only in block-versus-reserve: Commit lets each ring's
+// backpressure hold it; TryCommit claims room on every shard first and
+// publishes only once all claims hold — one shard is that loop with N = 1.
+func (b *Batch) admit(try bool) error {
 	db := b.db
-	b.materialize()
-	// A shard at its admission window refuses the whole batch up front —
-	// same all-or-nothing contract as a full ring, reported as ErrBacklog.
+	// Hot-shard weighting acts before the admission lock is taken (a
+	// throttled producer must never delay Close): Commit waits the window
+	// out, TryCommit refuses the whole batch up front — the same
+	// all-or-nothing contract as a full ring, reported as ErrBacklog.
 	if db.gov != nil {
-		for si, ops := range b.perShard() {
-			if len(ops) > 0 && db.throttledNow(db.shards[si]) {
-				b.dropOps()
+		for si, ops := range b.groups {
+			if len(ops) == 0 {
+				continue
+			}
+			if !try {
+				db.throttle(db.shards[si])
+			} else if db.throttledNow(db.shards[si]) {
 				return ErrBacklog
 			}
 		}
 	}
 	db.mu.RLock()
+	defer db.mu.RUnlock()
 	if db.closed {
-		db.mu.RUnlock()
-		b.dropOps()
 		return ErrClosed
 	}
-	if len(db.shards) == 1 {
-		err := db.shards[0].tree.TryAdmitBatch(b.ops)
-		db.mu.RUnlock()
-		if err != nil {
-			b.dropOps()
-			return mapErr(err)
+	if !try {
+		for si, ops := range b.groups {
+			if len(ops) > 0 {
+				db.shards[si].tree.AdmitBatch(ops)
+			}
 		}
-		b.finishCommit()
 		return nil
 	}
-	groups := b.perShard()
-	reservations := make([]core.Reservation, len(groups))
-	for si, ops := range groups {
+	for si, ops := range b.groups {
 		r, err := db.shards[si].tree.TryReserve(len(ops))
 		if err != nil {
-			for _, prev := range reservations[:si] {
+			for _, prev := range b.resv[:si] {
 				prev.Abort()
 			}
-			db.mu.RUnlock()
-			b.dropOps()
 			return mapErr(err)
 		}
-		reservations[si] = r
+		b.resv[si] = r
 	}
-	for si, ops := range groups {
-		reservations[si].Publish(ops)
+	for si, ops := range b.groups {
+		b.resv[si].Publish(ops)
 	}
-	db.mu.RUnlock()
-	b.finishCommit()
 	return nil
 }
 
@@ -360,14 +269,8 @@ func (b *Batch) commitRemote(try bool) error {
 // must not keep references past this point.
 func (b *Batch) finishCommit() {
 	b.committed = true
-	for i := range b.ops {
-		b.ops[i] = nil
-	}
-	b.ops = b.ops[:0]
-	b.shardIdx = b.shardIdx[:0]
-	for i := range b.staged {
-		b.staged[i] = BatchOp{}
-	}
+	b.clearGroups()
+	clear(b.staged)
 	b.staged = b.staged[:0]
 }
 
@@ -421,9 +324,7 @@ func (b *Batch) Release() {
 	// embedded one released its physical ops already. Staged entries that
 	// never committed are simply dropped — nothing is in flight.
 	b.dropOps()
-	for i := range b.staged {
-		b.staged[i] = BatchOp{}
-	}
+	clear(b.staged)
 	b.staged = b.staged[:0]
 	for i, h := range b.handles {
 		if b.committed {

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"github.com/patree/patree/internal/harness"
-	"github.com/patree/patree/internal/loadgen"
 )
 
 func main() {
@@ -140,79 +139,60 @@ func main() {
 	}
 }
 
-// multiDevBench runs the figmultidev sweep, writes its measurements as a
-// bench trajectory and optionally gates them against a committed
-// baseline.
+// multiDevBench runs the figmultidev sweep as a bench trajectory.
 func multiDevBench(scale harness.Scale, out, baseline string, maxReg float64) {
 	start := time.Now()
 	fmt.Fprintln(os.Stderr, "running multi-device scaling sweep...")
 	sweep := harness.MultiDevSweep(scale)
-	var entries []loadgen.BenchEntry
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+	var entries []harness.BenchEntry
 	for i, s := range sweep {
 		topo := harness.MultiDevTopologies[i]
 		prefix := fmt.Sprintf("multidev/%dx%d", topo[0], topo[1])
 		entries = append(entries,
-			loadgen.BenchEntry{Name: prefix + "/throughput", Unit: "ops/s", Value: s.Throughput,
+			harness.BenchEntry{Name: prefix + "/throughput", Unit: "ops/s", Value: s.Throughput,
 				Extra: fmt.Sprintf("%d shards on %d devices, %d ops, seed %d", topo[0], topo[1], s.Ops, scale.Seed)},
-			loadgen.BenchEntry{Name: prefix + "/mean", Unit: "us", Value: us(s.MeanLatency)},
-			loadgen.BenchEntry{Name: prefix + "/p99", Unit: "us", Value: us(s.P99Latency)},
+			harness.BenchEntry{Name: prefix + "/mean", Unit: "us", Value: us(s.MeanLatency)},
+			harness.BenchEntry{Name: prefix + "/p99", Unit: "us", Value: us(s.P99Latency)},
 		)
 	}
-	for _, e := range entries {
-		fmt.Fprintf(os.Stderr, "  %-28s %12.1f %s\n", e.Name, e.Value, e.Unit)
-	}
-	if err := loadgen.WriteBench(out, entries); err != nil {
-		fmt.Fprintf(os.Stderr, "paexp: write %s: %v\n", out, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "paexp: wrote %s (%.1fs elapsed)\n", out, time.Since(start).Seconds())
-	if baseline == "" {
-		return
-	}
-	base, err := loadgen.ReadBench(baseline)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "paexp: baseline: %v\n", err)
-		os.Exit(1)
-	}
-	if regs := loadgen.Compare(entries, base, maxReg); len(regs) > 0 {
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "paexp: REGRESSION: %s\n", r)
-		}
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "paexp: within %.0f%% of %s\n", maxReg*100, baseline)
+	writeAndGate(entries, start, out, baseline, maxReg)
 }
 
 // pipelineBench runs the figpipeline sweep (each committed mix with the
-// overlap machinery off and on), writes the measurements as a bench
-// trajectory and optionally gates them against a committed baseline.
-// The speedup_ops series is what pins the feature's win: the gate fails
-// if pipelining stops beating the classic loop by the committed margin.
+// overlap machinery off and on) as a bench trajectory. The speedup_ops
+// series is what pins the feature's win: the gate fails if pipelining
+// stops beating the classic loop by the committed margin.
 func pipelineBench(scale harness.Scale, out, baseline string, maxReg float64) {
 	start := time.Now()
 	fmt.Fprintln(os.Stderr, "running pipeline overlap sweep...")
 	sweep := harness.PipelineSweep(scale)
-	var entries []loadgen.BenchEntry
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+	var entries []harness.BenchEntry
 	for _, r := range sweep {
 		prefix := "pipeline/" + r.Mix.Name
 		extra := fmt.Sprintf("%d%% updates, journal=%v, %d ops, seed %d",
 			r.Mix.UpdatePercent, r.Mix.Journal, r.On.Ops, scale.Seed)
 		entries = append(entries,
-			loadgen.BenchEntry{Name: prefix + "/classic/throughput", Unit: "ops/s", Value: r.Off.Throughput},
-			loadgen.BenchEntry{Name: prefix + "/classic/mean", Unit: "us", Value: us(r.Off.MeanLatency)},
-			loadgen.BenchEntry{Name: prefix + "/classic/p99", Unit: "us", Value: us(r.Off.P99Latency)},
-			loadgen.BenchEntry{Name: prefix + "/pipelined/throughput", Unit: "ops/s", Value: r.On.Throughput, Extra: extra},
-			loadgen.BenchEntry{Name: prefix + "/pipelined/mean", Unit: "us", Value: us(r.On.MeanLatency)},
-			loadgen.BenchEntry{Name: prefix + "/pipelined/p99", Unit: "us", Value: us(r.On.P99Latency)},
-			loadgen.BenchEntry{Name: prefix + "/speedup_ops", Unit: "x", Value: r.On.Throughput / r.Off.Throughput},
+			harness.BenchEntry{Name: prefix + "/classic/throughput", Unit: "ops/s", Value: r.Off.Throughput},
+			harness.BenchEntry{Name: prefix + "/classic/mean", Unit: "us", Value: us(r.Off.MeanLatency)},
+			harness.BenchEntry{Name: prefix + "/classic/p99", Unit: "us", Value: us(r.Off.P99Latency)},
+			harness.BenchEntry{Name: prefix + "/pipelined/throughput", Unit: "ops/s", Value: r.On.Throughput, Extra: extra},
+			harness.BenchEntry{Name: prefix + "/pipelined/mean", Unit: "us", Value: us(r.On.MeanLatency)},
+			harness.BenchEntry{Name: prefix + "/pipelined/p99", Unit: "us", Value: us(r.On.P99Latency)},
+			harness.BenchEntry{Name: prefix + "/speedup_ops", Unit: "x", Value: r.On.Throughput / r.Off.Throughput},
 		)
 	}
+	writeAndGate(entries, start, out, baseline, maxReg)
+}
+
+func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+
+// writeAndGate prints a sweep's entries, writes them to out and, given a
+// baseline file, exits non-zero on a regression beyond maxReg.
+func writeAndGate(entries []harness.BenchEntry, start time.Time, out, baseline string, maxReg float64) {
 	for _, e := range entries {
 		fmt.Fprintf(os.Stderr, "  %-40s %14.2f %s\n", e.Name, e.Value, e.Unit)
 	}
-	if err := loadgen.WriteBench(out, entries); err != nil {
+	if err := harness.WriteBench(out, entries); err != nil {
 		fmt.Fprintf(os.Stderr, "paexp: write %s: %v\n", out, err)
 		os.Exit(1)
 	}
@@ -220,12 +200,12 @@ func pipelineBench(scale harness.Scale, out, baseline string, maxReg float64) {
 	if baseline == "" {
 		return
 	}
-	base, err := loadgen.ReadBench(baseline)
+	base, err := harness.ReadBench(baseline)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paexp: baseline: %v\n", err)
 		os.Exit(1)
 	}
-	if regs := loadgen.Compare(entries, base, maxReg); len(regs) > 0 {
+	if regs := harness.Compare(entries, base, maxReg); len(regs) > 0 {
 		for _, r := range regs {
 			fmt.Fprintf(os.Stderr, "paexp: REGRESSION: %s\n", r)
 		}

@@ -3,7 +3,7 @@
 //	go run ./cmd/paserve -addr :7070 -shards 4 -admin :7071
 //
 // The store is the embedded sharded DB (in-memory device by default);
-// clients connect with package client or cmd/pabench. The -admin HTTP
+// clients connect with package client. The -admin HTTP
 // endpoint exposes the full observability surface:
 //
 //	/metrics       Prometheus text (engine patree_* + wire patree_server_*)

@@ -18,86 +18,84 @@ import (
 // any method on the handle (no Release either; reclamation is the
 // completion's job).
 func (h *Handle) WaitContext(ctx context.Context) error {
+	_, err := h.waitContext(ctx)
+	return err
+}
+
+// waitContext is WaitContext that also reports whether the handle was
+// detached, so internal callers never have to look at a handle they may
+// no longer own.
+func (h *Handle) waitContext(ctx context.Context) (detached bool, err error) {
 	if h.waited {
-		return h.res.Err
+		return false, h.res.Err
 	}
 	h.checkLive("WaitContext")
 	select {
 	case <-h.ch:
-		h.resolveLazy()
-		h.waited = true
-		return h.res.Err
 	case <-ctx.Done():
 		if h.state.CompareAndSwap(hPending, hDetached) {
 			// Ownership transferred to the completion callback.
-			return ctx.Err()
+			return true, ctx.Err()
 		}
 		// The operation completed concurrently with cancellation; the
 		// token is (or is about to be) in the channel, so report the real
 		// outcome rather than a spurious cancellation.
 		<-h.ch
-		h.resolveLazy()
-		h.waited = true
-		return h.res.Err
 	}
+	h.resolve()
+	return false, h.res.Err
 }
 
-// execContext is exec with cancellation: on ctx expiry the call returns
+// doContext is do with cancellation: on ctx expiry the call returns
 // immediately with the context's error while the operation (possibly
-// fanned out across shards) finishes — and is discarded — on the
-// working threads. admit builds and admits the operation(s), returning
-// the future; it is a closure so nothing is allocated or admitted when
-// the context is already dead.
-func (db *DB) execContext(ctx context.Context, admit func() (*Handle, error)) (core.Result, error) {
+// scattered across shards) finishes — and is discarded — on the working
+// threads. Nothing is allocated or admitted when the context is already
+// dead.
+func (db *DB) doContext(ctx context.Context, bo BatchOp) (core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err
 	}
-	h, err := admit()
+	h, err := db.issue(&bo)
 	if err != nil {
 		return core.Result{}, err
 	}
-	if err := h.WaitContext(ctx); err != nil {
-		if h.waited {
-			// Operation error; handle still owned.
-			res := h.res
-			h.recycle()
-			return res, err
-		}
-		// Detached on cancellation; the completion recycles the handle.
+	detached, err := h.waitContext(ctx)
+	if detached {
+		// The completion recycles the handle.
 		return core.Result{}, err
 	}
 	res := h.res
 	h.recycle()
-	return res, nil
+	return res, err
 }
 
 // PutContext is Put unblocking on ctx cancellation.
 func (db *DB) PutContext(ctx context.Context, key uint64, value []byte) error {
-	_, err := db.execContext(ctx, func() (*Handle, error) { return db.PutAsync(key, value) })
+	_, err := db.doContext(ctx, BatchOp{Kind: OpPut, Key: key, Value: value})
 	return err
 }
 
 // GetContext is Get unblocking on ctx cancellation.
 func (db *DB) GetContext(ctx context.Context, key uint64) ([]byte, bool, error) {
-	res, err := db.execContext(ctx, func() (*Handle, error) { return db.GetAsync(key) })
+	res, err := db.doContext(ctx, BatchOp{Kind: OpGet, Key: key})
 	return res.Value, res.Found, err
 }
 
 // UpdateContext is Update unblocking on ctx cancellation.
 func (db *DB) UpdateContext(ctx context.Context, key uint64, value []byte) (bool, error) {
-	res, err := db.execContext(ctx, func() (*Handle, error) { return db.UpdateAsync(key, value) })
+	res, err := db.doContext(ctx, BatchOp{Kind: OpUpdate, Key: key, Value: value})
 	return res.Found, err
 }
 
 // DeleteContext is Delete unblocking on ctx cancellation.
 func (db *DB) DeleteContext(ctx context.Context, key uint64) (bool, error) {
-	res, err := db.execContext(ctx, func() (*Handle, error) { return db.DeleteAsync(key) })
+	res, err := db.doContext(ctx, BatchOp{Kind: OpDelete, Key: key})
 	return res.Found, err
 }
 
 // ScanContext is Scan unblocking on ctx cancellation.
 func (db *DB) ScanContext(ctx context.Context, lo, hi uint64, limit int) ([]KV, error) {
-	res, err := db.execContext(ctx, func() (*Handle, error) { return db.ScanAsync(lo, hi, limit) })
+	res, err := db.doContext(ctx, BatchOp{Kind: OpScan, Key: lo, End: hi, Limit: limit})
 	return res.Pairs, err
 }
 
@@ -105,6 +103,6 @@ func (db *DB) ScanContext(ctx context.Context, lo, hi uint64, limit int) ([]KV, 
 // cancelled SyncContext does not undo the flush: it proceeds on the
 // working thread(s).
 func (db *DB) SyncContext(ctx context.Context) error {
-	_, err := db.execContext(ctx, func() (*Handle, error) { return db.SyncAsync() })
+	_, err := db.doContext(ctx, BatchOp{Kind: OpSync})
 	return err
 }

@@ -11,176 +11,84 @@ import (
 // ErrStopped is returned for operations admitted after Stop.
 var ErrStopped = errors.New("core: tree stopped")
 
-// ErrBacklog is returned by TryAdmit/TryAdmitBatch when the bounded
-// admission ring is full — backpressure the embedder can react to.
+// ErrBacklog is returned by TryReserve when the bounded admission ring
+// lacks room — backpressure the embedder can react to.
 var ErrBacklog = errors.New("core: admission ring full")
 
 // Admit hands an operation to the working thread. Safe to call from any
 // goroutine (real mode) or any simulation context (sim mode). When the
 // bounded admission ring is full, Admit blocks until the working thread
-// drains room (backpressure); use TryAdmit for a non-blocking variant.
+// drains room (backpressure); TryReserve is the non-blocking way in.
 func (t *Tree) Admit(o *Op) {
-	t.admitters.Add(1)
-	o.Res.Admitted = t.now()
-	// enqueuedAt is (re)stamped before every push attempt, so admit-wait
-	// (enqueuedAt − Admitted) measures the backpressure this op absorbed.
-	// The ring's release-store publishes it with the rest of the op.
-	o.enqueuedAt = o.Res.Admitted
-	t.notePending(o)
-	t.noteEntered(o)
-	if t.stopped.Load() {
-		t.admitters.Add(-1)
-		t.failAdmit(o)
-		return
-	}
-	if !t.inbox.TryPush(o) {
-		t.admitWaits.Add(1)
-		spins := 0
-		for {
-			if t.stopped.Load() {
-				t.admitters.Add(-1)
-				t.failAdmit(o)
-				return
-			}
-			t.admitBackoff(&spins)
-			o.enqueuedAt = t.now()
-			if t.inbox.TryPush(o) {
-				break
-			}
-		}
-	}
-	t.admitters.Add(-1)
-	if t.wake != nil {
-		t.wake()
-	}
-}
-
-// TryAdmit is Admit without blocking: it returns ErrBacklog (touching
-// nothing) when the ring is full, and ErrStopped (after completing o with
-// that error) when the tree has stopped; nil means o was admitted.
-func (t *Tree) TryAdmit(o *Op) error {
-	t.admitters.Add(1)
-	o.Res.Admitted = t.now()
-	o.enqueuedAt = o.Res.Admitted
-	t.notePending(o)
-	t.noteEntered(o)
-	if t.stopped.Load() {
-		t.admitters.Add(-1)
-		t.failAdmit(o)
-		return ErrStopped
-	}
-	if !t.inbox.TryPush(o) {
-		t.admitters.Add(-1)
-		t.unnotePending(o)
-		t.unnoteEntered(o)
-		return ErrBacklog
-	}
-	t.admitters.Add(-1)
-	if t.wake != nil {
-		t.wake()
-	}
-	return nil
+	t.AdmitBatch([]*Op{o})
 }
 
 // AdmitBatch admits ops as contiguous transactions on the ring: no
 // foreign operation interleaves into a chunk, so a batch is processed as
 // a group in admission order. Batches larger than the ring are split into
-// ring-sized chunks. Like Admit it blocks under backpressure, and fails
-// every (remaining) op with ErrStopped once the tree has stopped.
+// ring-sized chunks. It blocks under backpressure, and fails every
+// (remaining) op with ErrStopped once the tree has stopped.
 func (t *Tree) AdmitBatch(ops []*Op) {
 	t.admitters.Add(1)
-	now := t.now()
-	for _, o := range ops {
-		o.Res.Admitted = now
-		o.enqueuedAt = now
-		t.notePending(o)
-		t.noteEntered(o)
-	}
+	t.stamp(ops, t.now())
 	for len(ops) > 0 {
-		if t.stopped.Load() {
-			t.admitters.Add(-1)
-			for _, o := range ops {
-				t.failAdmit(o)
+		chunk := ops[:min(len(ops), t.inbox.Cap())]
+		for spins := 0; ; {
+			if t.stopped.Load() {
+				t.admitters.Add(-1)
+				for _, o := range ops {
+					t.failAdmit(o)
+				}
+				return
 			}
-			return
-		}
-		chunk := ops
-		if len(chunk) > t.inbox.Cap() {
-			chunk = chunk[:t.inbox.Cap()]
-		}
-		if !t.inbox.TryPushN(chunk) {
-			t.admitWaits.Add(1)
-			spins := 0
-			for {
-				if t.stopped.Load() {
-					t.admitters.Add(-1)
-					for _, o := range ops {
-						t.failAdmit(o)
-					}
-					return
-				}
-				t.admitBackoff(&spins)
-				retry := t.now()
-				for _, o := range chunk {
-					o.enqueuedAt = retry
-				}
-				if t.inbox.TryPushN(chunk) {
-					break
-				}
+			if t.inbox.TryPushN(chunk) {
+				break
+			}
+			if spins == 0 {
+				t.admitWaits.Add(1)
+			}
+			t.admitBackoff(&spins)
+			// enqueuedAt is restamped before every further push attempt, so
+			// admit-wait (enqueuedAt − Admitted) measures the backpressure
+			// the ops absorbed. The ring's release-store publishes it with
+			// the rest of the op.
+			retry := t.now()
+			for _, o := range chunk {
+				o.enqueuedAt = retry
 			}
 		}
 		ops = ops[len(chunk):]
 	}
+	t.admitted()
+}
+
+// admitted ends one producer's hand-off: it stops counting as an
+// in-flight admitter and the worker is told there is something to drain.
+func (t *Tree) admitted() {
 	t.admitters.Add(-1)
 	if t.wake != nil {
 		t.wake()
 	}
 }
 
-// TryAdmitBatch admits ops as one contiguous ring transaction or not at
-// all: it returns ErrBacklog (touching nothing) when the ring lacks room
-// for the whole batch right now, and ErrStopped (after completing every
-// op with that error) when the tree has stopped.
-func (t *Tree) TryAdmitBatch(ops []*Op) error {
-	if len(ops) > t.inbox.Cap() {
-		return ErrBacklog
-	}
-	t.admitters.Add(1)
-	now := t.now()
+// stamp marks ops as entering the engine at now: the admission timestamp,
+// the pending-key fence and the engine-depth gauge. It MUST run before
+// the ops become visible on the ring (see notePending, noteEntered).
+func (t *Tree) stamp(ops []*Op, now sim.Time) {
 	for _, o := range ops {
 		o.Res.Admitted = now
 		o.enqueuedAt = now
 		t.notePending(o)
 		t.noteEntered(o)
 	}
-	if t.stopped.Load() {
-		t.admitters.Add(-1)
-		for _, o := range ops {
-			t.failAdmit(o)
-		}
-		return ErrStopped
-	}
-	if !t.inbox.TryPushN(ops) {
-		t.admitters.Add(-1)
-		for _, o := range ops {
-			t.unnotePending(o)
-			t.unnoteEntered(o)
-		}
-		return ErrBacklog
-	}
-	t.admitters.Add(-1)
-	if t.wake != nil {
-		t.wake()
-	}
-	return nil
 }
 
 // Reservation is a claimed-but-unpublished span of the admission ring,
 // the building block for all-or-nothing admission across several trees
-// (a sharded batch commit): reserve room on every tree first, then
-// publish everywhere, or abort the claims already made. Between
-// TryReserve and Publish/Abort the reserving goroutine counts as an
-// in-flight admitter, so the worker never exits under a live claim.
+// (a batch TryCommit): reserve room on every tree first, then publish
+// everywhere, or abort the claims already made. Between TryReserve and
+// Publish/Abort the reserving goroutine counts as an in-flight admitter,
+// so the worker never exits under a live claim.
 type Reservation struct {
 	t   *Tree
 	pos uint64
@@ -194,20 +102,15 @@ func (t *Tree) TryReserve(n int) (Reservation, error) {
 	if n <= 0 {
 		return Reservation{}, nil
 	}
-	if n > t.inbox.Cap() {
-		return Reservation{}, ErrBacklog
-	}
 	t.admitters.Add(1)
+	err := ErrBacklog
 	if t.stopped.Load() {
-		t.admitters.Add(-1)
-		return Reservation{}, ErrStopped
+		err = ErrStopped
+	} else if pos, ok := t.inbox.tryClaim(n); ok {
+		return Reservation{t: t, pos: pos, n: n}, nil
 	}
-	pos, ok := t.inbox.tryClaim(n)
-	if !ok {
-		t.admitters.Add(-1)
-		return Reservation{}, ErrBacklog
-	}
-	return Reservation{t: t, pos: pos, n: n}, nil
+	t.admitters.Add(-1)
+	return Reservation{}, err
 }
 
 // Publish fills the reservation with ops (len(ops) must equal the
@@ -215,30 +118,24 @@ func (t *Tree) TryReserve(n int) (Reservation, error) {
 // stopped after the reservation was taken the ops are still drained by
 // the worker's shutdown path — the admitters count keeps it alive.
 func (r Reservation) Publish(ops []*Op) {
-	if r.t == nil {
-		return
-	}
 	if len(ops) != r.n {
 		panic("core: Reservation.Publish with mismatched op count")
 	}
-	now := r.t.now()
+	if r.t == nil {
+		return
+	}
+	r.t.stamp(ops, r.t.now())
 	for i, o := range ops {
-		o.Res.Admitted = now
-		o.enqueuedAt = now
-		r.t.notePending(o)
-		r.t.noteEntered(o)
 		r.t.inbox.publishAt(r.pos, i, o)
 	}
-	r.t.admitters.Add(-1)
-	if r.t.wake != nil {
-		r.t.wake()
-	}
+	r.t.admitted()
 }
 
 // Abort releases the reservation by publishing internal no-ops into the
 // claimed slots (the span cannot be un-claimed once later producers may
 // have queued behind it); the no-ops flow through the worker and free
-// themselves.
+// themselves. They are never stamped, so they pass through without
+// touching the pending-key registry or the engine-depth gauge.
 func (r Reservation) Abort() {
 	if r.t == nil {
 		return
@@ -246,15 +143,12 @@ func (r Reservation) Abort() {
 	now := r.t.now()
 	for i := 0; i < r.n; i++ {
 		o := AcquireOp().InitNop()
-		o.Done = func(o *Op) { o.Release() }
+		o.Done = (*Op).Release
 		o.Res.Admitted = now
 		o.enqueuedAt = now
 		r.t.inbox.publishAt(r.pos, i, o)
 	}
-	r.t.admitters.Add(-1)
-	if r.t.wake != nil {
-		r.t.wake()
-	}
+	r.t.admitted()
 }
 
 // failAdmit completes an operation that cannot be admitted.
@@ -372,7 +266,7 @@ func (t *Tree) drainInbox() {
 			}
 			t.tr.Emit(tcInbox, uint16(o.kind), o.seq, 0, int64(o.enqueuedAt), int64(drainNow.Sub(o.enqueuedAt)))
 		}
-		if t.cfg.Pipelined && (pointKind(o.kind) || o.kind == KindRange) {
+		if t.specOn && (pointKind(o.kind) || o.kind == KindRange) {
 			// A range scan's start key predicts its descent path just like
 			// a point key does; the sibling read-ahead takes over once the
 			// scan reaches the leaf level (specScanAhead).
@@ -396,7 +290,7 @@ func (t *Tree) drainInbox() {
 	}
 	if drained > 0 {
 		t.policy.OnAdmit(drained, drainNow)
-		if t.cfg.Pipelined {
+		if t.specOn {
 			t.speculate(drainNow)
 		}
 	}

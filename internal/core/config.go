@@ -117,7 +117,7 @@ type Config struct {
 	QueueDepth int
 	// InboxDepth bounds the admission ring (rounded up to a power of two;
 	// default 4096). A full ring is backpressure: Admit blocks and
-	// TryAdmit returns ErrBacklog. In simulated environments the offered
+	// TryReserve returns ErrBacklog. In simulated environments the offered
 	// concurrency must stay below this bound (see Tree.Admit).
 	InboxDepth int
 	// Policy is the probe/yield policy; nil selects the workload-aware

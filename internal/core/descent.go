@@ -219,7 +219,7 @@ func (t *Tree) processNode(o *Op) bool {
 	}
 	idx := node.ChildIndex(o.key)
 	child := node.Children[idx]
-	if t.cfg.Pipelined && o.kind == KindRange {
+	if t.specOn && o.kind == KindRange {
 		t.specScanAhead(o, node, idx)
 	}
 	o.prevNode = node

@@ -173,7 +173,11 @@ type Tree struct {
 	// image can never mask a newer write, and writes of unrelated pages
 	// never cost the prefetcher anything. specKeys is the per-drain
 	// scratch list of keys to predict paths for; specSeen dedupes them
-	// within one pass.
+	// within one pass. specOn is Config.Pipelined on a tree with a buffer:
+	// with none there is nothing to prefetch into — a speculative read
+	// could never become resident and its completion would reissue it
+	// forever — so speculation is inert while the deeper WAL writer stays.
+	specOn       bool
 	specInflight map[storage.PageID]*specRead
 	specKeys     []uint64
 	specSeen     map[uint64]struct{}
@@ -280,6 +284,7 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	t.jwDepth = walDepthClassic
 	if cfg.Pipelined {
 		t.jwDepth = walDepthPipelined
+		t.specOn = cfg.BufferPages > 0
 	}
 	if cfg.Journal && meta.WALBlocks > 0 && meta.WALStart > 0 {
 		t.wal = wal.NewLog(storage.PageSize, meta.WALBlocks)

@@ -45,69 +45,29 @@ func newOpRing(capacity int) *opRing {
 // Cap returns the ring capacity.
 func (r *opRing) Cap() int { return len(r.slots) }
 
-// TryPush claims one slot and publishes o. It returns false when the ring
-// is full. Safe to call from any number of goroutines.
-func (r *opRing) TryPush(o *Op) bool {
-	for {
-		pos := r.head.Load()
-		slot := &r.slots[pos&r.mask]
-		seq := slot.seq.Load()
-		switch d := int64(seq - pos); {
-		case d == 0:
-			if r.head.CompareAndSwap(pos, pos+1) {
-				slot.op = o
-				slot.seq.Store(pos + 1)
-				return true
-			}
-		case d < 0:
-			return false // the slot is still occupied by the previous lap
-		}
-		// d > 0: another producer claimed pos between our loads; retry.
-	}
-}
-
 // TryPushN claims len(ops) contiguous slots in one transaction and
 // publishes them in order, so a batch is admitted atomically with respect
 // to other producers: no foreign operation interleaves into the batch.
 // It returns false without side effects when the ring lacks room (a batch
 // larger than the ring can never succeed).
 func (r *opRing) TryPushN(ops []*Op) bool {
-	n := uint64(len(ops))
-	if n == 0 {
-		return true
-	}
-	if n > uint64(len(r.slots)) {
-		return false
-	}
-	for {
-		pos := r.head.Load()
-		// With a single consumer, slots free in strict order: if the last
-		// slot of the span is free for this lap, every earlier one is too.
-		last := &r.slots[(pos+n-1)&r.mask]
-		seq := last.seq.Load()
-		switch d := int64(seq - (pos + n - 1)); {
-		case d == 0:
-			if r.head.CompareAndSwap(pos, pos+n) {
-				for i, o := range ops {
-					slot := &r.slots[(pos+uint64(i))&r.mask]
-					slot.op = o
-					slot.seq.Store(pos + uint64(i) + 1)
-				}
-				return true
-			}
-		case d < 0:
-			return false // not enough room for the whole batch
+	pos, ok := r.tryClaim(len(ops))
+	if ok {
+		for i, o := range ops {
+			r.publishAt(pos, i, o)
 		}
 	}
+	return ok
 }
 
-// tryClaim claims n contiguous slots without publishing anything and
-// returns the base position of the span. The claim holds room on the
-// ring: the consumer reads the span's slots as empty until each is
-// published via publishAt, and producers behind the claim queue up as
-// usual. Callers must eventually publish every claimed slot (with real
-// ops or no-ops) or the consumer stalls forever; pair with the tree's
-// admitters protocol so the worker cannot exit mid-claim.
+// tryClaim is the ring's one claim loop: it claims n contiguous slots
+// without publishing anything and returns the base position of the span.
+// The claim holds room on the ring: the consumer reads the span's slots
+// as empty until each is published via publishAt, and producers behind
+// the claim queue up as usual. Callers must eventually publish every
+// claimed slot (with real ops or no-ops) or the consumer stalls forever;
+// pair with the tree's admitters protocol so the worker cannot exit
+// mid-claim.
 func (r *opRing) tryClaim(n int) (uint64, bool) {
 	un := uint64(n)
 	if un == 0 {
@@ -118,8 +78,8 @@ func (r *opRing) tryClaim(n int) (uint64, bool) {
 	}
 	for {
 		pos := r.head.Load()
-		// Same free-in-order argument as TryPushN: last slot free for this
-		// lap implies the whole span is free.
+		// With a single consumer, slots free in strict order: if the last
+		// slot of the span is free for this lap, every earlier one is too.
 		last := &r.slots[(pos+un-1)&r.mask]
 		seq := last.seq.Load()
 		switch d := int64(seq - (pos + un - 1)); {
@@ -128,8 +88,9 @@ func (r *opRing) tryClaim(n int) (uint64, bool) {
 				return pos, true
 			}
 		case d < 0:
-			return 0, false
+			return 0, false // the span's last slot is still occupied by the previous lap
 		}
+		// d > 0: another producer claimed pos between our loads; retry.
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// tryPush admits one op the way Tree.Admit does: a batch of one.
+func tryPush(r *opRing, o *Op) bool { return r.TryPushN([]*Op{o}) }
+
 func TestRingCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 8}, {1, 8}, {8, 8}, {9, 16}, {100, 128}, {4096, 4096},
@@ -26,7 +29,7 @@ func TestRingFIFO(t *testing.T) {
 	for len(ops) > 0 {
 		pushed := 0
 		for _, o := range ops {
-			if !r.TryPush(o) {
+			if !tryPush(r, o) {
 				break
 			}
 			pushed++
@@ -53,11 +56,11 @@ func TestRingFIFO(t *testing.T) {
 func TestRingFullAndLen(t *testing.T) {
 	r := newOpRing(8)
 	for i := 0; i < 8; i++ {
-		if !r.TryPush(NewNop(nil)) {
+		if !tryPush(r, NewNop(nil)) {
 			t.Fatalf("push %d failed below capacity", i)
 		}
 	}
-	if r.TryPush(NewNop(nil)) {
+	if tryPush(r, NewNop(nil)) {
 		t.Fatal("push succeeded on a full ring")
 	}
 	if r.Len() != 8 {
@@ -67,7 +70,7 @@ func TestRingFullAndLen(t *testing.T) {
 		t.Fatal("full ring reported Empty")
 	}
 	r.Pop()
-	if !r.TryPush(NewNop(nil)) {
+	if !tryPush(r, NewNop(nil)) {
 		t.Fatal("push failed after a pop freed a slot")
 	}
 }
@@ -111,7 +114,7 @@ func TestRingConcurrentProducers(t *testing.T) {
 			for i := 0; i < perProducer; i++ {
 				o := NewNop(nil)
 				o.Tag = uint64(p)<<32 | uint64(i)
-				for !r.TryPush(o) {
+				for !tryPush(r, o) {
 					runtime.Gosched() // consumer is draining concurrently
 				}
 			}

@@ -1,4 +1,4 @@
-package loadgen
+package harness
 
 import (
 	"encoding/json"
@@ -6,49 +6,16 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 )
 
 // BenchEntry is one measurement in the github-action-benchmark "custom
-// JSON" format: a BENCH_*.json file is a flat array of these, so the
-// serving tier's throughput and tail latencies chart as a trajectory
-// across commits.
+// JSON" format: a BENCH_*.json file is a flat array of these, so a
+// sweep's throughput and latencies chart as a trajectory across commits.
 type BenchEntry struct {
 	Name  string  `json:"name"`
 	Unit  string  `json:"unit"`
 	Value float64 `json:"value"`
 	Extra string  `json:"extra,omitempty"`
-}
-
-// BenchEntries flattens a report into bench entries under prefix (e.g.
-// "serving/open"). Latencies are emitted in microseconds.
-func (r *Report) BenchEntries(prefix string) []BenchEntry {
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	extra := fmt.Sprintf("%s loop, %d clients, %d ops, %d errors", r.Mode, r.Clients, r.Ops, r.Errors)
-	return []BenchEntry{
-		{Name: prefix + "/throughput", Unit: "ops/s", Value: r.Throughput, Extra: extra},
-		{Name: prefix + "/p50", Unit: "us", Value: us(r.P50)},
-		{Name: prefix + "/p95", Unit: "us", Value: us(r.P95)},
-		{Name: prefix + "/p99", Unit: "us", Value: us(r.P99)},
-		{Name: prefix + "/max", Unit: "us", Value: us(r.Max)},
-	}
-}
-
-// BusyRetryEntry builds the wire-level flow-control entry: BUSY-driven
-// retransmits per delivered response. It charts the serving tier's
-// backpressure trajectory next to throughput and tails — a rising rate
-// means clients are burning round-trips re-offering refused work.
-func BusyRetryEntry(prefix string, busyRetries, received uint64) BenchEntry {
-	var rate float64
-	if received > 0 {
-		rate = float64(busyRetries) / float64(received)
-	}
-	return BenchEntry{
-		Name:  prefix + "/busy_retry_rate",
-		Unit:  "retries/op",
-		Value: rate,
-		Extra: fmt.Sprintf("%d retransmits / %d responses", busyRetries, received),
-	}
 }
 
 // WriteBench writes entries as a BENCH_*.json file.
@@ -73,7 +40,7 @@ func ReadBench(path string) ([]BenchEntry, error) {
 	}
 	var entries []BenchEntry
 	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("loadgen: %s: %w", path, err)
+		return nil, fmt.Errorf("harness: %s: %w", path, err)
 	}
 	return entries, nil
 }
@@ -84,19 +51,12 @@ func biggerIsBetter(name string) bool {
 	return strings.Contains(name, "throughput") || strings.Contains(name, "ops")
 }
 
-// minGatedBusyRate is the baseline busy_retry_rate below which the
-// series is charted but not gated: a relative tolerance against a
-// near-zero rate turns scheduler noise into spurious failures.
-const minGatedBusyRate = 0.05
-
 // Compare checks current against baseline and returns one human-readable
 // line per regression beyond tolerance (e.g. 0.15 = 15%). Metrics
 // missing from either side are skipped — the trajectory may legitimately
 // gain or lose series across commits. "max" series are charted but
 // never gated: the single worst sample is an extreme-value statistic
-// with run-to-run variance far beyond any useful tolerance. The
-// busy_retry_rate series (lower is better) gates only when the baseline
-// itself shows a meaningful rate.
+// with run-to-run variance far beyond any useful tolerance.
 func Compare(current, baseline []BenchEntry, tolerance float64) []string {
 	base := make(map[string]BenchEntry, len(baseline))
 	for _, e := range baseline {
@@ -106,9 +66,6 @@ func Compare(current, baseline []BenchEntry, tolerance float64) []string {
 	for _, cur := range current {
 		b, ok := base[cur.Name]
 		if !ok || b.Value == 0 || strings.HasSuffix(cur.Name, "/max") {
-			continue
-		}
-		if strings.HasSuffix(cur.Name, "/busy_retry_rate") && b.Value < minGatedBusyRate {
 			continue
 		}
 		if biggerIsBetter(cur.Name) {

@@ -9,12 +9,12 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	patree "github.com/patree/patree"
 	"github.com/patree/patree/client"
-	"github.com/patree/patree/internal/fault"
 	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/proto"
 	"github.com/patree/patree/internal/server"
@@ -337,17 +337,41 @@ func TestWireConcurrent(t *testing.T) {
 	}
 }
 
-// TestBusyBackoff saturates a tiny admission ring behind a deliberately
-// slow device and checks that wire flow control engages: the client
-// absorbs StatusBusy with backoff + retransmission, no operation is
-// dropped, and every acknowledged write is really there.
+// gatedDevice holds back every completion of the device it wraps while
+// its gate is shut: commands are accepted and executed, but Probe reaps
+// nothing, so operations pile up behind their I/O for as long as a test
+// wants them to.
+type gatedDevice struct {
+	nvme.Device
+	shut atomic.Bool
+}
+
+func (d *gatedDevice) AllocQueuePair(depth int) (nvme.QueuePair, error) {
+	qp, err := d.Device.AllocQueuePair(depth)
+	return &gatedQP{QueuePair: qp, dev: d}, err
+}
+
+type gatedQP struct {
+	nvme.QueuePair
+	dev *gatedDevice
+}
+
+func (q *gatedQP) Probe(max int) int {
+	if q.dev.shut.Load() {
+		return 0
+	}
+	return q.QueuePair.Probe(max)
+}
+
+// TestBusyBackoff saturates a tiny admission ring and checks that wire
+// flow control engages: the client absorbs StatusBusy with backoff +
+// retransmission, no operation is dropped, and every acknowledged write
+// is really there. Saturation is constructed, not raced for: the device's
+// completions are held until the server has refused at least one burst.
 func TestBusyBackoff(t *testing.T) {
-	slow := fault.New(
-		nvme.NewRAMDevice(nvme.RAMConfig{NumBlocks: 1 << 16}),
-		fault.Config{Seed: 3, Probs: fault.Probs{LatencySpike: 1}},
-	)
+	gate := &gatedDevice{Device: nvme.NewRAMDevice(nvme.RAMConfig{NumBlocks: 1 << 16})}
 	addr, srv, stop := startServer(t,
-		patree.Options{Device: slow, InboxDepth: 8},
+		patree.Options{Device: gate, InboxDepth: 8},
 		// Bursts far larger than the ring: the split-admission path must
 		// keep making progress anyway.
 		server.Options{BurstOps: 64},
@@ -359,7 +383,9 @@ func TestBusyBackoff(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Pipeline far more writes than the ring holds.
+	// Pipeline far more writes than the ring holds while nothing can
+	// complete: the ring fills and the server must start refusing.
+	gate.shut.Store(true)
 	const n = 512
 	handles := make([]*patree.Handle, n)
 	for i := range handles {
@@ -369,14 +395,17 @@ func TestBusyBackoff(t *testing.T) {
 		}
 		handles[i] = h
 	}
+	for deadline := time.Now().Add(30 * time.Second); srv.Stats().Busy == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("server never refused with StatusBusy behind a held device")
+		}
+	}
+	gate.shut.Store(false)
 	for i, h := range handles {
 		if err := h.Err(); err != nil {
 			t.Fatalf("put %d failed: %v", i, err)
 		}
 		h.Release()
-	}
-	if busy := srv.Stats().Busy; busy == 0 {
-		t.Fatal("server never refused with StatusBusy — the ring was never saturated")
 	}
 	if retries := c.Stats().BusyRetries; retries == 0 {
 		t.Fatal("client never saw StatusBusy")

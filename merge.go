@@ -3,15 +3,19 @@ package patree
 import "github.com/patree/patree/internal/core"
 
 // This file is the single home of the scatter-gather result merge used
-// by every multi-shard read path — Scan/ScanAsync fan-outs (async.go),
-// batch scans (batch.go), and the optimistic concurrent-read scan
-// (read_path.go). The k-way selection itself is core.MergeRuns, shared
-// with the LSM baseline's merges.
+// by every multi-shard read path — scattered scans and syncs (fanAgg in
+// async.go) and the optimistic concurrent-read scan (read_path.go). The
+// k-way selection itself is core.MergeRuns, shared with the LSM
+// baseline's merges.
 
 // mergeScan merge-sorts per-shard scan results (each already ascending,
 // keyspaces disjoint) into one ascending run, honoring the global limit
 // (<= 0 = unlimited). The first shard error wins and discards the data.
+// One run is its own merge.
 func mergeScan(rs []core.Result, limit int) core.Result {
+	if len(rs) == 1 {
+		return rs[0]
+	}
 	out := mergeFirstErr(rs)
 	if out.Err != nil {
 		return out

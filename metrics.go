@@ -142,30 +142,13 @@ func (db *DB) Metrics() Metrics {
 	}
 
 	var m Metrics
-	var hits, misses uint64
+	var buf bufferCounts
 	var classes int
 	var biasWeighted float64
 	absErr := metrics.NewHistogram()
 	for _, snap := range snaps {
-		m.Stats.Ops += snap.stats.Ops
-		m.Stats.NumKeys += snap.stats.NumKeys
-		if snap.stats.Height > m.Stats.Height {
-			m.Stats.Height = snap.stats.Height
-		}
-		m.Stats.Probes += snap.stats.Probes
-		m.Stats.ReadsIssued += snap.stats.ReadsIssued
-		m.Stats.WritesIssued += snap.stats.WritesIssued
-		m.Stats.AdmitWaits += snap.stats.AdmitWaits
-		m.Stats.IOErrors += snap.stats.IOErrors
-		m.Stats.IORetries += snap.stats.IORetries
-		m.Stats.JournalAppends += snap.stats.JournalAppends
-		m.Stats.Checkpoints += snap.stats.Checkpoints
-		m.Stats.SpecIssued += snap.stats.SpecIssued
-		m.Stats.SpecHits += snap.stats.SpecHits
-		m.Stats.SpecCancelled += snap.stats.SpecCancelled
-		m.Stats.SpecWasted += snap.stats.SpecWasted
-		hits += snap.buf.hits
-		misses += snap.buf.misses
+		m.Stats.add(snap.stats)
+		buf.add(snap.buf)
 
 		if snap.stages != nil && snap.stages.Classes() > classes {
 			classes = snap.stages.Classes()
@@ -189,12 +172,7 @@ func (db *DB) Metrics() Metrics {
 
 		m.TraceEvents += snap.traceEmitted
 	}
-	if hits+misses > 0 {
-		m.Stats.BufferHit = float64(hits) / float64(hits+misses)
-	}
-	m.Stats.Shards = len(db.shards)
-	m.Stats.Devices = db.devices
-	m.Stats.ThrottleWaits = db.throttleWaits.Load()
+	db.deriveStats(&m.Stats, buf)
 	if m.Probe.Matched > 0 {
 		m.Probe.Bias = time.Duration(biasWeighted / float64(m.Probe.Matched))
 	}
@@ -244,30 +222,13 @@ func kindName(class int) string { return core.Kind(class).String() }
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Each
 // shard's snapshot is taken on its working thread, so it is consistent;
 // identical workloads on identical clocks export byte-identical JSON.
-// On a sharded DB each shard appears as its own process
-// ("patree-shard0", ...) with the shard's thread lanes underneath; a
-// single-worker DB keeps the original single-process output. Returns
-// ErrTracingDisabled when the DB was opened without Options.Trace.
+// Each shard appears as its own process ("patree-shard0", ...) with the
+// shard's thread lanes underneath. Returns ErrTracingDisabled when the
+// DB was opened without Options.Trace.
 func (db *DB) WriteTrace(w io.Writer) error {
-	if db.shards[0].tracer == nil {
+	procs := db.TraceProcesses()
+	if procs == nil {
 		return ErrTracingDisabled
-	}
-	if len(db.shards) == 1 {
-		s := db.shards[0]
-		var events []trace.Event
-		db.onWorker(s, func() { events = s.tracer.Events() })
-		return s.tracer.WriteChromeJSON(w, events)
-	}
-	procs := make([]trace.Process, len(db.shards))
-	for i, s := range db.shards {
-		s := s
-		i := i
-		db.onWorker(s, func() {
-			procs[i] = trace.Process{
-				Name:   fmt.Sprintf("patree-shard%d", i),
-				Events: s.tracer.Events(),
-			}
-		})
 	}
 	return db.shards[0].tracer.WriteChromeJSONProcs(w, procs)
 }

@@ -58,7 +58,7 @@
 // aggregate, and Batch.Commit splits into per-shard sub-batches
 // (TryCommit reserves room on every shard before admitting anywhere, so
 // it stays all-or-nothing). Shards: 0 or 1 is the paper's single-worker
-// tree, byte-for-byte. See DESIGN.md §12.
+// tree, byte-for-byte — the same code at N = 1. See DESIGN.md §12.
 package patree
 
 import (
@@ -183,16 +183,15 @@ type Options struct {
 	// by default — the fast path adds worker-side publication work, and
 	// deterministic simulation runs keep it off to stay byte-identical.
 	ConcurrentReads bool
-	// Pipelined enables the overlapped polled loop (DESIGN.md §17), three
+	// Pipelined enables the overlapped polled loop (DESIGN.md §17), two
 	// coordinated pieces: speculative child prefetch (each worker walks
 	// drained operations' predicted descent paths through resident pages
 	// and issues the first missing page's read ahead of the operation's
-	// turn, budget-bounded and cancelled on mispredict), pipelined WAL
-	// block writes (several journal blocks in flight instead of one, log
-	// order and gate-before-mutation preserved — only meaningful with
-	// Journal), and off-worker scan merge (multi-shard Scan results are
-	// k-way merged on the waiting goroutine instead of the last-finishing
-	// worker). Semantics are identical either way; off by default, and
+	// turn, budget-bounded and cancelled on mispredict; inert without a
+	// buffer to prefetch into) and pipelined WAL block writes (several
+	// journal blocks in flight instead of one, log order and
+	// gate-before-mutation preserved — only meaningful with Journal).
+	// Semantics are identical either way; off by default, and
 	// deterministic simulation runs keep it off — speculative reads and
 	// deeper WAL pipelining reshape the simulated I/O schedule.
 	Pipelined bool
@@ -281,12 +280,6 @@ type DB struct {
 	// concReads mirrors Options.ConcurrentReads; when set, read paths try
 	// the optimistic published-page descent before the pipeline.
 	concReads bool
-
-	// deferMerge mirrors Options.Pipelined's off-worker merge piece:
-	// fanned scans and syncs deliver their k-way merge lazily, to run on
-	// the goroutine that waits on the handle rather than on the working
-	// thread whose completion closed the scatter.
-	deferMerge bool
 }
 
 // minShardBlocks is the smallest device partition a shard accepts: room
@@ -351,7 +344,7 @@ func Open(opts Options) (*DB, error) {
 			}
 		}
 	}
-	db := &DB{dev: opts.Device, ownsDev: owns, devices: m, concReads: opts.ConcurrentReads, deferMerge: opts.Pipelined}
+	db := &DB{dev: opts.Device, ownsDev: owns, devices: m, concReads: opts.ConcurrentReads}
 	if opts.AdmissionWeighting {
 		// The governor works the nominal depth; the physical ring is
 		// doubled so a throttled topology still has the deeper ring the
@@ -509,12 +502,15 @@ func mapErr(err error) error {
 	return err
 }
 
-// shardFor routes a key to its owning shard (see core.ShardOf).
-func (db *DB) shardFor(key uint64) *shard {
-	if len(db.shards) == 1 {
-		return db.shards[0]
+// span reports the shards [lo, hi) a logical operation lands on: a point
+// operation routes by key to one (see core.ShardOf), a scan or sync
+// covers them all. It is the package's one routing decision.
+func (db *DB) span(bo *BatchOp) (lo, hi int) {
+	if bo.Kind == OpScan || bo.Kind == OpSync {
+		return 0, len(db.shards)
 	}
-	return db.shards[core.ShardOf(key, len(db.shards))]
+	lo = core.ShardOf(bo.Key, len(db.shards))
+	return lo, lo + 1
 }
 
 // throttle holds the caller back while s is under an imposed admission
@@ -581,8 +577,9 @@ func (db *DB) throttledNow(s *shard) bool {
 }
 
 // admit checks closed and hands op (whose Done is already set) to s's
-// working thread. It holds the admission lock shared across the whole
-// hand-off; see DB.mu.
+// working thread. It is the way in for onWorker's observability no-ops,
+// which are not index operations; those go through issue or a Batch. It
+// holds the admission lock shared across the whole hand-off; see DB.mu.
 func (db *DB) admit(s *shard, op *core.Op) error {
 	db.mu.RLock()
 	if db.closed {
@@ -595,18 +592,14 @@ func (db *DB) admit(s *shard, op *core.Op) error {
 	return nil
 }
 
-// exec admits op on s and blocks until the working thread completes it.
-// The operation and its completion handle come from pools, so the steady
-// state adds no admission-side allocation.
-func (db *DB) exec(s *shard, op *core.Op) (core.Result, error) {
-	h := acquireHandle()
-	op.Done = h.doneFn
-	db.throttle(s)
-	if err := db.admit(s, op); err != nil {
-		h.abandon()
+// do is the blocking spelling of every operation: issue it, wait, and
+// recycle the pooled handle.
+func (db *DB) do(bo BatchOp) (core.Result, error) {
+	h, err := db.issue(&bo)
+	if err != nil {
 		return core.Result{}, err
 	}
-	err := h.Wait()
+	err = h.Wait()
 	res := h.res
 	h.recycle()
 	return res, err
@@ -614,7 +607,7 @@ func (db *DB) exec(s *shard, op *core.Op) (core.Result, error) {
 
 // Put inserts or replaces key.
 func (db *DB) Put(key uint64, value []byte) error {
-	_, err := db.exec(db.shardFor(key), core.AcquireOp().InitInsert(key, value))
+	_, err := db.do(BatchOp{Kind: OpPut, Key: key, Value: value})
 	return err
 }
 
@@ -622,24 +615,19 @@ func (db *DB) Put(key uint64, value []byte) error {
 // it is answered on the calling goroutine when the optimistic read can
 // prove the answer current, falling back to the pipeline otherwise.
 func (db *DB) Get(key uint64) ([]byte, bool, error) {
-	if db.concReads {
-		if res, ok := db.tryConcGet(key); ok {
-			return res.Value, res.Found, nil
-		}
-	}
-	res, err := db.exec(db.shardFor(key), core.AcquireOp().InitSearch(key))
+	res, err := db.do(BatchOp{Kind: OpGet, Key: key})
 	return res.Value, res.Found, err
 }
 
 // Update replaces key only if present, reporting whether it was.
 func (db *DB) Update(key uint64, value []byte) (bool, error) {
-	res, err := db.exec(db.shardFor(key), core.AcquireOp().InitUpdate(key, value))
+	res, err := db.do(BatchOp{Kind: OpUpdate, Key: key, Value: value})
 	return res.Found, err
 }
 
 // Delete removes key, reporting whether it was present.
 func (db *DB) Delete(key uint64) (bool, error) {
-	res, err := db.exec(db.shardFor(key), core.AcquireOp().InitDelete(key))
+	res, err := db.do(BatchOp{Kind: OpDelete, Key: key})
 	return res.Found, err
 }
 
@@ -648,39 +636,15 @@ func (db *DB) Delete(key uint64) (bool, error) {
 // applies to the merged stream, so the result is the same ascending
 // prefix a single tree would return.
 func (db *DB) Scan(lo, hi uint64, limit int) ([]KV, error) {
-	if db.concReads {
-		if res, ok := db.tryConcScan(lo, hi, limit); ok {
-			return res.Pairs, nil
-		}
-	}
-	if len(db.shards) == 1 {
-		res, err := db.exec(db.shards[0], core.AcquireOp().InitRange(lo, hi, limit))
-		return res.Pairs, err
-	}
-	h, err := db.ScanAsync(lo, hi, limit)
-	if err != nil {
-		return nil, err
-	}
-	err = h.Wait()
-	pairs := h.res.Pairs
-	h.recycle()
-	return pairs, err
+	res, err := db.do(BatchOp{Kind: OpScan, Key: lo, End: hi, Limit: limit})
+	return res.Pairs, err
 }
 
 // Sync flushes all buffered updates and the meta pages to the device
 // (meaningful under Weak persistence; cheap under Strong). Across
 // shards it fans out and waits for every shard's flush.
 func (db *DB) Sync() error {
-	if len(db.shards) == 1 {
-		_, err := db.exec(db.shards[0], core.AcquireOp().InitSync())
-		return err
-	}
-	h, err := db.SyncAsync()
-	if err != nil {
-		return err
-	}
-	err = h.Wait()
-	h.recycle()
+	_, err := db.do(BatchOp{Kind: OpSync})
 	return err
 }
 
@@ -709,43 +673,60 @@ func (db *DB) onWorker(s *shard, f func()) {
 // per-shard view.
 func (db *DB) Stats() Stats {
 	var out Stats
-	var hits, misses uint64
+	var buf bufferCounts
 	for _, s := range db.shards {
-		var part Stats
-		var bs bufferCounts
-		db.onWorker(s, func() { part, bs = s.statsSnapshot() })
-		out.Ops += part.Ops
-		out.NumKeys += part.NumKeys
-		if part.Height > out.Height {
-			out.Height = part.Height
-		}
-		out.Probes += part.Probes
-		out.ReadsIssued += part.ReadsIssued
-		out.WritesIssued += part.WritesIssued
-		out.AdmitWaits += part.AdmitWaits
-		out.IOErrors += part.IOErrors
-		out.IORetries += part.IORetries
-		out.JournalAppends += part.JournalAppends
-		out.Checkpoints += part.Checkpoints
-		out.SpecIssued += part.SpecIssued
-		out.SpecHits += part.SpecHits
-		out.SpecCancelled += part.SpecCancelled
-		out.SpecWasted += part.SpecWasted
-		hits += bs.hits
-		misses += bs.misses
+		db.onWorker(s, func() {
+			part, bs := s.statsSnapshot()
+			out.add(part)
+			buf.add(bs)
+		})
 	}
-	if hits+misses > 0 {
-		out.BufferHit = float64(hits) / float64(hits+misses)
-	}
-	out.Shards = len(db.shards)
-	out.Devices = db.devices
-	out.ThrottleWaits = db.throttleWaits.Load()
+	db.deriveStats(&out, buf)
 	return out
+}
+
+// add folds one shard's contribution into st: counters sum and Height
+// takes the tallest shard. BufferHit, Shards and Devices are not
+// per-shard quantities; deriveStats sets them once every shard is in.
+func (st *Stats) add(p Stats) {
+	st.Ops += p.Ops
+	st.NumKeys += p.NumKeys
+	st.Height = max(st.Height, p.Height)
+	st.Probes += p.Probes
+	st.ReadsIssued += p.ReadsIssued
+	st.WritesIssued += p.WritesIssued
+	st.AdmitWaits += p.AdmitWaits
+	st.IOErrors += p.IOErrors
+	st.IORetries += p.IORetries
+	st.JournalAppends += p.JournalAppends
+	st.Checkpoints += p.Checkpoints
+	st.ThrottleWaits += p.ThrottleWaits
+	st.SpecIssued += p.SpecIssued
+	st.SpecHits += p.SpecHits
+	st.SpecCancelled += p.SpecCancelled
+	st.SpecWasted += p.SpecWasted
+}
+
+// deriveStats completes an accumulated Stats with what no single shard
+// knows: the weighted buffer hit rate, the topology and the DB-level
+// throttle count.
+func (db *DB) deriveStats(st *Stats, buf bufferCounts) {
+	if buf.hits+buf.misses > 0 {
+		st.BufferHit = float64(buf.hits) / float64(buf.hits+buf.misses)
+	}
+	st.Shards = len(db.shards)
+	st.Devices = db.devices
+	st.ThrottleWaits += db.throttleWaits.Load()
 }
 
 // bufferCounts carries raw hit/miss counters out of a shard snapshot so
 // the merged hit rate is weighted, not an average of averages.
 type bufferCounts struct{ hits, misses uint64 }
+
+func (c *bufferCounts) add(o bufferCounts) {
+	c.hits += o.hits
+	c.misses += o.misses
+}
 
 // statsSnapshot builds one shard's Stats contribution; call only on the
 // shard's working thread (onWorker).
@@ -783,27 +764,17 @@ func (db *DB) Close() error {
 		db.mu.Unlock()
 		return nil
 	}
-	// Mark closed before the final sync, not after it: new admissions are
-	// refused from this point, so nothing can slip into the inboxes
-	// between the sync and Stop and then complete with a surprising error.
+	// Persist buffered state before shutdown: the final sync takes the one
+	// admission path, and closed is set under the same exclusive hold, so
+	// nothing can slip into the inboxes between the sync and Stop and then
+	// complete with a surprising error.
+	h := acquireHandle()
+	db.materialize(&BatchOp{Kind: OpSync}, h, db.admitTo)
 	db.closed = true
 	db.mu.Unlock()
-	// Persist buffered state before shutdown. closed is already set, so
-	// these syncs are admitted directly rather than through db.admit.
-	handles := make([]*Handle, len(db.shards))
-	for i, s := range db.shards {
-		h := acquireHandle()
-		op := core.AcquireOp().InitSync()
-		op.Done = h.doneFn
-		s.tree.Admit(op)
-		handles[i] = h
-	}
-	var syncErr error
-	for i, s := range db.shards {
-		if err := handles[i].Wait(); err != nil && syncErr == nil {
-			syncErr = err
-		}
-		handles[i].recycle()
+	syncErr := h.Wait()
+	h.recycle()
+	for _, s := range db.shards {
 		s.tree.Stop()
 	}
 	for _, s := range db.shards {

@@ -390,9 +390,13 @@ func TestAllocsPerOp(t *testing.T) {
 		t.Errorf("cached Get allocates %.2f per op, budget 2", got)
 	}
 	nop := testing.AllocsPerRun(2000, func() {
-		if _, err := db.exec(db.shards[0], core.AcquireOp().InitNop()); err != nil {
+		h := acquireHandle()
+		op := core.AcquireOp().InitNop()
+		op.Done = h.doneFn
+		if err := db.admit(db.shards[0], op); err != nil {
 			t.Fatal(err)
 		}
+		h.Release()
 	})
 	t.Logf("pipeline no-op: %.2f allocs/op", nop)
 	if nop > 1 {
