@@ -75,6 +75,18 @@ func writePrometheus(w io.Writer, m Metrics) {
 	p("# TYPE patree_throttle_waits_total counter\n")
 	p("patree_throttle_waits_total %d\n", m.ThrottleWaits)
 
+	if m.JournalAppends > 0 {
+		p("# HELP patree_journal_records_total Redo records appended to the WAL (Options.Journal).\n")
+		p("# TYPE patree_journal_records_total counter\n")
+		p("patree_journal_records_total %d\n", m.JournalAppends)
+		p("# HELP patree_journal_bytes_total Framed bytes those records took in the log.\n")
+		p("# TYPE patree_journal_bytes_total counter\n")
+		p("patree_journal_bytes_total %d\n", m.JournalBytes)
+		p("# HELP patree_journal_block_writes_total WAL block commands issued, tail rewrites included.\n")
+		p("# TYPE patree_journal_block_writes_total counter\n")
+		p("patree_journal_block_writes_total %d\n", m.JournalBlockWrites)
+	}
+
 	if m.SpecIssued > 0 {
 		p("# HELP patree_spec_reads_total Speculative prefetch reads (Options.Pipelined) by outcome.\n")
 		p("# TYPE patree_spec_reads_total counter\n")

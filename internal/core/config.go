@@ -146,10 +146,11 @@ type Config struct {
 	// subsequent retry of the same operation. Zero selects the default
 	// (50µs).
 	RetryBackoff time.Duration
-	// Journal enables the full-page-image redo journal: every update
-	// operation appends the sealed images of its modified pages (plus the
-	// meta page when the root moves) to the device's WAL region before it
-	// is acknowledged, so a crash can never lose an acknowledged write or
+	// Journal enables the page-image redo journal: every update operation
+	// appends the sealed images of its modified pages (plus the meta page
+	// when the root moves; each logged as its used ends, without the hole
+	// between them — record.go) to the device's WAL region before it is
+	// acknowledged, so a crash can never lose an acknowledged write or
 	// expose a torn multi-page update. Requires a device formatted with a
 	// WAL region (Format always lays one out); ignored when the meta page
 	// records no region. Off by default: the paper's experiments measure

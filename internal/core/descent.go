@@ -493,58 +493,52 @@ func (o *Op) isModified(id storage.PageID) bool {
 	return false
 }
 
-// beginWriteback finishes an update operation: strong mode queues one
-// write per modified page (leaves before parents, meta last) and moves
-// the op to the write pipeline; weak mode stores the pages into the
-// read-write buffer and completes immediately, scheduling evicted victims
-// in the background (§III-C). The return value follows the processNode
-// convention: true iff the op left the ready set.
+// beginWriteback finishes an update operation. Each modified node is
+// encoded once, into o.writes, and every consumer takes that image: the
+// in-place write (strong), the read-write buffer (weak), the published
+// table at finishOp and the redo record. Strong mode orders the pages
+// leaves before parents, meta last, and moves the op to the write
+// pipeline; weak mode buffers them and completes immediately, scheduling
+// evicted victims in the background (§III-C); with the journal on either
+// goes through stJournal first. Returns true iff the op left the ready
+// set (the processNode convention).
 func (t *Tree) beginWriteback(o *Op) bool {
-	if t.cfg.Persistence == WeakPersistence {
-		for _, n := range o.modified {
-			img := n.Encode()
+	weak := t.cfg.Persistence == WeakPersistence
+	if !weak {
+		// Children-first, so a parent never points to an unwritten child
+		// on the device.
+		mods := o.modified
+		for i := 0; i < len(mods); i++ {
+			for j := i + 1; j < len(mods); j++ {
+				if mods[j].Level < mods[i].Level {
+					mods[i], mods[j] = mods[j], mods[i]
+				}
+			}
+		}
+	}
+	for _, n := range o.modified {
+		img := n.Encode()
+		o.writes = append(o.writes, writeReq{id: n.ID, data: img})
+		if weak {
 			t.bufferWrite(n.ID, img)
-			if t.pub != nil {
-				// Captured for publication at finishOp: the table is updated
-				// only when the whole op's page group is final, so readers
-				// never see a half-applied split.
-				o.pubImgs = append(o.pubImgs, writeReq{id: n.ID, data: img})
-			}
-		}
-		if t.journalOn {
-			// Acknowledge only once the redo group is durable: the buffered
-			// pages may not reach the device until much later, but the WAL
-			// can replay them after a crash.
-			o.state = stJournal
-			return false
-		}
-		t.finishOp(o)
-		return true
-	}
-	// Strong: order children-first so a parent never points to an
-	// unwritten child on the device.
-	mods := append([]*storage.Node(nil), o.modified...)
-	for i := 0; i < len(mods); i++ {
-		for j := i + 1; j < len(mods); j++ {
-			if mods[j].Level < mods[i].Level {
-				mods[i], mods[j] = mods[j], mods[i]
-			}
 		}
 	}
-	for _, n := range mods {
-		o.writes = append(o.writes, writeReq{id: n.ID, data: n.Encode()})
+	if o.commit != nil && (!weak || t.journalOn) {
+		// Root changed: the new meta image is written last (strong) and
+		// journaled with the group (a weak tree writes page 0 only at a
+		// sync, but its redo group must carry the move).
+		o.writes = append(o.writes, writeReq{id: 0, data: t.pendingMeta(o).Encode()})
 	}
-	if o.commit != nil {
-		// Root changed: persist the new meta image after everything else.
-		meta := t.pendingMeta(o)
-		o.writes = append(o.writes, writeReq{id: 0, data: meta.Encode()})
-	}
-	if t.journalOn {
-		// Journal-first: the redo group becomes durable before the in-place
-		// writes start, so a crash tearing the in-place update is healed by
-		// replay.
+	switch {
+	case t.journalOn:
+		// Journal-first: the redo group is durable before the op is
+		// acknowledged (weak: the buffered pages reach the device much
+		// later) or its in-place writes start (strong: replay heals a tear).
 		o.state = stJournal
 		return false
+	case weak:
+		t.finishOp(o)
+		return true
 	}
 	o.state = stWriteNext
 	return false // continue in process(): stWriteNext issues the first write

@@ -13,7 +13,7 @@ package core
 //	speculative read specIssue       drop the guess    dropped, never retried     ReadsIssued SpecIssued SpecCancelled
 //	op write         submitOpWrite   stall the op      op budget, backoff, rerun  WritesIssued
 //	write-back       submitBG        stays in bgQueue  own budget, backoff        WritesIssued
-//	WAL block        jwSubmit        stays in jwq      entry budget, resubmit     WritesIssued
+//	WAL block        jwSubmit        stays in jwq      entry budget, resubmit     WritesIssued JournalBlockWrites
 //	sync page        submitSyncPage  stall the op      op budget, requeue page    WritesIssued
 //	sync phase write submitSyncCmd   stall the op      op budget, resend phase    WritesIssued
 //	flush            submitSyncCmd   stall the op      op budget, resend phase    —
@@ -64,7 +64,8 @@ const (
 
 // ioCmd is one worker-issued device command between submit and reap. It
 // embeds the nvme.Command so command and context are one allocation; the
-// completion closure is the other.
+// completion closure is the other, built on first submit and kept, so a
+// reused command (a WAL writer entry) allocates neither again.
 type ioCmd struct {
 	nvme.Command
 	// op is the operation the command belongs to: it is stalled when the
@@ -80,13 +81,14 @@ type ioCmd struct {
 	// done is the class's completion handler, a method expression so it
 	// costs no closure.
 	done      func(t *Tree, c *ioCmd, res ioResult, now sim.Time)
+	callback  func(nvme.Completion)
 	submitted sim.Time
 
 	// Class payload, read back by done. Four fields for eight classes is
 	// the price of not allocating a second closure per command; a class
 	// that needs more goes behind one pointer field, not more fields here.
 	epoch uint64   // write-back, sync page: buffer epoch of the image being persisted
-	tries int      // write-back: its budget (retries points here)
+	tries int      // write-back, WAL block: its budget (retries points here)
 	jw    *jwEntry // WAL block: its writer-queue entry
 	onOK  func()   // sync phase command: advances the phase
 }
@@ -116,7 +118,10 @@ func (t *Tree) submit(c *ioCmd) bool {
 		t.specInvalidate(storage.PageID(c.LBA))
 	}
 	c.submitted = t.now()
-	c.Callback = func(done nvme.Completion) { t.reap(c, done.Err) }
+	if c.callback == nil {
+		c.callback = func(done nvme.Completion) { t.reap(c, done.Err) }
+	}
+	c.Callback = c.callback // set each time: a wrapping device may have replaced it
 	t.charge(metrics.CatNVMe, t.cfg.Costs.IOSubmit)
 	if err := t.qp.Submit(&c.Command); err != nil {
 		if c.op != nil {

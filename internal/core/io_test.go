@@ -134,10 +134,10 @@ func ioClassRows() []ioClassRow {
 		},
 		{
 			name: "WAL block", cfg: journalCfg, write: true, writes: 1,
-			issue: func(t *Tree, _ *Op) { t.jwEnqueue(seamPage, page); t.jwKick() },
+			issue: func(t *Tree, _ *Op) { t.jwEnqueue(seamPage, page, 0); t.jwKick() },
 			kept:  func(t *Tree) bool { return len(t.jwq) == 1 && !t.jwq[0].inflight && t.jwInflight == 0 },
 			retried: func(t *Tree, _ *Op, qp *scriptQP) bool {
-				return len(qp.pending) == 1 && t.jwq[0].inflight && t.jwq[0].retries == 1
+				return len(qp.pending) == 1 && t.jwq[0].inflight && t.jwq[0].cmd.tries == 1
 			},
 		},
 		{
@@ -353,24 +353,22 @@ func TestJournalWriterDepthOne(t *testing.T) {
 		return o
 	}
 
-	tree.jwEnqueue(blk, img(1))
-	tree.jwq[0].certify = 100
+	tree.jwEnqueue(blk, img(1), 100)
 	tree.jwKick()
-	tree.jwEnqueue(blk, img(2)) // tail in flight: queues behind
-	tree.jwEnqueue(blk, img(3)) // tail merely queued: superseded in place
-	tree.jwq[1].certify = 200
-	tree.jwEnqueue(blk+1, img(4))
+	tree.jwEnqueue(blk, img(2), 150) // tail in flight: queues behind
+	tree.jwEnqueue(blk, img(3), 200) // tail merely queued: superseded in place
+	tree.jwEnqueue(blk+1, img(4), 0)
 	tree.jwKick()
-	if len(tree.jwq) != 3 || tree.jwq[1].data[0] != 3 || len(qp.pending) != 1 || tree.jwInflight != 1 {
-		t.Fatalf("queue=%d second=%d pending=%d inflight=%d, want 3 entries, image 3, one write in flight",
-			len(tree.jwq), tree.jwq[1].data[0], len(qp.pending), tree.jwInflight)
+	if len(tree.jwq) != 3 || tree.jwq[1].cmd.Buf[0] != 3 || tree.jwq[1].certify != 200 || len(qp.pending) != 1 || tree.jwInflight != 1 {
+		t.Fatalf("queue=%d second=%d certify=%d pending=%d inflight=%d, want 3 entries, image 3 certifying 200, one write in flight",
+			len(tree.jwq), tree.jwq[1].cmd.Buf[0], tree.jwq[1].certify, len(qp.pending), tree.jwInflight)
 	}
 	first, second := park(100), park(200)
 
 	qp.complete(nvme.ErrTimeout)
-	if len(qp.pending) != 1 || qp.pending[0].Buf[0] != 1 || tree.jwq[0].retries != 1 || first.inReady {
+	if len(qp.pending) != 1 || qp.pending[0].Buf[0] != 1 || tree.jwq[0].cmd.tries != 1 || first.inReady {
 		t.Fatalf("head retry: pending=%d image=%d retries=%d woke=%v, want the same entry back in flight",
-			len(qp.pending), qp.pending[0].Buf[0], tree.jwq[0].retries, first.inReady)
+			len(qp.pending), qp.pending[0].Buf[0], tree.jwq[0].cmd.tries, first.inReady)
 	}
 	qp.complete(nil)
 	if tree.jDurable != 100 || !first.inReady || second.inReady {

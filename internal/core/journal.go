@@ -8,10 +8,6 @@ import (
 	"github.com/patree/patree/internal/wal"
 )
 
-// journalRecordBytes is the payload size of one redo record:
-// opSeq(8) idx(1) cnt(1) pageID(8) page image(512).
-const journalRecordBytes = 18 + storage.PageSize
-
 // maxJournalGroup bounds the records one operation can journal: a leaf
 // multi-split chain plus the parent path plus a new root plus the meta
 // image stays far below this (see splitCurrent), and the gate reserves
@@ -25,7 +21,9 @@ const maxJournalGroup = 24
 // checkpoint). The gate runs before the leaf is touched, so a deferred
 // operation re-runs later with no state to undo — and a checkpoint's
 // dirty-page snapshot is complete, because no page can become dirty
-// behind it.
+// behind it. The headroom counts records of the maximum size (a page
+// with no hole), an upper bound on real ones, plus one: the checkpoint's
+// meta record must fit whatever the last admitted group left.
 func (t *Tree) journalGate(o *Op) bool {
 	if !t.journalOn {
 		return true
@@ -34,7 +32,7 @@ func (t *Tree) journalGate(o *Op) bool {
 		t.scheduleRetry(o, t.cfg.RetryBackoff)
 		return false
 	}
-	if t.wal.Remaining() < maxJournalGroup*(journalRecordBytes+wal.FrameOverhead) {
+	if t.wal.Remaining() < (maxJournalGroup+1)*(maxRecordBytes+wal.FrameOverhead) {
 		t.maybeCheckpoint()
 		t.scheduleRetry(o, t.cfg.RetryBackoff)
 		return false
@@ -42,26 +40,18 @@ func (t *Tree) journalGate(o *Op) bool {
 	return true
 }
 
-// runJournal drives stJournal: append the op's redo group (once), hand
-// the flushed WAL blocks to the tree-level writer, then wait until the
-// durability watermark covers the group's bytes before acknowledging
-// (weak) or starting the in-place writes (strong). Returns true when
-// the op left the ready set.
+// runJournal drives stJournal: append the op's redo group (once), then
+// wait until the durability watermark covers the group's bytes before
+// acknowledging (weak) or starting the in-place writes (strong). Returns
+// true when the op left the ready set.
 func (t *Tree) runJournal(o *Op) bool {
 	if !o.jAppended {
 		t.journalBuild(o)
 		o.jAppended = true
 		o.jLiveMark = true
 		t.jLive++
-		t.jwKick()
 	}
-	if o.jNeed > t.jDurable {
-		// The op's records ride in the shared writer's queue; park until
-		// the durability watermark covers them.
-		if !o.jParked {
-			o.jParked = true
-			t.jWaiters = append(t.jWaiters, o)
-		}
+	if t.journalPark(o) {
 		return true
 	}
 	o.jLiveMark = false
@@ -76,62 +66,69 @@ func (t *Tree) runJournal(o *Op) bool {
 	return false
 }
 
-// journalBuild appends the op's redo group — one record per modified
-// page, plus the meta image when the root moves — and collects the WAL
-// block writes the flush produced. The gate guaranteed capacity, so
-// append errors are logic bugs.
+// journalBuild appends the op's redo group, one record per page image
+// beginWriteback encoded. Log blocks the group filled go to the writer
+// now; the block it ends in waits for journalCommit.
 func (t *Tree) journalBuild(o *Op) {
-	cnt := len(o.modified)
-	if o.commit != nil {
-		cnt++
-	}
+	cnt := len(o.writes)
 	if cnt > maxJournalGroup {
 		panic(fmt.Sprintf("core: journal group of %d records exceeds the gate bound", cnt))
 	}
-	rec := make([]byte, journalRecordBytes)
-	idx := 0
-	emit := func(id storage.PageID, image []byte) {
-		putJU64(rec[0:8], o.seq)
-		rec[8] = byte(idx)
-		rec[9] = byte(cnt)
-		putJU64(rec[10:18], uint64(id))
-		copy(rec[18:], image)
-		if _, err := t.wal.Append(rec); err != nil {
-			panic("core: journal append failed after gate: " + err.Error())
-		}
-		idx++
+	for i, w := range o.writes {
+		t.journalAppend(o.seq, i, cnt, w.id, w.data)
 	}
-	for _, n := range o.modified {
-		emit(n.ID, n.Encode())
-	}
-	if o.commit != nil {
-		emit(0, t.pendingMeta(o).Encode())
-	}
-	t.wal.Flush(func(bi uint64, data []byte) {
-		t.jwEnqueue(storage.PageID(t.walStart+bi), data)
-	})
-	// After Flush, UsedBytes covers everything flushed so far; the
-	// watermark is certified when the flush's final block completes.
-	target := t.wal.UsedBytes()
-	if n := len(t.jwq); n > 0 && target > t.jwq[n-1].certify {
-		t.jwq[n-1].certify = target
-	}
-	o.jNeed = target
-	t.stats.JournalAppends += uint64(cnt)
+	t.wal.FlushFull(t.jwStaged)
+	o.jNeed = t.wal.UsedBytes()
 }
 
-// jwEntry is one WAL block image queued for the tree-level writer.
-// certify, when non-zero, is the log byte watermark that becomes durable
-// once this write (and every entry before it) completes — set on a
-// flush's final block. inflight/done track the entry's position in its
-// submit→complete lifecycle; retries is its transient-retry budget.
+// journalAppend is the one place a redo record is built: the header in
+// the tree's scratch, the used ends straight from the image every other
+// consumer holds. The gate guaranteed capacity, so an append error is a
+// logic bug.
+func (t *Tree) journalAppend(seq uint64, idx, cnt int, id storage.PageID, image []byte) {
+	prefix, suffix := storage.UsedExtent(image)
+	recordHeader(&t.jHdr, seq, idx, cnt, id, prefix, suffix)
+	if _, err := t.wal.Append(t.jHdr[:], image[:prefix], image[storage.PageSize-suffix:storage.PageSize]); err != nil {
+		panic("core: journal append failed after gate: " + err.Error())
+	}
+	t.stats.JournalAppends++
+	t.stats.JournalBytes += uint64(wal.FrameOverhead + recordHeaderBytes + prefix + suffix)
+}
+
+// journalPark parks o until the durability watermark covers o.jNeed;
+// false means it already does.
+func (t *Tree) journalPark(o *Op) bool {
+	if o.jNeed <= t.jDurable {
+		return false
+	}
+	if !o.jParked {
+		o.jParked = true
+		t.jWaiters = append(t.jWaiters, o)
+	}
+	return true
+}
+
+// journalCommit hands the log's partial tail block to the writer. The
+// main loop calls it when the ready queue has drained — every operation
+// that could still add to the block has run as far as it can — not once
+// per group, so how many operations share a tail write follows from how
+// many were runnable together, not from how slow the device is. The
+// checkpoint calls it for its own record.
+func (t *Tree) journalCommit() {
+	t.wal.Flush(t.jwStaged)
+	t.jwKick()
+}
+
+// jwEntry is one log block queued for the tree-level writer; its command
+// (with the seam's completion closure and its retry budget, cmd.tries) is
+// reused for the entry's pooled life. certify is the log byte watermark
+// that becomes durable once this write (and every entry before it)
+// completes. inflight/done track its submit→complete lifecycle.
 type jwEntry struct {
-	id       storage.PageID
-	data     []byte
+	cmd      ioCmd
 	certify  int
 	inflight bool
 	done     bool
-	retries  int
 }
 
 // WAL writer depth: how many block writes the tree-level writer keeps in
@@ -142,23 +139,38 @@ const (
 	walDepthPipelined = 8
 )
 
-// jwEnqueue queues one WAL block image for the tree-level writer. A
-// pending rewrite of the same block (the growing tail) is superseded in
-// place — unless it is a write currently in flight (or already landed),
-// in which case the newer image queues behind it and lands after,
-// preserving log order.
-func (t *Tree) jwEnqueue(id storage.PageID, data []byte) {
-	// Flush reuses its block buffer between calls: copy.
-	cp := make([]byte, len(data))
-	copy(cp, data)
+// jwStaged is the log's block writer: it queues staged block bi. A full
+// block certifies its own end; the tail, what has been framed.
+func (t *Tree) jwStaged(bi uint64, data []byte) {
+	t.jwEnqueue(storage.PageID(t.walStart+bi), data, min(int(bi+1)*storage.PageSize, t.wal.UsedBytes()))
+}
+
+// jwEnqueue queues one log block for the tree-level writer. data is the
+// log's staging buffer, shared, not copied: the device snapshots a write
+// at submit, and what the buffer gains afterwards are later frames behind
+// the same bytes. A pending rewrite of the same block (the growing tail)
+// is therefore superseded by raising its watermark — unless that write is
+// in flight (or landed), in which case the newer one queues behind it and
+// lands after, preserving log order.
+func (t *Tree) jwEnqueue(id storage.PageID, data []byte, certify int) {
 	if n := len(t.jwq); n > 0 {
 		tail := t.jwq[n-1]
-		if tail.id == id && !tail.inflight && !tail.done {
-			tail.data = cp
+		if tail.cmd.LBA == uint64(id) && !tail.inflight && !tail.done {
+			tail.cmd.Buf, tail.certify = data, certify
 			return
 		}
 	}
-	t.jwq = append(t.jwq, &jwEntry{id: id, data: cp})
+	var e *jwEntry
+	if n := len(t.jwFree); n > 0 {
+		e, t.jwFree = t.jwFree[n-1], t.jwFree[:n-1]
+		e.done, e.cmd.tries = false, 0
+	} else {
+		e = &jwEntry{}
+		e.cmd.retries, e.cmd.done, e.cmd.jw = &e.cmd.tries, (*Tree).jwDone, e
+	}
+	e.cmd.Command = pageWrite(id, data)
+	e.certify = certify
+	t.jwq = append(t.jwq, e)
 }
 
 // jwActive reports whether the tree-level WAL writer still has work
@@ -186,7 +198,7 @@ func (t *Tree) jwKick() {
 		}
 		blocked := false
 		for j := 0; j < i; j++ {
-			if t.jwq[j].id == e.id && !t.jwq[j].done {
+			if t.jwq[j].cmd.LBA == e.cmd.LBA && !t.jwq[j].done {
 				blocked = true
 				break
 			}
@@ -203,15 +215,11 @@ func (t *Tree) jwKick() {
 // jwSubmit issues one WAL block write. Returns false when the submission
 // queue is full (the entry stays queued).
 func (t *Tree) jwSubmit(e *jwEntry) bool {
-	ok := t.submit(&ioCmd{
-		Command: pageWrite(e.id, e.data),
-		retries: &e.retries,
-		done:    (*Tree).jwDone,
-		jw:      e,
-	})
+	ok := t.submit(&e.cmd)
 	if ok {
 		e.inflight = true
 		t.jwInflight++
+		t.stats.JournalBlockWrites++
 	}
 	return ok
 }
@@ -239,15 +247,20 @@ func (t *Tree) jwDone(c *ioCmd, res ioResult, _ sim.Time) {
 // has landed, so an out-of-order completion can never certify bytes an
 // earlier write could still revert.
 func (t *Tree) jwAdvance() {
+	n := 0
 	advanced := false
-	for len(t.jwq) > 0 && t.jwq[0].done {
-		if t.jwq[0].certify > t.jDurable {
-			t.jDurable = t.jwq[0].certify
+	for ; n < len(t.jwq) && t.jwq[n].done; n++ {
+		e := t.jwq[n]
+		if e.certify > t.jDurable {
+			t.jDurable = e.certify
 			advanced = true
 		}
-		t.jwq[0] = nil
-		t.jwq = t.jwq[1:]
+		e.cmd.Buf = nil
+		t.jwFree = append(t.jwFree, e)
 	}
+	rest := copy(t.jwq, t.jwq[n:])
+	clear(t.jwq[rest:])
+	t.jwq = t.jwq[:rest]
 	if advanced {
 		t.promoteJWaiters()
 	}
@@ -287,23 +300,4 @@ func (t *Tree) maybeCheckpoint() {
 	o.internal = true
 	o.Done = func(o *Op) { o.Release() }
 	t.adoptOp(o, stSyncRun)
-}
-
-// putJU64 is little-endian encoding for journal record fields.
-func putJU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-func getJU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

@@ -40,11 +40,15 @@ type Stats struct {
 	// IOErrors counts device commands that completed with an error status;
 	// IORetries counts the retries issued in response (bounded per op by
 	// Config.MaxIORetries). JournalAppends counts redo records appended to
-	// the WAL, and Checkpoints counts completed journal checkpoints.
-	IOErrors       uint64
-	IORetries      uint64
-	JournalAppends uint64
-	Checkpoints    uint64
+	// the WAL, JournalBytes their framed bytes, JournalBlockWrites the WAL
+	// block commands issued (tail rewrites included), and Checkpoints the
+	// completed journal checkpoints.
+	IOErrors           uint64
+	IORetries          uint64
+	JournalAppends     uint64
+	JournalBytes       uint64
+	JournalBlockWrites uint64
+	Checkpoints        uint64
 	// Speculative-prefetch instrumentation (Config.Pipelined;
 	// see pipeline.go). SpecIssued counts speculative page reads
 	// submitted; SpecHits counts operations that coalesced onto an
@@ -138,6 +142,7 @@ type Tree struct {
 	walBlocks       uint64
 	metaWALGen      uint32
 	journalOn       bool
+	jHdr            [recordHeaderBytes]byte // journalAppend's header scratch
 	jDurable        int
 	jLive           int
 	postJournalLive int
@@ -152,13 +157,15 @@ type Tree struct {
 	// revert. A flush that rewrites a block still pending here supersedes
 	// it in place; an entry's certify watermark is applied to jDurable
 	// only when the contiguous prefix of entries up to it has completed,
-	// so the durable prefix is always contiguous.
+	// so the durable prefix is always contiguous. jwFree holds landed
+	// entries for reuse.
 	//
 	// Up to jwDepth writes of distinct log blocks are in flight at once
 	// (jwInflight gauges them; 1 on the classic loop, more when
 	// Config.Pipelined), while a rewrite of a block with a write still in
 	// flight queues behind it. See DESIGN.md §11.
 	jwq        []*jwEntry
+	jwFree     []*jwEntry
 	jwDepth    int
 	jwInflight int
 
@@ -457,7 +464,11 @@ func (t *Tree) Run() {
 		}
 		t.resubmitStalled()
 		t.drainBG()
-		t.jwKick()
+		if t.journalOn && t.ready.Len() == 0 {
+			t.journalCommit()
+		} else {
+			t.jwKick()
+		}
 		t.maybeCheckpoint()
 		t.charge(metrics.CatSched, costs.SchedStep)
 		if !progressed && t.ready.Len() == 0 && t.inboxEmpty() {

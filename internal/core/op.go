@@ -116,7 +116,7 @@ type heldLatch struct {
 	mode latch.Mode
 }
 
-// writeReq is a queued page write (strong mode).
+// writeReq is one encoded page image of an op's group.
 type writeReq struct {
 	id   storage.PageID
 	data []byte
@@ -171,6 +171,10 @@ type Op struct {
 
 	// modified are the decoded nodes this op has mutated; they stay
 	// latched until their writes are durable (strong) or buffered (weak).
+	// writes are their encoded images (plus the meta page when the root
+	// moves), built once by beginWriteback: strong mode writes them in
+	// place in this order (wIdx next), the journal logs them as the op's
+	// redo group, and finishOp publishes them.
 	modified []*storage.Node
 	writes   []writeReq
 	wIdx     int
@@ -202,11 +206,8 @@ type Op struct {
 	// jLiveMark/jParked record whether the op is counted in Tree.jLive /
 	// parked in Tree.jWaiters, and postJournal whether it is counted in
 	// Tree.postJournalLive (strong mode, between journal durability and
-	// in-place write completion). jBlocks/jIdx serve the checkpoint
-	// pipeline, which writes its fenced meta record itself (sequentially,
-	// jIdx next) while the shared writer is drained.
-	jBlocks     []writeReq
-	jIdx        int
+	// in-place write completion). A checkpoint parks the same way on its
+	// fenced meta record.
 	jNeed       int
 	jAppended   bool
 	jLiveMark   bool
@@ -256,12 +257,11 @@ type Op struct {
 	// published.go). pendingMark records that this write op's key is
 	// counted in the shard's pending-key registry (set by the admitting
 	// producer, cleared exactly once at teardown or admission failure).
-	// pubSplits logs the splits this op performed and pubImgs captures
-	// weak-mode page images at buffer-write time; finishOp replays both
-	// into the published-page table before acking.
+	// pubSplits logs the splits this op performed; finishOp replays it,
+	// with the images in writes, into the published-page table before
+	// acking.
 	pendingMark bool
 	pubSplits   []pubSplit
-	pubImgs     []writeReq
 
 	// engMark records that this op is counted in the tree's engine-depth
 	// gauge (set by the admitting producer before the ring push, cleared
@@ -377,11 +377,6 @@ func (o *Op) reset() {
 	o.syncFenced = false
 	o.internal = false
 	o.ioRetries = 0
-	for i := range o.jBlocks {
-		o.jBlocks[i] = writeReq{}
-	}
-	o.jBlocks = o.jBlocks[:0]
-	o.jIdx = 0
 	o.jNeed = 0
 	o.jAppended = false
 	o.jLiveMark = false
@@ -403,10 +398,6 @@ func (o *Op) reset() {
 	o.pendingMark = false
 	o.engMark = false
 	o.pubSplits = o.pubSplits[:0]
-	for i := range o.pubImgs {
-		o.pubImgs[i] = writeReq{}
-	}
-	o.pubImgs = o.pubImgs[:0]
 }
 
 // InitSearch configures o as a point search and returns it.

@@ -412,9 +412,6 @@ func (t *Tree) publishGroup(o *Op) {
 		return
 	}
 	imgs := o.writes
-	if len(o.pubImgs) > 0 {
-		imgs = o.pubImgs
-	}
 	if len(imgs) == 0 {
 		return
 	}

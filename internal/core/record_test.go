@@ -1,0 +1,177 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"github.com/patree/patree/internal/storage"
+)
+
+// encodeRecord builds the payload journalAppend hands to the log, as one
+// slice.
+func encodeRecord(seq uint64, idx, cnt int, id storage.PageID, image []byte) []byte {
+	prefix, suffix := storage.UsedExtent(image)
+	var hdr [recordHeaderBytes]byte
+	recordHeader(&hdr, seq, idx, cnt, id, prefix, suffix)
+	rec := append(hdr[:], image[:prefix]...)
+	return append(rec, image[storage.PageSize-suffix:storage.PageSize]...)
+}
+
+// legacyRecord is a record as builds before the format tag wrote it:
+// an 18-byte header and the whole page.
+func legacyRecord(seq uint64, idx, cnt int, id storage.PageID, image []byte) []byte {
+	rec := make([]byte, 18+storage.PageSize)
+	binary.LittleEndian.PutUint64(rec[0:8], seq)
+	rec[8], rec[9] = byte(idx), byte(cnt)
+	binary.LittleEndian.PutUint64(rec[10:18], uint64(id))
+	copy(rec[18:], image)
+	return rec
+}
+
+func leafOf(id storage.PageID, nkeys, valLen int) *storage.Node {
+	n := storage.NewLeaf(id)
+	for i := 0; i < nkeys; i++ {
+		n.InsertLeaf(uint64(i)*7+1, bytes.Repeat([]byte{byte(i + 1)}, valLen))
+	}
+	return n
+}
+
+func innerOf(id storage.PageID, nkeys int) *storage.Node {
+	n := storage.NewInner(id, 1)
+	n.Children = []storage.PageID{100}
+	for i := 0; i < nkeys; i++ {
+		n.InsertInner(uint64(i+1)*10, storage.PageID(101+i))
+	}
+	return n
+}
+
+// roundTrip checks that image survives the record codec byte for byte and
+// reports the record's size.
+func roundTrip(t *testing.T, name string, id storage.PageID, image []byte) int {
+	t.Helper()
+	rec := encodeRecord(77, 2, 5, id, image)
+	r, err := decodeRecord(rec)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if r.seq != 77 || r.idx != 2 || r.cnt != 5 || r.id != id {
+		t.Fatalf("%s: header came back as %+v", name, r)
+	}
+	if !bytes.Equal(r.image, image) {
+		t.Fatalf("%s: image differs after the round trip", name)
+	}
+	if !storage.VerifyPage(r.image) {
+		t.Fatalf("%s: re-inflated image fails its checksum", name)
+	}
+	return len(rec)
+}
+
+func TestRecordRoundTrip(t *testing.T) {
+	// 41 slots of no value, or 4 of 112 bytes, fill a leaf to its last byte.
+	fullLeaf := leafOf(9, 4, 112)
+	if fullLeaf.LeafUsed() != storage.PageSize {
+		t.Fatalf("full leaf uses %d bytes", fullLeaf.LeafUsed())
+	}
+	meta := &storage.Meta{Root: 3, Height: 2, Watermark: 40, NumKeys: 1 << 40, SyncEpoch: 9,
+		WALStart: 1 << 20, WALBlocks: 8192, WALGen: 7, ShardID: 1, ShardCount: 4, DeviceID: 1, DeviceCount: 2}
+	cases := []struct {
+		name  string
+		id    storage.PageID
+		image []byte
+		size  int // expected record bytes
+	}{
+		{"empty leaf", 5, storage.NewLeaf(5).Encode(), recordHeaderBytes + 16},
+		{"one max value", 6, leafOf(6, 1, storage.MaxValueSize).Encode(), recordHeaderBytes + 16 + 12 + storage.MaxValueSize},
+		{"two max values", 7, leafOf(7, 2, storage.MaxValueSize).Encode(), recordHeaderBytes + storage.PageSize},
+		{"zero-length values", 8, leafOf(8, 41, 0).Encode(), recordHeaderBytes + 16 + 41*12},
+		{"full leaf, no hole", 9, fullLeaf.Encode(), recordHeaderBytes + storage.PageSize},
+		{"typical leaf", 10, leafOf(10, 3, 100).Encode(), recordHeaderBytes + 16 + 3*(12+100)},
+		{"inner, no keys", 11, innerOf(11, 0).Encode(), recordHeaderBytes + 24},
+		{"inner, full", 12, innerOf(12, storage.InnerMaxKeys).Encode(), recordHeaderBytes + 24 + 16*storage.InnerMaxKeys},
+		{"meta", 0, meta.Encode(), recordHeaderBytes + 84},
+	}
+	for _, c := range cases {
+		if got := roundTrip(t, c.name, c.id, c.image); got != c.size {
+			t.Errorf("%s: record is %d bytes, want %d", c.name, got, c.size)
+		}
+	}
+	if recordHeaderBytes+storage.PageSize != maxRecordBytes {
+		t.Fatal("maxRecordBytes is not a page with no hole")
+	}
+}
+
+// TestRecordRoundTripProperty: whatever node storage can encode comes
+// back from its record as the identical page.
+func TestRecordRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 2000; i++ {
+		var n *storage.Node
+		if rng.Intn(4) == 0 {
+			n = innerOf(storage.PageID(i+1), rng.Intn(storage.InnerMaxKeys+1))
+		} else {
+			n = storage.NewLeaf(storage.PageID(i + 1))
+			for k := uint64(1); ; k++ {
+				v := make([]byte, rng.Intn(storage.MaxValueSize+1))
+				rng.Read(v)
+				if !n.LeafFits(len(v)) || rng.Intn(12) == 0 {
+					break
+				}
+				n.InsertLeaf(k*3, v)
+			}
+			n.Next = storage.PageID(rng.Uint64())
+		}
+		roundTrip(t, "random node", n.ID, n.Encode())
+	}
+}
+
+func TestRecordFormatRefused(t *testing.T) {
+	image := leafOf(5, 3, 100).Encode()
+	good := encodeRecord(1, 0, 1, 5, image)
+	bad := map[string][]byte{
+		"legacy":        legacyRecord(1, 0, 1, 5, image),
+		"unknown tag":   append(append([]byte(nil), good[:18]...), append([]byte{0xC2}, good[19:]...)...),
+		"short":         good[:recordHeaderBytes-1],
+		"truncated":     good[:len(good)-1],
+		"trailing byte": append(append([]byte(nil), good...), 0),
+		"extent > page": func() []byte {
+			r := append([]byte(nil), good...)
+			r[19], r[20] = 0xFF, 0x01
+			return r
+		}(),
+	}
+	for name, rec := range bad {
+		if _, err := decodeRecord(rec); !errors.Is(err, ErrJournalFormat) {
+			t.Errorf("%s: err = %v, want ErrJournalFormat", name, err)
+		}
+	}
+}
+
+// FuzzJournalRecord: arbitrary bytes never panic the decoder, and a
+// record recovery accepts for redo always carries an image that passes
+// storage.VerifyPage.
+func FuzzJournalRecord(f *testing.F) {
+	leaf := leafOf(5, 3, 100).Encode()
+	f.Add(encodeRecord(1, 0, 1, 5, leaf))
+	f.Add(encodeRecord(2, 0, 1, 6, innerOf(6, 4).Encode()))
+	f.Add(encodeRecord(3, 0, 1, 0, (&storage.Meta{Root: 1, Height: 1, Watermark: 2}).Encode()))
+	f.Add(encodeRecord(4, 0, 2, 5, leaf)) // first half of a group
+	f.Add(legacyRecord(5, 0, 1, 5, leaf))
+	torn := encodeRecord(6, 0, 1, 5, leaf)
+	torn[len(torn)-1] ^= 0x40
+	f.Add(torn)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, rec []byte) {
+		redo, _, err := parseRedo([][]byte{rec}, &RecoverReport{})
+		if err != nil {
+			return
+		}
+		for _, p := range redo {
+			if len(p.image) != storage.PageSize || !storage.VerifyPage(p.image) {
+				t.Fatalf("accepted for redo: page %d with an image that does not verify", p.id)
+			}
+		}
+	})
+}

@@ -66,7 +66,9 @@ var ErrUnformatted = errors.New("core: device holds no tree")
 // The sequence is: read the superblock (tolerating a torn one — its
 // replacement may be sitting in the journal); scan the WAL region; drop
 // record groups fenced out by the superblock's generation watermark and
-// any incomplete trailing group; redo surviving page images in log order;
+// any incomplete trailing group (a live record of another format is
+// ErrJournalFormat, with nothing written); redo surviving page images in
+// log order;
 // then walk the tree from the root, discarding nothing but verifying
 // every reachable page decodes (a torn page that escaped the journal is a
 // hard error — it would mean an acknowledged write was lost), recounting
@@ -143,54 +145,10 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 		rep.Generation = gen
 	}
 
-	// Parse records into operation groups. A group is cnt records
-	// [opSeq, idx 0..cnt-1, pageID, image] emitted atomically by one
-	// operation; only complete groups are redone — an incomplete trailing
-	// group is an operation that was never acknowledged. The images stay
-	// where wal.Recover put them: each record is its own copy already.
-	type redoPage struct {
-		id    storage.PageID
-		image []byte
+	redo, journaledMeta, err := parseRedo(records, rep)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: recover: journal generation %d: %w", gen, err)
 	}
-	var redo []redoPage
-	var group []redoPage
-	var groupSeq uint64
-	var journaledMeta []byte // newest journaled page-0 image, if any
-	for _, rec := range records {
-		if len(rec) != journalRecordBytes {
-			break // foreign record shape: stop scanning, drop the rest
-		}
-		seq := getJU64(rec[0:8])
-		idx := int(rec[8])
-		cnt := int(rec[9])
-		id := storage.PageID(getJU64(rec[10:18]))
-		if cnt < 1 || idx >= cnt {
-			break // malformed: stop scanning, drop the rest
-		}
-		if idx == 0 {
-			group = group[:0]
-			groupSeq = seq
-		} else if seq != groupSeq || idx != len(group) {
-			group = group[:0]
-			continue // out-of-order fragment: unusable
-		}
-		group = append(group, redoPage{id: id, image: rec[18:]})
-		if idx < cnt-1 {
-			continue
-		}
-		for _, p := range group {
-			if !storage.VerifyPage(p.image) {
-				return nil, nil, fmt.Errorf("core: recover: journaled image for page %d fails checksum", p.id)
-			}
-			if p.id == 0 {
-				journaledMeta = p.image
-			}
-		}
-		redo = append(redo, group...)
-		rep.Groups++
-		group = group[:0]
-	}
-	rep.DroppedTail += len(group)
 
 	// Redo in log order, queue-deep: later images of the same page
 	// overwrite earlier ones, converging on the newest acknowledged state.
@@ -277,6 +235,59 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 		return nil, nil, fmt.Errorf("core: recover: fence: %w", err)
 	}
 	return meta, rep, nil
+}
+
+// redoPage is one page image recovery writes back.
+type redoPage struct {
+	id    storage.PageID
+	image []byte
+}
+
+// parseRedo turns a live generation's records into the page images to
+// redo, in log order, counting groups and the dropped tail into rep. A
+// group is the cnt records [opSeq, idx 0..cnt-1] one operation appended;
+// only complete groups are redone (an incomplete trailing one was never
+// acknowledged) and each of their images must verify. journaledMeta is
+// the newest page-0 image among them. A record of another format is an
+// error, with its place in the log: it may be an acknowledged write.
+func parseRedo(records [][]byte, rep *RecoverReport) (redo []redoPage, journaledMeta []byte, err error) {
+	var group []redoPage
+	var groupSeq uint64
+	off := 0
+	for i, rec := range records {
+		r, err := decodeRecord(rec)
+		if err != nil {
+			return nil, nil, fmt.Errorf("record %d at log offset %d: %w", i, off, err)
+		}
+		off += wal.FrameOverhead + len(rec)
+		if r.cnt < 1 || r.idx >= r.cnt {
+			break // malformed: stop scanning, drop the rest
+		}
+		if r.idx == 0 {
+			group = group[:0]
+			groupSeq = r.seq
+		} else if r.seq != groupSeq || r.idx != len(group) {
+			group = group[:0]
+			continue // out-of-order fragment: unusable
+		}
+		group = append(group, redoPage{id: r.id, image: r.image})
+		if r.idx < r.cnt-1 {
+			continue
+		}
+		for _, p := range group {
+			if !storage.VerifyPage(p.image) {
+				return nil, nil, fmt.Errorf("journaled image for page %d fails checksum", p.id)
+			}
+			if p.id == 0 {
+				journaledMeta = p.image
+			}
+		}
+		redo = append(redo, group...)
+		rep.Groups++
+		group = group[:0]
+	}
+	rep.DroppedTail += len(group)
+	return redo, journaledMeta, nil
 }
 
 // walkTree reads every page reachable from root and hands each decoded

@@ -100,18 +100,15 @@ func recoverQD1(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 		rep.Generation = gen
 	}
 
-	type redoPage struct {
-		id    storage.PageID
-		image []byte
-	}
 	var redo, group []redoPage
 	var groupSeq uint64
 	var journaledMeta []byte
 	for _, rec := range records {
-		if len(rec) != journalRecordBytes {
-			break
+		r, err := decodeRecord(rec)
+		if err != nil {
+			return nil, nil, err
 		}
-		seq, idx, cnt := getJU64(rec[0:8]), int(rec[8]), int(rec[9])
+		seq, idx, cnt := r.seq, r.idx, r.cnt
 		if cnt < 1 || idx >= cnt {
 			break
 		}
@@ -121,9 +118,7 @@ func recoverQD1(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 			group = group[:0]
 			continue
 		}
-		img := make([]byte, storage.PageSize)
-		copy(img, rec[18:])
-		group = append(group, redoPage{id: storage.PageID(getJU64(rec[10:18])), image: img})
+		group = append(group, redoPage{id: r.id, image: r.image})
 		if idx == cnt-1 {
 			for _, p := range group {
 				if p.id == 0 {

@@ -100,45 +100,31 @@ func (t *Tree) runSync(o *Op) {
 			return
 
 		case spMetaLog:
-			if t.jLive > 0 || t.postJournalLive > 0 || t.jwActive() {
-				// Ops whose records are in the retiring generation must
-				// finish their in-place / buffered writes first — and the
-				// shared WAL writer must drain — before the log is retired;
-				// the fence keeps new ones out.
-				t.scheduleRetry(o, t.cfg.RetryBackoff)
-				return
-			}
-			// Journal the fenced meta image before writing it in place: a
-			// crash that tears page 0 mid-write is then always healable,
-			// even when no root move left a meta record in this generation.
-			// The image is rebuilt identically in spMeta (nothing that
-			// feeds it can change while the fence is up).
 			if !o.jAppended {
-				rec := make([]byte, journalRecordBytes)
-				putJU64(rec[0:8], o.seq)
-				rec[8], rec[9] = 0, 1
-				putJU64(rec[10:18], 0)
-				t.syncMetaImage(rec[18:])
-				if _, err := t.wal.Append(rec); err == nil {
-					o.jBlocks = o.jBlocks[:0]
-					t.wal.Flush(func(bi uint64, data []byte) {
-						cp := make([]byte, len(data))
-						copy(cp, data)
-						o.jBlocks = append(o.jBlocks, writeReq{id: storage.PageID(t.walStart + bi), data: cp})
-					})
-					t.stats.JournalAppends++
+				if t.jLive > 0 || t.postJournalLive > 0 || t.jwActive() {
+					// Ops whose records are in the retiring generation must
+					// finish their in-place / buffered writes first — and the
+					// shared WAL writer must drain — before the log is retired;
+					// the fence keeps new ones out.
+					t.scheduleRetry(o, t.cfg.RetryBackoff)
+					return
 				}
+				// Journal the fenced meta image before writing it in place: a
+				// crash that tears page 0 mid-write is then always healable,
+				// even when no root move left a meta record in this generation.
+				// The image is rebuilt identically in spMeta (nothing that
+				// feeds it can change while the fence is up). Same builder,
+				// same writer as every group; committed at once, since the
+				// fence leaves nothing to share its block.
+				image := make([]byte, storage.PageSize)
+				t.syncMetaImage(image)
+				t.journalAppend(o.seq, 0, 1, 0, image)
+				o.jNeed = t.wal.UsedBytes()
 				o.jAppended = true
-				o.jIdx = 0
+				t.journalCommit()
 			}
-			if o.syncOutstanding > 0 {
-				return
-			}
-			if o.jIdx < len(o.jBlocks) {
-				// One record block at a time, in log order.
-				w := o.jBlocks[o.jIdx]
-				t.submitSyncCmd(o, pageWrite(w.id, w.data), func() { o.jIdx++ })
-				return
+			if t.journalPark(o) {
+				return // the watermark reaching the record wakes us
 			}
 			o.syncPhase = spMetaLogFlush
 			o.syncSent = false
@@ -257,10 +243,10 @@ func (t *Tree) syncPageDone(c *ioCmd, res ioResult, now sim.Time) {
 	t.pushReady(o, now)
 }
 
-// submitSyncCmd issues one phase command (flush, meta write, journal
-// record block, zero-block write). On success onOK runs at completion; a
-// transient error clears syncSent so the phase resubmits. Returns false
-// when the submission queue is full.
+// submitSyncCmd issues one phase command (flush, meta write, zero-block
+// write). On success onOK runs at completion; a transient error clears
+// syncSent so the phase resubmits. Returns false when the submission
+// queue is full.
 func (t *Tree) submitSyncCmd(o *Op, cmd nvme.Command, onOK func()) bool {
 	ok := t.submit(&ioCmd{
 		Command: cmd,

@@ -19,6 +19,7 @@ import (
 	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/sim"
 	"github.com/patree/patree/internal/simos"
+	"github.com/patree/patree/internal/storage"
 	"github.com/patree/patree/internal/workload"
 )
 
@@ -89,6 +90,11 @@ type RunStats struct {
 	// stay 0 for pipeline-only runs.
 	ReaderServed   uint64
 	ReaderFallback uint64
+	// WALBytesPerUserByte is journal block bytes written (rewrites too)
+	// per key+value byte of the window's updates, DevCmdsPerOp the read
+	// and write commands per completed op. RunPATree fills them.
+	WALBytesPerUserByte float64
+	DevCmdsPerOp        float64
 }
 
 // machine bundles one simulated testbed.
@@ -222,7 +228,7 @@ func RunPATree(cfg PAConfig) RunStats {
 		pollerCPU = &pol.CPU
 	}
 
-	measuredOps := uint64(0)
+	measuredOps, userBytes := uint64(0), uint64(0)
 	inWindow := false
 	stopping := false
 	updates := 0
@@ -239,6 +245,9 @@ func RunPATree(cfg PAConfig) RunStats {
 		w := cfg.Gen.Next()
 		if w.Kind != workload.OpSearch && w.Kind != workload.OpRange {
 			updates++
+			if inWindow {
+				userBytes += uint64(8 + len(w.Value))
+			}
 			if cfg.SyncEvery > 0 && updates%cfg.SyncEvery == 0 {
 				tree.Admit(core.NewSync(nil))
 			}
@@ -287,6 +296,12 @@ func RunPATree(cfg PAConfig) RunStats {
 	m.finish(&rs, cfg.Scale.Measure, cpus, measuredOps, st.Latency, st.IdleSpinTime)
 	rs.LatchWaits = tree.LatchWaits()
 	rs.Probes = st.Probes
+	if userBytes > 0 {
+		rs.WALBytesPerUserByte = float64(st.JournalBlockWrites*storage.PageSize) / float64(userBytes)
+	}
+	if measuredOps > 0 {
+		rs.DevCmdsPerOp = float64(st.ReadsIssued+st.WritesIssued) / float64(measuredOps)
+	}
 	stopping = true
 	tree.Stop()
 	m.eng.RunFor(2 * time.Second)

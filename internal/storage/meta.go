@@ -11,6 +11,9 @@ const MetaMagic = 0x50415452 // "PATR"
 // MetaVersion is the current layout version.
 const MetaVersion = 1
 
+// metaUsed is the length of the meta page's fields; the rest is zero.
+const metaUsed = 84
+
 // Meta is the tree superblock stored in page 0.
 //
 //	[0]     kind = KindMeta

@@ -155,6 +155,31 @@ func VerifyPage(buf []byte) bool {
 	return len(buf) >= PageSize && checkSeal(buf[:PageSize])
 }
 
+// UsedExtent returns how many leading and trailing bytes of a page image
+// written by EncodeTo carry content: header and slot array in front and
+// value heap at the back for a leaf, header and entries in front for an
+// inner node or the meta page. Every byte between the two is zero. An
+// image of any other shape is reported as used throughout.
+func UsedExtent(buf []byte) (prefix, suffix int) {
+	nkeys := int(getU16(buf[2:4]))
+	heap := PageSize
+	switch buf[0] {
+	case KindLeaf:
+		prefix = headerSize + nkeys*slotSize
+		for off := headerSize; off < min(prefix, PageSize); off += slotSize {
+			heap = min(heap, int(getU16(buf[off+8:])))
+		}
+	case KindInner:
+		prefix = headerSize + 8 + nkeys*innerEntry
+	case KindMeta:
+		prefix = metaUsed
+	}
+	if prefix == 0 || prefix > heap {
+		return PageSize, 0
+	}
+	return prefix, PageSize - heap
+}
+
 // LeafUsed returns the bytes a leaf currently occupies (header + slots +
 // values).
 func (n *Node) LeafUsed() int {

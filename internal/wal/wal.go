@@ -35,23 +35,34 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// BlockWriter persists blocks; implementations route through the NVMe
-// device (synchronously for the baselines, asynchronously for PA-Tree).
+// BlockWriter persists one block. data is the log's own staging buffer,
+// not a copy: a writer that keeps it past the call (PA-Tree's journal
+// writer does) sees the block's later bytes appear in it, never its
+// earlier ones change.
 type BlockWriter func(blockIndex uint64, data []byte)
 
 // Log is an appender over a fixed region of capBlocks blocks of blockSize
-// bytes each. It buffers appended records in memory until Flush.
+// bytes each. Frames are encoded straight into block-sized staging
+// buffers, and Flush hands those buffers to the writer.
 type Log struct {
 	blockSize int
 	capBlocks uint64
 	gen       uint32
 
-	flushedBytes int // bytes already persisted (may end mid-block)
-	pending      []byte
-	// tailKeep holds the already-durable prefix of the current partial
-	// block so the next Flush can rewrite that block in full.
-	tailKeep []byte
-	nextLSN  uint64
+	used    int // bytes framed this generation
+	flushed int // bytes already handed to a writer (may end mid-block)
+	// staged holds the staging buffers of blocks flushed/blockSize
+	// onward. A buffer leaves the list with the flush that hands it over
+	// full; a partly flushed tail stays, so later frames extend the very
+	// buffer its first write was given.
+	staged  [][]byte
+	nextLSN uint64
+
+	// slab is the rest of the allocation staging blocks are cut from;
+	// hdr is frame-header scratch (the checksum routine is an indirect
+	// call, which would move a local to the heap).
+	slab []byte
+	hdr  [headerBytes]byte
 }
 
 // NewLog creates a log over capBlocks blocks of blockSize bytes, starting
@@ -80,109 +91,110 @@ func (l *Log) SetGeneration(g uint32) {
 // CapBytes returns the region capacity in bytes.
 func (l *Log) CapBytes() int { return int(l.capBlocks) * l.blockSize }
 
-// UsedBytes returns the bytes consumed by flushed and pending frames.
-func (l *Log) UsedBytes() int { return l.flushedBytes + len(l.pending) }
+// UsedBytes returns the bytes consumed by the frames appended so far,
+// flushed or not.
+func (l *Log) UsedBytes() int { return l.used }
 
 // Remaining returns the bytes still appendable before ErrLogFull.
-func (l *Log) Remaining() int { return l.CapBytes() - l.UsedBytes() }
+func (l *Log) Remaining() int { return l.CapBytes() - l.used }
 
 // FrameOverhead is the per-record framing cost in bytes, exported so
 // callers can budget capacity checks before appending.
 const FrameOverhead = headerBytes
 
+// slabBlocks is how many staging blocks one allocation yields.
+const slabBlocks = 8
+
 // NextLSN returns the LSN the next Append will receive.
 func (l *Log) NextLSN() uint64 { return l.nextLSN }
 
-// PendingBytes returns the number of appended-but-unflushed bytes.
-func (l *Log) PendingBytes() int { return len(l.pending) }
-
-// Append frames rec and buffers it, returning its LSN. The record is not
-// durable until Flush. The frame is encoded directly into the staging
-// buffer — no per-record scratch allocation — so encode + CRC can run
-// while previously staged blocks are still in flight on the device (the
-// journal pipelining of DESIGN.md §17); the staged bytes are identical
-// to the former copy-through-scratch encoding.
-func (l *Log) Append(rec []byte) (uint64, error) {
-	if len(rec) == 0 {
+// Append frames the record whose payload is the concatenation of parts
+// and stages it, returning its LSN. The record is not durable until its
+// blocks have been flushed and written. A header and a body in different
+// places are passed as they are: nothing is assembled first.
+func (l *Log) Append(parts ...[]byte) (uint64, error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
 		return 0, ErrRecordEmpty
 	}
-	frameLen := headerBytes + len(rec)
-	if uint64(l.flushedBytes+len(l.pending)+frameLen) > l.capBlocks*uint64(l.blockSize) {
+	if uint64(l.used+headerBytes+n) > l.capBlocks*uint64(l.blockSize) {
 		return 0, ErrLogFull
 	}
-	off := len(l.pending)
-	if cap(l.pending) < off+frameLen {
-		grown := make([]byte, off, off+frameLen+len(l.pending))
-		copy(grown, l.pending)
-		l.pending = grown
+	hdr := l.hdr[:]
+	binary.LittleEndian.PutUint16(hdr[0:2], frameMagic)
+	binary.LittleEndian.PutUint32(hdr[2:6], l.gen)
+	binary.LittleEndian.PutUint32(hdr[6:10], uint32(n))
+	crc := crc32.Checksum(hdr[2:10], crcTable)
+	for _, p := range parts {
+		crc = crc32.Update(crc, crcTable, p)
 	}
-	l.pending = l.pending[:off+frameLen]
-	frame := l.pending[off:]
-	binary.LittleEndian.PutUint16(frame[0:2], frameMagic)
-	binary.LittleEndian.PutUint32(frame[2:6], l.gen)
-	binary.LittleEndian.PutUint32(frame[6:10], uint32(len(rec)))
-	copy(frame[headerBytes:], rec)
-	crc := crc32.Checksum(frame[2:10], crcTable)
-	crc = crc32.Update(crc, crcTable, rec)
-	binary.LittleEndian.PutUint32(frame[10:14], crc)
+	binary.LittleEndian.PutUint32(hdr[10:14], crc)
+	l.stage(hdr)
+	for _, p := range parts {
+		l.stage(p)
+	}
 	lsn := l.nextLSN
 	l.nextLSN++
 	return lsn, nil
 }
 
-// Flush emits every block touched by pending records through write, in
-// ascending block order, and marks the records durable. The last block is
-// zero-padded; it will be rewritten (same index) by the next Flush if more
-// records land in it.
-func (l *Log) Flush(write BlockWriter) {
-	if len(l.pending) == 0 {
+// stage copies b to the log's end, opening staging blocks as it crosses
+// into them.
+func (l *Log) stage(b []byte) {
+	bs := l.blockSize
+	for len(b) > 0 {
+		i := l.used/bs - l.flushed/bs
+		if i == len(l.staged) {
+			if len(l.slab) < bs {
+				l.slab = make([]byte, slabBlocks*bs)
+			}
+			l.staged = append(l.staged, l.slab[:bs:bs])
+			l.slab = l.slab[bs:]
+		}
+		n := copy(l.staged[i][l.used%bs:], b)
+		l.used += n
+		b = b[n:]
+	}
+}
+
+// Flush hands every block holding unflushed bytes to write, in ascending
+// block order. The last may be partial (zero-padded); the flush after the
+// next append hands it over again, same index, same buffer.
+func (l *Log) Flush(write BlockWriter) { l.flushTo(write, l.used) }
+
+// FlushFull is Flush without the partial tail block. A writer that
+// batches commits calls it as records arrive and Flush for the tail.
+func (l *Log) FlushFull(write BlockWriter) {
+	l.flushTo(write, l.used-l.used%l.blockSize)
+}
+
+func (l *Log) flushTo(write BlockWriter, upTo int) {
+	if upTo <= l.flushed {
 		return
 	}
 	bs := l.blockSize
-	// First block index that needs (re)writing: the one containing the
-	// first pending byte.
-	start := l.flushedBytes / bs
-	end := (l.flushedBytes + len(l.pending) + bs - 1) / bs
-	// Reconstruct the partial head block content: bytes already flushed in
-	// the start block are not retained, so we carry them in pendingHead.
-	headOffset := l.flushedBytes % bs
-	block := make([]byte, bs)
-	p := l.pending
-	for b := start; b < end; b++ {
-		for i := range block {
-			block[i] = 0
-		}
-		if b == start && headOffset > 0 {
-			copy(block, l.tailKeep)
-		}
-		off := 0
-		if b == start {
-			off = headOffset
-		}
-		n := copy(block[off:], p)
-		p = p[n:]
-		write(uint64(b), block)
-		// Remember the partial tail so the next flush can rewrite it.
-		if b == end-1 {
-			used := off + n
-			if used < bs {
-				l.tailKeep = append(l.tailKeep[:0], block[:used]...)
-			} else {
-				l.tailKeep = l.tailKeep[:0]
-			}
-		}
+	first := l.flushed / bs
+	for b := first; b*bs < upTo; b++ {
+		write(uint64(b), l.staged[b-first])
 	}
-	l.flushedBytes += len(l.pending)
-	l.pending = l.pending[:0]
+	l.flushed = upTo
+	// Blocks wholly below the flush point now belong to the writer alone.
+	full := upTo/bs - first
+	rest := copy(l.staged, l.staged[full:])
+	clear(l.staged[rest:])
+	l.staged = l.staged[:rest]
 }
 
 // Reset abandons all content, bumps the generation and rewrites block 0
 // so stale frames are never replayed.
 func (l *Log) Reset(write BlockWriter) {
 	l.gen++
-	l.flushedBytes = 0
-	l.pending = l.pending[:0]
-	l.tailKeep = l.tailKeep[:0]
+	l.used, l.flushed = 0, 0
+	clear(l.staged)
+	l.staged = l.staged[:0]
 	l.nextLSN = 0
 	write(0, make([]byte, l.blockSize))
 }

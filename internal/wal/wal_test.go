@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -217,5 +218,82 @@ func TestWALRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendPartsFramesLikeOneSlice: a record handed over in pieces is
+// framed byte for byte like the same record in one slice.
+func TestAppendPartsFramesLikeOneSlice(t *testing.T) {
+	whole, parts := NewLog(512, 8), NewLog(512, 8)
+	rw, rp := newMemRegion(512), newMemRegion(512)
+	rec := make([]byte, 700)
+	for i := range rec {
+		rec[i] = byte(i * 7)
+	}
+	for _, cut := range [][2]int{{0, 700}, {23, 400}, {1, 1}, {699, 700}} {
+		whole.Append(rec)
+		parts.Append(rec[:cut[0]], rec[cut[0]:cut[1]], rec[cut[1]:])
+	}
+	whole.Flush(rw.write)
+	parts.Flush(rp.write)
+	if !bytes.Equal(rw.image(8), rp.image(8)) {
+		t.Fatal("frames differ between Append(rec) and Append(pieces of rec)")
+	}
+	if _, err := parts.Append(nil, []byte{}); err != ErrRecordEmpty {
+		t.Fatalf("all-empty parts: err = %v", err)
+	}
+}
+
+// TestFlushFullHoldsTheTail pins the two flush flavours a batching
+// writer combines, and the staging-buffer contract: FlushFull hands over
+// only blocks that have filled, Flush the partial tail too, and the tail
+// is the same buffer every time it is handed over — a writer that kept
+// the first hand-over sees the block's later bytes arrive in it.
+func TestFlushFullHoldsTheTail(t *testing.T) {
+	l := NewLog(512, 16)
+	r := newMemRegion(512)
+	var handed [][]byte // every buffer as handed over, by block index
+	var order []uint64
+	w := func(bi uint64, data []byte) {
+		for uint64(len(handed)) <= bi {
+			handed = append(handed, nil)
+		}
+		if handed[bi] != nil && &handed[bi][0] != &data[0] {
+			t.Errorf("block %d handed over in a different buffer", bi)
+		}
+		handed[bi] = data
+		order = append(order, bi)
+		r.write(bi, data)
+	}
+	rec := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+
+	l.Append(rec(300-headerBytes, 1)) // 300 bytes: block 0 partial
+	l.FlushFull(w)
+	if len(order) != 0 {
+		t.Fatalf("FlushFull handed over %v with no block full", order)
+	}
+	l.Flush(w) // the tail, at 300 of 512
+	l.Flush(w) // nothing new: no rewrite
+	if !reflect.DeepEqual(order, []uint64{0}) {
+		t.Fatalf("after Flush: handed over %v, want block 0 once", order)
+	}
+	kept := handed[0]
+	l.Append(rec(400-headerBytes, 2)) // 700 bytes: block 0 full, block 1 partial
+	if kept[300+headerBytes] != 2 || kept[511] != 2 {
+		t.Fatal("the buffer handed over as the tail did not receive the block's later bytes")
+	}
+	l.FlushFull(w)
+	l.FlushFull(w)
+	if !reflect.DeepEqual(order, []uint64{0, 0}) {
+		t.Fatalf("after FlushFull: handed over %v, want block 0 again and not block 1", order)
+	}
+	l.Append(rec(1000, 3)) // 1714 bytes: blocks 1 and 2 full, block 3 partial
+	l.Flush(w)
+	if !reflect.DeepEqual(order, []uint64{0, 0, 1, 2, 3}) {
+		t.Fatalf("after the last Flush: handed over %v", order)
+	}
+	got, _ := Recover(r.image(16))
+	if len(got) != 3 || len(got[0]) != 300-headerBytes || len(got[1]) != 400-headerBytes || len(got[2]) != 1000 {
+		t.Fatalf("recovered %d records", len(got))
 	}
 }

@@ -215,11 +215,14 @@ type Stats struct {
 	// gap between the two precedes the terminal ErrDeviceFailed state.
 	IOErrors  uint64
 	IORetries uint64
-	// JournalAppends counts redo records appended to the WAL and
-	// Checkpoints the completed journal truncations (both 0 unless
-	// Options.Journal).
-	JournalAppends uint64
-	Checkpoints    uint64
+	// JournalAppends counts redo records appended to the WAL,
+	// JournalBytes their framed bytes, JournalBlockWrites the WAL block
+	// commands issued (tail rewrites included) and Checkpoints the
+	// completed journal truncations (all 0 unless Options.Journal).
+	JournalAppends     uint64
+	JournalBytes       uint64
+	JournalBlockWrites uint64
+	Checkpoints        uint64
 	// Shards is the number of independent workers backing this DB (1 for
 	// the classic single-worker tree) and Devices the number of block
 	// devices they are spread over (1 unless Options.Devices named more).
@@ -699,6 +702,8 @@ func (st *Stats) add(p Stats) {
 	st.IOErrors += p.IOErrors
 	st.IORetries += p.IORetries
 	st.JournalAppends += p.JournalAppends
+	st.JournalBytes += p.JournalBytes
+	st.JournalBlockWrites += p.JournalBlockWrites
 	st.Checkpoints += p.Checkpoints
 	st.ThrottleWaits += p.ThrottleWaits
 	st.SpecIssued += p.SpecIssued
@@ -734,21 +739,23 @@ func (s *shard) statsSnapshot() (Stats, bufferCounts) {
 	st := s.tree.StatsSnapshot()
 	bs := s.tree.BufferStats()
 	return Stats{
-		Ops:            st.TotalOps(),
-		NumKeys:        s.tree.NumKeys(),
-		Height:         s.tree.Height(),
-		Probes:         st.Probes,
-		ReadsIssued:    st.ReadsIssued,
-		WritesIssued:   st.WritesIssued,
-		AdmitWaits:     st.AdmitWaits,
-		IOErrors:       st.IOErrors,
-		IORetries:      st.IORetries,
-		JournalAppends: st.JournalAppends,
-		Checkpoints:    st.Checkpoints,
-		SpecIssued:     st.SpecIssued,
-		SpecHits:       st.SpecHits,
-		SpecCancelled:  st.SpecCancelled,
-		SpecWasted:     st.SpecWasted,
+		Ops:                st.TotalOps(),
+		NumKeys:            s.tree.NumKeys(),
+		Height:             s.tree.Height(),
+		Probes:             st.Probes,
+		ReadsIssued:        st.ReadsIssued,
+		WritesIssued:       st.WritesIssued,
+		AdmitWaits:         st.AdmitWaits,
+		IOErrors:           st.IOErrors,
+		IORetries:          st.IORetries,
+		JournalAppends:     st.JournalAppends,
+		JournalBytes:       st.JournalBytes,
+		JournalBlockWrites: st.JournalBlockWrites,
+		Checkpoints:        st.Checkpoints,
+		SpecIssued:         st.SpecIssued,
+		SpecHits:           st.SpecHits,
+		SpecCancelled:      st.SpecCancelled,
+		SpecWasted:         st.SpecWasted,
 	}, bufferCounts{hits: bs.Hits, misses: bs.Misses}
 }
 

@@ -403,3 +403,34 @@ func TestAllocsPerOp(t *testing.T) {
 		t.Errorf("pipeline no-op allocates %.2f per op, budget 1", nop)
 	}
 }
+
+// TestJournaledUpdateAllocs pins what one journaled strong-mode update
+// of a cached leaf allocates, beside the read path's budget above. What
+// is left is the tree's and the RAM device's: the decoded nodes of the
+// descent (11), the re-encoded page, the seam's command and closure for
+// the in-place write, the device's job and snapshot per command. The
+// journal's own share is a staging slab every eight log blocks: the
+// record, the writer's queue entry and its command live in reused state.
+func TestJournaledUpdateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	db := openTest(t, Options{Journal: true})
+	val := bytes.Repeat([]byte("v"), 100)
+	for i := uint64(0); i < 512; i++ {
+		if err := db.Put(i, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := uint64(0)
+	got := testing.AllocsPerRun(4000, func() {
+		key = (key + 1) % 512
+		if ok, err := db.Update(key, val); !ok || err != nil {
+			t.Fatalf("Update(%d) = %v %v", key, ok, err)
+		}
+	})
+	t.Logf("journaled update: %.2f allocs/op", got)
+	if got > 30 {
+		t.Errorf("journaled update allocates %.2f per op, budget 30 (28 measured; 46 before the journal path was rebuilt)", got)
+	}
+}
