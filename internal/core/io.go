@@ -575,8 +575,8 @@ func (s *setupIO) wait() error {
 	// On a simulated device (or a partition/fault wrapper over one) Advance
 	// drains the engine and the completions are there at once; over a
 	// real-time device it is a no-op and they are polled for. An empty probe
-	// yields — with one P the device's goroutines need this very processor —
-	// and every 1024th looks at the 10 s deadline.
+	// yields — with one P a device that completes on another goroutine would
+	// need this very processor — and every 1024th looks at the 10 s deadline.
 	if sd, ok := s.dev.(interface{ Advance() }); ok {
 		sd.Advance()
 	}

@@ -61,7 +61,7 @@ func TestValidateSentinels(t *testing.T) {
 }
 
 // TestValidateSentinelsRAM runs the same table against the real-time
-// backend, which shares validate but posts completions from a worker pool.
+// backend, which shares validate but posts completions at submission.
 func TestValidateSentinelsRAM(t *testing.T) {
 	d := NewRAMDevice(RAMConfig{NumBlocks: 128})
 	defer d.Close()

@@ -11,8 +11,10 @@
 //     is calibrated to reproduce the behavioural shapes of the paper's
 //     Figure 3 (IOPS vs queue depth, latency vs queue depth and write
 //     rate, sensitivity to probe frequency).
-//   - RAMDevice: a real-time, memory-backed device served by worker
-//     goroutines, so the examples are ordinary runnable programs.
+//   - RAMDevice: a real-time, memory-backed device polled like one: a
+//     command runs on the thread that submits it and its completion waits
+//     in the queue pair's ring until that thread probes. It makes the examples and the wall-clock
+//     benchmark ordinary runnable programs.
 package nvme
 
 import (

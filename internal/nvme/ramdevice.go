@@ -1,9 +1,6 @@
 package nvme
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // RAMConfig parameterizes the real-time memory-backed device.
 type RAMConfig struct {
@@ -11,13 +8,6 @@ type RAMConfig struct {
 	BlockSize int
 	// NumBlocks is the capacity in blocks (default 1M blocks = 512 MiB).
 	NumBlocks uint64
-	// Workers is the number of goroutines serving commands; it plays the
-	// role of the device's internal parallelism (default 8).
-	Workers int
-	// Latency, if nonzero, is an artificial per-command service delay so
-	// example programs can observe asynchrony. Sub-millisecond sleeps are
-	// at the mercy of the host timer; use 0 for pure functionality.
-	Latency time.Duration
 	// MaxQueuePairs and MaxQueueDepth bound AllocQueuePair.
 	MaxQueuePairs int
 	MaxQueueDepth int
@@ -30,9 +20,6 @@ func (c RAMConfig) withDefaults() RAMConfig {
 	if c.NumBlocks == 0 {
 		c.NumBlocks = 1 << 20
 	}
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
 	if c.MaxQueuePairs <= 0 {
 		c.MaxQueuePairs = 256
 	}
@@ -42,42 +29,24 @@ func (c RAMConfig) withDefaults() RAMConfig {
 	return c
 }
 
-// RAMDevice is a real-time Device backed by host memory. Submission
-// enqueues work for a goroutine pool; completions are buffered per queue
-// pair and reaped by Probe, preserving the polled-mode programming model
-// on real hardware threads.
+// RAMDevice is a real-time Device backed by host memory and polled like
+// one: Submit runs the command against the block store on the submitting
+// thread and posts its completion to the queue pair's completion ring;
+// the next Probe reaps it on that same thread.
+// No goroutine or timer stands between the two. The block store is shared
+// by every queue pair and the direct-access methods, under one mutex.
 type RAMDevice struct {
-	cfg  RAMConfig
-	mu   sync.Mutex
-	data map[uint64][]byte
-	work chan *ramJob
-	wg   sync.WaitGroup
+	cfg RAMConfig
 
-	qpMu   sync.Mutex
+	mu     sync.Mutex
+	data   map[uint64][]byte
 	nextQP int
 	closed bool
 }
 
-type ramJob struct {
-	cmd       *Command
-	qp        *ramQP
-	submitted time.Time
-	snapshot  []byte // write payload copied at submit
-}
-
-// NewRAMDevice creates and starts a memory-backed device.
+// NewRAMDevice creates a memory-backed device.
 func NewRAMDevice(cfg RAMConfig) *RAMDevice {
-	cfg = cfg.withDefaults()
-	d := &RAMDevice{
-		cfg:  cfg,
-		data: make(map[uint64][]byte),
-		work: make(chan *ramJob, 4096),
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		d.wg.Add(1)
-		go d.worker()
-	}
-	return d
+	return &RAMDevice{cfg: cfg.withDefaults(), data: make(map[uint64][]byte)}
 }
 
 // BlockSize implements Device.
@@ -86,24 +55,19 @@ func (d *RAMDevice) BlockSize() int { return d.cfg.BlockSize }
 // NumBlocks implements Device.
 func (d *RAMDevice) NumBlocks() uint64 { return d.cfg.NumBlocks }
 
-// Close implements Device: it stops the workers and waits for them.
+// Close implements Device: later submissions and allocations fail with
+// ErrClosed; completions already posted can still be reaped.
 func (d *RAMDevice) Close() error {
-	d.qpMu.Lock()
-	if d.closed {
-		d.qpMu.Unlock()
-		return nil
-	}
+	d.mu.Lock()
 	d.closed = true
-	d.qpMu.Unlock()
-	close(d.work)
-	d.wg.Wait()
+	d.mu.Unlock()
 	return nil
 }
 
 // AllocQueuePair implements Device.
 func (d *RAMDevice) AllocQueuePair(depth int) (QueuePair, error) {
-	d.qpMu.Lock()
-	defer d.qpMu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
 		return nil, ErrClosed
 	}
@@ -114,7 +78,7 @@ func (d *RAMDevice) AllocQueuePair(depth int) (QueuePair, error) {
 		depth = d.cfg.MaxQueueDepth
 	}
 	d.nextQP++
-	return &ramQP{dev: d, depth: depth}, nil
+	return &ramQP{dev: d, ring: make([]ramCQE, depth)}, nil
 }
 
 // ReadAt copies blocks starting at lba into buf (len must be a multiple
@@ -122,31 +86,42 @@ func (d *RAMDevice) AllocQueuePair(depth int) (QueuePair, error) {
 // as zeros. Together with WriteAt it gives test harnesses (fault
 // injection, crash simulation) direct image access.
 func (d *RAMDevice) ReadAt(lba uint64, buf []byte) {
-	bs := d.cfg.BlockSize
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := 0; i*bs < len(buf); i++ {
-		dst := buf[i*bs : (i+1)*bs]
-		if blk := d.data[lba+uint64(i)]; blk != nil {
-			copy(dst, blk)
-		} else {
-			for j := range dst {
-				dst[j] = 0
-			}
-		}
-	}
+	d.read(lba, buf)
+	d.mu.Unlock()
 }
 
 // WriteAt stores buf (a whole number of blocks) at lba, bypassing the
 // queue pairs.
 func (d *RAMDevice) WriteAt(lba uint64, buf []byte) {
-	bs := d.cfg.BlockSize
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.write(lba, buf)
+	d.mu.Unlock()
+}
+
+// read and write move whole blocks between buf and the store, d.mu held.
+// A block is allocated when first written and overwritten in place after.
+func (d *RAMDevice) read(lba uint64, buf []byte) {
+	bs := d.cfg.BlockSize
 	for i := 0; i*bs < len(buf); i++ {
-		blk := make([]byte, bs)
+		dst := buf[i*bs : (i+1)*bs]
+		if blk := d.data[lba+uint64(i)]; blk != nil {
+			copy(dst, blk)
+		} else {
+			clear(dst)
+		}
+	}
+}
+
+func (d *RAMDevice) write(lba uint64, buf []byte) {
+	bs := d.cfg.BlockSize
+	for i := 0; i*bs < len(buf); i++ {
+		blk := d.data[lba+uint64(i)]
+		if blk == nil {
+			blk = make([]byte, bs)
+			d.data[lba+uint64(i)] = blk
+		}
 		copy(blk, buf[i*bs:(i+1)*bs])
-		d.data[lba+uint64(i)] = blk
 	}
 }
 
@@ -177,119 +152,71 @@ func (d *RAMDevice) LoadImage(img map[uint64][]byte) {
 	}
 }
 
-func (d *RAMDevice) worker() {
-	defer d.wg.Done()
-	bs := d.cfg.BlockSize
-	for job := range d.work {
-		if d.cfg.Latency > 0 {
-			time.Sleep(d.cfg.Latency)
-		}
-		cmd := job.cmd
-		var err error
-		d.mu.Lock()
-		switch cmd.Op {
-		case OpRead:
-			for i := 0; i < cmd.Blocks; i++ {
-				dst := cmd.Buf[i*bs : (i+1)*bs]
-				if blk := d.data[cmd.LBA+uint64(i)]; blk != nil {
-					copy(dst, blk)
-				} else {
-					for j := range dst {
-						dst[j] = 0
-					}
-				}
-			}
-		case OpWrite:
-			for i := 0; i < cmd.Blocks; i++ {
-				blk := make([]byte, bs)
-				copy(blk, job.snapshot[i*bs:(i+1)*bs])
-				d.data[cmd.LBA+uint64(i)] = blk
-			}
-		case OpFlush:
-			// RAM backing is always "durable" for the model's purposes.
-		}
-		d.mu.Unlock()
-		job.qp.completed(Completion{
-			Cmd:     cmd,
-			Err:     err,
-			Latency: time.Since(job.submitted),
-		})
-	}
-}
-
-// ramQP is a queue pair on a RAMDevice. Submit/Probe must be called from
-// a single owner goroutine (per the QueuePair contract); the cq buffer is
-// still locked because device workers append to it concurrently.
+// ramQP is a queue pair on a RAMDevice. Its completion ring is touched
+// only by Submit and Probe, which the pair's one owner thread calls (per
+// the QueuePair contract), so it needs no lock.
 type ramQP struct {
 	dev   *RAMDevice
-	depth int
-
-	mu    sync.Mutex
-	cq    []Completion
-	inSQ  int
+	ring  []ramCQE // circular; every outstanding command holds one slot
+	head  int      // oldest unreaped completion
+	n     int      // completions in the ring
 	freed bool
 }
 
-// Submit implements QueuePair.
+// ramCQE is a posted completion.
+type ramCQE struct {
+	cmd *Command
+	err error
+}
+
+// Submit implements QueuePair. The command runs now: a write consumes
+// Buf, a read fills it, a flush has nothing to do. A malformed command
+// takes a slot like any other and completes with its error status.
 func (q *ramQP) Submit(cmd *Command) error {
 	if cmd == nil {
 		return ErrBadCommand
 	}
-	q.mu.Lock()
 	if q.freed {
-		q.mu.Unlock()
 		return ErrQueueFreed
 	}
-	if q.inSQ >= q.depth {
-		q.mu.Unlock()
+	if q.n == len(q.ring) {
 		return ErrQueueFull
 	}
-	q.inSQ++
-	q.mu.Unlock()
-
-	job := &ramJob{cmd: cmd, qp: q, submitted: time.Now()}
-	if err := validate(q.dev, cmd); err != nil {
-		q.completed(Completion{Cmd: cmd, Err: err})
-		return nil
-	}
-	if cmd.Op == OpWrite {
-		n := cmd.Blocks * q.dev.cfg.BlockSize
-		job.snapshot = make([]byte, n)
-		copy(job.snapshot, cmd.Buf[:n])
-	}
-	q.dev.qpMu.Lock()
-	closed := q.dev.closed
-	q.dev.qpMu.Unlock()
-	if closed {
+	d := q.dev
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
 		return ErrClosed
 	}
-	q.dev.work <- job
+	err := validate(d, cmd)
+	if err == nil {
+		switch n := cmd.Blocks * d.cfg.BlockSize; cmd.Op {
+		case OpRead:
+			d.read(cmd.LBA, cmd.Buf[:n])
+		case OpWrite:
+			d.write(cmd.LBA, cmd.Buf[:n])
+		}
+	}
+	d.mu.Unlock()
+	q.ring[(q.head+q.n)%len(q.ring)] = ramCQE{cmd: cmd, err: err}
+	q.n++
 	return nil
 }
 
-func (q *ramQP) completed(c Completion) {
-	q.mu.Lock()
-	q.cq = append(q.cq, c)
-	q.mu.Unlock()
-}
-
-// Probe implements QueuePair.
+// Probe implements QueuePair: it reaps, oldest first, up to max of the
+// completions posted before the call. Callbacks run with no lock held,
+// so they may submit again.
 func (q *ramQP) Probe(max int) int {
-	q.mu.Lock()
-	n := len(q.cq)
+	n := q.n
 	if max > 0 && n > max {
 		n = max
 	}
-	if n == 0 {
-		q.mu.Unlock()
-		return 0
-	}
-	batch := make([]Completion, n)
-	copy(batch, q.cq)
-	q.cq = append(q.cq[:0], q.cq[n:]...)
-	q.inSQ -= n
-	q.mu.Unlock()
-	for _, c := range batch {
+	for i := 0; i < n; i++ {
+		e := &q.ring[q.head]
+		c := Completion{Cmd: e.cmd, Err: e.err}
+		*e = ramCQE{}
+		q.head = (q.head + 1) % len(q.ring)
+		q.n--
 		if c.Cmd.Callback != nil {
 			c.Cmd.Callback(c)
 		}
@@ -298,16 +225,10 @@ func (q *ramQP) Probe(max int) int {
 }
 
 // Outstanding implements QueuePair.
-func (q *ramQP) Outstanding() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.inSQ
-}
+func (q *ramQP) Outstanding() int { return q.n }
 
-// Free implements QueuePair.
+// Free implements QueuePair: later submissions fail with ErrQueueFreed.
 func (q *ramQP) Free() error {
-	q.mu.Lock()
 	q.freed = true
-	q.mu.Unlock()
 	return nil
 }

@@ -1,6 +1,8 @@
 package nvme
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 	"time"
 )
@@ -98,7 +100,7 @@ func TestRAMErrorCompletion(t *testing.T) {
 }
 
 func TestRAMManyConcurrentCommands(t *testing.T) {
-	d := NewRAMDevice(RAMConfig{Workers: 4})
+	d := NewRAMDevice(RAMConfig{})
 	defer d.Close()
 	qp, _ := d.AllocQueuePair(256)
 	const n = 200
@@ -148,4 +150,194 @@ func TestOpcodeString(t *testing.T) {
 	if Opcode(9).String() != "Opcode(9)" {
 		t.Fatal("unknown opcode string wrong")
 	}
+}
+
+// TestRAMCallbackResubmits chains commands: each completion callback,
+// running inside Probe, submits the next one on the same pair. One Probe
+// reaps only what was posted before it was called.
+func TestRAMCallbackResubmits(t *testing.T) {
+	d := NewRAMDevice(RAMConfig{})
+	defer d.Close()
+	qp, _ := d.AllocQueuePair(4)
+	buf := make([]byte, 512)
+	const chain = 100
+	done := 0
+	var cmd Command
+	cmd = Command{Op: OpWrite, Blocks: 1, Buf: buf, Callback: func(c Completion) {
+		if c.Err != nil {
+			t.Fatalf("link %d: %v", done, c.Err)
+		}
+		if done++; done < chain {
+			cmd.LBA = uint64(done)
+			if err := qp.Submit(&cmd); err != nil {
+				t.Fatalf("resubmit %d from callback: %v", done, err)
+			}
+		}
+	}}
+	if err := qp.Submit(&cmd); err != nil {
+		t.Fatal(err)
+	}
+	for probes := 1; done < chain; probes++ {
+		if n := qp.Probe(0); n != 1 {
+			t.Fatalf("probe %d reaped %d, want the one command posted before it", probes, n)
+		}
+	}
+	if qp.Outstanding() != 0 {
+		t.Fatalf("outstanding = %d after the chain", qp.Outstanding())
+	}
+}
+
+// TestRAMOutstandingUntilReaped: every accepted command holds a ring slot
+// until Probe reaps it, malformed ones included, and a full ring refuses.
+func TestRAMOutstandingUntilReaped(t *testing.T) {
+	d := NewRAMDevice(RAMConfig{NumBlocks: 64})
+	defer d.Close()
+	qp, _ := d.AllocQueuePair(4)
+	buf := make([]byte, 512)
+	var errs []error
+	cb := func(c Completion) { errs = append(errs, c.Err) }
+	for _, c := range []*Command{
+		{Op: OpWrite, LBA: 1, Blocks: 1, Buf: buf, Callback: cb},
+		{Op: OpRead, LBA: 64, Blocks: 1, Buf: buf, Callback: cb},
+		{Op: OpRead, LBA: 0, Blocks: 0, Buf: buf, Callback: cb},
+		{Op: OpFlush, Callback: cb},
+	} {
+		if err := qp.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := qp.Outstanding(); got != 4 {
+		t.Fatalf("outstanding = %d, want 4", got)
+	}
+	if err := qp.Submit(&Command{Op: OpFlush}); err != ErrQueueFull {
+		t.Fatalf("full ring: err = %v, want ErrQueueFull", err)
+	}
+	if n := qp.Probe(3); n != 3 || qp.Outstanding() != 1 {
+		t.Fatalf("Probe(3) reaped %d, %d outstanding", n, qp.Outstanding())
+	}
+	if n := qp.Probe(0); n != 1 || qp.Outstanding() != 0 {
+		t.Fatalf("Probe(0) reaped %d, %d outstanding", n, qp.Outstanding())
+	}
+	want := []error{nil, ErrOutOfRange, ErrBadCommand, nil}
+	for i := range want {
+		if errs[i] != want[i] {
+			t.Fatalf("statuses %v, want %v", errs, want)
+		}
+	}
+}
+
+// TestRAMFreeAndClose: a freed pair refuses with ErrQueueFreed; a closed
+// device refuses submissions and allocations with ErrClosed while what
+// was posted before still reaps; a second Close is a no-op.
+func TestRAMFreeAndClose(t *testing.T) {
+	d := NewRAMDevice(RAMConfig{})
+	freed, _ := d.AllocQueuePair(8)
+	if err := freed.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if err := freed.Submit(&Command{Op: OpFlush}); err != ErrQueueFreed {
+		t.Fatalf("freed pair: err = %v, want ErrQueueFreed", err)
+	}
+	qp, _ := d.AllocQueuePair(8)
+	reaped := false
+	if err := qp.Submit(&Command{Op: OpFlush, Callback: func(Completion) { reaped = true }}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := qp.Submit(&Command{Op: OpFlush}); err != ErrClosed {
+		t.Fatalf("closed device: err = %v, want ErrClosed", err)
+	}
+	if _, err := d.AllocQueuePair(8); err != ErrClosed {
+		t.Fatalf("alloc on closed device: err = %v, want ErrClosed", err)
+	}
+	if n := qp.Probe(0); n != 1 || !reaped || qp.Outstanding() != 0 {
+		t.Fatalf("after Close: reaped %d (callback %v), %d outstanding", n, reaped, qp.Outstanding())
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRAMRoundTripAllocs: once a block exists, a Submit + Probe round trip
+// of a read or of an overwrite allocates nothing.
+func TestRAMRoundTripAllocs(t *testing.T) {
+	d := NewRAMDevice(RAMConfig{})
+	defer d.Close()
+	qp, _ := d.AllocQueuePair(8)
+	d.WriteAt(7, make([]byte, 1024))
+	buf := make([]byte, 1024)
+	reaped := 0
+	cb := func(Completion) { reaped++ }
+	for _, op := range []Opcode{OpRead, OpWrite} {
+		cmd := &Command{Op: op, LBA: 7, Blocks: 2, Buf: buf, Callback: cb}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := qp.Submit(cmd); err != nil {
+				t.Fatal(err)
+			}
+			qp.Probe(0)
+		})
+		if allocs != 0 {
+			t.Errorf("%v round trip allocates %.2f", op, allocs)
+		}
+	}
+	if reaped != 2*1001 {
+		t.Fatalf("reaped %d of %d", reaped, 2*1001)
+	}
+}
+
+// TestRAMConcurrentPairs is a -race hammer: four goroutines each own a
+// queue pair on their own partition of one device and write, read back
+// and verify, while another goroutine reads the image directly.
+func TestRAMConcurrentPairs(t *testing.T) {
+	d := NewRAMDevice(RAMConfig{NumBlocks: 4 * 256})
+	defer d.Close()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	go func() {
+		buf := make([]byte, 512)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				d.ReadAt(0, buf)
+				d.ImageSnapshot()
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		p, err := NewPartition(d, uint64(g)*256, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			qp, err := p.AllocQueuePair(32)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer qp.Free()
+			src, dst := make([]byte, 512), make([]byte, 512)
+			ok := true
+			for i := 0; i < 300; i++ {
+				lba := uint64(i % 256)
+				src[0], src[511] = byte(g), byte(i)
+				qp.Submit(&Command{Op: OpWrite, LBA: lba, Blocks: 1, Buf: src})
+				qp.Submit(&Command{Op: OpRead, LBA: lba, Blocks: 1, Buf: dst,
+					Callback: func(c Completion) { ok = ok && c.Err == nil && bytes.Equal(dst, src) }})
+				for qp.Outstanding() > 0 {
+					qp.Probe(0)
+				}
+			}
+			if !ok {
+				t.Errorf("pair %d read back something it did not write", g)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
 }

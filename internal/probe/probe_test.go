@@ -2,6 +2,7 @@ package probe
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -255,6 +256,37 @@ func TestTrainedModelAccuracy(t *testing.T) {
 	rel := absErr / total
 	if rel > 0.5 {
 		t.Fatalf("relative prediction error %.2f too high", rel)
+	}
+}
+
+// TestDefaultModelMatchesTraining retrains the default model and requires
+// the committed coefficients bit for bit, so recalibrating the simulated
+// device cannot leave default_model.go stale. To refresh it:
+//
+//	go run ./cmd/patrain -emit internal/probe/default_model.go
+//
+// Architectures whose compiler fuses multiply-adds round the fit
+// differently from amd64, where the file is generated; there the
+// coefficients need only agree to 1e-9 relative.
+func TestDefaultModelMatchesTraining(t *testing.T) {
+	trained, err := Train(TrainConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, _ := Default()
+	want, got := trained.Beta(), shipped.Beta()
+	if len(got) != len(want) {
+		t.Fatalf("committed model has %d rows, training gives %d", len(got), len(want))
+	}
+	exact := runtime.GOARCH == "amd64"
+	for i := range want {
+		for j := range want[i] {
+			w, g := want[i][j], got[i][j]
+			if exact && math.Float64bits(w) != math.Float64bits(g) ||
+				!exact && math.Abs(w-g) > 1e-9*math.Max(math.Abs(w), 1e-12) {
+				t.Fatalf("β[%d][%d] = %v committed, %v trained: regenerate default_model.go", i, j, g, w)
+			}
+		}
 	}
 }
 

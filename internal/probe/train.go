@@ -1,7 +1,6 @@
 package probe
 
 import (
-	"sync"
 	"time"
 
 	"github.com/patree/patree/internal/nvme"
@@ -145,18 +144,12 @@ func collect(cfg TrainConfig, qd, writePct int, seed uint64) (xs, ys [][]float64
 	return xs, ys
 }
 
-var (
-	defaultOnce  sync.Once
-	defaultModel *Model
-	defaultErr   error
-)
+// defaultModel is the package default, shipped as data so that no process
+// pays for training: default_model.go holds β as written by
+// `patrain -emit`, and TestDefaultModelMatchesTraining requires it to equal
+// Train(TrainConfig{Seed: 1}) bit for bit.
+var defaultModel = &Model{beta: defaultBeta, n: len(defaultBeta) / 2}
 
-// Default returns the lazily-trained package default model (seed 1,
-// calibrated device). Training is deterministic and takes well under a
-// second of host time.
-func Default() (*Model, error) {
-	defaultOnce.Do(func() {
-		defaultModel, defaultErr = Train(TrainConfig{Seed: 1})
-	})
-	return defaultModel, defaultErr
-}
+// Default returns the package default model: seed 1, calibrated device,
+// default feature geometry.
+func Default() (*Model, error) { return defaultModel, nil }

@@ -9,7 +9,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -337,13 +336,24 @@ func TestWireConcurrent(t *testing.T) {
 	}
 }
 
-// gatedDevice holds back every completion of the device it wraps while
-// its gate is shut: commands are accepted and executed, but Probe reaps
-// nothing, so operations pile up behind their I/O for as long as a test
-// wants them to.
+// gatedDevice blocks every Submit on the device it wraps while its gate
+// is shut. The working thread issues its commands itself, so while one
+// waits at the gate the worker drains nothing from its admission ring,
+// and operations pile up for as long as a test wants them to.
 type gatedDevice struct {
 	nvme.Device
-	shut atomic.Bool
+	gate sync.RWMutex // write-held while shut
+	shut bool         // touched only by the test goroutine
+}
+
+// hold shuts the gate; release opens it and may be called again.
+func (d *gatedDevice) hold() { d.gate.Lock(); d.shut = true }
+
+func (d *gatedDevice) release() {
+	if d.shut {
+		d.shut = false
+		d.gate.Unlock()
+	}
 }
 
 func (d *gatedDevice) AllocQueuePair(depth int) (nvme.QueuePair, error) {
@@ -356,18 +366,18 @@ type gatedQP struct {
 	dev *gatedDevice
 }
 
-func (q *gatedQP) Probe(max int) int {
-	if q.dev.shut.Load() {
-		return 0
-	}
-	return q.QueuePair.Probe(max)
+func (q *gatedQP) Submit(cmd *nvme.Command) error {
+	q.dev.gate.RLock()
+	q.dev.gate.RUnlock()
+	return q.QueuePair.Submit(cmd)
 }
 
 // TestBusyBackoff saturates a tiny admission ring and checks that wire
 // flow control engages: the client absorbs StatusBusy with backoff +
 // retransmission, no operation is dropped, and every acknowledged write
-// is really there. Saturation is constructed, not raced for: the device's
-// completions are held until the server has refused at least one burst.
+// is really there. Saturation is constructed, not raced for: the worker
+// is held at its first device command until the server has refused at
+// least one burst.
 func TestBusyBackoff(t *testing.T) {
 	gate := &gatedDevice{Device: nvme.NewRAMDevice(nvme.RAMConfig{NumBlocks: 1 << 16})}
 	addr, srv, stop := startServer(t,
@@ -382,10 +392,13 @@ func TestBusyBackoff(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
+	// Deferred last so it runs first: a failing test must not leave the
+	// worker parked at the gate, or the teardown above waits forever.
+	defer gate.release()
 
-	// Pipeline far more writes than the ring holds while nothing can
-	// complete: the ring fills and the server must start refusing.
-	gate.shut.Store(true)
+	// Pipeline far more writes than the ring holds while the worker cannot
+	// submit: the ring fills and the server must start refusing.
+	gate.hold()
 	const n = 512
 	handles := make([]*patree.Handle, n)
 	for i := range handles {
@@ -400,7 +413,7 @@ func TestBusyBackoff(t *testing.T) {
 			t.Fatal("server never refused with StatusBusy behind a held device")
 		}
 	}
-	gate.shut.Store(false)
+	gate.release()
 	for i, h := range handles {
 		if err := h.Err(); err != nil {
 			t.Fatalf("put %d failed: %v", i, err)
@@ -490,8 +503,14 @@ func TestConnDropMidBatch(t *testing.T) {
 	if err != nil || !found || string(v) != "alive" {
 		t.Fatalf("get after drops = %q/%v/%v", v, found, err)
 	}
-	if a := srv.Stats().Active; a != 1 {
-		t.Fatalf("active connections = %d, want 1", a)
+	// A dropped connection leaves the count when its teardown finishes,
+	// which may trail its goroutines' exit; poll for it like them.
+	deadline = time.Now().Add(5 * time.Second)
+	for a := srv.Stats().Active; a != 1; a = srv.Stats().Active {
+		if time.Now().After(deadline) {
+			t.Fatalf("active connections = %d, want 1", a)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

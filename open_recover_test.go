@@ -32,11 +32,12 @@ func loadedRAM(t *testing.T, n int) *nvme.RAMDevice {
 	return dev
 }
 
-// TestOpenSingleP pins that Open makes progress with one P. Recovery polls
-// a queue pair whose completions are produced by the RAM device's
-// goroutines; a polling loop that never yields leaves them waiting for the
-// runtime's 10 ms preemption on every page, and Open of even this small
-// image took minutes.
+// TestOpenSingleP pins that Open makes progress with one P. When the RAM
+// device served commands from goroutines of its own, a recovery polling
+// loop that never yielded left them waiting for the runtime's 10 ms
+// preemption on every page, and Open of even this small image took
+// minutes. The device now completes on the polling thread; the test keeps
+// setup I/O's polling loop and the worker's spin honest under one P.
 func TestOpenSingleP(t *testing.T) {
 	dev := loadedRAM(t, 5000)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
