@@ -140,10 +140,15 @@ func BenchmarkPutBatch(b *testing.B) {
 }
 
 // TestAsyncThroughputAdvantage pins the reason the async API exists: a
-// single goroutine must move at least 4x more lookups per second through
-// a batch window than through the blocking call. The measurement is
-// quick and the true gap is large (an order of magnitude on idle
-// machines), so 4x is a conservative floor.
+// single goroutine must move at least 1.25x more lookups per second
+// through a batch window than through the blocking call. The blocking
+// call pays a worker wake-up and a caller wake-up per lookup, the batch
+// one of each per window. When the worker was a locked OS thread that
+// busy-polled after every admission, each wake-up was a thread hand-off
+// and the gap was 15-20x (2 vCPUs: about 30 K vs 510 K ops/s); with an
+// idle worker that parks as a plain goroutine they are goroutine
+// switches, and the same box reads about 370 K vs 650 K ops/s (1.6-1.8x).
+// 1.25x leaves room for a loaded machine.
 func TestAsyncThroughputAdvantage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
@@ -189,7 +194,7 @@ func TestAsyncThroughputAdvantage(t *testing.T) {
 	})
 	ratio := batched / blocking
 	t.Logf("blocking %.0f ops/s, batched %.0f ops/s, ratio %.1fx", blocking, batched, ratio)
-	if ratio < 4 {
-		t.Errorf("batched path only %.1fx blocking, want >= 4x", ratio)
+	if ratio < 1.25 {
+		t.Errorf("batched path only %.2fx blocking, want >= 1.25x", ratio)
 	}
 }

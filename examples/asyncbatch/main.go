@@ -64,7 +64,8 @@ func main() {
 	fmt.Printf("async readback: %d gets in %v\n", keys, asyncDur.Round(time.Millisecond))
 
 	// The same reads through the blocking API: one operation in flight,
-	// two goroutine hand-offs each. This is what the async API avoids.
+	// so each read waits for a wake-up of the worker and one of the
+	// caller. The async API amortizes those over a whole window.
 	start = time.Now()
 	const blockingSample = keys / 10
 	for k := uint64(0); k < blockingSample; k++ {

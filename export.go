@@ -74,6 +74,18 @@ func writePrometheus(w io.Writer, m Metrics) {
 	p("# HELP patree_throttle_waits_total Admissions held back by the hot-shard governor.\n")
 	p("# TYPE patree_throttle_waits_total counter\n")
 	p("patree_throttle_waits_total %d\n", m.ThrottleWaits)
+	p("# HELP patree_worker_yields_total Idle worker passes that gave up the CPU.\n")
+	p("# TYPE patree_worker_yields_total counter\n")
+	p("patree_worker_yields_total %d\n", m.Yields)
+	p("# HELP patree_worker_parks_total Idle yields that slept because no I/O was outstanding.\n")
+	p("# TYPE patree_worker_parks_total counter\n")
+	p("patree_worker_parks_total %d\n", m.Parks)
+	p("# HELP patree_worker_yield_seconds_total Yield quanta the idle workers asked for.\n")
+	p("# TYPE patree_worker_yield_seconds_total counter\n")
+	p("patree_worker_yield_seconds_total %s\n", seconds(m.YieldTime))
+	p("# HELP patree_worker_idle_spin_seconds_total Accounted CPU of idle passes that did not yield.\n")
+	p("# TYPE patree_worker_idle_spin_seconds_total counter\n")
+	p("patree_worker_idle_spin_seconds_total %s\n", seconds(m.IdleSpinTime))
 
 	if m.JournalAppends > 0 {
 		p("# HELP patree_journal_records_total Redo records appended to the WAL (Options.Journal).\n")

@@ -70,9 +70,10 @@ func (e *RealEnv) Now() sim.Time { return sim.Time(time.Since(e.start)) }
 // Work implements Env.
 func (e *RealEnv) Work(cat metrics.CPUCategory, d time.Duration) { e.account.Charge(cat, d) }
 
-// Sleep implements Env: it parks for d but returns early on Wake, so a
-// yielding working thread reacts to a fresh admission immediately
-// instead of finishing its yield quantum (admission-aware wakeup).
+// Sleep implements Env: it parks for d but returns early on Wake, so an
+// idle working thread reacts to a fresh admission immediately instead of
+// finishing its yield quantum. The wake channel buffers one token, so an
+// admission that lands just before the park is still seen at once.
 func (e *RealEnv) Sleep(d time.Duration) {
 	if e.timer == nil {
 		e.timer = time.NewTimer(d)

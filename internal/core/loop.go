@@ -24,8 +24,13 @@ type Stats struct {
 	Probes          uint64
 	ProbeHits       uint64 // probes that reaped >= 1 completion
 	CompletionsSeen uint64
-	Yields          uint64
-	YieldTime       time.Duration
+	// Yields counts idle passes the policy yielded and YieldTime sums the
+	// quanta it asked for (a wall-clock park ends early on Wake). Parks
+	// counts the yields that slept (env.Sleep) rather than busy-polled
+	// outstanding I/O (SpinWait).
+	Yields    uint64
+	Parks     uint64
+	YieldTime time.Duration
 	// AdmitWaits counts blocking Admit calls that found the ring full and
 	// had to back off at least once (backpressure events).
 	AdmitWaits uint64
@@ -491,10 +496,11 @@ func (t *Tree) Run() {
 					// under a timer tick): poll instead of parking, or the
 					// OS timer becomes the I/O completion path. This is
 					// the polled-mode behaviour the paper's design
-					// assumes; a true idle (no I/O outstanding) still
-					// parks below and is woken by admission.
+					// assumes; a true idle (no I/O outstanding) parks
+					// below and is woken by admission.
 					t.spin(y)
 				} else {
+					t.stats.Parks++
 					t.env.Sleep(y)
 				}
 			} else {

@@ -200,11 +200,13 @@ type Workload struct {
 	lastProbe   sim.Time
 	vecBuf      []float64
 
-	// admissionAware makes a fresh admission suppress yielding for one
-	// safety interval, so a batch landing right as the ready set drains is
-	// picked up immediately instead of after a full yield quantum. Off by
-	// default: the simulated experiments predate admission signals and
-	// must keep byte-identical schedules.
+	// admissionAware makes a fresh admission suppress the model-driven
+	// yield for one safety interval while I/O is outstanding, so the
+	// worker keeps polling for the completions the new work is about to
+	// produce. It never keeps an idle worker (nothing in flight) awake:
+	// that one parks, and the wall-clock environment's Wake ends the park
+	// on the next admission. Off by default: the simulated experiments
+	// predate admission signals and must keep byte-identical schedules.
 	admissionAware bool
 	lastAdmit      sim.Time
 
@@ -317,9 +319,9 @@ func (p *Workload) OnDetected(op nvme.Opcode, submittedAt, now sim.Time) {
 // OnProbe implements Policy.
 func (p *Workload) OnProbe(now sim.Time) { p.lastProbe = now }
 
-// SetAdmissionAware toggles admission-aware yield suppression (see the
-// field comment). The real-time backend turns it on; simulated
-// experiments leave it off.
+// SetAdmissionAware toggles admission-aware yield suppression while I/O
+// is outstanding (see the field comment). The real-time backend turns it
+// on; simulated experiments leave it off.
 func (p *Workload) SetAdmissionAware(on bool) { p.admissionAware = on }
 
 // OnAdmit implements Policy.
@@ -363,14 +365,16 @@ func (p *Workload) YieldFor(now sim.Time, ioBlocked int) time.Duration {
 	if p.yieldGranularity <= 0 {
 		return 0
 	}
-	if p.admissionAware && now.Sub(p.lastAdmit) < p.safety {
-		// Work just landed; stay hot rather than parking for a quantum.
-		return 0
-	}
 	if ioBlocked == 0 {
 		// Nothing in flight: nothing can become ready except new
-		// admissions, which the yield period bounds.
+		// admissions, which the yield period bounds (and which end a
+		// wall-clock park early), so the idle worker always yields.
 		return p.yieldGranularity
+	}
+	if p.admissionAware && now.Sub(p.lastAdmit) < p.safety {
+		// Work just landed beside outstanding I/O; keep polling rather
+		// than yielding a quantum.
+		return 0
 	}
 	shift := int(p.yieldGranularity / p.tracker.SliceDur())
 	if shift < 1 {

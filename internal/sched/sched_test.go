@@ -200,6 +200,25 @@ func TestWorkloadYield(t *testing.T) {
 	}
 }
 
+// TestWorkloadIdleYieldIgnoresAdmission pins the idle rule: with nothing
+// in flight the worker yields even right after an admission (the
+// wall-clock park ends on the admission's Wake), while the same instant
+// with I/O outstanding keeps it polling — that half is the probe
+// cadence, which the idle rule leaves alone.
+func TestWorkloadIdleYieldIgnoresAdmission(t *testing.T) {
+	p := newWorkloadPolicy(t, 20*time.Microsecond)
+	p.SetSafety(20 * time.Microsecond)
+	p.SetAdmissionAware(true)
+	now := sim.Time(10 * time.Millisecond)
+	p.OnAdmit(1, now)
+	if got := p.YieldFor(now, 0); got != 20*time.Microsecond {
+		t.Fatalf("idle yield right after an admission = %v, want the 20µs granularity", got)
+	}
+	if got := p.YieldFor(now, 1); got != 0 {
+		t.Fatalf("yield right after an admission with I/O outstanding = %v, want 0", got)
+	}
+}
+
 func TestPolicyNamesAndOverheads(t *testing.T) {
 	m, _ := probe.Default()
 	ps := []Policy{NewAlwaysProbe(), NewFixedCycle(time.Microsecond), NewAvgLatency(), NewWorkload(m, nil, 0)}

@@ -157,6 +157,8 @@ func TestMetricsHandlerServesPrometheus(t *testing.T) {
 		"patree_stage_seconds{",
 		"patree_cpu_seconds_total{category=",
 		"patree_probe_predictions_total{outcome=",
+		"# TYPE patree_worker_parks_total counter",
+		"patree_worker_idle_spin_seconds_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)

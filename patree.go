@@ -241,6 +241,16 @@ type Stats struct {
 	SpecHits      uint64
 	SpecCancelled uint64
 	SpecWasted    uint64
+	// The workers' idle ledger. Yields counts the passes a worker found
+	// nothing to run and gave up its CPU, YieldTime the quanta it asked
+	// for (a park ends early when work arrives). Parks counts the yields
+	// that slept because no I/O was outstanding, as opposed to
+	// busy-polling for imminent completions. IdleSpinTime is the
+	// accounted CPU of idle passes that did not yield at all.
+	Yields       uint64
+	Parks        uint64
+	YieldTime    time.Duration
+	IdleSpinTime time.Duration
 }
 
 // shard is one worker: a tree, its working goroutine, and the
@@ -440,9 +450,9 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 	}
 	policy := sched.NewWorkload(model, nil, 20*time.Microsecond)
 	policy.SetSafety(20 * time.Microsecond)
-	// A fresh admission cuts an idle yield short (paired with the
-	// RealEnv wakeup), so a batch landing on an idle tree is picked up
-	// immediately instead of after a yield quantum.
+	// An idle worker parks and every admission wakes it (RealEnv.Wake);
+	// a fresh admission beside outstanding I/O keeps it polling instead
+	// of yielding a quantum.
 	policy.SetAdmissionAware(true)
 	// Prediction-error introspection is pure observation (it never alters
 	// probe decisions), so it is always on and Metrics can report it.
@@ -470,11 +480,10 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 	}
 	s := &shard{tree: tree, policy: policy, tracer: tracer, done: make(chan struct{})}
 	go func() {
-		// The polled-mode working thread wants a dedicated OS thread, as
-		// the paper's design assumes; everything else in the process can
-		// share the rest.
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
+		// The working thread is an ordinary goroutine, not a locked OS
+		// thread: when it parks it hands its P to the caller it just
+		// completed, so a round trip is goroutine switches on one thread
+		// rather than a futex sleep and wake of two.
 		tree.Run()
 		close(s.done)
 	}()
@@ -710,6 +719,10 @@ func (st *Stats) add(p Stats) {
 	st.SpecHits += p.SpecHits
 	st.SpecCancelled += p.SpecCancelled
 	st.SpecWasted += p.SpecWasted
+	st.Yields += p.Yields
+	st.Parks += p.Parks
+	st.YieldTime += p.YieldTime
+	st.IdleSpinTime += p.IdleSpinTime
 }
 
 // deriveStats completes an accumulated Stats with what no single shard
@@ -756,6 +769,10 @@ func (s *shard) statsSnapshot() (Stats, bufferCounts) {
 		SpecHits:           st.SpecHits,
 		SpecCancelled:      st.SpecCancelled,
 		SpecWasted:         st.SpecWasted,
+		Yields:             st.Yields,
+		Parks:              st.Parks,
+		YieldTime:          st.YieldTime,
+		IdleSpinTime:       st.IdleSpinTime,
 	}, bufferCounts{hits: bs.Hits, misses: bs.Misses}
 }
 

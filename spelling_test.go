@@ -329,7 +329,7 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 		switch f := pv.Field(i); f.Kind() {
 		case reflect.Uint64:
 			f.SetUint(uint64(100 + i))
-		case reflect.Int:
+		case reflect.Int, reflect.Int64:
 			f.SetInt(int64(100 + i))
 		case reflect.Float64:
 			f.SetFloat(float64(100 + i))
