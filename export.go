@@ -91,6 +91,9 @@ func writePrometheus(w io.Writer, m Metrics) {
 		p("# HELP patree_journal_records_total Redo records appended to the WAL (Options.Journal).\n")
 		p("# TYPE patree_journal_records_total counter\n")
 		p("patree_journal_records_total %d\n", m.JournalAppends)
+		p("# HELP patree_journal_leaf_records_total Of those, leaf records: one key's change, not a page image.\n")
+		p("# TYPE patree_journal_leaf_records_total counter\n")
+		p("patree_journal_leaf_records_total %d\n", m.JournalLeafRecords)
 		p("# HELP patree_journal_bytes_total Framed bytes those records took in the log.\n")
 		p("# TYPE patree_journal_bytes_total counter\n")
 		p("patree_journal_bytes_total %d\n", m.JournalBytes)

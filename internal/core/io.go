@@ -25,6 +25,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -276,9 +277,14 @@ type bgWrite struct {
 }
 
 // bufferWrite stores a weak-mode page update and schedules any evicted
-// dirty victim for background write-back.
+// dirty victim for background write-back. With the journal on, the page
+// is held from the device until journalBuild, which runs next, has logged
+// it and says where (walHolds).
 func (t *Tree) bufferWrite(id storage.PageID, data []byte) {
 	t.specInvalidate(id)
+	if t.jPageEnd != nil {
+		t.jPageEnd[id] = math.MaxInt
+	}
 	if victim, ev := t.rw.Write(id, data); ev {
 		t.queueBG(victim)
 	}
@@ -293,6 +299,9 @@ func (t *Tree) queueBG(d buffer.Dirty) {
 	if t.failed {
 		return // terminal state: durability is already lost, drop quietly
 	}
+	// From here until it lands the image is the page's only current copy
+	// outside the buffer: a read miss must find it, not the device's.
+	t.inflight[d.ID] = d.Data
 	// Coalesce with a queued-but-unsubmitted write of the same page: the
 	// newest image supersedes (same-page submission order must hold, or a
 	// retried stale image could overwrite fresher data).
@@ -310,7 +319,8 @@ func (t *Tree) queueBG(d buffer.Dirty) {
 }
 
 // drainBG submits queued background write-backs whose backoff has
-// elapsed, leaving the rest queued when the submission queue is full.
+// elapsed and whose records are durable (walHolds), leaving the rest
+// queued when the submission queue is full.
 func (t *Tree) drainBG() {
 	if len(t.bgQueue) == 0 {
 		return
@@ -323,7 +333,7 @@ func (t *Tree) drainBG() {
 	rest := t.bgQueue[:0]
 	for i := 0; i < len(t.bgQueue); i++ {
 		w := t.bgQueue[i]
-		if w.due > now {
+		if w.due > now || t.walHolds(w.ID) {
 			rest = append(rest, w)
 			continue
 		}
@@ -347,38 +357,30 @@ func (t *Tree) submitBG(w bgWrite) bool {
 		tries:   w.retries,
 	}
 	c.retries = &c.tries
-	t.inflight[w.ID] = w.Data
-	if !t.submit(c) {
-		delete(t.inflight, w.ID)
-		return false // retried by the main loop's drainBG
-	}
-	return true
+	return t.submit(c) // false: retried by the main loop's drainBG
 }
 
 func (t *Tree) bgDone(c *ioCmd, res ioResult, now sim.Time) {
 	d := c.dirty()
+	if res == ioRetry {
+		t.requeueBG(bgWrite{Dirty: d, retries: c.tries, due: now.Add(t.retryDelay(c.tries))})
+		return
+	}
 	if cur, ok := t.inflight[d.ID]; ok && &cur[0] == &d.Data[0] {
 		delete(t.inflight, d.ID)
 	}
-	switch res {
-	case ioRetry:
-		t.requeueBG(bgWrite{Dirty: d, retries: c.tries, due: now.Add(t.retryDelay(c.tries))})
-	case ioOK:
-		if d.Epoch != 0 {
-			t.rw.MarkClean(d.ID, d.Epoch)
-		}
+	if res == ioOK && d.Epoch != 0 {
+		t.rw.MarkClean(d.ID, d.Epoch)
 	}
 }
 
 // requeueBG re-queues a failed background write for retry — unless a
-// newer image of the same page is already queued, which supersedes it.
+// newer image of the same page is queued or in flight, which supersedes
+// it.
 func (t *Tree) requeueBG(w bgWrite) {
-	for i := range t.bgQueue {
-		if t.bgQueue[i].ID == w.ID {
-			return
-		}
+	if cur := t.inflight[w.ID]; len(cur) > 0 && &cur[0] == &w.Data[0] {
+		t.bgQueue = append(t.bgQueue, w)
 	}
-	t.bgQueue = append(t.bgQueue, w)
 }
 
 // ─── Setup I/O: blocking, before any worker runs ───────────────────────

@@ -126,10 +126,11 @@ func ioClassRows() []ioClassRow {
 		},
 		{
 			name: "background write-back", cfg: weakCfg, write: true, writes: 1,
+			// Queued or in flight, the image stays where a read miss finds it.
 			issue: func(t *Tree, _ *Op) { t.queueBG(buffer.Dirty{ID: seamPage, Data: page}) },
-			kept:  func(t *Tree) bool { return len(t.bgQueue) == 1 && len(t.inflight) == 0 },
+			kept:  func(t *Tree) bool { return len(t.bgQueue) == 1 && len(t.inflight) == 1 },
 			retried: func(t *Tree, _ *Op, _ *scriptQP) bool {
-				return len(t.bgQueue) == 1 && t.bgQueue[0].retries == 1 && t.bgQueue[0].due > t.now() && len(t.inflight) == 0
+				return len(t.bgQueue) == 1 && t.bgQueue[0].retries == 1 && t.bgQueue[0].due > t.now() && len(t.inflight) == 1
 			},
 		},
 		{

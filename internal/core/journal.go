@@ -66,33 +66,66 @@ func (t *Tree) runJournal(o *Op) bool {
 	return false
 }
 
-// journalBuild appends the op's redo group, one record per page image
-// beginWriteback encoded. Log blocks the group filled go to the writer
-// now; the block it ends in waits for journalCommit.
+// journalBuild appends the op's redo group. A group that changed one leaf
+// in place — no split, no root move — is one leaf record naming the key;
+// any other is one image record per page beginWriteback encoded. Log
+// blocks the group filled go to the writer now; the block it ends in
+// waits for journalCommit. Every page of the group is then held back from
+// write-back until the group is durable (walHolds).
 func (t *Tree) journalBuild(o *Op) {
 	cnt := len(o.writes)
 	if cnt > maxJournalGroup {
 		panic(fmt.Sprintf("core: journal group of %d records exceeds the gate bound", cnt))
 	}
-	for i, w := range o.writes {
-		t.journalAppend(o.seq, i, cnt, w.id, w.data)
+	if cnt == 1 && o.modified[0].IsLeaf() {
+		del := o.kind == KindDelete
+		leafHeader(t.jHdr[:], o.seq, o.writes[0].id, del, o.key)
+		value := o.value
+		if del {
+			value = nil
+		}
+		t.journalAppend(t.jHdr[:leafHeaderBytes], value, nil)
+		t.stats.JournalLeafRecords++
+	} else {
+		for i, w := range o.writes {
+			t.journalImage(o.seq, i, cnt, w.id, w.data)
+		}
 	}
 	t.wal.FlushFull(t.jwStaged)
 	o.jNeed = t.wal.UsedBytes()
+	if t.jPageEnd != nil {
+		for _, w := range o.writes {
+			t.jPageEnd[w.id] = o.jNeed
+		}
+	}
 }
 
-// journalAppend is the one place a redo record is built: the header in
-// the tree's scratch, the used ends straight from the image every other
-// consumer holds. The gate guaranteed capacity, so an append error is a
-// logic bug.
-func (t *Tree) journalAppend(seq uint64, idx, cnt int, id storage.PageID, image []byte) {
+// journalImage appends the image record of one page: the used ends
+// straight from the image every other consumer holds.
+func (t *Tree) journalImage(seq uint64, idx, cnt int, id storage.PageID, image []byte) {
 	prefix, suffix := storage.UsedExtent(image)
-	recordHeader(&t.jHdr, seq, idx, cnt, id, prefix, suffix)
-	if _, err := t.wal.Append(t.jHdr[:], image[:prefix], image[storage.PageSize-suffix:storage.PageSize]); err != nil {
+	recordHeader(t.jHdr[:], seq, idx, cnt, id, prefix, suffix)
+	t.journalAppend(t.jHdr[:recordHeaderBytes], image[:prefix], image[storage.PageSize-suffix:])
+}
+
+// journalAppend is the one place a redo record enters the log: the header
+// from the tree's scratch, the body as its owner holds it. The gate
+// guaranteed capacity, so an append error is a logic bug.
+func (t *Tree) journalAppend(hdr, body1, body2 []byte) {
+	if _, err := t.wal.Append(hdr, body1, body2); err != nil {
 		panic("core: journal append failed after gate: " + err.Error())
 	}
 	t.stats.JournalAppends++
-	t.stats.JournalBytes += uint64(wal.FrameOverhead + recordHeaderBytes + prefix + suffix)
+	t.stats.JournalBytes += uint64(wal.FrameOverhead + len(hdr) + len(body1) + len(body2))
+}
+
+// walHolds reports whether page id must not reach the device yet: the
+// write-ahead rule. A weak tree's buffered page is written back, or
+// written by a checkpoint's snapshot, only once the log is durable up to
+// its newest record, so a page on the device never runs ahead of the log
+// that recovery folds onto it. Positions count from the last log reset.
+func (t *Tree) walHolds(id storage.PageID) bool {
+	return t.jPageEnd[id] > t.jDurable
 }
 
 // journalPark parks o until the durability watermark covers o.jNeed;

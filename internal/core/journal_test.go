@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"testing"
+	"time"
 
 	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/sim"
@@ -152,9 +154,10 @@ func TestRecoverIdempotent(t *testing.T) {
 
 // TestJournalCheckpoint fills a small journal region until the tree
 // checkpoints on its own, then verifies both the live tree and the
-// crash-recovered image.
+// crash-recovered image. Most inserts log a leaf record of under 50 bytes,
+// so filling the region's 128 KiB takes a few thousand.
 func TestJournalCheckpoint(t *testing.T) {
-	const n = 500
+	const n = 4000
 	const blocks = 2048 // walGeometry: 256-block region at 1792
 	cfg := Config{Persistence: WeakPersistence, BufferPages: 128}
 	r := newJournalRig(t, cfg, blocks)
@@ -269,4 +272,162 @@ func TestRecoverTornMeta(t *testing.T) {
 			t.Fatalf("key %d after torn-meta crash: err=%v val=%q", i, res.Err, res.Value)
 		}
 	}
+}
+
+// crashProbeDev is a simulated device that keeps, beside it, the image a
+// crash would leave: a data write is kept from its submission on, a log
+// block's new content only from its write's completion. onWrite sees
+// each data-page write as it is submitted, with the image of a crash
+// that kept it but no log write still in flight — an outcome the fault
+// model allows.
+type crashProbeDev struct {
+	*nvme.SimDevice
+	walFrom uint64
+	image   map[uint64][]byte // block slices are never written to again
+	onWrite func(crash map[uint64][]byte)
+}
+
+func (d *crashProbeDev) AllocQueuePair(depth int) (nvme.QueuePair, error) {
+	qp, err := d.SimDevice.AllocQueuePair(depth)
+	return &crashProbeQP{QueuePair: qp, d: d}, err
+}
+
+type crashProbeQP struct {
+	nvme.QueuePair
+	d *crashProbeDev
+}
+
+func (q *crashProbeQP) Submit(c *nvme.Command) error {
+	d := q.d
+	if c.Op != nvme.OpWrite {
+		return q.QueuePair.Submit(c)
+	}
+	lba, data := c.LBA, append([]byte(nil), c.Buf[:storage.PageSize]...)
+	if d.walFrom == 0 || lba < d.walFrom {
+		d.image[lba] = data
+		if d.onWrite != nil && lba != 0 {
+			d.onWrite(maps.Clone(d.image))
+		}
+		return q.QueuePair.Submit(c)
+	}
+	done := c.Callback
+	c.Callback = func(cc nvme.Completion) {
+		if cc.Err == nil {
+			d.image[lba] = data
+		}
+		done(cc)
+	}
+	return q.QueuePair.Submit(c)
+}
+
+// TestJournalWriteAheadWeak is the write-ahead rule under a buffer far
+// smaller than the working set: rounds of 64 concurrent inserts of
+// 100-byte values into a weak journaled tree with a 512-block log. With
+// 4 buffer pages nearly every operation writes a dirty page back; with
+// none, every page goes out as soon as it is buffered, before its own
+// record is logged; with 64 and a Sync in every round, checkpoint
+// snapshots meet groups still on their way to the log. At every
+// data-page write the image of a crash that kept it must recover, with
+// every acknowledged pair. A page that reaches the device before its
+// records — one half of a split without the other, a parent before its
+// new child — leaves an image that loses acknowledged pairs, or that no
+// recovery can read.
+func TestJournalWriteAheadWeak(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		buffer, syncs int
+	}{{"buffer=4", 4, 0}, {"buffer=0", 0, 0}, {"buffer=64+sync", 64, 1}} {
+		t.Run(c.name, func(t *testing.T) { writeAheadRig(t, c.buffer, c.syncs) })
+	}
+}
+
+func writeAheadRig(t *testing.T, bufferPages, syncs int) {
+	const rounds, perRound = 12, 64
+	eng := sim.NewEngine()
+	osched := simos.New(eng, simos.Config{})
+	dev := &crashProbeDev{SimDevice: nvme.NewSimDevice(eng, nvme.SimConfig{Seed: 11, NumBlocks: 1 << 12}), image: map[uint64][]byte{}}
+	meta, err := Format(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.walFrom = meta.WALStart
+	var tree *Tree
+	th := osched.Spawn("patree", func(*simos.Thread) { tree.Run() })
+	if tree, err = New(dev, Config{Persistence: WeakPersistence, BufferPages: bufferPages, Journal: true}, SimEnv{T: th}, meta); err != nil {
+		t.Fatal(err)
+	}
+	acked := map[uint64]string{}
+	crashes, failure := 0, ""
+	dev.onWrite = func(crash map[uint64][]byte) {
+		if failure != "" {
+			return
+		}
+		crashes++
+		if failure = recoversAcked(crash, acked); failure != "" {
+			failure = fmt.Sprintf("crash at data-page write %d, %d pairs acknowledged: %s", crashes, len(acked), failure)
+		}
+	}
+	for r := 0; r < rounds && failure == ""; r++ {
+		left := perRound + syncs
+		eng.After(0, func() {
+			for i := 0; i < perRound; i++ {
+				n := uint64(r*perRound + i)
+				key, val := (n*2654435761)%1_000_003, fmt.Sprintf("%0100d", n)
+				tree.Admit(NewInsert(key, []byte(val), func(o *Op) {
+					if o.Res.Err != nil {
+						t.Errorf("insert %d: %v", key, o.Res.Err)
+					}
+					acked[key] = val
+					left--
+				}))
+				if i == perRound/2 && syncs > 0 {
+					tree.Admit(NewSync(func(*Op) { left-- }))
+				}
+			}
+		})
+		for left > 0 && eng.Step() {
+		}
+	}
+	tree.Stop()
+	eng.RunFor(time.Second)
+	if failure != "" {
+		t.Fatal(failure)
+	}
+	st := tree.StatsSnapshot()
+	if len(acked) != rounds*perRound || crashes < rounds*perRound/2 || st.Checkpoints == 0 {
+		t.Fatalf("%d pairs acknowledged, %d data-page writes probed, %d checkpoints: the rig did not churn", len(acked), crashes, st.Checkpoints)
+	}
+	t.Logf("%d crash images recovered, every acknowledged pair present; %d checkpoints", crashes, st.Checkpoints)
+}
+
+// recoversAcked recovers a crash image, in place, and reports what is
+// wrong with it: an error, or an acknowledged pair missing or changed.
+func recoversAcked(img map[uint64][]byte, acked map[uint64]string) string {
+	dev := &nextProbeDev{blocks: img, size: 1 << 12}
+	meta, _, err := Recover(dev)
+	if err != nil {
+		return err.Error()
+	}
+	io, err := newSetupIO(dev)
+	if err != nil {
+		return err.Error()
+	}
+	defer io.close()
+	got := map[uint64]string{}
+	err = walkTree(io, meta.Root, func(n *storage.Node) {
+		for i, k := range n.Keys {
+			if n.IsLeaf() {
+				got[k] = string(n.Vals[i])
+			}
+		}
+	})
+	if err != nil {
+		return err.Error()
+	}
+	for k, v := range acked {
+		if got[k] != v {
+			return fmt.Sprintf("acknowledged key %d reads %q, want %q", k, got[k], v)
+		}
+	}
+	return ""
 }

@@ -45,12 +45,14 @@ type Stats struct {
 	// IOErrors counts device commands that completed with an error status;
 	// IORetries counts the retries issued in response (bounded per op by
 	// Config.MaxIORetries). JournalAppends counts redo records appended to
-	// the WAL, JournalBytes their framed bytes, JournalBlockWrites the WAL
-	// block commands issued (tail rewrites included), and Checkpoints the
-	// completed journal checkpoints.
+	// the WAL, JournalLeafRecords those of them that are leaf records (one
+	// key's change, not a page image), JournalBytes their framed bytes,
+	// JournalBlockWrites the WAL block commands issued (tail rewrites
+	// included), and Checkpoints the completed journal checkpoints.
 	IOErrors           uint64
 	IORetries          uint64
 	JournalAppends     uint64
+	JournalLeafRecords uint64
 	JournalBytes       uint64
 	JournalBlockWrites uint64
 	Checkpoints        uint64
@@ -126,7 +128,7 @@ type Tree struct {
 	// its footprint is bounded by BufferPages). See published.go/reader.go.
 	pub *pubTable
 
-	// inflight tracks weak-mode write-backs between submission and
+	// inflight tracks weak-mode write-backs between queueing and
 	// completion so read misses never fetch stale pages from the device.
 	inflight map[storage.PageID][]byte
 	bgQueue  []bgWrite // dirty evictions awaiting (re)submission
@@ -141,13 +143,17 @@ type Tree struct {
 	// postJournalLive the strong-mode ops still writing in place after
 	// their group became durable — a checkpoint quiesces both before it
 	// retires records. jFence blocks new mutations (checked before the
-	// leaf is touched) while a checkpoint drains.
+	// leaf is touched) while a checkpoint drains. jPageEnd (weak trees
+	// only) maps each page buffered since the last log reset to the log
+	// position its newest record ends at, the write-ahead rule's input
+	// (walHolds).
 	wal             *wal.Log
 	walStart        uint64
 	walBlocks       uint64
 	metaWALGen      uint32
 	journalOn       bool
-	jHdr            [recordHeaderBytes]byte // journalAppend's header scratch
+	jHdr            [leafHeaderBytes]byte // the record header scratch
+	jPageEnd        map[storage.PageID]int
 	jDurable        int
 	jLive           int
 	postJournalLive int
@@ -315,6 +321,9 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	}
 	if cfg.Persistence == WeakPersistence {
 		t.rw = buffer.NewReadWrite(cfg.BufferPages)
+		if t.journalOn {
+			t.jPageEnd = make(map[storage.PageID]int)
+		}
 	} else {
 		t.ro = buffer.NewReadOnly(cfg.BufferPages)
 	}

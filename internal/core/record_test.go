@@ -10,14 +10,28 @@ import (
 	"github.com/patree/patree/internal/storage"
 )
 
-// encodeRecord builds the payload journalAppend hands to the log, as one
+// encodeRecord builds the payload journalImage hands to the log, as one
 // slice.
 func encodeRecord(seq uint64, idx, cnt int, id storage.PageID, image []byte) []byte {
 	prefix, suffix := storage.UsedExtent(image)
-	var hdr [recordHeaderBytes]byte
-	recordHeader(&hdr, seq, idx, cnt, id, prefix, suffix)
-	rec := append(hdr[:], image[:prefix]...)
+	hdr := make([]byte, recordHeaderBytes)
+	recordHeader(hdr, seq, idx, cnt, id, prefix, suffix)
+	rec := append(hdr, image[:prefix]...)
 	return append(rec, image[storage.PageSize-suffix:storage.PageSize]...)
+}
+
+// setRecord and deleteRecord build the leaf records journalBuild logs for
+// an in-place change of one leaf.
+func setRecord(seq uint64, id storage.PageID, key uint64, value []byte) []byte {
+	hdr := make([]byte, leafHeaderBytes)
+	leafHeader(hdr, seq, id, false, key)
+	return append(hdr, value...)
+}
+
+func deleteRecord(seq uint64, id storage.PageID, key uint64) []byte {
+	hdr := make([]byte, leafHeaderBytes)
+	leafHeader(hdr, seq, id, true, key)
+	return hdr
 }
 
 // legacyRecord is a record as builds before the format tag wrote it:
@@ -103,6 +117,75 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLeafRecordRoundTrip: a leaf record is 27 bytes plus the value, and
+// comes back as the key, the value and whether it deletes.
+func TestLeafRecordRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		rec   []byte
+		value []byte
+		del   bool
+	}{
+		{"set", setRecord(9, 5, 1<<60+3, []byte("value")), []byte("value"), false},
+		{"set, empty value", setRecord(9, 5, 1<<60+3, nil), []byte{}, false},
+		{"set, max value", setRecord(9, 5, 1<<60+3, bytes.Repeat([]byte{7}, storage.MaxValueSize)), bytes.Repeat([]byte{7}, storage.MaxValueSize), false},
+		{"delete", deleteRecord(9, 5, 1<<60+3), []byte{}, true},
+	} {
+		if len(c.rec) != 27+len(c.value) {
+			t.Errorf("%s: %d bytes, want 27 + %d", c.name, len(c.rec), len(c.value))
+		}
+		r, err := decodeRecord(c.rec)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", c.name, err)
+		}
+		if r.seq != 9 || r.idx != 0 || r.cnt != 1 || r.id != 5 || r.key != 1<<60+3 || r.del != c.del || r.image != nil || !bytes.Equal(r.value, c.value) {
+			t.Errorf("%s: came back as %+v", c.name, r)
+		}
+	}
+}
+
+// TestApplyLeafRecords: leaf records fold last-wins onto any state of the
+// page between the one the log starts from and the newest, and a delete
+// of a key the page lacks changes nothing.
+func TestApplyLeafRecords(t *testing.T) {
+	start := leafOf(5, 3, 100) // keys 1, 8, 15
+	recs := []redoRecord{
+		{id: 5, key: 8, value: []byte("a")},
+		{id: 5, key: 4, value: []byte("b")},
+		{id: 5, key: 8, value: []byte("c")},
+		{id: 5, key: 1, del: true},
+		{id: 5, key: 99, del: true},
+	}
+	want := start.Clone()
+	want.InsertLeaf(8, []byte("c"))
+	want.InsertLeaf(4, []byte("b"))
+	want.DeleteLeafAt(0)
+	state := start.Clone()
+	for i := 0; i <= len(recs); i++ {
+		got, err := applyLeafRecords(5, state.Encode(), recs)
+		if err != nil {
+			t.Fatalf("base after %d records: %v", i, err)
+		}
+		if !bytes.Equal(got, want.Encode()) {
+			t.Fatalf("base after %d records folds to a different page", i)
+		}
+		if i < len(recs) {
+			if r := recs[i]; !r.del {
+				state.InsertLeaf(r.key, r.value)
+			} else if j, ok := state.SearchLeaf(r.key); ok {
+				state.DeleteLeafAt(j)
+			}
+		}
+	}
+	if _, err := applyLeafRecords(6, innerOf(6, 2).Encode(), recs); err == nil {
+		t.Error("leaf records folded onto an inner page")
+	}
+	big := []redoRecord{{id: 5, key: 2, value: make([]byte, storage.MaxValueSize)}, {id: 5, key: 3, value: make([]byte, storage.MaxValueSize)}}
+	if _, err := applyLeafRecords(5, start.Encode(), big); err == nil {
+		t.Error("a fold that overflows the page was accepted")
+	}
+}
+
 // TestRecordRoundTripProperty: whatever node storage can encode comes
 // back from its record as the identical page.
 func TestRecordRoundTripProperty(t *testing.T) {
@@ -131,11 +214,14 @@ func TestRecordFormatRefused(t *testing.T) {
 	image := leafOf(5, 3, 100).Encode()
 	good := encodeRecord(1, 0, 1, 5, image)
 	bad := map[string][]byte{
-		"legacy":        legacyRecord(1, 0, 1, 5, image),
-		"unknown tag":   append(append([]byte(nil), good[:18]...), append([]byte{0xC2}, good[19:]...)...),
-		"short":         good[:recordHeaderBytes-1],
-		"truncated":     good[:len(good)-1],
-		"trailing byte": append(append([]byte(nil), good...), 0),
+		"legacy":          legacyRecord(1, 0, 1, 5, image),
+		"unknown tag":     append(append([]byte(nil), good[:18]...), append([]byte{0xC4}, good[19:]...)...),
+		"short":           good[:recordHeaderBytes-1],
+		"short leaf":      setRecord(1, 5, 7, nil)[:leafHeaderBytes-1],
+		"delete, value":   append(deleteRecord(1, 5, 7), 0),
+		"set, over limit": setRecord(1, 5, 7, make([]byte, storage.MaxValueSize+1)),
+		"truncated":       good[:len(good)-1],
+		"trailing byte":   append(append([]byte(nil), good...), 0),
 		"extent > page": func() []byte {
 			r := append([]byte(nil), good...)
 			r[19], r[20] = 0xFF, 0x01
@@ -149,9 +235,10 @@ func TestRecordFormatRefused(t *testing.T) {
 	}
 }
 
-// FuzzJournalRecord: arbitrary bytes never panic the decoder, and a
-// record recovery accepts for redo always carries an image that passes
-// storage.VerifyPage.
+// FuzzJournalRecord: arbitrary bytes never panic the decoder, a record
+// recovery accepts for redo as an image carries one that passes
+// storage.VerifyPage, and one it accepts as a leaf record folds onto a
+// leaf into a page that verifies — or is refused, never a panic.
 func FuzzJournalRecord(f *testing.F) {
 	leaf := leafOf(5, 3, 100).Encode()
 	f.Add(encodeRecord(1, 0, 1, 5, leaf))
@@ -163,13 +250,21 @@ func FuzzJournalRecord(f *testing.F) {
 	torn[len(torn)-1] ^= 0x40
 	f.Add(torn)
 	f.Add([]byte{})
+	f.Add(setRecord(7, 5, 8, []byte("new value")))
+	f.Add(setRecord(8, 5, 2, bytes.Repeat([]byte{1}, storage.MaxValueSize)))
+	f.Add(deleteRecord(9, 5, 15))
+	f.Add(deleteRecord(10, 5, 16))
 	f.Fuzz(func(t *testing.T, rec []byte) {
-		redo, _, err := parseRedo([][]byte{rec}, &RecoverReport{})
+		redo, err := parseRedo([][]byte{rec}, &RecoverReport{})
 		if err != nil {
 			return
 		}
 		for _, p := range redo {
-			if len(p.image) != storage.PageSize || !storage.VerifyPage(p.image) {
+			if p.image == nil {
+				if page, err := applyLeafRecords(p.id, leaf, []redoRecord{p}); err == nil && !storage.VerifyPage(page) {
+					t.Fatalf("leaf record for page %d folds to a page that does not verify", p.id)
+				}
+			} else if len(p.image) != storage.PageSize || !storage.VerifyPage(p.image) {
 				t.Fatalf("accepted for redo: page %d with an image that does not verify", p.id)
 			}
 		}

@@ -43,8 +43,11 @@ type RecoverReport struct {
 	// StaleSkipped counts records fenced out by the meta page's
 	// generation watermark (retired by a checkpoint before the crash).
 	StaleSkipped int
-	// PagesRedone is the number of page images written back.
+	// PagesRedone is the number of pages written back, each once.
 	PagesRedone int
+	// BaseReads is the number of those pages read from the device to fold
+	// leaf records onto, because the live log holds no image of them.
+	BaseReads int
 	// KeysCounted is the key count established by the verification walk.
 	KeysCounted uint64
 	// MetaRepaired reports whether the meta page had to be rebuilt (torn
@@ -67,8 +70,8 @@ var ErrUnformatted = errors.New("core: device holds no tree")
 // replacement may be sitting in the journal); scan the WAL region; drop
 // record groups fenced out by the superblock's generation watermark and
 // any incomplete trailing group (a live record of another format is
-// ErrJournalFormat, with nothing written); redo surviving page images in
-// log order;
+// ErrJournalFormat, with nothing written); fold the surviving records per
+// page in log order and write each redone page once;
 // then walk the tree from the root, discarding nothing but verifying
 // every reachable page decodes (a torn page that escaped the journal is a
 // hard error — it would mean an acknowledged write was lost), recounting
@@ -145,31 +148,52 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 		rep.Generation = gen
 	}
 
-	redo, journaledMeta, err := parseRedo(records, rep)
+	redo, err := parseRedo(records, rep)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: recover: journal generation %d: %w", gen, err)
 	}
 
-	// Redo in log order, queue-deep: later images of the same page
-	// overwrite earlier ones, converging on the newest acknowledged state.
-	// The device completes what is in flight in any order, so two images
-	// of one page never are: a batch ends before the first page it
-	// already holds, and drains before the next begins.
-	inBatch := make(map[storage.PageID]bool)
-	for batch := redo; len(batch) > 0; {
-		clear(inBatch)
-		n := 0
-		for n < len(batch) && !inBatch[batch[n].id] {
-			inBatch[batch[n].id] = true
-			n++
+	// Fold per page, in log order: an image replaces the page's state, a
+	// leaf record is applied to it. A page the live log holds no image of
+	// starts from the device's — read queue-deep, all at once — which the
+	// write-ahead rule keeps from running ahead of the log, and which, one
+	// LBA, is never torn. Then every page is written once, queue-deep.
+	pages := foldRedo(redo)
+	var bases []*redoPage
+	for _, p := range pages {
+		if p.image == nil {
+			bases = append(bases, p)
 		}
-		err = io.run(n, func(i, _ int) nvme.Command { return pageWrite(batch[i].id, batch[i].image) }, nil)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: recover: redo: %w", err)
-		}
-		batch = batch[n:]
 	}
-	rep.PagesRedone = len(redo)
+	buf := make([]byte, len(bases)*storage.PageSize)
+	base := func(i int) []byte { return buf[i*storage.PageSize : (i+1)*storage.PageSize] }
+	err = io.run(len(bases), func(i, _ int) nvme.Command {
+		return nvme.Command{Op: nvme.OpRead, LBA: uint64(bases[i].id), Blocks: 1, Buf: base(i)}
+	}, func(i, _ int) error {
+		if bases[i].image = base(i); !storage.VerifyPage(base(i)) {
+			return errCorruptRead
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: recover: read redo bases: %w", err)
+	}
+	rep.BaseReads = len(bases)
+	var journaledMeta []byte
+	for _, p := range pages {
+		if len(p.leaf) > 0 {
+			if p.image, err = applyLeafRecords(p.id, p.image, p.leaf); err != nil {
+				return nil, nil, fmt.Errorf("core: recover: %w", err)
+			}
+		}
+		if p.id == 0 {
+			journaledMeta = p.image
+		}
+	}
+	if err = io.run(len(pages), func(i, _ int) nvme.Command { return pageWrite(pages[i].id, pages[i].image) }, nil); err != nil {
+		return nil, nil, fmt.Errorf("core: recover: redo: %w", err)
+	}
+	rep.PagesRedone = len(pages)
 
 	// Re-establish the superblock. If page 0 was torn, the journal must
 	// have supplied a replacement image (the meta page is journaled
@@ -237,27 +261,52 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 	return meta, rep, nil
 }
 
-// redoPage is one page image recovery writes back.
+// redoPage is one page recovery writes back: the newest image record of
+// it (nil until the base is read: the log holds none) and the leaf
+// records logged after that image.
 type redoPage struct {
 	id    storage.PageID
 	image []byte
+	leaf  []redoRecord
 }
 
-// parseRedo turns a live generation's records into the page images to
-// redo, in log order, counting groups and the dropped tail into rep. A
-// group is the cnt records [opSeq, idx 0..cnt-1] one operation appended;
-// only complete groups are redone (an incomplete trailing one was never
-// acknowledged) and each of their images must verify. journaledMeta is
-// the newest page-0 image among them. A record of another format is an
-// error, with its place in the log: it may be an acknowledged write.
-func parseRedo(records [][]byte, rep *RecoverReport) (redo []redoPage, journaledMeta []byte, err error) {
-	var group []redoPage
+// foldRedo groups redo records by page, pages in order of first
+// appearance: an image record drops whatever the page had gathered
+// before it.
+func foldRedo(redo []redoRecord) []*redoPage {
+	var pages []*redoPage
+	byID := make(map[storage.PageID]*redoPage)
+	for _, r := range redo {
+		p := byID[r.id]
+		if p == nil {
+			p = &redoPage{id: r.id}
+			byID[r.id] = p
+			pages = append(pages, p)
+		}
+		if r.image != nil {
+			p.image, p.leaf = r.image, nil
+		} else {
+			p.leaf = append(p.leaf, r)
+		}
+	}
+	return pages
+}
+
+// parseRedo turns a live generation's records into the records to redo,
+// in log order, counting groups and the dropped tail into rep. A group is
+// the cnt records [opSeq, idx 0..cnt-1] one operation appended; only
+// complete groups are redone (an incomplete trailing one was never
+// acknowledged) and each of their images must verify. A record of
+// another format is an error, with its place in the log: it may be an
+// acknowledged write.
+func parseRedo(records [][]byte, rep *RecoverReport) (redo []redoRecord, err error) {
+	var group []redoRecord
 	var groupSeq uint64
 	off := 0
 	for i, rec := range records {
 		r, err := decodeRecord(rec)
 		if err != nil {
-			return nil, nil, fmt.Errorf("record %d at log offset %d: %w", i, off, err)
+			return nil, fmt.Errorf("record %d at log offset %d: %w", i, off, err)
 		}
 		off += wal.FrameOverhead + len(rec)
 		if r.cnt < 1 || r.idx >= r.cnt {
@@ -270,16 +319,13 @@ func parseRedo(records [][]byte, rep *RecoverReport) (redo []redoPage, journaled
 			group = group[:0]
 			continue // out-of-order fragment: unusable
 		}
-		group = append(group, redoPage{id: r.id, image: r.image})
+		group = append(group, r)
 		if r.idx < r.cnt-1 {
 			continue
 		}
 		for _, p := range group {
-			if !storage.VerifyPage(p.image) {
-				return nil, nil, fmt.Errorf("journaled image for page %d fails checksum", p.id)
-			}
-			if p.id == 0 {
-				journaledMeta = p.image
+			if p.image != nil && !storage.VerifyPage(p.image) {
+				return nil, fmt.Errorf("journaled image for page %d fails checksum", p.id)
 			}
 		}
 		redo = append(redo, group...)
@@ -287,7 +333,7 @@ func parseRedo(records [][]byte, rep *RecoverReport) (redo []redoPage, journaled
 		group = group[:0]
 	}
 	rep.DroppedTail += len(group)
-	return redo, journaledMeta, nil
+	return redo, nil
 }
 
 // walkTree reads every page reachable from root and hands each decoded

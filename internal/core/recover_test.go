@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -100,9 +101,8 @@ func recoverQD1(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 		rep.Generation = gen
 	}
 
-	var redo, group []redoPage
+	var redo, group []redoRecord
 	var groupSeq uint64
-	var journaledMeta []byte
 	for _, rec := range records {
 		r, err := decodeRecord(rec)
 		if err != nil {
@@ -118,25 +118,79 @@ func recoverQD1(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 			group = group[:0]
 			continue
 		}
-		group = append(group, redoPage{id: r.id, image: r.image})
+		group = append(group, r)
 		if idx == cnt-1 {
-			for _, p := range group {
-				if p.id == 0 {
-					journaledMeta = p.image
-				}
-			}
 			redo = append(redo, group...)
 			rep.Groups++
 			group = group[:0]
 		}
 	}
 	rep.DroppedTail += len(group)
-
-	for _, p := range redo {
-		if !storage.VerifyPage(p.image) {
-			return nil, nil, fmt.Errorf("journaled image for page %d fails checksum", p.id)
+	for _, r := range redo {
+		if r.image != nil && !storage.VerifyPage(r.image) {
+			return nil, nil, fmt.Errorf("journaled image for page %d fails checksum", r.id)
 		}
-		if err := io.write(p.id, p.image); err != nil {
+	}
+
+	// One page at a time, in order of first appearance: its newest image
+	// — or, when the log holds none, what the device has — and the leaf
+	// records logged after it, applied to the page's pairs as a map.
+	var pages []storage.PageID
+	for _, r := range redo {
+		if !slices.Contains(pages, r.id) {
+			pages = append(pages, r.id)
+		}
+	}
+	var journaledMeta []byte
+	for _, id := range pages {
+		var image []byte
+		var after []redoRecord
+		for _, r := range redo {
+			switch {
+			case r.id != id:
+			case r.image != nil:
+				image, after = r.image, nil
+			default:
+				after = append(after, r)
+			}
+		}
+		if image == nil {
+			image = make([]byte, storage.PageSize)
+			if err := io.read(uint64(id), 1, image); err != nil {
+				return nil, nil, err
+			}
+			rep.BaseReads++
+		}
+		if len(after) > 0 {
+			n, err := storage.DecodeNode(id, image)
+			if err != nil {
+				return nil, nil, err
+			}
+			pairs := map[uint64][]byte{}
+			for i, k := range n.Keys {
+				pairs[k] = n.Vals[i]
+			}
+			for _, r := range after {
+				if r.del {
+					delete(pairs, r.key)
+				} else {
+					pairs[r.key] = r.value
+				}
+			}
+			n.Keys, n.Vals = nil, nil
+			for k := range pairs {
+				n.Keys = append(n.Keys, k)
+			}
+			slices.Sort(n.Keys)
+			for _, k := range n.Keys {
+				n.Vals = append(n.Vals, pairs[k])
+			}
+			image = n.Encode()
+		}
+		if id == 0 {
+			journaledMeta = image
+		}
+		if err := io.write(id, image); err != nil {
 			return nil, nil, err
 		}
 		rep.PagesRedone++
@@ -441,56 +495,250 @@ func TestRecoverMatchesQD1Reference(t *testing.T) {
 // errCrash is a status no retry budget covers: the device is gone.
 var errCrash = errors.New("test: device crashed")
 
-// TestRecoverCrashMidRecovery kills the device at chosen commands of a
-// recovery and runs it again over what was left: before the fence the
-// second run must end exactly where an undisturbed one does, and once the
-// fence is durable it must find nothing left to replay.
-func TestRecoverCrashMidRecovery(t *testing.T) {
-	img := crashImage(t, Config{Persistence: WeakPersistence, BufferPages: 64}, 2500, false)
+// crashRef is an undisturbed recovery of img by the QD-1 reference, and
+// how many commands Recover takes over it, for crashing Recover part way.
+type crashRef struct {
+	img   map[uint64][]byte
+	meta  *storage.Meta
+	rep   *RecoverReport
+	image map[uint64][]byte
+	total int
+}
+
+func newCrashRef(t *testing.T, img map[uint64][]byte) *crashRef {
+	t.Helper()
 	ref := simWith(img, nvme.SimConfig{})
-	wantMeta, wantRep, err := recoverQD1(ref)
+	meta, rep, err := recoverQD1(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantImg := ref.ImageSnapshot()
 	count := &hookDev{Device: simWith(img, nvme.SimConfig{})}
 	if _, _, err := Recover(count); err != nil {
 		t.Fatal(err)
 	}
-	// The last four commands are the fence: meta, flush, zero, flush.
-	total := count.submitted
-	for _, at := range []int{2, 40, total / 3, total / 2, total - 4, total - 3, total - 2, total - 1, total} {
-		t.Run(fmt.Sprintf("at=%d of %d", at, total), func(t *testing.T) {
-			sd := simWith(img, nvme.SimConfig{})
-			dying := &hookDev{Device: sd, fail: func(n int, _ *nvme.Command) error {
-				if n >= at {
-					return errCrash
-				}
-				return nil
-			}}
-			if _, _, err := Recover(dying); !errors.Is(err, errCrash) {
-				t.Fatalf("recover over a dying device: %v, want the crash", err)
-			}
-			if dying.liveAtFree != 0 || dying.late != 0 {
-				t.Fatalf("%d commands in flight when Recover returned, %d callbacks after", dying.liveAtFree, dying.late)
-			}
-			meta, rep, err := Recover(sd)
+	return &crashRef{img: img, meta: meta, rep: rep, image: ref.ImageSnapshot(), total: count.submitted}
+}
+
+// crashAt kills the device at command at of a recovery and runs it again
+// over what was left: before the fence (the last four commands: meta,
+// flush, zero, flush) the second run must end exactly where an
+// undisturbed one does, and once the fence is durable it must find
+// nothing left to replay.
+func (c *crashRef) crashAt(t *testing.T, at int) {
+	t.Helper()
+	sd := simWith(c.img, nvme.SimConfig{})
+	dying := &hookDev{Device: sd, fail: func(n int, _ *nvme.Command) error {
+		if n >= at {
+			return errCrash
+		}
+		return nil
+	}}
+	if _, _, err := Recover(dying); !errors.Is(err, errCrash) {
+		t.Fatalf("crash at %d: recover over a dying device: %v, want the crash", at, err)
+	}
+	if dying.liveAtFree != 0 || dying.late != 0 {
+		t.Fatalf("crash at %d: %d commands in flight when Recover returned, %d callbacks after", at, dying.liveAtFree, dying.late)
+	}
+	meta, rep, err := Recover(sd)
+	if err != nil {
+		t.Fatalf("crash at %d: recover after the crash: %v", at, err)
+	}
+	if at <= c.total-3 {
+		// The crashed run never wrote the fenced superblock.
+		if *meta != *c.meta || *rep != *c.rep || !reflect.DeepEqual(sd.ImageSnapshot(), c.image) {
+			t.Fatalf("crash at %d: meta %+v report %+v, reference %+v %+v", at, *meta, *rep, *c.meta, *c.rep)
+		}
+		return
+	}
+	// The fenced superblock is durable: the log is retired.
+	if rep.PagesRedone != 0 || rep.KeysCounted != c.rep.KeysCounted || meta.Root != c.meta.Root || meta.WALGen <= c.meta.WALGen {
+		t.Fatalf("crash at %d past the fence: meta %+v report %+v, reference %+v %+v", at, *meta, *rep, *c.meta, *c.rep)
+	}
+}
+
+// TestRecoverCrashMidRecovery kills the device at chosen commands of a
+// recovery and runs it again over what was left (crashRef.crashAt). The
+// subtests are named by place, not number: how many commands a recovery
+// takes follows from the journal's record format.
+func TestRecoverCrashMidRecovery(t *testing.T) {
+	ref := newCrashRef(t, crashImage(t, Config{Persistence: WeakPersistence, BufferPages: 64}, 2500, false))
+	total := ref.total
+	for _, c := range []struct {
+		name string
+		at   int
+	}{
+		{"2", 2}, {"40", 40}, {"third", total / 3}, {"half", total / 2}, {"walk-end", total - 4},
+		{"meta", total - 3}, {"meta-flush", total - 2}, {"zero", total - 1}, {"zero-flush", total},
+	} {
+		t.Run("at="+c.name, func(t *testing.T) { ref.crashAt(t, c.at) })
+	}
+}
+
+// ─── Folding leaf records ───────────────────────────────────────────────
+
+// withLog returns a copy of img whose journal region holds recs, framed
+// as the live generation, as a crash would leave it.
+func withLog(t *testing.T, img map[uint64][]byte, recs ...[]byte) map[uint64][]byte {
+	t.Helper()
+	meta, err := storage.DecodeMeta(img[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[uint64][]byte, len(img))
+	for lba, b := range img {
+		out[lba] = append([]byte(nil), b...)
+	}
+	l := wal.NewLog(storage.PageSize, meta.WALBlocks)
+	l.SetGeneration(meta.WALGen)
+	for _, rec := range recs {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Flush(func(bi uint64, data []byte) { out[meta.WALStart+bi] = append([]byte(nil), data...) })
+	return out
+}
+
+// pathTo descends img to the leaf covering key: the leaf and its parent.
+func pathTo(t *testing.T, img map[uint64][]byte, key uint64) (leaf, parent *storage.Node) {
+	t.Helper()
+	meta, err := storage.DecodeMeta(img[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := meta.Root; ; {
+		n, err := storage.DecodeNode(id, img[uint64(id)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.IsLeaf() {
+			return n, parent
+		}
+		parent, id = n, n.Children[n.ChildIndex(key)]
+	}
+}
+
+// TestRecoverFold: leaf records fold onto the page they name — onto its
+// device image when the live log has no image of it, onto the newest
+// image otherwise — and every case ends where the QD-1 reference does,
+// with the pairs the records say, and recovers again to nothing to do.
+func TestRecoverFold(t *testing.T) {
+	const n = 200 // keys 3, 6, …, 600 over leaves of a tree of height 2
+	base := bulkImage(t, n)
+	basePairs := map[uint64]string{}
+	for i := 0; i < n; i++ {
+		basePairs[uint64(i+1)*3] = fmt.Sprintf("v%07d", i)
+	}
+	p, parent := pathTo(t, base, 300)
+	q, _ := pathTo(t, base, 30)
+	if p.ID == q.ID || parent == nil {
+		t.Fatal("keys 30 and 300 share a leaf, or the tree has one level")
+	}
+	k1, k2 := p.Keys[1], p.Keys[2]
+
+	// newer: the device's P already carries the first two records, as a
+	// strong tree's in-place write leaves it.
+	newer := func() map[uint64][]byte {
+		img := withLog(t, base, setRecord(1, p.ID, k1, []byte("a")), setRecord(2, p.ID, k1, []byte("b")), setRecord(3, p.ID, k1+1, []byte("c")))
+		landed := p.Clone()
+		landed.InsertLeaf(k1, []byte("b"))
+		img[uint64(p.ID)] = landed.Encode()
+		return img
+	}
+
+	// split: records on P — one of a key the split moves right — then P
+	// splits (an image group of P, its new right sibling and the parent),
+	// then records on both halves and on Q.
+	split := func() (map[uint64][]byte, map[uint64]string) {
+		meta, _ := storage.DecodeMeta(base[0])
+		rightID := storage.PageID(meta.Watermark)
+		last := p.Keys[len(p.Keys)-1]
+		left := p.Clone()
+		left.InsertLeaf(k1, []byte("x"))
+		left.InsertLeaf(last, []byte("y"))
+		sep, right := left.SplitLeaf(rightID)
+		up := parent.Clone()
+		up.InsertInner(sep, rightID)
+		img := withLog(t, base,
+			setRecord(1, p.ID, k1, []byte("x")),
+			setRecord(2, p.ID, last, []byte("y")),
+			encodeRecord(3, 0, 3, p.ID, left.Encode()),
+			encodeRecord(3, 1, 3, rightID, right.Encode()),
+			encodeRecord(3, 2, 3, up.ID, up.Encode()),
+			setRecord(4, p.ID, left.Keys[0]+1, []byte("l")),
+			setRecord(5, rightID, right.Keys[0]+1, []byte("r")),
+			deleteRecord(6, q.ID, q.Keys[0]),
+			deleteRecord(7, rightID, right.Keys[1]))
+		want := map[uint64]string{k1: "x", last: "y", left.Keys[0] + 1: "l", right.Keys[0] + 1: "r"}
+		want[q.Keys[0]], want[right.Keys[1]] = "", ""
+		return img, want
+	}
+	splitImg, splitWant := split()
+
+	for _, c := range []struct {
+		name          string
+		img           map[uint64][]byte
+		want          map[uint64]string // "" deletes
+		bases, redone int
+	}{
+		{"leaf records only", withLog(t, base,
+			setRecord(1, p.ID, k1, []byte("new")), setRecord(2, p.ID, k1+1, []byte("ins")), deleteRecord(3, p.ID, k2)),
+			map[uint64]string{k1: "new", k1 + 1: "ins", k2: ""}, 1, 1},
+		{"delete of a key the base lacks", withLog(t, base, deleteRecord(1, p.ID, k1+1), deleteRecord(2, q.ID, q.Keys[0]+1)),
+			nil, 2, 2},
+		{"base newer than some records", newer(), map[uint64]string{k1: "b", k1 + 1: "c"}, 1, 1},
+		{"leaf, split image, leaf", splitImg, splitWant, 1, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ref := simWith(c.img, nvme.SimConfig{})
+			wantMeta, wantRep, err := recoverQD1(ref)
 			if err != nil {
-				t.Fatalf("recover after the crash: %v", err)
+				t.Fatalf("reference: %v", err)
 			}
-			if at <= total-3 {
-				// The crashed run never wrote the fenced superblock.
-				if *meta != *wantMeta || *rep != *wantRep || !reflect.DeepEqual(sd.ImageSnapshot(), wantImg) {
-					t.Fatalf("meta %+v report %+v, reference %+v %+v", *meta, *rep, *wantMeta, *wantRep)
+			dev := simWith(c.img, nvme.SimConfig{})
+			meta, rep, err := Recover(dev)
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if *meta != *wantMeta || *rep != *wantRep || !reflect.DeepEqual(dev.ImageSnapshot(), ref.ImageSnapshot()) {
+				t.Fatalf("meta %+v report %+v, reference %+v %+v", *meta, *rep, *wantMeta, *wantRep)
+			}
+			if rep.BaseReads != c.bases || rep.PagesRedone != c.redone {
+				t.Errorf("%d base reads, %d pages redone, want %d and %d", rep.BaseReads, rep.PagesRedone, c.bases, c.redone)
+			}
+			want := map[uint64]string{}
+			for k, v := range basePairs {
+				want[k] = v
+			}
+			for k, v := range c.want {
+				if want[k] = v; v == "" {
+					delete(want, k)
 				}
-				return
 			}
-			// The fenced superblock is durable: the log is retired.
-			if rep.PagesRedone != 0 || rep.KeysCounted != wantRep.KeysCounted || meta.Root != wantMeta.Root || meta.WALGen <= wantMeta.WALGen {
-				t.Fatalf("after a crash past the fence: meta %+v report %+v, reference %+v %+v", *meta, *rep, *wantMeta, *wantRep)
+			got := map[uint64]string{}
+			for k, v := range collectFromDevice(t, dev, meta) {
+				got[k] = string(v)
+			}
+			if !reflect.DeepEqual(got, want) || rep.KeysCounted != uint64(len(want)) {
+				t.Errorf("recovered %d pairs (counted %d), want %d: the fold lost or invented a change", len(got), rep.KeysCounted, len(want))
+			}
+			if _, rep2, err := Recover(dev); err != nil || rep2.PagesRedone != 0 || rep2.KeysCounted != rep.KeysCounted {
+				t.Errorf("second recover: %v, %+v", err, rep2)
 			}
 		})
 	}
+
+	// A crash at any command of the split case's recovery from the end of
+	// the log scan on — a base read, a page written before the crash and
+	// read as a base after it, the walk, the fence — and a second run
+	// still ends where the reference does. Its last 40 commands are those
+	// and a few of the scan's.
+	t.Run("crash mid-recovery", func(t *testing.T) {
+		ref := newCrashRef(t, splitImg)
+		for at := ref.total - 40; at <= ref.total; at++ {
+			ref.crashAt(t, at)
+		}
+	})
 }
 
 // TestRecoverReadErrorMidBatch fails one page read in the middle of the

@@ -52,6 +52,11 @@ func (t *Tree) runSync(o *Op) {
 			o.syncFenced = true
 			t.syncActive = true
 			t.jFence = true
+			// No record can join the log's tail now, so send it: the ops
+			// whose records it holds, which the checkpoint waits out,
+			// must not wait for a ready queue that gate-deferred ops can
+			// keep from ever draining.
+			t.journalCommit()
 		}
 		o.syncStarted = true
 		if t.rw != nil {
@@ -67,7 +72,7 @@ func (t *Tree) runSync(o *Op) {
 	for {
 		switch o.syncPhase {
 		case spPages:
-			for len(o.syncQueue) > 0 {
+			for len(o.syncQueue) > 0 && !t.walHolds(o.syncQueue[0].ID) {
 				if !t.submitSyncPage(o, o.syncQueue[0]) {
 					return // queue full: stalled list resumes us
 				}
@@ -76,10 +81,12 @@ func (t *Tree) runSync(o *Op) {
 			if o.syncOutstanding > 0 {
 				return
 			}
-			if t.journalOn && (len(t.bgQueue) > 0 || len(t.inflight) > 0) {
-				// Background write-backs must land under the coming flush
-				// barrier too; their completions do not reschedule this op,
-				// so poll.
+			if len(o.syncQueue) > 0 || t.journalOn && (len(t.bgQueue) > 0 || len(t.inflight) > 0) {
+				// Pages whose records are still on their way to the log
+				// wait for them (the write-ahead rule; the fence admits no
+				// new ones), and background write-backs must land under
+				// the coming flush barrier too. Neither reschedules this
+				// op, so poll.
 				t.scheduleRetry(o, t.cfg.RetryBackoff)
 				return
 			}
@@ -118,7 +125,7 @@ func (t *Tree) runSync(o *Op) {
 				// fence leaves nothing to share its block.
 				image := make([]byte, storage.PageSize)
 				t.syncMetaImage(image)
-				t.journalAppend(o.seq, 0, 1, 0, image)
+				t.journalImage(o.seq, 0, 1, 0, image)
 				o.jNeed = t.wal.UsedBytes()
 				o.jAppended = true
 				t.journalCommit()
@@ -148,6 +155,7 @@ func (t *Tree) runSync(o *Op) {
 				// no-op so the in-memory state advances exactly once.
 				t.wal.Reset(func(uint64, []byte) {})
 				t.jDurable = 0
+				clear(t.jPageEnd) // every record is durable: nothing holds
 				o.syncResetDone = true
 			}
 			if !o.syncSent {

@@ -49,8 +49,8 @@ type PipelineMix struct {
 }
 
 // PipelineMixes are the mixes committed in BENCH_pipeline.json. The
-// journal mix is write-heavy with a warm buffer: its throughput is
-// gated by the single-in-flight WAL writer. The scan mix is cold and
+// journal mix is write-heavy with a warm buffer: the single-in-flight
+// WAL writer is what pipelining relieves. The scan mix is cold and
 // scan-heavy at a modest closed-loop depth: each scan crossing leaf
 // boundaries waits out a serial chain of sibling reads that the
 // read-ahead issues in parallel instead. The search mix is read-heavy
@@ -128,5 +128,5 @@ func FigPipeline(scale Scale) Report {
 			float64(r.Off.P99Latency)/1e3, float64(r.On.P99Latency)/1e3)
 	}
 	return Report{ID: "figpipeline", Title: "Overlapped I/O and computation: classic vs pipelined polled loop", Table: tb,
-		Notes: "pipelining the WAL block writes lifts the journaled write mix an order of magnitude past the one-block-in-flight ceiling, sibling read-ahead collapses the cold scan mix's serial leaf chains into parallel batches (~1.6x), and point speculation trims the open-loop search mix's latency a few percent; with the features off the schedules are byte-identical to the classic loop"}
+		Notes: "pipelining the WAL block writes lifts the journaled write mix ~1.4x past the one-block-in-flight writer (leaf records left it little to win), sibling read-ahead collapses the cold scan mix's serial leaf chains into parallel batches (~1.6x), and point speculation trims the open-loop search mix's latency a few percent; with the features off the schedules are byte-identical to the classic loop"}
 }

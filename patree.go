@@ -216,10 +216,13 @@ type Stats struct {
 	IOErrors  uint64
 	IORetries uint64
 	// JournalAppends counts redo records appended to the WAL,
-	// JournalBytes their framed bytes, JournalBlockWrites the WAL block
-	// commands issued (tail rewrites included) and Checkpoints the
-	// completed journal truncations (all 0 unless Options.Journal).
+	// JournalLeafRecords those of them that log one key's change to one
+	// leaf instead of a page image, JournalBytes their framed bytes,
+	// JournalBlockWrites the WAL block commands issued (tail rewrites
+	// included) and Checkpoints the completed journal truncations (all 0
+	// unless Options.Journal).
 	JournalAppends     uint64
+	JournalLeafRecords uint64
 	JournalBytes       uint64
 	JournalBlockWrites uint64
 	Checkpoints        uint64
@@ -711,6 +714,7 @@ func (st *Stats) add(p Stats) {
 	st.IOErrors += p.IOErrors
 	st.IORetries += p.IORetries
 	st.JournalAppends += p.JournalAppends
+	st.JournalLeafRecords += p.JournalLeafRecords
 	st.JournalBytes += p.JournalBytes
 	st.JournalBlockWrites += p.JournalBlockWrites
 	st.Checkpoints += p.Checkpoints
@@ -762,6 +766,7 @@ func (s *shard) statsSnapshot() (Stats, bufferCounts) {
 		IOErrors:           st.IOErrors,
 		IORetries:          st.IORetries,
 		JournalAppends:     st.JournalAppends,
+		JournalLeafRecords: st.JournalLeafRecords,
 		JournalBytes:       st.JournalBytes,
 		JournalBlockWrites: st.JournalBlockWrites,
 		Checkpoints:        st.Checkpoints,
