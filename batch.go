@@ -61,8 +61,14 @@ func (db *DB) NewBatch() *Batch {
 	return b
 }
 
-// stage records one logical operation and returns its index.
-func (b *Batch) stage(op BatchOp) int {
+// Stage records op and returns its index. It is the one way an
+// operation reaches a batch: Put, Get, ... spell it, and a serving tier
+// stages the ops it decodes off the wire, trace span included. An
+// invalid kind panics, like the other misuse checks.
+func (b *Batch) Stage(op BatchOp) int {
+	if op.Kind < OpPut || op.Kind > OpSync {
+		panic(fmt.Sprintf("patree: Batch.Stage of invalid op kind %d", op.Kind))
+	}
 	if b.committed {
 		panic(fmt.Sprintf("patree: Batch.%s staged after Commit", op.Kind))
 	}
@@ -75,33 +81,33 @@ func (b *Batch) stage(op BatchOp) int {
 // not be mutated until the batch is committed and operation's result
 // delivered.
 func (b *Batch) Put(key uint64, value []byte) int {
-	return b.stage(BatchOp{Kind: OpPut, Key: key, Value: value})
+	return b.Stage(BatchOp{Kind: OpPut, Key: key, Value: value})
 }
 
 // Get stages a point lookup and returns its index.
 func (b *Batch) Get(key uint64) int {
-	return b.stage(BatchOp{Kind: OpGet, Key: key})
+	return b.Stage(BatchOp{Kind: OpGet, Key: key})
 }
 
 // Update stages a replace-if-present and returns its index.
 func (b *Batch) Update(key uint64, value []byte) int {
-	return b.stage(BatchOp{Kind: OpUpdate, Key: key, Value: value})
+	return b.Stage(BatchOp{Kind: OpUpdate, Key: key, Value: value})
 }
 
 // Delete stages a delete and returns its index.
 func (b *Batch) Delete(key uint64) int {
-	return b.stage(BatchOp{Kind: OpDelete, Key: key})
+	return b.Stage(BatchOp{Kind: OpDelete, Key: key})
 }
 
 // Scan stages a range scan over [lo, hi] (limit <= 0 = unlimited) and
 // returns its index.
 func (b *Batch) Scan(lo, hi uint64, limit int) int {
-	return b.stage(BatchOp{Kind: OpScan, Key: lo, End: hi, Limit: limit})
+	return b.Stage(BatchOp{Kind: OpScan, Key: lo, End: hi, Limit: limit})
 }
 
 // Sync stages a sync (of every shard) and returns its index.
 func (b *Batch) Sync() int {
-	return b.stage(BatchOp{Kind: OpSync})
+	return b.Stage(BatchOp{Kind: OpSync})
 }
 
 // Len returns the number of staged (logical) operations.

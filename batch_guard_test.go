@@ -51,6 +51,9 @@ func TestBatchAccessorGuards(t *testing.T) {
 	mustPanic(t, "before Commit", func() { b.Value(gi) })
 	mustPanic(t, "before Commit", func() { b.Pairs(gi) })
 	mustPanic(t, "before Commit", func() { b.Wait() })
+	// An op of no kind would reach the backend as nothing it can run.
+	mustPanic(t, "invalid op kind", func() { b.Stage(patree.BatchOp{}) })
+	mustPanic(t, "invalid op kind", func() { b.Stage(patree.BatchOp{Kind: patree.OpSync + 1}) })
 
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,6 @@ package client
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -119,7 +118,7 @@ type pending struct {
 	resolve func(patree.Result) // single op
 
 	batchResolve []func(patree.Result) // wire batch
-	batchKinds   []uint8
+	batchKinds   []patree.OpKind
 	try          bool
 	ack          chan error // try-batch admission outcome
 }
@@ -173,7 +172,7 @@ func Dial(addr string, opts Options) (*Conn, error) {
 		pend:  make(map[uint64]*pending),
 	}
 	if opts.Trace {
-		c.tr = trace.NewLocked(opts.TraceEvents, clientCodeNames, clientClassNames, opts.TraceNow)
+		c.tr = trace.NewLocked(opts.TraceEvents, clientCodeNames, proto.KindNames[:], opts.TraceNow)
 		// Offer the handshake as the connection's first frame, pipelined —
 		// never blocking the dial. A v0 server answers StatusBadRequest,
 		// which finishHello treats as "version 0": the connection simply
@@ -418,126 +417,40 @@ func (c *Conn) deliver(p *pending, status uint8, payload []byte) {
 		c.deliverBatch(p, status, payload)
 		return
 	}
-	if status != proto.StatusOK {
-		p.resolve(patree.Result{Err: proto.ErrFromStatus(status, statusMsg(payload))})
-		return
-	}
-	if len(payload) < 1 {
-		p.resolve(patree.Result{Err: proto.ErrMalformed()})
-		return
-	}
-	res := patree.Result{Found: payload[0]&proto.FoundFlag != 0}
-	body := payload[1:]
-	switch p.kind {
-	case proto.KindGet:
-		if len(body) > 0 {
-			// The frame buffer is recycled; results handed to the caller
-			// must own their bytes.
-			res.Value = append([]byte(nil), body...)
-		}
-	case proto.KindScan:
-		pairs, err := proto.DecodePairs(body)
-		if err != nil {
-			res.Err = err
-		} else {
-			res.Pairs = pairs
-		}
-	}
-	p.resolve(res)
+	p.resolve(proto.DecodeResponse(patree.OpKind(p.kind), status, payload))
 }
 
 // deliverBatch decodes a wire batch response: admission refusal for a
-// try-batch, or the per-op results.
+// try-batch (BUSY is ErrBacklog), or the per-op results.
 func (c *Conn) deliverBatch(p *pending, status uint8, payload []byte) {
-	if status == proto.StatusBusy && p.try {
-		p.ack <- patree.ErrBacklog
+	var results []patree.Result
+	var err error
+	if status == proto.StatusOK {
+		results, err = proto.DecodeBatchResponse(payload, p.batchKinds)
+	} else if err = proto.ErrFromStatus(status, string(payload)); p.ack != nil {
+		p.ack <- err
 		return
-	}
-	if status != proto.StatusOK {
-		err := proto.ErrFromStatus(status, statusMsg(payload))
-		if p.ack != nil {
-			p.ack <- err
-			return
-		}
-		for _, r := range p.batchResolve {
-			r(patree.Result{Err: err})
-		}
-		return
-	}
-	fail := func(err error) {
-		if p.ack != nil {
-			// Results are undecodable but the batch WAS admitted; the
-			// caller cannot retry it as staged, so resolve the handles
-			// with the decode error and ack success of admission.
-			p.ack <- nil
-			p.ack = nil
-		}
-		for _, r := range p.batchResolve {
-			r(patree.Result{Err: err})
-		}
-	}
-	if len(payload) < 4 {
-		fail(proto.ErrMalformed())
-		return
-	}
-	count := binary.LittleEndian.Uint32(payload)
-	payload = payload[4:]
-	if int(count) != len(p.batchResolve) {
-		fail(proto.ErrMalformed())
-		return
-	}
-	results := make([]patree.Result, count)
-	for i := uint32(0); i < count; i++ {
-		if len(payload) < 6 {
-			fail(proto.ErrMalformed())
-			return
-		}
-		st := payload[0]
-		flags := payload[1]
-		plen := binary.LittleEndian.Uint32(payload[2:])
-		payload = payload[6:]
-		if uint32(len(payload)) < plen {
-			fail(proto.ErrMalformed())
-			return
-		}
-		body := payload[:plen]
-		payload = payload[plen:]
-		res := &results[i]
-		if st != proto.StatusOK {
-			res.Err = proto.ErrFromStatus(st, "")
-			continue
-		}
-		res.Found = flags&proto.FoundFlag != 0
-		switch p.batchKinds[i] {
-		case proto.KindGet:
-			if len(body) > 0 {
-				res.Value = append([]byte(nil), body...)
-			}
-		case proto.KindScan:
-			pairs, err := proto.DecodePairs(body)
-			if err != nil {
-				res.Err = err
-			} else {
-				res.Pairs = pairs
-			}
-		}
 	}
 	if p.ack != nil {
+		// Admitted, even when the results are undecodable: the caller
+		// cannot retry the batch as staged, so the handles carry the error.
 		p.ack <- nil
 	}
 	for i, r := range p.batchResolve {
-		r(results[i])
+		if err != nil {
+			r(patree.Result{Err: err})
+		} else {
+			r(results[i])
+		}
 	}
 }
 
-func statusMsg(payload []byte) string { return string(payload) }
-
 // issue registers, encodes and sends one single-op request, returning
 // its future.
-func (c *Conn) issue(kind uint8, key, end uint64, limit int64, value []byte) (*patree.Handle, error) {
+func (c *Conn) issue(op patree.BatchOp) (*patree.Handle, error) {
 	h, resolve := patree.NewRemoteHandle()
-	p := &pending{id: c.nextID.Add(1), kind: kind, resolve: resolve, span: c.sample()}
-	p.frame = appendSingle(nil, p.id, kind, p.span, key, end, limit, value)
+	p := &pending{id: c.nextID.Add(1), kind: uint8(op.Kind), resolve: resolve, span: c.sample()}
+	p.frame = proto.AppendRequest(nil, p.id, p.span, op)
 	if p.span != 0 {
 		p.issuedAt = c.tr.NowNanos()
 	}
@@ -550,66 +463,39 @@ func (c *Conn) issue(kind uint8, key, end uint64, limit int64, value []byte) (*p
 	}
 	c.enqueue(p)
 	if p.span != 0 {
-		c.tr.Emit(ctEnqueue, uint16(kind), p.span, 0, c.tr.NowNanos(), trace.Instant)
+		c.tr.Emit(ctEnqueue, uint16(p.kind), p.span, 0, c.tr.NowNanos(), trace.Instant)
 	}
 	return h, nil
 }
 
-// appendSingle encodes a single-op request frame; a nonzero span
-// prefixes the body with the trace context (proto.FlagSpan).
-func appendSingle(dst []byte, id uint64, kind uint8, span, key, end uint64, limit int64, value []byte) []byte {
-	var at int
-	wire := kind
-	if span != 0 {
-		wire |= proto.FlagSpan
-	}
-	dst, at = proto.BeginFrame(dst, id, wire)
-	if span != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, span)
-	}
-	switch kind {
-	case proto.KindPut, proto.KindUpdate:
-		dst = binary.LittleEndian.AppendUint64(dst, key)
-		dst = append(dst, value...)
-	case proto.KindGet, proto.KindDelete:
-		dst = binary.LittleEndian.AppendUint64(dst, key)
-	case proto.KindScan:
-		dst = binary.LittleEndian.AppendUint64(dst, key)
-		dst = binary.LittleEndian.AppendUint64(dst, end)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(limit))
-	case proto.KindSync:
-	}
-	return proto.FinishFrame(dst, at)
-}
-
 // PutAsync admits an insert-or-replace and returns its future.
 func (c *Conn) PutAsync(key uint64, value []byte) (*patree.Handle, error) {
-	return c.issue(proto.KindPut, key, 0, 0, value)
+	return c.issue(patree.BatchOp{Kind: patree.OpPut, Key: key, Value: value})
 }
 
 // GetAsync admits a point lookup and returns its future.
 func (c *Conn) GetAsync(key uint64) (*patree.Handle, error) {
-	return c.issue(proto.KindGet, key, 0, 0, nil)
+	return c.issue(patree.BatchOp{Kind: patree.OpGet, Key: key})
 }
 
 // UpdateAsync admits a replace-if-present and returns its future.
 func (c *Conn) UpdateAsync(key uint64, value []byte) (*patree.Handle, error) {
-	return c.issue(proto.KindUpdate, key, 0, 0, value)
+	return c.issue(patree.BatchOp{Kind: patree.OpUpdate, Key: key, Value: value})
 }
 
 // DeleteAsync admits a delete and returns its future.
 func (c *Conn) DeleteAsync(key uint64) (*patree.Handle, error) {
-	return c.issue(proto.KindDelete, key, 0, 0, nil)
+	return c.issue(patree.BatchOp{Kind: patree.OpDelete, Key: key})
 }
 
 // ScanAsync admits a range scan and returns its future.
 func (c *Conn) ScanAsync(lo, hi uint64, limit int) (*patree.Handle, error) {
-	return c.issue(proto.KindScan, lo, hi, int64(limit), nil)
+	return c.issue(patree.BatchOp{Kind: patree.OpScan, Key: lo, End: hi, Limit: limit})
 }
 
 // SyncAsync admits a sync and returns its future.
 func (c *Conn) SyncAsync() (*patree.Handle, error) {
-	return c.issue(proto.KindSync, 0, 0, 0, nil)
+	return c.issue(patree.BatchOp{Kind: patree.OpSync})
 }
 
 // Put inserts or replaces key.
@@ -705,44 +591,13 @@ func (cm committer) CommitStaged(ops []patree.BatchOp, resolve []func(patree.Res
 		kind:         proto.KindBatch,
 		try:          try,
 		batchResolve: res,
-		batchKinds:   make([]uint8, len(ops)),
+		batchKinds:   make([]patree.OpKind, len(ops)),
 		span:         c.sample(),
 	}
-	wire := proto.KindBatch
-	if p.span != 0 {
-		wire |= proto.FlagSpan
-	}
-	frame, at := proto.BeginFrame(nil, p.id, wire)
-	if p.span != 0 {
-		frame = binary.LittleEndian.AppendUint64(frame, p.span)
-	}
-	var flags uint8
-	if try {
-		flags = 1
-	}
-	frame = append(frame, flags)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(ops)))
 	for i, op := range ops {
-		wk := proto.WireKind(op.Kind)
-		p.batchKinds[i] = wk
-		frame = append(frame, wk)
-		switch wk {
-		case proto.KindPut, proto.KindUpdate:
-			frame = binary.LittleEndian.AppendUint64(frame, op.Key)
-			frame = binary.LittleEndian.AppendUint32(frame, uint32(len(op.Value)))
-			frame = append(frame, op.Value...)
-		case proto.KindGet, proto.KindDelete:
-			frame = binary.LittleEndian.AppendUint64(frame, op.Key)
-		case proto.KindScan:
-			frame = binary.LittleEndian.AppendUint64(frame, op.Key)
-			frame = binary.LittleEndian.AppendUint64(frame, op.End)
-			frame = binary.LittleEndian.AppendUint64(frame, uint64(op.Limit))
-		case proto.KindSync:
-		default:
-			return fmt.Errorf("client: invalid batch op kind %v", op.Kind)
-		}
+		p.batchKinds[i] = op.Kind
 	}
-	p.frame = proto.FinishFrame(frame, at)
+	p.frame = proto.AppendBatch(nil, p.id, p.span, try, ops)
 	if try {
 		p.ack = make(chan error, 1)
 	}

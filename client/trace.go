@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/patree/patree/internal/proto"
 	"github.com/patree/patree/internal/trace"
 )
 
@@ -24,11 +25,6 @@ const (
 
 var clientCodeNames = []string{
 	trace.SpanCodeRequest, "enqueue", "write", "backoff", "retransmit", "decode",
-}
-
-// Class = bare wire kind (proto.KindPut = 1, ...), 0 unused.
-var clientClassNames = []string{
-	"-", "put", "get", "update", "delete", "scan", "sync", "batch", "hello",
 }
 
 // spanIDs mints process-unique, nonzero span ids: unique across every
@@ -72,7 +68,7 @@ func (c *Conn) TraceProcess(name string) *trace.Process {
 		Name:       name,
 		Events:     c.tr.Events(),
 		CodeNames:  clientCodeNames,
-		ClassNames: clientClassNames,
+		ClassNames: proto.KindNames[:], // class = bare wire kind
 	}
 }
 

@@ -17,7 +17,7 @@
 //	Get/Delete: key u64
 //	Scan:       lo u64 | hi u64 | limit i64
 //	Sync:       (empty)
-//	Batch:      flags u8 | count u32 | count × sub-op
+//	Batch:      flags u8 (bit0 = try) | count u32 | count × sub-op
 //	            sub-op: kind u8 | body (Put/Update carry an explicit
 //	            vlen u32 before the value, since they are not
 //	            frame-delimited)
@@ -65,18 +65,27 @@
 //
 // Response frames never carry FlagSpan: the client already knows the
 // span, so echoing it would be 8 wasted bytes per response.
+//
+// # One codec
+//
+// Both ends build and parse every frame with this package. A decoded
+// []byte never aliases the frame buffer, and a count read off the wire
+// is checked against the bytes left before it sizes anything.
 package proto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	patree "github.com/patree/patree"
 )
 
-// Request kinds.
+// Request kinds. KindPut..KindSync equal patree.OpPut..OpSync, so the
+// wire kind of an op is uint8(op.Kind).
 const (
 	KindPut uint8 = iota + 1
 	KindGet
@@ -87,6 +96,10 @@ const (
 	KindBatch
 	KindHello
 )
+
+// KindNames names the wire kinds, indexed by kind (0 unused): the trace
+// class and metric label table of both ends.
+var KindNames = [...]string{"-", "put", "get", "update", "delete", "scan", "sync", "batch", "hello"}
 
 // Version is the highest protocol version this build speaks. Version 0
 // is the implicit pre-handshake protocol; version 1 adds the Hello
@@ -191,25 +204,6 @@ func ErrFromStatus(status uint8, msg string) error {
 	return fmt.Errorf("%w (remote: %s)", base, msg)
 }
 
-// WireKind maps a staged BatchOp kind to its wire kind.
-func WireKind(k patree.OpKind) uint8 {
-	switch k {
-	case patree.OpPut:
-		return KindPut
-	case patree.OpGet:
-		return KindGet
-	case patree.OpUpdate:
-		return KindUpdate
-	case patree.OpDelete:
-		return KindDelete
-	case patree.OpScan:
-		return KindScan
-	case patree.OpSync:
-		return KindSync
-	}
-	return 0
-}
-
 // AppendFrame appends a complete frame (length prefix, id, kind, body)
 // to dst and returns the extended slice.
 func AppendFrame(dst []byte, id uint64, kind uint8, body []byte) []byte {
@@ -268,6 +262,261 @@ func FrameKind(body []byte) uint8 { return body[8] }
 // FrameBody returns the payload after the id and kind/status byte.
 func FrameBody(body []byte) []byte { return body[HeaderLen:] }
 
+// FrameSize returns the whole length of the frame whose first four
+// bytes are prefix: the length prefix plus what it counts.
+func FrameSize(prefix []byte) int { return 4 + int(binary.LittleEndian.Uint32(prefix)) }
+
+var errMalformed = errors.New("proto: malformed frame")
+
+// malformed reports a body of a known kind that does not parse.
+func malformed(kind uint8) error { return fmt.Errorf("%w (%s)", errMalformed, KindNames[kind]) }
+
+// batchTry is bit 0 of a batch request's flags byte, the only bit
+// defined: the client admits the batch with Batch.TryCommit.
+const batchTry = 1
+
+// AppendRequest appends op's single-op request frame. A nonzero span
+// prefixes the body with the trace context (FlagSpan).
+func AppendRequest(dst []byte, id, span uint64, op patree.BatchOp) []byte {
+	// Room for the largest body (span, then a scan or a key and the value)
+	// up front: the frame is built with one allocation.
+	dst = slices.Grow(dst, 4+HeaderLen+8+24+len(op.Value))
+	dst, at := beginRequest(dst, id, uint8(op.Kind), span)
+	return FinishFrame(appendOp(dst, op, false), at)
+}
+
+// AppendBatch appends a batch request frame carrying ops in staging order.
+func AppendBatch(dst []byte, id, span uint64, try bool, ops []patree.BatchOp) []byte {
+	dst, at := beginRequest(dst, id, KindBatch, span)
+	flags := uint8(0)
+	if try {
+		flags = batchTry
+	}
+	dst = binary.LittleEndian.AppendUint32(append(dst, flags), uint32(len(ops)))
+	for _, op := range ops {
+		dst = appendOp(append(dst, uint8(op.Kind)), op, true)
+	}
+	return FinishFrame(dst, at)
+}
+
+func beginRequest(dst []byte, id uint64, kind uint8, span uint64) ([]byte, int) {
+	if span == 0 {
+		return BeginFrame(dst, id, kind)
+	}
+	dst, at := BeginFrame(dst, id, kind|FlagSpan)
+	return binary.LittleEndian.AppendUint64(dst, span), at
+}
+
+// appendOp appends op's body. A batch sub-op's value carries its length;
+// a single request's value runs to the end of the frame. An invalid kind
+// panics: Batch.Stage refuses one before it can reach here.
+func appendOp(dst []byte, op patree.BatchOp, sub bool) []byte {
+	le := binary.LittleEndian
+	switch op.Kind {
+	case patree.OpPut, patree.OpUpdate:
+		dst = le.AppendUint64(dst, op.Key)
+		if sub {
+			dst = le.AppendUint32(dst, uint32(len(op.Value)))
+		}
+		return append(dst, op.Value...)
+	case patree.OpGet, patree.OpDelete:
+		return le.AppendUint64(dst, op.Key)
+	case patree.OpScan:
+		return le.AppendUint64(le.AppendUint64(le.AppendUint64(dst, op.Key), op.End), uint64(op.Limit))
+	case patree.OpSync:
+		return dst
+	}
+	panic(fmt.Sprintf("proto: invalid op kind %d", op.Kind))
+}
+
+// decodeOp decodes one op body of wire kind, as appendOp wrote it, and
+// returns the bytes after it.
+func decodeOp(kind uint8, p []byte, sub bool) (patree.BatchOp, []byte, error) {
+	le := binary.LittleEndian
+	op := patree.BatchOp{Kind: patree.OpKind(kind)}
+	switch op.Kind {
+	case patree.OpPut, patree.OpUpdate:
+		if !sub && len(p) >= 8 {
+			op.Key, op.Value = le.Uint64(p), bytes.Clone(p[8:])
+			return op, nil, nil
+		}
+		if sub && len(p) >= 12 && uint64(le.Uint32(p[8:])) <= uint64(len(p)-12) {
+			end := 12 + int(le.Uint32(p[8:]))
+			op.Key, op.Value = le.Uint64(p), bytes.Clone(p[12:end])
+			return op, p[end:], nil
+		}
+	case patree.OpGet, patree.OpDelete:
+		if len(p) >= 8 {
+			op.Key = le.Uint64(p)
+			return op, p[8:], nil
+		}
+	case patree.OpScan:
+		if len(p) >= 24 {
+			op.Key, op.End, op.Limit = le.Uint64(p), le.Uint64(p[8:]), int(int64(le.Uint64(p[16:])))
+			return op, p[24:], nil
+		}
+	case patree.OpSync:
+		return op, p, nil
+	default:
+		return op, nil, fmt.Errorf("unknown op kind %d", kind)
+	}
+	return op, nil, malformed(kind)
+}
+
+// DecodeRequest decodes a single-op request body; kind and body are as
+// SplitSpan returns them.
+func DecodeRequest(kind uint8, p []byte) (patree.BatchOp, error) {
+	op, rest, err := decodeOp(kind, p, false)
+	if err == nil && len(rest) != 0 {
+		err = malformed(kind)
+	}
+	return op, err
+}
+
+// DecodeBatch decodes a batch request body and appends its sub-ops to
+// ops. The server admits every wire batch with TryCommit, so the try flag
+// is checked for shape and otherwise unused.
+func DecodeBatch(p []byte, ops []patree.BatchOp) ([]patree.BatchOp, error) {
+	// A sub-op takes at least its kind byte: a count above the bytes left
+	// is refused before it sizes anything.
+	if len(p) < 5 || p[0]&^batchTry != 0 || uint64(binary.LittleEndian.Uint32(p[1:])) > uint64(len(p)-5) {
+		return ops, malformed(KindBatch)
+	}
+	n := int(binary.LittleEndian.Uint32(p[1:]))
+	ops = slices.Grow(ops, n)
+	for p = p[5:]; n > 0 && len(p) > 0; n-- {
+		op, rest, err := decodeOp(p[0], p[1:], true)
+		if err != nil {
+			return ops, err
+		}
+		ops, p = append(ops, op), rest
+	}
+	if n != 0 || len(p) != 0 {
+		return ops, malformed(KindBatch)
+	}
+	return ops, nil
+}
+
+// appendResult appends one successful op's flags, then its payload: a
+// Get's value, a Scan's pairs, nothing otherwise. Inside a batch response
+// the payload carries its length.
+func appendResult(dst []byte, kind patree.OpKind, r patree.Result, sub bool) []byte {
+	flags := uint8(0)
+	if r.Found {
+		flags = FoundFlag
+	}
+	dst = append(dst, flags)
+	at := len(dst)
+	if sub {
+		dst = append(dst, 0, 0, 0, 0)
+	}
+	switch kind {
+	case patree.OpGet:
+		dst = append(dst, r.Value...)
+	case patree.OpScan:
+		dst = AppendPairs(dst, r.Pairs)
+	}
+	if sub {
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	}
+	return dst
+}
+
+// decodeResult decodes one op's outcome: the error of a non-OK status,
+// whose payload is its message, or the flags and payload appendResult
+// wrote.
+func decodeResult(kind patree.OpKind, status, flags uint8, p []byte) patree.Result {
+	if status != StatusOK {
+		return patree.Result{Err: ErrFromStatus(status, string(p))}
+	}
+	if flags&^FoundFlag != 0 {
+		return patree.Result{Err: errMalformed}
+	}
+	r := patree.Result{Found: flags == FoundFlag}
+	switch kind {
+	case patree.OpGet:
+		if len(p) > 0 {
+			r.Value = bytes.Clone(p)
+		}
+	case patree.OpScan:
+		r.Pairs, r.Err = DecodePairs(p)
+	default:
+		if len(p) != 0 {
+			r.Err = errMalformed
+		}
+	}
+	return r
+}
+
+// AppendResponse appends the response frame of one op: the status of
+// r.Err and, on success, the op's flags and payload.
+func AppendResponse(dst []byte, id uint64, kind patree.OpKind, r patree.Result) []byte {
+	status := StatusOf(r.Err)
+	dst, at := BeginFrame(dst, id, status)
+	if status == StatusOK {
+		dst = appendResult(dst, kind, r, false)
+	}
+	return FinishFrame(dst, at)
+}
+
+// DecodeResponse decodes the response body of one op of kind.
+func DecodeResponse(kind patree.OpKind, status uint8, body []byte) patree.Result {
+	if status != StatusOK {
+		return decodeResult(kind, status, 0, body)
+	}
+	if len(body) == 0 {
+		return patree.Result{Err: errMalformed}
+	}
+	return decodeResult(kind, status, body[0], body[1:])
+}
+
+// AppendBatchResponse appends the StatusOK response frame of an admitted
+// batch: for each op in staging order, result(i) encoded as status |
+// flags | plen | payload.
+func AppendBatchResponse(dst []byte, id uint64, ops []patree.BatchOp, result func(i int) patree.Result) []byte {
+	dst, at := BeginFrame(dst, id, StatusOK)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ops)))
+	for i, op := range ops {
+		r := result(i)
+		if status := StatusOf(r.Err); status != StatusOK {
+			dst = append(dst, status, 0, 0, 0, 0, 0)
+		} else {
+			dst = appendResult(append(dst, status), op.Kind, r, true)
+		}
+	}
+	return FinishFrame(dst, at)
+}
+
+// DecodeBatchResponse decodes a StatusOK batch response body into one
+// result per op of kinds. The frame is malformed when its count is not
+// len(kinds), when an OK entry does not decode, and when a failed entry
+// carries flags, a payload or a status StatusOf never yields.
+func DecodeBatchResponse(body []byte, kinds []patree.OpKind) ([]patree.Result, error) {
+	le := binary.LittleEndian
+	if len(body) < 4 || le.Uint32(body) != uint32(len(kinds)) {
+		return nil, errMalformed
+	}
+	out := make([]patree.Result, len(kinds))
+	body = body[4:]
+	for i, kind := range kinds {
+		if len(body) < 6 || uint64(le.Uint32(body[2:])) > uint64(len(body)-6) {
+			return nil, errMalformed
+		}
+		status, flags, end := body[0], body[1], 6+int(le.Uint32(body[2:]))
+		if status != StatusOK && (flags != 0 || end != 6 || status == StatusBadRequest || status > StatusInternal) {
+			return nil, errMalformed
+		}
+		if out[i] = decodeResult(kind, status, flags, body[6:end]); status == StatusOK && out[i].Err != nil {
+			return nil, out[i].Err
+		}
+		body = body[end:]
+	}
+	if len(body) != 0 {
+		return nil, errMalformed
+	}
+	return out, nil
+}
+
 // AppendPairs appends the wire encoding of scan results.
 func AppendPairs(dst []byte, pairs []patree.KV) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pairs)))
@@ -279,40 +528,32 @@ func AppendPairs(dst []byte, pairs []patree.KV) []byte {
 	return dst
 }
 
-// DecodePairs decodes AppendPairs output. The returned values are
-// copies; they do not alias b.
+// DecodePairs decodes AppendPairs output, which must fill b exactly. A
+// pair takes at least 12 bytes: a count above that many is refused before
+// it sizes anything.
 func DecodePairs(b []byte) ([]patree.KV, error) {
-	if len(b) < 4 {
+	le := binary.LittleEndian
+	if len(b) < 4 || uint64(le.Uint32(b)) > uint64(len(b)-4)/12 {
 		return nil, errMalformed
 	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if n == 0 {
-		return nil, nil
+	var pairs []patree.KV
+	n := int(le.Uint32(b))
+	if n > 0 {
+		pairs = make([]patree.KV, 0, n)
 	}
-	pairs := make([]patree.KV, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 12 {
+	for b = b[4:]; len(pairs) < n; {
+		if len(b) < 12 || uint64(le.Uint32(b[8:])) > uint64(len(b)-12) {
 			return nil, errMalformed
 		}
-		key := binary.LittleEndian.Uint64(b)
-		vlen := binary.LittleEndian.Uint32(b[8:])
-		b = b[12:]
-		if uint32(len(b)) < vlen {
-			return nil, errMalformed
-		}
-		v := make([]byte, vlen)
-		copy(v, b[:vlen])
-		b = b[vlen:]
-		pairs = append(pairs, patree.KV{Key: key, Value: v})
+		end := 12 + int(le.Uint32(b[8:]))
+		pairs = append(pairs, patree.KV{Key: le.Uint64(b), Value: bytes.Clone(b[12:end])})
+		b = b[end:]
+	}
+	if len(b) != 0 {
+		return nil, errMalformed
 	}
 	return pairs, nil
 }
-
-var errMalformed = errors.New("proto: malformed frame")
-
-// ErrMalformed reports a structurally invalid frame body.
-func ErrMalformed() error { return errMalformed }
 
 // AppendHello appends a Hello request (or its StatusOK response — the
 // body shape is shared) offering version and flags.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	patree "github.com/patree/patree"
@@ -147,17 +148,33 @@ func TestPairsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireKind(t *testing.T) {
-	kinds := map[patree.OpKind]uint8{
-		patree.OpPut: KindPut, patree.OpGet: KindGet, patree.OpUpdate: KindUpdate,
-		patree.OpDelete: KindDelete, patree.OpScan: KindScan, patree.OpSync: KindSync,
+// TestDecodeCountsBeforeAllocating: a count read off the wire is checked
+// against the bytes left before it sizes anything. Without the check each
+// of these sizes a multi-GiB allocation from a handful of bytes.
+func TestDecodeCountsBeforeAllocating(t *testing.T) {
+	if _, err := DecodePairs([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
+		t.Error("DecodePairs of a 2^32-1 count with no pairs must fail")
 	}
-	for k, want := range kinds {
-		if got := WireKind(k); got != want {
-			t.Errorf("WireKind(%v) = %d, want %d", k, got, want)
-		}
+	if _, err := DecodeBatch([]byte{0, 0xff, 0xff, 0xff, 0xff}, nil); err == nil {
+		t.Error("DecodeBatch of a 2^32-1 count with no sub-ops must fail")
 	}
-	if WireKind(patree.OpKind(99)) != 0 {
-		t.Error("invalid kind must map to 0")
+	// Counts the bytes could hold, whose entries are not there.
+	pairs := AppendPairs(nil, []patree.KV{{Key: 1, Value: make([]byte, 12)}})
+	pairs[0] = 2
+	if _, err := DecodePairs(pairs); err == nil {
+		t.Error("DecodePairs of two pairs holding one must fail")
+	}
+	if _, err := DecodeBatch([]byte{0, 2, 0, 0, 0, KindGet, KindSync}, nil); err == nil {
+		t.Error("DecodeBatch of a get without its key must fail")
+	}
+	var allocs runtime.MemStats
+	runtime.ReadMemStats(&allocs)
+	before := allocs.TotalAlloc
+	for i := 0; i < 4; i++ {
+		DecodePairs([]byte{0xff, 0xff, 0xff, 0xff})
+		DecodeBatch([]byte{0, 0xff, 0xff, 0xff, 0xff}, nil)
+	}
+	if runtime.ReadMemStats(&allocs); allocs.TotalAlloc-before >= 1<<20 {
+		t.Errorf("refusing the counts allocated %d bytes", allocs.TotalAlloc-before)
 	}
 }

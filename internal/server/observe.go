@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/patree/patree/internal/metrics"
+	"github.com/patree/patree/internal/proto"
 	"github.com/patree/patree/internal/trace"
 )
 
@@ -34,14 +35,9 @@ const (
 
 var serverCodeNames = []string{"recv", trace.SpanCodeAdmit, "busy", trace.SpanCodeRespond}
 
-// Class = bare wire kind (proto.KindPut = 1, ...), 0 unused.
-var serverClassNames = []string{
-	"-", "put", "get", "update", "delete", "scan", "sync", "batch", "hello",
-}
-
 const (
-	numWireKinds    = 9 // class table above
-	numWireStatuses = 8 // proto.StatusOK..StatusInternal
+	numWireKinds    = len(proto.KindNames) // trace class = bare wire kind
+	numWireStatuses = 8                    // proto.StatusOK..StatusInternal
 )
 
 var wireStatusNames = []string{
@@ -81,7 +77,7 @@ func (m *srvMetrics) recordOp(kind, status uint8, d time.Duration) {
 // recordLatency records the latency histograms only; the status count
 // is taken by the sendStatus path the frame travels through.
 func (m *srvMetrics) recordLatency(kind, status uint8, d time.Duration) {
-	if kind >= numWireKinds {
+	if int(kind) >= numWireKinds {
 		kind = 0
 	}
 	if status >= numWireStatuses {
@@ -170,7 +166,7 @@ func (s *Server) Metrics() Metrics {
 	m.BurstSize = summarize(s.met.burst)
 	for k := 1; k < numWireKinds; k++ {
 		if h := s.met.latKind[k]; h != nil && h.Count() > 0 {
-			m.WireLatency[serverClassNames[k]] = summarize(h)
+			m.WireLatency[proto.KindNames[k]] = summarize(h)
 		}
 	}
 	for st := 0; st < numWireStatuses; st++ {
@@ -260,21 +256,21 @@ func (s *Server) TraceProcess(name string) *trace.Process {
 		Name:       name,
 		Events:     s.tr.Events(),
 		CodeNames:  serverCodeNames,
-		ClassNames: serverClassNames,
+		ClassNames: proto.KindNames[:],
 	}
 }
 
 // slowOp logs one request that blew past Options.SlowOp with its full
-// server-side stage breakdown. kindName indexes serverClassNames.
+// server-side stage breakdown.
 func (s *Server) slowOp(id, span uint64, kind, status uint8, attempts int, arrival, flushed, admitted, responded int64) {
-	if kind >= numWireKinds {
+	if int(kind) >= numWireKinds {
 		kind = 0
 	}
 	if status >= numWireStatuses {
 		status = numWireStatuses - 1
 	}
 	s.logf("patree/server: slow op: kind=%s id=%d span=%d status=%s total=%v stage_read=%v stage_admit=%v attempts=%d stage_engine_respond=%v",
-		serverClassNames[kind], id, span, wireStatusNames[status],
+		proto.KindNames[kind], id, span, wireStatusNames[status],
 		time.Duration(responded-arrival),
 		time.Duration(flushed-arrival),
 		time.Duration(admitted-flushed),

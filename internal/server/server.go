@@ -30,9 +30,7 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -154,7 +152,7 @@ func New(store patree.Store, opts Options) *Server {
 		now:   opts.TraceNow,
 	}
 	if opts.Trace {
-		s.tr = trace.NewLocked(opts.TraceEvents, serverCodeNames, serverClassNames, opts.TraceNow)
+		s.tr = trace.NewLocked(opts.TraceEvents, serverCodeNames, proto.KindNames[:], opts.TraceNow)
 	}
 	return s
 }
@@ -262,14 +260,10 @@ var respBufPool = sync.Pool{New: func() any { return make([]byte, 0, 512) }}
 // Batch) until flush so that a backlogged admission can retry smaller
 // prefixes without re-decoding.
 type burstState struct {
-	ids   []uint64
-	kinds []uint8
-	ops   []patree.BatchOp
-	arr   []int64  // arrival timestamps (server clock), for wire latency
-	spans []uint64 // trace span ids (0 = unsampled), parallel to ops
+	ids []uint64
+	ops []patree.BatchOp // Span is the request's trace span (0 = unsampled)
+	arr []int64          // arrival timestamps (server clock), for wire latency
 }
-
-func (b *burstState) len() int { return len(b.ops) }
 
 var burstPool = sync.Pool{New: func() any { return new(burstState) }}
 
@@ -372,14 +366,20 @@ func (c *srvConn) run() {
 		if burst == nil {
 			burst = burstPool.Get().(*burstState)
 		}
-		if !c.stageSingle(burst, id, kind, span, payload, arrival) {
+		if op, err := proto.DecodeRequest(kind, payload); err != nil {
 			// Malformed op: answered with BadRequest, nothing staged.
 			c.s.badFrames.Add(1)
+			c.sendStatus(id, proto.StatusBadRequest, err.Error())
+		} else {
+			op.Span = span
+			burst.ids = append(burst.ids, id)
+			burst.ops = append(burst.ops, op)
+			burst.arr = append(burst.arr, arrival)
 		}
 		// Admit when the burst is full or the next complete frame is not
 		// already buffered — blocking on the socket with staged-but-
 		// unadmitted work would stall the pipeline.
-		if burst.len() >= c.s.opts.BurstOps || !c.frameBuffered() {
+		if len(burst.ops) >= c.s.opts.BurstOps || !c.frameBuffered() {
 			burst = c.flushBurst(burst)
 		}
 	}
@@ -392,10 +392,7 @@ func (c *srvConn) frameBuffered() bool {
 		return false
 	}
 	hdr, err := c.br.Peek(4)
-	if err != nil {
-		return false
-	}
-	return c.br.Buffered() >= 4+int(binary.LittleEndian.Uint32(hdr))
+	return err == nil && c.br.Buffered() >= proto.FrameSize(hdr)
 }
 
 // handleHello answers the protocol handshake: the offered (version,
@@ -416,89 +413,6 @@ func (c *srvConn) handleHello(id uint64, p []byte) {
 	buf = proto.AppendHello(buf, id, proto.StatusOK, v, f)
 	c.s.met.recordStatus(proto.StatusOK)
 	c.send(buf)
-}
-
-// stageSingle decodes one single-op request into the burst, returning
-// false (after answering BadRequest) when malformed.
-func (c *srvConn) stageSingle(burst *burstState, id uint64, kind uint8, span uint64, p []byte, arrival int64) bool {
-	bad := func(msg string) bool {
-		c.sendStatus(id, proto.StatusBadRequest, msg)
-		return false
-	}
-	var op patree.BatchOp
-	switch kind {
-	case proto.KindPut, proto.KindUpdate:
-		if len(p) < 8 {
-			return bad("short put/update")
-		}
-		// The frame buffer is recycled for the next read, but the value
-		// travels into the tree: copy it.
-		v := make([]byte, len(p)-8)
-		copy(v, p[8:])
-		op = patree.BatchOp{Kind: patree.OpPut, Key: binary.LittleEndian.Uint64(p), Value: v}
-		if kind == proto.KindUpdate {
-			op.Kind = patree.OpUpdate
-		}
-	case proto.KindGet:
-		if len(p) != 8 {
-			return bad("short get")
-		}
-		op = patree.BatchOp{Kind: patree.OpGet, Key: binary.LittleEndian.Uint64(p)}
-	case proto.KindDelete:
-		if len(p) != 8 {
-			return bad("short delete")
-		}
-		op = patree.BatchOp{Kind: patree.OpDelete, Key: binary.LittleEndian.Uint64(p)}
-	case proto.KindScan:
-		if len(p) != 24 {
-			return bad("short scan")
-		}
-		op = patree.BatchOp{
-			Kind:  patree.OpScan,
-			Key:   binary.LittleEndian.Uint64(p),
-			End:   binary.LittleEndian.Uint64(p[8:]),
-			Limit: int(int64(binary.LittleEndian.Uint64(p[16:]))),
-		}
-	case proto.KindSync:
-		if len(p) != 0 {
-			return bad("malformed sync")
-		}
-		op = patree.BatchOp{Kind: patree.OpSync}
-	default:
-		return bad(fmt.Sprintf("unknown op kind %d", kind))
-	}
-	op.Span = span
-	burst.ids = append(burst.ids, id)
-	burst.kinds = append(burst.kinds, kind)
-	burst.ops = append(burst.ops, op)
-	burst.arr = append(burst.arr, arrival)
-	burst.spans = append(burst.spans, span)
-	return true
-}
-
-// stageOn replays a decoded op onto a batch, propagating its trace
-// context to the engine.
-func stageOn(b *patree.Batch, op patree.BatchOp) {
-	var i int
-	switch op.Kind {
-	case patree.OpPut:
-		i = b.Put(op.Key, op.Value)
-	case patree.OpGet:
-		i = b.Get(op.Key)
-	case patree.OpUpdate:
-		i = b.Update(op.Key, op.Value)
-	case patree.OpDelete:
-		i = b.Delete(op.Key)
-	case patree.OpScan:
-		i = b.Scan(op.Key, op.End, op.Limit)
-	case patree.OpSync:
-		i = b.Sync()
-	default:
-		return
-	}
-	if op.Span != 0 {
-		b.SetSpan(i, op.Span)
-	}
 }
 
 // flushBurst admits the pending burst as one ring transaction when it
@@ -522,7 +436,7 @@ func (c *srvConn) flushBurst(burst *burstState) *burstState {
 			attempts++
 			b := c.s.store.NewBatch()
 			for _, op := range burst.ops[i : i+n] {
-				stageOn(b, op)
+				b.Stage(op)
 			}
 			err := b.TryCommit()
 			if err == nil {
@@ -531,7 +445,7 @@ func (c *srvConn) flushBurst(burst *burstState) *burstState {
 				if c.s.tr != nil {
 					for _, op := range burst.ops[i : i+n] {
 						if op.Span != 0 {
-							c.s.tr.Emit(stAdmit, uint16(proto.WireKind(op.Kind)), op.Span,
+							c.s.tr.Emit(stAdmit, uint16(op.Kind), op.Span,
 								uint64(attempts), flushed, admitted-flushed)
 						}
 					}
@@ -539,17 +453,16 @@ func (c *srvConn) flushBurst(burst *burstState) *burstState {
 				if n == len(burst.ops) && i == 0 {
 					// Common case: the whole burst admitted at once; the
 					// dispatcher takes ownership of the state's slices.
-					c.dispatch(b, burst.ids, burst.kinds, burst.arr, burst.spans, admitted, attempts,
+					c.dispatch(b, burst.ids, burst.ops, burst.arr, admitted, attempts,
 						func() { releaseBurst(burst) })
 					return nil
 				}
-				// Split admission: copy the chunk's ids/kinds/arrivals, the
+				// Split admission: copy the chunk's ids/ops/arrivals, the
 				// state is reused for the rest of the loop.
 				ids := append([]uint64(nil), burst.ids[i:i+n]...)
-				kinds := append([]uint8(nil), burst.kinds[i:i+n]...)
+				ops := append([]patree.BatchOp(nil), burst.ops[i:i+n]...)
 				arr := append([]int64(nil), burst.arr[i:i+n]...)
-				spans := append([]uint64(nil), burst.spans[i:i+n]...)
-				c.dispatch(b, ids, kinds, arr, spans, admitted, attempts, nil)
+				c.dispatch(b, ids, ops, arr, admitted, attempts, nil)
 				i += n
 				break
 			}
@@ -565,11 +478,10 @@ func (c *srvConn) flushBurst(burst *burstState) *burstState {
 			if n == 1 {
 				c.s.busy.Add(1)
 				now := c.s.now()
-				c.s.met.recordLatency(burst.kinds[i], proto.StatusBusy,
-					time.Duration(now-burst.arr[i]))
-				if span := burst.spans[i]; span != 0 && c.s.tr != nil {
-					c.s.tr.Emit(stBusy, uint16(burst.kinds[i]), span, uint64(attempts),
-						now, trace.Instant)
+				op := &burst.ops[i]
+				c.s.met.recordLatency(uint8(op.Kind), proto.StatusBusy, time.Duration(now-burst.arr[i]))
+				if op.Span != 0 && c.s.tr != nil {
+					c.s.tr.Emit(stBusy, uint16(op.Kind), op.Span, uint64(attempts), now, trace.Instant)
 				}
 				c.sendStatus(burst.ids[i], proto.StatusBusy, "")
 				i++
@@ -584,13 +496,9 @@ func (c *srvConn) flushBurst(burst *burstState) *burstState {
 
 func releaseBurst(b *burstState) {
 	b.ids = b.ids[:0]
-	b.kinds = b.kinds[:0]
-	for i := range b.ops {
-		b.ops[i] = patree.BatchOp{} // drop value references
-	}
+	clear(b.ops) // drop value references
 	b.ops = b.ops[:0]
 	b.arr = b.arr[:0]
-	b.spans = b.spans[:0]
 	burstPool.Put(b)
 }
 
@@ -598,10 +506,10 @@ func releaseBurst(b *burstState) {
 // busy, which pushes backpressure into the TCP window — and hands the
 // committed batch to a goroutine that streams its responses. cleanup,
 // if set, runs after the batch is released.
-func (c *srvConn) dispatch(b *patree.Batch, ids []uint64, kinds []uint8, arr []int64, spans []uint64, admitted int64, attempts int, cleanup func()) {
+func (c *srvConn) dispatch(b *patree.Batch, ids []uint64, ops []patree.BatchOp, arr []int64, admitted int64, attempts int, cleanup func()) {
 	c.sem <- struct{}{}
 	c.wg.Add(1)
-	go c.dispatchBurst(b, ids, kinds, arr, spans, admitted, attempts, cleanup)
+	go c.dispatchBurst(b, ids, ops, arr, admitted, attempts, cleanup)
 }
 
 // dispatchBurst waits for each operation of an admitted burst in
@@ -609,7 +517,7 @@ func (c *srvConn) dispatch(b *patree.Batch, ids []uint64, kinds []uint8, arr []i
 // the batch completes as a group — while responses across concurrently
 // dispatched bursts interleave freely (out-of-order completion, keyed
 // by request id).
-func (c *srvConn) dispatchBurst(b *patree.Batch, ids []uint64, kinds []uint8, arr []int64, spans []uint64, admitted int64, attempts int, cleanup func()) {
+func (c *srvConn) dispatchBurst(b *patree.Batch, ids []uint64, ops []patree.BatchOp, arr []int64, admitted int64, attempts int, cleanup func()) {
 	defer func() {
 		b.Release() // waits for any completions not yet consumed
 		if cleanup != nil {
@@ -624,23 +532,23 @@ func (c *srvConn) dispatchBurst(b *patree.Batch, ids []uint64, kinds []uint8, ar
 	buf := respBufPool.Get().([]byte)[:0]
 	for i, id := range ids {
 		var t0 int64
-		span := spans[i]
+		kind, span := uint8(ops[i].Kind), ops[i].Span
 		if span != 0 && c.s.tr != nil {
 			t0 = c.s.now()
 		}
 		status := proto.StatusOf(b.Err(i))
-		buf = appendOpResponse(buf, b, i, id, kinds[i], status)
+		buf = appendResponse(buf, b, i, id, ops[i].Kind)
 		done := c.s.now()
 		d := time.Duration(done - arr[i])
-		c.s.met.recordOp(kinds[i], status, d)
+		c.s.met.recordOp(kind, status, d)
 		if span != 0 && c.s.tr != nil {
-			c.s.tr.Emit(stRespond, uint16(kinds[i]), span, id, t0, done-t0)
+			c.s.tr.Emit(stRespond, uint16(kind), span, id, t0, done-t0)
 		}
 		if slow := c.s.opts.SlowOp; slow > 0 && d > slow {
 			// arr[i]..flushed is folded into the admit stage here: the
 			// flush timestamp lives with the burst, and admitted-arr[i]
 			// is the full pre-engine wait either way.
-			c.s.slowOp(id, span, kinds[i], status, attempts, arr[i], arr[i], admitted, done)
+			c.s.slowOp(id, span, kind, status, attempts, arr[i], arr[i], admitted, done)
 		}
 		if len(buf) >= 32<<10 {
 			if !c.send(buf) {
@@ -659,64 +567,34 @@ func (c *srvConn) dispatchBurst(b *patree.Batch, ids []uint64, kinds []uint8, ar
 	}
 }
 
-// appendOpResponse encodes operation i's result as a single-op response
-// frame. status is proto.StatusOf(b.Err(i)), computed by the caller for
-// its metrics.
-func appendOpResponse(buf []byte, b *patree.Batch, i int, id uint64, kind, status uint8) []byte {
-	if status != proto.StatusOK {
-		return proto.AppendFrame(buf, id, status, nil)
-	}
-	var at int
-	buf, at = proto.BeginFrame(buf, id, proto.StatusOK)
-	var flags uint8
-	if b.Found(i) {
-		flags = proto.FoundFlag
-	}
-	buf = append(buf, flags)
-	switch kind {
-	case proto.KindGet:
-		buf = append(buf, b.Value(i)...)
-	case proto.KindScan:
-		buf = proto.AppendPairs(buf, b.Pairs(i))
-	}
-	return proto.FinishFrame(buf, at)
+// result reads operation i's outcome off an admitted batch.
+func result(b *patree.Batch, i int) patree.Result {
+	return patree.Result{Err: b.Err(i), Found: b.Found(i), Value: b.Value(i), Pairs: b.Pairs(i)}
+}
+
+// appendResponse appends the response frame of operation i, already
+// waited for. Kept out of line: with the result in dispatchBurst's frame,
+// each fresh dispatcher goroutine outgrew its initial stack.
+//
+//go:noinline
+func appendResponse(buf []byte, b *patree.Batch, i int, id uint64, kind patree.OpKind) []byte {
+	return proto.AppendResponse(buf, id, kind, result(b, i))
 }
 
 // handleWireBatch decodes and admits one wire batch frame as a single
 // patree.Batch TryCommit — the protocol's atomic unit. A frame-level
 // span covers every sub-op: the batch is one request to the client.
 func (c *srvConn) handleWireBatch(id, span uint64, p []byte, arrival int64) {
-	if len(p) < 5 {
+	ops, err := proto.DecodeBatch(p, nil)
+	if err != nil {
 		c.s.badFrames.Add(1)
-		c.sendStatus(id, proto.StatusBadRequest, "short batch")
+		c.sendStatus(id, proto.StatusBadRequest, err.Error())
 		return
 	}
-	count := binary.LittleEndian.Uint32(p[1:])
-	p = p[5:]
 	b := c.s.store.NewBatch()
-	kinds := make([]uint8, 0, count)
-	for n := uint32(0); n < count; n++ {
-		var ok bool
-		var kind uint8
-		kind, p, ok = stageSub(b, p)
-		if !ok {
-			b.Release()
-			c.s.badFrames.Add(1)
-			c.sendStatus(id, proto.StatusBadRequest, "malformed batch op")
-			return
-		}
-		kinds = append(kinds, kind)
-	}
-	if len(p) != 0 {
-		b.Release()
-		c.s.badFrames.Add(1)
-		c.sendStatus(id, proto.StatusBadRequest, "trailing batch bytes")
-		return
-	}
-	if span != 0 {
-		for i := range kinds {
-			b.SetSpan(i, span)
-		}
+	for _, op := range ops {
+		op.Span = span
+		b.Stage(op)
 	}
 	if err := b.TryCommit(); err != nil {
 		status := proto.StatusOf(err)
@@ -736,71 +614,15 @@ func (c *srvConn) handleWireBatch(id, span uint64, p []byte, arrival int64) {
 		c.s.tr.Emit(stAdmit, uint16(proto.KindBatch), span, 1, arrival, admitted-arrival)
 	}
 	c.s.wireBatches.Add(1)
-	c.s.batchOps.Add(uint64(len(kinds)))
+	c.s.batchOps.Add(uint64(len(ops)))
 	c.sem <- struct{}{}
 	c.wg.Add(1)
-	go c.dispatchWireBatch(b, id, span, kinds, arrival, admitted)
-}
-
-// stageSub decodes one batch sub-op and stages it, returning its kind
-// and the remaining bytes.
-func stageSub(b *patree.Batch, p []byte) (uint8, []byte, bool) {
-	if len(p) < 1 {
-		return 0, nil, false
-	}
-	kind := p[0]
-	p = p[1:]
-	switch kind {
-	case proto.KindPut, proto.KindUpdate:
-		if len(p) < 12 {
-			return 0, nil, false
-		}
-		key := binary.LittleEndian.Uint64(p)
-		vlen := binary.LittleEndian.Uint32(p[8:])
-		p = p[12:]
-		if uint32(len(p)) < vlen {
-			return 0, nil, false
-		}
-		v := make([]byte, vlen)
-		copy(v, p[:vlen])
-		p = p[vlen:]
-		if kind == proto.KindPut {
-			b.Put(key, v)
-		} else {
-			b.Update(key, v)
-		}
-	case proto.KindGet:
-		if len(p) < 8 {
-			return 0, nil, false
-		}
-		b.Get(binary.LittleEndian.Uint64(p))
-		p = p[8:]
-	case proto.KindDelete:
-		if len(p) < 8 {
-			return 0, nil, false
-		}
-		b.Delete(binary.LittleEndian.Uint64(p))
-		p = p[8:]
-	case proto.KindScan:
-		if len(p) < 24 {
-			return 0, nil, false
-		}
-		lo := binary.LittleEndian.Uint64(p)
-		hi := binary.LittleEndian.Uint64(p[8:])
-		limit := int(int64(binary.LittleEndian.Uint64(p[16:])))
-		b.Scan(lo, hi, limit)
-		p = p[24:]
-	case proto.KindSync:
-		b.Sync()
-	default:
-		return 0, nil, false
-	}
-	return kind, p, true
+	go c.dispatchWireBatch(b, id, span, ops, arrival, admitted)
 }
 
 // dispatchWireBatch waits out an admitted wire batch and sends its one
 // aggregated response: per-op status, flags and payload.
-func (c *srvConn) dispatchWireBatch(b *patree.Batch, id, span uint64, kinds []uint8, arrival, admitted int64) {
+func (c *srvConn) dispatchWireBatch(b *patree.Batch, id, span uint64, ops []patree.BatchOp, arrival, admitted int64) {
 	defer func() {
 		b.Release()
 		<-c.sem
@@ -808,30 +630,8 @@ func (c *srvConn) dispatchWireBatch(b *patree.Batch, id, span uint64, kinds []ui
 	}()
 	buf := respBufPool.Get().([]byte)[:0]
 	t0 := c.s.now()
-	var at int
-	buf, at = proto.BeginFrame(buf, id, proto.StatusOK)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(kinds)))
-	for i, kind := range kinds {
-		err := b.Err(i)
-		buf = append(buf, proto.StatusOf(err))
-		var flags uint8
-		if err == nil && b.Found(i) {
-			flags = proto.FoundFlag
-		}
-		buf = append(buf, flags)
-		lenAt := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
-		if err == nil {
-			switch kind {
-			case proto.KindGet:
-				buf = append(buf, b.Value(i)...)
-			case proto.KindScan:
-				buf = proto.AppendPairs(buf, b.Pairs(i))
-			}
-		}
-		binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
-	}
-	buf = proto.FinishFrame(buf, at)
+	b.Wait() // park on this shallow frame, not under the encoder (see appendResponse)
+	buf = proto.AppendBatchResponse(buf, id, ops, func(i int) patree.Result { return result(b, i) })
 	done := c.s.now()
 	d := time.Duration(done - arrival)
 	c.s.met.recordOp(proto.KindBatch, proto.StatusOK, d)

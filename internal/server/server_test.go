@@ -2,12 +2,14 @@ package server_test
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -144,29 +146,45 @@ func TestWireBatchOracle(t *testing.T) {
 
 	oracle := map[uint64][]byte{}
 	rng := sim.NewRNG(11)
+	scanned := 0 // pairs delivered by batch scans
 	for round := 0; round < 200; round++ {
-		b := c.NewBatch()
-		type staged struct {
-			idx  int
-			kind patree.OpKind
-			key  uint64
-			val  []byte
-		}
-		var ops []staged
+		var ops []patree.BatchOp
 		n := rng.Intn(12) + 1
 		for j := 0; j < n; j++ {
 			// Keys spread over the whole space so batches regularly cross
 			// shards.
-			k := rng.Uint64n(4096) + 1
-			switch rng.Intn(4) {
+			op := patree.BatchOp{Key: rng.Uint64n(4096) + 1}
+			switch rng.Intn(7) {
 			case 0, 1:
-				v := []byte(fmt.Sprintf("b%d-%d", round, j))
-				ops = append(ops, staged{b.Put(k, v), patree.OpPut, k, v})
+				op.Kind, op.Value = patree.OpPut, []byte(fmt.Sprintf("b%d-%d", round, j))
 			case 2:
-				ops = append(ops, staged{b.Get(k), patree.OpGet, k, nil})
+				op.Kind = patree.OpGet
 			case 3:
-				ops = append(ops, staged{b.Delete(k), patree.OpDelete, k, nil})
+				op.Kind = patree.OpDelete
+			case 4:
+				op.Kind, op.Value = patree.OpUpdate, []byte(fmt.Sprintf("u%d-%d", round, j))
+			case 5:
+				// A window covering keys of every shard; limit 0 is unlimited.
+				op.Kind, op.End, op.Limit = patree.OpScan, op.Key+rng.Uint64n(512), rng.Intn(8)
+			case 6:
+				op = patree.BatchOp{Kind: patree.OpSync}
 			}
+			ops = append(ops, op)
+		}
+		// A scan scattered over the shards is unordered against the point
+		// writes staged beside it, so a write into one of the batch's scan
+		// windows reads instead.
+		for _, s := range ops {
+			for i, op := range ops {
+				if s.Kind == patree.OpScan && op.Key >= s.Key && op.Key <= s.End &&
+					(op.Kind == patree.OpPut || op.Kind == patree.OpUpdate || op.Kind == patree.OpDelete) {
+					ops[i] = patree.BatchOp{Kind: patree.OpGet, Key: op.Key}
+				}
+			}
+		}
+		b := c.NewBatch()
+		for _, op := range ops {
+			b.Stage(op)
 		}
 		// Alternate blocking Commit and TryCommit; both must hold the
 		// all-or-nothing contract (TryCommit may refuse, in which case the
@@ -188,31 +206,64 @@ func TestWireBatchOracle(t *testing.T) {
 		}
 		// Check results in staging order against the oracle, applying
 		// mutations as the worker would have seen them.
-		for _, op := range ops {
-			if err := b.Err(op.idx); err != nil {
-				t.Fatalf("round %d: op %d: %v", round, op.idx, err)
+		for i, op := range ops {
+			if err := b.Err(i); err != nil {
+				t.Fatalf("round %d: op %d: %v", round, i, err)
 			}
-			_, existed := oracle[op.key]
-			switch op.kind {
+			_, existed := oracle[op.Key]
+			switch op.Kind {
 			case patree.OpPut:
-				oracle[op.key] = op.val
+				oracle[op.Key] = op.Value
 			case patree.OpGet:
-				want := oracle[op.key]
-				if b.Found(op.idx) != existed || !bytes.Equal(b.Value(op.idx), want) {
+				want := oracle[op.Key]
+				if b.Found(i) != existed || !bytes.Equal(b.Value(i), want) {
 					t.Fatalf("round %d: batch get(%d) = %q/%v, want %q/%v",
-						round, op.key, b.Value(op.idx), b.Found(op.idx), want, existed)
+						round, op.Key, b.Value(i), b.Found(i), want, existed)
 				}
 			case patree.OpDelete:
-				if b.Found(op.idx) != existed {
-					t.Fatalf("round %d: batch delete(%d) found=%v, want %v", round, op.key, b.Found(op.idx), existed)
+				if b.Found(i) != existed {
+					t.Fatalf("round %d: batch delete(%d) found=%v, want %v", round, op.Key, b.Found(i), existed)
 				}
-				delete(oracle, op.key)
+				delete(oracle, op.Key)
+			case patree.OpUpdate:
+				if b.Found(i) != existed {
+					t.Fatalf("round %d: batch update(%d) found=%v, want %v", round, op.Key, b.Found(i), existed)
+				}
+				if existed {
+					oracle[op.Key] = op.Value
+				}
+			case patree.OpScan:
+				var want []patree.KV
+				for k, v := range oracle {
+					if k >= op.Key && k <= op.End {
+						want = append(want, patree.KV{Key: k, Value: v})
+					}
+				}
+				slices.SortFunc(want, func(a, b patree.KV) int { return cmp.Compare(a.Key, b.Key) })
+				if op.Limit > 0 && len(want) > op.Limit {
+					want = want[:op.Limit]
+				}
+				got := b.Pairs(i)
+				scanned += len(got)
+				if len(got) != len(want) {
+					t.Fatalf("round %d: batch scan[%d,%d] limit %d = %d pairs, want %d",
+						round, op.Key, op.End, op.Limit, len(got), len(want))
+				}
+				for j := range want {
+					if got[j].Key != want[j].Key || !bytes.Equal(got[j].Value, want[j].Value) {
+						t.Fatalf("round %d: batch scan[%d,%d] pair %d = %d:%q, want %d:%q",
+							round, op.Key, op.End, j, got[j].Key, got[j].Value, want[j].Key, want[j].Value)
+					}
+				}
 			}
 		}
 		b.Release()
 	}
 	if srv.Stats().WireBatches == 0 {
 		t.Fatal("no wire batches admitted — the batch path was not exercised")
+	}
+	if scanned == 0 {
+		t.Fatal("no batch scan delivered a pair — the pairs decode was not exercised")
 	}
 	// Final sweep: the whole tree must equal the oracle.
 	pairs, err := c.Scan(0, ^uint64(0), 0)
@@ -608,13 +659,18 @@ func TestMalformedFrames(t *testing.T) {
 	buf = append(buf, rawFrame(3, 99, nil)...)                                                  // unknown kind
 	buf = append(buf, rawFrame(4, proto.KindBatch, []byte{0, 1, 0, 0, 0})...)                   // batch with truncated sub-op
 	buf = append(buf, rawFrame(5, proto.KindGet, binary.LittleEndian.AppendUint64(nil, 42))...) // valid
+	// An 18-byte batch frame claiming 2^32-1 sub-ops: the count must be
+	// checked against the bytes left before it sizes any allocation.
+	buf = append(buf, rawFrame(6, proto.KindBatch, []byte{0, 0xff, 0xff, 0xff, 0xff})...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	if _, err := nc.Write(buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	// Collect the five responses.
+	// Collect the six responses.
 	statuses := map[uint64]uint8{}
 	rd := make([]byte, 0, 256)
-	for len(statuses) < 5 {
+	for len(statuses) < 6 {
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		body, err := proto.ReadFrame(nc, rd)
 		if err != nil {
@@ -623,7 +679,8 @@ func TestMalformedFrames(t *testing.T) {
 		rd = body[:0]
 		statuses[proto.FrameID(body)] = proto.FrameKind(body)
 	}
-	for id := uint64(1); id <= 4; id++ {
+	runtime.ReadMemStats(&after)
+	for _, id := range []uint64{1, 2, 3, 4, 6} {
 		if statuses[id] != proto.StatusBadRequest {
 			t.Errorf("frame %d: status %d, want BadRequest", id, statuses[id])
 		}
@@ -631,8 +688,11 @@ func TestMalformedFrames(t *testing.T) {
 	if statuses[5] != proto.StatusOK {
 		t.Errorf("valid frame after garbage: status %d, want OK", statuses[5])
 	}
-	if srv.Stats().BadFrames != 4 {
-		t.Errorf("BadFrames = %d, want 4", srv.Stats().BadFrames)
+	if srv.Stats().BadFrames != 5 {
+		t.Errorf("BadFrames = %d, want 5", srv.Stats().BadFrames)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("answering the frames allocated %d bytes, want < 1 MiB", d)
 	}
 }
 

@@ -56,23 +56,14 @@ const (
 	OpSync
 )
 
+var opKindNames = [...]string{"invalid", "put", "get", "update", "delete", "scan", "sync"}
+
 // String returns the lowercase wire name of the kind.
 func (k OpKind) String() string {
-	switch k {
-	case OpPut:
-		return "put"
-	case OpGet:
-		return "get"
-	case OpUpdate:
-		return "update"
-	case OpDelete:
-		return "delete"
-	case OpScan:
-		return "scan"
-	case OpSync:
-		return "sync"
+	if k > OpSync {
+		return opKindNames[0]
 	}
-	return "invalid"
+	return opKindNames[k]
 }
 
 // BatchOp is one operation staged on a Batch, in the neutral form
