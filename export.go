@@ -102,13 +102,11 @@ func writePrometheus(w io.Writer, m Metrics) {
 		p("patree_journal_block_writes_total %d\n", m.JournalBlockWrites)
 	}
 
-	if m.SpecIssued > 0 {
-		p("# HELP patree_spec_reads_total Speculative prefetch reads (Options.Pipelined) by outcome.\n")
-		p("# TYPE patree_spec_reads_total counter\n")
-		p("patree_spec_reads_total{outcome=\"issued\"} %d\n", m.SpecIssued)
-		p("patree_spec_reads_total{outcome=\"hit\"} %d\n", m.SpecHits)
-		p("patree_spec_reads_total{outcome=\"cancelled\"} %d\n", m.SpecCancelled)
-		p("patree_spec_reads_total{outcome=\"wasted\"} %d\n", m.SpecWasted)
+	if m.ReadAheads > 0 {
+		p("# HELP patree_read_ahead_total Scan read-ahead reads (Options.Pipelined): issued, and ops that parked on one.\n")
+		p("# TYPE patree_read_ahead_total counter\n")
+		p("patree_read_ahead_total{outcome=\"issued\"} %d\n", m.ReadAheads)
+		p("patree_read_ahead_total{outcome=\"hit\"} %d\n", m.ReadAheadHits)
 	}
 
 	p("# HELP patree_stage_seconds Per-stage operation latency decomposition.\n")
@@ -192,9 +190,8 @@ func FormatMetrics(m Metrics) string {
 		}
 		b.WriteString("\n")
 	}
-	if m.SpecIssued > 0 {
-		fmt.Fprintf(&b, "speculation: issued=%d hits=%d cancelled=%d wasted=%d\n",
-			m.SpecIssued, m.SpecHits, m.SpecCancelled, m.SpecWasted)
+	if m.ReadAheads > 0 {
+		fmt.Fprintf(&b, "read-ahead: issued=%d hits=%d\n", m.ReadAheads, m.ReadAheadHits)
 	}
 	if len(m.Stages) > 0 {
 		fmt.Fprintf(&b, "%-11s %-7s %9s %11s %11s %11s %11s %11s\n",

@@ -266,12 +266,6 @@ func (t *Tree) drainInbox() {
 			}
 			t.tr.Emit(tcInbox, uint16(o.kind), o.seq, 0, int64(o.enqueuedAt), int64(drainNow.Sub(o.enqueuedAt)))
 		}
-		if t.specOn && (pointKind(o.kind) || o.kind == KindRange) {
-			// A range scan's start key predicts its descent path just like
-			// a point key does; the sibling read-ahead takes over once the
-			// scan reaches the leaf level (specScanAhead).
-			t.specKeys = append(t.specKeys, o.key)
-		}
 		if pointKind(o.kind) {
 			o.keyGated = true
 			if tail, ok := t.keyDeps[o.key]; ok {
@@ -290,9 +284,6 @@ func (t *Tree) drainInbox() {
 	}
 	if drained > 0 {
 		t.policy.OnAdmit(drained, drainNow)
-		if t.specOn {
-			t.speculate(drainNow)
-		}
 	}
 }
 

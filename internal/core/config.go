@@ -173,18 +173,16 @@ type Config struct {
 	// schedules keep it off.
 	ConcurrentReads bool
 	// Pipelined overlaps I/O with computation on the working thread
-	// (DESIGN.md §17). Speculative child prefetch: at drain time the
-	// worker walks each queued operation's predicted root-to-leaf path
-	// through buffer-resident pages and issues the first missing page's
-	// read before the operation's turn; mispredictions are detected at
-	// completion — any intervening write of the page, or residency via
-	// another path, drops the speculative image — and operations that
-	// reach a page with a speculative read already in flight coalesce
-	// onto it (pipeline.go). Deeper journal writer: up to
-	// walDepthPipelined WAL block writes in flight instead of one, with
-	// log order and the contiguous-prefix durability watermark preserved
-	// (journal.go). Off by default: both reshape the simulated I/O
-	// schedule, so the paper's experiments run the classic loop.
+	// (DESIGN.md §17). Scan read-ahead: a range scan at a level-1 parent
+	// reads up to four of the sibling leaves it will walk at once, each
+	// under a shared latch the tree holds until the read is reaped, and
+	// an operation that reaches one of them parks on that read
+	// (pipeline.go); with BufferPages 0 nothing is read ahead. Deeper
+	// journal writer: up to walDepthPipelined WAL block writes in flight
+	// instead of one, with log order and the contiguous-prefix
+	// durability watermark preserved (journal.go). Off by default: both
+	// reshape the simulated I/O schedule, so the paper's experiments run
+	// the classic loop.
 	Pipelined bool
 }
 

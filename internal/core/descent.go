@@ -78,14 +78,13 @@ func (t *Tree) process(o *Op) {
 					data = o.ioData
 				} else {
 					o.ioData = nil
-					if sr, ok := t.specInflight[o.cur]; ok && !sr.stale && !t.failed {
-						// A live speculative read of this page is already in
-						// flight: coalesce onto it instead of issuing a
-						// duplicate (pipeline.go wakes us when it lands —
-						// or falls back to a demand read on mispredict).
-						sr.waiters = append(sr.waiters, specWaiter{op: o, since: t.now()})
-						t.stats.SpecHits++
-						return // I/O-blocked on the speculative read
+					if ws, ok := t.readAheads[o.cur]; ok {
+						// A scan's read-ahead of this page is in flight: park
+						// on it instead of issuing a duplicate (pipeline.go
+						// wakes us when it is reaped).
+						t.readAheads[o.cur] = append(ws, raWaiter{op: o, since: t.now()})
+						t.stats.ReadAheadHits++
+						return // I/O-blocked on the read-ahead
 					}
 					t.submitRead(o)
 					return // I/O-blocked, or stalled on a full queue
@@ -219,8 +218,8 @@ func (t *Tree) processNode(o *Op) bool {
 	}
 	idx := node.ChildIndex(o.key)
 	child := node.Children[idx]
-	if t.specOn && o.kind == KindRange {
-		t.specScanAhead(o, node, idx)
+	if t.cfg.Pipelined && o.kind == KindRange {
+		t.readAhead(o, node, idx)
 	}
 	o.prevNode = node
 	o.cur = child

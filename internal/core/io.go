@@ -10,13 +10,17 @@ package core
 //
 //	class            issued by       queue full        transient error            counters
 //	demand read      submitRead      stall the op      op budget, backoff, rerun  ReadsIssued
-//	speculative read specIssue       drop the guess    dropped, never retried     ReadsIssued SpecIssued SpecCancelled
+//	read-ahead       readAhead       give up the rest  dropped, never retried     ReadsIssued ReadAheads
 //	op write         submitOpWrite   stall the op      op budget, backoff, rerun  WritesIssued
 //	write-back       submitBG        stays in bgQueue  own budget, backoff        WritesIssued
 //	WAL block        jwSubmit        stays in jwq      entry budget, resubmit     WritesIssued JournalBlockWrites
 //	sync page        submitSyncPage  stall the op      op budget, requeue page    WritesIssued
 //	sync phase write submitSyncCmd   stall the op      op budget, resend phase    WritesIssued
 //	flush            submitSyncCmd   stall the op      op budget, resend phase    —
+//
+// A read-ahead holds a shared latch on its page from issue until it is
+// reaped, whatever the verdict, so no write of that page can be submitted
+// while it is in flight. No write site has to check for one.
 //
 // Every errored command counts in Stats.IOErrors and every retry in
 // Stats.IORetries. A budget is Config.MaxIORetries transient statuses;
@@ -72,7 +76,7 @@ type ioCmd struct {
 	// op is the operation the command belongs to: it is stalled when the
 	// queue is full, credited the I/O wait, named in the trace event and
 	// handed ErrDeviceFailed on terminal failure. Nil for tree-level
-	// traffic (write-backs, WAL blocks, speculative reads), which stays
+	// traffic (write-backs, WAL blocks, read-aheads), which stays
 	// in its own queue — or is dropped — when the submission queue is full.
 	op *Op
 	// retries is the budget transient errors draw from, compared against
@@ -113,11 +117,6 @@ func pageWrite(id storage.PageID, data []byte) nvme.Command {
 // not accepted; c.op, if any, is then on the stalled list and re-enters
 // the ready set on the next main-loop pass.
 func (t *Tree) submit(c *ioCmd) bool {
-	if c.Op == nvme.OpWrite {
-		// The device image of this page is about to go stale under any
-		// speculative read of it still in flight.
-		t.specInvalidate(storage.PageID(c.LBA))
-	}
 	c.submitted = t.now()
 	if c.callback == nil {
 		c.callback = func(done nvme.Completion) { t.reap(c, done.Err) }
@@ -250,11 +249,11 @@ func (t *Tree) enterFailed(cause error) {
 	}
 	t.promoteRetries()
 	t.promoteJWaiters()
-	for _, sr := range t.specInflight {
-		// Wake ops parked on speculative reads: the failed drain at the
-		// top of process() handles them, and the reads' own completions
-		// will find no waiters left.
-		t.promoteSpecWaiters(sr, t.now())
+	for id := range t.readAheads {
+		// Wake ops parked on read-aheads: the failed drain at the top of
+		// process() handles them, and the reads' own completions will
+		// find no waiters left.
+		t.wakeReadAhead(id, t.now())
 	}
 }
 
@@ -281,7 +280,6 @@ type bgWrite struct {
 // is held from the device until journalBuild, which runs next, has logged
 // it and says where (walHolds).
 func (t *Tree) bufferWrite(id storage.PageID, data []byte) {
-	t.specInvalidate(id)
 	if t.jPageEnd != nil {
 		t.jPageEnd[id] = math.MaxInt
 	}

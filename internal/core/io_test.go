@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/patree/patree/internal/buffer"
+	"github.com/patree/patree/internal/latch"
 	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/sched"
@@ -90,18 +91,29 @@ type ioClassRow struct {
 	// live op for the classes that have an owner, nil otherwise.
 	issue         func(t *Tree, o *Op)
 	owner         bool   // has an owning op: stalled when full, handed ErrDeviceFailed on terminal failure
-	write         bool   // page write: must invalidate an in-flight speculative read of the page
+	latched       bool   // holds a shared latch on the page from issue until reaped
 	reads, writes uint64 // ReadsIssued / WritesIssued per accepted command
 	// kept reports whether a bounced command is still where the main
 	// loop will find it (tree-level classes; owners are on t.stalled).
 	kept func(t *Tree) bool
 	// retried reports whether a transient error put the command back on
-	// its class's retry path (nil for the class that has none).
+	// its class's retry path. Nil for the class that has none: an error
+	// drops it, and never fails the tree.
 	retried func(t *Tree, o *Op, qp *scriptQP) bool
 }
 
 var weakCfg = Config{Persistence: WeakPersistence, BufferPages: 8}
 var journalCfg = Config{Persistence: WeakPersistence, BufferPages: 8, Journal: true}
+var pipelinedCfg = Config{Pipelined: true, BufferPages: 8}
+
+// issueReadAhead has a scan read ahead from a level-1 parent whose only
+// sibling after the scan's child is seamPage.
+func issueReadAhead(t *Tree) {
+	parent := storage.NewInner(1, 1)
+	parent.Children = []storage.PageID{2, seamPage}
+	parent.Keys = []uint64{100}
+	t.readAhead(NewRange(0, ^uint64(0), 0, nil), parent, 0)
+}
 
 func ioClassRows() []ioClassRow {
 	page := storage.NewLeaf(seamPage).Encode()
@@ -112,12 +124,12 @@ func ioClassRows() []ioClassRow {
 			retried: func(t *Tree, o *Op, _ *scriptQP) bool { return len(t.retryq) == 1 && t.retryq[0].op == o && !o.inReady },
 		},
 		{
-			name: "speculative read", reads: 1,
-			issue: func(t *Tree, _ *Op) { t.specIssue(seamPage) },
-			kept:  func(t *Tree) bool { return len(t.specInflight) == 0 }, // dropped: nothing retained
+			name: "read-ahead", cfg: pipelinedCfg, latched: true, reads: 1,
+			issue: func(t *Tree, _ *Op) { issueReadAhead(t) },
+			kept:  func(t *Tree) bool { return len(t.readAheads) == 0 }, // given up: nothing retained
 		},
 		{
-			name: "op write", owner: true, write: true, writes: 1,
+			name: "op write", owner: true, writes: 1,
 			issue: func(t *Tree, o *Op) {
 				o.writes, o.wIdx = []writeReq{{id: seamPage, data: page}}, 0
 				t.submitOpWrite(o)
@@ -125,7 +137,7 @@ func ioClassRows() []ioClassRow {
 			retried: func(t *Tree, o *Op, _ *scriptQP) bool { return len(t.retryq) == 1 && o.wIdx == 0 && !o.inReady },
 		},
 		{
-			name: "background write-back", cfg: weakCfg, write: true, writes: 1,
+			name: "background write-back", cfg: weakCfg, writes: 1,
 			// Queued or in flight, the image stays where a read miss finds it.
 			issue: func(t *Tree, _ *Op) { t.queueBG(buffer.Dirty{ID: seamPage, Data: page}) },
 			kept:  func(t *Tree) bool { return len(t.bgQueue) == 1 && len(t.inflight) == 1 },
@@ -134,7 +146,7 @@ func ioClassRows() []ioClassRow {
 			},
 		},
 		{
-			name: "WAL block", cfg: journalCfg, write: true, writes: 1,
+			name: "WAL block", cfg: journalCfg, writes: 1,
 			issue: func(t *Tree, _ *Op) { t.jwEnqueue(seamPage, page, 0); t.jwKick() },
 			kept:  func(t *Tree) bool { return len(t.jwq) == 1 && !t.jwq[0].inflight && t.jwInflight == 0 },
 			retried: func(t *Tree, _ *Op, qp *scriptQP) bool {
@@ -142,14 +154,14 @@ func ioClassRows() []ioClassRow {
 			},
 		},
 		{
-			name: "sync page", cfg: weakCfg, owner: true, write: true, writes: 1,
+			name: "sync page", cfg: weakCfg, owner: true, writes: 1,
 			issue: func(t *Tree, o *Op) { t.submitSyncPage(o, buffer.Dirty{ID: seamPage, Data: page}) },
 			retried: func(t *Tree, o *Op, _ *scriptQP) bool {
 				return len(o.syncQueue) == 1 && o.syncQueue[0].ID == seamPage && o.syncOutstanding == 0 && o.inReady
 			},
 		},
 		{
-			name: "sync phase write", cfg: weakCfg, owner: true, write: true, writes: 1,
+			name: "sync phase write", cfg: weakCfg, owner: true, writes: 1,
 			issue: func(t *Tree, o *Op) {
 				o.syncSent = t.submitSyncCmd(o, pageWrite(seamPage, page), func() { o.syncPhase = spDone })
 			},
@@ -168,6 +180,7 @@ func ioClassRows() []ioClassRow {
 // TestIOSeamClasses drives every command class through Tree.submit and
 // Tree.reap over a scripted queue pair and checks the class's declared
 // queue-full policy, error policy and counters (the table in io.go).
+// Whatever the verdict, no command leaves a latch behind.
 func TestIOSeamClasses(t *testing.T) {
 	terminal := errors.New("controller gone")
 	for _, row := range ioClassRows() {
@@ -181,27 +194,21 @@ func TestIOSeamClasses(t *testing.T) {
 			}
 			return tree, qp, o
 		}
+		unlatched := func(t *testing.T, tree *Tree, after string) {
+			t.Helper()
+			if n := tree.latches.ActiveNodes(); n != 0 {
+				t.Errorf("%d pages still latched after %s", n, after)
+			}
+		}
 
 		t.Run(row.name+"/accepted", func(t *testing.T) {
 			tree, qp, o := setup(t)
-			if row.write {
-				// A speculative read of the page is in flight when the
-				// write goes out: the seam must mark it stale.
-				if !tree.specIssue(seamPage) {
-					t.Fatal("speculative read not issued")
-				}
-				tree.stats = Stats{Stages: tree.stats.Stages}
-			}
 			row.issue(tree, o)
-			want := 1
-			if row.write {
-				want = 2
-				if !tree.specInflight[seamPage].stale {
-					t.Error("page write left the in-flight speculative read of its page live")
-				}
+			if len(qp.pending) != 1 || tree.ioBlocked != 1 {
+				t.Fatalf("after issue: %d commands on the queue, ioBlocked=%d, want 1", len(qp.pending), tree.ioBlocked)
 			}
-			if len(qp.pending) != want || tree.ioBlocked != want {
-				t.Fatalf("after issue: %d commands on the queue, ioBlocked=%d, want %d", len(qp.pending), tree.ioBlocked, want)
+			if r, w := tree.latches.Held(seamPage); row.latched && (r != 1 || w != 0) {
+				t.Fatalf("in flight: latch on the page is (r=%d, w=%d), want one shared", r, w)
 			}
 			if tree.stats.ReadsIssued != row.reads || tree.stats.WritesIssued != row.writes {
 				t.Errorf("issue counters: reads=%d writes=%d, want %d and %d",
@@ -219,6 +226,7 @@ func TestIOSeamClasses(t *testing.T) {
 			if o != nil && (o.ioWait <= 0 || !o.inReady) {
 				t.Errorf("owner after completion: ioWait=%v inReady=%v", o.ioWait, o.inReady)
 			}
+			unlatched(t, tree, "an OK completion")
 		})
 
 		t.Run(row.name+"/queue full", func(t *testing.T) {
@@ -244,11 +252,12 @@ func TestIOSeamClasses(t *testing.T) {
 					t.Fatal("bounced command is not where its class's policy leaves it")
 				}
 			}
+			unlatched(t, tree, "a bounced submit")
 			// Whatever was kept goes out once the queue has room.
 			qp.full = false
 			tree.drainBG()
 			tree.jwKick()
-			if !row.owner && row.name != "speculative read" && len(qp.pending) != 1 {
+			if !row.owner && row.retried != nil && len(qp.pending) != 1 {
 				t.Fatalf("kept command did not go out on the next pass: %d pending", len(qp.pending))
 			}
 		})
@@ -263,10 +272,11 @@ func TestIOSeamClasses(t *testing.T) {
 			if tree.failed {
 				t.Fatalf("one transient error failed the tree: %v", tree.failCause)
 			}
-			if row.name == "speculative read" {
-				if tree.stats.IORetries != 0 || tree.stats.SpecCancelled != 1 || len(qp.pending) != 0 || len(tree.specInflight) != 0 {
-					t.Fatalf("errored speculative read must be dropped and counted, never retried: %+v", tree.stats)
+			if row.retried == nil {
+				if tree.stats.IORetries != 0 || len(qp.pending) != 0 || len(tree.readAheads) != 0 {
+					t.Fatalf("errored read-ahead must be dropped, never retried: %+v", tree.stats)
 				}
+				unlatched(t, tree, "a dropped completion")
 				return
 			}
 			if tree.stats.IORetries != 1 {
@@ -287,7 +297,8 @@ func TestIOSeamClasses(t *testing.T) {
 			if tree.stats.IOErrors != 1 || tree.stats.IORetries != 0 {
 				t.Errorf("IOErrors=%d IORetries=%d, want 1 and 0", tree.stats.IOErrors, tree.stats.IORetries)
 			}
-			if row.name == "speculative read" {
+			unlatched(t, tree, "a terminal completion")
+			if row.retried == nil {
 				if tree.failed {
 					t.Fatal("an advisory read failed the tree")
 				}
@@ -304,7 +315,7 @@ func TestIOSeamClasses(t *testing.T) {
 			}
 		})
 
-		if row.name == "speculative read" {
+		if row.retried == nil {
 			continue
 		}
 		t.Run(row.name+"/budget exhausted", func(t *testing.T) {
@@ -331,6 +342,43 @@ func TestIOSeamClasses(t *testing.T) {
 					tree.failCause, tree.stats.IORetries, tree.cfg.MaxIORetries)
 			}
 		})
+	}
+}
+
+// TestReadAheadBlocksSiblingWrite pins why a landed read-ahead is always
+// the page's current image: while the read is in flight the tree holds a
+// shared latch on the page, so a writer's exclusive request queues and no
+// write of the page can be issued. Once the read is reaped the writer is
+// granted and its write goes out.
+func TestReadAheadBlocksSiblingWrite(t *testing.T) {
+	tree, qp := seamTree(t, pipelinedCfg)
+	issueReadAhead(tree)
+	if len(qp.pending) != 1 || tree.stats.ReadAheads != 1 {
+		t.Fatalf("read-ahead not issued: %d pending, %d read-aheads", len(qp.pending), tree.stats.ReadAheads)
+	}
+	w := NewInsert(150, []byte("v"), nil)
+	tree.enroll(w, stWriteNext)
+	w.writes = []writeReq{{id: seamPage, data: storage.NewLeaf(seamPage).Encode()}}
+	if tree.acquireLatch(w, seamPage, latch.Exclusive) {
+		t.Fatal("writer latched a page whose read-ahead is in flight")
+	}
+	if w.inReady || len(qp.pending) != 1 {
+		t.Fatalf("latch-blocked writer: inReady=%v, %d commands pending", w.inReady, len(qp.pending))
+	}
+
+	qp.complete(nil)
+	if !w.inReady || len(w.held) != 1 || !tree.resident(seamPage) || len(tree.readAheads) != 0 {
+		t.Fatalf("after the read was reaped: writer ready=%v latches=%d, image resident=%v, %d read-aheads left",
+			w.inReady, len(w.held), tree.resident(seamPage), len(tree.readAheads))
+	}
+	tree.process(w)
+	if len(qp.pending) != 1 || qp.pending[0].Op != nvme.OpWrite || qp.pending[0].LBA != uint64(seamPage) {
+		t.Fatalf("granted writer did not issue its page write: %d pending", len(qp.pending))
+	}
+	qp.complete(nil)
+	tree.process(w)
+	if w.state != stDone || tree.latches.ActiveNodes() != 0 {
+		t.Fatalf("writer state %d, %d pages still latched", w.state, tree.latches.ActiveNodes())
 	}
 }
 

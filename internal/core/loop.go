@@ -56,19 +56,11 @@ type Stats struct {
 	JournalBytes       uint64
 	JournalBlockWrites uint64
 	Checkpoints        uint64
-	// Speculative-prefetch instrumentation (Config.Pipelined;
-	// see pipeline.go). SpecIssued counts speculative page reads
-	// submitted; SpecHits counts operations that coalesced onto an
-	// in-flight speculative read instead of issuing their own demand
-	// read; SpecCancelled counts speculative completions dropped on
-	// mispredict (intervening write, page already resident another way,
-	// device error or checksum failure); SpecWasted counts speculative
-	// reads installed with no operation waiting — prefetched warmth that
-	// may still serve a later buffer hit, but earned nothing yet.
-	SpecIssued    uint64
-	SpecHits      uint64
-	SpecCancelled uint64
-	SpecWasted    uint64
+	// Scan read-ahead (Config.Pipelined; see pipeline.go). ReadAheads
+	// counts sibling reads issued ahead of a scan; ReadAheadHits counts
+	// operations that parked on one instead of issuing a demand read.
+	ReadAheads    uint64
+	ReadAheadHits uint64
 	// Stages holds per-stage, per-kind latency histograms: where each
 	// operation's time went between admission and completion (see
 	// metrics.Stage). The conditional stages (admit-wait, latch-wait,
@@ -180,25 +172,10 @@ type Tree struct {
 	jwDepth    int
 	jwInflight int
 
-	// Speculative child prefetch (Config.Pipelined; see
-	// pipeline.go). specInflight tracks speculative page reads between
-	// submission and completion; an op that reaches a page with a live
-	// speculative read in flight parks on it as a waiter instead of
-	// issuing a duplicate. Every write-submission site calls
-	// specInvalidate with the page it writes, which marks any in-flight
-	// speculative read of that page stale (vetoing its install) and wakes
-	// its waiters onto the fresh in-memory image — so a stale device
-	// image can never mask a newer write, and writes of unrelated pages
-	// never cost the prefetcher anything. specKeys is the per-drain
-	// scratch list of keys to predict paths for; specSeen dedupes them
-	// within one pass. specOn is Config.Pipelined on a tree with a buffer:
-	// with none there is nothing to prefetch into — a speculative read
-	// could never become resident and its completion would reissue it
-	// forever — so speculation is inert while the deeper WAL writer stays.
-	specOn       bool
-	specInflight map[storage.PageID]*specRead
-	specKeys     []uint64
-	specSeen     map[uint64]struct{}
+	// readAheads maps each page with a scan read-ahead in flight to the
+	// ops parked on it (Config.Pipelined; see pipeline.go). The tree
+	// holds a shared latch on every such page until the read is reaped.
+	readAheads map[storage.PageID][]raWaiter
 
 	// syncActive serializes sync/checkpoint pipelines; checkpointPending
 	// is set while an internal checkpoint op is live so the trigger never
@@ -302,7 +279,6 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	t.jwDepth = walDepthClassic
 	if cfg.Pipelined {
 		t.jwDepth = walDepthPipelined
-		t.specOn = cfg.BufferPages > 0
 	}
 	if cfg.Journal && meta.WALBlocks > 0 && meta.WALStart > 0 {
 		t.wal = wal.NewLog(storage.PageSize, meta.WALBlocks)

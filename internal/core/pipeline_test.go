@@ -8,11 +8,11 @@ import (
 	"github.com/patree/patree/internal/sim"
 )
 
-// TestPipelinedWithoutBufferTerminates runs a mixed op stream to
-// completion under Pipelined with no buffer. A speculative read has
-// nowhere to become resident there, so its completion used to reissue it
-// forever; the run is bounded by virtual time so a relapse fails instead
-// of hanging the suite.
+// TestPipelinedWithoutBufferTerminates runs a mixed op stream, scans
+// included, to completion under Pipelined with no buffer. A read-ahead
+// has nowhere to become resident there, so none may be issued; the run
+// is bounded by virtual time so a relapse that wedges fails instead of
+// hanging the suite.
 func TestPipelinedWithoutBufferTerminates(t *testing.T) {
 	for _, journal := range []bool{false, true} {
 		t.Run(fmt.Sprintf("journal=%v", journal), func(t *testing.T) {
@@ -72,8 +72,8 @@ func TestPipelinedWithoutBufferTerminates(t *testing.T) {
 					t.Fatalf("key %d: found=%v value=%q, model has %q (present=%v)", k, op.Res.Found, op.Res.Value, want, ok)
 				}
 			}
-			if st := r.tree.StatsSnapshot(); st.SpecIssued != 0 {
-				t.Fatalf("speculation must be inert without a buffer, issued %d reads", st.SpecIssued)
+			if st := r.tree.StatsSnapshot(); st.ReadAheads != 0 {
+				t.Fatalf("read-ahead must be inert without a buffer, issued %d reads", st.ReadAheads)
 			}
 			if want := walDepthPipelined; r.tree.jwDepth != want {
 				t.Fatalf("WAL writer depth = %d, want the pipelined depth %d", r.tree.jwDepth, want)

@@ -77,7 +77,8 @@ func newStormRig(t *testing.T, cfg Config) *stormRig {
 }
 
 // drive admits ops together and steps the simulation until every op's
-// Done fired.
+// Done fired and no command is left in flight (a scan's read-ahead can
+// outlive the scan).
 func (r *stormRig) drive(ops []*Op) {
 	r.t.Helper()
 	remaining := len(ops)
@@ -95,6 +96,35 @@ func (r *stormRig) drive(ops []*Op) {
 	}
 	if remaining > 0 {
 		r.t.Fatalf("%d operations never completed", remaining)
+	}
+	for steps := 0; r.tree.ioBlocked > 0 && steps < 20_000_000 && r.eng.Step(); steps++ {
+	}
+	if r.tree.ioBlocked > 0 {
+		r.t.Fatalf("%d commands still in flight after every operation completed", r.tree.ioBlocked)
+	}
+}
+
+// stormConfig is one configuration the storm tests run under. The
+// pipelined one reads siblings ahead of its range scans into a small
+// buffer, so read-aheads, their latches and the ops parked on them meet
+// the same stalls and timeouts as demand traffic.
+type stormConfig struct {
+	name string
+	cfg  Config
+}
+
+var stormConfigs = []stormConfig{
+	{name: "classic", cfg: Config{BufferPages: 0}}, // no buffering: every access is a device command
+	{name: "pipelined", cfg: Config{BufferPages: 2, Pipelined: true}},
+}
+
+// checkDrained pins what every storm must leave behind: no stalled entry,
+// no read-ahead and no latch.
+func (r *stormRig) checkDrained() {
+	r.t.Helper()
+	if len(r.tree.stalled) != 0 || len(r.tree.readAheads) != 0 || r.tree.latches.ActiveNodes() != 0 {
+		r.t.Fatalf("after the drain: %d stalled, %d read-aheads, %d latched pages",
+			len(r.tree.stalled), len(r.tree.readAheads), r.tree.latches.ActiveNodes())
 	}
 }
 
@@ -129,15 +159,21 @@ func TestWeakSyncResumesFromFullQueue(t *testing.T) {
 // commands that do get in complete with nvme.ErrTimeout. Every
 // submission path that can stall (reads and strong-persistence
 // write-backs) must re-queue via the stalled list and eventually
-// succeed: no operation may be lost, every retry must be visible in
-// the stats, and the storm must stay below the terminal failed state
-// because the per-op budget is generous.
+// succeed: no operation may be lost, every scan must return every key
+// in its range, every retry must be visible in the stats, and the
+// storm must stay below the terminal failed state because the per-op
+// budget is generous.
 func TestResubmitStalledTimeoutStorm(t *testing.T) {
-	r := newStormRig(t, Config{
-		BufferPages:  0, // no buffering: every access is a device command
-		MaxIORetries: 16,
-		RetryBackoff: 20 * time.Microsecond,
-	})
+	for _, c := range stormConfigs {
+		t.Run(c.name, func(t *testing.T) { timeoutStorm(t, c) })
+	}
+}
+
+func timeoutStorm(t *testing.T, c stormConfig) {
+	cfg := c.cfg
+	cfg.MaxIORetries = 16
+	cfg.RetryBackoff = 20 * time.Microsecond
+	r := newStormRig(t, cfg)
 
 	// Loaded phase, timeouts off (rejections stay on): build the tree.
 	const n = 256
@@ -154,9 +190,12 @@ func TestResubmitStalledTimeoutStorm(t *testing.T) {
 	r.fdev.SetProbs(fault.Probs{Timeout: 0.3})
 	mixed := make([]*Op, 0, n)
 	for i := uint64(1); i <= n; i++ {
-		if i%4 == 0 {
+		switch {
+		case i%4 == 0:
 			mixed = append(mixed, NewInsert(i, []byte(fmt.Sprintf("w%d", i)), nil))
-		} else {
+		case c.cfg.Pipelined && i%4 == 1:
+			mixed = append(mixed, NewRange(i, i+60, 0, nil))
+		default:
 			mixed = append(mixed, NewSearch(i, nil))
 		}
 	}
@@ -164,14 +203,18 @@ func TestResubmitStalledTimeoutStorm(t *testing.T) {
 
 	for _, op := range mixed {
 		if op.Res.Err != nil {
-			t.Fatalf("op key %d failed under a transient storm: %v", op.key, op.Res.Err)
+			t.Fatalf("op key %d failed under a transient storm: %v (cause %v, retries %d)", op.key, op.Res.Err, r.tree.failCause, op.ioRetries)
 		}
 		if op.kind == KindSearch && !op.Res.Found {
 			t.Fatalf("search %d lost its key", op.key)
 		}
+		if op.kind == KindRange {
+			checkStormScan(t, op)
+		}
 	}
-	if len(r.tree.stalled) != 0 {
-		t.Fatalf("%d entries left on the stalled list after the storm drained", len(r.tree.stalled))
+	r.checkDrained()
+	if c.cfg.Pipelined && r.tree.stats.ReadAheads == 0 {
+		t.Fatal("the scans read nothing ahead")
 	}
 	if got := r.fdev.Counts().Timeouts; got == 0 {
 		t.Fatal("fault injection armed but no timeouts fired")
@@ -188,22 +231,51 @@ func TestResubmitStalledTimeoutStorm(t *testing.T) {
 	}
 }
 
+// checkStormScan checks a storm scan of [lo, lo+60] over keys 1..256:
+// every key in range, in order, each with its loaded value or the
+// storm's overwrite (a scan is unordered with respect to concurrent
+// point writes).
+func checkStormScan(t *testing.T, op *Op) {
+	t.Helper()
+	lo := op.endKey - 60
+	if want := min(op.endKey, 256) - lo + 1; uint64(len(op.Res.Pairs)) != want {
+		t.Fatalf("scan from %d returned %d pairs, want %d", lo, len(op.Res.Pairs), want)
+	}
+	for j, kv := range op.Res.Pairs {
+		k := lo + uint64(j)
+		if v := string(kv.Value); kv.Key != k || (v != fmt.Sprintf("v%d", k) && v != fmt.Sprintf("w%d", k)) {
+			t.Fatalf("scan from %d: pair %d is key %d value %q", lo, j, kv.Key, kv.Value)
+		}
+	}
+}
+
 // TestResubmitStalledRetryBudgetBound pins the other edge: when every
 // command times out, each operation consumes at most MaxIORetries
 // retries before the tree declares the device failed, and every
-// admitted operation still completes (with ErrDeviceFailed) — drained,
-// not lost.
+// admitted operation still completes with ErrDeviceFailed — drained,
+// not lost. No operation's pages are resident: the classic tree has no
+// buffer, and the pipelined one reads keys far from the two pages its
+// buffer holds.
 func TestResubmitStalledRetryBudgetBound(t *testing.T) {
+	for _, c := range stormConfigs {
+		t.Run(c.name, func(t *testing.T) { retryBudgetBound(t, c) })
+	}
+}
+
+func retryBudgetBound(t *testing.T, c stormConfig) {
 	const budget = 2
-	r := newStormRig(t, Config{
-		BufferPages:  0,
-		MaxIORetries: budget,
-		RetryBackoff: 20 * time.Microsecond,
-	})
+	cfg := c.cfg
+	cfg.MaxIORetries = budget
+	cfg.RetryBackoff = 20 * time.Microsecond
+	r := newStormRig(t, cfg)
 
 	const n = 64
-	load := make([]*Op, 0, n)
-	for i := uint64(1); i <= n; i++ {
+	keys := uint64(n)
+	if c.cfg.Pipelined {
+		keys = 4 * n // enough leaves for the scans to read siblings ahead
+	}
+	load := make([]*Op, 0, keys)
+	for i := uint64(1); i <= keys; i++ {
 		load = append(load, NewInsert(i, []byte("x"), nil))
 	}
 	r.drive(load)
@@ -211,22 +283,20 @@ func TestResubmitStalledRetryBudgetBound(t *testing.T) {
 	r.fdev.SetProbs(fault.Probs{Timeout: 1})
 	reads := make([]*Op, 0, n)
 	for i := uint64(1); i <= n; i++ {
-		reads = append(reads, NewSearch(i, nil))
+		if c.cfg.Pipelined && i%2 == 1 {
+			reads = append(reads, NewRange(i, i+60, 0, nil))
+		} else {
+			reads = append(reads, NewSearch(i, nil))
+		}
 	}
 	r.drive(reads) // drive fails the test if any op is lost
 
-	var failed int
 	for _, op := range reads {
-		if op.Res.Err != nil {
-			if !errors.Is(op.Res.Err, ErrDeviceFailed) {
-				t.Fatalf("search %d: %v, want ErrDeviceFailed", op.key, op.Res.Err)
-			}
-			failed++
+		if !errors.Is(op.Res.Err, ErrDeviceFailed) {
+			t.Fatalf("%s %d: %v, want ErrDeviceFailed", op.kind, op.key, op.Res.Err)
 		}
 	}
-	if failed == 0 {
-		t.Fatal("every command timed out but no operation failed")
-	}
+	r.checkDrained()
 	st := r.tree.stats
 	if !r.tree.failed {
 		t.Fatal("exhausted budgets must put the tree in the failed state")
@@ -236,6 +306,9 @@ func TestResubmitStalledRetryBudgetBound(t *testing.T) {
 	}
 	if max := uint64(n * budget); st.IORetries > max {
 		t.Fatalf("retries %d exceed the %d-op x %d budget bound", st.IORetries, n, budget)
+	}
+	if c.cfg.Pipelined && st.ReadAheads == 0 {
+		t.Fatal("the scans read nothing ahead")
 	}
 	// The page a failing op was reading stays out of the buffers, so no
 	// later read can be served from a half-retried image.

@@ -8,13 +8,10 @@ import (
 )
 
 // This file is the figpipeline harness for the polled loop's overlap
-// machinery (DESIGN.md §17): speculative child prefetch and pipelined
-// WAL block writes. Each mix runs twice on the same seed — once with
-// the classic strictly-reactive loop, once with the overlap features on
-// — so every delta is the schedule change and nothing else. The
-// off-worker scan merge is deliberately absent here: it moves real host
-// work off the worker goroutine and charges no virtual CPU, so it is
-// invisible to the simulated figures by construction.
+// machinery (DESIGN.md §17): scan read-ahead and pipelined WAL block
+// writes. Each mix runs twice on the same seed — once with the classic
+// strictly-reactive loop, once with the overlap features on — so every
+// delta is the schedule change and nothing else.
 
 // PipelineMix is one committed figpipeline workload configuration.
 type PipelineMix struct {
@@ -26,22 +23,15 @@ type PipelineMix struct {
 	// bottleneck core.Config.Pipelined removes.
 	Journal bool
 	// BufferDiv sizes the page buffer as PreloadKeys/BufferDiv pages; a
-	// large divisor leaves the tree cold so point descents miss and the
-	// speculative prefetch has reads to move off the critical path.
+	// large divisor leaves the tree cold so a scan's sibling leaves miss
+	// and the read-ahead has reads to issue together.
 	BufferDiv int
 	// Concurrency overrides the scale's closed-loop depth when > 0. Deep
 	// closed loops hide read latency on their own (the worker always has
-	// other ops to run during a wait), so the prefetch mix keeps few ops
+	// other ops to run during a wait), so the scan mix keeps few ops
 	// outstanding — the regime where the worker otherwise idles on
-	// serial root-to-leaf demand reads.
+	// serial sibling reads.
 	Concurrency int
-	// ArrivalRate > 0 switches the mix to an open-loop Poisson driver at
-	// that many ops/s. A closed loop re-paces itself around whatever the
-	// worker costs, hiding latency effects in the throughput; an open
-	// loop holds the offered load fixed, so moving a demand read off the
-	// critical path shows up where it belongs — in the latency tail,
-	// where arrival bursts queue behind reads the classic loop waits out.
-	ArrivalRate float64
 	// RangePercent adds YCSB-E style short scans (64 pairs) to the mix;
 	// a scan crossing leaf boundaries is the serial-read chain the
 	// sibling read-ahead collapses into one parallel batch.
@@ -53,28 +43,21 @@ type PipelineMix struct {
 // WAL writer is what pipelining relieves. The scan mix is cold and
 // scan-heavy at a modest closed-loop depth: each scan crossing leaf
 // boundaries waits out a serial chain of sibling reads that the
-// read-ahead issues in parallel instead. The search mix is read-heavy
-// and open-loop at a fixed offered load: point speculation can only
-// shave the drain-to-descent gap off each demand read, so its gains
-// show up in latency rather than throughput.
+// read-ahead issues in parallel instead.
 var PipelineMixes = []PipelineMix{
 	{Name: "journal-write", UpdatePercent: 50, Journal: true, BufferDiv: 12},
 	{Name: "scan-cold", UpdatePercent: 5, RangePercent: 60, BufferDiv: 50, Concurrency: 8},
-	{Name: "search-cold", UpdatePercent: 5, Journal: false, BufferDiv: 50, ArrivalRate: 150_000},
 }
 
-// RunPipelineMix executes one mix. pipelined toggles speculative
-// prefetch and depth-8 WAL write pipelining on the same seed and
-// workload.
+// RunPipelineMix executes one mix. pipelined toggles scan read-ahead
+// and depth-8 WAL write pipelining on the same seed and workload.
 func RunPipelineMix(scale Scale, mix PipelineMix, pipelined bool) RunStats {
 	if mix.Concurrency > 0 {
 		scale.Concurrency = mix.Concurrency
 	}
 	cfg := paTreeConfig(scale.PreloadKeys/mix.BufferDiv, core.StrongPersistence)
 	cfg.Journal = mix.Journal
-	if pipelined {
-		cfg.Pipelined = true
-	}
+	cfg.Pipelined = pipelined
 	gen := workload.NewYCSB(workload.YCSBConfig{
 		Keys:          uint64(scale.PreloadKeys),
 		UpdatePercent: mix.UpdatePercent,
@@ -83,11 +66,10 @@ func RunPipelineMix(scale Scale, mix PipelineMix, pipelined bool) RunStats {
 		Seed:          scale.Seed,
 	})
 	rs := RunPATree(PAConfig{
-		Scale:       scale,
-		Tree:        cfg,
-		Gen:         gen,
-		Device:      nvme.SimConfig{},
-		ArrivalRate: mix.ArrivalRate,
+		Scale:  scale,
+		Tree:   cfg,
+		Gen:    gen,
+		Device: nvme.SimConfig{},
 	})
 	label := "classic"
 	if pipelined {
@@ -128,5 +110,5 @@ func FigPipeline(scale Scale) Report {
 			float64(r.Off.P99Latency)/1e3, float64(r.On.P99Latency)/1e3)
 	}
 	return Report{ID: "figpipeline", Title: "Overlapped I/O and computation: classic vs pipelined polled loop", Table: tb,
-		Notes: "pipelining the WAL block writes lifts the journaled write mix ~1.4x past the one-block-in-flight writer (leaf records left it little to win), sibling read-ahead collapses the cold scan mix's serial leaf chains into parallel batches (~1.6x), and point speculation trims the open-loop search mix's latency a few percent; with the features off the schedules are byte-identical to the classic loop"}
+		Notes: "pipelining the WAL block writes lifts the journaled write mix ~1.7x past the one-block-in-flight writer, and sibling read-ahead under shared latches collapses the cold scan mix's serial leaf chains into parallel batches (~1.9x); with the features off the schedules are byte-identical to the classic loop"}
 }

@@ -14,10 +14,10 @@ import (
 )
 
 // pipelineTraceRun drives one traced, journaled shard through a fixed
-// mixed workload and returns the Chrome trace. pipelined toggles the
-// overlap machinery — speculative child prefetch and depth-8 WAL write
-// pipelining — which by design DOES change the simulated I/O schedule;
-// what must hold is that either configuration is same-seed
+// mix of inserts, searches and range scans and returns the Chrome trace.
+// pipelined toggles the overlap machinery — scan read-ahead and depth-8
+// WAL write pipelining — which by design DOES change the simulated I/O
+// schedule; what must hold is that either configuration is same-seed
 // reproducible, and that the zero Config is the classic loop.
 func pipelineTraceRun(t *testing.T, seed uint64, pipelined bool) []byte {
 	t.Helper()
@@ -31,7 +31,7 @@ func pipelineTraceRun(t *testing.T, seed uint64, pipelined bool) []byte {
 	tracer := core.NewTracer(1 << 15)
 	cfg := core.Config{
 		Persistence: core.StrongPersistence,
-		BufferPages: 32, // tiny: point ops miss, so prefetch has work
+		BufferPages: 8, // tiny: scans miss, so read-ahead has work
 		Journal:     true,
 		Tracer:      tracer,
 	}
@@ -44,31 +44,45 @@ func pipelineTraceRun(t *testing.T, seed uint64, pipelined bool) []byte {
 	}
 
 	rng := sim.NewRNG(seed ^ 0x919e)
-	const total = 400
 	resolved := 0
-	eng.After(0, func() {
-		for i := 0; i < total; i++ {
-			key := 1 + rng.Uint64n(256)
-			var op *core.Op
-			if rng.Intn(100) < 60 {
-				op = core.NewInsert(key, []byte(fmt.Sprintf("v%d", key)), func(*core.Op) { resolved++ })
-			} else {
-				op = core.NewSearch(key, func(*core.Op) { resolved++ })
+	done := func(*core.Op) { resolved++ }
+	// run admits one batch of n ops and steps until all have completed.
+	run := func(n int, next func() *core.Op) {
+		resolved = 0
+		eng.After(0, func() {
+			for i := 0; i < n; i++ {
+				tree.Admit(next())
 			}
-			tree.Admit(op)
+		})
+		for resolved < n {
+			if !eng.Step() {
+				t.Fatalf("seed %d pipelined=%v: run wedged at %d/%d", seed, pipelined, resolved, n)
+			}
+		}
+	}
+	// Grow the tree first, so the mix's scans meet leaves the buffer
+	// cannot hold.
+	run(300, func() *core.Op {
+		key := 1 + rng.Uint64n(256)
+		return core.NewInsert(key, []byte(fmt.Sprintf("v%d", key)), done)
+	})
+	run(400, func() *core.Op {
+		key := 1 + rng.Uint64n(256)
+		switch r := rng.Intn(100); {
+		case r < 50:
+			return core.NewInsert(key, []byte(fmt.Sprintf("v%d", key)), done)
+		case r < 80:
+			return core.NewSearch(key, done)
+		default:
+			return core.NewRange(key, key+64, 0, done)
 		}
 	})
-	for resolved < total {
-		if !eng.Step() {
-			t.Fatalf("seed %d pipelined=%v: run wedged at %d/%d", seed, pipelined, resolved, total)
-		}
-	}
 	st := tree.StatsSnapshot()
-	if pipelined && st.SpecIssued == 0 {
-		t.Fatalf("seed %d: pipelined run issued no speculative reads — the workload no longer exercises the feature", seed)
+	if pipelined && st.ReadAheads == 0 {
+		t.Fatalf("seed %d: pipelined run read nothing ahead — the workload no longer exercises the feature", seed)
 	}
-	if !pipelined && (st.SpecIssued != 0 || st.SpecHits != 0 || st.SpecCancelled != 0 || st.SpecWasted != 0) {
-		t.Fatalf("seed %d: speculation counters moved with the feature off: %+v", seed, st)
+	if !pipelined && (st.ReadAheads != 0 || st.ReadAheadHits != 0) {
+		t.Fatalf("seed %d: read-ahead counters moved with the feature off: %+v", seed, st)
 	}
 	tree.Stop()
 	eng.RunFor(time.Second)
@@ -87,7 +101,7 @@ func pipelineTraceRun(t *testing.T, seed uint64, pipelined bool) []byte {
 // TestPipelinedOffTraceDeterminism is the determinism regression for
 // the overlap machinery (ISSUE 10): the zero Config is the classic
 // loop — WithDefaults must not switch Pipelined on, a default run must
-// issue no speculative read (checked in pipelineTraceRun), and its trace
+// read nothing ahead (checked in pipelineTraceRun), and its trace
 // must be same-seed reproducible. If this breaks, every pinned simulated
 // experiment is suspect.
 func TestPipelinedOffTraceDeterminism(t *testing.T) {
@@ -103,7 +117,7 @@ func TestPipelinedOffTraceDeterminism(t *testing.T) {
 }
 
 // TestPipelinedOnTraceRepeatable pins that the pipelined configuration
-// is itself deterministic: speculation and WAL pipelining reshape the
+// is itself deterministic: read-ahead and WAL pipelining reshape the
 // I/O schedule, but the same seed must reshape it identically every
 // time — stress reproductions and the figpipeline experiment depend on
 // it.

@@ -100,6 +100,15 @@ func (t *Table) Acquire(id storage.PageID, mode Mode, grant func()) bool {
 	return false
 }
 
+// TryAcquire takes a latch on id only if Acquire would grant it at once,
+// and otherwise leaves the table as it found it: it never queues.
+func (t *Table) TryAcquire(id storage.PageID, mode Mode) bool {
+	if nl := t.nodes[id]; nl != nil && (len(nl.pending) > 0 || !nl.admits(mode)) {
+		return false
+	}
+	return t.Acquire(id, mode, nil) // granted: nothing queues
+}
+
 // admits reports whether a latch in the given mode can be taken now.
 func (nl *nodeLatch) admits(mode Mode) bool {
 	if mode == Exclusive {

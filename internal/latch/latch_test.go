@@ -46,6 +46,37 @@ func TestExclusiveExcludes(t *testing.T) {
 	}
 }
 
+// TestTryAcquireNeverQueues pins the non-blocking grant: it succeeds
+// exactly when Acquire would grant at once, and a refusal leaves no
+// request behind — including behind a queued writer, which a shared
+// Acquire would have to wait for.
+func TestTryAcquireNeverQueues(t *testing.T) {
+	tb := NewTable()
+	if !tb.TryAcquire(nodeA, Shared) || !tb.TryAcquire(nodeA, Shared) {
+		t.Fatal("shared try refused on a free node")
+	}
+	if tb.TryAcquire(nodeA, Exclusive) {
+		t.Fatal("exclusive try granted with readers present")
+	}
+	granted := false
+	tb.Acquire(nodeA, Exclusive, func() { granted = true })
+	if tb.TryAcquire(nodeA, Shared) {
+		t.Fatal("shared try jumped a queued writer")
+	}
+	if n := tb.PendingCount(nodeA); n != 1 {
+		t.Fatalf("refused tries left %d queued requests, want only the writer", n)
+	}
+	tb.Release(nodeA, Shared)
+	tb.Release(nodeA, Shared)
+	if !granted {
+		t.Fatal("writer not promoted once the tried readers released")
+	}
+	tb.Release(nodeA, Exclusive)
+	if tb.ActiveNodes() != 0 {
+		t.Fatalf("%d nodes still active", tb.ActiveNodes())
+	}
+}
+
 func TestWriteBlockedByReaders(t *testing.T) {
 	tb := NewTable()
 	tb.Acquire(nodeA, Shared, nil)

@@ -184,16 +184,14 @@ type Options struct {
 	// deterministic simulation runs keep it off to stay byte-identical.
 	ConcurrentReads bool
 	// Pipelined enables the overlapped polled loop (DESIGN.md §17), two
-	// coordinated pieces: speculative child prefetch (each worker walks
-	// drained operations' predicted descent paths through resident pages
-	// and issues the first missing page's read ahead of the operation's
-	// turn, budget-bounded and cancelled on mispredict; inert without a
-	// buffer to prefetch into) and pipelined WAL block writes (several
-	// journal blocks in flight instead of one, log order and
-	// gate-before-mutation preserved — only meaningful with Journal).
-	// Semantics are identical either way; off by default, and
-	// deterministic simulation runs keep it off — speculative reads and
-	// deeper WAL pipelining reshape the simulated I/O schedule.
+	// pieces: scan read-ahead (a range scan reads up to four of the
+	// sibling leaves its level-1 parent lists at once, instead of one
+	// Next link at a time; none without a buffer to read into) and
+	// pipelined WAL block writes (several journal blocks in flight
+	// instead of one, log order and gate-before-mutation preserved — only
+	// meaningful with Journal). Semantics are identical either way; off
+	// by default, and deterministic simulation runs keep it off — both
+	// reshape the simulated I/O schedule.
 	Pipelined bool
 }
 
@@ -235,15 +233,11 @@ type Stats struct {
 	// (0 unless Options.AdmissionWeighting; see ErrBacklog for the
 	// non-blocking paths' behavior).
 	ThrottleWaits uint64
-	// Speculative-prefetch counters (all 0 unless Options.Pipelined):
-	// reads issued ahead of need, operations that coalesced onto one,
-	// completions dropped on mispredict, and installs nobody was waiting
-	// for. Hits vs issued is the prediction accuracy; cancelled+wasted
-	// vs issued is the overhead speculation cost the device.
-	SpecIssued    uint64
-	SpecHits      uint64
-	SpecCancelled uint64
-	SpecWasted    uint64
+	// Scan read-ahead counters (0 unless Options.Pipelined): sibling
+	// leaf reads issued ahead of a range scan, and operations that parked
+	// on one of them instead of issuing their own read.
+	ReadAheads    uint64
+	ReadAheadHits uint64
 	// The workers' idle ledger. Yields counts the passes a worker found
 	// nothing to run and gave up its CPU, YieldTime the quanta it asked
 	// for (a park ends early when work arrives). Parks counts the yields
@@ -719,10 +713,8 @@ func (st *Stats) add(p Stats) {
 	st.JournalBlockWrites += p.JournalBlockWrites
 	st.Checkpoints += p.Checkpoints
 	st.ThrottleWaits += p.ThrottleWaits
-	st.SpecIssued += p.SpecIssued
-	st.SpecHits += p.SpecHits
-	st.SpecCancelled += p.SpecCancelled
-	st.SpecWasted += p.SpecWasted
+	st.ReadAheads += p.ReadAheads
+	st.ReadAheadHits += p.ReadAheadHits
 	st.Yields += p.Yields
 	st.Parks += p.Parks
 	st.YieldTime += p.YieldTime
@@ -770,10 +762,8 @@ func (s *shard) statsSnapshot() (Stats, bufferCounts) {
 		JournalBytes:       st.JournalBytes,
 		JournalBlockWrites: st.JournalBlockWrites,
 		Checkpoints:        st.Checkpoints,
-		SpecIssued:         st.SpecIssued,
-		SpecHits:           st.SpecHits,
-		SpecCancelled:      st.SpecCancelled,
-		SpecWasted:         st.SpecWasted,
+		ReadAheads:         st.ReadAheads,
+		ReadAheadHits:      st.ReadAheadHits,
 		Yields:             st.Yields,
 		Parks:              st.Parks,
 		YieldTime:          st.YieldTime,

@@ -9,9 +9,9 @@ import (
 )
 
 // TestPipelinedPropertyOps runs the randomized oracle stream with the
-// full overlap machinery on — speculative prefetch, depth-8 WAL write
-// pipelining and the off-worker scan merge — over 1 and 4 shards. The
-// public surface must be indistinguishable from the classic path.
+// full overlap machinery on — scan read-ahead and depth-8 WAL write
+// pipelining — over 1 and 4 shards. The public surface must be
+// indistinguishable from the classic path.
 func TestPipelinedPropertyOps(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		n := n
@@ -20,7 +20,7 @@ func TestPipelinedPropertyOps(t *testing.T) {
 			db, err := Open(Options{
 				DeviceBlocks: 1 << 16,
 				Shards:       n,
-				BufferPages:  64, // tiny: point ops miss, so speculation fires
+				BufferPages:  8, // tiny: scans miss, so read-ahead fires
 				Journal:      true,
 				Pipelined:    true,
 			})
@@ -38,48 +38,51 @@ func TestPipelinedPropertyOps(t *testing.T) {
 				t.Fatalf("shards=%d: Stats.NumKeys = %d, oracle %d", n, st.NumKeys, len(model))
 			}
 			// Sharding splits the key space, so at 4 shards each tree fits
-			// its buffer and there is nothing to prefetch; only the 1-shard
-			// run is guaranteed to miss.
-			if n == 1 && st.SpecIssued == 0 {
-				t.Fatalf("shards=%d: pipelined DB issued no speculative reads: %+v", n, st)
-			}
-			if st.SpecHits+st.SpecCancelled+st.SpecWasted > st.SpecIssued {
-				t.Fatalf("shards=%d: speculation accounting inconsistent: %+v", n, st)
+			// its buffer and there is nothing to read ahead; only the
+			// 1-shard run is guaranteed to miss.
+			if n == 1 && st.ReadAheads == 0 {
+				t.Fatalf("shards=%d: pipelined DB issued no read-aheads: %+v", n, st)
 			}
 		})
 	}
 }
 
-// TestPipelinedOptionsDefaults pins the opt-in surface: the zero
-// Options keep every overlap feature off, and Pipelined alone selects
-// the documented WAL write depth.
+// TestPipelinedOptionsDefaults pins the opt-in surface: over a tree
+// many times its buffer, a full scan reads siblings ahead only when
+// Pipelined is set, and the zero Options read nothing ahead.
 func TestPipelinedOptionsDefaults(t *testing.T) {
-	db, err := Open(Options{DeviceBlocks: 1 << 14})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer db.Close()
-	for k := uint64(1); k <= 256; k++ {
-		if err := db.Put(k, []byte("v")); err != nil {
-			t.Fatalf("put: %v", err)
+	for _, pipelined := range []bool{false, true} {
+		db, err := Open(Options{DeviceBlocks: 1 << 14, BufferPages: 4, Pipelined: pipelined})
+		if err != nil {
+			t.Fatalf("open: %v", err)
 		}
-	}
-	for k := uint64(1); k <= 256; k++ {
-		if _, _, err := db.Get(k); err != nil {
-			t.Fatalf("get: %v", err)
+		val := bytes.Repeat([]byte("v"), 100)
+		for k := uint64(1); k <= 2000; k++ {
+			if err := db.Put(k, val); err != nil {
+				t.Fatalf("put: %v", err)
+			}
 		}
-	}
-	if st := db.Stats(); st.SpecIssued != 0 || st.SpecHits != 0 || st.SpecCancelled != 0 || st.SpecWasted != 0 {
-		t.Fatalf("default options moved speculation counters: %+v", st)
+		pairs, err := db.Scan(0, ^uint64(0), 0)
+		if err != nil || len(pairs) != 2000 {
+			t.Fatalf("pipelined=%v: scan returned %d pairs, err %v", pipelined, len(pairs), err)
+		}
+		st := db.Stats()
+		if pipelined != (st.ReadAheads > 0) || (!pipelined && st.ReadAheadHits != 0) {
+			t.Fatalf("pipelined=%v: read-ahead counters %d issued, %d hits", pipelined, st.ReadAheads, st.ReadAheadHits)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
 	}
 }
 
 // FuzzPipelinedOps is FuzzShardedOps with the overlap machinery on: a
 // byte stream becomes point ops and scans over a journaled, pipelined
-// 4-shard DB, checked against a flat map oracle, with a close/reopen
-// cycle asserting that speculative reads and pipelined WAL writes
-// never corrupt the persisted image. CI runs this for a bounded smoke
-// window on every push.
+// 4-shard DB with a small buffer, checked against a flat map oracle,
+// with a close/reopen cycle asserting that read-aheads and pipelined
+// WAL writes never corrupt the persisted image. The full scan after the
+// reopen starts cold, so any shard with a level-1 parent must read
+// ahead. CI runs this for a bounded smoke window on every push.
 func FuzzPipelinedOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 1, 0, 1, 5, 2, 0, 1, 0})
 	f.Add([]byte{4, 1, 0, 3, 0, 1, 0, 7, 3, 0, 0, 0, 2, 1, 0, 0})
@@ -99,7 +102,7 @@ func FuzzPipelinedOps(f *testing.F) {
 			db, err := Open(Options{
 				Device:      dev,
 				Shards:      4,
-				BufferPages: 64,
+				BufferPages: 8,
 				Journal:     true,
 				Pipelined:   true,
 			})
@@ -113,7 +116,8 @@ func FuzzPipelinedOps(f *testing.F) {
 		for i := 0; i < ops; i++ {
 			b := data[i*chunk : (i+1)*chunk]
 			key := 1 + uint64(b[1])%200 + uint64(b[2])%50*7
-			val := []byte{b[3], byte(key), byte(i)}
+			// Padded values give a shard several leaves within 400 ops.
+			val := append(bytes.Repeat([]byte{b[3]}, 40), byte(key), byte(i))
 			switch b[0] % 6 {
 			case 0, 1: // put
 				if err := db.Put(key, val); err != nil {
@@ -151,7 +155,7 @@ func FuzzPipelinedOps(f *testing.F) {
 				if existed {
 					model[key] = append([]byte(nil), val...)
 				}
-			default: // scan (merged off-worker under Pipelined)
+			default: // scan
 				lo := uint64(b[1])
 				hi := lo + uint64(b[3])*3
 				limit := int(b[2]) % 5 // 0 = all
@@ -173,5 +177,8 @@ func FuzzPipelinedOps(f *testing.F) {
 			t.Fatalf("final scan: %v", err)
 		}
 		checkScan(t, "after reopen", pairs, oracleScan(model, 0, ^uint64(0), 0))
+		if st := db.Stats(); st.Height >= 2 && st.ReadAheads == 0 {
+			t.Fatalf("cold full scan over a height-%d shard read nothing ahead", st.Height)
+		}
 	})
 }
