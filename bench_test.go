@@ -232,4 +232,3 @@ func BenchmarkRealModeGet(b *testing.B) {
 		}
 	}
 }
-

@@ -96,11 +96,12 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats counts a connection's wire activity.
+// Stats counts a connection's wire activity. The tags declare how a
+// Pool folds its connections' counts; nothing exposes them as series.
 type Stats struct {
-	Sent        uint64 // request frames written (including retransmits)
-	Received    uint64 // response frames read
-	BusyRetries uint64 // BUSY responses absorbed by backoff + retransmit
+	Sent        uint64 `metric:"- counter sum"` // request frames written (including retransmits)
+	Received    uint64 `metric:"- counter sum"` // response frames read
+	BusyRetries uint64 `metric:"- counter sum"` // BUSY responses absorbed by backoff + retransmit
 }
 
 // pending is one in-flight request: its encoded frame (retained for

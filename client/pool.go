@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	patree "github.com/patree/patree"
+	"github.com/patree/patree/internal/metrics"
 )
 
 // Pool stripes operations round-robin over several Conns to one server,
@@ -59,9 +60,7 @@ func (p *Pool) Stats() Stats {
 	var s Stats
 	for _, c := range p.conns {
 		cs := c.Stats()
-		s.Sent += cs.Sent
-		s.Received += cs.Received
-		s.BusyRetries += cs.BusyRetries
+		metrics.Fold(&s, &cs)
 	}
 	return s
 }

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	patree "github.com/patree/patree"
+	"github.com/patree/patree/internal/metrics"
 )
 
 func main() {
@@ -289,9 +290,7 @@ func runShell() {
 				fmt.Println("error:", err)
 			}
 		case "stats":
-			st := db.Stats()
-			fmt.Printf("keys=%d height=%d ops=%d reads=%d writes=%d probes=%d bufferHit=%.1f%%\n",
-				st.NumKeys, st.Height, st.Ops, st.ReadsIssued, st.WritesIssued, st.Probes, st.BufferHit*100)
+			metrics.WriteText(os.Stdout, db.Stats())
 		case "metrics":
 			fmt.Print(patree.FormatMetrics(db.Metrics()))
 		default:

@@ -15,8 +15,7 @@
 //
 // -trace turns on sampled request-scoped spans (negotiated with v1
 // clients), -slowop logs any request slower than the threshold with its
-// server-side stage breakdown. -metrics is kept as a legacy alias for
-// -admin.
+// server-side stage breakdown.
 package main
 
 import (
@@ -38,7 +37,6 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":7070", "listen address")
 		admin   = flag.String("admin", "", "admin HTTP address (empty = disabled)")
-		metrics = flag.String("metrics", "", "legacy alias for -admin")
 		shards  = flag.Int("shards", 1, "worker shards")
 		inbox   = flag.Int("inbox", 0, "admission ring depth per shard (0 = default)")
 		journal = flag.Bool("journal", false, "enable the redo journal")
@@ -50,9 +48,6 @@ func main() {
 		pipeln  = flag.Bool("pipelined", false, "overlap I/O and computation in the polled workers (scan read-ahead, pipelined WAL writes)")
 	)
 	flag.Parse()
-	if *admin == "" {
-		*admin = *metrics
-	}
 
 	opts := patree.Options{
 		Shards:       *shards,

@@ -608,7 +608,7 @@ func (t *Tree) insertSeparator(th *simos.Thread, stack []storage.PageID,
 	right.keys = append(right.keys, p.keys[mid+1:]...)
 	right.kids = append(right.kids, p.kids[mid+1:]...)
 	p.keys = p.keys[:mid:mid]
-	p.kids = p.kids[:mid+1 : mid+1]
+	p.kids = p.kids[: mid+1 : mid+1]
 	p.right = right.id
 	p.high = upSep
 	th.Work(metrics.CatRealWork, t.cfg.Costs.Split)

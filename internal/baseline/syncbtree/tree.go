@@ -1,7 +1,6 @@
 package syncbtree
 
 import (
-
 	"github.com/patree/patree/internal/core"
 	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/simos"

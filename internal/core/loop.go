@@ -15,52 +15,62 @@ import (
 	"github.com/patree/patree/internal/wal"
 )
 
-// Stats aggregates the tree-side measurements the experiments report.
-type Stats struct {
-	Completed       [numKinds]uint64 // by Kind
-	Latency         *metrics.Histogram
-	SearchLatency   *metrics.Histogram
-	UpdateLatency   *metrics.Histogram
-	Probes          uint64
-	ProbeHits       uint64 // probes that reaped >= 1 completion
-	CompletionsSeen uint64
+// Counters are the worker's exported activity counters, each declared
+// once with its exposition name and fold rule (internal/metrics schema).
+// The embedder's Stats embeds them as they are.
+type Counters struct {
+	Probes       uint64 `metric:"patree_probes_total counter sum" help:"Completion-queue probes."`
+	ReadsIssued  uint64 `metric:"patree_reads_issued_total counter sum" help:"NVMe read commands issued."`
+	WritesIssued uint64 `metric:"patree_writes_issued_total counter sum" help:"NVMe write commands issued."`
+	// AdmitWaits counts blocking Admit calls that found the ring full and
+	// had to back off at least once (backpressure events).
+	AdmitWaits uint64 `metric:"patree_admit_waits_total counter sum" help:"Admissions that hit a full inbox ring."`
+	// IOErrors counts device commands that completed with an error status;
+	// IORetries counts the retries issued in response (bounded per op by
+	// Config.MaxIORetries). A growing gap between the two precedes the
+	// terminal failed state.
+	IOErrors  uint64 `metric:"patree_io_errors_total counter sum" help:"Device commands that completed with an error."`
+	IORetries uint64 `metric:"patree_io_retries_total counter sum" help:"Retries issued for failed device commands."`
+	// JournalAppends counts redo records appended to the WAL,
+	// JournalLeafRecords those of them that are leaf records (one key's
+	// change, not a page image), JournalBytes their framed bytes,
+	// JournalBlockWrites the WAL block commands issued (tail rewrites
+	// included), and Checkpoints the completed journal checkpoints (all 0
+	// unless Config.Journal).
+	JournalAppends     uint64 `metric:"patree_journal_records_total counter sum" help:"Redo records appended to the WAL (Options.Journal)."`
+	JournalLeafRecords uint64 `metric:"patree_journal_leaf_records_total counter sum" help:"Of those, leaf records: one key's change, not a page image."`
+	JournalBytes       uint64 `metric:"patree_journal_bytes_total counter sum" help:"Framed bytes those records took in the log."`
+	JournalBlockWrites uint64 `metric:"patree_journal_block_writes_total counter sum" help:"WAL block commands issued, tail rewrites included."`
+	Checkpoints        uint64 `metric:"patree_checkpoints_total counter sum" help:"Completed journal checkpoints."`
+	// Scan read-ahead (Config.Pipelined; see pipeline.go). ReadAheads
+	// counts sibling reads issued ahead of a scan; ReadAheadHits counts
+	// operations that parked on one instead of issuing a demand read.
+	ReadAheads    uint64 `metric:"patree_read_ahead_total{outcome=issued} counter sum" help:"Scan read-ahead reads (Options.Pipelined): issued, and ops that parked on one."`
+	ReadAheadHits uint64 `metric:"patree_read_ahead_total{outcome=hit} counter sum"`
 	// Yields counts idle passes the policy yielded and YieldTime sums the
 	// quanta it asked for (a wall-clock park ends early on Wake). Parks
 	// counts the yields that slept (env.Sleep) rather than busy-polled
 	// outstanding I/O (SpinWait).
-	Yields    uint64
-	Parks     uint64
-	YieldTime time.Duration
-	// AdmitWaits counts blocking Admit calls that found the ring full and
-	// had to back off at least once (backpressure events).
-	AdmitWaits uint64
+	Yields    uint64        `metric:"patree_worker_yields_total counter sum" help:"Idle worker passes that gave up the CPU."`
+	Parks     uint64        `metric:"patree_worker_parks_total counter sum" help:"Idle yields that slept because no I/O was outstanding."`
+	YieldTime time.Duration `metric:"patree_worker_yield_seconds_total counter sum" help:"Yield quanta the idle workers asked for."`
 	// IdleSpinTime is CPU burned busy-polling with nothing to do; it is
 	// charged to the "others" category and reported separately so the
 	// Figure 9 / Table II attribution can exclude it (perf-style cycle
 	// attribution does not see a wait loop as scheduling work).
-	IdleSpinTime time.Duration
-	ReadsIssued  uint64
-	WritesIssued uint64
-	Splits       uint64
-	// IOErrors counts device commands that completed with an error status;
-	// IORetries counts the retries issued in response (bounded per op by
-	// Config.MaxIORetries). JournalAppends counts redo records appended to
-	// the WAL, JournalLeafRecords those of them that are leaf records (one
-	// key's change, not a page image), JournalBytes their framed bytes,
-	// JournalBlockWrites the WAL block commands issued (tail rewrites
-	// included), and Checkpoints the completed journal checkpoints.
-	IOErrors           uint64
-	IORetries          uint64
-	JournalAppends     uint64
-	JournalLeafRecords uint64
-	JournalBytes       uint64
-	JournalBlockWrites uint64
-	Checkpoints        uint64
-	// Scan read-ahead (Config.Pipelined; see pipeline.go). ReadAheads
-	// counts sibling reads issued ahead of a scan; ReadAheadHits counts
-	// operations that parked on one instead of issuing a demand read.
-	ReadAheads    uint64
-	ReadAheadHits uint64
+	IdleSpinTime time.Duration `metric:"patree_worker_idle_spin_seconds_total counter sum" help:"Accounted CPU of idle passes that did not yield."`
+}
+
+// Stats aggregates the tree-side measurements the experiments report.
+type Stats struct {
+	Counters
+	Completed       [numKinds]uint64 // by Kind
+	Latency         *metrics.Histogram
+	SearchLatency   *metrics.Histogram
+	UpdateLatency   *metrics.Histogram
+	ProbeHits       uint64 // probes that reaped >= 1 completion
+	CompletionsSeen uint64
+	Splits          uint64
 	// Stages holds per-stage, per-kind latency histograms: where each
 	// operation's time went between admission and completion (see
 	// metrics.Stage). The conditional stages (admit-wait, latch-wait,

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/storage"
 )
 
@@ -181,40 +182,37 @@ func (l *ReaderLatency) Percentile(q float64) time.Duration {
 	return l.Sum // saturated top bucket; Sum is a safe upper bound
 }
 
+// Summary returns l's headline view for exposition.
+func (l *ReaderLatency) Summary() metrics.Summary {
+	return metrics.Summary{Count: l.Count, Mean: l.Mean(), P50: l.Percentile(50), P95: l.Percentile(95), P99: l.Percentile(99), Max: l.Percentile(100)}
+}
+
 // ReaderStats is the observability snapshot of the optimistic read path.
 // Counters are cumulative since Open; Merge sums them across shards.
 type ReaderStats struct {
 	// Attempts counts optimistic point reads started; Served counts those
 	// answered without the pipeline. Attempts - Served fell back.
-	Attempts uint64
-	Served   uint64
+	Attempts uint64 `metric:"- counter sum"`
+	Served   uint64 `metric:"patree_reader_ops_total{op=get,outcome=served} counter sum" help:"Optimistic (ConcurrentReads) read attempts by outcome."`
 	// Restarts counts full descent restarts (version changed underfoot);
 	// Escapes counts right-link hops taken after a concurrent split.
-	Restarts uint64
-	Escapes  uint64
+	Restarts uint64 `metric:"patree_reader_restarts_total counter sum" help:"Optimistic-read descent restarts (version changed underfoot)."`
+	Escapes  uint64 `metric:"patree_reader_escapes_total counter sum" help:"Right-link hops taken to escape concurrent splits."`
 	// Fallback reasons: a pending write on the key (read-your-writes), a
 	// page absent from the published table, or restarts exhausted.
-	FallbackPending  uint64
-	FallbackMiss     uint64
-	FallbackRestarts uint64
+	FallbackPending  uint64 `metric:"patree_reader_ops_total{op=get,outcome=fallback-pending} counter sum"`
+	FallbackMiss     uint64 `metric:"patree_reader_ops_total{op=get,outcome=fallback-miss} counter sum"`
+	FallbackRestarts uint64 `metric:"patree_reader_ops_total{op=get,outcome=fallback-restarts} counter sum"`
 	// Scan counterparts.
-	ScanAttempts uint64
-	ScanServed   uint64
+	ScanAttempts uint64 `metric:"- counter sum"`
+	ScanServed   uint64 `metric:"patree_reader_ops_total{op=scan,outcome=served} counter sum"`
 	// Lat is the latency distribution of served optimistic point reads.
 	Lat ReaderLatency
 }
 
 // Merge accumulates o into s (for cross-shard snapshots).
 func (s *ReaderStats) Merge(o *ReaderStats) {
-	s.Attempts += o.Attempts
-	s.Served += o.Served
-	s.Restarts += o.Restarts
-	s.Escapes += o.Escapes
-	s.FallbackPending += o.FallbackPending
-	s.FallbackMiss += o.FallbackMiss
-	s.FallbackRestarts += o.FallbackRestarts
-	s.ScanAttempts += o.ScanAttempts
-	s.ScanServed += o.ScanServed
+	metrics.Fold(s, o)
 	s.Lat.Merge(&o.Lat)
 }
 

@@ -288,7 +288,7 @@ func TestRangeScan(t *testing.T) {
 		}
 	}
 	// Limit.
-	res = r.do(NewRange(0, 1 << 62, 7, nil))
+	res = r.do(NewRange(0, 1<<62, 7, nil))
 	if len(res.Pairs) != 7 {
 		t.Fatalf("limited scan returned %d", len(res.Pairs))
 	}
@@ -591,4 +591,3 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatalf("nondeterministic: (%d,%v) vs (%d,%v)", a1, b1, a2, b2)
 	}
 }
-

@@ -61,7 +61,7 @@ func runStress(t *testing.T, seed uint64) string {
 	if seed%2 == 1 {
 		persistence = core.StrongPersistence
 	}
-	model := map[uint64][]byte{}  // acked state
+	model := map[uint64][]byte{}   // acked state
 	amb := map[uint64][]ambState{} // additional acceptable states per key
 	var img map[uint64][]byte
 	var digest strings.Builder
@@ -105,9 +105,9 @@ func runStress(t *testing.T, seed uint64) string {
 		var tree *core.Tree
 		th := osched.Spawn("patree", func(*simos.Thread) { tree.Run() })
 		tree, err = core.New(fdev, core.Config{
-			Persistence: persistence,
-			BufferPages: 96,
-			Journal:     true,
+			Persistence:  persistence,
+			BufferPages:  96,
+			Journal:      true,
 			MaxIORetries: 8,
 		}, core.SimEnv{T: th}, meta)
 		if err != nil {

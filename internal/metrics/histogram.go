@@ -208,13 +208,13 @@ func (c *Counter) Reset() { c.n = 0 }
 // average. Times are supplied by the caller so the gauge works with the
 // virtual clock.
 type Gauge struct {
-	level     int64
-	weighted  float64 // integral of level over time
-	lastT     int64
-	startT    int64
-	started   bool
-	maxLevel  int64
-	samples   uint64
+	level    int64
+	weighted float64 // integral of level over time
+	lastT    int64
+	startT   int64
+	started  bool
+	maxLevel int64
+	samples  uint64
 }
 
 // Set moves the gauge to level v at time now (nanoseconds).

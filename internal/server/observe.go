@@ -11,7 +11,6 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -111,36 +110,15 @@ func (m *srvMetrics) recordStatus(status uint8) {
 }
 
 // HistSummary is the JSON-safe headline view of one histogram.
-type HistSummary struct {
-	Count uint64        `json:"count"`
-	Mean  time.Duration `json:"mean_ns"`
-	P50   time.Duration `json:"p50_ns"`
-	P95   time.Duration `json:"p95_ns"`
-	P99   time.Duration `json:"p99_ns"`
-	Max   time.Duration `json:"max_ns"`
-}
-
-func summarize(h *metrics.Histogram) HistSummary {
-	if h == nil || h.Count() == 0 {
-		return HistSummary{}
-	}
-	return HistSummary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Percentile(50),
-		P95:   h.Percentile(95),
-		P99:   h.Percentile(99),
-		Max:   h.Max(),
-	}
-}
+type HistSummary = metrics.Summary
 
 // Metrics is a snapshot of the server's wire instrumentation: the
 // lifetime counters plus the always-on latency and burst histograms.
 // All fields are JSON-safe for the /statsz admin endpoint.
 type Metrics struct {
 	Stats
-	BytesIn       uint64                 `json:"bytes_in"`
-	BytesOut      uint64                 `json:"bytes_out"`
+	BytesIn       uint64                 `json:"bytes_in" metric:"patree_server_bytes_in_total counter sum" help:"Request bytes read."`
+	BytesOut      uint64                 `json:"bytes_out" metric:"patree_server_bytes_out_total counter sum" help:"Response bytes written."`
 	BurstSize     HistSummary            `json:"burst_size"`
 	WireLatency   map[string]HistSummary `json:"wire_latency"`   // by request kind
 	StatusLatency map[string]HistSummary `json:"status_latency"` // by response status
@@ -148,7 +126,7 @@ type Metrics struct {
 	// BusyRate is Busy / (Ops + BatchOps + Busy): the fraction of
 	// admission attempts refused with StatusBusy — the server-side view
 	// of the client's retransmit rate.
-	BusyRate float64 `json:"busy_rate"`
+	BusyRate float64 `json:"busy_rate" metric:"patree_server_busy_rate gauge derived" help:"Fraction of admission attempts refused with StatusBusy."`
 }
 
 // Metrics snapshots the wire instrumentation. Safe to call from any
@@ -163,15 +141,15 @@ func (s *Server) Metrics() Metrics {
 		StatusCounts:  map[string]uint64{},
 	}
 	s.met.mu.Lock()
-	m.BurstSize = summarize(s.met.burst)
+	m.BurstSize = metrics.Summarize(s.met.burst)
 	for k := 1; k < numWireKinds; k++ {
 		if h := s.met.latKind[k]; h != nil && h.Count() > 0 {
-			m.WireLatency[proto.KindNames[k]] = summarize(h)
+			m.WireLatency[proto.KindNames[k]] = metrics.Summarize(h)
 		}
 	}
 	for st := 0; st < numWireStatuses; st++ {
 		if h := s.met.latStatus[st]; h != nil && h.Count() > 0 {
-			m.StatusLatency[wireStatusNames[st]] = summarize(h)
+			m.StatusLatency[wireStatusNames[st]] = metrics.Summarize(h)
 		}
 		if n := s.met.status[st]; n > 0 {
 			m.StatusCounts[wireStatusNames[st]] = n
@@ -184,52 +162,23 @@ func (s *Server) Metrics() Metrics {
 	return m
 }
 
-// WritePrometheus renders the snapshot in Prometheus text exposition
-// format under the patree_server_* namespace, for the paserve admin
-// endpoint.
-func (s *Server) WritePrometheus(w io.Writer) error {
-	m := s.Metrics()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("# TYPE patree_server_connections_accepted_total counter\n")
-	p("patree_server_connections_accepted_total %d\n", m.Accepted)
-	p("# TYPE patree_server_connections_active gauge\n")
-	p("patree_server_connections_active %d\n", m.Active)
-	p("# TYPE patree_server_ops_total counter\n")
-	p("patree_server_ops_total %d\n", m.Ops)
-	p("# TYPE patree_server_batch_ops_total counter\n")
-	p("patree_server_batch_ops_total %d\n", m.BatchOps)
-	p("# TYPE patree_server_wire_batches_total counter\n")
-	p("patree_server_wire_batches_total %d\n", m.WireBatches)
-	p("# TYPE patree_server_busy_total counter\n")
-	p("patree_server_busy_total %d\n", m.Busy)
-	p("# TYPE patree_server_busy_rate gauge\n")
-	p("patree_server_busy_rate %g\n", m.BusyRate)
-	p("# TYPE patree_server_bad_frames_total counter\n")
-	p("patree_server_bad_frames_total %d\n", m.BadFrames)
-	p("# TYPE patree_server_bytes_in_total counter\n")
-	p("patree_server_bytes_in_total %d\n", m.BytesIn)
-	p("# TYPE patree_server_bytes_out_total counter\n")
-	p("patree_server_bytes_out_total %d\n", m.BytesOut)
-	p("# TYPE patree_server_burst_ops summary\n")
-	p("patree_server_burst_ops{quantile=\"0.5\"} %d\n", m.BurstSize.P50)
-	p("patree_server_burst_ops{quantile=\"0.99\"} %d\n", m.BurstSize.P99)
-	p("patree_server_burst_ops_count %d\n", m.BurstSize.Count)
-	p("# TYPE patree_server_responses_total counter\n")
+// WritePrometheus renders a fresh snapshot in Prometheus text
+// exposition format under the patree_server_* namespace, for the
+// paserve admin endpoint.
+func (s *Server) WritePrometheus(w io.Writer) error { return s.Metrics().WritePrometheus(w) }
+
+// WritePrometheus renders m in Prometheus text exposition format.
+func (m Metrics) WritePrometheus(w io.Writer) error {
+	var e metrics.Exposition
+	e.Fields(&m)
+	e.Summary("patree_server_burst_ops", "Operations per admitted read burst.", m.BurstSize, false)
 	for _, st := range sortedKeys(m.StatusCounts) {
-		p("patree_server_responses_total{status=%q} %d\n", st, m.StatusCounts[st])
+		e.Add("patree_server_responses_total", "counter", "Responses sent by status.", m.StatusCounts[st], "status", st)
 	}
-	p("# TYPE patree_server_wire_latency_seconds summary\n")
 	for _, kind := range sortedKeys(m.WireLatency) {
-		h := m.WireLatency[kind]
-		p("patree_server_wire_latency_seconds{kind=%q,quantile=\"0.5\"} %g\n", kind, h.P50.Seconds())
-		p("patree_server_wire_latency_seconds{kind=%q,quantile=\"0.99\"} %g\n", kind, h.P99.Seconds())
-		p("patree_server_wire_latency_seconds_count{kind=%q} %d\n", kind, h.Count)
+		e.Summary("patree_server_wire_latency_seconds", "Request latency from arrival to response enqueued, by kind.", m.WireLatency[kind], true, "kind", kind)
 	}
+	_, err := e.WriteTo(w)
 	return err
 }
 

@@ -104,15 +104,16 @@ var serverEpoch = time.Now()
 
 func defaultServerNow() int64 { return time.Since(serverEpoch).Nanoseconds() }
 
-// Stats is a snapshot of server activity counters.
+// Stats is a snapshot of server activity counters, each declared once
+// by its tag (internal/metrics schema).
 type Stats struct {
-	Accepted    uint64 // connections accepted over the server's lifetime
-	Active      uint64 // connections currently open
-	Ops         uint64 // single operations admitted
-	BatchOps    uint64 // operations admitted inside wire batches
-	WireBatches uint64 // wire batch frames admitted
-	Busy        uint64 // requests refused with StatusBusy (flow control)
-	BadFrames   uint64 // malformed requests answered with StatusBadRequest
+	Accepted    uint64 `metric:"patree_server_connections_accepted_total counter sum" help:"Connections accepted over the server's lifetime."`
+	Active      uint64 `metric:"patree_server_connections_active gauge sum" help:"Connections currently open."`
+	Ops         uint64 `metric:"patree_server_ops_total counter sum" help:"Single operations admitted."`
+	BatchOps    uint64 `metric:"patree_server_batch_ops_total counter sum" help:"Operations admitted inside wire batches."`
+	WireBatches uint64 `metric:"patree_server_wire_batches_total counter sum" help:"Wire batch frames admitted."`
+	Busy        uint64 `metric:"patree_server_busy_total counter sum" help:"Requests refused with StatusBusy (flow control)."`
+	BadFrames   uint64 `metric:"patree_server_bad_frames_total counter sum" help:"Malformed requests answered with StatusBadRequest."`
 }
 
 // Server serves the PA-Tree wire protocol over a Store.

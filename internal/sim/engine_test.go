@@ -158,7 +158,7 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 
 func TestTimeArithmetic(t *testing.T) {
 	tm := Time(1500)
-	if tm.Add(500 * Nanosecond) != 2000 {
+	if tm.Add(500*Nanosecond) != 2000 {
 		t.Fatal("Add wrong")
 	}
 	if tm.Sub(Time(500)) != 1000*Nanosecond {

@@ -421,7 +421,7 @@ func (n *Node) SplitInner(rightID PageID) (uint64, *Node) {
 	right.Children = append(right.Children, n.Children[mid+1:]...)
 	right.Next = n.Next
 	n.Keys = n.Keys[:mid:mid]
-	n.Children = n.Children[:mid+1 : mid+1]
+	n.Children = n.Children[: mid+1 : mid+1]
 	n.Next = rightID
 	return sep, right
 }

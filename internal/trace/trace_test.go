@@ -63,9 +63,9 @@ func TestReset(t *testing.T) {
 
 func TestChromeJSONWellFormed(t *testing.T) {
 	tr := New(64, []string{"alpha", "beta"}, []string{"search", "insert"})
-	tr.Emit(0, 0, 1, 7, 1500, 2500)     // slice on track alpha
-	tr.Emit(1, 1, 2, 0, 4000, Instant)  // instant on track beta
-	tr.Emit(9, 0, 3, 0, -250, 10)       // out-of-range code, negative ts
+	tr.Emit(0, 0, 1, 7, 1500, 2500)    // slice on track alpha
+	tr.Emit(1, 1, 2, 0, 4000, Instant) // instant on track beta
+	tr.Emit(9, 0, 3, 0, -250, 10)      // out-of-range code, negative ts
 	var buf bytes.Buffer
 	if err := tr.WriteChromeJSON(&buf, tr.Events()); err != nil {
 		t.Fatal(err)

@@ -33,27 +33,41 @@ type StageStats struct {
 // CPUBreakdown attributes the working thread's accounted CPU time to
 // the paper's Figure 9 categories. On the in-process device this is the
 // tree's own cost-model accounting, kept live as the tree runs.
+//
+// RealWork is index logic (node visits, mutation, splits), Sync
+// latching, NVMe submission and completion-queue probing, Sched
+// ready-queue and main-loop bookkeeping, Other idle spinning and
+// everything else.
 type CPUBreakdown struct {
-	RealWork time.Duration // index logic: node visits, mutation, splits
-	Sync     time.Duration // latching
-	NVMe     time.Duration // submission + completion-queue probing
-	Sched    time.Duration // ready-queue and main-loop bookkeeping
-	Other    time.Duration // idle spinning and everything else
-	Total    time.Duration
+	RealWork time.Duration `metric:"patree_cpu_seconds_total{category=real-work} counter sum" help:"Accounted working-thread CPU by Figure 9 category."`
+	Sync     time.Duration `metric:"patree_cpu_seconds_total{category=sync} counter sum"`
+	NVMe     time.Duration `metric:"patree_cpu_seconds_total{category=nvme} counter sum"`
+	Sched    time.Duration `metric:"patree_cpu_seconds_total{category=sched} counter sum"`
+	Other    time.Duration `metric:"patree_cpu_seconds_total{category=other} counter sum"`
+	Total    time.Duration `metric:"- counter sum"`
 }
 
 // ProbeStats reports how well the workload-aware scheduler's model
 // predicted I/O completion times: each submission records a
 // model-implied completion time, each detected completion is matched
-// FIFO within its class, and the signed error is aggregated. A positive
-// Bias means completions are detected later than predicted.
+// FIFO within its class, and the signed error is aggregated.
+//
+// Matched counts completions matched to a prediction: Late ones were
+// detected after the predicted time, Early ones at or before it.
+// Dropped counts submissions left untracked because the bounded matcher
+// was full. A positive Bias means completions are detected later than
+// predicted; it and the |error| figures are derived from every shard's
+// matches at once.
 type ProbeStats struct {
-	Matched                                     uint64 // completions matched to a prediction
-	Late                                        uint64 // detected after the predicted time
-	Early                                       uint64 // detected at or before the predicted time
-	Dropped                                     uint64 // submissions untracked (bounded matcher was full)
-	Bias                                        time.Duration
-	AbsErrMean, AbsErrP50, AbsErrP95, AbsErrP99 time.Duration
+	Matched    uint64        `metric:"- counter sum"`
+	Late       uint64        `metric:"patree_probe_predictions_total{outcome=late} counter sum" help:"Completion predictions by outcome."`
+	Early      uint64        `metric:"patree_probe_predictions_total{outcome=early} counter sum"`
+	Dropped    uint64        `metric:"patree_probe_predictions_total{outcome=dropped} counter sum"`
+	Bias       time.Duration `metric:"patree_probe_bias_seconds gauge derived" help:"Mean signed completion-prediction error."`
+	AbsErrMean time.Duration `metric:"- gauge derived"`
+	AbsErrP50  time.Duration `metric:"- gauge derived"`
+	AbsErrP95  time.Duration `metric:"- gauge derived"`
+	AbsErrP99  time.Duration `metric:"- gauge derived"`
 }
 
 // ReaderStats reports the optimistic read path's activity: attempts,
@@ -74,7 +88,7 @@ type Metrics struct {
 	CPU         CPUBreakdown
 	Probe       ProbeStats
 	Reader      ReaderStats
-	TraceEvents uint64 // events emitted so far (0 unless Options.Trace)
+	TraceEvents uint64 `metric:"patree_trace_events_total counter sum" help:"Lifecycle trace events emitted."` // 0 unless Options.Trace
 }
 
 // shardMetricsSnap is one shard's contribution to Metrics, gathered on
@@ -82,23 +96,16 @@ type Metrics struct {
 // the live histograms keep mutating on the worker after the snapshot
 // no-op completes, so cross-shard merging must never touch them.
 type shardMetricsSnap struct {
-	stats        Stats
-	buf          bufferCounts
-	stages       *metrics.StageSet
-	cpu          CPUBreakdown
-	probeMatched uint64
-	probeLate    uint64
-	probeEarly   uint64
-	probeDropped uint64
-	probeBias    time.Duration
-	probeAbsErr  *metrics.Histogram
-	traceEmitted uint64
+	m           Metrics // the tagged fields, before the cross-shard fold
+	buf         bufferCounts
+	stages      *metrics.StageSet
+	probeAbsErr *metrics.Histogram
 }
 
 // snapMetrics builds the shard's snapshot; call only on its worker.
 func (s *shard) snapMetrics() shardMetricsSnap {
 	var snap shardMetricsSnap
-	snap.stats, snap.buf = s.statsSnapshot()
+	snap.m.Stats, snap.buf = s.statsSnapshot()
 
 	st := s.tree.StatsSnapshot()
 	if set := st.Stages; set != nil {
@@ -107,7 +114,7 @@ func (s *shard) snapMetrics() shardMetricsSnap {
 	}
 
 	cpu := s.tree.CPUSnapshot()
-	snap.cpu = CPUBreakdown{
+	snap.m.CPU = CPUBreakdown{
 		RealWork: cpu.Get(metrics.CatRealWork),
 		Sync:     cpu.Get(metrics.CatSync),
 		NVMe:     cpu.Get(metrics.CatNVMe),
@@ -117,22 +124,18 @@ func (s *shard) snapMetrics() shardMetricsSnap {
 	}
 
 	if acc := s.policy.Accuracy(); acc != nil {
-		snap.probeMatched = acc.Matched()
-		snap.probeLate = acc.Late()
-		snap.probeEarly = acc.Early()
-		snap.probeDropped = acc.Dropped()
-		snap.probeBias = acc.Bias()
+		snap.m.Probe = ProbeStats{Matched: acc.Matched(), Late: acc.Late(), Early: acc.Early(), Dropped: acc.Dropped(), Bias: acc.Bias()}
 		snap.probeAbsErr = metrics.NewHistogram()
 		snap.probeAbsErr.Merge(acc.AbsErr())
 	}
 
-	snap.traceEmitted = s.tracer.Emitted()
+	snap.m.TraceEvents = s.tracer.Emitted()
 	return snap
 }
 
 // Metrics snapshots the full observability state, merged across shards:
-// counters sum, stage and probe-error histograms merge, the probe bias
-// is weighted by each shard's matched completions.
+// tagged fields fold as their tags say, stage and probe-error histograms
+// merge, the probe bias is weighted by each shard's matched completions.
 func (db *DB) Metrics() Metrics {
 	snaps := make([]shardMetricsSnap, len(db.shards))
 	for i, s := range db.shards {
@@ -147,39 +150,22 @@ func (db *DB) Metrics() Metrics {
 	var biasWeighted float64
 	absErr := metrics.NewHistogram()
 	for _, snap := range snaps {
-		m.Stats.add(snap.stats)
+		metrics.Fold(&m, &snap.m)
 		buf.add(snap.buf)
-
 		if snap.stages != nil && snap.stages.Classes() > classes {
 			classes = snap.stages.Classes()
 		}
-
-		m.CPU.RealWork += snap.cpu.RealWork
-		m.CPU.Sync += snap.cpu.Sync
-		m.CPU.NVMe += snap.cpu.NVMe
-		m.CPU.Sched += snap.cpu.Sched
-		m.CPU.Other += snap.cpu.Other
-		m.CPU.Total += snap.cpu.Total
-
-		m.Probe.Matched += snap.probeMatched
-		m.Probe.Late += snap.probeLate
-		m.Probe.Early += snap.probeEarly
-		m.Probe.Dropped += snap.probeDropped
-		biasWeighted += float64(snap.probeBias) * float64(snap.probeMatched)
+		biasWeighted += float64(snap.m.Probe.Bias) * float64(snap.m.Probe.Matched)
 		if snap.probeAbsErr != nil {
 			absErr.Merge(snap.probeAbsErr)
 		}
-
-		m.TraceEvents += snap.traceEmitted
 	}
 	db.deriveStats(&m.Stats, buf)
 	if m.Probe.Matched > 0 {
 		m.Probe.Bias = time.Duration(biasWeighted / float64(m.Probe.Matched))
 	}
-	m.Probe.AbsErrMean = absErr.Mean()
-	m.Probe.AbsErrP50 = absErr.Percentile(50)
-	m.Probe.AbsErrP95 = absErr.Percentile(95)
-	m.Probe.AbsErrP99 = absErr.Percentile(99)
+	abs := metrics.Summarize(absErr)
+	m.Probe.AbsErrMean, m.Probe.AbsErrP50, m.Probe.AbsErrP95, m.Probe.AbsErrP99 = abs.Mean, abs.P50, abs.P95, abs.P99
 
 	for _, s := range db.shards {
 		rs := s.tree.ReaderSnapshot()
@@ -193,20 +179,9 @@ func (db *DB) Metrics() Metrics {
 		}
 		for _, stage := range metrics.Stages() {
 			for class := 0; class < merged.Classes(); class++ {
-				h := merged.Histogram(stage, class)
-				if h == nil || h.Count() == 0 {
-					continue
+				if s := metrics.Summarize(merged.Histogram(stage, class)); s.Count > 0 {
+					m.Stages = append(m.Stages, StageStats{stage.String(), kindName(class), s.Count, s.Mean, s.P50, s.P95, s.P99, s.Max})
 				}
-				m.Stages = append(m.Stages, StageStats{
-					Stage: stage.String(),
-					Op:    kindName(class),
-					Count: h.Count(),
-					Mean:  h.Mean(),
-					P50:   h.Percentile(50),
-					P95:   h.Percentile(95),
-					P99:   h.Percentile(99),
-					Max:   h.Max(),
-				})
 			}
 		}
 	}

@@ -70,6 +70,7 @@ import (
 	"time"
 
 	"github.com/patree/patree/internal/core"
+	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/probe"
 	"github.com/patree/patree/internal/sched"
@@ -195,59 +196,28 @@ type Options struct {
 	Pipelined bool
 }
 
-// Stats reports tree activity, summed across shards.
+// Counters are the working threads' activity counters: device commands
+// and errors, admission backpressure, the redo journal, scan read-ahead
+// and the idle ledger.
+type Counters = core.Counters
+
+// Stats reports tree activity, summed across shards. Each field's tag
+// declares its exposition name and how shards fold into it.
 type Stats struct {
-	Ops          uint64
-	NumKeys      uint64
-	Height       int // tallest shard
-	Probes       uint64
-	ReadsIssued  uint64
-	WritesIssued uint64
-	// AdmitWaits counts admissions that found an inbox ring full and had
-	// to back off — a sustained non-zero rate means callers outpace the
-	// working threads and backpressure is engaging.
-	AdmitWaits uint64
-	BufferHit  float64
-	// IOErrors counts device commands that completed with an error;
-	// IORetries counts the bounded retries issued in response. A growing
-	// gap between the two precedes the terminal ErrDeviceFailed state.
-	IOErrors  uint64
-	IORetries uint64
-	// JournalAppends counts redo records appended to the WAL,
-	// JournalLeafRecords those of them that log one key's change to one
-	// leaf instead of a page image, JournalBytes their framed bytes,
-	// JournalBlockWrites the WAL block commands issued (tail rewrites
-	// included) and Checkpoints the completed journal truncations (all 0
-	// unless Options.Journal).
-	JournalAppends     uint64
-	JournalLeafRecords uint64
-	JournalBytes       uint64
-	JournalBlockWrites uint64
-	Checkpoints        uint64
+	Ops     uint64 `metric:"patree_ops_total counter sum" help:"Completed index operations."`
+	NumKeys uint64 `metric:"patree_keys gauge sum" help:"Number of keys in the tree."`
+	Height  int    `metric:"patree_height gauge max" help:"Tree height (1 = single leaf)."`
+	Counters
+	BufferHit float64 `metric:"patree_buffer_hit_ratio gauge derived" help:"Page-buffer hit ratio."`
 	// Shards is the number of independent workers backing this DB (1 for
 	// the classic single-worker tree) and Devices the number of block
 	// devices they are spread over (1 unless Options.Devices named more).
-	Shards  int
-	Devices int
+	Shards  int `metric:"patree_shards gauge derived" help:"Number of shard workers serving the keyspace."`
+	Devices int `metric:"patree_devices gauge derived" help:"Number of block devices the shards are spread over."`
 	// ThrottleWaits counts admissions the hot-shard governor held back
 	// (0 unless Options.AdmissionWeighting; see ErrBacklog for the
 	// non-blocking paths' behavior).
-	ThrottleWaits uint64
-	// Scan read-ahead counters (0 unless Options.Pipelined): sibling
-	// leaf reads issued ahead of a range scan, and operations that parked
-	// on one of them instead of issuing their own read.
-	ReadAheads    uint64
-	ReadAheadHits uint64
-	// The workers' idle ledger. Yields counts the passes a worker found
-	// nothing to run and gave up its CPU, YieldTime the quanta it asked
-	// for (a park ends early when work arrives). Parks counts the yields
-	// that slept because no I/O was outstanding, as opposed to
-	// busy-polling for imminent completions. IdleSpinTime is the
-	// accounted CPU of idle passes that did not yield at all.
-	Yields       uint64
-	Parks        uint64
-	YieldTime    time.Duration
-	IdleSpinTime time.Duration
+	ThrottleWaits uint64 `metric:"patree_throttle_waits_total counter derived" help:"Admissions held back by the hot-shard governor."`
 }
 
 // shard is one worker: a tree, its working goroutine, and the
@@ -686,7 +656,7 @@ func (db *DB) Stats() Stats {
 	for _, s := range db.shards {
 		db.onWorker(s, func() {
 			part, bs := s.statsSnapshot()
-			out.add(part)
+			metrics.Fold(&out, &part)
 			buf.add(bs)
 		})
 	}
@@ -694,43 +664,16 @@ func (db *DB) Stats() Stats {
 	return out
 }
 
-// add folds one shard's contribution into st: counters sum and Height
-// takes the tallest shard. BufferHit, Shards and Devices are not
-// per-shard quantities; deriveStats sets them once every shard is in.
-func (st *Stats) add(p Stats) {
-	st.Ops += p.Ops
-	st.NumKeys += p.NumKeys
-	st.Height = max(st.Height, p.Height)
-	st.Probes += p.Probes
-	st.ReadsIssued += p.ReadsIssued
-	st.WritesIssued += p.WritesIssued
-	st.AdmitWaits += p.AdmitWaits
-	st.IOErrors += p.IOErrors
-	st.IORetries += p.IORetries
-	st.JournalAppends += p.JournalAppends
-	st.JournalLeafRecords += p.JournalLeafRecords
-	st.JournalBytes += p.JournalBytes
-	st.JournalBlockWrites += p.JournalBlockWrites
-	st.Checkpoints += p.Checkpoints
-	st.ThrottleWaits += p.ThrottleWaits
-	st.ReadAheads += p.ReadAheads
-	st.ReadAheadHits += p.ReadAheadHits
-	st.Yields += p.Yields
-	st.Parks += p.Parks
-	st.YieldTime += p.YieldTime
-	st.IdleSpinTime += p.IdleSpinTime
-}
-
-// deriveStats completes an accumulated Stats with what no single shard
-// knows: the weighted buffer hit rate, the topology and the DB-level
-// throttle count.
+// deriveStats completes a folded Stats with its derived fields, which no
+// single shard knows: the weighted buffer hit rate, the topology and the
+// DB-level throttle count.
 func (db *DB) deriveStats(st *Stats, buf bufferCounts) {
 	if buf.hits+buf.misses > 0 {
 		st.BufferHit = float64(buf.hits) / float64(buf.hits+buf.misses)
 	}
 	st.Shards = len(db.shards)
 	st.Devices = db.devices
-	st.ThrottleWaits += db.throttleWaits.Load()
+	st.ThrottleWaits = db.throttleWaits.Load()
 }
 
 // bufferCounts carries raw hit/miss counters out of a shard snapshot so
@@ -748,26 +691,10 @@ func (s *shard) statsSnapshot() (Stats, bufferCounts) {
 	st := s.tree.StatsSnapshot()
 	bs := s.tree.BufferStats()
 	return Stats{
-		Ops:                st.TotalOps(),
-		NumKeys:            s.tree.NumKeys(),
-		Height:             s.tree.Height(),
-		Probes:             st.Probes,
-		ReadsIssued:        st.ReadsIssued,
-		WritesIssued:       st.WritesIssued,
-		AdmitWaits:         st.AdmitWaits,
-		IOErrors:           st.IOErrors,
-		IORetries:          st.IORetries,
-		JournalAppends:     st.JournalAppends,
-		JournalLeafRecords: st.JournalLeafRecords,
-		JournalBytes:       st.JournalBytes,
-		JournalBlockWrites: st.JournalBlockWrites,
-		Checkpoints:        st.Checkpoints,
-		ReadAheads:         st.ReadAheads,
-		ReadAheadHits:      st.ReadAheadHits,
-		Yields:             st.Yields,
-		Parks:              st.Parks,
-		YieldTime:          st.YieldTime,
-		IdleSpinTime:       st.IdleSpinTime,
+		Ops:      st.TotalOps(),
+		NumKeys:  s.tree.NumKeys(),
+		Height:   s.tree.Height(),
+		Counters: st.Counters,
 	}, bufferCounts{hits: bs.Hits, misses: bs.Misses}
 }
 

@@ -315,44 +315,3 @@ func TestBatchScanSpanReachesEveryShard(t *testing.T) {
 		}
 	}
 }
-
-// TestStatsAddCoversEveryField sets every numeric field of a per-shard
-// Stats to a distinct value and folds it in twice: each field must come
-// out summed, maxed (Height) or untouched because it is derived for the
-// whole DB (BufferHit, Shards, Devices). A counter added to Stats but
-// not to Stats.add fails here.
-func TestStatsAddCoversEveryField(t *testing.T) {
-	derived := map[string]bool{"BufferHit": true, "Shards": true, "Devices": true}
-	var part Stats
-	pv := reflect.ValueOf(&part).Elem()
-	for i := 0; i < pv.NumField(); i++ {
-		switch f := pv.Field(i); f.Kind() {
-		case reflect.Uint64:
-			f.SetUint(uint64(100 + i))
-		case reflect.Int, reflect.Int64:
-			f.SetInt(int64(100 + i))
-		case reflect.Float64:
-			f.SetFloat(float64(100 + i))
-		default:
-			t.Fatalf("Stats.%s has kind %s: teach this test (and Stats.add) about it", pv.Type().Field(i).Name, f.Kind())
-		}
-	}
-	var acc Stats
-	acc.add(part)
-	acc.add(part)
-	av := reflect.ValueOf(acc)
-	for i := 0; i < av.NumField(); i++ {
-		name := av.Type().Field(i).Name
-		got := av.Field(i).Convert(reflect.TypeOf(float64(0))).Float()
-		want := float64(2 * (100 + i))
-		switch {
-		case derived[name]:
-			want = 0
-		case name == "Height":
-			want = float64(100 + i)
-		}
-		if got != want {
-			t.Errorf("Stats.%s = %v after adding %d twice, want %v", name, got, 100+i, want)
-		}
-	}
-}
