@@ -40,7 +40,7 @@ func main() {
 		shards  = flag.Int("shards", 1, "worker shards")
 		inbox   = flag.Int("inbox", 0, "admission ring depth per shard (0 = default)")
 		journal = flag.Bool("journal", false, "enable the redo journal")
-		weak    = flag.Bool("weak", false, "weak persistence (buffered writes)")
+		weak    = flag.Bool("weak", false, "weak persistence (buffered writes; no effect with -journal)")
 		blocks  = flag.Uint64("blocks", 0, "in-memory device size in 512B blocks (0 = default)")
 		burst   = flag.Int("burst", 0, "max pipelined ops per admission burst (0 = default)")
 		doTrace = flag.Bool("trace", false, "sample request-scoped spans (engine + wire)")

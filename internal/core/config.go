@@ -8,7 +8,9 @@ import (
 	"github.com/patree/patree/internal/trace"
 )
 
-// Persistence selects the buffering mode of §III-C.
+// Persistence selects the buffering mode of §III-C. It selects behaviour
+// only without the journal: with Config.Journal every tree acknowledges
+// at log durability and writes its pages back (see Config.Journal).
 type Persistence int
 
 const (
@@ -108,7 +110,8 @@ func DefaultCosts() CostModel {
 
 // Config parameterizes a Tree.
 type Config struct {
-	// Persistence selects strong or weak buffering semantics.
+	// Persistence selects strong or weak buffering semantics when the
+	// journal is off; with Journal on it has no effect.
 	Persistence Persistence
 	// BufferPages is the buffer capacity in 512B pages (0 disables
 	// buffering, the §V-A configuration).
@@ -151,10 +154,15 @@ type Config struct {
 	// when the root moves; each logged as its used ends, without the hole
 	// between them — record.go) to the device's WAL region before it is
 	// acknowledged, so a crash can never lose an acknowledged write or
-	// expose a torn multi-page update. Requires a device formatted with a
-	// WAL region (Format always lays one out); ignored when the meta page
-	// records no region. Off by default: the paper's experiments measure
-	// the unjournaled write path.
+	// expose a torn multi-page update. The log is then the commit point
+	// under both Persistence modes: an operation acknowledges once its redo
+	// group is durable, and its pages stay dirty in the read-write buffer
+	// until eviction write-back or a checkpoint writes them, never ahead of
+	// their records (walHolds). The WAL writer keeps up to eight block
+	// writes in flight. Requires a device formatted with a WAL region
+	// (Format always lays one out); ignored when the meta page records no
+	// region. Off by default: the paper's experiments measure the
+	// unjournaled write path.
 	Journal bool
 	// Tracer, when non-nil, receives lifecycle events (admission, queue
 	// and latch waits, I/O slices, completions, probes, yields) from the
@@ -172,17 +180,13 @@ type Config struct {
 	// is off by default and sim experiments that pin byte-identical
 	// schedules keep it off.
 	ConcurrentReads bool
-	// Pipelined overlaps I/O with computation on the working thread
-	// (DESIGN.md §17). Scan read-ahead: a range scan at a level-1 parent
-	// reads up to four of the sibling leaves it will walk at once, each
-	// under a shared latch the tree holds until the read is reaped, and
-	// an operation that reaches one of them parks on that read
-	// (pipeline.go); with BufferPages 0 nothing is read ahead. Deeper
-	// journal writer: up to walDepthPipelined WAL block writes in flight
-	// instead of one, with log order and the contiguous-prefix
-	// durability watermark preserved (journal.go). Off by default: both
-	// reshape the simulated I/O schedule, so the paper's experiments run
-	// the classic loop.
+	// Pipelined turns on scan read-ahead (DESIGN.md §17): a range scan at
+	// a level-1 parent reads up to four of the sibling leaves it will walk
+	// at once, each under a shared latch the tree holds until the read is
+	// reaped, and an operation that reaches one of them parks on that read
+	// (pipeline.go); with BufferPages 0 nothing is read ahead. Off by
+	// default: it reshapes the simulated I/O schedule, so the paper's
+	// experiments run the classic loop.
 	Pipelined bool
 }
 

@@ -126,9 +126,8 @@ func (t *Tree) process(o *Op) {
 			return // I/O-blocked until this write completes (or stalled)
 
 		case stJournal:
-			if t.runJournal(o) {
-				return
-			}
+			t.runJournal(o)
+			return
 
 		case stSyncRun:
 			t.runSync(o)
@@ -494,16 +493,16 @@ func (o *Op) isModified(id storage.PageID) bool {
 
 // beginWriteback finishes an update operation. Each modified node is
 // encoded once, into o.writes, and every consumer takes that image: the
-// in-place write (strong), the read-write buffer (weak), the published
-// table at finishOp and the redo record. Strong mode orders the pages
-// leaves before parents, meta last, and moves the op to the write
-// pipeline; weak mode buffers them and completes immediately, scheduling
-// evicted victims in the background (§III-C); with the journal on either
-// goes through stJournal first. Returns true iff the op left the ready
-// set (the processNode convention).
+// in-place write (strong), the read-write buffer (weak or journaled), the
+// published table at finishOp and the redo record. An unjournaled strong
+// tree orders the pages leaves before parents, meta last, and moves the
+// op to the write pipeline; a buffering tree stores them and completes,
+// scheduling evicted victims in the background (§III-C) — with the
+// journal on, once stJournal has made the redo group durable. Returns
+// true iff the op left the ready set (the processNode convention).
 func (t *Tree) beginWriteback(o *Op) bool {
-	weak := t.cfg.Persistence == WeakPersistence
-	if !weak {
+	buffered := t.rw != nil
+	if !buffered {
 		// Children-first, so a parent never points to an unwritten child
 		// on the device.
 		mods := o.modified
@@ -518,24 +517,23 @@ func (t *Tree) beginWriteback(o *Op) bool {
 	for _, n := range o.modified {
 		img := n.Encode()
 		o.writes = append(o.writes, writeReq{id: n.ID, data: img})
-		if weak {
+		if buffered {
 			t.bufferWrite(n.ID, img)
 		}
 	}
-	if o.commit != nil && (!weak || t.journalOn) {
-		// Root changed: the new meta image is written last (strong) and
-		// journaled with the group (a weak tree writes page 0 only at a
-		// sync, but its redo group must carry the move).
+	if o.commit != nil && (!buffered || t.journalOn) {
+		// Root changed: the new meta image is written last (strong) or
+		// journaled with the group (a buffering tree writes page 0 only at
+		// a sync, but its redo group must carry the move).
 		o.writes = append(o.writes, writeReq{id: 0, data: t.pendingMeta(o).Encode()})
 	}
 	switch {
 	case t.journalOn:
 		// Journal-first: the redo group is durable before the op is
-		// acknowledged (weak: the buffered pages reach the device much
-		// later) or its in-place writes start (strong: replay heals a tear).
+		// acknowledged; the buffered pages reach the device much later.
 		o.state = stJournal
 		return false
-	case weak:
+	case buffered:
 		t.finishOp(o)
 		return true
 	}
@@ -559,8 +557,8 @@ func (t *Tree) pendingMeta(o *Op) *storage.Meta {
 
 // ─── Page access ────────────────────────────────────────────────────────
 
-// lookupPage consults the buffers (and, in weak mode, the in-flight
-// write-back table) for the page image of id.
+// lookupPage consults the buffers (and, with the read-write buffer, the
+// in-flight write-back table) for the page image of id.
 func (t *Tree) lookupPage(id storage.PageID) ([]byte, bool) {
 	if t.rw != nil {
 		if data, ok := t.rw.Get(id); ok {
@@ -626,9 +624,9 @@ func (t *Tree) fillOnRead(id storage.PageID, data []byte) {
 	}
 }
 
-// submitOpWrite issues o.writes[o.wIdx] (strong mode). On completion the
-// page enters the read-only buffer (§III-C's fill-on-write-complete rule)
-// and the op advances to the next write.
+// submitOpWrite issues o.writes[o.wIdx] (unjournaled strong mode). On
+// completion the page enters the read-only buffer (§III-C's
+// fill-on-write-complete rule) and the op advances to the next write.
 func (t *Tree) submitOpWrite(o *Op) {
 	w := o.writes[o.wIdx]
 	t.submit(&ioCmd{

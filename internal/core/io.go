@@ -265,7 +265,7 @@ func (t *Tree) Failed() bool { return t.failed }
 // state (nil while healthy). Worker-thread only.
 func (t *Tree) FailCause() error { return t.failCause }
 
-// ─── Background write-back (weak persistence) ───────────────────────────
+// ─── Background write-back (weak or journaled) ──────────────────────────
 
 // bgWrite is one queued background write-back, with its retry budget and
 // the earliest instant it may be (re)submitted.
@@ -275,8 +275,8 @@ type bgWrite struct {
 	due     sim.Time
 }
 
-// bufferWrite stores a weak-mode page update and schedules any evicted
-// dirty victim for background write-back. With the journal on, the page
+// bufferWrite stores a page update in the read-write buffer and schedules
+// any evicted dirty victim for background write-back. With the journal on, the page
 // is held from the device until journalBuild, which runs next, has logged
 // it and says where (walHolds).
 func (t *Tree) bufferWrite(id storage.PageID, data []byte) {

@@ -35,9 +35,12 @@ func (q *scriptQP) Outstanding() int { return len(q.pending) }
 func (q *scriptQP) Free() error      { return nil }
 
 // complete reaps the oldest accepted command with status err.
-func (q *scriptQP) complete(err error) {
-	c := q.pending[0]
-	q.pending = q.pending[1:]
+func (q *scriptQP) complete(err error) { q.completeAt(0, err) }
+
+// completeAt reaps the i-th oldest accepted command with status err.
+func (q *scriptQP) completeAt(i int, err error) {
+	c := q.pending[i]
+	q.pending = append(q.pending[:i], q.pending[i+1:]...)
 	if err == nil && c.Op == nvme.OpRead {
 		copy(c.Buf, q.image)
 	}
@@ -382,16 +385,15 @@ func TestReadAheadBlocksSiblingWrite(t *testing.T) {
 	}
 }
 
-// TestJournalWriterDepthOne pins the serial writer: a rewrite of the
-// tail block is superseded in place while merely queued and queues behind
-// while the tail is in flight, a transient error resubmits the same head
-// entry, the durability watermark wakes the ops it covers, and a terminal
-// error wakes every parked op.
-func TestJournalWriterDepthOne(t *testing.T) {
-	tree, qp := seamTree(t, journalCfg)
-	if tree.jwDepth != walDepthClassic {
-		t.Fatalf("zero Config writer depth = %d", tree.jwDepth)
-	}
+// TestJournalWriter pins the WAL writer at its one depth: a zero Config
+// with the journal keeps walDepth writes of distinct blocks in flight; a
+// rewrite of the tail block is superseded in place while merely queued and
+// queues behind while the tail is in flight; a completion that overtakes
+// an earlier write certifies nothing until that write lands; a transient
+// error resubmits the same entry; the durability watermark wakes the ops
+// it covers; and a terminal error wakes every parked op.
+func TestJournalWriter(t *testing.T) {
+	tree, qp := seamTree(t, Config{BufferPages: 8, Journal: true})
 	blk := storage.PageID(tree.walStart)
 	img := func(b byte) []byte { p := make([]byte, storage.PageSize); p[0] = b; return p }
 	park := func(need int) *Op {
@@ -406,14 +408,19 @@ func TestJournalWriterDepthOne(t *testing.T) {
 	tree.jwKick()
 	tree.jwEnqueue(blk, img(2), 150) // tail in flight: queues behind
 	tree.jwEnqueue(blk, img(3), 200) // tail merely queued: superseded in place
-	tree.jwEnqueue(blk+1, img(4), 0)
+	tree.jwEnqueue(blk+1, img(4), 250)
 	tree.jwKick()
-	if len(tree.jwq) != 3 || tree.jwq[1].cmd.Buf[0] != 3 || tree.jwq[1].certify != 200 || len(qp.pending) != 1 || tree.jwInflight != 1 {
-		t.Fatalf("queue=%d second=%d certify=%d pending=%d inflight=%d, want 3 entries, image 3 certifying 200, one write in flight",
+	if len(tree.jwq) != 3 || tree.jwq[1].cmd.Buf[0] != 3 || tree.jwq[1].certify != 200 || len(qp.pending) != 2 || tree.jwInflight != 2 {
+		t.Fatalf("queue=%d second=%d certify=%d pending=%d inflight=%d, want 3 entries, image 3 certifying 200, blocks 1 and 4 in flight",
 			len(tree.jwq), tree.jwq[1].cmd.Buf[0], tree.jwq[1].certify, len(qp.pending), tree.jwInflight)
 	}
-	first, second := park(100), park(200)
+	first, second, third := park(100), park(200), park(250)
 
+	qp.completeAt(1, nil) // the next block lands first
+	if tree.jDurable != 0 || first.inReady || third.inReady || len(tree.jwq) != 3 {
+		t.Fatalf("out-of-order completion: jDurable=%d first=%v third=%v queue=%d, want nothing certified",
+			tree.jDurable, first.inReady, third.inReady, len(tree.jwq))
+	}
 	qp.complete(nvme.ErrTimeout)
 	if len(qp.pending) != 1 || qp.pending[0].Buf[0] != 1 || tree.jwq[0].cmd.tries != 1 || first.inReady {
 		t.Fatalf("head retry: pending=%d image=%d retries=%d woke=%v, want the same entry back in flight",
@@ -424,13 +431,25 @@ func TestJournalWriterDepthOne(t *testing.T) {
 		t.Fatalf("jDurable=%d first=%v second=%v, want 100 and only the first op woken", tree.jDurable, first.inReady, second.inReady)
 	}
 	if len(qp.pending) != 1 || qp.pending[0].Buf[0] != 3 || len(tree.jwq) != 2 {
-		t.Fatalf("completion did not chain the next entry: pending=%d queue=%d", len(qp.pending), len(tree.jwq))
+		t.Fatalf("completion did not release the queued rewrite: pending=%d queue=%d", len(qp.pending), len(tree.jwq))
+	}
+	qp.complete(nil)
+	if tree.jDurable != 250 || !second.inReady || !third.inReady || len(tree.jwq) != 0 {
+		t.Fatalf("jDurable=%d second=%v third=%v queue=%d, want the landed prefix through 250 certified",
+			tree.jDurable, second.inReady, third.inReady, len(tree.jwq))
 	}
 
-	third := park(300)
+	for b := range walDepth + 2 {
+		tree.jwEnqueue(blk+2+storage.PageID(b), img(byte(b)), 300+b)
+	}
+	tree.jwKick()
+	if len(qp.pending) != walDepth || tree.jwInflight != walDepth {
+		t.Fatalf("pending=%d inflight=%d, want %d distinct blocks in flight", len(qp.pending), tree.jwInflight, walDepth)
+	}
+	fourth := park(400)
 	qp.complete(errors.New("controller gone"))
-	if !tree.failed || !second.inReady || !third.inReady || len(tree.jWaiters) != 0 || len(tree.jwq) != 0 {
-		t.Fatalf("failed=%v second=%v third=%v waiters=%d queue=%d, want every parked op woken",
-			tree.failed, second.inReady, third.inReady, len(tree.jWaiters), len(tree.jwq))
+	if !tree.failed || !fourth.inReady || len(tree.jWaiters) != 0 || len(tree.jwq) != 0 {
+		t.Fatalf("failed=%v fourth=%v waiters=%d queue=%d, want every parked op woken",
+			tree.failed, fourth.inReady, len(tree.jWaiters), len(tree.jwq))
 	}
 }

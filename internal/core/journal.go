@@ -41,10 +41,11 @@ func (t *Tree) journalGate(o *Op) bool {
 }
 
 // runJournal drives stJournal: append the op's redo group (once), then
-// wait until the durability watermark covers the group's bytes before
-// acknowledging (weak) or starting the in-place writes (strong). Returns
-// true when the op left the ready set.
-func (t *Tree) runJournal(o *Op) bool {
+// wait until the durability watermark covers the group's bytes and
+// acknowledge. The log is the commit point: the group's pages stay dirty
+// in the buffer and reach the device by write-back or checkpoint, under
+// walHolds. Always leaves the ready set.
+func (t *Tree) runJournal(o *Op) {
 	if !o.jAppended {
 		t.journalBuild(o)
 		o.jAppended = true
@@ -52,18 +53,11 @@ func (t *Tree) runJournal(o *Op) bool {
 		t.jLive++
 	}
 	if t.journalPark(o) {
-		return true
+		return
 	}
 	o.jLiveMark = false
 	t.jLive--
-	if t.cfg.Persistence == WeakPersistence {
-		t.finishOp(o)
-		return true
-	}
-	o.postJournal = true
-	t.postJournalLive++
-	o.state = stWriteNext
-	return false
+	t.finishOp(o)
 }
 
 // journalBuild appends the op's redo group. A group that changed one leaf
@@ -93,10 +87,8 @@ func (t *Tree) journalBuild(o *Op) {
 	}
 	t.wal.FlushFull(t.jwStaged)
 	o.jNeed = t.wal.UsedBytes()
-	if t.jPageEnd != nil {
-		for _, w := range o.writes {
-			t.jPageEnd[w.id] = o.jNeed
-		}
+	for _, w := range o.writes {
+		t.jPageEnd[w.id] = o.jNeed
 	}
 }
 
@@ -120,7 +112,7 @@ func (t *Tree) journalAppend(hdr, body1, body2 []byte) {
 }
 
 // walHolds reports whether page id must not reach the device yet: the
-// write-ahead rule. A weak tree's buffered page is written back, or
+// write-ahead rule. A journaled tree's buffered page is written back, or
 // written by a checkpoint's snapshot, only once the log is durable up to
 // its newest record, so a page on the device never runs ahead of the log
 // that recovery folds onto it. Positions count from the last log reset.
@@ -164,13 +156,10 @@ type jwEntry struct {
 	done     bool
 }
 
-// WAL writer depth: how many block writes the tree-level writer keeps in
-// flight. The classic loop keeps one; Config.Pipelined overlaps writes of
-// distinct log blocks.
-const (
-	walDepthClassic   = 1
-	walDepthPipelined = 8
-)
+// walDepth is how many block writes the tree-level WAL writer keeps in
+// flight: writes of distinct log blocks overlap, so the log keeps the
+// device busy while acknowledgements wait on it.
+const walDepth = 8
 
 // jwStaged is the log's block writer: it queues staged block bi. A full
 // block certifies its own end; the tail, what has been framed.
@@ -212,19 +201,18 @@ func (t *Tree) jwActive() bool {
 	return t.jwInflight > 0 || len(t.jwq) > 0
 }
 
-// jwKick submits queued WAL block writes, keeping up to jwDepth in
+// jwKick submits queued WAL block writes, keeping up to walDepth in
 // flight. Called after enqueueing, from every write completion, and from
 // the main loop (to recover from a full submission queue). Writes of
 // distinct log blocks overlap; an entry whose block has an earlier
 // not-yet-landed entry (an in-flight tail rewrite) stays queued behind it
 // so same-block submission order — and therefore log order on the device
-// — is preserved. At depth 1 this is a strictly serial writer: each
-// completion chains the next submit.
+// — is preserved.
 func (t *Tree) jwKick() {
 	if t.failed {
 		return
 	}
-	for i := 0; i < len(t.jwq) && t.jwInflight < t.jwDepth; i++ {
+	for i := 0; i < len(t.jwq) && t.jwInflight < walDepth; i++ {
 		e := t.jwq[i]
 		if e.inflight || e.done {
 			continue

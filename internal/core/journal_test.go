@@ -109,7 +109,8 @@ func TestJournalCrashRecoveryStrong(t *testing.T) {
 	if rep.KeysCounted != n {
 		t.Fatalf("recovered %d keys, want %d", rep.KeysCounted, n)
 	}
-	// Strong mode already wrote pages in place; replay is idempotent.
+	// Pages written back before the crash carry their changes already;
+	// folding a record onto them again is idempotent.
 	for i := uint64(1); i <= n; i++ {
 		res := r2.search(i)
 		if res.Err != nil || string(res.Value) != fmt.Sprintf("s%d", i) {
@@ -320,28 +321,31 @@ func (q *crashProbeQP) Submit(c *nvme.Command) error {
 	return q.QueuePair.Submit(c)
 }
 
-// TestJournalWriteAheadWeak is the write-ahead rule under a buffer far
+// TestJournalWriteAhead is the write-ahead rule under a buffer far
 // smaller than the working set: rounds of 64 concurrent inserts of
-// 100-byte values into a weak journaled tree with a 512-block log. With
-// 4 buffer pages nearly every operation writes a dirty page back; with
-// none, every page goes out as soon as it is buffered, before its own
-// record is logged; with 64 and a Sync in every round, checkpoint
-// snapshots meet groups still on their way to the log. At every
-// data-page write the image of a crash that kept it must recover, with
-// every acknowledged pair. A page that reaches the device before its
+// 100-byte values into a journaled tree with a 512-block log, under both
+// Persistence modes — with the journal on, both ack at log durability and
+// write pages back. With 4 buffer pages nearly every operation writes a
+// dirty page back; with none, every page goes out as soon as it is
+// buffered, before its own record is logged; with 64 and a Sync in every
+// round, checkpoint snapshots meet groups still on their way to the log.
+// At every data-page write the image of a crash that kept it must recover,
+// with every acknowledged pair. A page that reaches the device before its
 // records — one half of a split without the other, a parent before its
 // new child — leaves an image that loses acknowledged pairs, or that no
 // recovery can read.
-func TestJournalWriteAheadWeak(t *testing.T) {
-	for _, c := range []struct {
-		name          string
-		buffer, syncs int
-	}{{"buffer=4", 4, 0}, {"buffer=0", 0, 0}, {"buffer=64+sync", 64, 1}} {
-		t.Run(c.name, func(t *testing.T) { writeAheadRig(t, c.buffer, c.syncs) })
+func TestJournalWriteAhead(t *testing.T) {
+	for _, p := range []Persistence{StrongPersistence, WeakPersistence} {
+		for _, c := range []struct {
+			name          string
+			buffer, syncs int
+		}{{"buffer=4", 4, 0}, {"buffer=0", 0, 0}, {"buffer=64+sync", 64, 1}} {
+			t.Run(p.String()+"/"+c.name, func(t *testing.T) { writeAheadRig(t, p, c.buffer, c.syncs) })
+		}
 	}
 }
 
-func writeAheadRig(t *testing.T, bufferPages, syncs int) {
+func writeAheadRig(t *testing.T, p Persistence, bufferPages, syncs int) {
 	const rounds, perRound = 12, 64
 	eng := sim.NewEngine()
 	osched := simos.New(eng, simos.Config{})
@@ -353,8 +357,11 @@ func writeAheadRig(t *testing.T, bufferPages, syncs int) {
 	dev.walFrom = meta.WALStart
 	var tree *Tree
 	th := osched.Spawn("patree", func(*simos.Thread) { tree.Run() })
-	if tree, err = New(dev, Config{Persistence: WeakPersistence, BufferPages: bufferPages, Journal: true}, SimEnv{T: th}, meta); err != nil {
+	if tree, err = New(dev, Config{Persistence: p, BufferPages: bufferPages, Journal: true}, SimEnv{T: th}, meta); err != nil {
 		t.Fatal(err)
+	}
+	if tree.rw == nil {
+		t.Fatal("a journaled tree must buffer its pages and write them back")
 	}
 	acked := map[uint64]string{}
 	crashes, failure := 0, ""

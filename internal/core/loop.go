@@ -42,6 +42,9 @@ type Counters struct {
 	JournalBytes       uint64 `metric:"patree_journal_bytes_total counter sum" help:"Framed bytes those records took in the log."`
 	JournalBlockWrites uint64 `metric:"patree_journal_block_writes_total counter sum" help:"WAL block commands issued, tail rewrites included."`
 	Checkpoints        uint64 `metric:"patree_checkpoints_total counter sum" help:"Completed journal checkpoints."`
+	// CheckpointPageWrites counts the dirty pages checkpoints wrote: the
+	// burst a log reset costs once every journaled tree writes back.
+	CheckpointPageWrites uint64 `metric:"patree_checkpoint_page_writes_total counter sum" help:"Dirty pages written by journal checkpoints."`
 	// Scan read-ahead (Config.Pipelined; see pipeline.go). ReadAheads
 	// counts sibling reads issued ahead of a scan; ReadAheadHits counts
 	// operations that parked on one instead of issuing a demand read.
@@ -119,8 +122,8 @@ type Tree struct {
 	deviceCount uint16
 
 	latches *latch.Table
-	ro      *buffer.ReadOnly  // strong persistence
-	rw      *buffer.ReadWrite // weak persistence
+	ro      *buffer.ReadOnly  // strong persistence, unjournaled
+	rw      *buffer.ReadWrite // weak persistence, or any journaled tree
 
 	// pub, when non-nil (Config.ConcurrentReads), is the published-page
 	// table that read-only goroutines traverse optimistically without
@@ -130,8 +133,8 @@ type Tree struct {
 	// its footprint is bounded by BufferPages). See published.go/reader.go.
 	pub *pubTable
 
-	// inflight tracks weak-mode write-backs between queueing and
-	// completion so read misses never fetch stale pages from the device.
+	// inflight tracks write-backs between queueing and completion so read
+	// misses never fetch stale pages from the device.
 	inflight map[storage.PageID][]byte
 	bgQueue  []bgWrite // dirty evictions awaiting (re)submission
 
@@ -141,26 +144,23 @@ type Tree struct {
 	// rewrites preserve the region description). jDurable is the log byte
 	// watermark known durable; jWaiters holds ops whose records were
 	// carried to the device by another op's block writes and wait for the
-	// watermark to cover them. jLive counts ops inside stJournal,
-	// postJournalLive the strong-mode ops still writing in place after
-	// their group became durable — a checkpoint quiesces both before it
-	// retires records. jFence blocks new mutations (checked before the
-	// leaf is touched) while a checkpoint drains. jPageEnd (weak trees
-	// only) maps each page buffered since the last log reset to the log
-	// position its newest record ends at, the write-ahead rule's input
-	// (walHolds).
-	wal             *wal.Log
-	walStart        uint64
-	walBlocks       uint64
-	metaWALGen      uint32
-	journalOn       bool
-	jHdr            [leafHeaderBytes]byte // the record header scratch
-	jPageEnd        map[storage.PageID]int
-	jDurable        int
-	jLive           int
-	postJournalLive int
-	jFence          bool
-	jWaiters        []*Op
+	// watermark to cover them. jLive counts ops inside stJournal; a
+	// checkpoint quiesces them before it retires records. jFence blocks
+	// new mutations (checked before the leaf is touched) while a
+	// checkpoint drains. jPageEnd maps each page buffered since the last
+	// log reset to the log position its newest record ends at, the
+	// write-ahead rule's input (walHolds).
+	wal        *wal.Log
+	walStart   uint64
+	walBlocks  uint64
+	metaWALGen uint32
+	journalOn  bool
+	jHdr       [leafHeaderBytes]byte // the record header scratch
+	jPageEnd   map[storage.PageID]int
+	jDurable   int
+	jLive      int
+	jFence     bool
+	jWaiters   []*Op
 
 	// The WAL block writer: one tree-level FIFO issuing block writes in
 	// log order. Per-op writers would race on the shared tail block — a
@@ -173,13 +173,11 @@ type Tree struct {
 	// so the durable prefix is always contiguous. jwFree holds landed
 	// entries for reuse.
 	//
-	// Up to jwDepth writes of distinct log blocks are in flight at once
-	// (jwInflight gauges them; 1 on the classic loop, more when
-	// Config.Pipelined), while a rewrite of a block with a write still in
-	// flight queues behind it. See DESIGN.md §11.
+	// Up to walDepth writes of distinct log blocks are in flight at once
+	// (jwInflight gauges them), while a rewrite of a block with a write
+	// still in flight queues behind it. See DESIGN.md §11.
 	jwq        []*jwEntry
 	jwFree     []*jwEntry
-	jwDepth    int
 	jwInflight int
 
 	// readAheads maps each page with a scan read-ahead in flight to the
@@ -286,10 +284,6 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	t.walStart = meta.WALStart
 	t.walBlocks = meta.WALBlocks
 	t.metaWALGen = meta.WALGen
-	t.jwDepth = walDepthClassic
-	if cfg.Pipelined {
-		t.jwDepth = walDepthPipelined
-	}
 	if cfg.Journal && meta.WALBlocks > 0 && meta.WALStart > 0 {
 		t.wal = wal.NewLog(storage.PageSize, meta.WALBlocks)
 		g := meta.WALGen
@@ -305,7 +299,10 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	if s, ok := env.(interface{ SpinWait(time.Duration) }); ok {
 		t.spin = s.SpinWait
 	}
-	if cfg.Persistence == WeakPersistence {
+	// The journal makes the log the commit point: every journaled tree
+	// acks at log durability and writes its pages back, so Persistence
+	// picks the buffer only without it.
+	if cfg.Persistence == WeakPersistence || t.journalOn {
 		t.rw = buffer.NewReadWrite(cfg.BufferPages)
 		if t.journalOn {
 			t.jPageEnd = make(map[storage.PageID]int)
@@ -647,10 +644,6 @@ func (t *Tree) opTeardown(o *Op) {
 	if o.jLiveMark {
 		o.jLiveMark = false
 		t.jLive--
-	}
-	if o.postJournal {
-		o.postJournal = false
-		t.postJournalLive--
 	}
 	if o.jParked {
 		o.jParked = false

@@ -104,7 +104,7 @@ const (
 	stChildGranted                // latch on op.cur held; handle coupling
 	stReadNode                    // need the content of op.cur
 	stProcess                     // have op.curNode; run index logic
-	stWriteNext                   // strong mode: issue the next queued write
+	stWriteNext                   // unjournaled strong: issue the next queued write
 	stJournal                     // journaled update: persist the redo group
 	stSyncRun                     // sync op: drive the flush pipeline
 	stDone
@@ -170,11 +170,12 @@ type Op struct {
 	pendingErr error
 
 	// modified are the decoded nodes this op has mutated; they stay
-	// latched until their writes are durable (strong) or buffered (weak).
-	// writes are their encoded images (plus the meta page when the root
-	// moves), built once by beginWriteback: strong mode writes them in
-	// place in this order (wIdx next), the journal logs them as the op's
-	// redo group, and finishOp publishes them.
+	// latched until the op completes: its writes durable (strong), its redo
+	// group durable (journaled) or its pages buffered (weak). writes are
+	// their encoded images (plus the meta page when the root moves), built
+	// once by beginWriteback: unjournaled strong mode writes them in place
+	// in this order (wIdx next), the journal logs them as the op's redo
+	// group, and finishOp publishes them.
 	modified []*storage.Node
 	writes   []writeReq
 	wIdx     int
@@ -204,15 +205,12 @@ type Op struct {
 	// be durable before this op may be acknowledged (ordinary mutations
 	// hand their WAL blocks to the tree-level writer and park on it);
 	// jLiveMark/jParked record whether the op is counted in Tree.jLive /
-	// parked in Tree.jWaiters, and postJournal whether it is counted in
-	// Tree.postJournalLive (strong mode, between journal durability and
-	// in-place write completion). A checkpoint parks the same way on its
+	// parked in Tree.jWaiters. A checkpoint parks the same way on its
 	// fenced meta record.
-	jNeed       int
-	jAppended   bool
-	jLiveMark   bool
-	jParked     bool
-	postJournal bool
+	jNeed     int
+	jAppended bool
+	jLiveMark bool
+	jParked   bool
 
 	holdsWrite bool
 
@@ -381,7 +379,6 @@ func (o *Op) reset() {
 	o.jAppended = false
 	o.jLiveMark = false
 	o.jParked = false
-	o.postJournal = false
 	o.holdsWrite = false
 	o.tree = nil
 	o.pendingLatch = heldLatch{}

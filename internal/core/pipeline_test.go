@@ -75,9 +75,6 @@ func TestPipelinedWithoutBufferTerminates(t *testing.T) {
 			if st := r.tree.StatsSnapshot(); st.ReadAheads != 0 {
 				t.Fatalf("read-ahead must be inert without a buffer, issued %d reads", st.ReadAheads)
 			}
-			if want := walDepthPipelined; r.tree.jwDepth != want {
-				t.Fatalf("WAL writer depth = %d, want the pipelined depth %d", r.tree.jwDepth, want)
-			}
 		})
 	}
 }

@@ -108,11 +108,10 @@ func (t *Tree) runSync(o *Op) {
 
 		case spMetaLog:
 			if !o.jAppended {
-				if t.jLive > 0 || t.postJournalLive > 0 || t.jwActive() {
+				if t.jLive > 0 || t.jwActive() {
 					// Ops whose records are in the retiring generation must
-					// finish their in-place / buffered writes first — and the
-					// shared WAL writer must drain — before the log is retired;
-					// the fence keeps new ones out.
+					// finish first — and the shared WAL writer must drain —
+					// before the log is retired; the fence keeps new ones out.
 					t.scheduleRetry(o, t.cfg.RetryBackoff)
 					return
 				}
@@ -246,6 +245,9 @@ func (t *Tree) syncPageDone(c *ioCmd, res ioResult, now sim.Time) {
 	case ioOK:
 		if d.ID != 0 && t.rw != nil {
 			t.rw.MarkClean(d.ID, d.Epoch)
+		}
+		if t.journalOn {
+			t.stats.CheckpointPageWrites++
 		}
 	}
 	t.pushReady(o, now)

@@ -85,10 +85,11 @@ const MaxValueSize = storage.MaxValueSize
 // KV is a key/value pair returned by Scan.
 type KV = core.KV
 
-// Persistence selects the §III-C buffering mode.
+// Persistence selects the §III-C buffering mode. It selects behaviour
+// only without the journal; see Options.Journal.
 type Persistence = core.Persistence
 
-// Persistence modes.
+// Persistence modes (unjournaled).
 const (
 	// Strong writes every update through to the device before the
 	// operation completes.
@@ -105,7 +106,8 @@ type Options struct {
 	// DeviceBlocks sizes the default in-memory device (default 1M blocks
 	// = 512 MiB).
 	DeviceBlocks uint64
-	// Persistence selects Strong (default) or Weak buffering.
+	// Persistence selects Strong (default) or Weak buffering when Journal
+	// is off; with Journal on it has no effect.
 	Persistence Persistence
 	// BufferPages is the total page-cache capacity (default 4096 pages =
 	// 2 MiB), split evenly across shards when Shards > 1.
@@ -118,12 +120,14 @@ type Options struct {
 	// tree. Devices without a valid meta page are formatted only after
 	// crash recovery fails to rebuild one from the redo journal.
 	Format bool
-	// Journal enables the redo journal: every mutation's page images are
+	// Journal enables the redo journal: every mutation's redo records are
 	// appended to an on-device WAL and made durable before the operation
-	// is acknowledged, so a crash loses no acknowledged write — Open
-	// replays the journal on the next start. Under Weak persistence this
-	// buys crash durability while pages stay buffered; under Strong it
-	// closes the multi-page torn-update window.
+	// is acknowledged, so a crash loses no acknowledged write or torn
+	// multi-page update — Open replays the journal on the next start. The
+	// log is then the commit point under both Persistence modes: an
+	// operation acknowledges at log durability and its pages stay
+	// buffered, reaching the device by write-back on eviction or at a
+	// checkpoint, never ahead of their records.
 	Journal bool
 	// MaxIORetries bounds how many times one operation's failed device
 	// command is retried (with exponential backoff) before the DB enters
@@ -184,15 +188,12 @@ type Options struct {
 	// by default — the fast path adds worker-side publication work, and
 	// deterministic simulation runs keep it off to stay byte-identical.
 	ConcurrentReads bool
-	// Pipelined enables the overlapped polled loop (DESIGN.md §17), two
-	// pieces: scan read-ahead (a range scan reads up to four of the
-	// sibling leaves its level-1 parent lists at once, instead of one
-	// Next link at a time; none without a buffer to read into) and
-	// pipelined WAL block writes (several journal blocks in flight
-	// instead of one, log order and gate-before-mutation preserved — only
-	// meaningful with Journal). Semantics are identical either way; off
-	// by default, and deterministic simulation runs keep it off — both
-	// reshape the simulated I/O schedule.
+	// Pipelined enables scan read-ahead (DESIGN.md §17): a range scan
+	// reads up to four of the sibling leaves its level-1 parent lists at
+	// once, instead of one Next link at a time (none without a buffer to
+	// read into). Semantics are identical either way; off by default, and
+	// deterministic simulation runs keep it off — it reshapes the
+	// simulated I/O schedule.
 	Pipelined bool
 }
 
@@ -620,7 +621,8 @@ func (db *DB) Scan(lo, hi uint64, limit int) ([]KV, error) {
 }
 
 // Sync flushes all buffered updates and the meta pages to the device
-// (meaningful under Weak persistence; cheap under Strong). Across
+// (meaningful under Weak persistence or Journal, where it is a
+// checkpoint; cheap under unjournaled Strong). Across
 // shards it fans out and waits for every shard's flush.
 func (db *DB) Sync() error {
 	_, err := db.do(BatchOp{Kind: OpSync})
