@@ -180,13 +180,16 @@ func pipelineBench(scale harness.Scale, out, baseline string, maxReg float64) {
 			harness.BenchEntry{Name: prefix + "/pipelined/p99", Unit: "us", Value: us(r.On.P99Latency)},
 			harness.BenchEntry{Name: prefix + "/speedup_ops", Unit: "x", Value: r.On.Throughput / r.Off.Throughput},
 		)
-		if r.Mix.Journal {
-			entries = append(entries,
-				harness.BenchEntry{Name: prefix + "/classic/wal_bytes_per_user_byte", Unit: "ratio", Value: r.Off.WALBytesPerUserByte},
-				harness.BenchEntry{Name: prefix + "/classic/dev_cmds_per_op", Unit: "cmds/op", Value: r.Off.DevCmdsPerOp},
-				harness.BenchEntry{Name: prefix + "/pipelined/wal_bytes_per_user_byte", Unit: "ratio", Value: r.On.WALBytesPerUserByte},
-				harness.BenchEntry{Name: prefix + "/pipelined/dev_cmds_per_op", Unit: "cmds/op", Value: r.On.DevCmdsPerOp},
-			)
+		// Count series, gated "lower": device commands per op for every
+		// mix, and the journal's bytes per user byte for the journaled one.
+		for _, side := range []struct {
+			name string
+			rs   harness.RunStats
+		}{{"classic", r.Off}, {"pipelined", r.On}} {
+			if r.Mix.Journal {
+				entries = append(entries, harness.BenchEntry{Name: prefix + "/" + side.name + "/wal_bytes_per_user_byte", Unit: "ratio", Value: side.rs.WALBytesPerUserByte})
+			}
+			entries = append(entries, harness.BenchEntry{Name: prefix + "/" + side.name + "/dev_cmds_per_op", Unit: "cmds/op", Value: side.rs.DevCmdsPerOp})
 		}
 	}
 	writeAndGate(entries, start, out, baseline, maxReg)

@@ -45,7 +45,6 @@ func main() {
 		burst   = flag.Int("burst", 0, "max pipelined ops per admission burst (0 = default)")
 		doTrace = flag.Bool("trace", false, "sample request-scoped spans (engine + wire)")
 		slowOp  = flag.Duration("slowop", 0, "log requests slower than this (0 = disabled)")
-		pipeln  = flag.Bool("pipelined", false, "overlap I/O and computation in the polled workers (scan read-ahead, pipelined WAL writes)")
 	)
 	flag.Parse()
 
@@ -55,7 +54,6 @@ func main() {
 		Journal:      *journal,
 		DeviceBlocks: *blocks,
 		Trace:        *doTrace,
-		Pipelined:    *pipeln,
 	}
 	if *weak {
 		opts.Persistence = patree.Weak

@@ -181,12 +181,12 @@ type Config struct {
 	// schedules keep it off.
 	ConcurrentReads bool
 	// Pipelined turns on scan read-ahead (DESIGN.md §17): a range scan at
-	// a level-1 parent reads up to four of the sibling leaves it will walk
-	// at once, each under a shared latch the tree holds until the read is
-	// reaped, and an operation that reaches one of them parks on that read
-	// (pipeline.go); with BufferPages 0 nothing is read ahead. Off by
-	// default: it reshapes the simulated I/O schedule, so the paper's
-	// experiments run the classic loop.
+	// a level-1 parent reads its own leaf and up to four siblings, one
+	// command per run of adjacent pages, under shared latches held until
+	// the run is reaped; an op that reaches one of them parks on it
+	// (pipeline.go). With BufferPages 0 nothing is read ahead. patree.Open
+	// always sets it; off here, as the paper's experiments run the classic
+	// loop and it reshapes the simulated I/O schedule.
 	Pipelined bool
 }
 

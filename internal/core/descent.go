@@ -587,7 +587,7 @@ func (t *Tree) lookupPage(id storage.PageID) ([]byte, bool) {
 // stReadNode with the image in hand.
 func (t *Tree) submitRead(o *Op) {
 	t.submit(&ioCmd{
-		Command: pageRead(o.cur),
+		Command: pageRead(o.cur, 1),
 		op:      o,
 		retries: &o.ioRetries,
 		done:    (*Tree).readDone,

@@ -10,7 +10,7 @@ package core
 //
 //	class            issued by       queue full        transient error            counters
 //	demand read      submitRead      stall the op      op budget, backoff, rerun  ReadsIssued
-//	read-ahead       readAhead       give up the rest  dropped, never retried     ReadsIssued ReadAheads
+//	read-ahead run   readAhead       give up the rest  dropped whole, no retry    ReadsIssued ReadAheads
 //	op write         submitOpWrite   stall the op      op budget, backoff, rerun  WritesIssued
 //	write-back       submitBG        stays in bgQueue  own budget, backoff        WritesIssued
 //	WAL block        jwSubmit        stays in jwq      entry budget, resubmit     WritesIssued JournalBlockWrites
@@ -18,9 +18,9 @@ package core
 //	sync phase write submitSyncCmd   stall the op      op budget, resend phase    WritesIssued
 //	flush            submitSyncCmd   stall the op      op budget, resend phase    —
 //
-// A read-ahead holds a shared latch on its page from issue until it is
-// reaped, whatever the verdict, so no write of that page can be submitted
-// while it is in flight. No write site has to check for one.
+// A read-ahead run holds a shared latch on each of its pages from issue
+// until it is reaped, whatever the verdict, so no write of those pages can
+// be submitted while it is in flight. No write site has to check for one.
 //
 // Every errored command counts in Stats.IOErrors and every retry in
 // Stats.IORetries. A budget is Config.MaxIORetries transient statuses;
@@ -103,10 +103,10 @@ func (c *ioCmd) dirty() buffer.Dirty {
 	return buffer.Dirty{ID: storage.PageID(c.LBA), Data: c.Buf, Epoch: c.epoch}
 }
 
-// pageRead and pageWrite build the single-page commands every class but
-// the flush issues.
-func pageRead(id storage.PageID) nvme.Command {
-	return nvme.Command{Op: nvme.OpRead, LBA: uint64(id), Blocks: 1, Buf: make([]byte, storage.PageSize)}
+// pageRead builds a read of n pages from id and pageWrite a one-page
+// write: the commands every class but the flush issues.
+func pageRead(id storage.PageID, n int) nvme.Command {
+	return nvme.Command{Op: nvme.OpRead, LBA: uint64(id), Blocks: n, Buf: make([]byte, n*storage.PageSize)}
 }
 
 func pageWrite(id storage.PageID, data []byte) nvme.Command {
@@ -159,10 +159,12 @@ func (t *Tree) reap(c *ioCmd, err error) {
 		}
 		t.tr.Emit(code, class, seq, c.LBA, int64(c.submitted), int64(now.Sub(c.submitted)))
 	}
-	if err == nil && c.Op == nvme.OpRead && !storage.VerifyPage(c.Buf) {
-		// Bit rot or a torn write: never admit a checksum-failed image
-		// into the buffers. A re-read may heal transient corruption.
-		err = errCorruptRead
+	for i := 0; err == nil && c.Op == nvme.OpRead && i < c.Blocks; i++ {
+		if !storage.VerifyPage(c.Buf[i*storage.PageSize:]) {
+			// Bit rot or a torn write: never admit a checksum-failed image
+			// into the buffers. A re-read may heal transient corruption.
+			err = errCorruptRead
+		}
 	}
 	res := ioOK
 	if err != nil {
@@ -430,7 +432,7 @@ func FormatShardDevice(dev nvme.Device, id, count, devID, devCount uint16) (*sto
 
 // ReadMeta loads the meta page from the device synchronously.
 func ReadMeta(dev nvme.Device) (*storage.Meta, error) {
-	page0 := pageRead(0)
+	page0 := pageRead(0, 1)
 	if err := syncIO(dev, page0); err != nil {
 		return nil, err
 	}

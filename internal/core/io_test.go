@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -37,12 +38,13 @@ func (q *scriptQP) Free() error      { return nil }
 // complete reaps the oldest accepted command with status err.
 func (q *scriptQP) complete(err error) { q.completeAt(0, err) }
 
-// completeAt reaps the i-th oldest accepted command with status err.
+// completeAt reaps the i-th oldest accepted command with status err. A
+// successful read gets the image in every block it covers.
 func (q *scriptQP) completeAt(i int, err error) {
 	c := q.pending[i]
 	q.pending = append(q.pending[:i], q.pending[i+1:]...)
-	if err == nil && c.Op == nvme.OpRead {
-		copy(c.Buf, q.image)
+	for b := 0; err == nil && c.Op == nvme.OpRead && b < c.Blocks; b++ {
+		copy(c.Buf[b*storage.PageSize:], q.image)
 	}
 	c.Callback(nvme.Completion{Cmd: c, Err: err})
 }
@@ -94,7 +96,7 @@ type ioClassRow struct {
 	// live op for the classes that have an owner, nil otherwise.
 	issue         func(t *Tree, o *Op)
 	owner         bool   // has an owning op: stalled when full, handed ErrDeviceFailed on terminal failure
-	latched       bool   // holds a shared latch on the page from issue until reaped
+	latched       bool   // holds a shared latch on each page it covers from issue until reaped
 	reads, writes uint64 // ReadsIssued / WritesIssued per accepted command
 	// kept reports whether a bounced command is still where the main
 	// loop will find it (tree-level classes; owners are on t.stalled).
@@ -103,19 +105,47 @@ type ioClassRow struct {
 	// its class's retry path. Nil for the class that has none: an error
 	// drops it, and never fails the tree.
 	retried func(t *Tree, o *Op, qp *scriptQP) bool
+	// reaped reports whether a reaped command left its pages and waiters
+	// where the class's verdict puts them; clean is an OK completion. Nil
+	// for the classes the shared checks cover.
+	reaped func(t *Tree, clean bool) bool
 }
 
 var weakCfg = Config{Persistence: WeakPersistence, BufferPages: 8}
 var journalCfg = Config{Persistence: WeakPersistence, BufferPages: 8, Journal: true}
 var pipelinedCfg = Config{Pipelined: true, BufferPages: 8}
 
-// issueReadAhead has a scan read ahead from a level-1 parent whose only
-// sibling after the scan's child is seamPage.
+// raRun is how many pages issueReadAhead's run covers.
+const raRun = 3
+
+// issueReadAhead has a scan read ahead from a level-1 parent whose
+// children from the scan's own on are seamPage and the two pages after
+// it: one run of raRun pages. An op then reaches each page of the run and
+// parks on it (the stReadNode path), so the run has waiters to wake.
 func issueReadAhead(t *Tree) {
 	parent := storage.NewInner(1, 1)
-	parent.Children = []storage.PageID{2, seamPage}
-	parent.Keys = []uint64{100}
-	t.readAhead(NewRange(0, ^uint64(0), 0, nil), parent, 0)
+	parent.Children = []storage.PageID{2, seamPage, seamPage + 1, seamPage + 2}
+	parent.Keys = []uint64{100, 200, 300}
+	t.readAhead(NewRange(100, ^uint64(0), 0, nil), parent, 1)
+	for id := seamPage; id < seamPage+raRun; id++ {
+		if _, reading := t.readAheads[id]; reading {
+			w := NewSearch(uint64(id), nil)
+			t.enroll(w, stReadNode)
+			w.cur = id
+			t.process(w)
+		}
+	}
+}
+
+// raReaped reports whether a reaped run filled every page (clean) or
+// none, and woke every op parked on it.
+func raReaped(t *Tree, clean bool) bool {
+	for id := seamPage; id < seamPage+raRun; id++ {
+		if t.resident(id) != clean {
+			return false
+		}
+	}
+	return len(t.readAheads) == 0 && t.ready.Len() == raRun && t.stats.ReadAheadHits == raRun
 }
 
 func ioClassRows() []ioClassRow {
@@ -128,8 +158,9 @@ func ioClassRows() []ioClassRow {
 		},
 		{
 			name: "read-ahead", cfg: pipelinedCfg, latched: true, reads: 1,
-			issue: func(t *Tree, _ *Op) { issueReadAhead(t) },
-			kept:  func(t *Tree) bool { return len(t.readAheads) == 0 }, // given up: nothing retained
+			issue:  func(t *Tree, _ *Op) { issueReadAhead(t) },
+			kept:   func(t *Tree) bool { return len(t.readAheads) == 0 }, // given up: nothing retained
+			reaped: raReaped,
 		},
 		{
 			name: "op write", owner: true, writes: 1,
@@ -210,8 +241,11 @@ func TestIOSeamClasses(t *testing.T) {
 			if len(qp.pending) != 1 || tree.ioBlocked != 1 {
 				t.Fatalf("after issue: %d commands on the queue, ioBlocked=%d, want 1", len(qp.pending), tree.ioBlocked)
 			}
-			if r, w := tree.latches.Held(seamPage); row.latched && (r != 1 || w != 0) {
-				t.Fatalf("in flight: latch on the page is (r=%d, w=%d), want one shared", r, w)
+			for b := uint64(0); row.latched && b < uint64(qp.pending[0].Blocks); b++ {
+				id := storage.PageID(qp.pending[0].LBA + b)
+				if r, w := tree.latches.Held(id); r != 1 || w != 0 {
+					t.Fatalf("in flight: latch on page %d is (r=%d, w=%d), want one shared", id, r, w)
+				}
 			}
 			if tree.stats.ReadsIssued != row.reads || tree.stats.WritesIssued != row.writes {
 				t.Errorf("issue counters: reads=%d writes=%d, want %d and %d",
@@ -228,6 +262,9 @@ func TestIOSeamClasses(t *testing.T) {
 			}
 			if o != nil && (o.ioWait <= 0 || !o.inReady) {
 				t.Errorf("owner after completion: ioWait=%v inReady=%v", o.ioWait, o.inReady)
+			}
+			if row.reaped != nil && !row.reaped(tree, true) {
+				t.Error("an OK completion left pages unfilled or waiters parked")
 			}
 			unlatched(t, tree, "an OK completion")
 		})
@@ -276,8 +313,8 @@ func TestIOSeamClasses(t *testing.T) {
 				t.Fatalf("one transient error failed the tree: %v", tree.failCause)
 			}
 			if row.retried == nil {
-				if tree.stats.IORetries != 0 || len(qp.pending) != 0 || len(tree.readAheads) != 0 {
-					t.Fatalf("errored read-ahead must be dropped, never retried: %+v", tree.stats)
+				if tree.stats.IORetries != 0 || len(qp.pending) != 0 || !row.reaped(tree, false) {
+					t.Fatalf("errored read-ahead must be dropped whole, never retried, its waiters woken: %+v", tree.stats)
 				}
 				unlatched(t, tree, "a dropped completion")
 				return
@@ -302,8 +339,8 @@ func TestIOSeamClasses(t *testing.T) {
 			}
 			unlatched(t, tree, "a terminal completion")
 			if row.retried == nil {
-				if tree.failed {
-					t.Fatal("an advisory read failed the tree")
+				if tree.failed || !row.reaped(tree, false) {
+					t.Fatalf("an advisory read failed the tree (%v) or was not dropped whole", tree.failed)
 				}
 				return
 			}
@@ -349,20 +386,22 @@ func TestIOSeamClasses(t *testing.T) {
 }
 
 // TestReadAheadBlocksSiblingWrite pins why a landed read-ahead is always
-// the page's current image: while the read is in flight the tree holds a
-// shared latch on the page, so a writer's exclusive request queues and no
-// write of the page can be issued. Once the read is reaped the writer is
-// granted and its write goes out.
+// the page's current image: while the run is in flight the tree holds a
+// shared latch on each of its pages, so a writer's exclusive request for
+// the page in the middle of the run queues and no write of it can be
+// issued. Once the run is reaped the writer is granted and its write goes
+// out.
 func TestReadAheadBlocksSiblingWrite(t *testing.T) {
 	tree, qp := seamTree(t, pipelinedCfg)
 	issueReadAhead(tree)
-	if len(qp.pending) != 1 || tree.stats.ReadAheads != 1 {
-		t.Fatalf("read-ahead not issued: %d pending, %d read-aheads", len(qp.pending), tree.stats.ReadAheads)
+	if len(qp.pending) != 1 || qp.pending[0].Blocks != raRun || tree.stats.ReadAheads != 1 {
+		t.Fatalf("read-ahead run not issued: %d pending, %d read-aheads", len(qp.pending), tree.stats.ReadAheads)
 	}
-	w := NewInsert(150, []byte("v"), nil)
+	mid := seamPage + 1
+	w := NewInsert(250, []byte("v"), nil)
 	tree.enroll(w, stWriteNext)
-	w.writes = []writeReq{{id: seamPage, data: storage.NewLeaf(seamPage).Encode()}}
-	if tree.acquireLatch(w, seamPage, latch.Exclusive) {
+	w.writes = []writeReq{{id: mid, data: storage.NewLeaf(mid).Encode()}}
+	if tree.acquireLatch(w, mid, latch.Exclusive) {
 		t.Fatal("writer latched a page whose read-ahead is in flight")
 	}
 	if w.inReady || len(qp.pending) != 1 {
@@ -370,18 +409,93 @@ func TestReadAheadBlocksSiblingWrite(t *testing.T) {
 	}
 
 	qp.complete(nil)
-	if !w.inReady || len(w.held) != 1 || !tree.resident(seamPage) || len(tree.readAheads) != 0 {
-		t.Fatalf("after the read was reaped: writer ready=%v latches=%d, image resident=%v, %d read-aheads left",
-			w.inReady, len(w.held), tree.resident(seamPage), len(tree.readAheads))
+	if !w.inReady || len(w.held) != 1 || !tree.resident(mid) || len(tree.readAheads) != 0 {
+		t.Fatalf("after the run was reaped: writer ready=%v latches=%d, image resident=%v, %d read-aheads left",
+			w.inReady, len(w.held), tree.resident(mid), len(tree.readAheads))
 	}
 	tree.process(w)
-	if len(qp.pending) != 1 || qp.pending[0].Op != nvme.OpWrite || qp.pending[0].LBA != uint64(seamPage) {
+	if len(qp.pending) != 1 || qp.pending[0].Op != nvme.OpWrite || qp.pending[0].LBA != uint64(mid) {
 		t.Fatalf("granted writer did not issue its page write: %d pending", len(qp.pending))
 	}
 	qp.complete(nil)
 	tree.process(w)
 	if w.state != stDone || tree.latches.ActiveNodes() != 0 {
 		t.Fatalf("writer state %d, %d pages still latched", w.state, tree.latches.ActiveNodes())
+	}
+}
+
+// TestReadAheadRuns pins how readAhead cuts the leaves a scan will walk
+// into commands: one per run of consecutive page IDs, a page that is
+// resident or refused its latch ends a run, and the selection stops at
+// the scan's limit and end key.
+func TestReadAheadRuns(t *testing.T) {
+	type run struct {
+		lba    uint64
+		blocks int
+	}
+	adjacent := []storage.PageID{10, 11, 12, 13, 14}
+	all := ^uint64(0)
+	for _, c := range []struct {
+		name     string
+		children []storage.PageID
+		scan     *Op
+		setup    func(t *Tree)
+		want     []run
+	}{
+		{"non-adjacent", []storage.PageID{10, 11, 20, 21, 22}, NewRange(0, all, 0, nil), nil, []run{{10, 2}, {20, 3}}},
+		{"resident and refused", adjacent, NewRange(0, all, 0, nil), func(t *Tree) {
+			t.fillOnRead(12, storage.NewLeaf(12).Encode())
+			t.latches.TryAcquire(13, latch.Exclusive) // a writer holds page 13
+		}, []run{{10, 2}, {14, 1}}},
+		{"limit 1", adjacent, NewRange(0, all, 1, nil), nil, []run{{10, 1}}},
+		{"end key", adjacent, NewRange(0, 250, 0, nil), nil, []run{{10, 3}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tree, qp := seamTree(t, pipelinedCfg)
+			if c.setup != nil {
+				c.setup(tree)
+			}
+			parent := storage.NewInner(1, 1)
+			parent.Children = c.children
+			parent.Keys = []uint64{100, 200, 300, 400}
+			tree.readAhead(c.scan, parent, 0)
+			var got []run
+			for _, cmd := range qp.pending {
+				got = append(got, run{cmd.LBA, cmd.Blocks})
+			}
+			if !reflect.DeepEqual(got, c.want) || tree.stats.ReadAheads != uint64(len(c.want)) {
+				t.Fatalf("commands %v (%d read-aheads), want %v", got, tree.stats.ReadAheads, c.want)
+			}
+			for len(qp.pending) > 0 {
+				qp.complete(nil)
+			}
+			for _, ran := range c.want {
+				for id := storage.PageID(ran.lba); id < storage.PageID(ran.lba)+storage.PageID(ran.blocks); id++ {
+					if r, w := tree.latches.Held(id); !tree.resident(id) || r != 0 || w != 0 {
+						t.Errorf("page %d after its run landed: resident=%v latch (r=%d, w=%d)", id, tree.resident(id), r, w)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReadAheadCorruptPage pins that the reaper checks every page of a
+// run, not just the first: one page failing its checksum drops the whole
+// run like any transient error, and its waiters read on demand.
+func TestReadAheadCorruptPage(t *testing.T) {
+	tree, qp := seamTree(t, pipelinedCfg)
+	issueReadAhead(tree)
+	c := qp.pending[0]
+	qp.pending = nil
+	for b := range c.Blocks {
+		copy(c.Buf[b*storage.PageSize:], qp.image)
+	}
+	c.Buf[len(c.Buf)-1] ^= 0xFF // bit rot in the run's last page
+	c.Callback(nvme.Completion{Cmd: c})
+	if tree.stats.IOErrors != 1 || !raReaped(tree, false) || tree.latches.ActiveNodes() != 0 {
+		t.Fatalf("a run with a corrupt page: IOErrors=%d, %d pages still latched; want it dropped whole",
+			tree.stats.IOErrors, tree.latches.ActiveNodes())
 	}
 }
 

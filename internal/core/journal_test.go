@@ -303,9 +303,16 @@ func (q *crashProbeQP) Submit(c *nvme.Command) error {
 	if c.Op != nvme.OpWrite {
 		return q.QueuePair.Submit(c)
 	}
-	lba, data := c.LBA, append([]byte(nil), c.Buf[:storage.PageSize]...)
+	// Keep every block the command writes, so a multi-block write is
+	// probed for all of its pages, not just its first.
+	lba, data := c.LBA, append([]byte(nil), c.Buf[:c.Blocks*storage.PageSize]...)
+	keep := func() {
+		for off := 0; off < len(data); off += storage.PageSize {
+			d.image[lba+uint64(off/storage.PageSize)] = data[off : off+storage.PageSize]
+		}
+	}
 	if d.walFrom == 0 || lba < d.walFrom {
-		d.image[lba] = data
+		keep()
 		if d.onWrite != nil && lba != 0 {
 			d.onWrite(maps.Clone(d.image))
 		}
@@ -314,7 +321,7 @@ func (q *crashProbeQP) Submit(c *nvme.Command) error {
 	done := c.Callback
 	c.Callback = func(cc nvme.Completion) {
 		if cc.Err == nil {
-			d.image[lba] = data
+			keep()
 		}
 		done(cc)
 	}

@@ -46,9 +46,9 @@ type Counters struct {
 	// burst a log reset costs once every journaled tree writes back.
 	CheckpointPageWrites uint64 `metric:"patree_checkpoint_page_writes_total counter sum" help:"Dirty pages written by journal checkpoints."`
 	// Scan read-ahead (Config.Pipelined; see pipeline.go). ReadAheads
-	// counts sibling reads issued ahead of a scan; ReadAheadHits counts
-	// operations that parked on one instead of issuing a demand read.
-	ReadAheads    uint64 `metric:"patree_read_ahead_total{outcome=issued} counter sum" help:"Scan read-ahead reads (Options.Pipelined): issued, and ops that parked on one."`
+	// counts its commands, one per run of adjacent leaves; ReadAheadHits
+	// counts operations that parked on one instead of reading on demand.
+	ReadAheads    uint64 `metric:"patree_read_ahead_total{outcome=issued} counter sum" help:"Scan read-ahead commands: issued (one per run of adjacent leaves), and ops that parked on one."`
 	ReadAheadHits uint64 `metric:"patree_read_ahead_total{outcome=hit} counter sum"`
 	// Yields counts idle passes the policy yielded and YieldTime sums the
 	// quanta it asked for (a wall-clock park ends early on Wake). Parks
@@ -277,6 +277,7 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 		inbox:     newOpRing(cfg.InboxDepth),
 		tr:        cfg.Tracer,
 	}
+	t.readAheads = make(map[storage.PageID][]raWaiter)
 	t.shardID = meta.ShardID
 	t.shardCount = meta.ShardCount
 	t.deviceID = meta.DeviceID

@@ -1,25 +1,25 @@
 package core
 
-// Scan read-ahead (Config.Pipelined): the read half of the pipelined
-// polled loop of DESIGN.md §17.
+// Scan read-ahead (Config.Pipelined, which patree.Open always sets): the
+// read half of the pipelined polled loop of DESIGN.md §17.
 //
 // A range scan crossing a leaf boundary otherwise discovers each sibling
 // only from the previous leaf's Next link: one device round trip per leaf,
-// strictly serial. The level-1 parent the scan descends through lists the
-// same siblings in order, so readAhead issues their reads together and the
-// serial chain collapses into one parallel batch. Nothing is guessed: the
-// scan visits every sibling up to its end key.
+// strictly serial. The level-1 parent the scan descends through lists its
+// own leaf and the siblings after it, so readAhead reads them together,
+// one command per run of adjacent page IDs (as a bulk load lays leaves
+// out). Nothing is guessed: the scan visits every leaf it selects.
 //
-// The latch protocol keeps it correct. Before each read the tree takes a
-// shared latch on the sibling with TryAcquire and skips the sibling when
-// that is refused, so read-ahead never waits and cannot deadlock. The
-// completion handler releases the latch on every verdict. While it is held
-// no writer can latch the page exclusively, so no write of it can be
-// submitted, and the image that lands is the page's current one.
+// The latch protocol keeps it correct. Before a page joins a run the tree
+// takes a shared latch on it with TryAcquire; a page that is refused ends
+// the run, so read-ahead never waits and cannot deadlock. The completion
+// handler releases every latch on every verdict. While they are held no
+// writer can latch those pages exclusively, so no write of them can be
+// submitted, and the images that land are the pages' current ones.
 //
-// An op that reaches a sibling whose read-ahead is in flight parks on it
+// An op that reaches a page whose read-ahead is in flight parks on it
 // (Tree.readAheads) instead of issuing a duplicate read. It is woken when
-// the read is reaped; if the image was dropped, it issues its own demand
+// the run is reaped; if the run was dropped, it issues its own demand
 // read with its own retry budget.
 
 import (
@@ -42,54 +42,81 @@ type raWaiter struct {
 	since sim.Time
 }
 
-// readAhead reads the siblings that scan o will walk after child idx of
-// the level-1 parent node: at most readAheadDepth of them, none past the
-// scan's end key, none resident or already being read, and none once the
-// submission queue is half full (the other half is demand traffic's). With
-// no buffer there is nothing to read into, and nothing is issued.
+// readAhead reads the leaves scan o will walk from child idx of the
+// level-1 parent node: its own and up to readAheadDepth siblings after
+// it, none past the scan's end key and no more than its limit (a leaf
+// holds at least one pair). A page that is resident, already being read
+// or refused its latch is skipped and ends the current run. With no
+// buffer there is nothing to read into, and nothing is issued.
 func (t *Tree) readAhead(o *Op, node *storage.Node, idx int) {
 	if node.Level != 1 || t.bufferCap() == 0 {
 		return
 	}
-	issued := 0
-	for j := idx + 1; j < len(node.Children) && issued < readAheadDepth; j++ {
-		if node.Keys[j-1] > o.endKey || t.qp.Outstanding() >= t.cfg.QueueDepth/2 {
-			return
-		}
-		id := node.Children[j]
-		if _, reading := t.readAheads[id]; reading || t.resident(id) {
-			continue
-		}
-		t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
-		if !t.latches.TryAcquire(id, latch.Shared) {
-			continue // a writer holds or awaits the page: read it on demand
-		}
-		if !t.submit(&ioCmd{Command: pageRead(id), done: (*Tree).readAheadDone}) {
-			t.latches.Release(id, latch.Shared)
-			return
-		}
-		if t.readAheads == nil {
-			t.readAheads = make(map[storage.PageID][]raWaiter)
-		}
-		t.readAheads[id] = nil
-		t.stats.ReadAheads++
-		issued++
+	end := min(len(node.Children), idx+1+readAheadDepth)
+	if o.limit > 0 {
+		end = min(end, idx+o.limit)
 	}
+	// The run is [first, first+n); a skipped page leaves a gap that sends it.
+	first, n := node.Children[idx], 0
+	for j := idx; j < end && (j == idx || node.Keys[j-1] <= o.endKey); j++ {
+		id := node.Children[j]
+		if id != first+storage.PageID(n) {
+			if !t.readRun(first, n) {
+				return
+			}
+			first, n = id, 0
+		}
+		if _, reading := t.readAheads[id]; !reading && !t.resident(id) && t.tryLatch(id) {
+			n++
+		}
+	}
+	t.readRun(first, n)
 }
 
-// readAheadDone installs a landed image unless the page became resident
-// another way, wakes the ops parked on it and releases the read's latch.
-// An errored read-ahead has no budget and is dropped (ioDropped): its
+// tryLatch takes a read-ahead's shared latch on id unless a writer holds
+// or awaits the page.
+func (t *Tree) tryLatch(id storage.PageID) bool {
+	t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
+	return t.latches.TryAcquire(id, latch.Shared)
+}
+
+// readRun reads the n latched pages from first (if any) in one command,
+// unless the submission queue is half full (the other half is demand
+// traffic's): it then releases their latches and reports false.
+func (t *Tree) readRun(first storage.PageID, n int) bool {
+	if n == 0 {
+		return true
+	}
+	if t.qp.Outstanding() >= t.cfg.QueueDepth/2 ||
+		!t.submit(&ioCmd{Command: pageRead(first, n), done: (*Tree).readAheadDone}) {
+		for id := first; id < first+storage.PageID(n); id++ {
+			t.latches.Release(id, latch.Shared)
+		}
+		return false
+	}
+	for id := first; id < first+storage.PageID(n); id++ {
+		t.readAheads[id] = nil
+	}
+	t.stats.ReadAheads++
+	return true
+}
+
+// readAheadDone installs each landed page unless it became resident
+// another way, copied out of the run's buffer so one hot page cannot pin
+// the whole run, then wakes the ops parked on it and releases its latch.
+// An errored run has no budget and is dropped whole (ioDropped): its
 // waiters issue their own demand reads.
 func (t *Tree) readAheadDone(c *ioCmd, res ioResult, now sim.Time) {
-	id := storage.PageID(c.LBA)
-	if res == ioOK && !t.resident(id) {
-		t.fillOnRead(id, c.Buf)
+	for i := range c.Blocks {
+		id := storage.PageID(c.LBA) + storage.PageID(i)
+		if res == ioOK && !t.resident(id) {
+			t.fillOnRead(id, append([]byte(nil), c.Buf[i*storage.PageSize:(i+1)*storage.PageSize]...))
+		}
+		t.wakeReadAhead(id, now)
+		delete(t.readAheads, id)
+		t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
+		t.latches.Release(id, latch.Shared)
 	}
-	t.wakeReadAhead(id, now)
-	delete(t.readAheads, id)
-	t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
-	t.latches.Release(id, latch.Shared)
 }
 
 // wakeReadAhead wakes every op parked on the read-ahead of id, crediting

@@ -94,7 +94,7 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 	// recoverable when the journal holds its replacement image. Only a
 	// page that was read and does not decode counts as torn: a device
 	// error is returned as one, never taken for a missing tree.
-	page0 := pageRead(0)
+	page0 := pageRead(0, 1)
 	if err := io.seq(page0); err != nil {
 		return nil, nil, fmt.Errorf("core: recover: read meta: %w", err)
 	}

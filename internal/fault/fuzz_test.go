@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -16,13 +17,28 @@ import (
 // FuzzTreeOps decodes the fuzzer's byte stream into a tree operation
 // sequence and cross-checks every result against an in-memory model —
 // the same oracle idea as the stress harness, but driven by
-// coverage-guided input mutation instead of seeded randomness. The tree
-// runs journaled over a deterministic simulated device, so any corpus
-// file that trips an assertion replays exactly.
+// coverage-guided input mutation instead of seeded randomness. Each
+// input runs under both profiles at once: the paper's classic loop and
+// the serving profile's scan read-ahead (Config.Pipelined), which must
+// answer every op alike. The trees run journaled over deterministic
+// simulated devices, so any corpus file that trips an assertion replays
+// exactly.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 1, 0, 1, 5, 2, 0, 1, 0})
 	f.Add([]byte{0, 1, 0, 3, 0, 1, 0, 7, 3, 0, 0, 0, 2, 1, 0, 0})
 	f.Add(bytes.Repeat([]byte{0, 2, 3, 9, 1, 2, 3, 0}, 40))
+	// Ascending inserts lay leaves out on adjacent pages that an 8-page
+	// buffer cannot hold, so the scans after them read multi-page runs.
+	f.Add(func() []byte {
+		var in []byte
+		for k := 0; k < 256; k++ {
+			in = append(in, 0, byte(k), 0, byte(k))
+		}
+		for k := 0; k < 8; k++ {
+			in = append(in, 4, 0, 0, 0, 3, byte(k*31), 0, 0)
+		}
+		return in
+	}())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const chunk = 4
 		ops := len(data) / chunk
@@ -32,38 +48,16 @@ func FuzzTreeOps(f *testing.F) {
 		if ops > 600 {
 			ops = 600
 		}
-		eng := sim.NewEngine()
-		sd := nvme.NewSimDevice(eng, nvme.SimConfig{Seed: 99, NumBlocks: 1 << 13})
-		meta, err := core.Format(sd)
-		if err != nil {
-			t.Fatalf("format: %v", err)
-		}
-		osched := simos.New(eng, simos.Config{})
-		var tree *core.Tree
-		th := osched.Spawn("patree", func(*simos.Thread) { tree.Run() })
-		tree, err = core.New(sd, core.Config{
-			Persistence: core.WeakPersistence,
-			BufferPages: 32,
-			Journal:     true,
-		}, core.SimEnv{T: th}, meta)
-		if err != nil {
-			t.Fatalf("new: %v", err)
-		}
-		defer func() {
-			tree.Stop()
-			eng.RunFor(time.Second)
-		}()
-
-		do := func(op *core.Op) core.Result {
-			done := false
-			op.Done = func(*core.Op) { done = true }
-			eng.After(0, func() { tree.Admit(op) })
-			for !done {
-				if !eng.Step() {
-					t.Fatal("simulation wedged")
-				}
+		classic, pipelined := fuzzTree(t, false), fuzzTree(t, true)
+		// do runs the op mk builds under both profiles and returns the
+		// answer they agree on.
+		do := func(mk func() *core.Op) core.Result {
+			res, on := classic(mk()), pipelined(mk())
+			if res.Found != on.Found || !bytes.Equal(res.Value, on.Value) ||
+				!reflect.DeepEqual(res.Pairs, on.Pairs) || (res.Err == nil) != (on.Err == nil) {
+				t.Fatalf("profiles disagree: classic %+v, pipelined %+v", res, on)
 			}
-			return op.Res
+			return res
 		}
 
 		model := map[uint64][]byte{}
@@ -74,7 +68,7 @@ func FuzzTreeOps(f *testing.F) {
 			switch b[0] % 5 {
 			case 0, 1: // insert (upsert)
 				_, existed := model[key]
-				res := do(core.NewInsert(key, val, nil))
+				res := do(func() *core.Op { return core.NewInsert(key, val, nil) })
 				if res.Err != nil {
 					t.Fatalf("op %d: insert %d: %v", i, key, res.Err)
 				}
@@ -84,7 +78,7 @@ func FuzzTreeOps(f *testing.F) {
 				model[key] = append([]byte(nil), val...)
 			case 2: // delete
 				_, existed := model[key]
-				res := do(core.NewDelete(key, nil))
+				res := do(func() *core.Op { return core.NewDelete(key, nil) })
 				if res.Err != nil {
 					t.Fatalf("op %d: delete %d: %v", i, key, res.Err)
 				}
@@ -94,7 +88,7 @@ func FuzzTreeOps(f *testing.F) {
 				delete(model, key)
 			case 3: // search
 				want, existed := model[key]
-				res := do(core.NewSearch(key, nil))
+				res := do(func() *core.Op { return core.NewSearch(key, nil) })
 				if res.Err != nil {
 					t.Fatalf("op %d: search %d: %v", i, key, res.Err)
 				}
@@ -102,7 +96,7 @@ func FuzzTreeOps(f *testing.F) {
 					t.Fatalf("op %d: search %d = %q/%v, model %q/%v", i, key, res.Value, res.Found, want, existed)
 				}
 			default: // range scan across the whole model
-				res := do(core.NewRange(0, ^uint64(0), 0, nil))
+				res := do(func() *core.Op { return core.NewRange(0, ^uint64(0), 0, nil) })
 				if res.Err != nil {
 					t.Fatalf("op %d: scan: %v", i, res.Err)
 				}
@@ -124,10 +118,49 @@ func FuzzTreeOps(f *testing.F) {
 		}
 		// Final pass: everything the model holds must be in the tree.
 		for k, want := range model {
-			res := do(core.NewSearch(k, nil))
+			res := do(func() *core.Op { return core.NewSearch(k, nil) })
 			if res.Err != nil || !res.Found || !bytes.Equal(res.Value, want) {
 				t.Fatalf("final: key %d = %q/%v (err %v), model %q", k, res.Value, res.Found, res.Err, want)
 			}
 		}
 	})
+}
+
+// fuzzTree starts a journaled tree over its own simulated device, with
+// scan read-ahead on or off, and returns a function that runs one op on
+// it to completion.
+func fuzzTree(t *testing.T, pipelined bool) func(*core.Op) core.Result {
+	eng := sim.NewEngine()
+	sd := nvme.NewSimDevice(eng, nvme.SimConfig{Seed: 99, NumBlocks: 1 << 13})
+	meta, err := core.Format(sd)
+	if err != nil {
+		t.Fatalf("format: %v", err)
+	}
+	osched := simos.New(eng, simos.Config{})
+	var tree *core.Tree
+	th := osched.Spawn("patree", func(*simos.Thread) { tree.Run() })
+	tree, err = core.New(sd, core.Config{
+		Persistence: core.WeakPersistence,
+		BufferPages: 8,
+		Journal:     true,
+		Pipelined:   pipelined,
+	}, core.SimEnv{T: th}, meta)
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	t.Cleanup(func() {
+		tree.Stop()
+		eng.RunFor(time.Second)
+	})
+	return func(op *core.Op) core.Result {
+		done := false
+		op.Done = func(*core.Op) { done = true }
+		eng.After(0, func() { tree.Admit(op) })
+		for !done {
+			if !eng.Step() {
+				t.Fatal("simulation wedged")
+			}
+		}
+		return op.Res
+	}
 }

@@ -9,9 +9,9 @@ import (
 
 // This file is the figpipeline harness for the polled loop's overlap
 // machinery (DESIGN.md §17): scan read-ahead. Each mix runs twice on the
-// same seed — once with the classic strictly-reactive loop, once with
-// Config.Pipelined on — so every delta is the schedule change and nothing
-// else.
+// same seed — once with the classic strictly-reactive loop the paper
+// profile runs, once with Config.Pipelined on as patree.Open runs it — so
+// every delta is the schedule change and nothing else.
 
 // PipelineMix is one committed figpipeline workload configuration.
 type PipelineMix struct {
@@ -33,8 +33,8 @@ type PipelineMix struct {
 	// serial sibling reads.
 	Concurrency int
 	// RangePercent adds YCSB-E style short scans (64 pairs) to the mix;
-	// a scan crossing leaf boundaries is the serial-read chain the
-	// sibling read-ahead collapses into one parallel batch.
+	// a scan crossing leaf boundaries is the serial-read chain read-ahead
+	// collapses into one command per run of adjacent leaves.
 	RangePercent int
 }
 
@@ -44,7 +44,7 @@ type PipelineMix struct {
 // path's throughput and count ratios. The scan mix is cold and
 // scan-heavy at a modest closed-loop depth: each scan crossing leaf
 // boundaries waits out a serial chain of sibling reads that the
-// read-ahead issues in parallel instead.
+// read-ahead issues as one command per run of adjacent leaves instead.
 var PipelineMixes = []PipelineMix{
 	{Name: "journal-write", UpdatePercent: 50, Journal: true, BufferDiv: 12},
 	{Name: "scan-cold", UpdatePercent: 5, RangePercent: 60, BufferDiv: 50, Concurrency: 8},
@@ -111,5 +111,5 @@ func FigPipeline(scale Scale) Report {
 			float64(r.Off.P99Latency)/1e3, float64(r.On.P99Latency)/1e3)
 	}
 	return Report{ID: "figpipeline", Title: "Overlapped I/O and computation: classic vs pipelined polled loop", Table: tb,
-		Notes: "sibling read-ahead under shared latches collapses the cold scan mix's serial leaf chains into parallel batches (~1.9x); the journaled write mix runs the same both ways (1.0x), since every journaled tree keeps 8 WAL block writes in flight and writes its pages back; with the feature off the schedules are byte-identical to the classic loop"}
+		Notes: "read-ahead of each scan's leaves under shared latches, one command per run of adjacent pages, collapses the cold scan mix's serial leaf chains (~2.0x); the journaled write mix runs the same both ways (1.0x), since every journaled tree keeps 8 WAL block writes in flight and writes its pages back; with the feature off the schedules are byte-identical to the classic loop"}
 }

@@ -90,8 +90,8 @@ func parseExposition(t *testing.T, body string) map[string]string {
 
 // parentSeries is every series the admin /metrics endpoint emitted
 // before its metrics were declared as tagged fields, captured from a DB
-// opened with Journal, Pipelined and ConcurrentReads under
-// TestAdminMetricsExposition's workload, so that every family once
+// opened with Journal and ConcurrentReads (scans reading ahead, as every
+// Open's do) under TestAdminMetricsExposition's workload, so that every family once
 // written only when non-zero is in it. Stage series for the waits that
 // depend on timing (admit-wait, latch-wait) and for pipeline no-ops are
 // left out.
@@ -191,7 +191,7 @@ counter patree_writes_issued_total
 // device-error and checkpoint counters are exported.
 func TestAdminMetricsExposition(t *testing.T) {
 	addr, db, srv, stop := startTracedServer(t,
-		patree.Options{DeviceBlocks: 1 << 14, BufferPages: 4, Journal: true, Pipelined: true, ConcurrentReads: true},
+		patree.Options{DeviceBlocks: 1 << 14, BufferPages: 4, Journal: true, ConcurrentReads: true},
 		server.Options{})
 	defer stop()
 	c, err := client.Dial(addr, client.Options{})

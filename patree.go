@@ -188,13 +188,6 @@ type Options struct {
 	// by default — the fast path adds worker-side publication work, and
 	// deterministic simulation runs keep it off to stay byte-identical.
 	ConcurrentReads bool
-	// Pipelined enables scan read-ahead (DESIGN.md §17): a range scan
-	// reads up to four of the sibling leaves its level-1 parent lists at
-	// once, instead of one Next link at a time (none without a buffer to
-	// read into). Semantics are identical either way; off by default, and
-	// deterministic simulation runs keep it off — it reshapes the
-	// simulated I/O schedule.
-	Pipelined bool
 }
 
 // Counters are the working threads' activity counters: device commands
@@ -273,7 +266,9 @@ const minShardBlocks = 1024
 const govAdaptEvery = 1024
 
 // Open creates or opens a PA-Tree per opts and starts its working
-// goroutine(s).
+// goroutine(s). It runs the serving profile: a range scan reads the
+// leaves it will walk ahead, each run of adjacent pages in one command
+// (DESIGN.md §17); the paper's experiments run without it.
 func Open(opts Options) (*DB, error) {
 	if len(opts.Devices) > 0 && opts.Device != nil {
 		return nil, fmt.Errorf("patree: set Options.Device or Options.Devices, not both")
@@ -441,7 +436,7 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 		Policy:          policy,
 		Tracer:          tracer,
 		ConcurrentReads: opts.ConcurrentReads,
-		Pipelined:       opts.Pipelined,
+		Pipelined:       true,
 	}, env, meta)
 	if err != nil {
 		return nil, err

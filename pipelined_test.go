@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"github.com/patree/patree/internal/nvme"
+	"github.com/patree/patree/internal/storage"
 )
 
-// TestPipelinedPropertyOps runs the randomized oracle stream with the
-// full overlap machinery on — scan read-ahead and depth-8 WAL write
-// pipelining — over 1 and 4 shards. The public surface must be
-// indistinguishable from the classic path.
+// TestPipelinedPropertyOps runs the randomized oracle stream over a
+// journaled DB with a tiny buffer, so scans miss and read their leaf runs
+// ahead (what Open always does), over 1 and 4 shards. The public surface
+// must be indistinguishable from the classic path.
 func TestPipelinedPropertyOps(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		n := n
@@ -22,7 +23,6 @@ func TestPipelinedPropertyOps(t *testing.T) {
 				Shards:       n,
 				BufferPages:  8, // tiny: scans miss, so read-ahead fires
 				Journal:      true,
-				Pipelined:    true,
 			})
 			if err != nil {
 				t.Fatalf("open: %v", err)
@@ -41,46 +41,51 @@ func TestPipelinedPropertyOps(t *testing.T) {
 			// its buffer and there is nothing to read ahead; only the
 			// 1-shard run is guaranteed to miss.
 			if n == 1 && st.ReadAheads == 0 {
-				t.Fatalf("shards=%d: pipelined DB issued no read-aheads: %+v", n, st)
+				t.Fatalf("shards=%d: DB issued no read-aheads: %+v", n, st)
 			}
 		})
 	}
 }
 
-// TestPipelinedOptionsDefaults pins the opt-in surface: over a tree
-// many times its buffer, a full scan reads siblings ahead only when
-// Pipelined is set, and the zero Options read nothing ahead.
-func TestPipelinedOptionsDefaults(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		db, err := Open(Options{DeviceBlocks: 1 << 14, BufferPages: 4, Pipelined: pipelined})
-		if err != nil {
-			t.Fatalf("open: %v", err)
+// TestOpenReadsAhead pins the serving profile: a zero-Options Open reads
+// a cold scan's leaves ahead, and since a bulk load lays a parent's leaves
+// out on adjacent pages, a run of them costs one command. The scan issues
+// fewer reads, inner pages included, than it visits leaves.
+func TestOpenReadsAhead(t *testing.T) {
+	dev := loadedRAM(t, 5000)
+	const lo, hi = 1000, 1059
+	leaves := 0
+	buf := make([]byte, storage.PageSize)
+	for lba := uint64(1); lba < 1<<12; lba++ {
+		dev.ReadAt(lba, buf)
+		n, err := storage.DecodeNode(storage.PageID(lba), buf)
+		if err == nil && n.IsLeaf() && len(n.Keys) > 0 && n.Keys[0] <= hi && n.Keys[len(n.Keys)-1] >= lo {
+			leaves++
 		}
-		val := bytes.Repeat([]byte("v"), 100)
-		for k := uint64(1); k <= 2000; k++ {
-			if err := db.Put(k, val); err != nil {
-				t.Fatalf("put: %v", err)
-			}
-		}
-		pairs, err := db.Scan(0, ^uint64(0), 0)
-		if err != nil || len(pairs) != 2000 {
-			t.Fatalf("pipelined=%v: scan returned %d pairs, err %v", pipelined, len(pairs), err)
-		}
-		st := db.Stats()
-		if pipelined != (st.ReadAheads > 0) || (!pipelined && st.ReadAheadHits != 0) {
-			t.Fatalf("pipelined=%v: read-ahead counters %d issued, %d hits", pipelined, st.ReadAheads, st.ReadAheadHits)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
+	}
+	db, err := Open(Options{Device: dev})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer db.Close()
+	before := db.Stats()
+	pairs, err := db.Scan(lo, hi, 0)
+	if err != nil || len(pairs) != hi-lo+1 {
+		t.Fatalf("scan returned %d pairs, err %v", len(pairs), err)
+	}
+	st := db.Stats()
+	reads := st.ReadsIssued - before.ReadsIssued
+	if st.ReadAheads == before.ReadAheads || leaves < 2 || reads >= uint64(leaves) {
+		t.Fatalf("cold scan over %d leaves: %d reads, %d of them read-ahead commands",
+			leaves, reads, st.ReadAheads-before.ReadAheads)
 	}
 }
 
-// FuzzPipelinedOps is FuzzShardedOps with the overlap machinery on: a
-// byte stream becomes point ops and scans over a journaled, pipelined
-// 4-shard DB with a small buffer, checked against a flat map oracle,
-// with a close/reopen cycle asserting that read-aheads and pipelined
-// WAL writes never corrupt the persisted image. The full scan after the
+// FuzzPipelinedOps is FuzzShardedOps with scans reading ahead: a byte
+// stream becomes point ops and scans over a journaled 4-shard DB with a
+// small buffer, checked against a flat map oracle, with a close/reopen
+// cycle asserting that multi-block read-aheads and the journal's written
+// back pages never corrupt the persisted image. The full scan after the
 // reopen starts cold, so any shard with a level-1 parent must read
 // ahead. CI runs this for a bounded smoke window on every push.
 func FuzzPipelinedOps(f *testing.F) {
@@ -104,7 +109,6 @@ func FuzzPipelinedOps(f *testing.F) {
 				Shards:      4,
 				BufferPages: 8,
 				Journal:     true,
-				Pipelined:   true,
 			})
 			if err != nil {
 				t.Fatalf("open: %v", err)
