@@ -7,8 +7,9 @@ import (
 )
 
 // Cache is a shared page cache for the multi-threaded baselines. The
-// underlying LRU is the same implementation PA-Tree uses, wrapped for use
-// by many simulated threads: write-back of evicted dirty pages happens
+// underlying buffer is the segmented LRU PA-Tree uses (internal/buffer),
+// so every tree compared runs one replacement policy. It is wrapped for
+// use by many simulated threads: write-back of evicted dirty pages happens
 // synchronously on the evicting thread (the baselines' sync paradigm),
 // with an in-flight table so concurrent readers never fetch a stale page
 // from the device mid-write-back.

@@ -1,6 +1,14 @@
 // Package buffer implements the two software buffers of §III-C over the
 // NVMe interface.
 //
+// Both keep pages in a segmented LRU (slru below): a page enters a
+// probation segment and only a second lookup promotes it to a protected
+// segment of about 80 % of capacity, and evictions take the probation
+// tail. A key stream that touches many pages once (cold leaves, scans)
+// therefore cannot flush the pages it keeps coming back to (the upper
+// levels, hot leaves). A fill, a read-ahead fill and a write are not
+// references; Get is.
+//
 // The strong-persistence buffer (ReadOnly) caches clean page images only.
 // Crucially, a page written by an update operation enters the cache only
 // after its write I/O *completes* — never at submission — so cached data
@@ -23,6 +31,9 @@ type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
+	// DirtyEvictions counts the evictions that handed a dirty victim back
+	// for write-back (a subset of Evictions).
+	DirtyEvictions uint64
 	// WriteMerges counts writes absorbed into an already-dirty page — the
 	// write-amplification savings of weak persistence.
 	WriteMerges uint64
@@ -37,7 +48,20 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(tot)
 }
 
-// entry is an LRU node.
+// Segments of the SLRU: a page enters probation and is promoted to the
+// protected segment by its second reference.
+const (
+	probation = iota
+	protected
+)
+
+// protectedShare is the protected segment's share of capacity, in
+// tenths. The policy is not sensitive to it: on the benchmark's
+// larger-than-cache read workload (embed-cold-read), shares of 7, 8 and
+// 9 gave device commands per operation within 6 % of each other.
+const protectedShare = 8
+
+// entry is an SLRU node.
 type entry struct {
 	id    storage.PageID
 	data  []byte
@@ -47,18 +71,33 @@ type entry struct {
 	// per-entry they would restart when a page is evicted and re-cached,
 	// and a stale write-back completion could then clean a newer dirty
 	// version, silently losing an update.
-	epoch      uint64
+	epoch uint64
+	seg   int
+	// prefetched marks a read-ahead fill that no lookup has referenced
+	// yet: its first hit is its first reference, not its second.
+	prefetched bool
 	prev, next *entry
 }
 
-// lru is an intrusive LRU list with a map index. Capacity is in pages;
-// capacity 0 disables the cache entirely.
-type lru struct {
-	cap       int
-	m         map[storage.PageID]*entry
-	head      entry // most-recent sentinel
-	stats     Stats
-	nextEpoch uint64
+// slru is a segmented LRU (as in 2Q) with a map index: two intrusive
+// lists, probation and protected. A page enters probation; a hit there
+// promotes it to the head of protected, whose tail is demoted back to the
+// head of probation when protected outgrows its share. Evictions take the
+// probation tail, so a stream of pages touched once cannot push out a page
+// referenced twice. Capacity is in pages; capacity 0 disables the cache
+// entirely.
+//
+// A reference is a lookup (get). Filling a page is not one, beyond
+// entering probation, and neither is updating a resident page (put on a
+// cached id): callers look a page up before they write it, so counting the
+// write too would promote every page an operation touches.
+type slru struct {
+	cap, protCap int
+	m            map[storage.PageID]*entry
+	segs         [2]entry // most-recent sentinels, indexed by seg
+	nProtected   int
+	stats        Stats
+	nextEpoch    uint64
 	// onEvict, when set, observes every page leaving the buffer — both
 	// capacity evictions and explicit removals. The optimistic read path
 	// mirrors buffer residency in its published-page table, and this hook
@@ -66,26 +105,38 @@ type lru struct {
 	onEvict func(storage.PageID)
 }
 
-func newLRU(capacity int) *lru {
-	l := &lru{cap: capacity, m: make(map[storage.PageID]*entry)}
-	l.head.prev = &l.head
-	l.head.next = &l.head
+func newSLRU(capacity int) *slru {
+	// protCap <= capacity-1 for every capacity >= 1, so probation is never
+	// empty when an insert overflows the cache.
+	l := &slru{cap: capacity, protCap: capacity * protectedShare / 10, m: make(map[storage.PageID]*entry)}
+	for i := range l.segs {
+		l.segs[i].prev = &l.segs[i]
+		l.segs[i].next = &l.segs[i]
+	}
 	return l
 }
 
-func (l *lru) unlink(e *entry) {
+func (l *slru) unlink(e *entry) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
+	if e.seg == protected {
+		l.nProtected--
+	}
 }
 
-func (l *lru) pushFront(e *entry) {
-	e.prev = &l.head
-	e.next = l.head.next
-	l.head.next.prev = e
-	l.head.next = e
+func (l *slru) pushFront(e *entry, seg int) {
+	head := &l.segs[seg]
+	e.seg = seg
+	e.prev = head
+	e.next = head.next
+	head.next.prev = e
+	head.next = e
+	if seg == protected {
+		l.nProtected++
+	}
 }
 
-func (l *lru) get(id storage.PageID) *entry {
+func (l *slru) get(id storage.PageID) *entry {
 	e := l.m[id]
 	if e == nil {
 		l.stats.Misses++
@@ -93,16 +144,27 @@ func (l *lru) get(id storage.PageID) *entry {
 	}
 	l.stats.Hits++
 	l.unlink(e)
-	l.pushFront(e)
+	if e.prefetched || l.protCap == 0 {
+		e.prefetched = false
+		l.pushFront(e, probation)
+		return e
+	}
+	l.pushFront(e, protected)
+	if l.nProtected > l.protCap {
+		tail := l.segs[protected].prev
+		l.unlink(tail)
+		l.pushFront(tail, probation)
+	}
 	return e
 }
 
 // peek looks up without touching recency or stats.
-func (l *lru) peek(id storage.PageID) *entry { return l.m[id] }
+func (l *slru) peek(id storage.PageID) *entry { return l.m[id] }
 
-// put inserts or refreshes id with data, returning an evicted entry (if
-// the capacity forced one out) for the caller to handle.
-func (l *lru) put(id storage.PageID, data []byte, dirty bool) (evicted *entry) {
+// put inserts id with data into probation, returning an evicted entry (if
+// the capacity forced one out) for the caller to handle. On a cached id it
+// updates data, dirty bit and epoch in place.
+func (l *slru) put(id storage.PageID, data []byte, dirty, prefetched bool) (evicted *entry) {
 	if l.cap <= 0 {
 		return nil
 	}
@@ -116,22 +178,23 @@ func (l *lru) put(id storage.PageID, data []byte, dirty bool) (evicted *entry) {
 			l.nextEpoch++
 			e.epoch = l.nextEpoch
 		}
-		l.unlink(e)
-		l.pushFront(e)
 		return nil
 	}
-	e := &entry{id: id, data: data, dirty: dirty}
+	e := &entry{id: id, data: data, dirty: dirty, prefetched: prefetched}
 	if dirty {
 		l.nextEpoch++
 		e.epoch = l.nextEpoch
 	}
 	l.m[id] = e
-	l.pushFront(e)
+	l.pushFront(e, probation)
 	if len(l.m) > l.cap {
-		victim := l.head.prev
+		victim := l.segs[probation].prev
 		l.unlink(victim)
 		delete(l.m, victim.id)
 		l.stats.Evictions++
+		if victim.dirty {
+			l.stats.DirtyEvictions++
+		}
 		if l.onEvict != nil {
 			l.onEvict(victim.id)
 		}
@@ -140,7 +203,7 @@ func (l *lru) put(id storage.PageID, data []byte, dirty bool) (evicted *entry) {
 	return nil
 }
 
-func (l *lru) remove(id storage.PageID) {
+func (l *slru) remove(id storage.PageID) {
 	if e := l.m[id]; e != nil {
 		l.unlink(e)
 		delete(l.m, id)
@@ -150,12 +213,23 @@ func (l *lru) remove(id storage.PageID) {
 	}
 }
 
+// coldestFirst calls fn for every entry in eviction order: probation tail
+// to head, then protected tail to head.
+func (l *slru) coldestFirst(fn func(*entry)) {
+	for _, seg := range []int{probation, protected} {
+		head := &l.segs[seg]
+		for e := head.prev; e != head; e = e.prev {
+			fn(e)
+		}
+	}
+}
+
 // ReadOnly is the strong-persistence buffer: clean pages only.
-type ReadOnly struct{ l *lru }
+type ReadOnly struct{ l *slru }
 
 // NewReadOnly creates a read-only buffer holding up to capacity pages.
 // Capacity 0 disables caching (every Get misses).
-func NewReadOnly(capacity int) *ReadOnly { return &ReadOnly{l: newLRU(capacity)} }
+func NewReadOnly(capacity int) *ReadOnly { return &ReadOnly{l: newSLRU(capacity)} }
 
 // Get returns the cached image of id, if present. The returned slice is
 // owned by the buffer; callers must not mutate it.
@@ -169,14 +243,25 @@ func (b *ReadOnly) Get(id storage.PageID) ([]byte, bool) {
 // FillOnRead caches data after a read I/O completed. The buffer takes
 // ownership of data.
 func (b *ReadOnly) FillOnRead(id storage.PageID, data []byte) {
-	b.l.put(id, data, false)
+	b.l.put(id, data, false, false)
+}
+
+// FillOnPrefetch caches data read ahead of any lookup: it enters probation
+// like FillOnRead, but the first Get that finds it does not promote it.
+func (b *ReadOnly) FillOnPrefetch(id storage.PageID, data []byte) {
+	b.l.put(id, data, false, true)
 }
 
 // FillOnWriteComplete caches data after a write I/O *completed*. Callers
-// must not invoke this at submission time — see the package comment.
+// must not invoke this at submission time — see the package comment. A
+// cached page keeps its place.
 func (b *ReadOnly) FillOnWriteComplete(id storage.PageID, data []byte) {
-	b.l.put(id, data, false)
+	b.l.put(id, data, false, false)
 }
+
+// Contains reports whether id is cached, without counting a lookup or
+// touching recency.
+func (b *ReadOnly) Contains(id storage.PageID) bool { return b.l.peek(id) != nil }
 
 // Invalidate drops id from the cache (e.g. when a page is freed).
 func (b *ReadOnly) Invalidate(id storage.PageID) { b.l.remove(id) }
@@ -206,11 +291,11 @@ type Dirty struct {
 }
 
 // ReadWrite is the weak-persistence buffer.
-type ReadWrite struct{ l *lru }
+type ReadWrite struct{ l *slru }
 
 // NewReadWrite creates a read-write buffer holding up to capacity pages.
 // Capacity 0 disables caching.
-func NewReadWrite(capacity int) *ReadWrite { return &ReadWrite{l: newLRU(capacity)} }
+func NewReadWrite(capacity int) *ReadWrite { return &ReadWrite{l: newSLRU(capacity)} }
 
 // Get returns the cached image of id, if present.
 func (b *ReadWrite) Get(id storage.PageID) ([]byte, bool) {
@@ -223,13 +308,20 @@ func (b *ReadWrite) Get(id storage.PageID) ([]byte, bool) {
 // FillOnRead caches a clean page after a read I/O completed. If filling
 // evicts a dirty victim, it is returned for write-back.
 func (b *ReadWrite) FillOnRead(id storage.PageID, data []byte) (Dirty, bool) {
-	return wrapEvict(b.l.put(id, data, false))
+	return wrapEvict(b.l.put(id, data, false, false))
+}
+
+// FillOnPrefetch is FillOnRead for a page read ahead of any lookup: the
+// first Get that finds it does not promote it.
+func (b *ReadWrite) FillOnPrefetch(id storage.PageID, data []byte) (Dirty, bool) {
+	return wrapEvict(b.l.put(id, data, false, true))
 }
 
 // Write absorbs a page update in memory, marking it dirty. No I/O happens;
-// if the insert evicts a dirty victim, it is returned for write-back.
+// a cached page keeps its place, and if the insert of a new one evicts a
+// dirty victim, it is returned for write-back.
 func (b *ReadWrite) Write(id storage.PageID, data []byte) (Dirty, bool) {
-	return wrapEvict(b.l.put(id, data, true))
+	return wrapEvict(b.l.put(id, data, true, false))
 }
 
 func wrapEvict(e *entry) (Dirty, bool) {
@@ -239,17 +331,21 @@ func wrapEvict(e *entry) (Dirty, bool) {
 	return Dirty{ID: e.id, Data: e.data, Epoch: e.epoch}, true
 }
 
-// DirtyPages snapshots all dirty pages (for Sync). Order is eviction
-// order, coldest first.
+// DirtyPages snapshots all dirty pages (for Sync) of both segments. Order
+// is eviction order, coldest first.
 func (b *ReadWrite) DirtyPages() []Dirty {
 	var out []Dirty
-	for e := b.l.head.prev; e != &b.l.head; e = e.prev {
+	b.l.coldestFirst(func(e *entry) {
 		if e.dirty {
 			out = append(out, Dirty{ID: e.id, Data: e.data, Epoch: e.epoch})
 		}
-	}
+	})
 	return out
 }
+
+// Contains reports whether id is cached, without counting a lookup or
+// touching recency.
+func (b *ReadWrite) Contains(id storage.PageID) bool { return b.l.peek(id) != nil }
 
 // MarkClean marks id clean if its dirty epoch still equals epoch; a page
 // rewritten after the snapshot keeps its dirty bit, so no update can be
@@ -286,11 +382,11 @@ func (b *ReadWrite) Cap() int { return b.l.cap }
 // DirtyCount returns the number of dirty pages.
 func (b *ReadWrite) DirtyCount() int {
 	n := 0
-	for e := b.l.head.next; e != &b.l.head; e = e.next {
+	b.l.coldestFirst(func(e *entry) {
 		if e.dirty {
 			n++
 		}
-	}
+	})
 	return n
 }
 

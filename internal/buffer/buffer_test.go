@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -28,23 +29,127 @@ func TestReadOnlyBasicHitMiss(t *testing.T) {
 	}
 }
 
+// cached lists which of ids b holds, without touching recency.
+func cached(b interface{ Contains(storage.PageID) bool }, ids ...int) []int {
+	var out []int
+	for _, id := range ids {
+		if b.Contains(pid(id)) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestReadOnlyLRUEviction pins the segmented eviction order: probation
+// tail first, even when a protected page is older; a protected page
+// overflowing its segment is demoted to the probation head, and leaves
+// from there.
 func TestReadOnlyLRUEviction(t *testing.T) {
+	b := NewReadOnly(3) // protected holds 2
+	b.FillOnRead(pid(1), []byte("1"))
+	b.Get(pid(1)) // second reference: 1 is protected
+	b.FillOnRead(pid(2), []byte("2"))
+	b.FillOnRead(pid(3), []byte("3"))
+	b.FillOnRead(pid(4), []byte("4")) // evicts 2, not the older 1
+	if got := fmt.Sprint(cached(b, 1, 2, 3, 4)); got != "[1 3 4]" {
+		t.Fatalf("after filling 4: cached %s, want [1 3 4]", got)
+	}
+	b.Get(pid(4)) // protected: 4, 1
+	b.Get(pid(3)) // protected: 3, 4; 1 is demoted to the probation head
+	b.FillOnRead(pid(5), []byte("5"))
+	if got := fmt.Sprint(cached(b, 1, 3, 4, 5)); got != "[3 4 5]" {
+		t.Fatalf("after filling 5: cached %s, want [3 4 5]", got)
+	}
+	if st := b.Stats(); st.Evictions != 2 || st.Hits != 3 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want 2 evictions, 3 hits, 0 misses", st)
+	}
+}
+
+// A stream of pages touched once (a cold scan, a run of point misses)
+// cannot evict a page that was referenced twice.
+func TestSingleTouchFillsKeepProtectedPage(t *testing.T) {
+	b := NewReadWrite(10)
+	b.FillOnRead(pid(1), []byte("hot"))
+	b.Get(pid(1))
+	for id := 100; id < 200; id++ {
+		b.Get(pid(id)) // the lookup that misses is the page's one reference
+		b.FillOnRead(pid(id), []byte("cold"))
+		if !b.Contains(pid(1)) {
+			t.Fatalf("page referenced twice evicted by single-touch fill %d", id)
+		}
+	}
+	for id := 100; id < 200; id += 3 {
+		b.Write(pid(id), []byte("w")) // writes: no reference either
+	}
+	if !b.Contains(pid(1)) {
+		t.Fatal("page referenced twice evicted by writes")
+	}
+}
+
+// Write and FillOnWriteComplete update a cached page in place: the op
+// that writes a page has already looked it up, so the write is not a
+// second reference.
+func TestWriteDoesNotPromote(t *testing.T) {
+	ro := NewReadOnly(2) // protected holds 1
+	ro.FillOnRead(pid(1), []byte("1"))
+	ro.FillOnRead(pid(2), []byte("2"))
+	ro.FillOnWriteComplete(pid(1), []byte("1'"))
+	ro.FillOnRead(pid(3), []byte("3"))
+	if got := fmt.Sprint(cached(ro, 1, 2, 3)); got != "[2 3]" {
+		t.Fatalf("read-only: cached %s, want [2 3]: FillOnWriteComplete promoted or refreshed 1", got)
+	}
+
+	rw := NewReadWrite(2)
+	rw.FillOnRead(pid(1), []byte("1"))
+	rw.FillOnRead(pid(2), []byte("2"))
+	rw.Write(pid(1), []byte("1'"))
+	victim, ev := rw.FillOnRead(pid(3), []byte("3"))
+	if !ev || victim.ID != pid(1) || string(victim.Data) != "1'" {
+		t.Fatalf("read-write: victim = %+v, %v; want the written page 1", victim, ev)
+	}
+	if st := rw.Stats(); st.Evictions != 1 || st.DirtyEvictions != 1 {
+		t.Fatalf("stats = %+v, want 1 eviction, dirty", st)
+	}
+}
+
+// A read-ahead fill is not a reference: the first hit on a prefetched
+// page leaves it in probation, and only the second promotes it.
+func TestPrefetchFirstHitStaysInProbation(t *testing.T) {
+	b := NewReadOnly(3) // protected holds 2
+	b.FillOnPrefetch(pid(1), []byte("1"))
+	b.Get(pid(1)) // first reference
+	b.FillOnRead(pid(2), []byte("2"))
+	b.FillOnRead(pid(3), []byte("3"))
+	b.FillOnRead(pid(4), []byte("4"))
+	if b.Contains(pid(1)) {
+		t.Fatal("prefetched page promoted by its first hit")
+	}
+
+	b.FillOnPrefetch(pid(1), []byte("1"))
+	b.Get(pid(1))
+	b.Get(pid(1)) // second reference: protected
+	for id := 5; id < 10; id++ {
+		b.FillOnRead(pid(id), []byte("x"))
+	}
+	if !b.Contains(pid(1)) {
+		t.Fatal("prefetched page referenced twice was not protected")
+	}
+}
+
+// Contains neither counts a lookup nor refreshes the page.
+func TestContainsHasNoSideEffects(t *testing.T) {
 	b := NewReadOnly(2)
 	b.FillOnRead(pid(1), []byte("1"))
 	b.FillOnRead(pid(2), []byte("2"))
-	b.Get(pid(1)) // 1 becomes most recent
+	if !b.Contains(pid(1)) || b.Contains(pid(9)) {
+		t.Fatal("Contains wrong")
+	}
 	b.FillOnRead(pid(3), []byte("3"))
-	if _, ok := b.Get(pid(2)); ok {
-		t.Fatal("LRU victim 2 still cached")
+	if b.Contains(pid(1)) {
+		t.Fatal("Contains refreshed page 1")
 	}
-	if _, ok := b.Get(pid(1)); !ok {
-		t.Fatal("recently-used 1 evicted")
-	}
-	if _, ok := b.Get(pid(3)); !ok {
-		t.Fatal("new page 3 missing")
-	}
-	if b.Stats().Evictions != 1 {
-		t.Fatalf("evictions = %d", b.Stats().Evictions)
+	if st := b.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("Contains counted lookups: %+v", st)
 	}
 }
 
@@ -166,21 +271,49 @@ func TestReadWriteInvalidateDirty(t *testing.T) {
 	}
 }
 
+// DirtyPages walks both segments in eviction order: probation tail to
+// head, then protected tail to head. Clean pages are skipped.
 func TestDirtyPagesColdestFirst(t *testing.T) {
 	b := NewReadWrite(8)
-	b.Write(pid(1), []byte("1"))
-	b.Write(pid(2), []byte("2"))
-	b.Write(pid(3), []byte("3"))
-	b.Get(pid(1)) // 1 becomes hottest
-	d := b.DirtyPages()
-	if len(d) != 3 || d[0].ID != pid(2) || d[2].ID != pid(1) {
-		t.Fatalf("order = %v", []storage.PageID{d[0].ID, d[1].ID, d[2].ID})
+	for id := 1; id <= 5; id++ {
+		b.Write(pid(id), []byte{byte(id)})
+	}
+	b.FillOnRead(pid(6), []byte("6"))
+	b.Get(pid(1)) // protected: 1
+	b.Get(pid(6)) // protected: 6, 1
+	b.Get(pid(3)) // protected: 3, 6, 1
+	var ids []storage.PageID
+	for _, d := range b.DirtyPages() {
+		ids = append(ids, d.ID)
+	}
+	if got := fmt.Sprint(ids); got != "[2 4 5 1 3]" {
+		t.Fatalf("order = %s, want [2 4 5 1 3]", got)
+	}
+	if b.DirtyCount() != 5 {
+		t.Fatalf("dirty count = %d, want 5", b.DirtyCount())
 	}
 }
 
-// Property: cache never exceeds capacity, and a Get after Fill returns the
-// last value written for that id (whichever of Write/FillOnRead came last)
-// as long as the page was not evicted.
+// segmentsIntact reports whether l's two lists hold exactly its indexed
+// pages, each once, the protected one as many as it counts and no more
+// than its share.
+func segmentsIntact(l *slru) bool {
+	seen, prot := map[storage.PageID]bool{}, 0
+	ok := true
+	l.coldestFirst(func(e *entry) {
+		ok = ok && !seen[e.id] && l.m[e.id] == e
+		seen[e.id] = true
+		if e.seg == protected {
+			prot++
+		}
+	})
+	return ok && len(seen) == len(l.m) && prot == l.nProtected && prot <= l.protCap
+}
+
+// Property: cache never exceeds capacity, its segments stay intact, and a
+// Get after Fill returns the last value written for that id (whichever of
+// Write/FillOnRead/FillOnPrefetch came last) as long as the page was not
+// evicted.
 func TestBufferConsistencyProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const capacity = 8
@@ -189,7 +322,7 @@ func TestBufferConsistencyProperty(t *testing.T) {
 		for _, o := range ops {
 			id := pid(int(o % 16))
 			val := []byte{byte(o >> 8)}
-			switch (o / 16) % 3 {
+			switch (o / 16) % 4 {
 			case 0:
 				b.Write(id, val)
 				shadow[id] = val
@@ -197,6 +330,10 @@ func TestBufferConsistencyProperty(t *testing.T) {
 				b.FillOnRead(id, val)
 				shadow[id] = val
 			case 2:
+				b.FillOnPrefetch(id, val)
+				shadow[id] = val
+			case 3:
+				// Gets move pages between the segments.
 				if got, ok := b.Get(id); ok {
 					want := shadow[id]
 					if want == nil || got[0] != want[0] {
@@ -204,7 +341,7 @@ func TestBufferConsistencyProperty(t *testing.T) {
 					}
 				}
 			}
-			if b.Len() > capacity {
+			if b.Len() > capacity || !segmentsIntact(b.l) {
 				return false
 			}
 		}
@@ -225,21 +362,27 @@ func TestNoSilentDirtyLossProperty(t *testing.T) {
 		pending := map[storage.PageID]bool{} // dirty writes not yet accounted
 		for _, o := range ops {
 			id := pid(int(o % 8))
-			switch (o / 8) % 2 {
+			switch (o / 8) % 4 {
 			case 0:
 				if v, ev := b.Write(id, []byte{byte(o)}); ev {
 					delete(pending, v.ID)
 				}
 				pending[id] = true
-			case 1:
+			case 1, 2:
 				// The tree only fills pages it had to read from the device,
 				// i.e. pages not currently buffered dirty; mirror that here.
 				if pending[id] {
 					continue
 				}
-				if v, ev := b.FillOnRead(id, []byte{byte(o)}); ev {
+				fill := b.FillOnRead
+				if (o/8)%4 == 2 {
+					fill = b.FillOnPrefetch
+				}
+				if v, ev := fill(id, []byte{byte(o)}); ev {
 					delete(pending, v.ID)
 				}
+			case 3:
+				b.Get(id) // promotes and demotes
 			}
 			// Every pending page must still be dirty in the buffer.
 			dirtyNow := map[storage.PageID]bool{}

@@ -72,25 +72,26 @@ func (t *Tree) process(o *Op) {
 			o.state = stReadNode
 
 		case stReadNode:
-			data, ok := t.lookupPage(o.cur)
-			if !ok {
-				if o.ioData != nil && o.ioFor == o.cur {
-					data = o.ioData
-				} else {
-					o.ioData = nil
-					if ws, ok := t.readAheads[o.cur]; ok {
-						// A scan's read-ahead of this page is in flight: park
-						// on it instead of issuing a duplicate (pipeline.go
-						// wakes us when it is reaped).
-						t.readAheads[o.cur] = append(ws, raWaiter{op: o, since: t.now()})
-						t.stats.ReadAheadHits++
-						return // I/O-blocked on the read-ahead
-					}
-					t.submitRead(o)
-					return // I/O-blocked, or stalled on a full queue
-				}
-			}
+			// The image this op's own demand read brought in is used as it
+			// is: the lookup that missed was this visit's one reference to
+			// the page, and a second lookup would promote it in the buffer.
+			data, ok := o.ioData, o.ioData != nil && o.ioFor == o.cur
 			o.ioData = nil
+			if !ok {
+				data, ok = t.lookupPage(o.cur)
+			}
+			if !ok {
+				if ws, ok := t.readAheads[o.cur]; ok {
+					// A scan's read-ahead of this page is in flight: park
+					// on it instead of issuing a duplicate (pipeline.go
+					// wakes us when it is reaped).
+					t.readAheads[o.cur] = append(ws, raWaiter{op: o, since: t.now()})
+					t.stats.ReadAheadHits++
+					return // I/O-blocked on the read-ahead
+				}
+				t.submitRead(o)
+				return // I/O-blocked, or stalled on a full queue
+			}
 			if o.kind == KindSearch {
 				// Point lookups never mutate, so they read the sealed page
 				// image directly instead of materializing a Node — the
@@ -603,17 +604,26 @@ func (t *Tree) readDone(c *ioCmd, res ioResult, now sim.Time) {
 		return
 	case ioOK:
 		o.ioData, o.ioFor = c.Buf, storage.PageID(c.LBA)
-		t.fillOnRead(o.ioFor, c.Buf)
+		t.fill(o.ioFor, c.Buf, false)
 	}
 	t.pushReady(o, now)
 }
 
-func (t *Tree) fillOnRead(id storage.PageID, data []byte) {
-	if t.rw != nil {
-		if victim, ev := t.rw.FillOnRead(id, data); ev {
+// fill installs a page image a read brought in; prefetch marks a
+// read-ahead's, which no lookup has referenced yet.
+func (t *Tree) fill(id storage.PageID, data []byte, prefetch bool) {
+	switch {
+	case t.rw != nil:
+		fill := t.rw.FillOnRead
+		if prefetch {
+			fill = t.rw.FillOnPrefetch
+		}
+		if victim, ev := fill(id, data); ev {
 			t.queueBG(victim)
 		}
-	} else {
+	case prefetch:
+		t.ro.FillOnPrefetch(id, data)
+	default:
 		t.ro.FillOnRead(id, data)
 	}
 	if t.pub != nil {

@@ -427,7 +427,7 @@ func TestReadAheadBlocksSiblingWrite(t *testing.T) {
 // TestReadAheadRuns pins how readAhead cuts the leaves a scan will walk
 // into commands: one per run of consecutive page IDs, a page that is
 // resident or refused its latch ends a run, and the selection stops at
-// the scan's limit and end key.
+// the scan's limit and end key. None of it counts as a buffer lookup.
 func TestReadAheadRuns(t *testing.T) {
 	type run struct {
 		lba    uint64
@@ -444,7 +444,7 @@ func TestReadAheadRuns(t *testing.T) {
 	}{
 		{"non-adjacent", []storage.PageID{10, 11, 20, 21, 22}, NewRange(0, all, 0, nil), nil, []run{{10, 2}, {20, 3}}},
 		{"resident and refused", adjacent, NewRange(0, all, 0, nil), func(t *Tree) {
-			t.fillOnRead(12, storage.NewLeaf(12).Encode())
+			t.fill(12, storage.NewLeaf(12).Encode(), false)
 			t.latches.TryAcquire(13, latch.Exclusive) // a writer holds page 13
 		}, []run{{10, 2}, {14, 1}}},
 		{"limit 1", adjacent, NewRange(0, all, 1, nil), nil, []run{{10, 1}}},
@@ -475,6 +475,10 @@ func TestReadAheadRuns(t *testing.T) {
 						t.Errorf("page %d after its run landed: resident=%v latch (r=%d, w=%d)", id, tree.resident(id), r, w)
 					}
 				}
+			}
+			// Residency checks and read-ahead fills are not lookups.
+			if st := tree.BufferStats(); st.Hits != 0 || st.Misses != 0 {
+				t.Errorf("read-ahead counted buffer lookups: %d hits, %d misses", st.Hits, st.Misses)
 			}
 		})
 	}

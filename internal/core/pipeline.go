@@ -110,7 +110,7 @@ func (t *Tree) readAheadDone(c *ioCmd, res ioResult, now sim.Time) {
 	for i := range c.Blocks {
 		id := storage.PageID(c.LBA) + storage.PageID(i)
 		if res == ioOK && !t.resident(id) {
-			t.fillOnRead(id, append([]byte(nil), c.Buf[i*storage.PageSize:(i+1)*storage.PageSize]...))
+			t.fill(id, append([]byte(nil), c.Buf[i*storage.PageSize:(i+1)*storage.PageSize]...), true)
 		}
 		t.wakeReadAhead(id, now)
 		delete(t.readAheads, id)
@@ -134,18 +134,15 @@ func (t *Tree) wakeReadAhead(id storage.PageID, now sim.Time) {
 	t.readAheads[id] = nil
 }
 
-// resident looks a page up in the buffers with no fill side effects
-// (unlike lookupPage, which refills from the in-flight write-back map).
+// resident reports whether a page is in the buffers or the in-flight
+// write-back map with no side effect: no fill (unlike lookupPage), no
+// lookup counted and no recency touched.
 func (t *Tree) resident(id storage.PageID) bool {
 	if t.rw != nil {
-		if _, ok := t.rw.Get(id); ok {
-			return true
-		}
 		_, ok := t.inflight[id]
-		return ok
+		return ok || t.rw.Contains(id)
 	}
-	_, ok := t.ro.Get(id)
-	return ok
+	return t.ro.Contains(id)
 }
 
 // bufferCap is the active buffer's capacity in pages.

@@ -513,6 +513,66 @@ func TestSmallBufferEvictionPath(t *testing.T) {
 	}
 }
 
+// TestColdGetBufferAccounting pins what one lookup counts: each page a
+// Get visits is one buffer lookup, a hit or a miss, and the miss that
+// sends a demand read is not counted again (as a hit) when the read lands.
+// For each persistence mode, on a reopened tree of height h, a cold Get
+// counts h misses and a Get into the next leaf 1 miss and h-1 hits.
+func TestColdGetBufferAccounting(t *testing.T) {
+	for _, p := range []Persistence{StrongPersistence, WeakPersistence} {
+		t.Run(p.String(), func(t *testing.T) {
+			cfg := Config{Persistence: p, BufferPages: 1024}
+			r := newRig(t, cfg)
+			for i := 0; i < 3000; i++ {
+				r.insert(uint64(i), fmt.Sprintf("value-%d", i))
+			}
+			if res := r.do(NewSync(nil)); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			r.tree.Stop()
+			r.eng.RunFor(time.Second)
+			meta, err := ReadMeta(r.dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := int(meta.Height)
+			if h < 3 {
+				t.Fatalf("height %d: want an inner level between root and leaves", h)
+			}
+			// The first key of the leaf after the leftmost one: its path
+			// shares every inner page with key 0's.
+			read := func(id storage.PageID) *storage.Node {
+				buf := make([]byte, storage.PageSize)
+				r.dev.ReadAt(uint64(id), buf)
+				n, err := storage.DecodeNode(id, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			n := read(meta.Root)
+			for !n.IsLeaf() {
+				n = read(n.Children[0])
+			}
+			next := read(n.Next).Keys[0]
+
+			r.attach(t, cfg, meta)
+			for _, c := range []struct {
+				key          uint64
+				hits, misses uint64
+			}{{0, 0, uint64(h)}, {next, uint64(h - 1), 1}} {
+				r.tree.ResetStats()
+				if res := r.search(c.key); !res.Found {
+					t.Fatalf("key %d not found", c.key)
+				}
+				if st := r.tree.BufferStats(); st.Hits != c.hits || st.Misses != c.misses {
+					t.Errorf("Get(%d): %d hits, %d misses; want %d, %d", c.key, st.Hits, st.Misses, c.hits, c.misses)
+				}
+			}
+		})
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	r := newRig(t, Config{})
 	for i := 0; i < 50; i++ {

@@ -188,7 +188,7 @@ counter patree_writes_issued_total
 // families, then patree_server_*) after a mixed wire workload and checks
 // that it is valid exposition text, that every series the endpoint
 // emitted before is still there with the same type, and that the
-// device-error and checkpoint counters are exported.
+// device-error, checkpoint and buffer-eviction counters are exported.
 func TestAdminMetricsExposition(t *testing.T) {
 	addr, db, srv, stop := startTracedServer(t,
 		patree.Options{DeviceBlocks: 1 << 14, BufferPages: 4, Journal: true, ConcurrentReads: true},
@@ -256,9 +256,11 @@ func TestAdminMetricsExposition(t *testing.T) {
 	got := parseExposition(t, string(body))
 
 	want := map[string]string{
-		"patree_io_errors_total":   "counter",
-		"patree_io_retries_total":  "counter",
-		"patree_checkpoints_total": "counter",
+		"patree_io_errors_total":                       "counter",
+		"patree_io_retries_total":                      "counter",
+		"patree_checkpoints_total":                     "counter",
+		`patree_buffer_evictions_total{state="clean"}`: "counter",
+		`patree_buffer_evictions_total{state="dirty"}`: "counter",
 	}
 	for s, typ := range parentSeries {
 		want[s] = typ

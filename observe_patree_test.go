@@ -89,6 +89,37 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
+// TestBufferEvictionsByState checks that a buffer smaller than the
+// working set reports its evictions split by page state: writes into it
+// push out dirty pages (each a write-back), and a read sweep after a
+// Sync pushes out clean ones.
+func TestBufferEvictionsByState(t *testing.T) {
+	db := openTest(t, Options{BufferPages: 8, Journal: true})
+	for i := uint64(0); i < 2048; i++ {
+		if err := db.Put(i, []byte("eviction-payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirty := db.Stats().EvictionsDirty
+	if dirty == 0 {
+		t.Fatal("writes through an 8-page buffer evicted no dirty page")
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats()
+	for i := uint64(0); i < 2048; i += 16 {
+		if _, _, err := db.Get(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := db.Metrics()
+	if m.EvictionsClean <= before.EvictionsClean || m.EvictionsDirty != before.EvictionsDirty {
+		t.Fatalf("read sweep after Sync: clean evictions %d -> %d, dirty %d -> %d; want only clean ones to grow",
+			before.EvictionsClean, m.EvictionsClean, before.EvictionsDirty, m.EvictionsDirty)
+	}
+}
+
 // TestWriteTraceJSON checks the public trace path end to end: Open with
 // tracing, run ops, export, and parse the Chrome trace JSON.
 func TestWriteTraceJSON(t *testing.T) {

@@ -203,6 +203,10 @@ type Stats struct {
 	Height  int    `metric:"patree_height gauge max" help:"Tree height (1 = single leaf)."`
 	Counters
 	BufferHit float64 `metric:"patree_buffer_hit_ratio gauge derived" help:"Page-buffer hit ratio."`
+	// EvictionsClean and EvictionsDirty count pages the buffer evicted to
+	// make room, by state: a dirty eviction queues a write-back.
+	EvictionsClean uint64 `metric:"patree_buffer_evictions_total{state=clean} counter sum" help:"Pages evicted from the page buffer, by state (a dirty one is written back)."`
+	EvictionsDirty uint64 `metric:"patree_buffer_evictions_total{state=dirty} counter sum"`
 	// Shards is the number of independent workers backing this DB (1 for
 	// the classic single-worker tree) and Devices the number of block
 	// devices they are spread over (1 unless Options.Devices named more).
@@ -688,10 +692,12 @@ func (s *shard) statsSnapshot() (Stats, bufferCounts) {
 	st := s.tree.StatsSnapshot()
 	bs := s.tree.BufferStats()
 	return Stats{
-		Ops:      st.TotalOps(),
-		NumKeys:  s.tree.NumKeys(),
-		Height:   s.tree.Height(),
-		Counters: st.Counters,
+		Ops:            st.TotalOps(),
+		NumKeys:        s.tree.NumKeys(),
+		Height:         s.tree.Height(),
+		Counters:       st.Counters,
+		EvictionsClean: bs.Evictions - bs.DirtyEvictions,
+		EvictionsDirty: bs.DirtyEvictions,
 	}, bufferCounts{hits: bs.Hits, misses: bs.Misses}
 }
 
