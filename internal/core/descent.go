@@ -65,16 +65,17 @@ func (t *Tree) process(o *Op) {
 			// previous node as soon as the child latch is granted;
 			// pessimistic updates keep it until the child is known not to
 			// split.
-			if !t.pessimisticCoupling(o) {
+			if !o.pessimistic {
 				t.releaseAllExcept(o, o.cur)
 				o.prevNode = nil
 			}
 			o.state = stReadNode
 
 		case stReadNode:
-			// The image this op's own demand read brought in is used as it
-			// is: the lookup that missed was this visit's one reference to
-			// the page, and a second lookup would promote it in the buffer.
+			// The image this op's own demand read, or the read-ahead it
+			// parked on, brought in is used as it is: the lookup that
+			// missed was this visit's one reference to the page, and a
+			// second lookup would promote it in the buffer.
 			data, ok := o.ioData, o.ioData != nil && o.ioFor == o.cur
 			o.ioData = nil
 			if !ok {
@@ -84,7 +85,7 @@ func (t *Tree) process(o *Op) {
 				if ws, ok := t.readAheads[o.cur]; ok {
 					// A scan's read-ahead of this page is in flight: park
 					// on it instead of issuing a duplicate (pipeline.go
-					// wakes us when it is reaped).
+					// hands the image over when it is reaped).
 					t.readAheads[o.cur] = append(ws, raWaiter{op: o, since: t.now()})
 					t.stats.ReadAheadHits++
 					return // I/O-blocked on the read-ahead
@@ -92,25 +93,31 @@ func (t *Tree) process(o *Op) {
 				t.submitRead(o)
 				return // I/O-blocked, or stalled on a full queue
 			}
-			if o.kind == KindSearch {
-				// Point lookups never mutate, so they read the sealed page
-				// image directly instead of materializing a Node — the
-				// binary search runs over the encoded slot array and only
-				// the matched value is copied out. Same page validation,
-				// same latch protocol, same CPU charge; zero decode
-				// allocations on a buffer hit.
+			switch {
+			case o.kind != KindSearch && storage.PageIsLeaf(data):
+				// The leaf a scan or a mutation ends on is read in place
+				// too (leafAction): only a split decodes it.
+				o.curNode, o.page = nil, data
+			case !o.pessimistic:
+				// A descent that cannot split steps over the sealed page
+				// image: the binary search runs over the encoded slot
+				// array, with the same page validation, latch protocol
+				// and CPU charge as a decoded visit, and no allocation.
 				if t.searchStep(o, data) {
 					return
 				}
 				continue
-			}
-			node, err := storage.DecodeNode(o.cur, data)
-			if err != nil {
-				t.failOp(o, err)
-				return
+			default:
+				// A pessimistic update may split this node into its
+				// parent: it works on decoded Nodes (splitCurrent).
+				node, err := storage.DecodeNode(o.cur, data)
+				if err != nil {
+					t.failOp(o, err)
+					return
+				}
+				o.curNode = node
 			}
 			t.charge(metrics.CatRealWork, t.cfg.Costs.NodeVisit)
-			o.curNode = node
 			o.state = stProcess
 
 		case stProcess:
@@ -143,9 +150,10 @@ func (t *Tree) process(o *Op) {
 	}
 }
 
-// searchStep advances a point search one level using the raw page image
-// (see the KindSearch branch in process). Returns true when the op left
-// the ready set (completed, failed, or latch-blocked on the child).
+// searchStep advances a descent one level on the sealed page image data
+// (see stReadNode): a point search ends on its leaf, every other op
+// steps over inner pages. Returns true when the op left the ready set
+// (completed, failed, or latch-blocked on the child).
 func (t *Tree) searchStep(o *Op, data []byte) bool {
 	step, err := storage.SearchPage(data, o.key)
 	if err != nil {
@@ -154,81 +162,42 @@ func (t *Tree) searchStep(o *Op, data []byte) bool {
 	}
 	t.charge(metrics.CatRealWork, t.cfg.Costs.NodeVisit)
 	if step.Leaf {
-		o.Res.Found = step.Found
-		o.Res.Value = step.Value
+		o.Res.Found, o.Res.Value = step.Found, step.Value
 		t.finishOp(o)
 		return true
+	}
+	if t.cfg.Pipelined && o.kind == KindRange {
+		t.readAhead(o, data, step.Index)
 	}
 	o.cur = step.Child
 	o.depth++
 	o.state = stChildGranted
-	if !t.acquireLatch(o, step.Child, latch.Shared) {
-		return true // latch-blocked
-	}
-	return false
+	return !t.acquireLatch(o, step.Child, t.latchModeFor(o, storage.PageLevel(data)-1))
 }
 
-// processNode executes the index logic on o.curNode. Returns true when
-// the op left the ready set (done or waiting).
+// processNode runs o's index logic on the page it has in hand: the sealed
+// leaf in o.page, or the decoded inner node of a pessimistic descent in
+// o.curNode. Returns true when the op left the ready set (done or
+// waiting).
 func (t *Tree) processNode(o *Op) bool {
 	node := o.curNode
-	isUpd := o.kind == KindInsert || o.kind == KindUpdate
-
-	if isUpd && node.IsLeaf() && !o.pessimistic && t.needsSplit(o, node) {
-		// Optimistic descent found a leaf that must split: restart with
-		// exclusive coupling (rare; see Op.pessimistic).
-		if o.kind == KindUpdate {
-			if _, found := node.SearchLeaf(o.key); !found {
-				o.Res.Found = false
-				t.finishOp(o)
-				return true
-			}
-		}
-		o.pessimistic = true
-		t.releaseAll(o)
-		o.state = stEntry
-		return false
-	}
-
-	if isUpd && o.pessimistic && t.needsSplit(o, node) {
-		if o.kind == KindUpdate {
-			// Confirm the key exists before splitting on its behalf.
-			if node.IsLeaf() {
-				if _, found := node.SearchLeaf(o.key); !found {
-					o.Res.Found = false
-					t.finishOp(o)
-					return true
-				}
-			}
-		}
-		t.splitCurrent(o)
-		// Re-process the (possibly new) current node.
-		return false
-	}
-
-	if node.IsLeaf() {
+	if node == nil {
 		return t.leafAction(o)
 	}
-
-	// Inner node: the child to follow.
-	if isUpd && o.pessimistic {
-		// This node is split-safe: ancestors not pinned by modifications
-		// can be released (latch coupling for updates, §III-B).
-		t.releaseSafeAncestors(o)
+	if node.NumKeys() >= storage.InnerMaxKeys-innerSplitMargin {
+		// Top-down preemptive splitting (see DESIGN.md), then re-process
+		// the (possibly new) current node.
+		t.splitCurrent(o)
+		return false
 	}
-	idx := node.ChildIndex(o.key)
-	child := node.Children[idx]
-	if t.cfg.Pipelined && o.kind == KindRange {
-		t.readAhead(o, node, idx)
-	}
+	// This node is split-safe: ancestors not pinned by modifications can
+	// be released (latch coupling for updates, §III-B).
+	t.releaseSafeAncestors(o)
 	o.prevNode = node
-	o.cur = child
+	o.cur = node.Children[node.ChildIndex(o.key)]
 	o.depth++
 	o.state = stChildGranted
-	if !t.acquireLatch(o, child, t.latchModeFor(o, int(node.Level)-1)) {
-		return true // latch-blocked
-	}
-	return false
+	return !t.acquireLatch(o, o.cur, t.latchModeFor(o, int(node.Level)-1))
 }
 
 // latchModeFor returns the latch mode for a node at the given level on
@@ -245,121 +214,103 @@ func (t *Tree) latchModeFor(o *Op, level int) latch.Mode {
 	return latch.Shared
 }
 
-// pessimisticCoupling reports whether o keeps ancestors latched across
-// child acquisition.
-func (t *Tree) pessimisticCoupling(o *Op) bool {
-	return (o.kind == KindInsert || o.kind == KindUpdate) && o.pessimistic
-}
-
-// leafAction applies o to the leaf in o.curNode (which fits the change;
-// splits were handled before entering here).
+// leafAction applies o to the sealed leaf image o.page. A mutation is one
+// storage.EditLeaf, the edit recovery folds a leaf record with: its fresh
+// image becomes the op's write, and the image it was made from, which the
+// buffer, the published table and in-flight writes share, is left as it
+// is. Only a change the leaf cannot hold takes the split path.
 func (t *Tree) leafAction(o *Op) bool {
-	node := o.curNode
-	costs := &t.cfg.Costs
-	switch o.kind {
-	case KindSearch:
-		if i, found := node.SearchLeaf(o.key); found {
-			o.Res.Found = true
-			o.Res.Value = node.Vals[i]
-		}
-		t.finishOp(o)
-		return true
-
-	case KindRange:
-		i, _ := node.SearchLeaf(o.key)
-		for ; i < len(node.Keys); i++ {
-			if node.Keys[i] > o.endKey {
-				t.finishOp(o)
-				return true
-			}
-			o.Res.Pairs = append(o.Res.Pairs, KV{Key: node.Keys[i], Value: node.Vals[i]})
-			if o.limit > 0 && len(o.Res.Pairs) >= o.limit {
-				t.finishOp(o)
-				return true
-			}
-		}
-		if node.Next == storage.NilPage {
-			t.finishOp(o)
-			return true
-		}
-		// Continue into the right sibling with latch coupling; every key
-		// there exceeds everything in this leaf, so scanning resumes from
-		// the sibling's first slot.
-		o.key = 0
-		o.prevNode = node
-		o.cur = node.Next
-		o.depth++
-		o.state = stChildGranted
-		if !t.acquireLatch(o, o.cur, o.mode) {
-			return true
-		}
-		return false
-
-	case KindInsert, KindUpdate:
-		if len(o.value) > storage.MaxValueSize {
-			t.failOp(o, ErrValueTooLarge)
-			return true
-		}
-		if !t.journalGate(o) {
-			return true // deferred before mutating; re-runs via retryq
-		}
-		i, found := node.SearchLeaf(o.key)
-		if o.kind == KindUpdate && !found {
-			o.Res.Found = false
-			t.finishOp(o)
-			return true
-		}
-		_ = i
-		replaced := node.InsertLeaf(o.key, o.value)
-		o.Res.Found = replaced
-		if !replaced {
-			t.numKeys++
-		}
-		t.charge(metrics.CatRealWork, costs.LeafMutate)
-		t.markModified(o, node)
-		return t.beginWriteback(o)
-
-	case KindDelete:
-		i, found := node.SearchLeaf(o.key)
-		if !found {
-			t.finishOp(o)
-			return true
-		}
-		if !t.journalGate(o) {
-			return true // deferred before mutating; re-runs via retryq
-		}
-		node.DeleteLeafAt(i)
-		o.Res.Found = true
-		t.numKeys--
-		t.charge(metrics.CatRealWork, costs.LeafMutate)
-		t.markModified(o, node)
-		return t.beginWriteback(o)
-
-	default:
-		panic("core: unexpected kind in leafAction: " + o.kind.String())
-	}
-}
-
-// needsSplit decides whether the current node must be split before the
-// insert/update proceeds (top-down preemptive splitting; see DESIGN.md).
-func (t *Tree) needsSplit(o *Op, node *storage.Node) bool {
-	if !node.IsLeaf() {
-		return node.NumKeys() >= storage.InnerMaxKeys-innerSplitMargin
+	if o.kind == KindRange {
+		return t.scanLeaf(o)
 	}
 	if len(o.value) > storage.MaxValueSize {
-		return false // leafAction will fail the op cleanly
+		t.failOp(o, ErrValueTooLarge)
+		return true
 	}
-	if i, found := node.SearchLeaf(o.key); found {
-		return !node.LeafFitsReplace(i, len(o.value))
+	img := make([]byte, storage.PageSize)
+	found, fits, err := storage.EditLeaf(img, o.page, o.key, o.value, o.kind == KindDelete)
+	switch {
+	case err != nil:
+		t.failOp(o, err)
+		return true
+	case !found && (o.kind == KindDelete || (o.kind == KindUpdate && !fits)):
+		// Nothing to delete, or no key to update that would be worth a
+		// split: done, Found false.
+		t.finishOp(o)
+		return true
+	case !fits && !o.pessimistic:
+		// Optimistic descent found a leaf that must split: restart with
+		// exclusive coupling (rare; see Op.pessimistic).
+		o.pessimistic = true
+		t.releaseAll(o)
+		o.state = stEntry
+		return false
+	case !fits:
+		// Exclusive coupling holds the parent: split, then edit the half
+		// covering the key. EditLeaf checked what DecodeNode checks.
+		o.curNode, _ = storage.DecodeNode(o.cur, o.page)
+		t.splitCurrent(o)
+		o.page, o.curNode = o.curNode.Encode(), nil
+		return false
 	}
-	return !node.LeafFits(len(o.value))
+	if !t.journalGate(o) {
+		return true // deferred before mutating; re-runs via retryq
+	}
+	if !found && o.kind == KindUpdate {
+		t.finishOp(o)
+		return true
+	}
+	o.Res.Found = found
+	switch {
+	case o.kind == KindDelete:
+		t.numKeys--
+	case !found:
+		t.numKeys++
+	}
+	t.charge(metrics.CatRealWork, t.cfg.Costs.LeafMutate)
+	o.page = img
+	o.holdsWrite = true
+	if len(o.modified) > 0 && !o.isModified(o.cur) {
+		// Pages above were split on the way down: the leaf joins their
+		// group, in the place its decoded Node used to take.
+		t.markModified(o, storage.NewLeaf(o.cur))
+	}
+	return t.beginWriteback(o)
+}
+
+// scanLeaf collects the pairs of the sealed leaf o.page that a range scan
+// wants, then finishes or moves on to the right sibling with latch
+// coupling; every key there exceeds everything here, so the scan resumes
+// from its first slot.
+func (t *Tree) scanLeaf(o *Op) bool {
+	if !storage.VerifyPageShared(o.page) {
+		t.failOp(o, storage.ErrCorruptPage)
+		return true
+	}
+	next, beyond, err := storage.LeafRangeShared(o.page, o.key, o.endKey, func(k uint64, v []byte) bool {
+		o.Res.Pairs = append(o.Res.Pairs, KV{Key: k, Value: v})
+		return o.limit <= 0 || len(o.Res.Pairs) < o.limit
+	})
+	if err != nil {
+		t.failOp(o, err)
+		return true
+	}
+	if beyond || next == storage.NilPage {
+		t.finishOp(o)
+		return true
+	}
+	o.key = 0
+	o.cur = next
+	o.depth++
+	o.state = stChildGranted
+	return !t.acquireLatch(o, o.cur, o.mode)
 }
 
 // splitCurrent splits o.curNode (held X), inserting separators into the
 // held parent (creating a new root when the current node is the root).
 // For leaves it loops byte-balanced splits until the incoming value fits
-// the half covering the key. All modified nodes stay latched and are
-// queued for write-back.
+// the half covering the key, which it leaves in o.curNode for leafAction
+// to edit. All modified nodes stay latched and are queued for write-back.
 func (t *Tree) splitCurrent(o *Op) {
 	node := o.curNode
 	parent := o.prevNode
@@ -492,10 +443,11 @@ func (o *Op) isModified(id storage.PageID) bool {
 	return false
 }
 
-// beginWriteback finishes an update operation. Each modified node is
-// encoded once, into o.writes, and every consumer takes that image: the
-// in-place write (strong), the read-write buffer (weak or journaled), the
-// published table at finishOp and the redo record. An unjournaled strong
+// beginWriteback finishes an update operation. Its leaf edit and each node
+// a split modified, encoded once, are its images, in o.writes, and every
+// consumer takes them: the in-place write (strong), the read-write buffer
+// (weak or journaled), the published table at finishOp and the redo
+// record. An unjournaled strong
 // tree orders the pages leaves before parents, meta last, and moves the
 // op to the write pipeline; a buffering tree stores them and completes,
 // scheduling evicted victims in the background (§III-C) — with the
@@ -515,11 +467,20 @@ func (t *Tree) beginWriteback(o *Op) bool {
 			}
 		}
 	}
+	if len(o.modified) == 0 {
+		// An op that split nothing writes its leaf edit alone.
+		o.writes = append(o.writes, writeReq{id: o.cur, data: o.page})
+	}
 	for _, n := range o.modified {
-		img := n.Encode()
+		img := o.page // the edited leaf: its Node only holds its place
+		if n.ID != o.cur {
+			img = n.Encode()
+		}
 		o.writes = append(o.writes, writeReq{id: n.ID, data: img})
-		if buffered {
-			t.bufferWrite(n.ID, img)
+	}
+	if buffered {
+		for _, w := range o.writes {
+			t.bufferWrite(w.id, w.data)
 		}
 	}
 	if o.commit != nil && (!buffered || t.journalOn) {

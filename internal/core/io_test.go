@@ -126,7 +126,7 @@ func issueReadAhead(t *Tree) {
 	parent := storage.NewInner(1, 1)
 	parent.Children = []storage.PageID{2, seamPage, seamPage + 1, seamPage + 2}
 	parent.Keys = []uint64{100, 200, 300}
-	t.readAhead(NewRange(100, ^uint64(0), 0, nil), parent, 1)
+	t.readAhead(NewRange(100, ^uint64(0), 0, nil), parent.Encode(), 1)
 	for id := seamPage; id < seamPage+raRun; id++ {
 		if _, reading := t.readAheads[id]; reading {
 			w := NewSearch(uint64(id), nil)
@@ -427,7 +427,9 @@ func TestReadAheadBlocksSiblingWrite(t *testing.T) {
 // TestReadAheadRuns pins how readAhead cuts the leaves a scan will walk
 // into commands: one per run of consecutive page IDs, a page that is
 // resident or refused its latch ends a run, and the selection stops at
-// the scan's limit and end key. None of it counts as a buffer lookup.
+// the scan's limit and end key. None of it counts as a buffer lookup: an
+// op parked on the run counts its one miss, and the run hands it the page
+// it waited for, filled as its demand read would have filled it.
 func TestReadAheadRuns(t *testing.T) {
 	type run struct {
 		lba    uint64
@@ -458,7 +460,7 @@ func TestReadAheadRuns(t *testing.T) {
 			parent := storage.NewInner(1, 1)
 			parent.Children = c.children
 			parent.Keys = []uint64{100, 200, 300, 400}
-			tree.readAhead(c.scan, parent, 0)
+			tree.readAhead(c.scan, parent.Encode(), 0)
 			var got []run
 			for _, cmd := range qp.pending {
 				got = append(got, run{cmd.LBA, cmd.Blocks})
@@ -466,9 +468,20 @@ func TestReadAheadRuns(t *testing.T) {
 			if !reflect.DeepEqual(got, c.want) || tree.stats.ReadAheads != uint64(len(c.want)) {
 				t.Fatalf("commands %v (%d read-aheads), want %v", got, tree.stats.ReadAheads, c.want)
 			}
+			// An op reaching the run's first page parks on it: the miss
+			// that found the read in flight is its visit's one lookup.
+			first := storage.PageID(c.want[0].lba)
+			w := NewSearch(1, nil)
+			tree.enroll(w, stReadNode)
+			w.cur = first
+			tree.process(w)
 			for len(qp.pending) > 0 {
 				qp.complete(nil)
 			}
+			if !w.inReady {
+				t.Fatal("the run landed without waking the op parked on it")
+			}
+			tree.process(w)
 			for _, ran := range c.want {
 				for id := storage.PageID(ran.lba); id < storage.PageID(ran.lba)+storage.PageID(ran.blocks); id++ {
 					if r, w := tree.latches.Held(id); !tree.resident(id) || r != 0 || w != 0 {
@@ -476,9 +489,19 @@ func TestReadAheadRuns(t *testing.T) {
 					}
 				}
 			}
-			// Residency checks and read-ahead fills are not lookups.
-			if st := tree.BufferStats(); st.Hits != 0 || st.Misses != 0 {
-				t.Errorf("read-ahead counted buffer lookups: %d hits, %d misses", st.Hits, st.Misses)
+			// Residency checks and read-ahead fills are not lookups, and
+			// the run hands the parked op the image instead of a second.
+			if st := tree.BufferStats(); w.state != stDone || st.Hits != 0 || st.Misses != 1 {
+				t.Errorf("read-ahead with one parked op: op state %d, %d hits, %d misses; want done, 0, 1", w.state, st.Hits, st.Misses)
+			}
+			// The page the op waited on is filled as a demand read fills
+			// it, so its next lookup promotes it beyond a run of fills.
+			tree.lookupPage(first)
+			for id := storage.PageID(100); id < 100+storage.PageID(pipelinedCfg.BufferPages); id++ {
+				tree.fill(id, storage.NewLeaf(id).Encode(), false)
+			}
+			if !tree.resident(first) {
+				t.Errorf("page %d, read ahead for a parked op and looked up again, was not promoted", first)
 			}
 		})
 	}

@@ -71,7 +71,7 @@ func (t *Tree) journalBuild(o *Op) {
 	if cnt > maxJournalGroup {
 		panic(fmt.Sprintf("core: journal group of %d records exceeds the gate bound", cnt))
 	}
-	if cnt == 1 && o.modified[0].IsLeaf() {
+	if len(o.modified) == 0 {
 		del := o.kind == KindDelete
 		leafHeader(t.jHdr[:], o.seq, o.writes[0].id, del, o.key)
 		value := o.value

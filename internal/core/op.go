@@ -103,7 +103,7 @@ const (
 	stEntry        opState = iota // (re)start at the root
 	stChildGranted                // latch on op.cur held; handle coupling
 	stReadNode                    // need the content of op.cur
-	stProcess                     // have op.curNode; run index logic
+	stProcess                     // have op.page or op.curNode; run index logic
 	stWriteNext                   // unjournaled strong: issue the next queued write
 	stJournal                     // journaled update: persist the redo group
 	stSyncRun                     // sync op: drive the flush pipeline
@@ -155,7 +155,8 @@ type Op struct {
 	mode     latch.Mode
 	depth    int // 0 at root
 	cur      storage.PageID
-	curNode  *storage.Node
+	page     []byte        // sealed leaf image at cur; after the edit, its new image
+	curNode  *storage.Node // decoded page at cur: pessimistic descents only
 	prevNode *storage.Node // parent retained while deciding child split
 	held     []heldLatch
 	inReady  bool
@@ -169,13 +170,14 @@ type Op struct {
 	ioFor      storage.PageID
 	pendingErr error
 
-	// modified are the decoded nodes this op has mutated; they stay
-	// latched until the op completes: its writes durable (strong), its redo
-	// group durable (journaled) or its pages buffered (weak). writes are
-	// their encoded images (plus the meta page when the root moves), built
-	// once by beginWriteback: unjournaled strong mode writes them in place
-	// in this order (wIdx next), the journal logs them as the op's redo
-	// group, and finishOp publishes them.
+	// modified are the decoded nodes a split made this op mutate (empty
+	// when its leaf edit was all it changed); they stay latched until the
+	// op completes: its writes durable (strong), its redo group durable
+	// (journaled) or its pages buffered (weak). writes are the op's images
+	// (plus the meta page when the root moves), built once by
+	// beginWriteback: unjournaled strong mode writes them in place in this
+	// order (wIdx next), the journal logs them as the op's redo group, and
+	// finishOp publishes them.
 	modified []*storage.Node
 	writes   []writeReq
 	wIdx     int
@@ -349,6 +351,7 @@ func (o *Op) reset() {
 	o.mode = 0
 	o.depth = 0
 	o.cur = 0
+	o.page = nil
 	o.curNode = nil
 	o.prevNode = nil
 	o.held = o.held[:0]

@@ -18,9 +18,9 @@ package core
 // submitted, and the images that land are the pages' current ones.
 //
 // An op that reaches a page whose read-ahead is in flight parks on it
-// (Tree.readAheads) instead of issuing a duplicate read. It is woken when
-// the run is reaped; if the run was dropped, it issues its own demand
-// read with its own retry budget.
+// (Tree.readAheads) instead of issuing a duplicate read. It is woken with
+// the page's image when the run is reaped; if the run was dropped, it
+// issues its own demand read with its own retry budget.
 
 import (
 	"github.com/patree/patree/internal/latch"
@@ -43,23 +43,29 @@ type raWaiter struct {
 }
 
 // readAhead reads the leaves scan o will walk from child idx of the
-// level-1 parent node: its own and up to readAheadDepth siblings after
-// it, none past the scan's end key and no more than its limit (a leaf
-// holds at least one pair). A page that is resident, already being read
-// or refused its latch is skipped and ends the current run. With no
-// buffer there is nothing to read into, and nothing is issued.
-func (t *Tree) readAhead(o *Op, node *storage.Node, idx int) {
-	if node.Level != 1 || t.bufferCap() == 0 {
+// sealed level-1 parent image page: its own and up to readAheadDepth
+// siblings after it, none past the scan's end key and no more than its
+// limit (a leaf holds at least one pair). A page that is resident,
+// already being read or refused its latch is skipped and ends the current
+// run. With no buffer there is nothing to read into, and nothing is
+// issued.
+func (t *Tree) readAhead(o *Op, page []byte, idx int) {
+	if storage.PageLevel(page) != 1 || t.bufferCap() == 0 {
 		return
 	}
-	end := min(len(node.Children), idx+1+readAheadDepth)
+	end := idx + 1 + readAheadDepth
 	if o.limit > 0 {
 		end = min(end, idx+o.limit)
 	}
 	// The run is [first, first+n); a skipped page leaves a gap that sends it.
-	first, n := node.Children[idx], 0
-	for j := idx; j < end && (j == idx || node.Keys[j-1] <= o.endKey); j++ {
-		id := node.Children[j]
+	first, n := storage.InnerChild(page, idx), 0
+	for j := idx; j < end; j++ {
+		if j > idx {
+			if sep, ok := storage.InnerKey(page, j-1); !ok || sep > o.endKey {
+				break
+			}
+		}
+		id := storage.InnerChild(page, j)
 		if id != first+storage.PageID(n) {
 			if !t.readRun(first, n) {
 				return
@@ -104,13 +110,24 @@ func (t *Tree) readRun(first storage.PageID, n int) bool {
 // readAheadDone installs each landed page unless it became resident
 // another way, copied out of the run's buffer so one hot page cannot pin
 // the whole run, then wakes the ops parked on it and releases its latch.
-// An errored run has no budget and is dropped whole (ioDropped): its
-// waiters issue their own demand reads.
+// An op parked on a page is handed the image, as its own demand read
+// would hand it over: the miss that parked it was its visit's one lookup.
+// Such a page is filled as that read would fill it, so its next lookup
+// promotes it; a page no op waits on is a prefetch. An errored run has no
+// budget and is dropped whole (ioDropped): its waiters issue their own
+// demand reads.
 func (t *Tree) readAheadDone(c *ioCmd, res ioResult, now sim.Time) {
 	for i := range c.Blocks {
 		id := storage.PageID(c.LBA) + storage.PageID(i)
-		if res == ioOK && !t.resident(id) {
-			t.fill(id, append([]byte(nil), c.Buf[i*storage.PageSize:(i+1)*storage.PageSize]...), true)
+		ws := t.readAheads[id]
+		if res == ioOK {
+			img := append([]byte(nil), c.Buf[i*storage.PageSize:(i+1)*storage.PageSize]...)
+			if !t.resident(id) {
+				t.fill(id, img, len(ws) == 0)
+			}
+			for _, w := range ws {
+				w.op.ioData, w.op.ioFor = img, id
+			}
 		}
 		t.wakeReadAhead(id, now)
 		delete(t.readAheads, id)

@@ -114,27 +114,43 @@ func decodeRecord(rec []byte) (redoRecord, error) {
 }
 
 // applyLeafRecords folds leaf records, in log order, onto the page image
-// they follow and returns the page re-encoded. A set or delete carries the
-// key's whole new state, so the result does not depend on how many of the
-// records the image already reflects: any state of the page between the
-// image the log starts from and the newest folds to the newest.
+// they follow with storage.EditLeaf, the edit the working thread made
+// them with, and returns the resulting image. A set or delete carries the
+// key's whole new state, so only each key's last record counts, and the
+// result does not depend on how many of the records the image already
+// reflects: any state of the page between the image the log starts from
+// and the newest folds to the newest. The way there need not pass through
+// states that fit, though: an image written back late already holds what
+// a later record made room for. So a set that does not fit yet waits for
+// a second pass, behind every other key's last record; what is left then
+// only grows the page towards its newest state, which fits.
 func applyLeafRecords(id storage.PageID, image []byte, recs []redoRecord) ([]byte, error) {
-	n, err := storage.DecodeNode(id, image)
-	if err != nil {
-		return nil, fmt.Errorf("base of page %d: %w", id, err)
+	last := make(map[uint64]int, len(recs))
+	for i, r := range recs {
+		last[r.key] = i
 	}
-	if !n.IsLeaf() {
-		return nil, fmt.Errorf("leaf records for page %d, which is not a leaf", id)
-	}
-	for _, r := range recs {
-		if !r.del {
-			n.InsertLeaf(r.key, r.value)
-		} else if i, found := n.SearchLeaf(r.key); found {
-			n.DeleteLeafAt(i)
+	// cur alternates between two scratch pages; image is only read.
+	scratch := [2][]byte{make([]byte, storage.PageSize), make([]byte, storage.PageSize)}
+	cur, n := image, 0
+	for pass := 0; pass < 2; pass++ {
+		var wait []redoRecord
+		for i, r := range recs {
+			if pass == 0 && last[r.key] != i {
+				continue
+			}
+			_, fits, err := storage.EditLeaf(scratch[n], cur, r.key, r.value, r.del)
+			if err != nil {
+				return nil, fmt.Errorf("leaf records for page %d: %w", id, err)
+			}
+			if !fits {
+				wait = append(wait, r)
+				continue
+			}
+			cur, n = scratch[n], 1-n
+		}
+		if recs = wait; len(recs) == 0 {
+			return cur, nil
 		}
 	}
-	if n.LeafUsed() > storage.PageSize {
-		return nil, fmt.Errorf("leaf records overflow page %d", id)
-	}
-	return n.Encode(), nil
+	return nil, fmt.Errorf("leaf records overflow page %d", id)
 }

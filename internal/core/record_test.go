@@ -53,6 +53,15 @@ func leafOf(id storage.PageID, nkeys, valLen int) *storage.Node {
 	return n
 }
 
+// cloneNode is a deep copy of n, by way of its page image.
+func cloneNode(n *storage.Node) *storage.Node {
+	c, err := storage.DecodeNode(n.ID, n.Encode())
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func innerOf(id storage.PageID, nkeys int) *storage.Node {
 	n := storage.NewInner(id, 1)
 	n.Children = []storage.PageID{100}
@@ -156,11 +165,11 @@ func TestApplyLeafRecords(t *testing.T) {
 		{id: 5, key: 1, del: true},
 		{id: 5, key: 99, del: true},
 	}
-	want := start.Clone()
+	want := cloneNode(start)
 	want.InsertLeaf(8, []byte("c"))
 	want.InsertLeaf(4, []byte("b"))
 	want.DeleteLeafAt(0)
-	state := start.Clone()
+	state := cloneNode(start)
 	for i := 0; i <= len(recs); i++ {
 		got, err := applyLeafRecords(5, state.Encode(), recs)
 		if err != nil {
@@ -183,6 +192,36 @@ func TestApplyLeafRecords(t *testing.T) {
 	big := []redoRecord{{id: 5, key: 2, value: make([]byte, storage.MaxValueSize)}, {id: 5, key: 3, value: make([]byte, storage.MaxValueSize)}}
 	if _, err := applyLeafRecords(5, start.Encode(), big); err == nil {
 		t.Error("a fold that overflows the page was accepted")
+	}
+
+	// Two maximal values and one more key never share a page, yet each
+	// fold below ends on a page that fits, through a state that does not
+	// when the records are applied one by one in log order.
+	maxVal := func(b byte) []byte { return bytes.Repeat([]byte{b}, storage.MaxValueSize) }
+	leaf := func(pairs ...any) []byte {
+		n := storage.NewLeaf(5)
+		for i := 0; i < len(pairs); i += 2 {
+			n.InsertLeaf(uint64(pairs[i].(int)), pairs[i+1].([]byte))
+		}
+		return n.Encode()
+	}
+	for _, c := range []struct {
+		name       string
+		base, want []byte
+		recs       []redoRecord
+	}{
+		// The image was written back after the last record: re-applying
+		// the first would add a to b.
+		{"late image", leaf(1, []byte{}, 3, maxVal('b')), leaf(1, []byte{}, 3, maxVal('c')), []redoRecord{
+			{id: 5, key: 2, value: maxVal('a')}, {id: 5, key: 2, del: true}, {id: 5, key: 3, value: maxVal('c')}}},
+		// a's last record comes before b's, which makes room for it.
+		{"room made later", leaf(1, []byte{}, 3, maxVal('b')), leaf(1, []byte{}, 2, maxVal('a'), 3, []byte("t")), []redoRecord{
+			{id: 5, key: 3, value: []byte("s")}, {id: 5, key: 2, value: maxVal('a')}, {id: 5, key: 3, value: []byte("t")}}},
+	} {
+		got, err := applyLeafRecords(5, c.base, c.recs)
+		if err != nil || !bytes.Equal(got, c.want) {
+			t.Errorf("%s: fold = %v, or a different page", c.name, err)
+		}
 	}
 }
 
@@ -238,9 +277,12 @@ func TestRecordFormatRefused(t *testing.T) {
 // FuzzJournalRecord: arbitrary bytes never panic the decoder, a record
 // recovery accepts for redo as an image carries one that passes
 // storage.VerifyPage, and one it accepts as a leaf record folds onto a
-// leaf into a page that verifies — or is refused, never a panic.
+// leaf into the page the Node path gives (decode, InsertLeaf or
+// DeleteLeafAt, encode), or is refused exactly when that page would
+// overflow.
 func FuzzJournalRecord(f *testing.F) {
-	leaf := leafOf(5, 3, 100).Encode()
+	leafNode := leafOf(5, 3, 100) // keys 1, 8, 15; 160 bytes free
+	leaf := leafNode.Encode()
 	f.Add(encodeRecord(1, 0, 1, 5, leaf))
 	f.Add(encodeRecord(2, 0, 1, 6, innerOf(6, 4).Encode()))
 	f.Add(encodeRecord(3, 0, 1, 0, (&storage.Meta{Root: 1, Height: 1, Watermark: 2}).Encode()))
@@ -254,18 +296,40 @@ func FuzzJournalRecord(f *testing.F) {
 	f.Add(setRecord(8, 5, 2, bytes.Repeat([]byte{1}, storage.MaxValueSize)))
 	f.Add(deleteRecord(9, 5, 15))
 	f.Add(deleteRecord(10, 5, 16))
+	// Folds at every place in the slot array, with empty, growing and
+	// overflowing values.
+	f.Add(setRecord(11, 5, 0, nil))
+	f.Add(setRecord(12, 5, 1<<63, []byte("last")))
+	f.Add(setRecord(13, 5, 8, bytes.Repeat([]byte{2}, storage.MaxValueSize)))
+	f.Add(setRecord(14, 5, 9, bytes.Repeat([]byte{3}, 148)))
+	f.Add(setRecord(15, 5, 9, bytes.Repeat([]byte{3}, 149)))
+	f.Add(deleteRecord(16, 5, 1))
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		redo, err := parseRedo([][]byte{rec}, &RecoverReport{})
 		if err != nil {
 			return
 		}
 		for _, p := range redo {
-			if p.image == nil {
-				if page, err := applyLeafRecords(p.id, leaf, []redoRecord{p}); err == nil && !storage.VerifyPage(page) {
-					t.Fatalf("leaf record for page %d folds to a page that does not verify", p.id)
+			if p.image != nil {
+				if len(p.image) != storage.PageSize || !storage.VerifyPage(p.image) {
+					t.Fatalf("accepted for redo: page %d with an image that does not verify", p.id)
 				}
-			} else if len(p.image) != storage.PageSize || !storage.VerifyPage(p.image) {
-				t.Fatalf("accepted for redo: page %d with an image that does not verify", p.id)
+				continue
+			}
+			want := cloneNode(leafNode)
+			if i, found := want.SearchLeaf(p.key); p.del && found {
+				want.DeleteLeafAt(i)
+			} else if !p.del {
+				want.InsertLeaf(p.key, p.value)
+			}
+			page, err := applyLeafRecords(p.id, leaf, []redoRecord{p})
+			switch fits := want.LeafUsed() <= storage.PageSize; {
+			case fits && err != nil:
+				t.Fatalf("leaf record %+v refused: %v", p, err)
+			case fits && !bytes.Equal(page, want.Encode()):
+				t.Fatalf("leaf record %+v folds to another page than the Node path", p)
+			case !fits && err == nil:
+				t.Fatalf("leaf record %+v overflows the page, yet folded", p)
 			}
 		}
 	})

@@ -640,7 +640,7 @@ func TestRecoverFold(t *testing.T) {
 	// strong tree's in-place write leaves it.
 	newer := func() map[uint64][]byte {
 		img := withLog(t, base, setRecord(1, p.ID, k1, []byte("a")), setRecord(2, p.ID, k1, []byte("b")), setRecord(3, p.ID, k1+1, []byte("c")))
-		landed := p.Clone()
+		landed := cloneNode(p)
 		landed.InsertLeaf(k1, []byte("b"))
 		img[uint64(p.ID)] = landed.Encode()
 		return img
@@ -653,11 +653,11 @@ func TestRecoverFold(t *testing.T) {
 		meta, _ := storage.DecodeMeta(base[0])
 		rightID := storage.PageID(meta.Watermark)
 		last := p.Keys[len(p.Keys)-1]
-		left := p.Clone()
+		left := cloneNode(p)
 		left.InsertLeaf(k1, []byte("x"))
 		left.InsertLeaf(last, []byte("y"))
 		sep, right := left.SplitLeaf(rightID)
-		up := parent.Clone()
+		up := cloneNode(parent)
 		up.InsertInner(sep, rightID)
 		img := withLog(t, base,
 			setRecord(1, p.ID, k1, []byte("x")),

@@ -73,9 +73,14 @@ func TestTrackerOldSubmissionsFallOff(t *testing.T) {
 			t.Fatalf("stale submission visible at slice %d", i)
 		}
 	}
-	// Completion of an ancient command must not underflow anything.
+	// Completion of an ancient command must not underflow anything, nor
+	// touch the slice that now holds its slot.
+	tr.OnSubmit(nvme.OpRead, later)
 	tr.OnComplete(nvme.OpRead, 0)
-	tr.Prune(later)
+	tr.OnComplete(nvme.OpRead, 0)
+	if w, r := tr.Outstanding(later); w != 0 || r != 1 {
+		t.Fatalf("after completing the ancient read: outstanding = (%d,%d), want (0,1)", w, r)
+	}
 }
 
 func TestSolveLinearKnownSystem(t *testing.T) {

@@ -13,6 +13,7 @@
 package probe
 
 import (
+	"math"
 	"time"
 
 	"github.com/patree/patree/internal/nvme"
@@ -30,10 +31,23 @@ const (
 // Tracker maintains the per-slice outstanding-submission counts that form
 // the model's feature vector. It is single-threaded, like everything the
 // working thread touches.
+//
+// The counts live in a ring of n slots, one per slice of the window, each
+// stamped with the absolute slice index it counts. A slot is taken over
+// by the first submission of a slice n slices newer, by which time its
+// old slice has left every window the tracker is asked about (time only
+// moves forward); a completion whose slot now holds a newer slice is
+// ignored, as its own slice is out of sight.
 type Tracker struct {
-	slice  time.Duration
-	n      int
-	counts map[int64]*[2]int // absolute slice index -> [writes, reads]
+	slice time.Duration
+	slots []slot // one per slice of the window
+}
+
+// slot counts the writes and reads submitted in slice idx and not yet
+// completed.
+type slot struct {
+	idx    int64
+	counts [2]int
 }
 
 // NewTracker creates a tracker with window w split into n slices.
@@ -44,11 +58,15 @@ func NewTracker(w time.Duration, n int) *Tracker {
 	if n <= 0 {
 		n = DefaultSlices
 	}
-	return &Tracker{slice: w / time.Duration(n), n: n, counts: make(map[int64]*[2]int)}
+	slots := make([]slot, n)
+	for i := range slots {
+		slots[i].idx = math.MinInt64
+	}
+	return &Tracker{slice: w / time.Duration(n), slots: slots}
 }
 
 // Slices returns n.
-func (tr *Tracker) Slices() int { return tr.n }
+func (tr *Tracker) Slices() int { return len(tr.slots) }
 
 // SliceDur returns the duration of one slice.
 func (tr *Tracker) SliceDur() time.Duration { return tr.slice }
@@ -57,44 +75,47 @@ func (tr *Tracker) sliceIndex(at sim.Time) int64 {
 	return int64(at) / int64(tr.slice)
 }
 
-func (tr *Tracker) bucket(idx int64) *[2]int {
-	b := tr.counts[idx]
-	if b == nil {
-		b = &[2]int{}
-		tr.counts[idx] = b
+// slotOf returns the slot slice idx maps to.
+func (tr *Tracker) slotOf(idx int64) *slot {
+	n := int64(len(tr.slots))
+	return &tr.slots[(idx%n+n)%n]
+}
+
+// counts returns slice idx's counts, or nil when its slot holds another
+// slice: then nothing submitted in idx is outstanding.
+func (tr *Tracker) counts(idx int64) *[2]int {
+	s := tr.slotOf(idx)
+	if s.idx != idx {
+		return nil
 	}
-	return b
+	return &s.counts
+}
+
+// class indexes a command's counter: writes first, then reads.
+func class(op nvme.Opcode) int {
+	if op == nvme.OpWrite {
+		return 0
+	}
+	return 1
 }
 
 // OnSubmit records an I/O submission at time at.
 func (tr *Tracker) OnSubmit(op nvme.Opcode, at sim.Time) {
-	b := tr.bucket(tr.sliceIndex(at))
-	if op == nvme.OpWrite {
-		b[0]++
-	} else {
-		b[1]++
+	idx := tr.sliceIndex(at)
+	s := tr.slotOf(idx)
+	if s.idx < idx {
+		*s = slot{idx: idx}
+	}
+	if s.idx == idx {
+		s.counts[class(op)]++
 	}
 }
 
 // OnComplete removes a completed I/O from the outstanding counts, given
 // its original submission time.
 func (tr *Tracker) OnComplete(op nvme.Opcode, submittedAt sim.Time) {
-	idx := tr.sliceIndex(submittedAt)
-	b := tr.counts[idx]
-	if b == nil {
-		return // fell off the window long ago
-	}
-	if op == nvme.OpWrite {
-		if b[0] > 0 {
-			b[0]--
-		}
-	} else {
-		if b[1] > 0 {
-			b[1]--
-		}
-	}
-	if b[0] == 0 && b[1] == 0 {
-		delete(tr.counts, idx)
+	if c := tr.counts(tr.sliceIndex(submittedAt)); c != nil && c[class(op)] > 0 {
+		c[class(op)]--
 	}
 }
 
@@ -103,22 +124,18 @@ func (tr *Tracker) OnComplete(op nvme.Opcode, submittedAt sim.Time) {
 // new submissions — used for the yield decision of Algorithm 2).
 // Length is 2n: w slices first (most recent first), then r slices.
 func (tr *Tracker) Vector(now sim.Time, shiftSlices int) []float64 {
-	out := make([]float64, 2*tr.n)
+	out := make([]float64, 2*len(tr.slots))
 	tr.FillVector(out, now, shiftSlices)
 	return out
 }
 
 // FillVector is Vector without the allocation; out must have length 2n.
 func (tr *Tracker) FillVector(out []float64, now sim.Time, shiftSlices int) {
-	cur := tr.sliceIndex(now) + int64(shiftSlices)
-	for i := 0; i < tr.n; i++ {
-		idx := cur - int64(i)
-		if b := tr.counts[idx]; b != nil {
-			out[i] = float64(b[0])
-			out[tr.n+i] = float64(b[1])
-		} else {
-			out[i] = 0
-			out[tr.n+i] = 0
+	cur, n := tr.sliceIndex(now)+int64(shiftSlices), len(tr.slots)
+	for i := 0; i < n; i++ {
+		out[i], out[n+i] = 0, 0
+		if c := tr.counts(cur - int64(i)); c != nil {
+			out[i], out[n+i] = float64(c[0]), float64(c[1])
 		}
 	}
 }
@@ -127,22 +144,11 @@ func (tr *Tracker) FillVector(out []float64, now sim.Time, shiftSlices int) {
 // window as of now.
 func (tr *Tracker) Outstanding(now sim.Time) (w, r int) {
 	cur := tr.sliceIndex(now)
-	for i := 0; i < tr.n; i++ {
-		if b := tr.counts[cur-int64(i)]; b != nil {
-			w += b[0]
-			r += b[1]
+	for i := range tr.slots {
+		if c := tr.counts(cur - int64(i)); c != nil {
+			w += c[0]
+			r += c[1]
 		}
 	}
 	return w, r
-}
-
-// Prune drops state older than the window; call occasionally to bound
-// memory on long runs.
-func (tr *Tracker) Prune(now sim.Time) {
-	cutoff := tr.sliceIndex(now) - int64(tr.n)
-	for idx := range tr.counts {
-		if idx < cutoff {
-			delete(tr.counts, idx)
-		}
-	}
 }

@@ -22,6 +22,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -72,8 +73,9 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Node is the in-memory form of a tree node. Ops decode device pages into
-// Nodes, mutate them, and encode them back; Nodes are never shared between
+// Node is the in-memory form of a tree node. A split decodes device pages
+// into Nodes, mutates them and encodes them back (other mutations edit the
+// sealed leaf in place; see EditLeaf); Nodes are never shared between
 // operations (the latch protocol orders access to the underlying page).
 type Node struct {
 	ID    PageID
@@ -101,36 +103,12 @@ func (n *Node) IsLeaf() bool { return n.Level == 0 }
 // NumKeys returns the number of keys.
 func (n *Node) NumKeys() int { return len(n.Keys) }
 
-func putU16(b []byte, v uint16) { b[0] = byte(v); b[1] = byte(v >> 8) }
-func getU16(b []byte) uint16    { return uint16(b[0]) | uint16(b[1])<<8 }
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func putU32(b []byte, v uint32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU32(b []byte) uint32 {
-	var v uint32
-	for i := 0; i < 4; i++ {
-		v |= uint32(b[i]) << (8 * i)
-	}
-	return v
-}
+func putU16(b []byte, v uint16) { binary.LittleEndian.PutUint16(b, v) }
+func getU16(b []byte) uint16    { return binary.LittleEndian.Uint16(b) }
+func putU32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
+func getU32(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
+func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
+func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
 
 // seal computes and stores the page checksum.
 func seal(buf []byte) {
@@ -424,20 +402,4 @@ func (n *Node) SplitInner(rightID PageID) (uint64, *Node) {
 	n.Children = n.Children[: mid+1 : mid+1]
 	n.Next = rightID
 	return sep, right
-}
-
-// Clone returns a deep copy of n.
-func (n *Node) Clone() *Node {
-	c := &Node{ID: n.ID, Level: n.Level, Next: n.Next}
-	c.Keys = append([]uint64(nil), n.Keys...)
-	if n.Children != nil {
-		c.Children = append([]PageID(nil), n.Children...)
-	}
-	if n.Vals != nil {
-		c.Vals = make([][]byte, len(n.Vals))
-		for i, v := range n.Vals {
-			c.Vals[i] = append([]byte(nil), v...)
-		}
-	}
-	return c
 }

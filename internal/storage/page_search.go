@@ -8,8 +8,10 @@ import "fmt"
 type SearchStep struct {
 	// Leaf reports which arm of the union is valid.
 	Leaf bool
-	// Child is the page to follow next (inner pages).
+	// Child is the page to follow next and Index its position among the
+	// page's children (inner pages).
 	Child PageID
+	Index int
 	// Found and Value are the lookup result (leaf pages). Value is a
 	// fresh copy; it does not alias buf.
 	Found bool
@@ -22,8 +24,9 @@ type SearchStep struct {
 // copied out. It performs the same checksum and structure validation as
 // DecodeNode for the slots it touches, and its search semantics mirror
 // Node.ChildIndex / Node.SearchLeaf exactly (the property page_search
-// tests pin down). This is the allocation-free fast path for cached
-// reads; mutating operations still decode.
+// tests pin down). Every descent the working thread makes steps inner
+// pages with it; only a descent that may split decodes (see EditLeaf for
+// the leaf a mutation ends on).
 func SearchPage(buf []byte, key uint64) (SearchStep, error) {
 	if len(buf) < PageSize {
 		return SearchStep{}, fmt.Errorf("storage: short page (%d bytes)", len(buf))
@@ -31,61 +34,5 @@ func SearchPage(buf []byte, key uint64) (SearchStep, error) {
 	if !checkSeal(buf[:PageSize]) {
 		return SearchStep{}, ErrCorruptPage
 	}
-	kind := buf[0]
-	level := buf[1]
-	nkeys := int(getU16(buf[2:4]))
-	switch kind {
-	case KindLeaf:
-		if level != 0 {
-			return SearchStep{}, fmt.Errorf("storage: leaf with level %d: %w", level, ErrBadKind)
-		}
-		// Binary search the slot array: slot i is at
-		// headerSize + i*slotSize = (key 8, valueOffset 2, valueLen 2).
-		lo, hi := 0, nkeys
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if getU64(buf[headerSize+mid*slotSize:]) < key {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo >= nkeys || getU64(buf[headerSize+lo*slotSize:]) != key {
-			return SearchStep{Leaf: true}, nil
-		}
-		vo := int(getU16(buf[headerSize+lo*slotSize+8:]))
-		vl := int(getU16(buf[headerSize+lo*slotSize+10:]))
-		if vo+vl > PageSize || vo < headerSize {
-			return SearchStep{}, fmt.Errorf("storage: leaf slot %d out of range", lo)
-		}
-		v := make([]byte, vl)
-		copy(v, buf[vo:vo+vl])
-		return SearchStep{Leaf: true, Found: true, Value: v}, nil
-
-	case KindInner:
-		if level == 0 {
-			return SearchStep{}, fmt.Errorf("storage: inner with level 0: %w", ErrBadKind)
-		}
-		// Separator i is at headerSize + 8 + i*innerEntry; child i+1
-		// follows it. Child 0 sits right after the header.
-		lo, hi := 0, nkeys
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if key >= getU64(buf[headerSize+8+mid*innerEntry:]) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		var child PageID
-		if lo == 0 {
-			child = PageID(getU64(buf[headerSize:]))
-		} else {
-			child = PageID(getU64(buf[headerSize+8+(lo-1)*innerEntry+8:]))
-		}
-		return SearchStep{Child: child}, nil
-
-	default:
-		return SearchStep{}, fmt.Errorf("storage: kind %d: %w", kind, ErrBadKind)
-	}
+	return searchSealed(buf, key)
 }

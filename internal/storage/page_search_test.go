@@ -51,7 +51,7 @@ func TestSearchPageMatchesDecodedLeaf(t *testing.T) {
 }
 
 // TestSearchPageMatchesDecodedInner does the same for inner pages and
-// ChildIndex.
+// ChildIndex, and holds the sealed inner-page accessors to Node's fields.
 func TestSearchPageMatchesDecodedInner(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
@@ -79,10 +79,128 @@ func TestSearchPageMatchesDecodedInner(t *testing.T) {
 				t.Fatalf("inner page reported as leaf")
 			}
 			want := dec.Children[dec.ChildIndex(k)]
-			if step.Child != want {
-				t.Fatalf("key %d: child %d, want %d", k, step.Child, want)
+			if step.Child != want || step.Index != dec.ChildIndex(k) {
+				t.Fatalf("key %d: child %d at %d, want %d at %d", k, step.Child, step.Index, want, dec.ChildIndex(k))
 			}
 		}
+		// The accessors read the same layout.
+		for i := range dec.Children {
+			sep, ok := InnerKey(buf, i)
+			if InnerChild(buf, i) != dec.Children[i] || ok != (i < len(dec.Keys)) || ok && sep != dec.Keys[i] {
+				t.Fatalf("entry %d: child %d, separator %d (%v); want %v", i, InnerChild(buf, i), sep, ok, dec)
+			}
+		}
+		if PageLevel(buf) != 1 {
+			t.Fatalf("level %d, want 1", PageLevel(buf))
+		}
+	}
+}
+
+// TestEditLeafMatchesNode pins the leaf edit to the Node path it
+// replaces: over random leaves, values of every size up to MaxValueSize
+// and keys present and absent, EditLeaf reports presence as SearchLeaf
+// does, refuses exactly the sets LeafFits / LeafFitsReplace refuse (and
+// then writes nothing), and otherwise writes byte for byte what
+// DecodeNode, InsertLeaf or DeleteLeafAt and EncodeTo produce. Its source
+// is never written.
+func TestEditLeafMatchesNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var seen [2][2][2]int // [del][found][fits]
+	for trial := 0; trial < 4000; trial++ {
+		n := NewLeaf(7)
+		n.Next = PageID(rng.Intn(3))
+		maxLen := []int{0, 8, 40, MaxValueSize}[rng.Intn(4)]
+		key := uint64(rng.Intn(8))
+		for rng.Intn(24) != 0 {
+			v := make([]byte, rng.Intn(maxLen+1))
+			if !n.LeafFits(len(v)) {
+				break
+			}
+			rng.Read(v)
+			n.InsertLeaf(key, v)
+			key += uint64(1 + rng.Intn(3))
+		}
+		src := n.Encode()
+		orig := append([]byte(nil), src...)
+		k := uint64(rng.Intn(int(key) + 2))
+		value := make([]byte, rng.Intn(MaxValueSize+1))
+		rng.Read(value)
+		del := rng.Intn(3) == 0
+
+		want, err := DecodeNode(7, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i, wantFound := want.SearchLeaf(k)
+		wantFits := true
+		switch {
+		case del && wantFound:
+			want.DeleteLeafAt(i)
+		case del:
+		case wantFound:
+			wantFits = want.LeafFitsReplace(i, len(value))
+		default:
+			wantFits = want.LeafFits(len(value))
+		}
+		if !del && wantFits {
+			want.InsertLeaf(k, value)
+		}
+
+		dst := bytes.Repeat([]byte{0xA5}, PageSize)
+		found, fits, err := EditLeaf(dst, src, k, value, del)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if found != wantFound || fits != wantFits {
+			t.Fatalf("trial %d (del=%v, key %d, %d-byte value): found=%v fits=%v, want %v %v",
+				trial, del, k, len(value), found, fits, wantFound, wantFits)
+		}
+		wantImg := bytes.Repeat([]byte{0xA5}, PageSize)
+		if fits {
+			wantImg = want.Encode()
+		}
+		if !bytes.Equal(dst, wantImg) {
+			t.Fatalf("trial %d (del=%v, key %d, found=%v, fits=%v): image differs from the Node path", trial, del, k, found, fits)
+		}
+		if !bytes.Equal(src, orig) {
+			t.Fatalf("trial %d: EditLeaf wrote its source", trial)
+		}
+		b := func(v bool) int {
+			if v {
+				return 1
+			}
+			return 0
+		}
+		seen[b(del)][b(found)][b(fits)]++
+	}
+	for _, c := range []struct {
+		name           string
+		del, fnd, fits int
+	}{{"set of a present key", 0, 1, 1}, {"set of an absent key", 0, 0, 1},
+		{"replace that does not fit", 0, 1, 0}, {"insert that does not fit", 0, 0, 0},
+		{"delete of a present key", 1, 1, 1}, {"delete of an absent key", 1, 0, 1}} {
+		if seen[c.del][c.fnd][c.fits] < 20 {
+			t.Errorf("only %d trials covered a %s", seen[c.del][c.fnd][c.fits], c.name)
+		}
+	}
+}
+
+func TestEditLeafErrors(t *testing.T) {
+	dst := make([]byte, PageSize)
+	if _, _, err := EditLeaf(dst, make([]byte, 10), 1, nil, false); err == nil {
+		t.Fatal("short page accepted")
+	}
+	n := NewLeaf(3)
+	n.InsertLeaf(5, []byte("v"))
+	buf := n.Encode()
+	buf[20] ^= 0xff
+	if _, _, err := EditLeaf(dst, buf, 5, nil, true); !errors.Is(err, ErrCorruptPage) {
+		t.Fatalf("corrupt page: err = %v, want ErrCorruptPage", err)
+	}
+	inner := NewInner(4, 1)
+	inner.Children = []PageID{9}
+	if _, _, err := EditLeaf(dst, inner.Encode(), 5, nil, false); !errors.Is(err, ErrBadKind) {
+		t.Fatalf("inner page: err = %v, want ErrBadKind", err)
 	}
 }
 
@@ -131,6 +249,29 @@ func BenchmarkSearchPage(b *testing.B) {
 				b.Fatal(err)
 			}
 			nd.SearchLeaf(30)
+		}
+	})
+	// The same pair for a mutation: one leaf edit against the decode,
+	// replace and re-encode it stands for.
+	val := []byte("fedcba9876543210")
+	dst := make([]byte, PageSize)
+	b.Run("editleaf", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := EditLeaf(dst, buf, 30, val, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode-encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			nd, err := DecodeNode(1, buf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nd.InsertLeaf(30, val)
+			nd.EncodeTo(dst)
 		}
 	})
 }

@@ -41,6 +41,28 @@ func PageNext(buf []byte) PageID { return PageID(getU64(buf[4:12])) }
 // caller must have verified the image.
 func PageIsLeaf(buf []byte) bool { return buf[0] == KindLeaf }
 
+// PageLevel returns a sealed page image's tree level (0 for a leaf). The
+// caller must have verified the image.
+func PageLevel(buf []byte) int { return int(buf[1]) }
+
+// InnerChild returns child i of a verified inner page image: child 0
+// follows the header, child i+1 the i-th separator.
+func InnerChild(buf []byte, i int) PageID {
+	if i == 0 {
+		return PageID(getU64(buf[headerSize:]))
+	}
+	return PageID(getU64(buf[headerSize+8+(i-1)*innerEntry+8:]))
+}
+
+// InnerKey returns separator i of a verified inner page image, and
+// whether the page has one: children i and i+1 are split at it.
+func InnerKey(buf []byte, i int) (uint64, bool) {
+	if i >= int(getU16(buf[2:4])) {
+		return 0, false
+	}
+	return getU64(buf[headerSize+8+i*innerEntry:]), true
+}
+
 // SearchPageShared is SearchPage for concurrently-read images: the same
 // decode-free binary search over the encoded slot array, with the same
 // single value-copy allocation on a leaf hit, but using the non-mutating
@@ -101,13 +123,7 @@ func searchSealed(buf []byte, key uint64) (SearchStep, error) {
 				hi = mid
 			}
 		}
-		var child PageID
-		if lo == 0 {
-			child = PageID(getU64(buf[headerSize:]))
-		} else {
-			child = PageID(getU64(buf[headerSize+8+(lo-1)*innerEntry+8:]))
-		}
-		return SearchStep{Child: child}, nil
+		return SearchStep{Child: InnerChild(buf, lo), Index: lo}, nil
 
 	default:
 		return SearchStep{}, fmt.Errorf("storage: kind %d: %w", kind, ErrBadKind)

@@ -242,17 +242,6 @@ func TestSplitInner(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	n := NewLeaf(1)
-	n.InsertLeaf(1, []byte("abc"))
-	c := n.Clone()
-	c.Vals[0][0] = 'X'
-	c.Keys[0] = 99
-	if n.Vals[0][0] != 'a' || n.Keys[0] != 1 {
-		t.Fatal("clone shares storage with original")
-	}
-}
-
 // Property: any set of (key, value) pairs that fits a leaf round-trips
 // through encode/decode preserving sorted order and content.
 func TestLeafRoundTripProperty(t *testing.T) {
