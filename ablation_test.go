@@ -49,7 +49,7 @@ func BenchmarkAblationProbeBatch(b *testing.B) {
 			p := sched.NewWorkload(m, nil, 20*time.Microsecond)
 			p.SetBatch(batch)
 			cfg := core.Config{Policy: p, Prioritized: true}
-			rs := harness.RunPATree(harness.PAConfig{Scale: s, Tree: cfg, Gen: ablationGen(s)})
+			rs := harness.RunPATree(harness.PAConfig{Scale: s, MkTree: func() core.Config { return cfg }, Gen: ablationGen(s)})
 			b.Logf("batch=%2.0f  %7.1f Kops/s  lat=%7.1fus  CPU=%.2f  probes/s=%.0fK",
 				batch, rs.Throughput/1e3, float64(rs.MeanLatency)/1e3, rs.CPU,
 				float64(rs.Probes)/s.Measure.Seconds()/1e3)
@@ -73,7 +73,7 @@ func BenchmarkAblationYieldGranularity(b *testing.B) {
 		for _, q := range []time.Duration{0, 10, 20, 50, 100} {
 			p := sched.NewWorkload(m, nil, q*time.Microsecond)
 			cfg := core.Config{Policy: p, Prioritized: true}
-			rs := harness.RunPATree(harness.PAConfig{Scale: s, Tree: cfg,
+			rs := harness.RunPATree(harness.PAConfig{Scale: s, MkTree: func() core.Config { return cfg },
 				Gen: ablationGen(s), ArrivalRate: 50e3})
 			b.Logf("yield=%4dus  %7.1f Kops/s  lat=%7.1fus  CPU=%.2f",
 				q, rs.Throughput/1e3, float64(rs.MeanLatency)/1e3, rs.CPU)
@@ -94,7 +94,7 @@ func BenchmarkAblationConcurrency(b *testing.B) {
 			sc := s
 			sc.Concurrency = conc
 			cfg := core.Config{Prioritized: true}
-			rs := harness.RunPATree(harness.PAConfig{Scale: sc, Tree: cfg, Gen: ablationGen(sc)})
+			rs := harness.RunPATree(harness.PAConfig{Scale: sc, MkTree: func() core.Config { return cfg }, Gen: ablationGen(sc)})
 			b.Logf("concurrency=%3d  %7.1f Kops/s  outstandingIO=%.1f  lat=%.0fus",
 				conc, rs.Throughput/1e3, rs.Outstanding, float64(rs.MeanLatency)/1e3)
 		}

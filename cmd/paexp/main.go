@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	paexp -run fig7              # one experiment (fig3a..fig15, table1, table2)
+//	paexp -run fig7              # one experiment (ids as -list prints them)
 //	paexp -run all               # everything
 //	paexp -run all -full         # paper-scale (minutes of host time)
 //	paexp -list                  # list experiment ids
@@ -22,14 +22,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
+	"slices"
 	"time"
 
 	"github.com/patree/patree/internal/harness"
 )
 
 func main() {
-	runID := flag.String("run", "", "experiment id (fig3a, fig3b, fig3c, fig7, fig8, table1, table2, fig9, fig10, fig11, fig12, fig13, fig14, fig15, all)")
+	runID := flag.String("run", "", "experiment id (see -list), or all")
 	full := flag.Bool("full", false, "paper-scale runs (larger trees, longer windows)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	seed := flag.Uint64("seed", 42, "simulation seed")
@@ -39,10 +39,10 @@ func main() {
 	maxReg := flag.Float64("max-regress", 0.15, "regression tolerance vs baseline")
 	flag.Parse()
 
-	ids := []string{"fig3a", "fig3b", "fig3c", "fig7", "fig8", "table1", "table2",
-		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "figshards", "figmultidev", "figreadheavy", "figpipeline"}
 	if *list {
-		fmt.Println(strings.Join(ids, "\n"))
+		for _, e := range harness.Experiments {
+			fmt.Println(e.ID)
+		}
 		return
 	}
 	scale := harness.BenchScale()
@@ -68,70 +68,21 @@ func main() {
 		os.Exit(2)
 	}
 
-	start := time.Now()
-	var reports []harness.Report
-	needSchemes := func(id string) bool {
-		switch id {
-		case "fig7", "fig8", "table1", "table2", "fig9", "all":
-			return true
-		}
-		return false
+	exps := harness.SelectExperiments(*runID)
+	if exps == nil {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *runID)
+		os.Exit(2)
 	}
+	start := time.Now()
 	var rows []harness.SchemeRows
-	if needSchemes(*runID) {
+	if slices.ContainsFunc(exps, func(e harness.Experiment) bool { return e.Schemes }) {
 		fmt.Fprintln(os.Stderr, "running §V-A scheme comparison (PA-Tree vs shared vs dedicated)...")
 		rows = harness.RunSchemes(scale, []int{0, 10, 50})
 	}
-	add := func(id string) {
-		switch id {
-		case "fig3a":
-			reports = append(reports, harness.Fig3a(scale))
-		case "fig3b":
-			reports = append(reports, harness.Fig3b(scale))
-		case "fig3c":
-			reports = append(reports, harness.Fig3c(scale))
-		case "fig7":
-			reports = append(reports, harness.Fig7(rows, scale))
-		case "fig8":
-			reports = append(reports, harness.Fig8(rows, scale))
-		case "table1":
-			reports = append(reports, harness.Table1(rows))
-		case "table2":
-			reports = append(reports, harness.Table2(rows))
-		case "fig9":
-			reports = append(reports, harness.Fig9(rows))
-		case "fig10":
-			reports = append(reports, harness.Fig10(scale))
-		case "fig11":
-			reports = append(reports, harness.Fig11(scale))
-		case "fig12":
-			reports = append(reports, harness.Fig12(scale))
-		case "fig13":
-			reports = append(reports, harness.Fig13(scale))
-		case "fig14":
-			reports = append(reports, harness.Fig14(scale))
-		case "fig15":
-			reports = append(reports, harness.Fig15(scale))
-		case "figshards":
-			reports = append(reports, harness.FigShards(scale))
-		case "figmultidev":
-			reports = append(reports, harness.FigMultiDev(scale))
-		case "figreadheavy":
-			reports = append(reports, harness.FigReadHeavy(scale))
-		case "figpipeline":
-			reports = append(reports, harness.FigPipeline(scale))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", id)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "  %s done (%.1fs elapsed)\n", id, time.Since(start).Seconds())
-	}
-	if *runID == "all" {
-		for _, id := range ids {
-			add(id)
-		}
-	} else {
-		add(*runID)
+	var reports []harness.Report
+	for _, e := range exps {
+		reports = append(reports, e.Run(rows, scale))
+		fmt.Fprintf(os.Stderr, "  %s done (%.1fs elapsed)\n", e.ID, time.Since(start).Seconds())
 	}
 	for _, r := range reports {
 		fmt.Println(r)

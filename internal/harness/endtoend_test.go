@@ -51,9 +51,9 @@ func TestFig15WorkloadGenerators(t *testing.T) {
 	}
 	for _, g := range gens {
 		rs := RunPATree(PAConfig{
-			Scale: s,
-			Tree:  paTreeConfig(512, 0),
-			Gen:   g,
+			Scale:  s,
+			MkTree: paTree(512, 0),
+			Gen:    g,
 		})
 		if rs.Ops == 0 {
 			t.Fatalf("%s: no ops completed", g.Name())

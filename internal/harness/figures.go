@@ -59,6 +59,11 @@ func paTreeConfig(bufferPages int, persistence core.Persistence) core.Config {
 	}
 }
 
+// paTree returns a PAConfig.MkTree builder for paTreeConfig.
+func paTree(bufferPages int, persistence core.Persistence) func() core.Config {
+	return func() core.Config { return paTreeConfig(bufferPages, persistence) }
+}
+
 // ─── Figure 3: device characterization ──────────────────────────────────
 
 // rawDeviceRun drives raw 512B I/O at a fixed queue depth / write rate /
@@ -162,7 +167,7 @@ func RunSchemes(scale Scale, updatePcts []int) []SchemeRows {
 		rows := SchemeRows{Shared: map[int]RunStats{}, Dedic: map[int]RunStats{}}
 		gen := defaultGen(scale, up, 0.3)
 		rows.Workload = gen.Name()
-		rows.PA = RunPATree(PAConfig{Scale: scale, Tree: paTreeConfig(0, core.StrongPersistence), Gen: gen})
+		rows.PA = RunPATree(PAConfig{Scale: scale, MkTree: paTree(0, core.StrongPersistence), Gen: gen})
 		for _, n := range scale.Threads {
 			rows.Shared[n] = RunSync(SyncConfig{Scale: scale, Kind: KindShared, Threads: n,
 				Gen: defaultGen(scale, up, 0.3)})
@@ -259,7 +264,8 @@ func Fig10(scale Scale) Report {
 	run := func(p sched.Policy) RunStats {
 		cfg := paTreeConfig(0, core.StrongPersistence)
 		cfg.Policy = p
-		return RunPATree(PAConfig{Scale: scale, Tree: cfg, Gen: defaultGen(scale, 10, 0.3)})
+		return RunPATree(PAConfig{Scale: scale, MkTree: func() core.Config { return cfg },
+			Gen: defaultGen(scale, 10, 0.3)})
 	}
 	add := func(name string, s RunStats) {
 		tb.AddRow(name, s.Throughput/1e3, float64(s.MeanLatency)/1e3, s.CPU,
@@ -282,7 +288,8 @@ func Fig11(scale Scale) Report {
 	run := func(poller core.Poller) RunStats {
 		cfg := paTreeConfig(0, core.StrongPersistence)
 		cfg.Poller = poller
-		return RunPATree(PAConfig{Scale: scale, Tree: cfg, Gen: defaultGen(scale, 10, 0.3)})
+		return RunPATree(PAConfig{Scale: scale, MkTree: func() core.Config { return cfg },
+			Gen: defaultGen(scale, 10, 0.3)})
 	}
 	s := run(core.PollerInline)
 	tb.AddRow("PA-Tree", s.Throughput/1e3, s.CPU)
@@ -303,7 +310,8 @@ func Fig12(scale Scale) Report {
 		run := func(prio bool) RunStats {
 			cfg := paTreeConfig(0, core.StrongPersistence)
 			cfg.Prioritized = prio
-			return RunPATree(PAConfig{Scale: scale, Tree: cfg, Gen: defaultGen(scale, 50, theta)})
+			return RunPATree(PAConfig{Scale: scale, MkTree: func() core.Config { return cfg },
+				Gen: defaultGen(scale, 50, theta)})
 		}
 		p, f := run(true), run(false)
 		tb.AddRow(theta, p.Throughput/1e3, f.Throughput/1e3,
@@ -322,7 +330,7 @@ func Fig13(scale Scale) Report {
 		run := func(yield time.Duration) RunStats {
 			cfg := paTreeConfig(0, core.StrongPersistence)
 			cfg.Policy = workloadAware(yield)
-			return RunPATree(PAConfig{Scale: scale, Tree: cfg,
+			return RunPATree(PAConfig{Scale: scale, MkTree: func() core.Config { return cfg },
 				Gen: defaultGen(scale, 10, 0.3), ArrivalRate: rate})
 		}
 		y := run(50 * time.Microsecond)
@@ -342,9 +350,9 @@ func Fig14(scale Scale) Report {
 	tb := metrics.NewTable("buffer (% of index)", "strong (Kops/s)", "weak (Kops/s)", "strong lat (us)", "weak lat (us)")
 	for _, pct := range []int{0, 1, 5, 10, 20} {
 		pages := indexPages * pct / 100
-		s := RunPATree(PAConfig{Scale: scale, Tree: paTreeConfig(pages, core.StrongPersistence),
+		s := RunPATree(PAConfig{Scale: scale, MkTree: paTree(pages, core.StrongPersistence),
 			Gen: defaultGen(scale, 10, 0.3)})
-		w := RunPATree(PAConfig{Scale: scale, Tree: paTreeConfig(pages, core.WeakPersistence),
+		w := RunPATree(PAConfig{Scale: scale, MkTree: paTree(pages, core.WeakPersistence),
 			Gen: defaultGen(scale, 10, 0.3), SyncEvery: 1000})
 		tb.AddRow(pct, s.Throughput/1e3, w.Throughput/1e3,
 			float64(s.MeanLatency)/1e3, float64(w.MeanLatency)/1e3)
@@ -385,7 +393,7 @@ func Fig15(scale Scale) Report {
 				pmode = core.WeakPersistence
 				syncEvery = 1000
 			}
-			pa := RunPATree(PAConfig{Scale: scale, Tree: paTreeConfig(bufPages, pmode),
+			pa := RunPATree(PAConfig{Scale: scale, MkTree: paTree(bufPages, pmode),
 				Gen: gens(wl), SyncEvery: syncEvery})
 			tb.AddRow(wl, "PA-Tree", persistName(persist), pa.Throughput/1e3, float64(pa.MeanLatency)/1e3)
 			for _, kind := range []SyncKind{KindBlink, KindLCB, KindLSM} {
@@ -399,31 +407,6 @@ func Fig15(scale Scale) Report {
 		Notes: "PA-Tree ~2x the best baseline throughput and >=30% lower latency; weak beats strong for every method; the LSM's strong-persistence penalty is extreme (sync per write)"}
 }
 
-// ─── Shard scaling (beyond the paper): PA-Tree × shards ─────────────────
-
-// FigShards sweeps the shard count for the Fig 7-style scaling curve:
-// N single-threaded PA-Tree workers over disjoint partitions of one
-// device, keyspace hash-partitioned, closed loop with the standard
-// concurrency per worker. The device's internal parallelism is raised
-// so it is not the bottleneck in the swept range — the curve isolates
-// how far the paper's one-thread design stacks before the shared
-// controller interferes.
-func FigShards(scale Scale) Report {
-	tb := metrics.NewTable("shards", "Kops/s", "mean latency (us)", "p99 latency (us)", "CPU (cores)")
-	for _, n := range []int{1, 2, 4, 8} {
-		s := RunShardedPATree(ShardedPAConfig{
-			Scale:  scale,
-			Shards: n,
-			MkTree: func() core.Config { return paTreeConfig(0, core.StrongPersistence) },
-			Gen:    defaultGen(scale, 10, 0.3),
-			Device: nvme.SimConfig{Parallelism: 256},
-		})
-		tb.AddRow(n, s.Throughput/1e3, float64(s.MeanLatency)/1e3, float64(s.P99Latency)/1e3, s.CPU)
-	}
-	return Report{ID: "figshards", Title: "PA-Tree shard scaling (default workload, device parallelism 256)", Table: tb,
-		Notes: "throughput grows monotonically 1->4 shards (each shard is one paper-style working thread); CPU grows ~linearly with shards; beyond 4 the shards' combined submit/probe traffic saturates the shared controller and throughput declines — the same interference mechanism as Fig 3c"}
-}
-
 // ─── Multi-device shard scaling (beyond the paper) ──────────────────────
 
 // MultiDevTopologies is the shard-count × device-count sweep FigMultiDev
@@ -432,14 +415,14 @@ var MultiDevTopologies = [][2]int{{1, 1}, {2, 1}, {4, 1}, {8, 1}, {4, 2}, {8, 2}
 
 // MultiDevSweep runs the standard multi-device scaling sweep and returns
 // one stats record per entry of MultiDevTopologies, in order.
-func MultiDevSweep(scale Scale) []MultiDevStats {
-	out := make([]MultiDevStats, 0, len(MultiDevTopologies))
+func MultiDevSweep(scale Scale) []RunStats {
+	out := make([]RunStats, 0, len(MultiDevTopologies))
 	for _, topo := range MultiDevTopologies {
-		out = append(out, RunMultiDevice(MultiDevConfig{
+		out = append(out, RunPATree(PAConfig{
 			Scale:   scale,
 			Shards:  topo[0],
 			Devices: topo[1],
-			MkTree:  func() core.Config { return paTreeConfig(0, core.StrongPersistence) },
+			MkTree:  paTree(0, core.StrongPersistence),
 			Gen:     defaultGen(scale, 10, 0.3),
 			Device:  nvme.SimConfig{Parallelism: 256},
 		}))
@@ -447,8 +430,11 @@ func MultiDevSweep(scale Scale) []MultiDevStats {
 	return out
 }
 
-// FigMultiDev sweeps shard count × device count: the FigShards curve
-// peaks at 4 shards because all shards share one controller's
+// FigMultiDev sweeps shard count × device count on the default workload:
+// N single-threaded PA-Tree workers, keyspace hash-partitioned, closed
+// loop with the standard concurrency per worker, the device's internal
+// parallelism raised so it is not the bottleneck. On one device the
+// curve peaks at 4 shards because all shards share one controller's
 // submit/probe bandwidth; spreading the same shards over more devices
 // removes that interference, so the curve keeps climbing where the
 // single-device one turns over.
@@ -462,6 +448,42 @@ func FigMultiDev(scale Scale) Report {
 		Notes: "single-device rows reproduce figshards (peak at 4 shards, decline at 8); the same 8 shards on 2 devices clear the 4-shard single-device peak ~2x because each controller serves half the submit/probe traffic; at 8x4 every pair of shards has a private controller and the curve returns to near-linear (~4.4x the 2-shard point)"}
 }
 
+// ─── Read-heavy optimistic reads (beyond the paper) ─────────────────────
+
+// FigReadHeavy sweeps shard counts on the 95/5 read-heavy mix with the
+// optimistic reader off and on (whole index buffered, so publication
+// coverage — not buffer misses — decides the serve rate).
+func FigReadHeavy(scale Scale) Report {
+	tb := metrics.NewTable("shards", "pipeline (Kops/s)", "optimistic (Kops/s)", "speedup",
+		"served %", "pipeline lat (us)", "optimistic lat (us)")
+	bufPages := scale.PreloadKeys / 12
+	for _, n := range []int{1, 2, 4} {
+		run := func(conc bool) RunStats {
+			return RunPATree(PAConfig{
+				Scale:  scale,
+				Shards: n,
+				MkTree: func() core.Config {
+					cfg := paTreeConfig(bufPages, core.StrongPersistence)
+					cfg.ConcurrentReads = conc
+					return cfg
+				},
+				Gen:    defaultGen(scale, 5, 0.3),
+				Device: nvme.SimConfig{Parallelism: 256},
+			})
+		}
+		off := run(false)
+		on := run(true)
+		servedPct := 0.0
+		if tot := on.ReaderServed + on.ReaderFallback; tot > 0 {
+			servedPct = 100 * float64(on.ReaderServed) / float64(tot)
+		}
+		tb.AddRow(n, off.Throughput/1e3, on.Throughput/1e3, on.Throughput/off.Throughput,
+			servedPct, float64(off.MeanLatency)/1e3, float64(on.MeanLatency)/1e3)
+	}
+	return Report{ID: "figreadheavy", Title: "Read-heavy (95/5) throughput: pipeline vs optimistic reads", Table: tb,
+		Notes: "with the index buffered and published, the optimistic path serves the vast majority of lookups off the worker thread; per-shard read throughput at least doubles while the pipeline keeps exclusive ownership of writes"}
+}
+
 func persistName(p syncbtree.Persistence) string {
 	if p == syncbtree.Weak {
 		return "weak"
@@ -469,14 +491,54 @@ func persistName(p syncbtree.Persistence) string {
 	return "strong"
 }
 
-// All runs every report at the given scale (the cmd/paexp entry point).
-func All(scale Scale) []Report {
-	rows := RunSchemes(scale, []int{0, 10, 50})
-	return []Report{
-		Fig3a(scale), Fig3b(scale), Fig3c(scale),
-		Fig7(rows, scale), Fig8(rows, scale),
-		Table1(rows), Table2(rows), Fig9(rows),
-		Fig10(scale), Fig11(scale), Fig12(scale), Fig13(scale),
-		Fig14(scale), Fig15(scale), FigShards(scale), FigMultiDev(scale), FigReadHeavy(scale),
+// Experiment is one regenerable report and its paexp -run id.
+type Experiment struct {
+	ID string
+	// Schemes marks reports rendered from RunSchemes' §V-A comparison;
+	// the others ignore the rows Run is given.
+	Schemes bool
+	Run     func(rows []SchemeRows, scale Scale) Report
+}
+
+func scaled(f func(Scale) Report) func([]SchemeRows, Scale) Report {
+	return func(_ []SchemeRows, s Scale) Report { return f(s) }
+}
+
+func fromRows(f func([]SchemeRows) Report) func([]SchemeRows, Scale) Report {
+	return func(rows []SchemeRows, _ Scale) Report { return f(rows) }
+}
+
+// Experiments lists every report in paexp's output order.
+var Experiments = []Experiment{
+	{ID: "fig3a", Run: scaled(Fig3a)},
+	{ID: "fig3b", Run: scaled(Fig3b)},
+	{ID: "fig3c", Run: scaled(Fig3c)},
+	{ID: "fig7", Schemes: true, Run: Fig7},
+	{ID: "fig8", Schemes: true, Run: Fig8},
+	{ID: "table1", Schemes: true, Run: fromRows(Table1)},
+	{ID: "table2", Schemes: true, Run: fromRows(Table2)},
+	{ID: "fig9", Schemes: true, Run: fromRows(Fig9)},
+	{ID: "fig10", Run: scaled(Fig10)},
+	{ID: "fig11", Run: scaled(Fig11)},
+	{ID: "fig12", Run: scaled(Fig12)},
+	{ID: "fig13", Run: scaled(Fig13)},
+	{ID: "fig14", Run: scaled(Fig14)},
+	{ID: "fig15", Run: scaled(Fig15)},
+	{ID: "figmultidev", Run: scaled(FigMultiDev)},
+	{ID: "figreadheavy", Run: scaled(FigReadHeavy)},
+	{ID: "figpipeline", Run: scaled(FigPipeline)},
+}
+
+// SelectExperiments returns what paexp -run id regenerates: every
+// experiment for "all", else the one with that id (nil if none).
+func SelectExperiments(id string) []Experiment {
+	if id == "all" {
+		return Experiments
 	}
+	for _, e := range Experiments {
+		if e.ID == id {
+			return []Experiment{e}
+		}
+	}
+	return nil
 }

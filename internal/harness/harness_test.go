@@ -22,7 +22,7 @@ func tinyScale() Scale {
 
 func TestRunPATreeProducesStats(t *testing.T) {
 	s := tinyScale()
-	rs := RunPATree(PAConfig{Scale: s, Tree: paTreeConfig(0, core.StrongPersistence),
+	rs := RunPATree(PAConfig{Scale: s, MkTree: paTree(0, core.StrongPersistence),
 		Gen: defaultGen(s, 10, 0.3)})
 	if rs.Ops == 0 || rs.Throughput <= 0 {
 		t.Fatalf("no ops measured: %+v", rs)
@@ -59,7 +59,7 @@ func TestRunSyncProducesStats(t *testing.T) {
 // single-threaded PA-Tree beats the multi-threaded sync baselines.
 func TestHeadlineClaim(t *testing.T) {
 	s := tinyScale()
-	pa := RunPATree(PAConfig{Scale: s, Tree: paTreeConfig(0, core.StrongPersistence),
+	pa := RunPATree(PAConfig{Scale: s, MkTree: paTree(0, core.StrongPersistence),
 		Gen: defaultGen(s, 10, 0.3)})
 	ded := RunSync(SyncConfig{Scale: s, Kind: KindDedicated, Threads: 32, Gen: defaultGen(s, 10, 0.3)})
 	sh := RunSync(SyncConfig{Scale: s, Kind: KindShared, Threads: 32, Gen: defaultGen(s, 10, 0.3)})
@@ -97,10 +97,12 @@ func TestFig13YieldSavesCPU(t *testing.T) {
 	s := tinyScale()
 	cfgY := paTreeConfig(0, core.StrongPersistence)
 	cfgY.Policy = workloadAware(20 * time.Microsecond)
-	y := RunPATree(PAConfig{Scale: s, Tree: cfgY, Gen: defaultGen(s, 10, 0.3), ArrivalRate: 25e3})
+	y := RunPATree(PAConfig{Scale: s, MkTree: func() core.Config { return cfgY },
+		Gen: defaultGen(s, 10, 0.3), ArrivalRate: 25e3})
 	cfgN := paTreeConfig(0, core.StrongPersistence)
 	cfgN.Policy = workloadAware(0)
-	n := RunPATree(PAConfig{Scale: s, Tree: cfgN, Gen: defaultGen(s, 10, 0.3), ArrivalRate: 25e3})
+	n := RunPATree(PAConfig{Scale: s, MkTree: func() core.Config { return cfgN },
+		Gen: defaultGen(s, 10, 0.3), ArrivalRate: 25e3})
 	if n.CPU < 0.7 {
 		t.Fatalf("no-yield CPU = %v, want busy-poll waste", n.CPU)
 	}
@@ -115,9 +117,9 @@ func TestFig13YieldSavesCPU(t *testing.T) {
 
 func TestFig14BufferingHelps(t *testing.T) {
 	s := tinyScale()
-	none := RunPATree(PAConfig{Scale: s, Tree: paTreeConfig(0, core.StrongPersistence),
+	none := RunPATree(PAConfig{Scale: s, MkTree: paTree(0, core.StrongPersistence),
 		Gen: defaultGen(s, 10, 0.3)})
-	buffered := RunPATree(PAConfig{Scale: s, Tree: paTreeConfig(s.PreloadKeys/17/5, core.StrongPersistence),
+	buffered := RunPATree(PAConfig{Scale: s, MkTree: paTree(s.PreloadKeys/17/5, core.StrongPersistence),
 		Gen: defaultGen(s, 10, 0.3)})
 	if buffered.Throughput < 1.2*none.Throughput {
 		t.Fatalf("buffering did not help: %.0f vs %.0f", buffered.Throughput, none.Throughput)

@@ -11,11 +11,11 @@ import (
 )
 
 // mdTree is the shard config every multi-device test uses.
-func mdTree() core.Config { return paTreeConfig(0, core.StrongPersistence) }
+var mdTree = paTree(0, core.StrongPersistence)
 
 func TestRunMultiDeviceProducesStats(t *testing.T) {
 	s := tinyScale()
-	rs := RunMultiDevice(MultiDevConfig{
+	rs := RunPATree(PAConfig{
 		Scale:   s,
 		Shards:  4,
 		Devices: 2,
@@ -31,9 +31,6 @@ func TestRunMultiDeviceProducesStats(t *testing.T) {
 	if rs.Label != "PA-Tree x4/2dev" {
 		t.Fatalf("label = %q", rs.Label)
 	}
-	if rs.Devices != 2 {
-		t.Fatalf("devices = %d", rs.Devices)
-	}
 	if len(rs.ShardQueueP99) != 4 {
 		t.Fatalf("shard queue p99s = %v", rs.ShardQueueP99)
 	}
@@ -44,71 +41,6 @@ func TestRunMultiDeviceProducesStats(t *testing.T) {
 	}
 }
 
-// TestMultiDevOneDeviceCompat pins the Devices=1 degenerate case to the
-// sharded entry point the single-device figures call: same seed, same
-// workload, RunShardedPATree and RunMultiDevice on one device must
-// report the same measurements exactly. RunShardedPATree is an adapter
-// over RunMultiDevice, so a divergence means the adapter dropped or
-// mangled a field; the last case sets every field it forwards.
-func TestMultiDevOneDeviceCompat(t *testing.T) {
-	s := tinyScale()
-	weakTree := func() core.Config { return paTreeConfig(64, core.WeakPersistence) }
-	for _, tc := range []struct {
-		name      string
-		shards    int
-		mkTree    func() core.Config
-		device    nvme.SimConfig
-		syncEvery int
-	}{
-		{name: "shards=1", shards: 1, mkTree: mdTree},
-		{name: "shards=4", shards: 4, mkTree: mdTree},
-		{name: "shards=2 weak sync", shards: 2, mkTree: weakTree,
-			device: nvme.SimConfig{Parallelism: 256}, syncEvery: 1000},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a := RunShardedPATree(ShardedPAConfig{
-				Scale:     s,
-				Shards:    tc.shards,
-				MkTree:    tc.mkTree,
-				Gen:       defaultGen(s, 10, 0.3),
-				Device:    tc.device,
-				SyncEvery: tc.syncEvery,
-			})
-			b := RunMultiDevice(MultiDevConfig{
-				Scale:     s,
-				Shards:    tc.shards,
-				Devices:   1,
-				MkTree:    tc.mkTree,
-				Gen:       defaultGen(s, 10, 0.3),
-				Device:    tc.device,
-				SyncEvery: tc.syncEvery,
-			})
-			if a.Ops == 0 {
-				t.Errorf("no ops measured")
-			}
-			if a.Ops != b.Ops {
-				t.Errorf("ops diverged: sharded=%d multidev=%d", a.Ops, b.Ops)
-			}
-			if a.Throughput != b.Throughput {
-				t.Errorf("throughput diverged: sharded=%v multidev=%v", a.Throughput, b.Throughput)
-			}
-			if a.MeanLatency != b.MeanLatency || a.P99Latency != b.P99Latency {
-				t.Errorf("latency diverged: sharded mean=%v p99=%v, multidev mean=%v p99=%v",
-					a.MeanLatency, a.P99Latency, b.MeanLatency, b.P99Latency)
-			}
-			if a.Probes != b.Probes {
-				t.Errorf("probes diverged: sharded=%d multidev=%d", a.Probes, b.Probes)
-			}
-			if a.LatchWaits != b.LatchWaits {
-				t.Errorf("latch waits diverged: sharded=%d multidev=%d", a.LatchWaits, b.LatchWaits)
-			}
-			if a.IOPS != b.IOPS {
-				t.Errorf("IOPS diverged: sharded=%v multidev=%v", a.IOPS, b.IOPS)
-			}
-		})
-	}
-}
-
 // TestMultiDevUniformWeightingByteIdentical is the weighting-off
 // regression: the governor only imposes a window on a shard whose
 // queue-wait EWMA is both above an absolute floor and a multiple of
@@ -116,8 +48,8 @@ func TestMultiDevOneDeviceCompat(t *testing.T) {
 // a weighted run must reproduce the unweighted schedule exactly.
 func TestMultiDevUniformWeightingByteIdentical(t *testing.T) {
 	s := tinyScale()
-	run := func(weighting bool) MultiDevStats {
-		return RunMultiDevice(MultiDevConfig{
+	run := func(weighting bool) RunStats {
+		return RunPATree(PAConfig{
 			Scale:     s,
 			Shards:    4,
 			Devices:   2,
@@ -208,10 +140,10 @@ func TestMultiDevSkewBattery(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(weighting bool) MultiDevStats {
+			run := func(weighting bool) RunStats {
 				gen := newHotShardGen(defaultGen(s, 10, tc.theta), tc.shards, tc.hotPct,
 					uint64(s.PreloadKeys), s.Seed)
-				return RunMultiDevice(MultiDevConfig{
+				return RunPATree(PAConfig{
 					Scale:     s,
 					Shards:    tc.shards,
 					Devices:   tc.devices,

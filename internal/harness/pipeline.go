@@ -3,7 +3,6 @@ package harness
 import (
 	"github.com/patree/patree/internal/core"
 	"github.com/patree/patree/internal/metrics"
-	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/workload"
 )
 
@@ -66,12 +65,7 @@ func RunPipelineMix(scale Scale, mix PipelineMix, pipelined bool) RunStats {
 		Theta:         0.3,
 		Seed:          scale.Seed,
 	})
-	rs := RunPATree(PAConfig{
-		Scale:  scale,
-		Tree:   cfg,
-		Gen:    gen,
-		Device: nvme.SimConfig{},
-	})
+	rs := RunPATree(PAConfig{Scale: scale, MkTree: func() core.Config { return cfg }, Gen: gen})
 	label := "classic"
 	if pipelined {
 		label = "pipelined"

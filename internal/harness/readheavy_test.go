@@ -3,18 +3,23 @@ package harness
 import (
 	"testing"
 
+	"github.com/patree/patree/internal/core"
 	"github.com/patree/patree/internal/nvme"
 )
 
 func readHeavyRun(t *testing.T, shards int, conc bool) RunStats {
 	t.Helper()
 	s := tinyScale()
-	return RunShardedReadHeavy(ReadHeavyConfig{
-		Scale:           s,
-		Shards:          shards,
-		ConcurrentReads: conc,
-		BufferPages:     s.PreloadKeys / 12,
-		Device:          nvme.SimConfig{Parallelism: 256},
+	return RunPATree(PAConfig{
+		Scale:  s,
+		Shards: shards,
+		MkTree: func() core.Config {
+			cfg := paTreeConfig(s.PreloadKeys/12, core.StrongPersistence)
+			cfg.ConcurrentReads = conc
+			return cfg
+		},
+		Gen:    defaultGen(s, 5, 0.3),
+		Device: nvme.SimConfig{Parallelism: 256},
 	})
 }
 

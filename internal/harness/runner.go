@@ -1,9 +1,10 @@
 // Package harness builds, runs and measures the experiments of the
 // paper's evaluation section. Each figure/table has a driver in
-// figures.go; this file contains the shared machinery: preparing a
-// simulated machine + device + preloaded tree, closed- and open-loop
-// drivers for PA-Tree, and multi-threaded closed-loop drivers for the
-// synchronous baselines.
+// figures.go, listed in paexp's order by Experiments; this file contains
+// the shared machinery: a simulated machine of one or more devices, the
+// one PA-Tree driver (any shard × device topology, closed or open loop),
+// and the multi-threaded closed-loop driver for the synchronous
+// baselines.
 package harness
 
 import (
@@ -86,32 +87,41 @@ type RunStats struct {
 	Probes      uint64
 	// ReaderServed / ReaderFallback count point lookups answered by (or
 	// declined by) the optimistic concurrent-read path during the
-	// measurement window. Only the read-heavy driver populates them; both
-	// stay 0 for pipeline-only runs.
+	// measurement window; both stay 0 unless the shards' configs set
+	// ConcurrentReads.
 	ReaderServed   uint64
 	ReaderFallback uint64
 	// WALBytesPerUserByte is journal block bytes written (rewrites too)
 	// per key+value byte of the window's updates, DevCmdsPerOp the read
-	// and write commands per completed op. RunPATree fills them.
+	// and write commands per completed op, both summed over the shards.
 	WALBytesPerUserByte float64
 	DevCmdsPerOp        float64
+	// ShardQueueP99 is each shard's ready-queue-wait p99 over the
+	// measurement window (all op classes merged).
+	ShardQueueP99 []time.Duration
+	// Throttled counts driver parks: ops held back from a shard whose
+	// governor window was full (measurement window only).
+	Throttled uint64
 }
 
-// machine bundles one simulated testbed.
+// machine bundles one simulated testbed: one scheduler and one or more
+// devices on one engine.
 type machine struct {
-	eng *sim.Engine
-	os  *simos.Sched
-	dev *nvme.SimDevice
+	eng  *sim.Engine
+	os   *simos.Sched
+	devs []*nvme.SimDevice
 }
 
-func newMachine(seed uint64, devCfg nvme.SimConfig) *machine {
+// newMachine builds a machine with the given number of devices, each
+// from the devCfg template with a seed derived per device.
+func newMachine(seed uint64, devCfg nvme.SimConfig, devices int) *machine {
 	eng := sim.NewEngine()
-	devCfg.Seed = seed ^ 0xdead
-	return &machine{
-		eng: eng,
-		os:  simos.New(eng, simos.Config{}),
-		dev: nvme.NewSimDevice(eng, devCfg),
+	m := &machine{eng: eng, os: simos.New(eng, simos.Config{})}
+	for d := 0; d < devices; d++ {
+		devCfg.Seed = seed ^ 0xdead ^ uint64(d)*0x9e3779b97f4a7c15
+		m.devs = append(m.devs, nvme.NewSimDevice(eng, devCfg))
 	}
+	return m
 }
 
 // resetAt schedules the measurement-window start: zero every statistic at
@@ -119,10 +129,10 @@ func newMachine(seed uint64, devCfg nvme.SimConfig) *machine {
 func (m *machine) resetAt(at sim.Time, extra func()) {
 	m.eng.At(at, func() {
 		m.os.ResetStats()
-		m.dev.ResetStats()
-		if extra != nil {
-			extra()
+		for _, d := range m.devs {
+			d.ResetStats()
 		}
+		extra()
 	})
 }
 
@@ -133,15 +143,19 @@ func (m *machine) finish(rs *RunStats, measure time.Duration, cpus []*metrics.CP
 	secs := measure.Seconds()
 	rs.Ops = ops
 	rs.Throughput = float64(ops) / secs
-	if lat != nil && lat.Count() > 0 {
+	if lat.Count() > 0 {
 		rs.MeanLatency = lat.Mean()
 		rs.P99Latency = lat.Percentile(99)
 	}
 	rs.CPU = m.os.CPUConsumption()
 	rs.CtxSwitches = m.os.ContextSwitches()
-	dst := m.dev.Stats()
-	rs.IOPS = float64(dst.CompletedReads+dst.CompletedWrites) / secs
-	rs.Outstanding = dst.AvgOutstanding
+	var completed uint64
+	for _, d := range m.devs {
+		dst := d.Stats()
+		completed += dst.CompletedReads + dst.CompletedWrites
+		rs.Outstanding += dst.AvgOutstanding
+	}
+	rs.IOPS = float64(completed) / secs
 	rs.attributeCPU(cpus, ops, idleSpin)
 }
 
@@ -173,20 +187,58 @@ func (rs *RunStats) attributeCPU(cpus []*metrics.CPUAccount, ops uint64, idleSpi
 	}
 }
 
-// PAConfig configures a PA-Tree run.
+// PAConfig configures a PA-Tree run: Shards single-threaded trees over
+// Devices simulated devices, the keyspace hash-partitioned by
+// core.ShardOf and each shard bulk-loaded onto its own nvme.Partition of
+// its placed device. The zero topology is the paper's testbed: one tree
+// on (a whole-device partition of) one device.
 type PAConfig struct {
-	Scale  Scale
-	Tree   core.Config
+	Scale Scale
+	// Shards and Devices size the topology; 0 means 1. Every device
+	// must host at least one shard.
+	Shards  int
+	Devices int
+	// Placement maps shard index -> device index. Nil means round-robin
+	// (shard i on device i % Devices), the same default the embedder uses.
+	Placement []int
+	// MkTree builds one shard's tree configuration. It is called once per
+	// shard because sched.Policy instances are stateful: every worker
+	// needs its own. A shard whose config sets ConcurrentReads answers
+	// point lookups on the optimistic path first (see clientReadCost).
+	MkTree func() core.Config
 	Gen    workload.Generator
+	// Device is the per-device SimConfig template (Seed is derived per
+	// device).
 	Device nvme.SimConfig
 	// ArrivalRate > 0 switches to an open-loop driver with Poisson
-	// arrivals at that many ops/s (Figure 13); otherwise the driver is
-	// closed-loop with Scale.Concurrency outstanding operations.
+	// arrivals at that many ops/s in total (Figure 13); otherwise the
+	// driver is closed-loop with Scale.Concurrency outstanding operations
+	// per shard.
 	ArrivalRate float64
-	// SyncEvery issues a Sync() after this many updates (weak
-	// persistence's group commit; 0 disables).
+	// SyncEvery issues a Sync() on every shard after this many updates
+	// (weak persistence's group commit; 0 disables).
 	SyncEvery int
+	// Weighting turns on the driver-side hot-shard governor: the same
+	// AIMD law the embedder's Options.AdmissionWeighting uses, fed by
+	// the driver's per-shard in-flight counts and each tree's
+	// queue-wait EWMA. Ops routed to a throttled shard are parked and
+	// released as the window allows. Under uniform traffic no window
+	// is ever imposed, so runs are byte-identical with Weighting off.
+	Weighting bool
 }
+
+// clientReadCost is the virtual time one lookup served by the optimistic
+// read path costs the calling client: the modeled cost of its own
+// descent and copy (~2µs of host work, measured by
+// BenchmarkConcurrentGet). The descent itself runs at event granularity
+// on the driver, as an embedder's reader goroutines would through
+// DB.Get, and never touches the worker; in a closed loop this cost also
+// paces the client's next admission.
+const clientReadCost = 2 * time.Microsecond
+
+// govAdaptEvery is the governor cadence: re-evaluate windows after this
+// many completions.
+const govAdaptEvery = 256
 
 // toOp converts a workload op into a PA-Tree operation.
 func toOp(w workload.Op, done func(*core.Op)) *core.Op {
@@ -206,42 +258,118 @@ func toOp(w workload.Op, done func(*core.Op)) *core.Op {
 	}
 }
 
-// RunPATree executes one PA-Tree configuration and reports its stats.
+// paShard is one shard of a RunPATree run and its driver-side state.
+type paShard struct {
+	tree      *core.Tree
+	worker    *simos.Thread
+	poller    *simos.Thread // nil when the tree polls inline
+	concReads bool
+	parked    []*core.Op // ops held back by the governor, oldest first
+}
+
+// RunPATree executes one PA-Tree configuration and reports the stats
+// merged over its shards. Each op goes to its key's owning shard; range
+// ops stay on the low key's shard (the swept workloads measure
+// throughput, the embedder API does the real scatter-gather).
 func RunPATree(cfg PAConfig) RunStats {
-	m := newMachine(cfg.Scale.Seed, cfg.Device)
-	meta, err := core.BulkLoad(m.dev, cfg.Gen.Preload(), 0.7)
+	n, nd := max(cfg.Shards, 1), max(cfg.Devices, 1)
+	m := newMachine(cfg.Scale.Seed, cfg.Device, nd)
+	devs := make([]nvme.Device, nd)
+	for d, sd := range m.devs {
+		devs[d] = sd
+	}
+	parts, err := nvme.ShardPartitions(devs, n, cfg.Placement)
 	if err != nil {
 		panic(err)
 	}
-	var tree *core.Tree
-	worker := m.os.Spawn("patree", func(*simos.Thread) { tree.Run() })
-	tree, err = core.New(m.dev, cfg.Tree, core.SimEnv{T: worker}, meta)
-	if err != nil {
-		panic(err)
+	// Split the preload by owning shard; each part stays sorted.
+	preload := make([][]core.KV, n)
+	for _, kv := range cfg.Gen.Preload() {
+		si := core.ShardOf(kv.Key, n)
+		preload[si] = append(preload[si], kv)
 	}
-	var pollerCPU *metrics.CPUAccount
-	if cfg.Tree.Poller != core.PollerInline {
-		pol := m.os.Spawn("poller", func(th *simos.Thread) {
-			var p = tree.PollerPolicy()
-			tree.RunPoller(core.SimEnv{T: th}, p)
-		})
-		pollerCPU = &pol.CPU
+	shards := make([]*paShard, n)
+	for i, part := range parts {
+		meta, err := core.BulkLoad(part, preload[i], 0.7)
+		if err != nil {
+			panic(err)
+		}
+		sh := &paShard{}
+		sh.worker = m.os.Spawn(fmt.Sprintf("patree-shard%d", i), func(*simos.Thread) { sh.tree.Run() })
+		treeCfg := cfg.MkTree()
+		sh.concReads = treeCfg.ConcurrentReads
+		sh.tree, err = core.New(part, treeCfg, core.SimEnv{T: sh.worker}, meta)
+		if err != nil {
+			panic(err)
+		}
+		if treeCfg.Poller != core.PollerInline {
+			sh.poller = m.os.Spawn(fmt.Sprintf("poller%d", i), func(th *simos.Thread) {
+				sh.tree.RunPoller(core.SimEnv{T: th}, sh.tree.PollerPolicy())
+			})
+		}
+		shards[i] = sh
 	}
 
-	measuredOps, userBytes := uint64(0), uint64(0)
-	inWindow := false
-	stopping := false
+	conc := cfg.Scale.Concurrency
+	if conc <= 0 {
+		conc = 64
+	}
+	var gov *core.Governor
+	if cfg.Weighting {
+		gov = core.NewGovernor(n, conc)
+	}
+	closed := cfg.ArrivalRate <= 0
+	var measuredOps, userBytes, served, fallback, throttled, completions uint64
+	inWindow, stopping := false, false
 	updates := 0
-	var admit func()
-	onDone := func(*core.Op) {
-		if inWindow {
-			measuredOps++
+	servedLat := metrics.NewHistogram()
+	inflight := make([]int, n)
+	waits := make([]time.Duration, n)
+
+	// release admits shard si's oldest parked ops while its window has room.
+	release := func(si int, all bool) {
+		sh := shards[si]
+		for len(sh.parked) > 0 && !gov.Throttled(si, inflight[si]) {
+			op := sh.parked[0]
+			sh.parked = sh.parked[1:]
+			inflight[si]++
+			sh.tree.Admit(op)
+			if !all {
+				return
+			}
 		}
-		if cfg.ArrivalRate <= 0 && !stopping {
-			admit()
+	}
+	var admit func()
+	done := make([]func(*core.Op), n)
+	for si := range done {
+		done[si] = func(*core.Op) {
+			inflight[si]--
+			if inWindow {
+				measuredOps++
+			}
+			completions++
+			if gov != nil {
+				if completions%govAdaptEvery == 0 {
+					for i, sh := range shards {
+						waits[i] = sh.tree.QueueWaitEWMA()
+					}
+					gov.Adapt(inflight, waits)
+					for i := range shards {
+						release(i, true)
+					}
+				} else {
+					release(si, false)
+				}
+			}
+			if closed {
+				admit()
+			}
 		}
 	}
 	admit = func() {
+		if stopping {
+			return
+		}
 		w := cfg.Gen.Next()
 		if w.Kind != workload.OpSearch && w.Kind != workload.OpRange {
 			updates++
@@ -249,98 +377,125 @@ func RunPATree(cfg PAConfig) RunStats {
 				userBytes += uint64(8 + len(w.Value))
 			}
 			if cfg.SyncEvery > 0 && updates%cfg.SyncEvery == 0 {
-				tree.Admit(core.NewSync(nil))
+				for _, sh := range shards {
+					sh.tree.Admit(core.NewSync(nil))
+				}
 			}
 		}
-		tree.Admit(toOp(w, onDone))
+		si := core.ShardOf(w.Key, n)
+		sh := shards[si]
+		if sh.concReads && w.Kind == workload.OpSearch {
+			if _, _, ok := sh.tree.ConcurrentGet(w.Key); ok {
+				if inWindow {
+					measuredOps++
+					served++
+					servedLat.Record(clientReadCost)
+				}
+				if closed {
+					m.eng.After(clientReadCost, admit)
+				}
+				return
+			}
+			if inWindow {
+				fallback++
+			}
+		}
+		op := toOp(w, done[si])
+		if gov != nil && gov.Throttled(si, inflight[si]) {
+			sh.parked = append(sh.parked, op)
+			if inWindow {
+				throttled++
+			}
+			return
+		}
+		inflight[si]++
+		sh.tree.Admit(op)
 	}
+
 	base := m.eng.Now()
-	if cfg.ArrivalRate > 0 {
+	if closed {
+		m.eng.After(0, func() {
+			for i := 0; i < conc*n; i++ {
+				admit()
+			}
+		})
+	} else {
 		rng := sim.NewRNG(cfg.Scale.Seed ^ 0xa11)
 		mean := time.Duration(float64(time.Second) / cfg.ArrivalRate)
 		var arrive func()
 		arrive = func() {
+			if stopping {
+				return
+			}
 			admit()
 			m.eng.After(rng.Exp(mean), arrive)
 		}
 		m.eng.After(rng.Exp(mean), arrive)
-	} else {
-		conc := cfg.Scale.Concurrency
-		if conc <= 0 {
-			conc = 64
-		}
-		m.eng.After(0, func() {
-			for i := 0; i < conc; i++ {
-				admit()
-			}
-		})
 	}
 	m.resetAt(base.Add(cfg.Scale.Warmup), func() {
-		tree.ResetStats()
-		worker.CPU.Reset()
-		if pollerCPU != nil {
-			pollerCPU.Reset()
+		for _, sh := range shards {
+			sh.tree.ResetStats()
+			sh.worker.CPU.Reset()
+			if sh.poller != nil {
+				sh.poller.CPU.Reset()
+			}
 		}
 		inWindow = true
 	})
 	m.eng.RunUntil(base.Add(cfg.Scale.Warmup + cfg.Scale.Measure))
 
-	st := tree.StatsSnapshot()
-	rs := RunStats{Label: "PA-Tree"}
-	// The tree's own live accounting (the same account Metrics exposes):
-	// on SimEnv this is the worker thread's virtual-CPU ledger.
-	cpus := []*metrics.CPUAccount{tree.CPUSnapshot()}
-	if pollerCPU != nil {
-		cpus = append(cpus, pollerCPU)
+	label := "PA-Tree"
+	if n > 1 {
+		label += fmt.Sprintf(" x%d", n)
 	}
-	m.finish(&rs, cfg.Scale.Measure, cpus, measuredOps, st.Latency, st.IdleSpinTime)
-	rs.LatchWaits = tree.LatchWaits()
-	rs.Probes = st.Probes
+	if nd > 1 {
+		label += fmt.Sprintf("/%ddev", nd)
+	}
+	rs := RunStats{Label: label, ReaderServed: served, ReaderFallback: fallback,
+		Throttled: throttled, ShardQueueP99: make([]time.Duration, n)}
+	// Served lookups never reach a worker: their latency is the client's.
+	lat := metrics.NewHistogram()
+	lat.Merge(servedLat)
+	var cpus []*metrics.CPUAccount
+	var idleSpin time.Duration
+	var walBlocks, devCmds uint64
+	for i, sh := range shards {
+		st := sh.tree.StatsSnapshot()
+		lat.Merge(st.Latency)
+		idleSpin += st.IdleSpinTime
+		// The tree's own live accounting (the same account Metrics
+		// exposes): on SimEnv this is the worker thread's virtual-CPU ledger.
+		cpus = append(cpus, sh.tree.CPUSnapshot())
+		if sh.poller != nil {
+			cpus = append(cpus, &sh.poller.CPU)
+		}
+		rs.LatchWaits += sh.tree.LatchWaits()
+		rs.Probes += st.Probes
+		walBlocks += st.JournalBlockWrites
+		devCmds += st.ReadsIssued + st.WritesIssued
+		qw := metrics.NewHistogram()
+		if st.Stages != nil && st.Stages.MergedInto(metrics.StageQueueWait, qw) {
+			rs.ShardQueueP99[i] = qw.Percentile(99)
+		}
+	}
+	m.finish(&rs, cfg.Scale.Measure, cpus, measuredOps, lat, idleSpin)
 	if userBytes > 0 {
-		rs.WALBytesPerUserByte = float64(st.JournalBlockWrites*storage.PageSize) / float64(userBytes)
+		rs.WALBytesPerUserByte = float64(walBlocks*storage.PageSize) / float64(userBytes)
 	}
 	if measuredOps > 0 {
-		rs.DevCmdsPerOp = float64(st.ReadsIssued+st.WritesIssued) / float64(measuredOps)
+		rs.DevCmdsPerOp = float64(devCmds) / float64(measuredOps)
 	}
+
+	// Drain: parked ops flow through the engine once stopping is set so
+	// none leak un-completed.
 	stopping = true
-	tree.Stop()
+	for _, sh := range shards {
+		for _, op := range sh.parked {
+			sh.tree.Admit(op)
+		}
+		sh.tree.Stop()
+	}
 	m.eng.RunFor(2 * time.Second)
-	return rs
-}
-
-// ShardedPAConfig configures a sharded PA-Tree run: N independent
-// working threads over disjoint partitions of ONE simulated device, so
-// the controller-interference accounting stays shared across shards.
-type ShardedPAConfig struct {
-	Scale  Scale
-	Shards int
-	// MkTree builds one shard's tree configuration. It is called once
-	// per shard because sched.Policy instances are stateful — every
-	// worker needs its own.
-	MkTree func() core.Config
-	Gen    workload.Generator
-	Device nvme.SimConfig
-	// SyncEvery issues a Sync on every shard after this many updates
-	// (0 disables).
-	SyncEvery int
-}
-
-// RunShardedPATree executes one sharded configuration and reports the
-// merged stats: the one-device case of RunMultiDevice, which documents
-// the layout and the driver. Shards <= 1 places the single tree directly
-// on the device — exactly the RunPATree layout, so same-seed runs produce
-// identical traces.
-func RunShardedPATree(cfg ShardedPAConfig) RunStats {
-	rs := RunMultiDevice(MultiDevConfig{
-		Scale:     cfg.Scale,
-		Shards:    cfg.Shards,
-		Devices:   1,
-		MkTree:    cfg.MkTree,
-		Gen:       cfg.Gen,
-		Device:    cfg.Device,
-		SyncEvery: cfg.SyncEvery,
-	}).RunStats
-	rs.Label = fmt.Sprintf("PA-Tree x%d", max(cfg.Shards, 1))
 	return rs
 }
 
@@ -386,108 +541,72 @@ type SyncConfig struct {
 	SyncEvery   int
 }
 
-// syncStore adapts the baseline engines to one op interface.
-type syncStore interface {
-	do(th *simos.Thread, op workload.Op) error
-	sync(th *simos.Thread) error
+// syncTree is the op surface every baseline shares: the syncbtree,
+// Blink and LCB trees satisfy it directly, the LSM store through
+// lsmTree.
+type syncTree interface {
+	Search(th *simos.Thread, key uint64) ([]byte, bool, error)
+	Insert(th *simos.Thread, key uint64, value []byte) (bool, error)
+	Delete(th *simos.Thread, key uint64) (bool, error)
+	RangeScan(th *simos.Thread, lo, hi uint64, limit int) ([]core.KV, error)
+	Sync(th *simos.Thread) error
 }
 
-type btreeStore struct{ t *syncbtree.Tree }
+// lsmTree adapts the LSM store, whose Get/Put/Delete report no found
+// flag.
+type lsmTree struct{ *lsm.Tree }
 
-func (s btreeStore) do(th *simos.Thread, op workload.Op) error {
+func (t lsmTree) Search(th *simos.Thread, key uint64) ([]byte, bool, error) {
+	return t.Get(th, key)
+}
+func (t lsmTree) Insert(th *simos.Thread, key uint64, value []byte) (bool, error) {
+	return false, t.Put(th, key, value)
+}
+func (t lsmTree) Delete(th *simos.Thread, key uint64) (bool, error) {
+	return false, t.Tree.Delete(th, key)
+}
+
+// doSync runs one workload op against a baseline.
+func doSync(t syncTree, th *simos.Thread, op workload.Op) error {
 	var err error
 	switch op.Kind {
 	case workload.OpSearch:
-		_, _, err = s.t.Search(th, op.Key)
+		_, _, err = t.Search(th, op.Key)
 	case workload.OpInsert, workload.OpUpdate:
-		_, err = s.t.Insert(th, op.Key, op.Value)
+		_, err = t.Insert(th, op.Key, op.Value)
 	case workload.OpDelete:
-		_, err = s.t.Delete(th, op.Key)
+		_, err = t.Delete(th, op.Key)
 	case workload.OpRange:
-		_, err = s.t.RangeScan(th, op.Key, op.EndKey, op.Limit)
+		_, err = t.RangeScan(th, op.Key, op.EndKey, op.Limit)
 	}
 	return err
 }
-func (s btreeStore) sync(th *simos.Thread) error { return s.t.Sync(th) }
-
-type blinkStore struct{ t *blink.Tree }
-
-func (s blinkStore) do(th *simos.Thread, op workload.Op) error {
-	var err error
-	switch op.Kind {
-	case workload.OpSearch:
-		_, _, err = s.t.Search(th, op.Key)
-	case workload.OpInsert, workload.OpUpdate:
-		_, err = s.t.Insert(th, op.Key, op.Value)
-	case workload.OpDelete:
-		_, err = s.t.Delete(th, op.Key)
-	case workload.OpRange:
-		_, err = s.t.RangeScan(th, op.Key, op.EndKey, op.Limit)
-	}
-	return err
-}
-func (s blinkStore) sync(th *simos.Thread) error { return s.t.Sync(th) }
-
-type lcbStore struct{ t *lcb.Tree }
-
-func (s lcbStore) do(th *simos.Thread, op workload.Op) error {
-	var err error
-	switch op.Kind {
-	case workload.OpSearch:
-		_, _, err = s.t.Search(th, op.Key)
-	case workload.OpInsert, workload.OpUpdate:
-		_, err = s.t.Insert(th, op.Key, op.Value)
-	case workload.OpDelete:
-		_, err = s.t.Delete(th, op.Key)
-	case workload.OpRange:
-		_, err = s.t.RangeScan(th, op.Key, op.EndKey, op.Limit)
-	}
-	return err
-}
-func (s lcbStore) sync(th *simos.Thread) error { return s.t.Sync(th) }
-
-type lsmStore struct{ t *lsm.Tree }
-
-func (s lsmStore) do(th *simos.Thread, op workload.Op) error {
-	var err error
-	switch op.Kind {
-	case workload.OpSearch:
-		_, _, err = s.t.Get(th, op.Key)
-	case workload.OpInsert, workload.OpUpdate:
-		err = s.t.Put(th, op.Key, op.Value)
-	case workload.OpDelete:
-		err = s.t.Delete(th, op.Key)
-	case workload.OpRange:
-		_, err = s.t.RangeScan(th, op.Key, op.EndKey, op.Limit)
-	}
-	return err
-}
-func (s lsmStore) sync(th *simos.Thread) error { return s.t.Sync(th) }
 
 // RunSync executes one baseline configuration with N worker threads in a
 // closed loop and reports its stats.
 func RunSync(cfg SyncConfig) RunStats {
-	m := newMachine(cfg.Scale.Seed, cfg.Device)
+	m := newMachine(cfg.Scale.Seed, cfg.Device, 1)
+	dev := m.devs[0]
 	preload := cfg.Gen.Preload()
 
 	var io syncbtree.IO
 	var shared *syncbtree.Shared
 	if cfg.Kind == KindShared {
-		shared = syncbtree.NewShared(m.dev, m.os)
+		shared = syncbtree.NewShared(dev, m.os)
 		io = shared
 	} else {
-		io = syncbtree.NewDedicated(m.dev, m.os)
+		io = syncbtree.NewDedicated(dev, m.os)
 	}
 
-	var store syncStore
+	var store syncTree
 	treeCfg := syncbtree.Config{Persistence: cfg.Persistence, CachePages: cfg.CachePages}
 	switch cfg.Kind {
 	case KindShared, KindDedicated:
-		meta, err := core.BulkLoad(m.dev, preload, 0.7)
+		meta, err := core.BulkLoad(dev, preload, 0.7)
 		if err != nil {
 			panic(err)
 		}
-		store = btreeStore{t: syncbtree.NewTree(m.os, io, treeCfg, meta)}
+		store = syncbtree.NewTree(m.os, io, treeCfg, meta)
 	case KindBlink:
 		// Blink uses its own node format: load through its insert path
 		// (buffered, then synced) before the timed run.
@@ -510,16 +629,16 @@ func RunSync(cfg SyncConfig) RunStats {
 		})
 		m.eng.Run() // drive the loader to completion
 		bt.SetPersistence(cfg.Persistence, cfg.CachePages)
-		store = blinkStore{t: bt}
+		store = bt
 	case KindLCB:
-		meta, err := core.BulkLoad(m.dev, preload, 0.7)
+		meta, err := core.BulkLoad(dev, preload, 0.7)
 		if err != nil {
 			panic(err)
 		}
-		store = lcbStore{t: lcb.New(m.os, io, m.dev, lcb.Config{
-			Persistence: cfg.Persistence, CachePages: cfg.CachePages}, meta)}
+		store = lcb.New(m.os, io, dev, lcb.Config{
+			Persistence: cfg.Persistence, CachePages: cfg.CachePages}, meta)
 	case KindLSM:
-		tr := lsm.New(m.os, io, m.dev, lsm.Config{
+		tr := lsm.New(m.os, io, dev, lsm.Config{
 			Persistence: cfg.Persistence, CachePages: cfg.CachePages, Seed: cfg.Scale.Seed})
 		// LSM cannot use the B+ tree bulk image; load through its write
 		// path with weak persistence, then flip the mode.
@@ -534,7 +653,7 @@ func RunSync(cfg SyncConfig) RunStats {
 			tr.SetPersistence(save)
 		})
 		m.eng.Run()
-		store = lsmStore{t: tr}
+		store = lsmTree{tr}
 	}
 
 	lat := metrics.NewHistogram()
@@ -551,7 +670,7 @@ func RunSync(cfg SyncConfig) RunStats {
 				op := cfg.Gen.Next()
 				isUpdate := op.Kind != workload.OpSearch && op.Kind != workload.OpRange
 				start := th.Now()
-				if err := store.do(th, op); err != nil {
+				if err := doSync(store, th, op); err != nil {
 					panic(fmt.Sprintf("baseline op failed: %v", err))
 				}
 				if inWindow {
@@ -561,7 +680,7 @@ func RunSync(cfg SyncConfig) RunStats {
 				if isUpdate {
 					updates++
 					if cfg.SyncEvery > 0 && updates%cfg.SyncEvery == 0 {
-						store.sync(th)
+						store.Sync(th)
 					}
 				}
 			}

@@ -15,10 +15,10 @@ import (
 
 func TestRunShardedPATreeProducesStats(t *testing.T) {
 	s := tinyScale()
-	rs := RunShardedPATree(ShardedPAConfig{
+	rs := RunPATree(PAConfig{
 		Scale:  s,
 		Shards: 4,
-		MkTree: func() core.Config { return paTreeConfig(0, core.StrongPersistence) },
+		MkTree: paTree(0, core.StrongPersistence),
 		Gen:    defaultGen(s, 10, 0.3),
 	})
 	if rs.Ops == 0 || rs.Throughput <= 0 {
@@ -33,45 +33,6 @@ func TestRunShardedPATreeProducesStats(t *testing.T) {
 	// Four single-threaded workers: more than one core busy, at most ~4.
 	if rs.CPU < 1.0 || rs.CPU > 4.5 {
 		t.Fatalf("4-shard CPU = %v cores", rs.CPU)
-	}
-}
-
-// TestShardsOneByteCompat pins the Shards=1 degenerate case to the
-// single-worker driver: with the same seed and workload, the sharded
-// runner with one shard must reproduce RunPATree's measurements exactly
-// — same ops, latencies, probe counts. Any divergence means Shards:1 is
-// not byte-compatible with the unsharded layout.
-func TestShardsOneByteCompat(t *testing.T) {
-	s := tinyScale()
-	a := RunPATree(PAConfig{
-		Scale: s,
-		Tree:  paTreeConfig(0, core.StrongPersistence),
-		Gen:   defaultGen(s, 10, 0.3),
-	})
-	b := RunShardedPATree(ShardedPAConfig{
-		Scale:  s,
-		Shards: 1,
-		MkTree: func() core.Config { return paTreeConfig(0, core.StrongPersistence) },
-		Gen:    defaultGen(s, 10, 0.3),
-	})
-	if a.Ops != b.Ops {
-		t.Errorf("ops diverged: flat=%d sharded(1)=%d", a.Ops, b.Ops)
-	}
-	if a.Throughput != b.Throughput {
-		t.Errorf("throughput diverged: flat=%v sharded(1)=%v", a.Throughput, b.Throughput)
-	}
-	if a.MeanLatency != b.MeanLatency || a.P99Latency != b.P99Latency {
-		t.Errorf("latency diverged: flat mean=%v p99=%v, sharded(1) mean=%v p99=%v",
-			a.MeanLatency, a.P99Latency, b.MeanLatency, b.P99Latency)
-	}
-	if a.Probes != b.Probes {
-		t.Errorf("probes diverged: flat=%d sharded(1)=%d", a.Probes, b.Probes)
-	}
-	if a.LatchWaits != b.LatchWaits {
-		t.Errorf("latch waits diverged: flat=%d sharded(1)=%d", a.LatchWaits, b.LatchWaits)
-	}
-	if a.IOPS != b.IOPS {
-		t.Errorf("IOPS diverged: flat=%v sharded(1)=%v", a.IOPS, b.IOPS)
 	}
 }
 
