@@ -278,15 +278,9 @@ func (db *DB) admitTo(si int, op *core.Op) { db.shards[si].tree.Admit(op) }
 
 // issue admits one logical operation and returns its future; every
 // single-operation spelling (blocking, Async, Context) goes through it.
-// With Options.ConcurrentReads a read the optimistic path can serve is
-// answered on the calling goroutine instead: the returned handle is
-// already resolved and its Wait will not block. Holding the admission
-// lock across a whole scatter makes it atomic against Close: either every
-// shard receives its piece or none does.
+// Holding the admission lock across a whole scatter makes it atomic
+// against Close: either every shard receives its piece or none does.
 func (db *DB) issue(bo *BatchOp) (*Handle, error) {
-	if res, ok := db.tryConcRead(bo); ok {
-		return resolvedHandle(res), nil
-	}
 	h := acquireHandle()
 	if db.gov != nil {
 		lo, hi := db.span(bo)
@@ -303,18 +297,6 @@ func (db *DB) issue(bo *BatchOp) (*Handle, error) {
 	db.materialize(bo, h, db.admitTo)
 	db.mu.RUnlock()
 	return h, nil
-}
-
-// resolvedHandle wraps an already-computed result (an optimistic read
-// served outside the pipeline) in a pooled handle so every spelling keeps
-// one uniform shape. The handle is born waited-on: no completion token
-// is ever sent, and Wait returns without blocking.
-func resolvedHandle(res core.Result) *Handle {
-	h := acquireHandle()
-	h.res = res
-	h.state.Store(hCompleted)
-	h.waited = true
-	return h
 }
 
 // PutAsync admits an insert-or-replace and returns its future.

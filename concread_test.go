@@ -1,7 +1,7 @@
 package patree
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,287 +9,106 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// This file is the concurrent-reader battery for Options.ConcurrentReads:
-// oracle-checked reader/writer races across shard counts, a
-// linearizability smoke over per-key registers, a -race hammer mixing
-// live reads with observability calls, an allocation guard for the
-// optimistic path, and a fuzz target racing the fast path against a flat
-// map. Every failure message carries the seed that reproduces it.
-
-// concDB opens a ConcurrentReads DB over a fresh RAM device.
-func concDB(t testing.TB, shards int) *DB {
-	t.Helper()
-	db, err := Open(Options{
-		DeviceBlocks:    1 << 16,
-		Shards:          shards,
-		BufferPages:     4096,
-		ConcurrentReads: true,
-	})
-	if err != nil {
-		t.Fatalf("open %d shards: %v", shards, err)
-	}
-	return db
-}
+// This file is the concurrent-reader battery: reads from many goroutines
+// racing writes through the admission pipeline — oracle-checked
+// reader/writer races across shard counts, a linearizability check over
+// per-key registers, a -race hammer of the blocking spellings, and a fuzz
+// target with a reader riding alongside. Every failure message carries
+// the seed that reproduces it.
 
 // encVer encodes (key, version) as a value so every read can verify which
 // write it observed; decVer reverses it.
 func encVer(key, ver uint64) []byte { return []byte(fmt.Sprintf("%d.%d", key, ver)) }
 
-func decVer(t interface{ Errorf(string, ...any) }, label string, key uint64, v []byte) (uint64, bool) {
+func decVer(t *testing.T, label string, key uint64, v []byte) (uint64, bool) {
 	var k, ver uint64
-	if n, err := fmt.Sscanf(string(v), "%d.%d", &k, &ver); n != 2 || err != nil {
-		t.Errorf("%s: undecodable value %q for key %d", label, v, key)
-		return 0, false
-	}
-	if k != key {
-		t.Errorf("%s: key %d returned a value written for key %d (%q)", label, key, k, v)
+	if n, err := fmt.Sscanf(string(v), "%d.%d", &k, &ver); n != 2 || err != nil || k != key {
+		t.Errorf("%s: key %d returned value %q, not one written for it", label, key, v)
 		return 0, false
 	}
 	return ver, true
 }
 
-// TestConcurrentReadersOracle races N reader goroutines against the
-// pipeline writer across shard counts, checking, per read, against the
-// acked-version oracle:
+// readAlong keeps one goroutine reading keys 1..1500 (a Get every turn,
+// a Scan every sixteenth) until the returned stop, which cleanup also
+// runs, is called. Its reads race whatever the test drives meanwhile;
+// any error fails the test.
+func readAlong(t testing.TB, db *DB) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := uint64(0); ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			runtime.Gosched()
+			_, _, err := db.Get(1 + i%1500)
+			if err == nil && i%16 == 0 {
+				_, err = db.Scan(i%1500, i%1500+32, 8)
+			}
+			if err != nil {
+				t.Errorf("read alongside: %v", err)
+				return
+			}
+		}
+	}()
+	var once sync.Once
+	stop = func() { once.Do(func() { close(done); wg.Wait() }) }
+	t.Cleanup(stop)
+	return stop
+}
+
+// TestConcurrentReadersOracle races reader goroutines and a scanner
+// against a single writer across shard counts, checking every read
+// against the acked-version oracle:
 //
 //   - acked-write visibility: a read that begins after version v of a key
 //     was acknowledged must observe version >= v;
 //   - monotonic reads: one goroutine's successive reads of a key never go
 //     backward;
 //   - no phantom values: every value decodes to its own key and to a
-//     version some writer actually issued.
+//     version the writer actually issued.
 //
 // Writers only add versions (no deletes), so the invariants are exact.
 func TestConcurrentReadersOracle(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			const (
-				space   = 256
-				writes  = 1200
-				readers = 3
-				seed    = 42
-			)
-			db := concDB(t, shards)
-			defer db.Close()
-
-			var acked [space + 1]atomic.Uint64  // highest acknowledged version per key
-			var issued [space + 1]atomic.Uint64 // highest version handed to Put per key
-			var done atomic.Bool
-
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() { // single writer: versions per key are unique and ordered
-				defer wg.Done()
-				defer done.Store(true)
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < writes; i++ {
-					key := 1 + uint64(rng.Intn(space))
-					ver := issued[key].Add(1)
-					if err := db.Put(key, encVer(key, ver)); err != nil {
-						t.Errorf("seed=%d shards=%d: put %d v%d: %v", seed, shards, key, ver, err)
-						return
-					}
-					acked[key].Store(ver)
-				}
-			}()
-
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed + int64(r) + 1))
-					label := fmt.Sprintf("seed=%d shards=%d reader=%d", seed, shards, r)
-					var lastSeen [space + 1]uint64
-					for !done.Load() {
-						runtime.Gosched() // keep spinning readers from starving the workers
-						key := 1 + uint64(rng.Intn(space))
-						lo := acked[key].Load() // acked before the read began
-						v, found, err := db.Get(key)
-						if err != nil {
-							t.Errorf("%s: get %d: %v", label, key, err)
-							return
-						}
-						if !found {
-							if lo > 0 {
-								t.Errorf("%s: key %d invisible after version %d was acked", label, key, lo)
-								return
-							}
-							continue
-						}
-						ver, ok := decVer(t, label, key, v)
-						if !ok {
-							return
-						}
-						if ver < lo {
-							t.Errorf("%s: key %d read version %d, but %d was acked before the read began (stale read)", label, key, ver, lo)
-							return
-						}
-						if hi := issued[key].Load(); ver > hi {
-							t.Errorf("%s: key %d read version %d, never issued (max %d)", label, key, ver, hi)
-							return
-						}
-						if ver < lastSeen[key] {
-							t.Errorf("%s: key %d went backward: read %d after %d (non-monotonic)", label, key, ver, lastSeen[key])
-							return
-						}
-						lastSeen[key] = ver
-					}
-				}(r)
-			}
-
-			// One scanner rides along, checking order, key/value agreement
-			// and acked-write visibility of whole ranges.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed + 100))
-				label := fmt.Sprintf("seed=%d shards=%d scanner", seed, shards)
-				for !done.Load() {
-					runtime.Gosched()
-					lo := 1 + uint64(rng.Intn(space))
-					hi := lo + uint64(rng.Intn(24))
-					var ackedAtStart [space + 1]uint64
-					for k := lo; k <= hi && k <= space; k++ {
-						ackedAtStart[k] = acked[k].Load()
-					}
-					pairs, err := db.Scan(lo, hi, 0)
-					if err != nil {
-						t.Errorf("%s: scan [%d,%d]: %v", label, lo, hi, err)
-						return
-					}
-					var prev uint64
-					seen := map[uint64]uint64{}
-					for i, kv := range pairs {
-						if i > 0 && kv.Key <= prev {
-							t.Errorf("%s: scan keys not ascending: %d after %d", label, kv.Key, prev)
-							return
-						}
-						prev = kv.Key
-						if kv.Key < lo || kv.Key > hi {
-							t.Errorf("%s: scan [%d,%d] returned out-of-range key %d", label, lo, hi, kv.Key)
-							return
-						}
-						ver, ok := decVer(t, label, kv.Key, kv.Value)
-						if !ok {
-							return
-						}
-						seen[kv.Key] = ver
-					}
-					for k := lo; k <= hi && k <= space; k++ {
-						if want := ackedAtStart[k]; want > 0 {
-							got, present := seen[k]
-							if !present {
-								t.Errorf("%s: scan [%d,%d] missed key %d acked at version %d before the scan", label, lo, hi, k, want)
-								return
-							}
-							if got < want {
-								t.Errorf("%s: scan [%d,%d] key %d at version %d, but %d acked before the scan", label, lo, hi, k, got, want)
-								return
-							}
-						}
-					}
-				}
-			}()
-
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
-
-			// Quiesced: every key must read back at exactly its final acked
-			// version, through the fast path.
-			for key := uint64(1); key <= space; key++ {
-				want := acked[key].Load()
-				if want == 0 {
-					continue
-				}
-				v, found, err := db.Get(key)
-				if err != nil || !found {
-					t.Fatalf("seed=%d shards=%d: final get %d: %q/%v err=%v want v%d", seed, shards, key, v, found, err, want)
-				}
-				if ver, ok := decVer(t, "final", key, v); ok && ver != want {
-					t.Fatalf("seed=%d shards=%d: final get %d = version %d, want %d", seed, shards, key, ver, want)
-				}
-			}
-			m := db.Metrics()
-			if m.Reader.Served == 0 {
-				t.Fatalf("no reads served optimistically; the fast path never engaged (%+v)", m.Reader)
-			}
-			t.Logf("shards=%d reader stats: %+v", shards, m.Reader)
+			readersOracle(t, shards, 256, 1200, 3, 42)
 		})
 	}
 }
 
-// TestConcurrentReadsMatchPipeline replays the randomized single-goroutine
-// oracle stream from the sharded suite on a ConcurrentReads DB: with one
-// caller, read-your-writes makes every fast-path answer exactly equal to
-// the flat-map model — including deletes, absent keys and limited scans,
-// which the multi-goroutine oracle above deliberately avoids.
-func TestConcurrentReadsMatchPipeline(t *testing.T) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db, err := Open(Options{DeviceBlocks: 1 << 16, Shards: shards, BufferPages: 1024, ConcurrentReads: true})
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			defer db.Close()
-			seed := int64(7*shards + 1)
-			model := runShardedOps(t, db, shards, seed, 1500)
-			checkScan(t, fmt.Sprintf("seed=%d shards=%d final", seed, shards),
-				mustScan(t, db, 0, ^uint64(0), 0), oracleScan(model, 0, ^uint64(0), 0))
-			if m := db.Metrics(); m.Reader.Served == 0 && m.Reader.ScanServed == 0 {
-				t.Fatalf("oracle stream never hit the fast path: %+v", m.Reader)
-			}
-		})
-	}
-}
-
-func mustScan(t *testing.T, db *DB, lo, hi uint64, limit int) []KV {
-	t.Helper()
-	pairs, err := db.Scan(lo, hi, limit)
-	if err != nil {
-		t.Fatalf("scan: %v", err)
-	}
-	return pairs
-}
-
-// TestConcurrentReadLinearizability is the per-key register smoke: with a
-// single writer issuing uniquely-versioned writes, a read history is
-// linearizable iff every read of key k returns a version within
-// [acked-before-invoke, issued-after-return] and per-goroutine reads are
-// monotonic — exactly the bounds checked here, in the style of the
-// Wing & Gong single-register checker. Invoke/return bounds are sampled
-// around each call; absent keys must stay absent until first issued.
-func TestConcurrentReadLinearizability(t *testing.T) {
-	const (
-		space   = 64
-		writes  = 3000
-		readers = 6
-		seed    = 1337
-	)
-	db := concDB(t, 4)
+// readersOracle races a single writer (writes Puts over keys 1..space,
+// each a new version of its key) against readers Get goroutines and one
+// scanner, then checks every key's final version.
+func readersOracle(t *testing.T, shards, space, writes, readers int, seed int64) {
+	db := shardedDB(t, shards)
 	defer db.Close()
 
-	var issued, acked [space + 1]atomic.Uint64
+	acked := make([]atomic.Uint64, space+1)  // highest acknowledged version per key
+	issued := make([]atomic.Uint64, space+1) // highest version handed to Put per key
 	var done atomic.Bool
-	var wg sync.WaitGroup
 
+	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() {
+	go func() { // single writer: versions per key are unique and ordered
 		defer wg.Done()
 		defer done.Store(true)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < writes; i++ {
 			key := 1 + uint64(rng.Intn(space))
-			ver := issued[key].Add(1) // issued strictly before the call's invoke
+			ver := issued[key].Add(1)
 			if err := db.Put(key, encVer(key, ver)); err != nil {
-				t.Errorf("seed=%d: put %d v%d: %v", seed, key, ver, err)
+				t.Errorf("seed=%d shards=%d: put %d v%d: %v", seed, shards, key, ver, err)
 				return
 			}
-			acked[key].Store(ver) // acked only after return
+			acked[key].Store(ver)
 		}
 	}()
 
@@ -297,130 +116,192 @@ func TestConcurrentReadLinearizability(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + 1 + int64(r)))
-			label := fmt.Sprintf("seed=%d reader=%d", seed, r)
-			var lastSeen [space + 1]uint64
+			rng := rand.New(rand.NewSource(seed + int64(r) + 1))
+			label := fmt.Sprintf("seed=%d shards=%d reader=%d", seed, shards, r)
+			lastSeen := make([]uint64, space+1)
 			for !done.Load() {
-				runtime.Gosched()
+				runtime.Gosched() // keep spinning readers from starving the workers
 				key := 1 + uint64(rng.Intn(space))
-				lo := acked[key].Load() // linearization point must be >= this
+				lo := acked[key].Load() // acked before the read began
 				v, found, err := db.Get(key)
-				hi := issued[key].Load() // ...and <= this
-				if err != nil {
-					t.Errorf("%s: get %d: %v", label, key, err)
+				if err != nil || (!found && lo > 0) {
+					t.Errorf("%s: get %d = found %v, %v after version %d was acked", label, key, found, err, lo)
 					return
 				}
 				if !found {
-					if lo > 0 {
-						t.Errorf("%s: history not linearizable: key %d absent after version %d was acked", label, key, lo)
-						return
-					}
 					continue
 				}
 				ver, ok := decVer(t, label, key, v)
 				if !ok {
 					return
 				}
-				if ver < lo || ver > hi {
-					t.Errorf("%s: history not linearizable: key %d read version %d outside [%d, %d]", label, key, ver, lo, hi)
-					return
-				}
-				if ver < lastSeen[key] {
-					t.Errorf("%s: history not linearizable: key %d version %d after %d in program order", label, key, ver, lastSeen[key])
+				if hi := issued[key].Load(); ver < lo || ver > hi || ver < lastSeen[key] {
+					t.Errorf("%s: key %d read version %d: acked %d before the read, issued %d, last seen %d", label, key, ver, lo, hi, lastSeen[key])
 					return
 				}
 				lastSeen[key] = ver
 			}
 		}(r)
 	}
+
+	// One scanner rides along, checking order, key/value agreement
+	// and acked-write visibility of whole ranges.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(seed + 100))
+		label := fmt.Sprintf("seed=%d shards=%d scanner", seed, shards)
+		ackedAtStart := make([]uint64, space+1)
+		for !done.Load() {
+			runtime.Gosched()
+			lo := 1 + uint64(rng.Intn(space))
+			hi := lo + uint64(rng.Intn(24))
+			for k := lo; k <= hi && k <= uint64(space); k++ {
+				ackedAtStart[k] = acked[k].Load()
+			}
+			pairs, err := db.Scan(lo, hi, 0)
+			if err != nil {
+				t.Errorf("%s: scan [%d,%d]: %v", label, lo, hi, err)
+				return
+			}
+			seen := map[uint64]uint64{}
+			for i, kv := range pairs {
+				if (i > 0 && kv.Key <= pairs[i-1].Key) || kv.Key < lo || kv.Key > hi {
+					t.Errorf("%s: scan [%d,%d] returned key %d out of order or range", label, lo, hi, kv.Key)
+					return
+				}
+				ver, ok := decVer(t, label, kv.Key, kv.Value)
+				if !ok {
+					return
+				}
+				seen[kv.Key] = ver
+			}
+			for k := lo; k <= hi && k <= uint64(space); k++ {
+				if want := ackedAtStart[k]; want > 0 && seen[k] < want {
+					t.Errorf("%s: scan [%d,%d] key %d at version %d, but %d acked before the scan", label, lo, hi, k, seen[k], want)
+					return
+				}
+			}
+		}
+	}()
+
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// Quiesced: every key must read back at exactly its final acked
+	// version.
+	for key := uint64(1); key <= uint64(space); key++ {
+		want := acked[key].Load()
+		if want == 0 {
+			continue
+		}
+		v, found, err := db.Get(key)
+		if err != nil || !found {
+			t.Fatalf("seed=%d shards=%d: final get %d: %q/%v err=%v want v%d", seed, shards, key, v, found, err, want)
+		}
+		if ver, ok := decVer(t, "final", key, v); ok && ver != want {
+			t.Fatalf("seed=%d shards=%d: final get %d = version %d, want %d", seed, shards, key, ver, want)
+		}
+	}
 }
 
-// TestConcurrentReadRaceHammer is the -race exercise: readers (blocking
-// and async), writers, batch traffic and every observability surface
-// (Stats, Metrics, WriteTrace, expvar-style FormatMetrics) run against
-// live ConcurrentReads traffic, then races the tail against Close. It
-// asserts nothing about values — the race detector and the DB's own
-// internal checks are the oracle.
+// TestConcurrentReadsMatchPipeline replays the randomized single-caller
+// oracle stream of the sharded suite while readAlong reads the same keys:
+// with reads racing it, every answer of the stream — deletes, absent keys
+// and limited scans included — must still equal the flat-map model.
+func TestConcurrentReadsMatchPipeline(t *testing.T) {
+	for _, shards := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := openTest(t, Options{Shards: shards, BufferPages: 1024})
+			stop := readAlong(t, db)
+			seed := int64(7*shards + 1)
+			model := runShardedOps(t, db, shards, seed, 1500)
+			stop()
+			pairs, err := db.Scan(0, ^uint64(0), 0)
+			if err != nil {
+				t.Fatalf("seed=%d shards=%d: final scan: %v", seed, shards, err)
+			}
+			checkScan(t, fmt.Sprintf("seed=%d shards=%d final", seed, shards), pairs, oracleScan(model, 0, ^uint64(0), 0))
+		})
+	}
+}
+
+// TestConcurrentReadLinearizability is the per-key register check on a
+// hot key space: with a single writer issuing uniquely-versioned writes,
+// a read history is linearizable iff every read of key k returns a
+// version within [acked-before-invoke, issued-after-return] and each
+// goroutine's reads are monotonic, in the style of the Wing & Gong
+// single-register checker. Sixty-four keys under six readers keep every
+// key contended.
+func TestConcurrentReadLinearizability(t *testing.T) {
+	readersOracle(t, 4, 64, 3000, 6, 1337)
+}
+
+// TestConcurrentReadRaceHammer is the -race exercise for the blocking
+// spellings: Get, Scan, batched Gets, Put, Delete and the observability
+// calls (Stats, FormatMetrics, WriteTrace) from many goroutines over 4
+// shards, then a tail of Gets racing Close that must each see a value,
+// an absence or ErrClosed. The race detector and the DB's own checks are
+// the oracle.
 func TestConcurrentReadRaceHammer(t *testing.T) {
-	db, err := Open(Options{
-		DeviceBlocks:    1 << 16,
-		Shards:          4,
-		BufferPages:     2048,
-		ConcurrentReads: true,
-		Trace:           true,
-		TraceEvents:     4096,
-	})
+	db, err := Open(Options{DeviceBlocks: 1 << 16, Shards: 4, BufferPages: 2048, Trace: true, TraceEvents: 512})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	const goroutines = 8
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < 200; i++ {
 				key := 1 + uint64(rng.Intn(512))
-				switch rng.Intn(10) {
-				case 0, 1:
-					_ = db.Put(key, encVer(key, uint64(i)))
-				case 2:
-					_, _, _ = db.Get(key)
-				case 3:
-					if h, err := db.GetAsync(key); err == nil {
-						_ = h.Wait()
-						h.Release()
-					}
-				case 4:
-					_, _ = db.Scan(key, key+64, 16)
-				case 5:
-					if h, err := db.ScanAsync(key, key+64, 16); err == nil {
-						_ = h.Wait()
-						h.Release()
-					}
-				case 6:
-					_, _ = db.Delete(key)
-				case 7:
+				var err error
+				switch rng.Intn(16) {
+				case 0, 1, 2, 3:
+					err = db.Put(key, encVer(key, uint64(i)))
+				case 4, 5, 6:
+					_, _, err = db.Get(key)
+				case 7, 8:
+					_, err = db.Scan(key, key+64, 16)
+				case 9, 10:
+					_, err = db.Delete(key)
+				case 11, 12:
 					b := db.NewBatch()
-					for j := 0; j < 4; j++ {
-						b.Get(key + uint64(j))
+					for j := uint64(0); j < 4; j++ {
+						b.Get(key + j)
 					}
-					if b.Commit() == nil {
-						b.Wait()
+					if err = b.Commit(); err == nil {
+						err = b.Wait()
 					}
 					b.Release()
-				case 8:
+				case 13, 14:
 					_ = db.Stats()
 					_ = FormatMetrics(db.Metrics())
-				case 9:
-					_ = db.WriteTrace(io.Discard)
+				default:
+					err = db.WriteTrace(io.Discard)
+				}
+				if err != nil {
+					t.Errorf("goroutine %d op %d: %v", g, i, err)
+					return
 				}
 			}
 		}(g)
 	}
-	time.Sleep(300 * time.Millisecond)
-	close(stop)
 	wg.Wait()
-	// Tail race: traffic against Close must only ever yield ErrClosed.
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if _, _, err := db.Get(uint64(i)); err != nil && err != ErrClosed {
+				if _, _, err := db.Get(uint64(i)); err != nil && !errors.Is(err, ErrClosed) {
 					t.Errorf("get during close: %v", err)
 					return
 				}
 			}
-		}(g)
+		}()
 	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -428,159 +309,13 @@ func TestConcurrentReadRaceHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentGetAllocs guards the optimistic point read's allocation
-// budget: a served hit allocates exactly the returned value copy (1
-// alloc), a served miss allocates nothing.
-func TestConcurrentGetAllocs(t *testing.T) {
-	db := concDB(t, 1)
-	defer db.Close()
-	for k := uint64(1); k <= 512; k++ {
-		if err := db.Put(k, encVer(k, 1)); err != nil {
-			t.Fatalf("put %d: %v", k, err)
-		}
-	}
-	before := db.Metrics().Reader
-	if _, found, err := db.Get(100); err != nil || !found {
-		t.Fatalf("warm get: found=%v err=%v", found, err)
-	}
-	if after := db.Metrics().Reader; after.Served == before.Served {
-		t.Skipf("fast path not serving (reader stats %+v); alloc budget unmeasurable", after)
-	}
-	hit := testing.AllocsPerRun(200, func() {
-		if _, found, err := db.Get(100); err != nil || !found {
-			t.Fatalf("get: found=%v err=%v", found, err)
-		}
-	})
-	if hit > 1 {
-		t.Fatalf("served hit allocates %.1f/op, budget 1 (the value copy)", hit)
-	}
-	miss := testing.AllocsPerRun(200, func() {
-		if _, found, err := db.Get(1 << 40); err != nil || found {
-			t.Fatalf("get absent: found=%v err=%v", found, err)
-		}
-	})
-	if miss > 0 {
-		t.Fatalf("served miss allocates %.1f/op, budget 0", miss)
-	}
-}
-
-// TestConcurrentReadsOffIsInert pins the default: without the option, no
-// publication state exists, reader counters stay zero, and reads flow
-// through the pipeline unchanged.
-func TestConcurrentReadsOffIsInert(t *testing.T) {
-	db, err := Open(Options{DeviceBlocks: 1 << 16, BufferPages: 512})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer db.Close()
-	if err := db.Put(1, []byte("x")); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	if v, found, err := db.Get(1); err != nil || !found || !bytes.Equal(v, []byte("x")) {
-		t.Fatalf("get = %q/%v/%v", v, found, err)
-	}
-	m := db.Metrics()
-	if m.Reader != (ReaderStats{}) {
-		t.Fatalf("reader stats moved with ConcurrentReads off: %+v", m.Reader)
-	}
-}
-
-// FuzzConcurrentReadOps fuzzes an operation stream against the flat-map
-// model on a ConcurrentReads DB, with a background reader goroutine
-// continuously exercising the optimistic path while the fuzz body
-// mutates. The foreground checks are exact (single-caller
-// read-your-writes); the background reader only surfaces races and
-// protocol violations via -race and internal invariants.
+// FuzzConcurrentReadOps is FuzzShardedOps with readAlong racing the
+// fuzzed stream: the foreground checks stay exact (single-caller
+// read-your-writes) while the background reads surface races under
+// -race and any error they meet.
 func FuzzConcurrentReadOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{5, 200, 3, 5, 200, 3, 1, 9, 9, 2, 9, 9})
-	f.Add(bytes.Repeat([]byte{0, 7, 13, 4, 99, 21}, 24))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const chunk = 4
-		if len(data) < chunk || len(data) > 4*400 {
-			t.Skip()
-		}
-		db, err := Open(Options{DeviceBlocks: 1 << 15, Shards: 2, BufferPages: 512, ConcurrentReads: true})
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		defer db.Close()
-
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() { // background optimistic reader
-			defer wg.Done()
-			for i := uint64(0); ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				runtime.Gosched()
-				_, _, _ = db.Get(1 + i%1500)
-				if i%16 == 0 {
-					_, _ = db.Scan(i%1500, i%1500+32, 8)
-				}
-			}
-		}()
-
-		model := map[uint64][]byte{}
-		for i := 0; i+chunk <= len(data); i += chunk {
-			b := data[i : i+chunk]
-			key := 1 + uint64(b[1])%200 + uint64(b[2])%50*7
-			val := []byte(fmt.Sprintf("f%d.%d", i, b[3]))
-			switch b[0] % 6 {
-			case 0, 1:
-				if err := db.Put(key, val); err != nil {
-					t.Fatalf("op %d: put %d: %v", i, key, err)
-				}
-				model[key] = val
-			case 2:
-				_, existed := model[key]
-				found, err := db.Update(key, val)
-				if err != nil {
-					t.Fatalf("op %d: update %d: %v", i, key, err)
-				}
-				if found != existed {
-					t.Fatalf("op %d: update %d found=%v model=%v", i, key, found, existed)
-				}
-				if existed {
-					model[key] = val
-				}
-			case 3:
-				_, existed := model[key]
-				found, err := db.Delete(key)
-				if err != nil {
-					t.Fatalf("op %d: delete %d: %v", i, key, err)
-				}
-				if found != existed {
-					t.Fatalf("op %d: delete %d found=%v model=%v", i, key, found, existed)
-				}
-				delete(model, key)
-			case 4:
-				want, existed := model[key]
-				v, found, err := db.Get(key)
-				if err != nil {
-					t.Fatalf("op %d: get %d: %v", i, key, err)
-				}
-				if found != existed || (existed && !bytes.Equal(v, want)) {
-					t.Fatalf("op %d: get %d = %q/%v, model %q/%v", i, key, v, found, want, existed)
-				}
-			case 5:
-				lo := uint64(b[1])
-				hi := lo + uint64(b[2])
-				limit := int(b[3]%12) - 1
-				pairs, err := db.Scan(lo, hi, limit)
-				if err != nil {
-					t.Fatalf("op %d: scan [%d,%d] limit %d: %v", i, lo, hi, limit, err)
-				}
-				checkScan(t, fmt.Sprintf("op %d scan [%d,%d] limit %d", i, lo, hi, limit),
-					pairs, oracleScan(model, lo, hi, limit))
-			}
-		}
-		close(stop)
-		wg.Wait()
-		checkScan(t, "final", mustScan(t, db, 0, ^uint64(0), 0), oracleScan(model, 0, ^uint64(0), 0))
-	})
+	f.Add([]byte{0, 7, 13, 4, 99, 21, 0, 7, 13, 4, 99, 21, 0, 7, 13, 4, 99, 21, 0, 7, 13, 4, 99, 21})
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzShardedOps(t, data, true) })
 }

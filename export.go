@@ -35,12 +35,11 @@ func (db *DB) PublishExpvar(name string) {
 }
 
 // WritePrometheus renders m in the Prometheus text exposition format:
-// one series per declared counter and gauge, then the stage, probe-error
-// and reader-latency summaries.
+// one series per declared counter and gauge, then the stage and
+// probe-error summaries.
 func (m Metrics) WritePrometheus(w io.Writer) error {
 	var e metrics.Exposition
 	e.Fields(&m)
-	e.Add("patree_reader_ops_total", "counter", "", m.Reader.ScanAttempts-m.Reader.ScanServed, "op", "scan", "outcome", "fallback")
 	for _, s := range m.Stages {
 		e.Summary("patree_stage_seconds", "Per-stage operation latency decomposition.",
 			metrics.Summary{Count: s.Count, Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99}, true, "stage", s.Stage, "op", s.Op)
@@ -48,7 +47,6 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 	e.Summary("patree_probe_abs_err_seconds", "Absolute completion-prediction error.", metrics.Summary{
 		Count: m.Probe.Matched, Mean: m.Probe.AbsErrMean, P50: m.Probe.AbsErrP50, P95: m.Probe.AbsErrP95, P99: m.Probe.AbsErrP99,
 	}, true)
-	e.Summary("patree_reader_latency_seconds", "Latency of served optimistic point reads.", m.Reader.Lat.Summary(), true)
 	_, err := e.WriteTo(w)
 	return err
 }
@@ -59,9 +57,6 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 func FormatMetrics(m Metrics) string {
 	var b strings.Builder
 	metrics.WriteText(&b, m)
-	if m.Reader.Lat.Count > 0 {
-		fmt.Fprintf(&b, "reader latency: mean=%v p99=%v\n", m.Reader.Lat.Mean(), m.Reader.Lat.Percentile(99))
-	}
 	if len(m.Stages) > 0 {
 		fmt.Fprintf(&b, "%-11s %-7s %9s %11s %11s %11s %11s %11s\n",
 			"stage", "op", "count", "mean", "p50", "p95", "p99", "max")

@@ -98,11 +98,6 @@ type slru struct {
 	nProtected   int
 	stats        Stats
 	nextEpoch    uint64
-	// onEvict, when set, observes every page leaving the buffer — both
-	// capacity evictions and explicit removals. The optimistic read path
-	// mirrors buffer residency in its published-page table, and this hook
-	// is how a departure reaches it.
-	onEvict func(storage.PageID)
 }
 
 func newSLRU(capacity int) *slru {
@@ -195,9 +190,6 @@ func (l *slru) put(id storage.PageID, data []byte, dirty, prefetched bool) (evic
 		if victim.dirty {
 			l.stats.DirtyEvictions++
 		}
-		if l.onEvict != nil {
-			l.onEvict(victim.id)
-		}
 		return victim
 	}
 	return nil
@@ -207,9 +199,6 @@ func (l *slru) remove(id storage.PageID) {
 	if e := l.m[id]; e != nil {
 		l.unlink(e)
 		delete(l.m, id)
-		if l.onEvict != nil {
-			l.onEvict(id)
-		}
 	}
 }
 
@@ -265,11 +254,6 @@ func (b *ReadOnly) Contains(id storage.PageID) bool { return b.l.peek(id) != nil
 
 // Invalidate drops id from the cache (e.g. when a page is freed).
 func (b *ReadOnly) Invalidate(id storage.PageID) { b.l.remove(id) }
-
-// SetOnEvict registers fn to observe every page leaving the buffer
-// (capacity eviction or Invalidate). fn runs synchronously under the
-// buffer's caller; it must not call back into the buffer.
-func (b *ReadOnly) SetOnEvict(fn func(storage.PageID)) { b.l.onEvict = fn }
 
 // Cap returns the configured capacity in pages (0 = caching disabled).
 func (b *ReadOnly) Cap() int { return b.l.cap }
@@ -370,11 +354,6 @@ func (b *ReadWrite) Invalidate(id storage.PageID) (Dirty, bool) {
 	}
 	return Dirty{}, false
 }
-
-// SetOnEvict registers fn to observe every page leaving the buffer
-// (capacity eviction or Invalidate). fn runs synchronously under the
-// buffer's caller; it must not call back into the buffer.
-func (b *ReadWrite) SetOnEvict(fn func(storage.PageID)) { b.l.onEvict = fn }
 
 // Cap returns the configured capacity in pages (0 = caching disabled).
 func (b *ReadWrite) Cap() int { return b.l.cap }

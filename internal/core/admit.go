@@ -71,14 +71,13 @@ func (t *Tree) admitted() {
 	}
 }
 
-// stamp marks ops as entering the engine at now: the admission timestamp,
-// the pending-key fence and the engine-depth gauge. It MUST run before
-// the ops become visible on the ring (see notePending, noteEntered).
+// stamp marks ops as entering the engine at now: the admission timestamp
+// and the engine-depth gauge. It MUST run before the ops become visible
+// on the ring (see noteEntered).
 func (t *Tree) stamp(ops []*Op, now sim.Time) {
 	for _, o := range ops {
 		o.Res.Admitted = now
 		o.enqueuedAt = now
-		t.notePending(o)
 		t.noteEntered(o)
 	}
 }
@@ -135,7 +134,7 @@ func (r Reservation) Publish(ops []*Op) {
 // claimed slots (the span cannot be un-claimed once later producers may
 // have queued behind it); the no-ops flow through the worker and free
 // themselves. They are never stamped, so they pass through without
-// touching the pending-key registry or the engine-depth gauge.
+// touching the engine-depth gauge.
 func (r Reservation) Abort() {
 	if r.t == nil {
 		return
@@ -153,7 +152,6 @@ func (r Reservation) Abort() {
 
 // failAdmit completes an operation that cannot be admitted.
 func (t *Tree) failAdmit(o *Op) {
-	t.unnotePending(o)
 	t.unnoteEntered(o)
 	o.Res.Err = ErrStopped
 	o.Res.Completed = o.Res.Admitted
@@ -162,34 +160,9 @@ func (t *Tree) failAdmit(o *Op) {
 	}
 }
 
-// notePending registers a write op's key in the pending-key registry (the
-// optimistic readers' read-your-writes fence). It MUST run before the op
-// is pushed onto the ring: the worker can complete the op (and decrement)
-// the instant it is visible there. Every note is balanced by exactly one
-// unnote, at op teardown or on the admission failure paths; o.pendingMark
-// carries the obligation.
-func (t *Tree) notePending(o *Op) {
-	if t.pub == nil || o.pendingMark {
-		return
-	}
-	switch o.kind {
-	case KindInsert, KindUpdate, KindDelete:
-		o.pendingMark = true
-		t.pub.pend.inc(o.key)
-	}
-}
-
-// unnotePending releases a notePending mark, if any.
-func (t *Tree) unnotePending(o *Op) {
-	if o.pendingMark {
-		o.pendingMark = false
-		t.pub.pend.dec(o.key)
-	}
-}
-
-// noteEntered counts o into the engine-depth gauge. Like notePending it
-// MUST run before the op is visible on the ring (the worker can complete
-// it — and decrement — the instant it is published there), and every
+// noteEntered counts o into the engine-depth gauge. It MUST run before
+// the op is visible on the ring (the worker can complete it — and
+// decrement — the instant it is published there), and every
 // mark is balanced exactly once: by completeOp, or by unnoteEntered on
 // the admission-failure paths. Reservation.Abort's internal no-ops are
 // never marked, so they pass through the worker without touching the

@@ -136,8 +136,6 @@ type Config struct {
 	Poller Poller
 	// Costs are the virtual CPU constants; zero value selects defaults.
 	Costs CostModel
-	// MaxProbeBatch bounds completions reaped per probe (0 = unlimited).
-	MaxProbeBatch int
 	// MaxIORetries bounds how many times one operation's failed device
 	// commands are retried before the tree declares the device failed
 	// (ErrDeviceFailed). Transient statuses (media error, timeout,
@@ -170,16 +168,6 @@ type Config struct {
 	// code and kind name tables. Tracing is pure observation: it never
 	// charges CPU, so simulated schedules are identical with it on or off.
 	Tracer *trace.Tracer
-	// ConcurrentReads maintains the published-page table that lets
-	// read-only goroutines answer Gets and Scans optimistically
-	// (seqlock-validated B-link descent; see Tree.ConcurrentGet) without
-	// entering the admission pipeline. The worker publishes every page it
-	// buffers, so this requires BufferPages > 0 to have any effect.
-	// Publication is pure observation — it charges no virtual CPU — but
-	// the table's atomics are still extra real work on the worker, so it
-	// is off by default and sim experiments that pin byte-identical
-	// schedules keep it off.
-	ConcurrentReads bool
 	// Pipelined turns on scan read-ahead (DESIGN.md §17): a range scan at
 	// a level-1 parent reads its own leaf and up to four siblings, one
 	// command per run of adjacent pages, under shared latches held until

@@ -217,8 +217,8 @@ func (t *Tree) latchModeFor(o *Op, level int) latch.Mode {
 // leafAction applies o to the sealed leaf image o.page. A mutation is one
 // storage.EditLeaf, the edit recovery folds a leaf record with: its fresh
 // image becomes the op's write, and the image it was made from, which the
-// buffer, the published table and in-flight writes share, is left as it
-// is. Only a change the leaf cannot hold takes the split path.
+// buffer and in-flight writes share, is left as it is. Only a change the
+// leaf cannot hold takes the split path.
 func (t *Tree) leafAction(o *Op) bool {
 	if o.kind == KindRange {
 		return t.scanLeaf(o)
@@ -283,7 +283,7 @@ func (t *Tree) leafAction(o *Op) bool {
 // coupling; every key there exceeds everything here, so the scan resumes
 // from its first slot.
 func (t *Tree) scanLeaf(o *Op) bool {
-	if !storage.VerifyPageShared(o.page) {
+	if !storage.VerifyPage(o.page) {
 		t.failOp(o, storage.ErrCorruptPage)
 		return true
 	}
@@ -344,9 +344,6 @@ func (t *Tree) splitCurrent(o *Op) {
 		if !t.acquireLatch(o, rightID, latch.Exclusive) {
 			panic("core: fresh split node latch contended")
 		}
-		if t.pub != nil {
-			o.pubSplits = append(o.pubSplits, pubSplit{left: node.ID, right: rightID, sep: sep})
-		}
 		parent.InsertInner(sep, rightID)
 		t.charge(metrics.CatRealWork, costs.Split)
 		t.stats.Splits++
@@ -382,9 +379,6 @@ func (t *Tree) splitCurrent(o *Op) {
 		sep, right := target.SplitLeaf(rightID)
 		if !t.acquireLatch(o, rightID, latch.Exclusive) {
 			panic("core: fresh split leaf latch contended")
-		}
-		if t.pub != nil {
-			o.pubSplits = append(o.pubSplits, pubSplit{left: target.ID, right: rightID, sep: sep})
 		}
 		parent.InsertInner(sep, rightID)
 		t.charge(metrics.CatRealWork, costs.Split)
@@ -446,10 +440,9 @@ func (o *Op) isModified(id storage.PageID) bool {
 // beginWriteback finishes an update operation. Its leaf edit and each node
 // a split modified, encoded once, are its images, in o.writes, and every
 // consumer takes them: the in-place write (strong), the read-write buffer
-// (weak or journaled), the published table at finishOp and the redo
-// record. An unjournaled strong
-// tree orders the pages leaves before parents, meta last, and moves the
-// op to the write pipeline; a buffering tree stores them and completes,
+// (weak or journaled) and the redo record. An unjournaled strong tree
+// orders the pages leaves before parents, meta last, and moves the op to
+// the write pipeline; a buffering tree stores them and completes,
 // scheduling evicted victims in the background (§III-C) — with the
 // journal on, once stJournal has made the redo group durable. Returns
 // true iff the op left the ready set (the processNode convention).
@@ -532,9 +525,6 @@ func (t *Tree) lookupPage(id storage.PageID) ([]byte, bool) {
 			if victim, ev := t.rw.FillOnRead(id, data); ev {
 				t.queueBG(victim)
 			}
-			if t.pub != nil {
-				t.pub.publishFill(id, data)
-			}
 			return data, true
 		}
 		return nil, false
@@ -586,12 +576,6 @@ func (t *Tree) fill(id storage.PageID, data []byte, prefetch bool) {
 		t.ro.FillOnPrefetch(id, data)
 	default:
 		t.ro.FillOnRead(id, data)
-	}
-	if t.pub != nil {
-		// Publish what entered the buffer: a fill carries no key-range
-		// bound, so publishFill preserves any bound the frame already had
-		// (page ranges only change at splits, which publish via finishOp).
-		t.pub.publishFill(id, data)
 	}
 }
 

@@ -243,12 +243,6 @@ func (t *Tree) enterFailed(cause error) {
 	t.failed = true
 	t.failCause = cause
 	t.bgQueue = t.bgQueue[:0]
-	if t.pub != nil {
-		// Withdraw the fast path: optimistic reads must not keep serving a
-		// frozen snapshot of a failed tree. Every read now falls back to
-		// the pipeline, which drains it with ErrDeviceFailed.
-		t.pub.withdrawRoot()
-	}
 	t.promoteRetries()
 	t.promoteJWaiters()
 	for id := range t.readAheads {

@@ -125,14 +125,6 @@ type Tree struct {
 	ro      *buffer.ReadOnly  // strong persistence, unjournaled
 	rw      *buffer.ReadWrite // weak persistence, or any journaled tree
 
-	// pub, when non-nil (Config.ConcurrentReads), is the published-page
-	// table that read-only goroutines traverse optimistically without
-	// entering the admission pipeline. The worker is its sole writer: it
-	// publishes every page image it installs in a buffer and retires
-	// entries as the buffer evicts them (the table mirrors residency, so
-	// its footprint is bounded by BufferPages). See published.go/reader.go.
-	pub *pubTable
-
 	// inflight tracks write-backs between queueing and completion so read
 	// misses never fetch stale pages from the device.
 	inflight map[storage.PageID][]byte
@@ -310,18 +302,6 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 		}
 	} else {
 		t.ro = buffer.NewReadOnly(cfg.BufferPages)
-	}
-	if cfg.ConcurrentReads && cfg.BufferPages > 0 {
-		// The table mirrors buffer residency, so with no buffer there is
-		// nothing to publish and the fast path would never serve: leave it
-		// off and let every read take the pipeline.
-		t.pub = newPubTable()
-		t.pub.publishRoot(t.rootID, t.height)
-		if t.rw != nil {
-			t.rw.SetOnEvict(t.pub.retire)
-		} else {
-			t.ro.SetOnEvict(t.pub.retire)
-		}
 	}
 	if cfg.Prioritized {
 		t.ready = sched.NewPriority()
@@ -552,7 +532,7 @@ func (t *Tree) RunPoller(env Env, policy sched.Policy) {
 // probe polls the completion queue from the working thread.
 func (t *Tree) probe(policy sched.Policy) int {
 	t.charge(metrics.CatNVMe, t.cfg.Costs.ProbeCall)
-	n := t.qp.Probe(t.cfg.MaxProbeBatch)
+	n := t.qp.Probe(0)
 	t.charge(metrics.CatNVMe, time.Duration(n)*t.cfg.Costs.ProbePerCQE)
 	now := t.now()
 	policy.OnProbe(now)
@@ -574,7 +554,7 @@ func (t *Tree) probe(policy sched.Policy) int {
 // handoff penalty per completion.
 func (t *Tree) probePoller(env Env, policy sched.Policy) int {
 	env.Work(metrics.CatNVMe, t.cfg.Costs.ProbeCall)
-	n := t.qp.Probe(t.cfg.MaxProbeBatch)
+	n := t.qp.Probe(0)
 	if n > 0 {
 		env.Work(metrics.CatNVMe, time.Duration(n)*t.cfg.Costs.ProbePerCQE)
 		env.Work(metrics.CatSync, time.Duration(n)*t.cfg.Costs.CrossThreadHandoff)
@@ -612,12 +592,6 @@ func (t *Tree) finishOp(o *Op) {
 		o.commit()
 		o.commit = nil
 	}
-	// Publish the op's page group before the pending-key mark is released
-	// in opTeardown and before Done acks the caller: an optimistic read
-	// racing this completion either sees the key still pending (and takes
-	// the pipeline) or sees the published new pages — never stale data
-	// after the ack (acked-write visibility).
-	t.publishGroup(o)
 	t.completeOp(o)
 }
 
@@ -629,7 +603,6 @@ func (t *Tree) failOp(o *Op, err error) {
 // opTeardown releases every piece of journal/sync pipeline state an op
 // may hold when it terminates, successfully or not.
 func (t *Tree) opTeardown(o *Op) {
-	t.unnotePending(o)
 	if o.keyGated {
 		o.keyGated = false
 		if next := o.keyNext; next != nil {

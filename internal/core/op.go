@@ -253,16 +253,6 @@ type Op struct {
 	keyGated bool
 	keyNext  *Op
 
-	// Concurrent-reader publication state (Config.ConcurrentReads; see
-	// published.go). pendingMark records that this write op's key is
-	// counted in the shard's pending-key registry (set by the admitting
-	// producer, cleared exactly once at teardown or admission failure).
-	// pubSplits logs the splits this op performed; finishOp replays it,
-	// with the images in writes, into the published-page table before
-	// acking.
-	pendingMark bool
-	pubSplits   []pubSplit
-
 	// engMark records that this op is counted in the tree's engine-depth
 	// gauge (set by the admitting producer before the ring push, cleared
 	// exactly once at completion or on admission failure).
@@ -395,9 +385,7 @@ func (o *Op) reset() {
 	o.pessimistic = false
 	o.keyGated = false
 	o.keyNext = nil
-	o.pendingMark = false
 	o.engMark = false
-	o.pubSplits = o.pubSplits[:0]
 }
 
 // InitSearch configures o as a point search and returns it.

@@ -10,7 +10,7 @@ import (
 func TestExperimentOrder(t *testing.T) {
 	want := []string{"fig3a", "fig3b", "fig3c", "fig7", "fig8", "table1", "table2",
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"figmultidev", "figreadheavy", "figpipeline"}
+		"figmultidev", "figpipeline"}
 	var got []string
 	for _, e := range Experiments {
 		got = append(got, e.ID)

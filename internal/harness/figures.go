@@ -445,43 +445,7 @@ func FigMultiDev(scale Scale) Report {
 		tb.AddRow(topo[0], topo[1], s.Throughput/1e3, float64(s.MeanLatency)/1e3, float64(s.P99Latency)/1e3, s.CPU)
 	}
 	return Report{ID: "figmultidev", Title: "PA-Tree shard scaling across devices (default workload, device parallelism 256)", Table: tb,
-		Notes: "single-device rows reproduce figshards (peak at 4 shards, decline at 8); the same 8 shards on 2 devices clear the 4-shard single-device peak ~2x because each controller serves half the submit/probe traffic; at 8x4 every pair of shards has a private controller and the curve returns to near-linear (~4.4x the 2-shard point)"}
-}
-
-// ─── Read-heavy optimistic reads (beyond the paper) ─────────────────────
-
-// FigReadHeavy sweeps shard counts on the 95/5 read-heavy mix with the
-// optimistic reader off and on (whole index buffered, so publication
-// coverage — not buffer misses — decides the serve rate).
-func FigReadHeavy(scale Scale) Report {
-	tb := metrics.NewTable("shards", "pipeline (Kops/s)", "optimistic (Kops/s)", "speedup",
-		"served %", "pipeline lat (us)", "optimistic lat (us)")
-	bufPages := scale.PreloadKeys / 12
-	for _, n := range []int{1, 2, 4} {
-		run := func(conc bool) RunStats {
-			return RunPATree(PAConfig{
-				Scale:  scale,
-				Shards: n,
-				MkTree: func() core.Config {
-					cfg := paTreeConfig(bufPages, core.StrongPersistence)
-					cfg.ConcurrentReads = conc
-					return cfg
-				},
-				Gen:    defaultGen(scale, 5, 0.3),
-				Device: nvme.SimConfig{Parallelism: 256},
-			})
-		}
-		off := run(false)
-		on := run(true)
-		servedPct := 0.0
-		if tot := on.ReaderServed + on.ReaderFallback; tot > 0 {
-			servedPct = 100 * float64(on.ReaderServed) / float64(tot)
-		}
-		tb.AddRow(n, off.Throughput/1e3, on.Throughput/1e3, on.Throughput/off.Throughput,
-			servedPct, float64(off.MeanLatency)/1e3, float64(on.MeanLatency)/1e3)
-	}
-	return Report{ID: "figreadheavy", Title: "Read-heavy (95/5) throughput: pipeline vs optimistic reads", Table: tb,
-		Notes: "with the index buffered and published, the optimistic path serves the vast majority of lookups off the worker thread; per-shard read throughput at least doubles while the pipeline keeps exclusive ownership of writes"}
+		Notes: "on one device throughput peaks at 4 shards (~2.4x one shard) and declines at 8; the same 8 shards on 2 devices clear that peak ~2x because each controller serves half the submit/probe traffic; at 8x4 every pair of shards has a private controller and the curve returns to near-linear (~3.9x the 2-shard point)"}
 }
 
 func persistName(p syncbtree.Persistence) string {
@@ -525,7 +489,6 @@ var Experiments = []Experiment{
 	{ID: "fig14", Run: scaled(Fig14)},
 	{ID: "fig15", Run: scaled(Fig15)},
 	{ID: "figmultidev", Run: scaled(FigMultiDev)},
-	{ID: "figreadheavy", Run: scaled(FigReadHeavy)},
 	{ID: "figpipeline", Run: scaled(FigPipeline)},
 }
 

@@ -25,8 +25,8 @@ type goldenRun struct {
 // goldenConfigs returns one configuration per run mode of the driver:
 // single-tree closed and open loops, a dedicated poller, weak
 // persistence with group commit, the journal, scan read-ahead, a
-// multi-device topology, the hot-shard governor, and the optimistic read
-// path off and on.
+// multi-device topology, the hot-shard governor, and a buffered
+// read-heavy mix over two shards.
 func goldenConfigs(s Scale) []struct {
 	name string
 	cfg  PAConfig
@@ -41,15 +41,6 @@ func goldenConfigs(s Scale) []struct {
 	strong := paTree(0, core.StrongPersistence)
 	scanScale := s
 	scanScale.Concurrency = 8
-	readHeavy := func(conc bool) PAConfig {
-		return PAConfig{Scale: s, Shards: 2, Gen: defaultGen(s, 5, 0.3),
-			Device: nvme.SimConfig{Parallelism: 256},
-			MkTree: func() core.Config {
-				cfg := paTreeConfig(s.PreloadKeys/12, core.StrongPersistence)
-				cfg.ConcurrentReads = conc
-				return cfg
-			}}
-	}
 	return []struct {
 		name string
 		cfg  PAConfig
@@ -70,8 +61,8 @@ func goldenConfigs(s Scale) []struct {
 		{"hot80 weighted", PAConfig{Scale: s, Shards: 4, Devices: 2, MkTree: strong, Weighting: true,
 			Gen:    newHotShardGen(defaultGen(s, 10, 0.6), 4, 80, uint64(s.PreloadKeys), s.Seed),
 			Device: nvme.SimConfig{Parallelism: 64}}},
-		{"read-heavy x2 pipeline", readHeavy(false)},
-		{"read-heavy x2 optimistic", readHeavy(true)},
+		{"read-heavy x2 pipeline", PAConfig{Scale: s, Shards: 2, Gen: defaultGen(s, 5, 0.3),
+			Device: nvme.SimConfig{Parallelism: 256}, MkTree: paTree(s.PreloadKeys/12, core.StrongPersistence)}},
 	}
 }
 

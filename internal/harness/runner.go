@@ -85,12 +85,6 @@ type RunStats struct {
 	Ops         uint64
 	LatchWaits  uint64
 	Probes      uint64
-	// ReaderServed / ReaderFallback count point lookups answered by (or
-	// declined by) the optimistic concurrent-read path during the
-	// measurement window; both stay 0 unless the shards' configs set
-	// ConcurrentReads.
-	ReaderServed   uint64
-	ReaderFallback uint64
 	// WALBytesPerUserByte is journal block bytes written (rewrites too)
 	// per key+value byte of the window's updates, DevCmdsPerOp the read
 	// and write commands per completed op, both summed over the shards.
@@ -203,8 +197,7 @@ type PAConfig struct {
 	Placement []int
 	// MkTree builds one shard's tree configuration. It is called once per
 	// shard because sched.Policy instances are stateful: every worker
-	// needs its own. A shard whose config sets ConcurrentReads answers
-	// point lookups on the optimistic path first (see clientReadCost).
+	// needs its own.
 	MkTree func() core.Config
 	Gen    workload.Generator
 	// Device is the per-device SimConfig template (Seed is derived per
@@ -226,15 +219,6 @@ type PAConfig struct {
 	// is ever imposed, so runs are byte-identical with Weighting off.
 	Weighting bool
 }
-
-// clientReadCost is the virtual time one lookup served by the optimistic
-// read path costs the calling client: the modeled cost of its own
-// descent and copy (~2µs of host work, measured by
-// BenchmarkConcurrentGet). The descent itself runs at event granularity
-// on the driver, as an embedder's reader goroutines would through
-// DB.Get, and never touches the worker; in a closed loop this cost also
-// paces the client's next admission.
-const clientReadCost = 2 * time.Microsecond
 
 // govAdaptEvery is the governor cadence: re-evaluate windows after this
 // many completions.
@@ -260,11 +244,10 @@ func toOp(w workload.Op, done func(*core.Op)) *core.Op {
 
 // paShard is one shard of a RunPATree run and its driver-side state.
 type paShard struct {
-	tree      *core.Tree
-	worker    *simos.Thread
-	poller    *simos.Thread // nil when the tree polls inline
-	concReads bool
-	parked    []*core.Op // ops held back by the governor, oldest first
+	tree   *core.Tree
+	worker *simos.Thread
+	poller *simos.Thread // nil when the tree polls inline
+	parked []*core.Op    // ops held back by the governor, oldest first
 }
 
 // RunPATree executes one PA-Tree configuration and reports the stats
@@ -297,7 +280,6 @@ func RunPATree(cfg PAConfig) RunStats {
 		sh := &paShard{}
 		sh.worker = m.os.Spawn(fmt.Sprintf("patree-shard%d", i), func(*simos.Thread) { sh.tree.Run() })
 		treeCfg := cfg.MkTree()
-		sh.concReads = treeCfg.ConcurrentReads
 		sh.tree, err = core.New(part, treeCfg, core.SimEnv{T: sh.worker}, meta)
 		if err != nil {
 			panic(err)
@@ -319,10 +301,9 @@ func RunPATree(cfg PAConfig) RunStats {
 		gov = core.NewGovernor(n, conc)
 	}
 	closed := cfg.ArrivalRate <= 0
-	var measuredOps, userBytes, served, fallback, throttled, completions uint64
+	var measuredOps, userBytes, throttled, completions uint64
 	inWindow, stopping := false, false
 	updates := 0
-	servedLat := metrics.NewHistogram()
 	inflight := make([]int, n)
 	waits := make([]time.Duration, n)
 
@@ -384,22 +365,6 @@ func RunPATree(cfg PAConfig) RunStats {
 		}
 		si := core.ShardOf(w.Key, n)
 		sh := shards[si]
-		if sh.concReads && w.Kind == workload.OpSearch {
-			if _, _, ok := sh.tree.ConcurrentGet(w.Key); ok {
-				if inWindow {
-					measuredOps++
-					served++
-					servedLat.Record(clientReadCost)
-				}
-				if closed {
-					m.eng.After(clientReadCost, admit)
-				}
-				return
-			}
-			if inWindow {
-				fallback++
-			}
-		}
 		op := toOp(w, done[si])
 		if gov != nil && gov.Throttled(si, inflight[si]) {
 			sh.parked = append(sh.parked, op)
@@ -451,11 +416,8 @@ func RunPATree(cfg PAConfig) RunStats {
 	if nd > 1 {
 		label += fmt.Sprintf("/%ddev", nd)
 	}
-	rs := RunStats{Label: label, ReaderServed: served, ReaderFallback: fallback,
-		Throttled: throttled, ShardQueueP99: make([]time.Duration, n)}
-	// Served lookups never reach a worker: their latency is the client's.
+	rs := RunStats{Label: label, Throttled: throttled, ShardQueueP99: make([]time.Duration, n)}
 	lat := metrics.NewHistogram()
-	lat.Merge(servedLat)
 	var cpus []*metrics.CPUAccount
 	var idleSpin time.Duration
 	var walBlocks, devCmds uint64

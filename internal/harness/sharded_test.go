@@ -40,10 +40,9 @@ func TestRunShardedPATreeProducesStats(t *testing.T) {
 // simulated device through a fixed workload and returns the combined
 // multi-process Chrome trace. Called twice with the same seed it must
 // produce byte-identical output — the property the simulated experiments
-// (and every stress reproduction) rely on. concReads toggles
-// Config.ConcurrentReads: publication is pure observation (no virtual
-// CPU), so it must not change the trace either.
-func shardedTraceRun(t *testing.T, seed uint64, concReads bool) []byte {
+// (and every stress reproduction) rely on. searchPct is the share of the
+// workload's operations that are searches; the rest are inserts.
+func shardedTraceRun(t *testing.T, seed uint64, searchPct int) []byte {
 	t.Helper()
 	const shards = 2
 	const blocksPer = 1 << 12
@@ -65,10 +64,9 @@ func shardedTraceRun(t *testing.T, seed uint64, concReads bool) []byte {
 		i := i
 		th := osched.Spawn(fmt.Sprintf("patree-shard%d", i), func(*simos.Thread) { trees[i].Run() })
 		trees[i], err = core.New(part, core.Config{
-			Persistence:     core.StrongPersistence,
-			BufferPages:     32,
-			Tracer:          tracers[i],
-			ConcurrentReads: concReads,
+			Persistence: core.StrongPersistence,
+			BufferPages: 32,
+			Tracer:      tracers[i],
 		}, core.SimEnv{T: th}, meta)
 		if err != nil {
 			t.Fatalf("new tree %d: %v", i, err)
@@ -81,7 +79,7 @@ func shardedTraceRun(t *testing.T, seed uint64, concReads bool) []byte {
 	admit := func() {
 		key := 1 + rng.Uint64n(256)
 		var op *core.Op
-		if rng.Intn(100) < 60 {
+		if rng.Intn(100) >= searchPct {
 			op = core.NewInsert(key, []byte(fmt.Sprintf("v%d", key)), func(*core.Op) { resolved++ })
 		} else {
 			op = core.NewSearch(key, func(*core.Op) { resolved++ })
@@ -121,8 +119,8 @@ func shardedTraceRun(t *testing.T, seed uint64, concReads bool) []byte {
 // over N>1 shards export byte-identical multi-process traces.
 func TestShardedTraceDeterminism(t *testing.T) {
 	const seed = 1337
-	t1 := shardedTraceRun(t, seed, false)
-	t2 := shardedTraceRun(t, seed, false)
+	t1 := shardedTraceRun(t, seed, 40)
+	t2 := shardedTraceRun(t, seed, 40)
 	if !bytes.Equal(t1, t2) {
 		t.Fatalf("seed %d: sharded traces diverged between runs (%d vs %d bytes)", seed, len(t1), len(t2))
 	}
@@ -133,28 +131,15 @@ func TestShardedTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedTraceConcurrentReadsDeterminism is the determinism
-// regression for the optimistic-reader feature: ConcurrentReads defaults
-// to off, and even when on — with no reader goroutines attached, as in
-// every simulated experiment — publication charges no virtual CPU, so a
-// same-seed run must export a byte-identical trace with the flag on or
-// off. If this breaks, the published-page table has started perturbing
-// simulated schedules and every pinned experiment is suspect.
+// TestShardedTraceConcurrentReadsDeterminism repeats the same-seed check
+// on a read-heavy workload: nine searches in ten, all admitted at once, so
+// many reads are in flight together beside the inserts. A run full of
+// concurrent reads must export a byte-identical trace too.
 func TestShardedTraceConcurrentReadsDeterminism(t *testing.T) {
-	if (core.Config{}).ConcurrentReads {
-		t.Fatalf("ConcurrentReads must default to off")
-	}
-	if (core.Config{}).WithDefaults().ConcurrentReads {
-		t.Fatalf("WithDefaults must not switch ConcurrentReads on")
-	}
 	const seed = 99
-	off := shardedTraceRun(t, seed, false)
-	on := shardedTraceRun(t, seed, true)
-	if !bytes.Equal(off, on) {
-		t.Fatalf("seed %d: enabling ConcurrentReads changed the simulated trace (%d vs %d bytes) — publication must stay schedule-invisible", seed, len(off), len(on))
-	}
-	off2 := shardedTraceRun(t, seed, false)
-	if !bytes.Equal(off, off2) {
-		t.Fatalf("seed %d: same-seed ConcurrentReads:false runs diverged (%d vs %d bytes)", seed, len(off), len(off2))
+	t1 := shardedTraceRun(t, seed, 90)
+	t2 := shardedTraceRun(t, seed, 90)
+	if !bytes.Equal(t1, t2) {
+		t.Fatalf("seed %d: read-heavy sharded traces diverged between runs (%d vs %d bytes)", seed, len(t1), len(t2))
 	}
 }

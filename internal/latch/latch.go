@@ -10,12 +10,6 @@
 // that arrives while others are queued waits behind them, and a release
 // promotes pending requests from the front until the first non-grantable
 // one.
-//
-// Because latches are worker-private data, they cannot and need not
-// protect the ConcurrentReads fast path: optimistic readers on other
-// goroutines never take latches, relying instead on the seqlock-versioned
-// published-page table (core's pubTable) and B-link right-links for
-// consistency.
 package latch
 
 import (

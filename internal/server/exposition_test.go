@@ -90,9 +90,9 @@ func parseExposition(t *testing.T, body string) map[string]string {
 
 // parentSeries is every series the admin /metrics endpoint emitted
 // before its metrics were declared as tagged fields, captured from a DB
-// opened with Journal and ConcurrentReads (scans reading ahead, as every
-// Open's do) under TestAdminMetricsExposition's workload, so that every family once
-// written only when non-zero is in it. Stage series for the waits that
+// opened with Journal (scans reading ahead, as every Open's do) under
+// TestAdminMetricsExposition's workload, so that every family once written
+// only when non-zero is in it. Stage series for the waits that
 // depend on timing (admit-wait, latch-wait) and for pipeline no-ops are
 // left out.
 var parentSeries = func() map[string]string {
@@ -125,19 +125,6 @@ counter patree_probe_predictions_total{outcome="late"}
 counter patree_probes_total
 counter patree_read_ahead_total{outcome="hit"}
 counter patree_read_ahead_total{outcome="issued"}
-counter patree_reader_escapes_total
-summary patree_reader_latency_seconds_count
-summary patree_reader_latency_seconds_sum
-summary patree_reader_latency_seconds{quantile="0.5"}
-summary patree_reader_latency_seconds{quantile="0.95"}
-summary patree_reader_latency_seconds{quantile="0.99"}
-counter patree_reader_ops_total{op="get",outcome="fallback-miss"}
-counter patree_reader_ops_total{op="get",outcome="fallback-pending"}
-counter patree_reader_ops_total{op="get",outcome="fallback-restarts"}
-counter patree_reader_ops_total{op="get",outcome="served"}
-counter patree_reader_ops_total{op="scan",outcome="fallback"}
-counter patree_reader_ops_total{op="scan",outcome="served"}
-counter patree_reader_restarts_total
 counter patree_reads_issued_total
 counter patree_server_bad_frames_total
 counter patree_server_batch_ops_total
@@ -191,7 +178,7 @@ counter patree_writes_issued_total
 // device-error, checkpoint and buffer-eviction counters are exported.
 func TestAdminMetricsExposition(t *testing.T) {
 	addr, db, srv, stop := startTracedServer(t,
-		patree.Options{DeviceBlocks: 1 << 14, BufferPages: 4, Journal: true, ConcurrentReads: true},
+		patree.Options{DeviceBlocks: 1 << 14, BufferPages: 4, Journal: true},
 		server.Options{})
 	defer stop()
 	c, err := client.Dial(addr, client.Options{})

@@ -388,9 +388,8 @@ func (n *Node) SplitLeaf(rightID PageID) (uint64, *Node) {
 
 // SplitInner splits a full inner node: the middle key moves up as the
 // separator, the upper keys/children move to a fresh inner node rightID.
-// Sibling links are fixed so n -> right -> old next, mirroring SplitLeaf:
-// every level forms a B-link chain that optimistic readers can escape
-// along when a concurrent split moves their key range right.
+// Sibling links are fixed so n -> right -> old next, mirroring SplitLeaf,
+// so every level of the page format keeps its B-link chain.
 func (n *Node) SplitInner(rightID PageID) (uint64, *Node) {
 	mid := len(n.Keys) / 2
 	sep := n.Keys[mid]

@@ -11,15 +11,16 @@ import "fmt"
 // page reports fits=false and leaves dst unwritten; the caller splits. A
 // delete always fits.
 //
-// src is only read, so it may be an image the buffer, the published
-// table, an in-flight write and a log record all share; dst must not
-// overlap it. It checks the checksum and every slot as DecodeNode does.
-// The caller bounds value by MaxValueSize.
+// src is left as it was, so it may be an image the buffer, an in-flight
+// write and a log record all share; dst must not overlap it. It checks
+// the checksum and every slot as DecodeNode does, so like VerifyPage it
+// briefly zeroes src's checksum field and restores it. The caller bounds
+// value by MaxValueSize.
 func EditLeaf(dst, src []byte, key uint64, value []byte, del bool) (found, fits bool, err error) {
 	if len(src) < PageSize {
 		return false, false, fmt.Errorf("storage: short page (%d bytes)", len(src))
 	}
-	if !checkSealShared(src[:PageSize]) {
+	if !checkSeal(src[:PageSize]) {
 		return false, false, ErrCorruptPage
 	}
 	if src[0] != KindLeaf || src[1] != 0 {

@@ -1,41 +1,10 @@
 package storage
 
-import (
-	"fmt"
-	"hash/crc32"
-)
+import "fmt"
 
-// This file is the concurrent-reader view of a page image. SearchPage and
-// checkSeal briefly zero the checksum field in place, which is fine on the
-// worker's private buffers but a data race on an image shared with other
-// goroutines. The *Shared variants below never write to buf: the checksum
-// is recomputed by streaming the header prefix, four zero bytes standing in
-// for the stored CRC, and the payload through crc32.Update. They exist for
-// the optimistic read path, where page images are published as immutable
-// byte slices and may be examined by any number of readers at once.
-
-// zeroCRC stands in for the zeroed checksum field during verification.
-var zeroCRC [4]byte
-
-// checkSealShared verifies the page checksum without mutating buf.
-func checkSealShared(buf []byte) bool {
-	want := getU32(buf[12:16])
-	got := crc32.Update(0, crcTable, buf[:12])
-	got = crc32.Update(got, crcTable, zeroCRC[:])
-	got = crc32.Update(got, crcTable, buf[16:PageSize])
-	return got == want
-}
-
-// VerifyPageShared is VerifyPage for concurrently-read images: it reports
-// whether buf holds a full page with a matching checksum, without ever
-// writing to buf.
-func VerifyPageShared(buf []byte) bool {
-	return len(buf) >= PageSize && checkSealShared(buf[:PageSize])
-}
-
-// PageNext extracts the right-sibling link from a sealed page image
-// without decoding it. The caller must have verified the image.
-func PageNext(buf []byte) PageID { return PageID(getU64(buf[4:12])) }
+// This file reads verified page images in place, without decoding a Node
+// and without writing to buf: the descent's inner steps, a scan's leaf
+// walk and the accessors scan read-ahead uses to pick sibling leaves.
 
 // PageIsLeaf reports whether a sealed page image encodes a leaf. The
 // caller must have verified the image.
@@ -63,23 +32,8 @@ func InnerKey(buf []byte, i int) (uint64, bool) {
 	return getU64(buf[headerSize+8+i*innerEntry:]), true
 }
 
-// SearchPageShared is SearchPage for concurrently-read images: the same
-// decode-free binary search over the encoded slot array, with the same
-// single value-copy allocation on a leaf hit, but using the non-mutating
-// checksum so any number of goroutines can search one image at once.
-func SearchPageShared(buf []byte, key uint64) (SearchStep, error) {
-	if len(buf) < PageSize {
-		return SearchStep{}, fmt.Errorf("storage: short page (%d bytes)", len(buf))
-	}
-	if !checkSealShared(buf[:PageSize]) {
-		return SearchStep{}, ErrCorruptPage
-	}
-	return searchSealed(buf, key)
-}
-
 // searchSealed runs the kind dispatch and binary search of SearchPage on
-// an already-verified image. Factored out so shared readers can verify an
-// image once at publication and search it many times.
+// an already-verified image.
 func searchSealed(buf []byte, key uint64) (SearchStep, error) {
 	kind := buf[0]
 	level := buf[1]

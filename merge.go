@@ -4,9 +4,8 @@ import "github.com/patree/patree/internal/core"
 
 // This file is the single home of the scatter-gather result merge used
 // by every multi-shard read path — scattered scans and syncs (fanAgg in
-// async.go) and the optimistic concurrent-read scan (read_path.go). The
-// k-way selection itself is core.MergeRuns, shared with the LSM
-// baseline's merges.
+// async.go). The k-way selection itself is core.MergeRuns, shared with
+// the LSM baseline's merges.
 
 // mergeScan merge-sorts per-shard scan results (each already ascending,
 // keyspaces disjoint) into one ascending run, honoring the global limit

@@ -70,24 +70,15 @@ type ProbeStats struct {
 	AbsErrP99  time.Duration `metric:"- gauge derived"`
 }
 
-// ReaderStats reports the optimistic read path's activity: attempts,
-// serves, seqlock restarts, right-link escapes, pipeline fallbacks (by
-// cause) and the served-read latency histogram. All counters are zero
-// unless the DB was opened with Options.ConcurrentReads.
-type ReaderStats = core.ReaderStats
-
 // Metrics is the full observability snapshot: activity counters, the
 // per-stage latency decomposition, the CPU-category breakdown and the
 // probe model's prediction accuracy. Like Stats it is collected on the
-// working thread, so it is a consistent view. Reader is the exception:
-// the optimistic read path runs on caller goroutines, so its counters
-// are sampled atomically rather than via the workers.
+// working thread, so it is a consistent view.
 type Metrics struct {
 	Stats
 	Stages      []StageStats
 	CPU         CPUBreakdown
 	Probe       ProbeStats
-	Reader      ReaderStats
 	TraceEvents uint64 `metric:"patree_trace_events_total counter sum" help:"Lifecycle trace events emitted."` // 0 unless Options.Trace
 }
 
@@ -166,11 +157,6 @@ func (db *DB) Metrics() Metrics {
 	}
 	abs := metrics.Summarize(absErr)
 	m.Probe.AbsErrMean, m.Probe.AbsErrP50, m.Probe.AbsErrP95, m.Probe.AbsErrP99 = abs.Mean, abs.P50, abs.P95, abs.P99
-
-	for _, s := range db.shards {
-		rs := s.tree.ReaderSnapshot()
-		m.Reader.Merge(&rs)
-	}
 
 	if classes > 0 {
 		merged := metrics.NewStageSet(classes)

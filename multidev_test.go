@@ -218,15 +218,14 @@ func TestMultiDeviceExplicitPlacement(t *testing.T) {
 }
 
 // TestMultiDeviceRaceHammer hammers the largest tested topology — 8
-// shards over 4 devices with AdmissionWeighting and ConcurrentReads on
-// — from many goroutines with Close racing the tail. Run under -race.
+// shards over 4 devices with AdmissionWeighting on — from many
+// goroutines with Close racing the tail. Run under -race.
 // Every handle must resolve with nil or ErrClosed.
 func TestMultiDeviceRaceHammer(t *testing.T) {
 	db, err := Open(Options{
 		Devices:            ramDevices(t, 4, 1<<15),
 		Shards:             8,
 		AdmissionWeighting: true,
-		ConcurrentReads:    true,
 		Trace:              true,
 		TraceEvents:        4096,
 	})

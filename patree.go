@@ -172,22 +172,9 @@ type Options struct {
 	// relative to its peers (see core.Governor). Writes bound for a
 	// throttled shard wait at admission (TryCommit reports ErrBacklog)
 	// until the backlog drains, keeping the hot worker's in-engine
-	// queue-wait within a bounded factor of the cold shards'; with
-	// ConcurrentReads set, optimistically served gets bypass the window
-	// entirely and still land on the hot shard. Off by default.
+	// queue-wait within a bounded factor of the cold shards'. Off by
+	// default.
 	AdmissionWeighting bool
-	// ConcurrentReads lets Get/Scan (and their Async/Context variants) be
-	// answered directly on the calling goroutine via an optimistic,
-	// seqlock-validated B-link descent over pages the worker has
-	// published, instead of queueing through the admission pipeline. The
-	// worker remains the sole mutator; readers retry on version changes
-	// and escape concurrent splits through right-sibling links. A read
-	// whose key has a pending (admitted, unacknowledged) write falls back
-	// to the pipeline, preserving read-your-writes per key; scans are
-	// unordered with respect to concurrent point writes either way. Off
-	// by default — the fast path adds worker-side publication work, and
-	// deterministic simulation runs keep it off to stay byte-identical.
-	ConcurrentReads bool
 }
 
 // Counters are the working threads' activity counters: device commands
@@ -254,10 +241,6 @@ type DB struct {
 	// makes multi-shard admissions atomic with respect to Close.
 	mu     sync.RWMutex
 	closed bool
-
-	// concReads mirrors Options.ConcurrentReads; when set, read paths try
-	// the optimistic published-page descent before the pipeline.
-	concReads bool
 }
 
 // minShardBlocks is the smallest device partition a shard accepts: room
@@ -324,7 +307,7 @@ func Open(opts Options) (*DB, error) {
 			}
 		}
 	}
-	db := &DB{dev: opts.Device, ownsDev: owns, devices: m, concReads: opts.ConcurrentReads}
+	db := &DB{dev: opts.Device, ownsDev: owns, devices: m}
 	if opts.AdmissionWeighting {
 		// The governor works the nominal depth; the physical ring is
 		// doubled so a throttled topology still has the deeper ring the
@@ -432,15 +415,14 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 		tracer = core.NewTracer(opts.TraceEvents)
 	}
 	tree, err := core.New(dev, core.Config{
-		Persistence:     opts.Persistence,
-		BufferPages:     bufferPages,
-		InboxDepth:      opts.InboxDepth,
-		Journal:         opts.Journal,
-		MaxIORetries:    opts.MaxIORetries,
-		Policy:          policy,
-		Tracer:          tracer,
-		ConcurrentReads: opts.ConcurrentReads,
-		Pipelined:       true,
+		Persistence:  opts.Persistence,
+		BufferPages:  bufferPages,
+		InboxDepth:   opts.InboxDepth,
+		Journal:      opts.Journal,
+		MaxIORetries: opts.MaxIORetries,
+		Policy:       policy,
+		Tracer:       tracer,
+		Pipelined:    true,
 	}, env, meta)
 	if err != nil {
 		return nil, err
@@ -590,9 +572,7 @@ func (db *DB) Put(key uint64, value []byte) error {
 	return err
 }
 
-// Get returns the value stored under key. With Options.ConcurrentReads
-// it is answered on the calling goroutine when the optimistic read can
-// prove the answer current, falling back to the pipeline otherwise.
+// Get returns the value stored under key.
 func (db *DB) Get(key uint64) ([]byte, bool, error) {
 	res, err := db.do(BatchOp{Kind: OpGet, Key: key})
 	return res.Value, res.Found, err

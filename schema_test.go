@@ -20,7 +20,6 @@ var metricStructs = map[reflect.Type]bool{
 	reflect.TypeOf(patree.Counters{}):     true,
 	reflect.TypeOf(patree.CPUBreakdown{}): true,
 	reflect.TypeOf(patree.ProbeStats{}):   true,
-	reflect.TypeOf(patree.ReaderStats{}):  true,
 	reflect.TypeOf(server.Stats{}):        true,
 }
 

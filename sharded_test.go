@@ -534,89 +534,99 @@ func FuzzShardedOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 1, 0, 1, 5, 2, 0, 1, 0})
 	f.Add([]byte{4, 1, 0, 3, 0, 1, 0, 7, 3, 0, 0, 0, 2, 1, 0, 0})
 	f.Add(bytes.Repeat([]byte{0, 2, 3, 9, 1, 2, 3, 0, 4, 0, 200, 3}, 30))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const chunk = 4
-		ops := len(data) / chunk
-		if ops == 0 {
-			t.Skip()
-		}
-		if ops > 400 {
-			ops = 400
-		}
-		dev := nvme.NewRAMDevice(nvme.RAMConfig{NumBlocks: 1 << 15})
-		defer dev.Close()
-		db, err := Open(Options{Device: dev, Shards: 4, BufferPages: 512})
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		model := map[uint64][]byte{}
-		for i := 0; i < ops; i++ {
-			b := data[i*chunk : (i+1)*chunk]
-			key := 1 + uint64(b[1])%200 + uint64(b[2])%50*7
-			val := []byte{b[3], byte(key), byte(i)}
-			switch b[0] % 6 {
-			case 0, 1: // put
-				if err := db.Put(key, val); err != nil {
-					t.Fatalf("op %d: put %d: %v", i, key, err)
-				}
-				model[key] = append([]byte(nil), val...)
-			case 2: // delete
-				_, existed := model[key]
-				found, err := db.Delete(key)
-				if err != nil {
-					t.Fatalf("op %d: delete %d: %v", i, key, err)
-				}
-				if found != existed {
-					t.Fatalf("op %d: delete %d found=%v, model %v", i, key, found, existed)
-				}
-				delete(model, key)
-			case 3: // get
-				want, existed := model[key]
-				v, found, err := db.Get(key)
-				if err != nil {
-					t.Fatalf("op %d: get %d: %v", i, key, err)
-				}
-				if found != existed || (existed && !bytes.Equal(v, want)) {
-					t.Fatalf("op %d: get %d = %q/%v, model %q/%v", i, key, v, found, want, existed)
-				}
-			case 4: // update
-				_, existed := model[key]
-				found, err := db.Update(key, val)
-				if err != nil {
-					t.Fatalf("op %d: update %d: %v", i, key, err)
-				}
-				if found != existed {
-					t.Fatalf("op %d: update %d found=%v, model %v", i, key, found, existed)
-				}
-				if existed {
-					model[key] = append([]byte(nil), val...)
-				}
-			default: // scan
-				lo := uint64(b[1])
-				hi := lo + uint64(b[3])*3
-				limit := int(b[2]) % 5 // 0 = all
-				pairs, err := db.Scan(lo, hi, limit)
-				if err != nil {
-					t.Fatalf("op %d: scan [%d,%d] limit %d: %v", i, lo, hi, limit, err)
-				}
-				checkScan(t, fmt.Sprintf("op=%d scan[%d,%d]l%d", i, lo, hi, limit),
-					pairs, oracleScan(model, lo, hi, limit))
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzShardedOps(t, data, false) })
+}
+
+// fuzzShardedOps is the body of FuzzShardedOps; with along set, readAlong
+// races every operation of the stream until the close/reopen cycle.
+func fuzzShardedOps(t *testing.T, data []byte, along bool) {
+	const chunk = 4
+	ops := len(data) / chunk
+	if ops == 0 {
+		t.Skip()
+	}
+	if ops > 400 {
+		ops = 400
+	}
+	dev := nvme.NewRAMDevice(nvme.RAMConfig{NumBlocks: 1 << 15})
+	defer dev.Close()
+	db, err := Open(Options{Device: dev, Shards: 4, BufferPages: 512})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	model := map[uint64][]byte{}
+	stop := func() {}
+	if along {
+		stop = readAlong(t, db)
+		defer stop()
+	}
+	for i := 0; i < ops; i++ {
+		b := data[i*chunk : (i+1)*chunk]
+		key := 1 + uint64(b[1])%200 + uint64(b[2])%50*7
+		val := []byte{b[3], byte(key), byte(i)}
+		switch b[0] % 6 {
+		case 0, 1: // put
+			if err := db.Put(key, val); err != nil {
+				t.Fatalf("op %d: put %d: %v", i, key, err)
 			}
+			model[key] = append([]byte(nil), val...)
+		case 2: // delete
+			_, existed := model[key]
+			found, err := db.Delete(key)
+			if err != nil {
+				t.Fatalf("op %d: delete %d: %v", i, key, err)
+			}
+			if found != existed {
+				t.Fatalf("op %d: delete %d found=%v, model %v", i, key, found, existed)
+			}
+			delete(model, key)
+		case 3: // get
+			want, existed := model[key]
+			v, found, err := db.Get(key)
+			if err != nil {
+				t.Fatalf("op %d: get %d: %v", i, key, err)
+			}
+			if found != existed || (existed && !bytes.Equal(v, want)) {
+				t.Fatalf("op %d: get %d = %q/%v, model %q/%v", i, key, v, found, want, existed)
+			}
+		case 4: // update
+			_, existed := model[key]
+			found, err := db.Update(key, val)
+			if err != nil {
+				t.Fatalf("op %d: update %d: %v", i, key, err)
+			}
+			if found != existed {
+				t.Fatalf("op %d: update %d found=%v, model %v", i, key, found, existed)
+			}
+			if existed {
+				model[key] = append([]byte(nil), val...)
+			}
+		default: // scan
+			lo := uint64(b[1])
+			hi := lo + uint64(b[3])*3
+			limit := int(b[2]) % 5 // 0 = all
+			pairs, err := db.Scan(lo, hi, limit)
+			if err != nil {
+				t.Fatalf("op %d: scan [%d,%d] limit %d: %v", i, lo, hi, limit, err)
+			}
+			checkScan(t, fmt.Sprintf("op=%d scan[%d,%d]l%d", i, lo, hi, limit),
+				pairs, oracleScan(model, lo, hi, limit))
 		}
-		if err := db.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-		db, err = Open(Options{Device: dev, Shards: 4, BufferPages: 512})
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		defer db.Close()
-		pairs, err := db.Scan(0, ^uint64(0), 0)
-		if err != nil {
-			t.Fatalf("final scan: %v", err)
-		}
-		checkScan(t, "after reopen", pairs, oracleScan(model, 0, ^uint64(0), 0))
-	})
+	}
+	stop()
+	if err := db.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	db, err = Open(Options{Device: dev, Shards: 4, BufferPages: 512})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db.Close()
+	pairs, err := db.Scan(0, ^uint64(0), 0)
+	if err != nil {
+		t.Fatalf("final scan: %v", err)
+	}
+	checkScan(t, "after reopen", pairs, oracleScan(model, 0, ^uint64(0), 0))
 }
 
 // TestShardedGetAllocs is the alloc guard behind BenchmarkShardedGet:

@@ -214,10 +214,12 @@ func describe(op BatchOp, r Result) string {
 }
 
 // TestSpellingEquivalence runs one seeded op stream through every public
-// spelling × shard count × ConcurrentReads, each on its own DB, and holds
-// every outcome to the flat-map model — so the spellings agree with each
-// other, whatever the topology. After Close every spelling reports
-// ErrClosed and returns its pooled handles and operations.
+// spelling × shard count, each on its own DB, with and without readAlong
+// reading concurrently (concreads), and holds every outcome to the
+// flat-map model — so the spellings agree with each other, whatever the
+// topology, and reads racing the stream change none of its answers.
+// After Close every spelling reports ErrClosed and returns its pooled
+// handles and operations.
 func TestSpellingEquivalence(t *testing.T) {
 	const seed = 20260930
 	stream := spellingStream(seed)
@@ -226,7 +228,11 @@ func TestSpellingEquivalence(t *testing.T) {
 		for _, conc := range []bool{false, true} {
 			for _, sp := range spellings {
 				t.Run(fmt.Sprintf("%s/shards=%d/concreads=%v", sp.name, shards, conc), func(t *testing.T) {
-					db := openTest(t, Options{Shards: shards, ConcurrentReads: conc, BufferPages: 1024})
+					db := openTest(t, Options{Shards: shards, BufferPages: 1024})
+					stop := func() {}
+					if conc {
+						stop = readAlong(t, db)
+					}
 					model := map[uint64][]byte{}
 					var transcript []string
 					for ci, chunk := range stream {
@@ -248,6 +254,7 @@ func TestSpellingEquivalence(t *testing.T) {
 						t.Fatalf("seed %d: transcript differs from the first spelling's", seed)
 					}
 
+					stop()
 					if err := db.Close(); err != nil {
 						t.Fatal(err)
 					}

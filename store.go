@@ -13,11 +13,6 @@ package patree
 // pooling, Wait/WaitContext and accessor semantics are identical, which
 // is what makes the two interchangeable. Non-embedded implementations
 // mint those types through NewRemoteHandle and NewRemoteBatch.
-//
-// How a read is served is likewise an implementation detail: a *DB
-// opened with Options.ConcurrentReads may answer Get/Scan (and their
-// Async/Context forms) on the calling goroutine instead of through the
-// pipeline, with identical results.
 type Store interface {
 	// Put inserts or replaces key.
 	Put(key uint64, value []byte) error
