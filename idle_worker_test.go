@@ -40,3 +40,26 @@ func TestIdleWorkerParks(t *testing.T) {
 		t.Errorf("parks = %d, yields = %d: with no I/O outstanding every yield must park", parks, yields)
 	}
 }
+
+// TestJournaledPutReapsAtOnce pins polled mode on the wall-clock
+// environment: the RAM device completes a command inside Submit, so the
+// worker reaps a journaled Put's log block on the probe after it was
+// issued, never burning an idle pass beside it waiting for a model to
+// predict the completion or a backstop to fire.
+func TestJournaledPutReapsAtOnce(t *testing.T) {
+	db := openTest(t, Options{Journal: true})
+	before := db.Stats()
+	const n = 50
+	for i := uint64(0); i < n; i++ {
+		if err := db.Put(i, []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := db.Stats()
+	if blocks := after.JournalBlockWrites - before.JournalBlockWrites; blocks < n {
+		t.Fatalf("%d WAL block writes for %d sequential Puts, want one per Put at least", blocks, n)
+	}
+	if spin := after.IdleSpinTime - before.IdleSpinTime; spin != 0 {
+		t.Errorf("worker busy-polled for %v of accounted CPU over %d journaled Puts, want 0", spin, n)
+	}
+}

@@ -255,9 +255,6 @@ func (t *Tree) drainInbox() {
 		}
 		t.pushReady(o, drainNow)
 	}
-	if drained > 0 {
-		t.policy.OnAdmit(drained, drainNow)
-	}
 }
 
 // pointKind reports whether a kind addresses exactly one key and thus

@@ -6,7 +6,6 @@
 package core
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -91,30 +90,13 @@ func (e *RealEnv) Sleep(d time.Duration) {
 	}
 }
 
-// Wake interrupts a concurrent (or the next) Sleep or SpinWait. It
+// Wake interrupts a concurrent (or the next) Sleep. It
 // never blocks and coalesces: any number of wakes before the sleeper
 // looks collapse into one. Safe from any goroutine.
 func (e *RealEnv) Wake() {
 	select {
 	case e.wake <- struct{}{}:
 	default:
-	}
-}
-
-// SpinWait busy-polls for up to d, returning early on Wake. It is the
-// polled-mode alternative to Sleep for yields below OS timer
-// resolution: a 20µs timer sleep on a mainstream kernel routinely
-// overshoots past a millisecond, which would put the timer — not the
-// device — on the I/O completion path.
-func (e *RealEnv) SpinWait(d time.Duration) {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		select {
-		case <-e.wake:
-			return
-		default:
-		}
-		runtime.Gosched()
 	}
 }
 

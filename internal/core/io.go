@@ -13,7 +13,7 @@ package core
 //	read-ahead run   readAhead       give up the rest  dropped whole, no retry    ReadsIssued ReadAheads
 //	op write         submitOpWrite   stall the op      op budget, backoff, rerun  WritesIssued
 //	write-back       submitBG        stays in bgQueue  own budget, backoff        WritesIssued
-//	WAL block        jwSubmit        stays in jwq      entry budget, resubmit     WritesIssued JournalBlockWrites
+//	WAL block run    jwSubmit        stays in jwq      entry budget, resubmit     WritesIssued JournalWriteCommands JournalBlockWrites
 //	sync page        submitSyncPage  stall the op      op budget, requeue page    WritesIssued
 //	sync phase write submitSyncCmd   stall the op      op budget, resend phase    WritesIssued
 //	flush            submitSyncCmd   stall the op      op budget, resend phase    —

@@ -527,12 +527,16 @@ func TestReadAheadCorruptPage(t *testing.T) {
 }
 
 // TestJournalWriter pins the WAL writer at its one depth: a zero Config
-// with the journal keeps walDepth writes of distinct blocks in flight; a
+// with the journal keeps walDepth commands of distinct blocks in flight; a
 // rewrite of the tail block is superseded in place while merely queued and
 // queues behind while the tail is in flight; a completion that overtakes
 // an earlier write certifies nothing until that write lands; a transient
 // error resubmits the same entry; the durability watermark wakes the ops
-// it covers; and a terminal error wakes every parked op.
+// it covers; and a terminal error wakes every parked op. Adjacent queued
+// blocks go out as one command that certifies the last one's watermark,
+// a block that does not follow starts a new command, a rewrite of a block
+// inside an in-flight run queues behind the run, and a retry resubmits
+// the whole run.
 func TestJournalWriter(t *testing.T) {
 	tree, qp := seamTree(t, Config{BufferPages: 8, Journal: true})
 	blk := storage.PageID(tree.walStart)
@@ -580,12 +584,63 @@ func TestJournalWriter(t *testing.T) {
 			tree.jDurable, second.inReady, third.inReady, len(tree.jwq))
 	}
 
+	base, before := blk+2, tree.stats
+	for b := range 3 {
+		tree.jwEnqueue(base+storage.PageID(b), img(byte(10+b)), 300+b)
+	}
+	tree.jwEnqueue(base+4, img(20), 304) // does not follow: a new command
+	tree.jwKick()
+	if len(qp.pending) != 2 || len(tree.jwq) != 2 || tree.jwInflight != 2 {
+		t.Fatalf("pending=%d queue=%d inflight=%d, want a 3-block run and one block as 2 commands",
+			len(qp.pending), len(tree.jwq), tree.jwInflight)
+	}
+	run := qp.pending[0]
+	if run.LBA != uint64(base) || run.Blocks != 3 || len(run.Buf) != 3*storage.PageSize || tree.jwq[0].certify != 302 {
+		t.Fatalf("run: LBA %d, %d blocks, %d bytes, certifies %d; want %d, 3, %d, 302",
+			run.LBA, run.Blocks, len(run.Buf), tree.jwq[0].certify, base, 3*storage.PageSize)
+	}
+	for b := range 3 {
+		if got := run.Buf[b*storage.PageSize]; got != byte(10+b) {
+			t.Fatalf("run block %d carries image %d, want %d", b, got, 10+b)
+		}
+	}
+	if p := qp.pending[1]; p.LBA != uint64(base+4) || p.Blocks != 1 {
+		t.Fatalf("second command: LBA %d, %d blocks; want %d, 1", p.LBA, p.Blocks, base+4)
+	}
+	if cmds, blocks := tree.stats.JournalWriteCommands-before.JournalWriteCommands, tree.stats.JournalBlockWrites-before.JournalBlockWrites; cmds != 2 || blocks != 4 {
+		t.Fatalf("counted %d commands and %d blocks, want 2 and 4", cmds, blocks)
+	}
+	tree.jwEnqueue(base+2, img(13), 305) // a rewrite of the run's last block
+	tree.jwKick()
+	if len(qp.pending) != 2 || len(tree.jwq) != 3 || tree.jwq[2].inflight {
+		t.Fatalf("pending=%d queue=%d, want the rewrite queued behind the in-flight run", len(qp.pending), len(tree.jwq))
+	}
+	runWaiter, rewriteWaiter := park(302), park(305)
+	qp.complete(nvme.ErrTimeout)
+	if len(qp.pending) != 2 || qp.pending[1] != run || run.Blocks != 3 || run.Buf[2*storage.PageSize] != 12 ||
+		tree.jwq[0].cmd.tries != 1 || tree.jwq[2].inflight {
+		t.Fatalf("run retry: pending=%d blocks=%d tries=%d rewrite in flight=%v, want the whole run back in flight and the rewrite queued",
+			len(qp.pending), run.Blocks, tree.jwq[0].cmd.tries, tree.jwq[2].inflight)
+	}
+	qp.completeAt(1, nil)
+	if tree.jDurable != 302 || !runWaiter.inReady || rewriteWaiter.inReady {
+		t.Fatalf("jDurable=%d, run waiter woken=%v, rewrite waiter woken=%v; want 302 and only the run's waiter", tree.jDurable, runWaiter.inReady, rewriteWaiter.inReady)
+	}
+	if len(qp.pending) != 2 || qp.pending[1].LBA != uint64(base+2) || qp.pending[1].Blocks != 1 || qp.pending[1].Buf[0] != 13 {
+		t.Fatalf("pending=%d, want the rewrite released once the run landed", len(qp.pending))
+	}
+	qp.complete(nil)
+	qp.complete(nil)
+	if tree.jDurable != 305 || !rewriteWaiter.inReady || len(tree.jwq) != 0 {
+		t.Fatalf("jDurable=%d rewrite waiter=%v queue=%d, want everything certified", tree.jDurable, rewriteWaiter.inReady, len(tree.jwq))
+	}
+
 	for b := range walDepth + 2 {
-		tree.jwEnqueue(blk+2+storage.PageID(b), img(byte(b)), 300+b)
+		tree.jwEnqueue(base+8+2*storage.PageID(b), img(byte(b)), 310+b)
 	}
 	tree.jwKick()
 	if len(qp.pending) != walDepth || tree.jwInflight != walDepth {
-		t.Fatalf("pending=%d inflight=%d, want %d distinct blocks in flight", len(qp.pending), tree.jwInflight, walDepth)
+		t.Fatalf("pending=%d inflight=%d, want %d commands of distinct blocks in flight", len(qp.pending), tree.jwInflight, walDepth)
 	}
 	fourth := park(400)
 	qp.complete(errors.New("controller gone"))

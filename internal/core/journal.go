@@ -144,19 +144,22 @@ func (t *Tree) journalCommit() {
 	t.jwKick()
 }
 
-// jwEntry is one log block queued for the tree-level writer; its command
+// jwEntry is one log block queued for the tree-level writer, or, once
+// submitted, the run of adjacent blocks it went out with; its command
 // (with the seam's completion closure and its retry budget, cmd.tries) is
 // reused for the entry's pooled life. certify is the log byte watermark
 // that becomes durable once this write (and every entry before it)
-// completes. inflight/done track its submit→complete lifecycle.
+// completes. inflight/done track its submit→complete lifecycle. run is
+// the entry's own buffer a run of blocks is copied into, kept for reuse.
 type jwEntry struct {
 	cmd      ioCmd
 	certify  int
 	inflight bool
 	done     bool
+	run      []byte
 }
 
-// walDepth is how many block writes the tree-level WAL writer keeps in
+// walDepth is how many write commands the tree-level WAL writer keeps in
 // flight: writes of distinct log blocks overlap, so the log keeps the
 // device busy while acknowledgements wait on it.
 const walDepth = 8
@@ -172,12 +175,12 @@ func (t *Tree) jwStaged(bi uint64, data []byte) {
 // at submit, and what the buffer gains afterwards are later frames behind
 // the same bytes. A pending rewrite of the same block (the growing tail)
 // is therefore superseded by raising its watermark — unless that write is
-// in flight (or landed), in which case the newer one queues behind it and
-// lands after, preserving log order.
+// in flight (or landed) or part of a run, in which case the newer one
+// queues behind it and lands after, preserving log order.
 func (t *Tree) jwEnqueue(id storage.PageID, data []byte, certify int) {
 	if n := len(t.jwq); n > 0 {
 		tail := t.jwq[n-1]
-		if tail.cmd.LBA == uint64(id) && !tail.inflight && !tail.done {
+		if tail.cmd.LBA == uint64(id) && tail.cmd.Blocks == 1 && !tail.inflight && !tail.done {
 			tail.cmd.Buf, tail.certify = data, certify
 			return
 		}
@@ -201,31 +204,26 @@ func (t *Tree) jwActive() bool {
 	return t.jwInflight > 0 || len(t.jwq) > 0
 }
 
-// jwKick submits queued WAL block writes, keeping up to walDepth in
+// jwKick submits queued WAL writes, keeping up to walDepth commands in
 // flight. Called after enqueueing, from every write completion, and from
-// the main loop (to recover from a full submission queue). Writes of
-// distinct log blocks overlap; an entry whose block has an earlier
-// not-yet-landed entry (an in-flight tail rewrite) stays queued behind it
-// so same-block submission order — and therefore log order on the device
-// — is preserved.
+// the main loop (to recover from a full submission queue). An entry goes
+// out as one command together with the queued entries right behind it
+// whose blocks follow its own (jwExtend). Writes of distinct log blocks
+// overlap; an entry whose blocks overlap an earlier not-yet-landed entry
+// (an in-flight tail rewrite) stays queued behind it, so per-block
+// submission order — and therefore log order on the device — is
+// preserved.
 func (t *Tree) jwKick() {
 	if t.failed {
 		return
 	}
 	for i := 0; i < len(t.jwq) && t.jwInflight < walDepth; i++ {
 		e := t.jwq[i]
-		if e.inflight || e.done {
+		if e.inflight || e.done || t.jwBlocked(i, e) {
 			continue
 		}
-		blocked := false
-		for j := 0; j < i; j++ {
-			if t.jwq[j].cmd.LBA == e.cmd.LBA && !t.jwq[j].done {
-				blocked = true
-				break
-			}
-		}
-		if blocked {
-			continue
+		if e.cmd.tries == 0 {
+			t.jwExtend(i)
 		}
 		if !t.jwSubmit(e) {
 			return // queue full: the main loop kicks again
@@ -233,14 +231,59 @@ func (t *Tree) jwKick() {
 	}
 }
 
-// jwSubmit issues one WAL block write. Returns false when the submission
-// queue is full (the entry stays queued).
+// jwBlocked reports whether an entry before position i still has to land
+// blocks that e writes.
+func (t *Tree) jwBlocked(i int, e *jwEntry) bool {
+	lo, hi := e.cmd.LBA, e.cmd.LBA+uint64(e.cmd.Blocks)
+	for _, p := range t.jwq[:i] {
+		if !p.done && p.cmd.LBA < hi && lo < p.cmd.LBA+uint64(p.cmd.Blocks) {
+			return true
+		}
+	}
+	return false
+}
+
+// jwExtend grows the entry at position i, about to be submitted and never
+// sent before, over the queued entries right behind it whose blocks follow
+// its own, so a run of adjacent log blocks costs one command. The run
+// certifies what its last block does; the absorbed entries go back to the
+// pool. The blocks are copied into the entry's own buffer: staging blocks
+// are separate buffers. A retry resubmits the run unchanged.
+func (t *Tree) jwExtend(i int) {
+	e := t.jwq[i]
+	end, j := e.cmd.LBA+uint64(e.cmd.Blocks), i+1
+	for ; j < len(t.jwq); j++ {
+		c := t.jwq[j]
+		if c.inflight || c.done || c.cmd.tries > 0 || c.cmd.LBA != end || t.jwBlocked(i, c) {
+			break
+		}
+		end += uint64(c.cmd.Blocks)
+	}
+	if j == i+1 {
+		return
+	}
+	e.run = append(e.run[:0], e.cmd.Buf...)
+	for _, c := range t.jwq[i+1 : j] {
+		e.run = append(e.run, c.cmd.Buf...)
+		e.certify = c.certify
+		c.cmd.Buf = nil
+		t.jwFree = append(t.jwFree, c)
+	}
+	e.cmd.Buf, e.cmd.Blocks = e.run, int(end-e.cmd.LBA)
+	rest := i + 1 + copy(t.jwq[i+1:], t.jwq[j:])
+	clear(t.jwq[rest:])
+	t.jwq = t.jwq[:rest]
+}
+
+// jwSubmit issues one WAL write command. Returns false when the
+// submission queue is full (the entry stays queued).
 func (t *Tree) jwSubmit(e *jwEntry) bool {
 	ok := t.submit(&e.cmd)
 	if ok {
 		e.inflight = true
 		t.jwInflight++
-		t.stats.JournalBlockWrites++
+		t.stats.JournalWriteCommands++
+		t.stats.JournalBlockWrites += uint64(e.cmd.Blocks)
 	}
 	return ok
 }

@@ -81,7 +81,9 @@ func (d *nextProbeDev) BlockSize() int                             { return stor
 func (d *nextProbeDev) NumBlocks() uint64                          { return cmp.Or(d.size, 1<<16) }
 func (d *nextProbeDev) Close() error                               { return nil }
 func (d *nextProbeDev) WriteAt(lba uint64, buf []byte) {
-	d.blocks[lba] = append([]byte(nil), buf[:storage.PageSize]...)
+	for off := 0; off < len(buf); off += storage.PageSize {
+		d.blocks[lba+uint64(off/storage.PageSize)] = append([]byte(nil), buf[off:off+storage.PageSize]...)
+	}
 }
 
 type nextProbeQP struct {
@@ -92,9 +94,9 @@ type nextProbeQP struct {
 func (q *nextProbeQP) Submit(c *nvme.Command) error {
 	switch c.Op {
 	case nvme.OpWrite:
-		q.d.WriteAt(c.LBA, c.Buf) // snapshot at submit, as every device does
+		q.d.WriteAt(c.LBA, c.Buf[:c.Blocks*storage.PageSize]) // snapshot at submit, as every device does
 		if q.d.walFrom != 0 && c.LBA >= q.d.walFrom {
-			q.d.walWrites++
+			q.d.walWrites += c.Blocks
 		}
 	case nvme.OpRead:
 		clear(c.Buf)

@@ -280,12 +280,14 @@ func TestRecoverTornMeta(t *testing.T) {
 // block's new content only from its write's completion. onWrite sees
 // each data-page write as it is submitted, with the image of a crash
 // that kept it but no log write still in flight — an outcome the fault
-// model allows.
+// model allows. onLogRun sees each log write of more than one block as it
+// is submitted, with the image before it and the blocks it carries.
 type crashProbeDev struct {
 	*nvme.SimDevice
-	walFrom uint64
-	image   map[uint64][]byte // block slices are never written to again
-	onWrite func(crash map[uint64][]byte)
+	walFrom  uint64
+	image    map[uint64][]byte // block slices are never written to again
+	onWrite  func(crash map[uint64][]byte)
+	onLogRun func(crash map[uint64][]byte, lba uint64, data []byte)
 }
 
 func (d *crashProbeDev) AllocQueuePair(depth int) (nvme.QueuePair, error) {
@@ -317,6 +319,9 @@ func (q *crashProbeQP) Submit(c *nvme.Command) error {
 			d.onWrite(maps.Clone(d.image))
 		}
 		return q.QueuePair.Submit(c)
+	}
+	if d.onLogRun != nil && c.Blocks > 1 {
+		d.onLogRun(maps.Clone(d.image), lba, data)
 	}
 	done := c.Callback
 	c.Callback = func(cc nvme.Completion) {
@@ -414,9 +419,93 @@ func writeAheadRig(t *testing.T, p Persistence, bufferPages, syncs int) {
 	t.Logf("%d crash images recovered, every acknowledged pair present; %d checkpoints", crashes, st.Checkpoints)
 }
 
+// TestFaultJournalRunTorn is a crash in the middle of a WAL run: a run of
+// k adjacent log blocks is one write command, and a device may land any
+// subset of its blocks before power fails. Rounds of 64 concurrent
+// inserts of 100-byte values into a journaled tree split leaves, so redo
+// groups of several page images span blocks and go out as runs. At the
+// submission of each run, every one of the 2^k images — the device as it
+// stood, plus one subset of the run's blocks — must recover with every
+// acknowledged pair, no value an insert did not write, and no key in two
+// leaves: each operation still in flight applied whole or not at all.
+func TestFaultJournalRunTorn(t *testing.T) {
+	const rounds, perRound, maxRuns, maxBlocks = 8, 64, 24, 6
+	eng := sim.NewEngine()
+	osched := simos.New(eng, simos.Config{})
+	dev := &crashProbeDev{SimDevice: nvme.NewSimDevice(eng, nvme.SimConfig{Seed: 11, NumBlocks: 1 << 12}), image: map[uint64][]byte{}}
+	meta, err := Format(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.walFrom = meta.WALStart
+	var tree *Tree
+	th := osched.Spawn("patree", func(*simos.Thread) { tree.Run() })
+	if tree, err = New(dev, Config{Persistence: StrongPersistence, BufferPages: 64, Journal: true}, SimEnv{T: th}, meta); err != nil {
+		t.Fatal(err)
+	}
+	acked, written := map[uint64]string{}, map[uint64]string{}
+	runs, images, longest, failure := 0, 0, 0, ""
+	dev.onLogRun = func(crash map[uint64][]byte, lba uint64, data []byte) {
+		k := len(data) / storage.PageSize
+		if failure != "" || runs == maxRuns || k > maxBlocks {
+			return
+		}
+		runs, longest = runs+1, max(longest, k)
+		for landed := range 1 << k {
+			img := maps.Clone(crash)
+			for b := range k {
+				if landed&(1<<b) != 0 {
+					img[lba+uint64(b)] = data[b*storage.PageSize : (b+1)*storage.PageSize]
+				}
+			}
+			images++
+			if failure = recoversWhole(img, acked, written); failure != "" {
+				failure = fmt.Sprintf("run of %d blocks at %d, blocks %0*b landed, %d pairs acknowledged: %s", k, lba, k, landed, len(acked), failure)
+				return
+			}
+		}
+	}
+	for r := 0; r < rounds && failure == ""; r++ {
+		left := perRound
+		eng.After(0, func() {
+			for i := 0; i < perRound; i++ {
+				n := uint64(r*perRound + i)
+				key, val := (n*2654435761)%1_000_003, fmt.Sprintf("%0100d", n)
+				written[key] = val
+				tree.Admit(NewInsert(key, []byte(val), func(o *Op) {
+					if o.Res.Err != nil {
+						t.Errorf("insert %d: %v", key, o.Res.Err)
+					}
+					acked[key] = val
+					left--
+				}))
+			}
+		})
+		for left > 0 && eng.Step() {
+		}
+	}
+	tree.Stop()
+	eng.RunFor(time.Second)
+	if failure != "" {
+		t.Fatal(failure)
+	}
+	if st := tree.StatsSnapshot(); runs < 4 || longest < 3 || st.JournalWriteCommands >= st.JournalBlockWrites {
+		t.Fatalf("%d runs probed, the longest %d blocks, %d WAL commands for %d blocks: the rig made no runs to tear",
+			runs, longest, st.JournalWriteCommands, st.JournalBlockWrites)
+	}
+	t.Logf("%d runs of up to %d blocks, %d crash images recovered whole", runs, longest, images)
+}
+
 // recoversAcked recovers a crash image, in place, and reports what is
 // wrong with it: an error, or an acknowledged pair missing or changed.
 func recoversAcked(img map[uint64][]byte, acked map[uint64]string) string {
+	return recoversWhole(img, acked, nil)
+}
+
+// recoversWhole is recoversAcked that also checks the image against
+// written, when it is not nil: every pair the tree holds is one an
+// operation wrote, and no key is in two leaves.
+func recoversWhole(img map[uint64][]byte, acked, written map[uint64]string) string {
 	dev := &nextProbeDev{blocks: img, size: 1 << 12}
 	meta, _, err := Recover(dev)
 	if err != nil {
@@ -427,10 +516,13 @@ func recoversAcked(img map[uint64][]byte, acked map[uint64]string) string {
 		return err.Error()
 	}
 	defer io.close()
-	got := map[uint64]string{}
+	got, twice := map[uint64]string{}, []uint64(nil)
 	err = walkTree(io, meta.Root, func(n *storage.Node) {
 		for i, k := range n.Keys {
 			if n.IsLeaf() {
+				if _, dup := got[k]; dup {
+					twice = append(twice, k)
+				}
 				got[k] = string(n.Vals[i])
 			}
 		}
@@ -441,6 +533,17 @@ func recoversAcked(img map[uint64][]byte, acked map[uint64]string) string {
 	for k, v := range acked {
 		if got[k] != v {
 			return fmt.Sprintf("acknowledged key %d reads %q, want %q", k, got[k], v)
+		}
+	}
+	if written == nil {
+		return ""
+	}
+	if len(twice) > 0 {
+		return fmt.Sprintf("keys %v are in two leaves", twice)
+	}
+	for k, v := range got {
+		if written[k] != v {
+			return fmt.Sprintf("key %d reads %q, which no insert wrote", k, v)
 		}
 	}
 	return ""

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -34,14 +35,16 @@ type Counters struct {
 	// JournalAppends counts redo records appended to the WAL,
 	// JournalLeafRecords those of them that are leaf records (one key's
 	// change, not a page image), JournalBytes their framed bytes,
-	// JournalBlockWrites the WAL block commands issued (tail rewrites
-	// included), and Checkpoints the completed journal checkpoints (all 0
-	// unless Config.Journal).
-	JournalAppends     uint64 `metric:"patree_journal_records_total counter sum" help:"Redo records appended to the WAL (Options.Journal)."`
-	JournalLeafRecords uint64 `metric:"patree_journal_leaf_records_total counter sum" help:"Of those, leaf records: one key's change, not a page image."`
-	JournalBytes       uint64 `metric:"patree_journal_bytes_total counter sum" help:"Framed bytes those records took in the log."`
-	JournalBlockWrites uint64 `metric:"patree_journal_block_writes_total counter sum" help:"WAL block commands issued, tail rewrites included."`
-	Checkpoints        uint64 `metric:"patree_checkpoints_total counter sum" help:"Completed journal checkpoints."`
+	// JournalBlockWrites the WAL blocks written (tail rewrites included),
+	// JournalWriteCommands the write commands that carried them (one per
+	// run of adjacent blocks), and Checkpoints the completed journal
+	// checkpoints (all 0 unless Config.Journal).
+	JournalAppends       uint64 `metric:"patree_journal_records_total counter sum" help:"Redo records appended to the WAL (Options.Journal)."`
+	JournalLeafRecords   uint64 `metric:"patree_journal_leaf_records_total counter sum" help:"Of those, leaf records: one key's change, not a page image."`
+	JournalBytes         uint64 `metric:"patree_journal_bytes_total counter sum" help:"Framed bytes those records took in the log."`
+	JournalBlockWrites   uint64 `metric:"patree_journal_block_writes_total counter sum" help:"WAL blocks written, tail rewrites included."`
+	JournalWriteCommands uint64 `metric:"patree_journal_write_commands_total counter sum" help:"WAL write commands issued, one per run of adjacent blocks."`
+	Checkpoints          uint64 `metric:"patree_checkpoints_total counter sum" help:"Completed journal checkpoints."`
 	// CheckpointPageWrites counts the dirty pages checkpoints wrote: the
 	// burst a log reset costs once every journaled tree writes back.
 	CheckpointPageWrites uint64 `metric:"patree_checkpoint_page_writes_total counter sum" help:"Dirty pages written by journal checkpoints."`
@@ -52,8 +55,7 @@ type Counters struct {
 	ReadAheadHits uint64 `metric:"patree_read_ahead_total{outcome=hit} counter sum"`
 	// Yields counts idle passes the policy yielded and YieldTime sums the
 	// quanta it asked for (a wall-clock park ends early on Wake). Parks
-	// counts the yields that slept (env.Sleep) rather than busy-polled
-	// outstanding I/O (SpinWait).
+	// counts the yields that slept (env.Sleep), which is every yield.
 	Yields    uint64        `metric:"patree_worker_yields_total counter sum" help:"Idle worker passes that gave up the CPU."`
 	Parks     uint64        `metric:"patree_worker_parks_total counter sum" help:"Idle yields that slept because no I/O was outstanding."`
 	YieldTime time.Duration `metric:"patree_worker_yield_seconds_total counter sum" help:"Yield quanta the idle workers asked for."`
@@ -154,7 +156,7 @@ type Tree struct {
 	jFence     bool
 	jWaiters   []*Op
 
-	// The WAL block writer: one tree-level FIFO issuing block writes in
+	// The WAL writer: one tree-level FIFO issuing log block writes in
 	// log order. Per-op writers would race on the shared tail block — a
 	// stale rewrite landing after a newer one truncates certified bytes,
 	// and an op completing its own blocks could certify bytes an earlier
@@ -165,9 +167,11 @@ type Tree struct {
 	// so the durable prefix is always contiguous. jwFree holds landed
 	// entries for reuse.
 	//
-	// Up to walDepth writes of distinct log blocks are in flight at once
-	// (jwInflight gauges them), while a rewrite of a block with a write
-	// still in flight queues behind it. See DESIGN.md §11.
+	// An entry goes out as one command together with the queued entries
+	// whose blocks follow its own. Up to walDepth commands of distinct log
+	// blocks are in flight at once (jwInflight gauges them), while a
+	// rewrite of a block with a write still in flight queues behind it.
+	// See DESIGN.md §11.
 	jwq        []*jwEntry
 	jwFree     []*jwEntry
 	jwInflight int
@@ -215,12 +219,8 @@ type Tree struct {
 	engineDepth atomic.Int64
 	qwEWMA      atomic.Int64
 	wake        func()
-	// spin, when the environment provides SpinWait, busy-polls short
-	// yields while I/O is outstanding instead of parking on an OS timer
-	// whose resolution dwarfs device latency (see Run).
-	spin    func(time.Duration)
-	stopped atomic.Bool
-	running bool
+	stopped     atomic.Bool
+	running     bool
 
 	// tr is Config.Tracer (nil = tracing off). All emission happens on
 	// the working thread; producer-side facts arrive as timestamps on the
@@ -288,9 +288,6 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	}
 	if w, ok := env.(interface{ Wake() }); ok {
 		t.wake = w.Wake
-	}
-	if s, ok := env.(interface{ SpinWait(time.Duration) }); ok {
-		t.spin = s.SpinWait
 	}
 	// The journal makes the log the commit point: every journaled tree
 	// acks at log durability and writes its pages back, so Persistence
@@ -464,23 +461,19 @@ func (t *Tree) Run() {
 				if t.tr != nil {
 					t.tr.Emit(tcYield, classNone, 0, uint64(t.ioBlocked), int64(t.now()), int64(y))
 				}
-				if t.ioBlocked > 0 && t.spin != nil {
-					// Completions are imminent (device latency is well
-					// under a timer tick): poll instead of parking, or the
-					// OS timer becomes the I/O completion path. This is
-					// the polled-mode behaviour the paper's design
-					// assumes; a true idle (no I/O outstanding) parks
-					// below and is woken by admission.
-					t.spin(y)
-				} else {
-					t.stats.Parks++
-					t.env.Sleep(y)
-				}
+				t.stats.Parks++
+				t.env.Sleep(y)
 			} else {
 				// Busy-poll: burn a spin quantum so virtual time advances
 				// (this is the CPU waste Figure 13 quantifies).
 				t.charge(metrics.CatOther, costs.IdleSpin)
 				t.stats.IdleSpinTime += costs.IdleSpin
+				if t.wake != nil {
+					// A wall-clock worker polling outstanding I/O lets
+					// the goroutines it serves run between probes, so on
+					// one P it never starves its callers.
+					runtime.Gosched()
+				}
 			}
 		}
 		t.chargeFlush()

@@ -18,7 +18,7 @@ type PipelineMix struct {
 	// UpdatePercent is the write share of the YCSB mix.
 	UpdatePercent int
 	// Journal turns on the redo journal. Every journaled tree keeps the
-	// same depth of WAL block writes in flight, so a journaled mix with no
+	// same depth of WAL write commands in flight, so a journaled mix with no
 	// scans runs identically both ways; it is kept for its count series.
 	Journal bool
 	// BufferDiv sizes the page buffer as PreloadKeys/BufferDiv pages; a

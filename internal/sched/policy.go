@@ -21,10 +21,6 @@ type Policy interface {
 	OnDetected(op nvme.Opcode, submittedAt, now sim.Time)
 	// OnProbe observes that a probe was just performed.
 	OnProbe(now sim.Time)
-	// OnAdmit observes that n operations entered the admission queue
-	// since the last drain; a batch lands as one call. Policies may use
-	// it to cut a yield short when fresh work arrives.
-	OnAdmit(n int, now sim.Time)
 	// ShouldProbe reports whether to probe now, given the number of
 	// I/O-blocked operations.
 	ShouldProbe(now sim.Time, ioBlocked int) bool
@@ -55,9 +51,6 @@ func (*AlwaysProbe) OnDetected(nvme.Opcode, sim.Time, sim.Time) {}
 
 // OnProbe implements Policy.
 func (*AlwaysProbe) OnProbe(sim.Time) {}
-
-// OnAdmit implements Policy.
-func (*AlwaysProbe) OnAdmit(int, sim.Time) {}
 
 // ShouldProbe implements Policy.
 func (*AlwaysProbe) ShouldProbe(_ sim.Time, ioBlocked int) bool { return ioBlocked > 0 }
@@ -90,9 +83,6 @@ func (*FixedCycle) OnDetected(nvme.Opcode, sim.Time, sim.Time) {}
 
 // OnProbe implements Policy.
 func (p *FixedCycle) OnProbe(now sim.Time) { p.lastProbe = now }
-
-// OnAdmit implements Policy.
-func (*FixedCycle) OnAdmit(int, sim.Time) {}
 
 // ShouldProbe implements Policy.
 func (p *FixedCycle) ShouldProbe(now sim.Time, ioBlocked int) bool {
@@ -151,9 +141,6 @@ func (p *AvgLatency) OnDetected(_ nvme.Opcode, submittedAt, now sim.Time) {
 // OnProbe implements Policy.
 func (p *AvgLatency) OnProbe(now sim.Time) { p.lastProbe = now }
 
-// OnAdmit implements Policy.
-func (*AvgLatency) OnAdmit(int, sim.Time) {}
-
 // avg returns the windowed mean completion latency.
 func (p *AvgLatency) avg() time.Duration {
 	var sum, count float64
@@ -178,6 +165,12 @@ func (*AvgLatency) YieldFor(sim.Time, int) time.Duration { return 0 }
 // Overhead implements Policy.
 func (*AvgLatency) Overhead() time.Duration { return 40 * time.Nanosecond }
 
+// probeSafety is the workload-aware policy's probe-deadline backstop: if
+// the model mispredicts, it still probes after this interval so no
+// completion waits unboundedly. (Implementation addition, see DESIGN.md;
+// it fires rarely.)
+const probeSafety = 200 * time.Microsecond
+
 // Workload is the workload-aware policy of Algorithm 2: it probes when
 // the linear model predicts at least one completion is (or is imminently)
 // available, and yields the CPU when the ready set is empty and the model
@@ -188,10 +181,6 @@ type Workload struct {
 	// YieldGranularity is the t µs of Algorithm 2; zero disables yielding
 	// (the Figure 13 "without CPU yielding" configuration).
 	yieldGranularity time.Duration
-	// safety is a probe-deadline backstop: if the model mispredicts, we
-	// still probe after this interval so no completion waits unboundedly.
-	// (Implementation addition, see DESIGN.md; it fires rarely.)
-	safety time.Duration
 	// batch is the expected-available count that makes a probe worth its
 	// driver interference; minInterval bounds the probe rate when load is
 	// light so single completions are still detected promptly.
@@ -200,15 +189,14 @@ type Workload struct {
 	lastProbe   sim.Time
 	vecBuf      []float64
 
-	// admissionAware makes a fresh admission suppress the model-driven
-	// yield for one safety interval while I/O is outstanding, so the
-	// worker keeps polling for the completions the new work is about to
-	// produce. It never keeps an idle worker (nothing in flight) awake:
-	// that one parks, and the wall-clock environment's Wake ends the park
-	// on the next admission. Off by default: the simulated experiments
-	// predate admission signals and must keep byte-identical schedules.
-	admissionAware bool
-	lastAdmit      sim.Time
+	// polled makes the policy probe whenever I/O is outstanding and
+	// never yield while it is: the wall-clock backend's rule, where a
+	// probe is cheap host work with no controller interference to
+	// amortise, so a completion already posted is reaped at once. The
+	// model and tracker keep running, scored (acc) but not obeyed. Off
+	// by default: the simulated experiments run Algorithm 2 as the paper
+	// gives it and must keep byte-identical schedules.
+	polled bool
 
 	// acc, when enabled, scores the model's predictions against observed
 	// completion times (probe introspection). Pure observation: it never
@@ -225,11 +213,9 @@ func NewWorkload(m *probe.Model, tr *probe.Tracker, yieldGranularity time.Durati
 		model:            m,
 		tracker:          tr,
 		yieldGranularity: yieldGranularity,
-		safety:           200 * time.Microsecond,
 		batch:            4,
 		minInterval:      25 * time.Microsecond,
 		lastProbe:        -1 << 62,
-		lastAdmit:        -1 << 62,
 		vecBuf:           make([]float64, 2*m.Slices()),
 	}
 }
@@ -245,12 +231,6 @@ func (p *Workload) SetBatch(b float64) {
 	}
 	p.batch = b
 }
-
-// SetSafety adjusts the probe-deadline backstop. The real-time backend
-// uses a tight deadline (its probes are cheap host work); the simulated
-// experiments keep the default 200µs so the model, not the backstop,
-// drives probing.
-func (p *Workload) SetSafety(d time.Duration) { p.safety = d }
 
 // Tracker exposes the tracker (tests and the dedicated-poller variant).
 func (p *Workload) Tracker() *probe.Tracker { return p.tracker }
@@ -319,17 +299,9 @@ func (p *Workload) OnDetected(op nvme.Opcode, submittedAt, now sim.Time) {
 // OnProbe implements Policy.
 func (p *Workload) OnProbe(now sim.Time) { p.lastProbe = now }
 
-// SetAdmissionAware toggles admission-aware yield suppression while I/O
-// is outstanding (see the field comment). The real-time backend turns it
-// on; simulated experiments leave it off.
-func (p *Workload) SetAdmissionAware(on bool) { p.admissionAware = on }
-
-// OnAdmit implements Policy.
-func (p *Workload) OnAdmit(_ int, now sim.Time) {
-	if p.admissionAware {
-		p.lastAdmit = now
-	}
-}
+// SetPolled switches the policy to polled mode (see the field comment).
+// The wall-clock backend turns it on; simulated experiments leave it off.
+func (p *Workload) SetPolled(on bool) { p.polled = on }
 
 // ShouldProbe implements Policy: probe when the model predicts completed
 // I/Os are available to reap (Algorithm 2 lines 6–8). The model estimates
@@ -337,13 +309,17 @@ func (p *Workload) OnAdmit(_ int, now sim.Time) {
 // since the last probe is rate × elapsed. Probing is worth its driver
 // interference when a small batch has accumulated, or after a modest
 // interval when at least one completion is expected; the safety deadline
-// bounds mispredictions.
+// bounds mispredictions. In polled mode any outstanding I/O is reason
+// enough.
 func (p *Workload) ShouldProbe(now sim.Time, ioBlocked int) bool {
 	if ioBlocked == 0 {
 		return false
 	}
+	if p.polled {
+		return true
+	}
 	elapsed := now.Sub(p.lastProbe)
-	if elapsed >= p.safety {
+	if elapsed >= probeSafety {
 		return true
 	}
 	p.tracker.FillVector(p.vecBuf, now, 0)
@@ -360,7 +336,8 @@ func (p *Workload) ShouldProbe(now sim.Time, ioBlocked int) bool {
 // vector shifted t µs into the future, yield when the completions
 // expected within the yield granularity fall short of a probe batch —
 // spinning would only wait for work the probe gate will not reap yet, so
-// sleeping loses nothing and saves the CPU (Figure 13).
+// sleeping loses nothing and saves the CPU (Figure 13). In polled mode
+// the worker yields only when nothing is in flight.
 func (p *Workload) YieldFor(now sim.Time, ioBlocked int) time.Duration {
 	if p.yieldGranularity <= 0 {
 		return 0
@@ -371,9 +348,7 @@ func (p *Workload) YieldFor(now sim.Time, ioBlocked int) time.Duration {
 		// wall-clock park early), so the idle worker always yields.
 		return p.yieldGranularity
 	}
-	if p.admissionAware && now.Sub(p.lastAdmit) < p.safety {
-		// Work just landed beside outstanding I/O; keep polling rather
-		// than yielding a quantum.
+	if p.polled {
 		return 0
 	}
 	shift := int(p.yieldGranularity / p.tracker.SliceDur())

@@ -201,21 +201,54 @@ func TestWorkloadYield(t *testing.T) {
 }
 
 // TestWorkloadIdleYieldIgnoresAdmission pins the idle rule: with nothing
-// in flight the worker yields even right after an admission (the
-// wall-clock park ends on the admission's Wake), while the same instant
-// with I/O outstanding keeps it polling — that half is the probe
-// cadence, which the idle rule leaves alone.
+// in flight the worker yields the granularity in either mode, even right
+// after a submission and its completion (the wall-clock park ends on the
+// next admission's Wake); the policy sees no admission signal at all.
 func TestWorkloadIdleYieldIgnoresAdmission(t *testing.T) {
-	p := newWorkloadPolicy(t, 20*time.Microsecond)
-	p.SetSafety(20 * time.Microsecond)
-	p.SetAdmissionAware(true)
-	now := sim.Time(10 * time.Millisecond)
-	p.OnAdmit(1, now)
-	if got := p.YieldFor(now, 0); got != 20*time.Microsecond {
-		t.Fatalf("idle yield right after an admission = %v, want the 20µs granularity", got)
+	for _, polled := range []bool{false, true} {
+		p := newWorkloadPolicy(t, 20*time.Microsecond)
+		p.SetPolled(polled)
+		now := sim.Time(10 * time.Millisecond)
+		p.OnSubmit(nvme.OpWrite, now)
+		p.OnDetected(nvme.OpWrite, now, now)
+		if got := p.YieldFor(now, 0); got != 20*time.Microsecond {
+			t.Fatalf("polled=%v: idle yield = %v, want the 20µs granularity", polled, got)
+		}
 	}
-	if got := p.YieldFor(now, 1); got != 0 {
-		t.Fatalf("yield right after an admission with I/O outstanding = %v, want 0", got)
+}
+
+// TestWorkloadPolled pins polled mode: with any I/O outstanding the
+// worker probes at once, whatever the model predicts and however little
+// time has passed since the last probe, and never yields; with none it
+// never probes and yields the granularity.
+func TestWorkloadPolled(t *testing.T) {
+	p := newWorkloadPolicy(t, 20*time.Microsecond)
+	p.SetPolled(true)
+	now := sim.Time(10 * time.Millisecond)
+	p.OnSubmit(nvme.OpWrite, now)
+	p.OnProbe(now)
+	for _, elapsed := range []time.Duration{0, time.Nanosecond, time.Microsecond, time.Millisecond} {
+		at := now.Add(elapsed)
+		for _, blocked := range []int{1, 2, 64} {
+			if !p.ShouldProbe(at, blocked) {
+				t.Errorf("ShouldProbe(%v after a probe, %d outstanding) = false", elapsed, blocked)
+			}
+			if got := p.YieldFor(at, blocked); got != 0 {
+				t.Errorf("YieldFor(%v after a probe, %d outstanding) = %v, want 0", elapsed, blocked, got)
+			}
+		}
+		if p.ShouldProbe(at, 0) {
+			t.Errorf("ShouldProbe(%v after a probe, nothing outstanding) = true", elapsed)
+		}
+		if got := p.YieldFor(at, 0); got != 20*time.Microsecond {
+			t.Errorf("YieldFor(%v after a probe, nothing outstanding) = %v, want 20µs", elapsed, got)
+		}
+	}
+	// The model that polled mode overrides would not probe yet.
+	q := newWorkloadPolicy(t, 20*time.Microsecond)
+	q.OnProbe(now)
+	if q.ShouldProbe(now, 1) {
+		t.Fatal("the model probes with no elapsed time: the pin above proves nothing")
 	}
 }
 

@@ -246,6 +246,7 @@ func TestAdminMetricsExposition(t *testing.T) {
 		"patree_io_errors_total":                       "counter",
 		"patree_io_retries_total":                      "counter",
 		"patree_checkpoints_total":                     "counter",
+		"patree_journal_write_commands_total":          "counter",
 		`patree_buffer_evictions_total{state="clean"}`: "counter",
 		`patree_buffer_evictions_total{state="dirty"}`: "counter",
 	}

@@ -392,18 +392,17 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 		return nil, err
 	}
 	env := core.NewRealEnv()
-	// Real-time polling: probes are cheap host work, so use a tight
-	// probe backstop for low single-operation latency.
 	model, err := probe.Default()
 	if err != nil {
 		return nil, err
 	}
+	// Polled mode: probes are cheap host work, so the worker probes
+	// whenever I/O is outstanding and reaps a completion the moment it is
+	// posted; an idle worker parks and every admission wakes it
+	// (RealEnv.Wake). The model, fitted to the simulated controller, is
+	// scored but not obeyed.
 	policy := sched.NewWorkload(model, nil, 20*time.Microsecond)
-	policy.SetSafety(20 * time.Microsecond)
-	// An idle worker parks and every admission wakes it (RealEnv.Wake);
-	// a fresh admission beside outstanding I/O keeps it polling instead
-	// of yielding a quantum.
-	policy.SetAdmissionAware(true)
+	policy.SetPolled(true)
 	// Prediction-error introspection is pure observation (it never alters
 	// probe decisions), so it is always on and Metrics can report it.
 	policy.EnableAccuracy()
