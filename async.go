@@ -282,12 +282,6 @@ func (db *DB) admitTo(si int, op *core.Op) { db.shards[si].tree.Admit(op) }
 // against Close: either every shard receives its piece or none does.
 func (db *DB) issue(bo *BatchOp) (*Handle, error) {
 	h := acquireHandle()
-	if db.gov != nil {
-		lo, hi := db.span(bo)
-		for _, s := range db.shards[lo:hi] {
-			db.throttle(s)
-		}
-	}
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()

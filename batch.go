@@ -210,22 +210,6 @@ func (b *Batch) commit(try bool) error {
 // publishes only once all claims hold — one shard is that loop with N = 1.
 func (b *Batch) admit(try bool) error {
 	db := b.db
-	// Hot-shard weighting acts before the admission lock is taken (a
-	// throttled producer must never delay Close): Commit waits the window
-	// out, TryCommit refuses the whole batch up front — the same
-	// all-or-nothing contract as a full ring, reported as ErrBacklog.
-	if db.gov != nil {
-		for si, ops := range b.groups {
-			if len(ops) == 0 {
-				continue
-			}
-			if !try {
-				db.throttle(db.shards[si])
-			} else if db.throttledNow(db.shards[si]) {
-				return ErrBacklog
-			}
-		}
-	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {

@@ -54,8 +54,6 @@ type Options struct {
 	// wire (see internal/proto). Off by default; when off the connection
 	// never sends a hello and behaves exactly like a v0 client.
 	Trace bool
-	// TraceEvents sizes the client trace ring (default 65536).
-	TraceEvents int
 	// SampleEvery samples 1 of every N requests when tracing (default
 	// 64; 1 traces every request).
 	SampleEvery int
@@ -84,9 +82,6 @@ func (o *Options) fill() {
 	}
 	if o.SendQueue <= 0 {
 		o.SendQueue = 1024
-	}
-	if o.TraceEvents <= 0 {
-		o.TraceEvents = 65536
 	}
 	if o.SampleEvery <= 0 {
 		o.SampleEvery = 64
@@ -173,7 +168,7 @@ func Dial(addr string, opts Options) (*Conn, error) {
 		pend:  make(map[uint64]*pending),
 	}
 	if opts.Trace {
-		c.tr = trace.NewLocked(opts.TraceEvents, clientCodeNames, proto.KindNames[:], opts.TraceNow)
+		c.tr = trace.NewLocked(trace.RingEvents, clientCodeNames, proto.KindNames[:], opts.TraceNow)
 		// Offer the handshake as the connection's first frame, pipelined —
 		// never blocking the dial. A v0 server answers StatusBadRequest,
 		// which finishHello treats as "version 0": the connection simply

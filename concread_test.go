@@ -245,7 +245,7 @@ func TestConcurrentReadLinearizability(t *testing.T) {
 // an absence or ErrClosed. The race detector and the DB's own checks are
 // the oracle.
 func TestConcurrentReadRaceHammer(t *testing.T) {
-	db, err := Open(Options{DeviceBlocks: 1 << 16, Shards: 4, BufferPages: 2048, Trace: true, TraceEvents: 512})
+	db, err := Open(Options{DeviceBlocks: 1 << 16, Shards: 4, BufferPages: 2048, Trace: true})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

@@ -71,14 +71,13 @@ func (t *Tree) admitted() {
 	}
 }
 
-// stamp marks ops as entering the engine at now: the admission timestamp
-// and the engine-depth gauge. It MUST run before the ops become visible
-// on the ring (see noteEntered).
+// stamp marks ops as entering the engine at now. It MUST run before the
+// ops become visible on the ring: the worker may complete an op the
+// instant it is published there.
 func (t *Tree) stamp(ops []*Op, now sim.Time) {
 	for _, o := range ops {
 		o.Res.Admitted = now
 		o.enqueuedAt = now
-		t.noteEntered(o)
 	}
 }
 
@@ -133,8 +132,7 @@ func (r Reservation) Publish(ops []*Op) {
 // Abort releases the reservation by publishing internal no-ops into the
 // claimed slots (the span cannot be un-claimed once later producers may
 // have queued behind it); the no-ops flow through the worker and free
-// themselves. They are never stamped, so they pass through without
-// touching the engine-depth gauge.
+// themselves.
 func (r Reservation) Abort() {
 	if r.t == nil {
 		return
@@ -152,45 +150,11 @@ func (r Reservation) Abort() {
 
 // failAdmit completes an operation that cannot be admitted.
 func (t *Tree) failAdmit(o *Op) {
-	t.unnoteEntered(o)
 	o.Res.Err = ErrStopped
 	o.Res.Completed = o.Res.Admitted
 	if o.Done != nil {
 		o.Done(o)
 	}
-}
-
-// noteEntered counts o into the engine-depth gauge. It MUST run before
-// the op is visible on the ring (the worker can complete it — and
-// decrement — the instant it is published there), and every
-// mark is balanced exactly once: by completeOp, or by unnoteEntered on
-// the admission-failure paths. Reservation.Abort's internal no-ops are
-// never marked, so they pass through the worker without touching the
-// gauge.
-func (t *Tree) noteEntered(o *Op) {
-	o.engMark = true
-	t.engineDepth.Add(1)
-}
-
-// unnoteEntered releases a noteEntered mark, if any.
-func (t *Tree) unnoteEntered(o *Op) {
-	if o.engMark {
-		o.engMark = false
-		t.engineDepth.Add(-1)
-	}
-}
-
-// EngineDepth reports how many operations are currently inside the
-// engine: admitted onto the ring and not yet completed. Safe from any
-// goroutine; the reading is a momentary gauge, not a fence.
-func (t *Tree) EngineDepth() int { return int(t.engineDepth.Load()) }
-
-// QueueWaitEWMA reports the exponentially weighted moving average
-// (α = 1/8) of recently completed operations' ready-queue wait — the
-// live congestion signal behind per-shard admission weighting. Safe
-// from any goroutine.
-func (t *Tree) QueueWaitEWMA() time.Duration {
-	return time.Duration(t.qwEWMA.Load())
 }
 
 // admitBackoff parks a producer blocked on a full ring. Only the real

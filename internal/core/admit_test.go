@@ -9,12 +9,11 @@ import (
 // admitState is everything a refused reservation must leave untouched.
 type admitState struct {
 	head      uint64
-	depth     int
 	admitters int64
 }
 
 func stateOf(t *Tree) admitState {
-	return admitState{head: t.inbox.head.Load(), depth: t.EngineDepth(), admitters: t.admitters.Load()}
+	return admitState{head: t.inbox.head.Load(), admitters: t.admitters.Load()}
 }
 
 // reserveRig is a tree with an 8-slot ring. Its worker only runs while
@@ -43,9 +42,9 @@ func fill(t *testing.T, tree *Tree, base uint64, n int, done *int) {
 func (r *rig) drain() {
 	r.t.Helper()
 	r.eng.RunFor(time.Second)
-	if !r.tree.inbox.Empty() || r.tree.EngineDepth() != 0 || r.tree.admitters.Load() != 0 {
-		r.t.Fatalf("tree not drained: ring len %d, engine depth %d, admitters %d",
-			r.tree.inbox.Len(), r.tree.EngineDepth(), r.tree.admitters.Load())
+	if !r.tree.inbox.Empty() || r.tree.admitters.Load() != 0 {
+		r.t.Fatalf("tree not drained: ring len %d, admitters %d",
+			r.tree.inbox.Len(), r.tree.admitters.Load())
 	}
 }
 
@@ -94,9 +93,6 @@ func TestReservationAbortDrains(t *testing.T) {
 		t.Fatalf("admitters = %d while a claim is open, want 1", got)
 	}
 	res.Abort()
-	if got := r.tree.EngineDepth(); got != 3 {
-		t.Fatalf("engine depth = %d after abort, want the 3 real ops only", got)
-	}
 	r.drain()
 	if done != 3 {
 		t.Fatalf("%d of 3 ops behind an aborted claim completed", done)

@@ -53,11 +53,10 @@ type Counters struct {
 	// counts operations that parked on one instead of reading on demand.
 	ReadAheads    uint64 `metric:"patree_read_ahead_total{outcome=issued} counter sum" help:"Scan read-ahead commands: issued (one per run of adjacent leaves), and ops that parked on one."`
 	ReadAheadHits uint64 `metric:"patree_read_ahead_total{outcome=hit} counter sum"`
-	// Yields counts idle passes the policy yielded and YieldTime sums the
-	// quanta it asked for (a wall-clock park ends early on Wake). Parks
-	// counts the yields that slept (env.Sleep), which is every yield.
+	// Yields counts idle passes the policy yielded, each one a sleep
+	// (env.Sleep), and YieldTime sums the quanta it asked for (a
+	// wall-clock park ends early on Wake).
 	Yields    uint64        `metric:"patree_worker_yields_total counter sum" help:"Idle worker passes that gave up the CPU."`
-	Parks     uint64        `metric:"patree_worker_parks_total counter sum" help:"Idle yields that slept because no I/O was outstanding."`
 	YieldTime time.Duration `metric:"patree_worker_yield_seconds_total counter sum" help:"Yield quanta the idle workers asked for."`
 	// IdleSpinTime is CPU burned busy-polling with nothing to do; it is
 	// charged to the "others" category and reported separately so the
@@ -208,19 +207,9 @@ type Tree struct {
 	inbox      *opRing
 	admitters  atomic.Int64
 	admitWaits atomic.Uint64
-	// engineDepth gauges the operations currently inside the engine
-	// (successfully handed to the ring, not yet completed); qwEWMA is a
-	// worker-maintained exponentially weighted moving average (α = 1/8)
-	// of completed operations' queue-wait, in nanoseconds. Both are the
-	// cross-thread signals an admission-weighting governor feeds on
-	// (EngineDepth / QueueWaitEWMA; see governor.go) and cost one atomic
-	// each per admission/completion — they never influence the worker's
-	// own scheduling, so deterministic simulation runs are unaffected.
-	engineDepth atomic.Int64
-	qwEWMA      atomic.Int64
-	wake        func()
-	stopped     atomic.Bool
-	running     bool
+	wake       func()
+	stopped    atomic.Bool
+	running    bool
 
 	// tr is Config.Tracer (nil = tracing off). All emission happens on
 	// the working thread; producer-side facts arrive as timestamps on the
@@ -461,7 +450,6 @@ func (t *Tree) Run() {
 				if t.tr != nil {
 					t.tr.Emit(tcYield, classNone, 0, uint64(t.ioBlocked), int64(t.now()), int64(y))
 				}
-				t.stats.Parks++
 				t.env.Sleep(y)
 			} else {
 				// Busy-poll: burn a spin quantum so virtual time advances
@@ -651,7 +639,6 @@ func (t *Tree) completeOp(o *Op) {
 			t.stats.UpdateLatency.Record(lat)
 		}
 	}
-	t.unnoteEntered(o)
 	t.recordStages(o)
 	if t.tr != nil {
 		t.tr.Emit(tcOp, uint16(o.kind), o.seq, uint64(o.key), int64(o.Res.Admitted), int64(o.Res.Latency()))
@@ -684,10 +671,6 @@ func (t *Tree) recordStages(o *Op) {
 	}
 	st.Record(metrics.StageInbox, k, o.drainedAt.Sub(o.enqueuedAt))
 	st.Record(metrics.StageQueueWait, k, o.queueWait)
-	// Fold the queue-wait into the cross-thread EWMA (worker is the sole
-	// writer; admission governors read it — see QueueWaitEWMA).
-	old := t.qwEWMA.Load()
-	t.qwEWMA.Store(old - old/8 + int64(o.queueWait)/8)
 	if o.latchWait > 0 {
 		st.Record(metrics.StageLatchWait, k, o.latchWait)
 	}

@@ -252,11 +252,6 @@ type Op struct {
 	// worker-only.
 	keyGated bool
 	keyNext  *Op
-
-	// engMark records that this op is counted in the tree's engine-depth
-	// gauge (set by the admitting producer before the ring push, cleared
-	// exactly once at completion or on admission failure).
-	engMark bool
 }
 
 // Kind returns the operation type.
@@ -385,7 +380,6 @@ func (o *Op) reset() {
 	o.pessimistic = false
 	o.keyGated = false
 	o.keyNext = nil
-	o.engMark = false
 }
 
 // InitSearch configures o as a point search and returns it.

@@ -25,8 +25,8 @@ type goldenRun struct {
 // goldenConfigs returns one configuration per run mode of the driver:
 // single-tree closed and open loops, a dedicated poller, weak
 // persistence with group commit, the journal, scan read-ahead, a
-// multi-device topology, the hot-shard governor, and a buffered
-// read-heavy mix over two shards.
+// multi-device topology, the same topology under hot-shard skew, and a
+// buffered read-heavy mix over two shards.
 func goldenConfigs(s Scale) []struct {
 	name string
 	cfg  PAConfig
@@ -58,7 +58,7 @@ func goldenConfigs(s Scale) []struct {
 			Gen: workload.NewYCSB(workload.YCSBConfig{Keys: uint64(s.PreloadKeys), UpdatePercent: 5,
 				RangePercent: 60, Theta: 0.3, Seed: s.Seed})}},
 		{"4x2", PAConfig{Scale: s, Shards: 4, Devices: 2, MkTree: strong, Gen: defaultGen(s, 10, 0.3)}},
-		{"hot80 weighted", PAConfig{Scale: s, Shards: 4, Devices: 2, MkTree: strong, Weighting: true,
+		{"hot80", PAConfig{Scale: s, Shards: 4, Devices: 2, MkTree: strong,
 			Gen:    newHotShardGen(defaultGen(s, 10, 0.6), 4, 80, uint64(s.PreloadKeys), s.Seed),
 			Device: nvme.SimConfig{Parallelism: 64}}},
 		{"read-heavy x2 pipeline", PAConfig{Scale: s, Shards: 2, Gen: defaultGen(s, 5, 0.3),

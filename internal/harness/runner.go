@@ -93,9 +93,6 @@ type RunStats struct {
 	// ShardQueueP99 is each shard's ready-queue-wait p99 over the
 	// measurement window (all op classes merged).
 	ShardQueueP99 []time.Duration
-	// Throttled counts driver parks: ops held back from a shard whose
-	// governor window was full (measurement window only).
-	Throttled uint64
 }
 
 // machine bundles one simulated testbed: one scheduler and one or more
@@ -211,18 +208,7 @@ type PAConfig struct {
 	// SyncEvery issues a Sync() on every shard after this many updates
 	// (weak persistence's group commit; 0 disables).
 	SyncEvery int
-	// Weighting turns on the driver-side hot-shard governor: the same
-	// AIMD law the embedder's Options.AdmissionWeighting uses, fed by
-	// the driver's per-shard in-flight counts and each tree's
-	// queue-wait EWMA. Ops routed to a throttled shard are parked and
-	// released as the window allows. Under uniform traffic no window
-	// is ever imposed, so runs are byte-identical with Weighting off.
-	Weighting bool
 }
-
-// govAdaptEvery is the governor cadence: re-evaluate windows after this
-// many completions.
-const govAdaptEvery = 256
 
 // toOp converts a workload op into a PA-Tree operation.
 func toOp(w workload.Op, done func(*core.Op)) *core.Op {
@@ -247,7 +233,6 @@ type paShard struct {
 	tree   *core.Tree
 	worker *simos.Thread
 	poller *simos.Thread // nil when the tree polls inline
-	parked []*core.Op    // ops held back by the governor, oldest first
 }
 
 // RunPATree executes one PA-Tree configuration and reports the stats
@@ -296,55 +281,17 @@ func RunPATree(cfg PAConfig) RunStats {
 	if conc <= 0 {
 		conc = 64
 	}
-	var gov *core.Governor
-	if cfg.Weighting {
-		gov = core.NewGovernor(n, conc)
-	}
 	closed := cfg.ArrivalRate <= 0
-	var measuredOps, userBytes, throttled, completions uint64
+	var measuredOps, userBytes uint64
 	inWindow, stopping := false, false
 	updates := 0
-	inflight := make([]int, n)
-	waits := make([]time.Duration, n)
-
-	// release admits shard si's oldest parked ops while its window has room.
-	release := func(si int, all bool) {
-		sh := shards[si]
-		for len(sh.parked) > 0 && !gov.Throttled(si, inflight[si]) {
-			op := sh.parked[0]
-			sh.parked = sh.parked[1:]
-			inflight[si]++
-			sh.tree.Admit(op)
-			if !all {
-				return
-			}
-		}
-	}
 	var admit func()
-	done := make([]func(*core.Op), n)
-	for si := range done {
-		done[si] = func(*core.Op) {
-			inflight[si]--
-			if inWindow {
-				measuredOps++
-			}
-			completions++
-			if gov != nil {
-				if completions%govAdaptEvery == 0 {
-					for i, sh := range shards {
-						waits[i] = sh.tree.QueueWaitEWMA()
-					}
-					gov.Adapt(inflight, waits)
-					for i := range shards {
-						release(i, true)
-					}
-				} else {
-					release(si, false)
-				}
-			}
-			if closed {
-				admit()
-			}
+	done := func(*core.Op) {
+		if inWindow {
+			measuredOps++
+		}
+		if closed {
+			admit()
 		}
 	}
 	admit = func() {
@@ -363,18 +310,7 @@ func RunPATree(cfg PAConfig) RunStats {
 				}
 			}
 		}
-		si := core.ShardOf(w.Key, n)
-		sh := shards[si]
-		op := toOp(w, done[si])
-		if gov != nil && gov.Throttled(si, inflight[si]) {
-			sh.parked = append(sh.parked, op)
-			if inWindow {
-				throttled++
-			}
-			return
-		}
-		inflight[si]++
-		sh.tree.Admit(op)
+		shards[core.ShardOf(w.Key, n)].tree.Admit(toOp(w, done))
 	}
 
 	base := m.eng.Now()
@@ -416,7 +352,7 @@ func RunPATree(cfg PAConfig) RunStats {
 	if nd > 1 {
 		label += fmt.Sprintf("/%ddev", nd)
 	}
-	rs := RunStats{Label: label, Throttled: throttled, ShardQueueP99: make([]time.Duration, n)}
+	rs := RunStats{Label: label, ShardQueueP99: make([]time.Duration, n)}
 	lat := metrics.NewHistogram()
 	var cpus []*metrics.CPUAccount
 	var idleSpin time.Duration
@@ -448,13 +384,8 @@ func RunPATree(cfg PAConfig) RunStats {
 		rs.DevCmdsPerOp = float64(devCmds) / float64(measuredOps)
 	}
 
-	// Drain: parked ops flow through the engine once stopping is set so
-	// none leak un-completed.
 	stopping = true
 	for _, sh := range shards {
-		for _, op := range sh.parked {
-			sh.tree.Admit(op)
-		}
 		sh.tree.Stop()
 	}
 	m.eng.RunFor(2 * time.Second)

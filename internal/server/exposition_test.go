@@ -141,10 +141,8 @@ counter patree_server_ops_total
 counter patree_server_responses_total{status="ok"}
 counter patree_server_wire_batches_total
 gauge patree_shards
-counter patree_throttle_waits_total
 counter patree_trace_events_total
 counter patree_worker_idle_spin_seconds_total
-counter patree_worker_parks_total
 counter patree_worker_yield_seconds_total
 counter patree_worker_yields_total
 counter patree_writes_issued_total

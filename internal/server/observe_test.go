@@ -351,15 +351,13 @@ func TestAdminEndpoints(t *testing.T) {
 // snapshots and exports — concurrently with live TCP traffic. Run under
 // -race this pins that observation never tears the serving path.
 func TestConcurrentObservability(t *testing.T) {
-	// Small trace rings: each observer pass serializes the full window,
-	// and the point here is interleaving, not volume.
 	addr, db, srv, stop := startTracedServer(t,
-		patree.Options{Shards: 2, Trace: true, TraceEvents: 1 << 12},
-		server.Options{Trace: true, TraceEvents: 1 << 12, SlowOp: 50 * time.Millisecond})
+		patree.Options{Shards: 2, Trace: true},
+		server.Options{Trace: true, SlowOp: 50 * time.Millisecond})
 	defer stop()
 
 	pool, err := client.DialPool(addr, 2, client.Options{
-		Trace: true, SampleEvery: 1, TraceEvents: 1 << 12, TraceNow: db.TraceNow,
+		Trace: true, SampleEvery: 1, TraceNow: db.TraceNow,
 	})
 	if err != nil {
 		t.Fatalf("dial: %v", err)

@@ -65,8 +65,6 @@ type Options struct {
 	// answered — version negotiation costs nothing — but without Trace
 	// the server offers no trace flag, so clients never sample.
 	Trace bool
-	// TraceEvents sizes the server trace ring (default 65536).
-	TraceEvents int
 	// TraceNow overrides the trace/metrics clock (nanoseconds). Point it
 	// at the engine's clock (patree.DB.TraceNow) so the merged export
 	// shares one time axis; nil uses a process-local monotonic clock.
@@ -89,9 +87,6 @@ func (o *Options) fill() {
 	}
 	if o.WriteBuf <= 0 {
 		o.WriteBuf = 64 << 10
-	}
-	if o.TraceEvents <= 0 {
-		o.TraceEvents = 65536
 	}
 	if o.TraceNow == nil {
 		o.TraceNow = defaultServerNow
@@ -153,7 +148,7 @@ func New(store patree.Store, opts Options) *Server {
 		now:   opts.TraceNow,
 	}
 	if opts.Trace {
-		s.tr = trace.NewLocked(opts.TraceEvents, serverCodeNames, proto.KindNames[:], opts.TraceNow)
+		s.tr = trace.NewLocked(trace.RingEvents, serverCodeNames, proto.KindNames[:], opts.TraceNow)
 	}
 	return s
 }

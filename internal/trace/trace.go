@@ -39,6 +39,11 @@ type Event struct {
 // Instant is the Dur value marking an instantaneous event.
 const Instant int64 = -1
 
+// RingEvents is the capacity of every serving-side trace ring — the
+// embedder's per-shard rings, the server's and the client's: the window
+// of most recent events each one retains (≈48 B an event).
+const RingEvents = 65536
+
 // Tracer is the bounded ring. Construct with New; the zero value drops
 // every event.
 type Tracer struct {

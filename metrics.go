@@ -179,7 +179,7 @@ func (db *DB) Metrics() Metrics {
 func kindName(class int) string { return core.Kind(class).String() }
 
 // WriteTrace exports the tracer's captured window (the most recent
-// Options.TraceEvents events per shard) as Chrome trace-event JSON,
+// 65536 events per shard) as Chrome trace-event JSON,
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Each
 // shard's snapshot is taken on its working thread, so it is consistent;
 // identical workloads on identical clocks export byte-identical JSON.

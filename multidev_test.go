@@ -218,16 +218,14 @@ func TestMultiDeviceExplicitPlacement(t *testing.T) {
 }
 
 // TestMultiDeviceRaceHammer hammers the largest tested topology — 8
-// shards over 4 devices with AdmissionWeighting on — from many
-// goroutines with Close racing the tail. Run under -race.
+// shards over 4 devices — from many goroutines with Close racing the
+// tail. Run under -race.
 // Every handle must resolve with nil or ErrClosed.
 func TestMultiDeviceRaceHammer(t *testing.T) {
 	db, err := Open(Options{
-		Devices:            ramDevices(t, 4, 1<<15),
-		Shards:             8,
-		AdmissionWeighting: true,
-		Trace:              true,
-		TraceEvents:        4096,
+		Devices: ramDevices(t, 4, 1<<15),
+		Shards:  8,
+		Trace:   true,
 	})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -257,8 +255,7 @@ func TestMultiDeviceRaceHammer(t *testing.T) {
 				case 7:
 					h, err = db.SyncAsync()
 				case 8:
-					// Synchronous Get exercises the optimistic read path's
-					// throttle bypass directly.
+					// Synchronous Get: the blocking spelling.
 					if _, _, gerr := db.Get(key); gerr != nil && !errors.Is(gerr, ErrClosed) {
 						t.Errorf("get: %v", gerr)
 					}

@@ -123,7 +123,7 @@ func TestBufferEvictionsByState(t *testing.T) {
 // TestWriteTraceJSON checks the public trace path end to end: Open with
 // tracing, run ops, export, and parse the Chrome trace JSON.
 func TestWriteTraceJSON(t *testing.T) {
-	db := openTest(t, Options{DeviceBlocks: 1 << 16, Trace: true, TraceEvents: 1 << 14})
+	db := openTest(t, Options{DeviceBlocks: 1 << 16, Trace: true})
 	obsLoad(t, db, 2048)
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestMetricsHandlerServesPrometheus(t *testing.T) {
 		"patree_stage_seconds{",
 		"patree_cpu_seconds_total{category=",
 		"patree_probe_predictions_total{outcome=",
-		"# TYPE patree_worker_parks_total counter",
+		"# TYPE patree_worker_yields_total counter",
 		"patree_worker_idle_spin_seconds_total ",
 	} {
 		if !strings.Contains(body, want) {

@@ -64,9 +64,7 @@ package patree
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/patree/patree/internal/core"
@@ -140,10 +138,6 @@ type Options struct {
 	// (viewable in Perfetto). Off by default; when off the hot path pays
 	// only a nil check. Stage histograms (Metrics) are always collected.
 	Trace bool
-	// TraceEvents sizes the trace ring — the window of most recent events
-	// retained per shard (default 65536, ≈48 B each). Ignored unless
-	// Trace is set.
-	TraceEvents int
 	// Shards hash-partitions the keyspace across this many independent
 	// workers over disjoint regions of the device (0 or 1 = the classic
 	// single-worker tree). A device formatted with one shard layout
@@ -164,17 +158,6 @@ type Options struct {
 	// shard count, checked for a single-entry Devices too; nil =
 	// round-robin). Ignored unless Devices is set.
 	Placement []int
-	// AdmissionWeighting turns on hot-shard adaptation for skewed
-	// traffic: each shard's physical admission ring is allocated at twice
-	// InboxDepth (heavy writers on a hot shard get the deeper ring), and
-	// a per-shard AIMD governor watches the workers' queue-wait EWMAs,
-	// imposing a soft admission window on a shard whose wait runs hot
-	// relative to its peers (see core.Governor). Writes bound for a
-	// throttled shard wait at admission (TryCommit reports ErrBacklog)
-	// until the backlog drains, keeping the hot worker's in-engine
-	// queue-wait within a bounded factor of the cold shards'. Off by
-	// default.
-	AdmissionWeighting bool
 }
 
 // Counters are the working threads' activity counters: device commands
@@ -199,10 +182,6 @@ type Stats struct {
 	// devices they are spread over (1 unless Options.Devices named more).
 	Shards  int `metric:"patree_shards gauge derived" help:"Number of shard workers serving the keyspace."`
 	Devices int `metric:"patree_devices gauge derived" help:"Number of block devices the shards are spread over."`
-	// ThrottleWaits counts admissions the hot-shard governor held back
-	// (0 unless Options.AdmissionWeighting; see ErrBacklog for the
-	// non-blocking paths' behavior).
-	ThrottleWaits uint64 `metric:"patree_throttle_waits_total counter derived" help:"Admissions held back by the hot-shard governor."`
 }
 
 // shard is one worker: a tree, its working goroutine, and the
@@ -222,15 +201,6 @@ type DB struct {
 	shards  []*shard
 	devices int // distinct devices backing the shards
 
-	// Hot-shard adaptation (Options.AdmissionWeighting): gov holds the
-	// per-shard admission windows, govMu serializes its Adapt calls,
-	// admitSeq amortizes them (one evaluation every govAdaptEvery
-	// admissions) and throttleWaits counts admissions held back.
-	gov           *core.Governor
-	govMu         sync.Mutex
-	admitSeq      atomic.Uint64
-	throttleWaits atomic.Uint64
-
 	// mu orders admissions against Close: admitting paths hold it shared
 	// while checking closed and handing operations to the trees, Close
 	// holds it exclusively while setting closed. An operation therefore
@@ -246,11 +216,6 @@ type DB struct {
 // minShardBlocks is the smallest device partition a shard accepts: room
 // for the superblock, a root, and a useful WAL region.
 const minShardBlocks = 1024
-
-// govAdaptEvery is how many admissions pass between two governor
-// evaluations — frequent enough to track a shifting hot set, amortized
-// enough to stay off the admission fast path.
-const govAdaptEvery = 1024
 
 // Open creates or opens a PA-Tree per opts and starts its working
 // goroutine(s). It runs the serving profile: a range scan reads the
@@ -308,13 +273,6 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	db := &DB{dev: opts.Device, ownsDev: owns, devices: m}
-	if opts.AdmissionWeighting {
-		// The governor works the nominal depth; the physical ring is
-		// doubled so a throttled topology still has the deeper ring the
-		// hot shard's writers were promised.
-		db.gov = core.NewGovernor(n, opts.InboxDepth)
-		opts.InboxDepth *= 2
-	}
 	db.shards = make([]*shard, n)
 	for i, p := range parts {
 		// The superblock identity each shard must carry. A lone worker
@@ -408,10 +366,7 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 	policy.EnableAccuracy()
 	var tracer *trace.Tracer
 	if opts.Trace {
-		if opts.TraceEvents == 0 {
-			opts.TraceEvents = 65536
-		}
-		tracer = core.NewTracer(opts.TraceEvents)
+		tracer = core.NewTracer(trace.RingEvents)
 	}
 	tree, err := core.New(dev, core.Config{
 		Persistence:  opts.Persistence,
@@ -471,69 +426,6 @@ func (db *DB) span(bo *BatchOp) (lo, hi int) {
 	}
 	lo = core.ShardOf(bo.Key, len(db.shards))
 	return lo, lo + 1
-}
-
-// throttle holds the caller back while s is under an imposed admission
-// window at its cap (Options.AdmissionWeighting). It runs before the
-// admission lock is taken, so a throttled producer never delays Close;
-// a closed DB releases every waiter (the subsequent admit fails with
-// ErrClosed). Observability no-ops (onWorker) skip it — only index
-// operations are weighted.
-func (db *DB) throttle(s *shard) {
-	g := db.gov
-	if g == nil {
-		return
-	}
-	db.maybeAdapt()
-	if !g.Throttled(s.idx, s.tree.EngineDepth()) {
-		return
-	}
-	db.throttleWaits.Add(1)
-	spins := 0
-	for g.Throttled(s.idx, s.tree.EngineDepth()) {
-		spins++
-		if spins%64 == 0 {
-			time.Sleep(time.Microsecond)
-			db.mu.RLock()
-			closed := db.closed
-			db.mu.RUnlock()
-			if closed {
-				return
-			}
-			// Keep adapting while spinning: recovery of the window is what
-			// ends the wait when the worker has drained its backlog.
-			db.maybeAdapt()
-		} else {
-			runtime.Gosched()
-		}
-	}
-}
-
-// maybeAdapt runs one governor evaluation every govAdaptEvery
-// admissions, feeding it every shard's live depth and queue-wait EWMA.
-func (db *DB) maybeAdapt() {
-	if db.admitSeq.Add(1)%govAdaptEvery != 0 {
-		return
-	}
-	db.govMu.Lock()
-	defer db.govMu.Unlock()
-	depths := make([]int, len(db.shards))
-	waits := make([]time.Duration, len(db.shards))
-	for i, s := range db.shards {
-		depths[i] = s.tree.EngineDepth()
-		waits[i] = s.tree.QueueWaitEWMA()
-	}
-	db.gov.Adapt(depths, waits)
-}
-
-// throttledNow reports whether s is at its admission window right now —
-// the non-blocking paths' (TryCommit) check.
-func (db *DB) throttledNow(s *shard) bool {
-	if db.gov == nil {
-		return false
-	}
-	db.maybeAdapt()
-	return db.gov.Throttled(s.idx, s.tree.EngineDepth())
 }
 
 // admit checks closed and hands op (whose Done is already set) to s's
@@ -645,15 +537,13 @@ func (db *DB) Stats() Stats {
 }
 
 // deriveStats completes a folded Stats with its derived fields, which no
-// single shard knows: the weighted buffer hit rate, the topology and the
-// DB-level throttle count.
+// single shard knows: the weighted buffer hit rate and the topology.
 func (db *DB) deriveStats(st *Stats, buf bufferCounts) {
 	if buf.hits+buf.misses > 0 {
 		st.BufferHit = float64(buf.hits) / float64(buf.hits+buf.misses)
 	}
 	st.Shards = len(db.shards)
 	st.Devices = db.devices
-	st.ThrottleWaits = db.throttleWaits.Load()
 }
 
 // bufferCounts carries raw hit/miss counters out of a shard snapshot so

@@ -409,7 +409,7 @@ func TestShardedTooSmall(t *testing.T) {
 // — from many goroutines across 4 shards, with Close racing the tail.
 // Run under -race. Every handle must resolve with nil or ErrClosed.
 func TestShardedRaceHammer(t *testing.T) {
-	db, err := Open(Options{DeviceBlocks: 1 << 16, Shards: 4, Trace: true, TraceEvents: 4096})
+	db, err := Open(Options{DeviceBlocks: 1 << 16, Shards: 4, Trace: true})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
