@@ -24,7 +24,10 @@
 // victims back to the caller, which owns scheduling the write-back.
 package buffer
 
-import "github.com/patree/patree/internal/storage"
+import (
+	"github.com/patree/patree/internal/pagemap"
+	"github.com/patree/patree/internal/storage"
+)
 
 // Stats counts buffer effectiveness.
 type Stats struct {
@@ -79,13 +82,14 @@ type entry struct {
 	prev, next *entry
 }
 
-// slru is a segmented LRU (as in 2Q) with a map index: two intrusive
-// lists, probation and protected. A page enters probation; a hit there
-// promotes it to the head of protected, whose tail is demoted back to the
-// head of probation when protected outgrows its share. Evictions take the
-// probation tail, so a stream of pages touched once cannot push out a page
-// referenced twice. Capacity is in pages; capacity 0 disables the cache
-// entirely.
+// slru is a segmented LRU (as in 2Q) over an open-addressed page index
+// (internal/pagemap) that never holds more than capacity+1 entries: two
+// intrusive lists, probation and protected. A page enters probation; a
+// hit there promotes it to the head of protected, whose tail is demoted
+// back to the head of probation when protected outgrows its share.
+// Evictions take the probation tail, so a stream of pages touched once
+// cannot push out a page referenced twice. Capacity is in pages;
+// capacity 0 disables the cache entirely.
 //
 // A reference is a lookup (get). Filling a page is not one, beyond
 // entering probation, and neither is updating a resident page (put on a
@@ -93,7 +97,7 @@ type entry struct {
 // write too would promote every page an operation touches.
 type slru struct {
 	cap, protCap int
-	m            map[storage.PageID]*entry
+	m            pagemap.Map[*entry]
 	segs         [2]entry // most-recent sentinels, indexed by seg
 	nProtected   int
 	stats        Stats
@@ -103,7 +107,7 @@ type slru struct {
 func newSLRU(capacity int) *slru {
 	// protCap <= capacity-1 for every capacity >= 1, so probation is never
 	// empty when an insert overflows the cache.
-	l := &slru{cap: capacity, protCap: capacity * protectedShare / 10, m: make(map[storage.PageID]*entry)}
+	l := &slru{cap: capacity, protCap: capacity * protectedShare / 10}
 	for i := range l.segs {
 		l.segs[i].prev = &l.segs[i]
 		l.segs[i].next = &l.segs[i]
@@ -132,7 +136,7 @@ func (l *slru) pushFront(e *entry, seg int) {
 }
 
 func (l *slru) get(id storage.PageID) *entry {
-	e := l.m[id]
+	e, _ := l.m.Get(id)
 	if e == nil {
 		l.stats.Misses++
 		return nil
@@ -154,7 +158,10 @@ func (l *slru) get(id storage.PageID) *entry {
 }
 
 // peek looks up without touching recency or stats.
-func (l *slru) peek(id storage.PageID) *entry { return l.m[id] }
+func (l *slru) peek(id storage.PageID) *entry {
+	e, _ := l.m.Get(id)
+	return e
+}
 
 // put inserts id with data into probation, returning an evicted entry (if
 // the capacity forced one out) for the caller to handle. On a cached id it
@@ -163,7 +170,8 @@ func (l *slru) put(id storage.PageID, data []byte, dirty, prefetched bool) (evic
 	if l.cap <= 0 {
 		return nil
 	}
-	if e := l.m[id]; e != nil {
+	ref := l.m.Ref(id)
+	if e := *ref; e != nil {
 		e.data = data
 		if dirty {
 			if e.dirty {
@@ -180,12 +188,12 @@ func (l *slru) put(id storage.PageID, data []byte, dirty, prefetched bool) (evic
 		l.nextEpoch++
 		e.epoch = l.nextEpoch
 	}
-	l.m[id] = e
+	*ref = e
 	l.pushFront(e, probation)
-	if len(l.m) > l.cap {
+	if l.m.Len() > l.cap {
 		victim := l.segs[probation].prev
 		l.unlink(victim)
-		delete(l.m, victim.id)
+		l.m.Delete(victim.id)
 		l.stats.Evictions++
 		if victim.dirty {
 			l.stats.DirtyEvictions++
@@ -196,9 +204,9 @@ func (l *slru) put(id storage.PageID, data []byte, dirty, prefetched bool) (evic
 }
 
 func (l *slru) remove(id storage.PageID) {
-	if e := l.m[id]; e != nil {
+	if e, _ := l.m.Get(id); e != nil {
 		l.unlink(e)
-		delete(l.m, id)
+		l.m.Delete(id)
 	}
 }
 
@@ -259,7 +267,7 @@ func (b *ReadOnly) Invalidate(id storage.PageID) { b.l.remove(id) }
 func (b *ReadOnly) Cap() int { return b.l.cap }
 
 // Len returns the number of cached pages.
-func (b *ReadOnly) Len() int { return len(b.l.m) }
+func (b *ReadOnly) Len() int { return b.l.m.Len() }
 
 // Stats returns cumulative counters.
 func (b *ReadOnly) Stats() Stats { return b.l.stats }
@@ -370,7 +378,7 @@ func (b *ReadWrite) DirtyCount() int {
 }
 
 // Len returns the number of cached pages.
-func (b *ReadWrite) Len() int { return len(b.l.m) }
+func (b *ReadWrite) Len() int { return b.l.m.Len() }
 
 // Stats returns cumulative counters.
 func (b *ReadWrite) Stats() Stats { return b.l.stats }

@@ -29,6 +29,40 @@ func TestReadOnlyBasicHitMiss(t *testing.T) {
 	}
 }
 
+// TestIndexBoundedByCapacity churns 100 × capacity distinct pages through
+// each buffer: the index's slot array is sized by the pages it holds,
+// at most capacity+1, not by how many pages it has seen.
+func TestIndexBoundedByCapacity(t *testing.T) {
+	const capacity = 64
+	ro, rw := NewReadOnly(capacity), NewReadWrite(capacity)
+	for id := 0; id < 100*capacity; id++ {
+		ro.FillOnRead(pid(id), nil)
+		rw.Write(pid(id), nil)
+		if id%3 == 0 {
+			ro.Invalidate(pid(id - 1))
+			rw.Invalidate(pid(id - 1))
+		}
+	}
+	for _, l := range []*slru{ro.l, rw.l} {
+		if l.m.Len() > capacity || l.m.Slots() > 4*capacity {
+			t.Fatalf("%d pages in %d index slots, want at most %d in at most %d", l.m.Len(), l.m.Slots(), capacity, 4*capacity)
+		}
+	}
+}
+
+// TestGetHitAllocs pins that a buffer hit allocates nothing.
+func TestGetHitAllocs(t *testing.T) {
+	ro, rw := NewReadOnly(4), NewReadWrite(4)
+	ro.FillOnRead(pid(1), []byte("one"))
+	rw.Write(pid(1), []byte("one"))
+	if n := testing.AllocsPerRun(100, func() {
+		ro.Get(pid(1))
+		rw.Get(pid(1))
+	}); n != 0 {
+		t.Fatalf("buffer hit allocates %v times, want 0", n)
+	}
+}
+
 // cached lists which of ids b holds, without touching recency.
 func cached(b interface{ Contains(storage.PageID) bool }, ids ...int) []int {
 	var out []int
@@ -301,13 +335,14 @@ func segmentsIntact(l *slru) bool {
 	seen, prot := map[storage.PageID]bool{}, 0
 	ok := true
 	l.coldestFirst(func(e *entry) {
-		ok = ok && !seen[e.id] && l.m[e.id] == e
+		got, _ := l.m.Get(e.id)
+		ok = ok && !seen[e.id] && got == e
 		seen[e.id] = true
 		if e.seg == protected {
 			prot++
 		}
 	})
-	return ok && len(seen) == len(l.m) && prot == l.nProtected && prot <= l.protCap
+	return ok && len(seen) == l.m.Len() && prot == l.nProtected && prot <= l.protCap
 }
 
 // Property: cache never exceeds capacity, its segments stay intact, and a

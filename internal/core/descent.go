@@ -82,11 +82,11 @@ func (t *Tree) process(o *Op) {
 				data, ok = t.lookupPage(o.cur)
 			}
 			if !ok {
-				if ws, ok := t.readAheads[o.cur]; ok {
+				if ws, ok := t.readAheads.Get(o.cur); ok {
 					// A scan's read-ahead of this page is in flight: park
 					// on it instead of issuing a duplicate (pipeline.go
 					// hands the image over when it is reaped).
-					t.readAheads[o.cur] = append(ws, raWaiter{op: o, since: t.now()})
+					t.readAheads.Put(o.cur, append(ws, raWaiter{op: o, since: t.now()}))
 					t.stats.ReadAheadHits++
 					return // I/O-blocked on the read-ahead
 				}
@@ -519,7 +519,7 @@ func (t *Tree) lookupPage(id storage.PageID) ([]byte, bool) {
 		if data, ok := t.rw.Get(id); ok {
 			return data, true
 		}
-		if data, ok := t.inflight[id]; ok {
+		if data, ok := t.inflight.Get(id); ok {
 			// Refill the buffer: content is identical to what is being
 			// persisted right now.
 			if victim, ev := t.rw.FillOnRead(id, data); ev {

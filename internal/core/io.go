@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"github.com/patree/patree/internal/buffer"
@@ -245,10 +246,12 @@ func (t *Tree) enterFailed(cause error) {
 	t.bgQueue = t.bgQueue[:0]
 	t.promoteRetries()
 	t.promoteJWaiters()
-	for id := range t.readAheads {
-		// Wake ops parked on read-aheads: the failed drain at the top of
-		// process() handles them, and the reads' own completions will
-		// find no waiters left.
+	// Wake ops parked on read-aheads, in page order so a failed run
+	// replays: the failed drain at the top of process() handles them, and
+	// the reads' own completions will find no waiters left.
+	ids := t.readAheads.Keys(nil)
+	slices.Sort(ids)
+	for _, id := range ids {
 		t.wakeReadAhead(id, t.now())
 	}
 }
@@ -276,8 +279,8 @@ type bgWrite struct {
 // is held from the device until journalBuild, which runs next, has logged
 // it and says where (walHolds).
 func (t *Tree) bufferWrite(id storage.PageID, data []byte) {
-	if t.jPageEnd != nil {
-		t.jPageEnd[id] = math.MaxInt
+	if t.journalOn {
+		t.jPageEnd.Put(id, math.MaxInt)
 	}
 	if victim, ev := t.rw.Write(id, data); ev {
 		t.queueBG(victim)
@@ -295,7 +298,7 @@ func (t *Tree) queueBG(d buffer.Dirty) {
 	}
 	// From here until it lands the image is the page's only current copy
 	// outside the buffer: a read miss must find it, not the device's.
-	t.inflight[d.ID] = d.Data
+	t.inflight.Put(d.ID, d.Data)
 	// Coalesce with a queued-but-unsubmitted write of the same page: the
 	// newest image supersedes (same-page submission order must hold, or a
 	// retried stale image could overwrite fresher data).
@@ -360,8 +363,8 @@ func (t *Tree) bgDone(c *ioCmd, res ioResult, now sim.Time) {
 		t.requeueBG(bgWrite{Dirty: d, retries: c.tries, due: now.Add(t.retryDelay(c.tries))})
 		return
 	}
-	if cur, ok := t.inflight[d.ID]; ok && &cur[0] == &d.Data[0] {
-		delete(t.inflight, d.ID)
+	if cur, ok := t.inflight.Get(d.ID); ok && &cur[0] == &d.Data[0] {
+		t.inflight.Delete(d.ID)
 	}
 	if res == ioOK && d.Epoch != 0 {
 		t.rw.MarkClean(d.ID, d.Epoch)
@@ -372,7 +375,7 @@ func (t *Tree) bgDone(c *ioCmd, res ioResult, now sim.Time) {
 // newer image of the same page is queued or in flight, which supersedes
 // it.
 func (t *Tree) requeueBG(w bgWrite) {
-	if cur := t.inflight[w.ID]; len(cur) > 0 && &cur[0] == &w.Data[0] {
+	if cur, _ := t.inflight.Get(w.ID); len(cur) > 0 && &cur[0] == &w.Data[0] {
 		t.bgQueue = append(t.bgQueue, w)
 	}
 }

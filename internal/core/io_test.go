@@ -13,6 +13,7 @@ import (
 	"github.com/patree/patree/internal/sched"
 	"github.com/patree/patree/internal/sim"
 	"github.com/patree/patree/internal/storage"
+	"github.com/patree/patree/internal/trace"
 )
 
 // scriptQP is a queue pair the test drives by hand: Submit accepts or
@@ -128,7 +129,7 @@ func issueReadAhead(t *Tree) {
 	parent.Keys = []uint64{100, 200, 300}
 	t.readAhead(NewRange(100, ^uint64(0), 0, nil), parent.Encode(), 1)
 	for id := seamPage; id < seamPage+raRun; id++ {
-		if _, reading := t.readAheads[id]; reading {
+		if _, reading := t.readAheads.Get(id); reading {
 			w := NewSearch(uint64(id), nil)
 			t.enroll(w, stReadNode)
 			w.cur = id
@@ -145,7 +146,7 @@ func raReaped(t *Tree, clean bool) bool {
 			return false
 		}
 	}
-	return len(t.readAheads) == 0 && t.ready.Len() == raRun && t.stats.ReadAheadHits == raRun
+	return t.readAheads.Len() == 0 && t.ready.Len() == raRun && t.stats.ReadAheadHits == raRun
 }
 
 func ioClassRows() []ioClassRow {
@@ -159,7 +160,7 @@ func ioClassRows() []ioClassRow {
 		{
 			name: "read-ahead", cfg: pipelinedCfg, latched: true, reads: 1,
 			issue:  func(t *Tree, _ *Op) { issueReadAhead(t) },
-			kept:   func(t *Tree) bool { return len(t.readAheads) == 0 }, // given up: nothing retained
+			kept:   func(t *Tree) bool { return t.readAheads.Len() == 0 }, // given up: nothing retained
 			reaped: raReaped,
 		},
 		{
@@ -174,9 +175,9 @@ func ioClassRows() []ioClassRow {
 			name: "background write-back", cfg: weakCfg, writes: 1,
 			// Queued or in flight, the image stays where a read miss finds it.
 			issue: func(t *Tree, _ *Op) { t.queueBG(buffer.Dirty{ID: seamPage, Data: page}) },
-			kept:  func(t *Tree) bool { return len(t.bgQueue) == 1 && len(t.inflight) == 1 },
+			kept:  func(t *Tree) bool { return len(t.bgQueue) == 1 && t.inflight.Len() == 1 },
 			retried: func(t *Tree, _ *Op, _ *scriptQP) bool {
-				return len(t.bgQueue) == 1 && t.bgQueue[0].retries == 1 && t.bgQueue[0].due > t.now() && len(t.inflight) == 1
+				return len(t.bgQueue) == 1 && t.bgQueue[0].retries == 1 && t.bgQueue[0].due > t.now() && t.inflight.Len() == 1
 			},
 		},
 		{
@@ -409,9 +410,9 @@ func TestReadAheadBlocksSiblingWrite(t *testing.T) {
 	}
 
 	qp.complete(nil)
-	if !w.inReady || len(w.held) != 1 || !tree.resident(mid) || len(tree.readAheads) != 0 {
+	if !w.inReady || len(w.held) != 1 || !tree.resident(mid) || tree.readAheads.Len() != 0 {
 		t.Fatalf("after the run was reaped: writer ready=%v latches=%d, image resident=%v, %d read-aheads left",
-			w.inReady, len(w.held), tree.resident(mid), len(tree.readAheads))
+			w.inReady, len(w.held), tree.resident(mid), tree.readAheads.Len())
 	}
 	tree.process(w)
 	if len(qp.pending) != 1 || qp.pending[0].Op != nvme.OpWrite || qp.pending[0].LBA != uint64(mid) {
@@ -421,6 +422,37 @@ func TestReadAheadBlocksSiblingWrite(t *testing.T) {
 	tree.process(w)
 	if w.state != stDone || tree.latches.ActiveNodes() != 0 {
 		t.Fatalf("writer state %d, %d pages still latched", w.state, tree.latches.ActiveNodes())
+	}
+}
+
+// TestFailedWakeOrderDeterministic fails the device while an op is parked
+// on each page of a scan's read-ahead run, several times over on the same
+// script, and compares the traces: enterFailed wakes the parked ops in
+// page order, so a terminal failure replays like every other schedule.
+func TestFailedWakeOrderDeterministic(t *testing.T) {
+	run := func() ([]trace.Event, []storage.PageID) {
+		cfg := pipelinedCfg
+		cfg.Tracer = NewTracer(256)
+		tree, _ := seamTree(t, cfg)
+		issueReadAhead(tree)
+		if tree.readAheads.Len() != raRun || tree.stats.ReadAheadHits != raRun {
+			t.Fatalf("%d read-aheads with %d parked ops, want %d of each", tree.readAheads.Len(), tree.stats.ReadAheadHits, raRun)
+		}
+		tree.enterFailed(errors.New("device gone"))
+		var woke []storage.PageID
+		for e, ok := tree.ready.Pop(); ok; e, ok = tree.ready.Pop() {
+			woke = append(woke, e.Op.(*Op).cur)
+		}
+		return cfg.Tracer.Events(), woke
+	}
+	first, woke := run()
+	if want := []storage.PageID{seamPage, seamPage + 1, seamPage + 2}; !reflect.DeepEqual(woke, want) {
+		t.Fatalf("parked ops woke on pages %v, want %v", woke, want)
+	}
+	for i := 0; i < 10; i++ {
+		if again, _ := run(); !reflect.DeepEqual(again, first) {
+			t.Fatalf("run %d traced %v, first run %v", i+2, again, first)
+		}
 	}
 }
 

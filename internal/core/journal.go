@@ -88,7 +88,7 @@ func (t *Tree) journalBuild(o *Op) {
 	t.wal.FlushFull(t.jwStaged)
 	o.jNeed = t.wal.UsedBytes()
 	for _, w := range o.writes {
-		t.jPageEnd[w.id] = o.jNeed
+		t.jPageEnd.Put(w.id, o.jNeed)
 	}
 }
 
@@ -117,7 +117,8 @@ func (t *Tree) journalAppend(hdr, body1, body2 []byte) {
 // its newest record, so a page on the device never runs ahead of the log
 // that recovery folds onto it. Positions count from the last log reset.
 func (t *Tree) walHolds(id storage.PageID) bool {
-	return t.jPageEnd[id] > t.jDurable
+	end, _ := t.jPageEnd.Get(id)
+	return end > t.jDurable
 }
 
 // journalPark parks o until the durability watermark covers o.jNeed;

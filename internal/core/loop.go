@@ -9,6 +9,7 @@ import (
 	"github.com/patree/patree/internal/latch"
 	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/nvme"
+	"github.com/patree/patree/internal/pagemap"
 	"github.com/patree/patree/internal/sched"
 	"github.com/patree/patree/internal/sim"
 	"github.com/patree/patree/internal/storage"
@@ -128,7 +129,7 @@ type Tree struct {
 
 	// inflight tracks write-backs between queueing and completion so read
 	// misses never fetch stale pages from the device.
-	inflight map[storage.PageID][]byte
+	inflight pagemap.Map[[]byte]
 	bgQueue  []bgWrite // dirty evictions awaiting (re)submission
 
 	// Redo-journal state (Config.Journal). wal appends over the region
@@ -149,7 +150,7 @@ type Tree struct {
 	metaWALGen uint32
 	journalOn  bool
 	jHdr       [leafHeaderBytes]byte // the record header scratch
-	jPageEnd   map[storage.PageID]int
+	jPageEnd   pagemap.Map[int]
 	jDurable   int
 	jLive      int
 	jFence     bool
@@ -178,7 +179,7 @@ type Tree struct {
 	// readAheads maps each page with a scan read-ahead in flight to the
 	// ops parked on it (Config.Pipelined; see pipeline.go). The tree
 	// holds a shared latch on every such page until the read is reaped.
-	readAheads map[storage.PageID][]raWaiter
+	readAheads pagemap.Map[[]raWaiter]
 
 	// syncActive serializes sync/checkpoint pipelines; checkpointPending
 	// is set while an internal checkpoint op is live so the trigger never
@@ -253,12 +254,10 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 		syncEpoch: meta.SyncEpoch,
 		alloc:     storage.NewAllocator(meta.Watermark),
 		latches:   latch.NewTable(),
-		inflight:  make(map[storage.PageID][]byte),
 		policy:    cfg.Policy,
 		inbox:     newOpRing(cfg.InboxDepth),
 		tr:        cfg.Tracer,
 	}
-	t.readAheads = make(map[storage.PageID][]raWaiter)
 	t.shardID = meta.ShardID
 	t.shardCount = meta.ShardCount
 	t.deviceID = meta.DeviceID
@@ -283,9 +282,6 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	// picks the buffer only without it.
 	if cfg.Persistence == WeakPersistence || t.journalOn {
 		t.rw = buffer.NewReadWrite(cfg.BufferPages)
-		if t.journalOn {
-			t.jPageEnd = make(map[storage.PageID]int)
-		}
 	} else {
 		t.ro = buffer.NewReadOnly(cfg.BufferPages)
 	}
@@ -422,7 +418,9 @@ func (t *Tree) Run() {
 		}
 		if t.cfg.Poller == PollerInline {
 			t.charge(metrics.CatSched, t.policy.Overhead())
-			if t.policy.ShouldProbe(t.now(), t.ioBlocked) {
+			// Every policy declines with nothing outstanding; checking
+			// first skips the clock read on an idle pass.
+			if t.ioBlocked > 0 && t.policy.ShouldProbe(t.now(), t.ioBlocked) {
 				t.probe(t.policy)
 			}
 		}

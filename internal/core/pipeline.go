@@ -72,7 +72,7 @@ func (t *Tree) readAhead(o *Op, page []byte, idx int) {
 			}
 			first, n = id, 0
 		}
-		if _, reading := t.readAheads[id]; !reading && !t.resident(id) && t.tryLatch(id) {
+		if _, reading := t.readAheads.Get(id); !reading && !t.resident(id) && t.tryLatch(id) {
 			n++
 		}
 	}
@@ -101,7 +101,7 @@ func (t *Tree) readRun(first storage.PageID, n int) bool {
 		return false
 	}
 	for id := first; id < first+storage.PageID(n); id++ {
-		t.readAheads[id] = nil
+		t.readAheads.Put(id, nil)
 	}
 	t.stats.ReadAheads++
 	return true
@@ -119,7 +119,7 @@ func (t *Tree) readRun(first storage.PageID, n int) bool {
 func (t *Tree) readAheadDone(c *ioCmd, res ioResult, now sim.Time) {
 	for i := range c.Blocks {
 		id := storage.PageID(c.LBA) + storage.PageID(i)
-		ws := t.readAheads[id]
+		ws, _ := t.readAheads.Get(id)
 		if res == ioOK {
 			img := append([]byte(nil), c.Buf[i*storage.PageSize:(i+1)*storage.PageSize]...)
 			if !t.resident(id) {
@@ -130,7 +130,7 @@ func (t *Tree) readAheadDone(c *ioCmd, res ioResult, now sim.Time) {
 			}
 		}
 		t.wakeReadAhead(id, now)
-		delete(t.readAheads, id)
+		t.readAheads.Delete(id)
 		t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
 		t.latches.Release(id, latch.Shared)
 	}
@@ -141,14 +141,15 @@ func (t *Tree) readAheadDone(c *ioCmd, res ioResult, now sim.Time) {
 // called from enterFailed so no waiter is stranded; the read's own
 // completion still releases its latch.
 func (t *Tree) wakeReadAhead(id storage.PageID, now sim.Time) {
-	for _, w := range t.readAheads[id] {
+	ws, _ := t.readAheads.Get(id)
+	for _, w := range ws {
 		w.op.ioWait += now.Sub(w.since)
 		if t.tr != nil {
 			t.tr.Emit(tcIORead, uint16(w.op.kind), w.op.seq, uint64(id), int64(w.since), int64(now.Sub(w.since)))
 		}
 		t.pushReady(w.op, now)
 	}
-	t.readAheads[id] = nil
+	t.readAheads.Put(id, nil)
 }
 
 // resident reports whether a page is in the buffers or the in-flight
@@ -156,7 +157,7 @@ func (t *Tree) wakeReadAhead(id storage.PageID, now sim.Time) {
 // lookup counted and no recency touched.
 func (t *Tree) resident(id storage.PageID) bool {
 	if t.rw != nil {
-		_, ok := t.inflight[id]
+		_, ok := t.inflight.Get(id)
 		return ok || t.rw.Contains(id)
 	}
 	return t.ro.Contains(id)

@@ -122,9 +122,9 @@ var stormConfigs = []stormConfig{
 // no read-ahead and no latch.
 func (r *stormRig) checkDrained() {
 	r.t.Helper()
-	if len(r.tree.stalled) != 0 || len(r.tree.readAheads) != 0 || r.tree.latches.ActiveNodes() != 0 {
+	if len(r.tree.stalled) != 0 || r.tree.readAheads.Len() != 0 || r.tree.latches.ActiveNodes() != 0 {
 		r.t.Fatalf("after the drain: %d stalled, %d read-aheads, %d latched pages",
-			len(r.tree.stalled), len(r.tree.readAheads), r.tree.latches.ActiveNodes())
+			len(r.tree.stalled), r.tree.readAheads.Len(), r.tree.latches.ActiveNodes())
 	}
 }
 
@@ -312,7 +312,7 @@ func retryBudgetBound(t *testing.T, c stormConfig) {
 	}
 	// The page a failing op was reading stays out of the buffers, so no
 	// later read can be served from a half-retried image.
-	if _, ok := r.tree.inflight[storage.PageID(0)]; ok {
+	if _, ok := r.tree.inflight.Get(storage.PageID(0)); ok {
 		t.Fatal("meta page left in the in-flight write table")
 	}
 }

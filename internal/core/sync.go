@@ -81,7 +81,7 @@ func (t *Tree) runSync(o *Op) {
 			if o.syncOutstanding > 0 {
 				return
 			}
-			if len(o.syncQueue) > 0 || t.journalOn && (len(t.bgQueue) > 0 || len(t.inflight) > 0) {
+			if len(o.syncQueue) > 0 || t.journalOn && (len(t.bgQueue) > 0 || t.inflight.Len() > 0) {
 				// Pages whose records are still on their way to the log
 				// wait for them (the write-ahead rule; the fence admits no
 				// new ones), and background write-backs must land under
@@ -154,7 +154,7 @@ func (t *Tree) runSync(o *Op) {
 				// no-op so the in-memory state advances exactly once.
 				t.wal.Reset(func(uint64, []byte) {})
 				t.jDurable = 0
-				clear(t.jPageEnd) // every record is durable: nothing holds
+				t.jPageEnd.Clear() // every record is durable: nothing holds
 				o.syncResetDone = true
 			}
 			if !o.syncSent {

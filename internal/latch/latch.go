@@ -15,6 +15,7 @@ package latch
 import (
 	"fmt"
 
+	"github.com/patree/patree/internal/pagemap"
 	"github.com/patree/patree/internal/storage"
 )
 
@@ -48,11 +49,13 @@ type nodeLatch struct {
 	pending []request
 }
 
-// Table holds latch state for all nodes. State is allocated lazily and
-// reclaimed when a node returns to fully-unlatched with no waiters, so the
-// table's size tracks the working set, not the tree.
+// Table holds latch state for all nodes, indexed by an open-addressed
+// page table (internal/pagemap): a node visit's acquire and release are
+// three probes of one slot array. State is allocated lazily and reclaimed
+// when a node returns to fully-unlatched with no waiters, so the index's
+// size tracks the nodes latched now, not the tree.
 type Table struct {
-	nodes map[storage.PageID]*nodeLatch
+	nodes pagemap.Map[*nodeLatch]
 	// free recycles reclaimed nodeLatch records (and their pending-queue
 	// capacity), so the steady-state acquire/release cycle of an
 	// uncontended node allocates nothing.
@@ -63,7 +66,7 @@ type Table struct {
 
 // NewTable returns an empty latch table.
 func NewTable() *Table {
-	return &Table{nodes: make(map[storage.PageID]*nodeLatch)}
+	return &Table{}
 }
 
 // Acquire requests a latch on id in the given mode. If the latch is
@@ -71,7 +74,8 @@ func NewTable() *Table {
 // the request is queued and grant will be called by a later Release, at
 // which point the latch is held.
 func (t *Table) Acquire(id storage.PageID, mode Mode, grant func()) bool {
-	nl := t.nodes[id]
+	ref := t.nodes.Ref(id)
+	nl := *ref
 	if nl == nil {
 		if n := len(t.free); n > 0 {
 			nl = t.free[n-1]
@@ -80,7 +84,7 @@ func (t *Table) Acquire(id storage.PageID, mode Mode, grant func()) bool {
 		} else {
 			nl = &nodeLatch{}
 		}
-		t.nodes[id] = nl
+		*ref = nl
 	}
 	// First-request-first-grant: if anyone is queued, go behind them even
 	// if the current counts would admit us (prevents writer starvation).
@@ -97,7 +101,7 @@ func (t *Table) Acquire(id storage.PageID, mode Mode, grant func()) bool {
 // TryAcquire takes a latch on id only if Acquire would grant it at once,
 // and otherwise leaves the table as it found it: it never queues.
 func (t *Table) TryAcquire(id storage.PageID, mode Mode) bool {
-	if nl := t.nodes[id]; nl != nil && (len(nl.pending) > 0 || !nl.admits(mode)) {
+	if nl, _ := t.nodes.Get(id); nl != nil && (len(nl.pending) > 0 || !nl.admits(mode)) {
 		return false
 	}
 	return t.Acquire(id, mode, nil) // granted: nothing queues
@@ -126,7 +130,7 @@ func (nl *nodeLatch) take(mode Mode) {
 // synchronously (PA-Tree's callbacks only move operations to the ready
 // set, satisfying this).
 func (t *Table) Release(id storage.PageID, mode Mode) {
-	nl := t.nodes[id]
+	nl, _ := t.nodes.Get(id)
 	if nl == nil {
 		panic(fmt.Sprintf("latch: release of unlatched node %d", id))
 	}
@@ -153,14 +157,14 @@ func (t *Table) Release(id storage.PageID, mode Mode) {
 		req.grant()
 	}
 	if nl.r == 0 && nl.w == 0 && len(nl.pending) == 0 {
-		delete(t.nodes, id)
+		t.nodes.Delete(id)
 		t.free = append(t.free, nl)
 	}
 }
 
 // Held reports the current (r, w) counts for id.
 func (t *Table) Held(id storage.PageID) (r, w int) {
-	if nl := t.nodes[id]; nl != nil {
+	if nl, _ := t.nodes.Get(id); nl != nil {
 		return nl.r, nl.w
 	}
 	return 0, 0
@@ -168,14 +172,14 @@ func (t *Table) Held(id storage.PageID) (r, w int) {
 
 // PendingCount returns the number of queued requests on id.
 func (t *Table) PendingCount(id storage.PageID) int {
-	if nl := t.nodes[id]; nl != nil {
+	if nl, _ := t.nodes.Get(id); nl != nil {
 		return len(nl.pending)
 	}
 	return 0
 }
 
 // ActiveNodes returns the number of nodes with any latch state.
-func (t *Table) ActiveNodes() int { return len(t.nodes) }
+func (t *Table) ActiveNodes() int { return t.nodes.Len() }
 
 // Grants returns the cumulative number of granted latches.
 func (t *Table) Grants() uint64 { return t.grants }

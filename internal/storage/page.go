@@ -73,6 +73,28 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// fieldCRC[k][b] is what byte value b at offset 12+k of a page adds to
+// the page's CRC. A CRC is affine in its input, so the CRC of a page with
+// its checksum field zeroed is the page's plain CRC XOR the four entries
+// of the field's bytes: pageSum reads the page and never writes it.
+var fieldCRC = func() (t [4][256]uint32) {
+	var page [PageSize]byte
+	zero := crc32.Checksum(page[:], crcTable)
+	for k := range 4 {
+		for bit := range 8 {
+			page[12+k] = 1 << bit
+			basis := crc32.Checksum(page[:], crcTable) ^ zero
+			page[12+k] = 0
+			for b := range 256 {
+				if b&(1<<bit) != 0 {
+					t[k][b] ^= basis
+				}
+			}
+		}
+	}
+	return t
+}()
+
 // Node is the in-memory form of a tree node. A split decodes device pages
 // into Nodes, mutates them and encodes them back (other mutations edit the
 // sealed leaf in place; see EditLeaf); Nodes are never shared between
@@ -110,25 +132,23 @@ func getU32(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
 func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
 
-// seal computes and stores the page checksum.
-func seal(buf []byte) {
-	putU32(buf[12:16], 0)
-	putU32(buf[12:16], crc32.Checksum(buf, crcTable))
+// pageSum returns the checksum of the page in buf[:PageSize]: the CRC of
+// the image with its checksum field zeroed, whatever the field holds.
+func pageSum(buf []byte) uint32 {
+	buf = buf[:PageSize]
+	return crc32.Checksum(buf, crcTable) ^
+		fieldCRC[0][buf[12]] ^ fieldCRC[1][buf[13]] ^ fieldCRC[2][buf[14]] ^ fieldCRC[3][buf[15]]
 }
 
-// checkSeal verifies the page checksum.
-func checkSeal(buf []byte) bool {
-	want := getU32(buf[12:16])
-	putU32(buf[12:16], 0)
-	got := crc32.Checksum(buf, crcTable)
-	putU32(buf[12:16], want)
-	return got == want
-}
+// seal computes and stores the page checksum.
+func seal(buf []byte) { putU32(buf[12:16], pageSum(buf)) }
+
+// checkSeal verifies the page checksum without writing to buf.
+func checkSeal(buf []byte) bool { return getU32(buf[12:16]) == pageSum(buf) }
 
 // VerifyPage reports whether buf holds a full page whose checksum matches
 // its contents. It is how readers detect bit-rot and torn writes before
-// trusting a page image; VerifyPage may briefly restore the checksum field
-// in place, so buf must not be read concurrently.
+// trusting a page image. It only reads buf, so the image may be shared.
 func VerifyPage(buf []byte) bool {
 	return len(buf) >= PageSize && checkSeal(buf[:PageSize])
 }

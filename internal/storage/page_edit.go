@@ -13,9 +13,8 @@ import "fmt"
 //
 // src is left as it was, so it may be an image the buffer, an in-flight
 // write and a log record all share; dst must not overlap it. It checks
-// the checksum and every slot as DecodeNode does, so like VerifyPage it
-// briefly zeroes src's checksum field and restores it. The caller bounds
-// value by MaxValueSize.
+// the checksum and every slot as DecodeNode does, and like VerifyPage it
+// never writes to src. The caller bounds value by MaxValueSize.
 func EditLeaf(dst, src []byte, key uint64, value []byte, del bool) (found, fits bool, err error) {
 	if len(src) < PageSize {
 		return false, false, fmt.Errorf("storage: short page (%d bytes)", len(src))
