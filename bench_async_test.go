@@ -1,6 +1,7 @@
 package patree
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -148,7 +149,10 @@ func BenchmarkPutBatch(b *testing.B) {
 // and the gap was 15-20x (2 vCPUs: about 30 K vs 510 K ops/s); with an
 // idle worker that parks as a plain goroutine they are goroutine
 // switches, and the same box reads about 370 K vs 650 K ops/s (1.6-1.8x).
-// 1.25x leaves room for a loaded machine.
+// 1.25x leaves room for a loaded machine. Other test binaries sharing
+// the CPUs slow one side or the other for a few milliseconds at a time,
+// so the two are measured in five alternating rounds and their medians
+// compared.
 func TestAsyncThroughputAdvantage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
@@ -163,20 +167,19 @@ func TestAsyncThroughputAdvantage(t *testing.T) {
 		}
 	}
 	measure := func(f func(n int)) float64 {
-		f(2048) // warm
 		const n = 20000
 		start := time.Now()
 		f(n)
 		return float64(n) / time.Since(start).Seconds()
 	}
-	blocking := measure(func(n int) {
+	getBlocking := func(n int) {
 		for i := 0; i < n; i++ {
 			if _, ok, err := db.Get(uint64(i) % 4096); !ok || err != nil {
 				t.Fatalf("Get = %v %v", ok, err)
 			}
 		}
-	})
-	batched := measure(func(n int) {
+	}
+	getBatched := func(n int) {
 		for i := 0; i < n; {
 			b := db.NewBatch()
 			for j := 0; j < benchWindow && i < n; j++ {
@@ -191,9 +194,20 @@ func TestAsyncThroughputAdvantage(t *testing.T) {
 			}
 			b.Release()
 		}
-	})
+	}
+	getBlocking(2048) // warm
+	getBatched(2048)
+	const rounds = 5
+	var blockingRuns, batchedRuns []float64
+	for r := 0; r < rounds; r++ {
+		blockingRuns = append(blockingRuns, measure(getBlocking))
+		batchedRuns = append(batchedRuns, measure(getBatched))
+	}
+	slices.Sort(blockingRuns)
+	slices.Sort(batchedRuns)
+	blocking, batched := blockingRuns[rounds/2], batchedRuns[rounds/2]
 	ratio := batched / blocking
-	t.Logf("blocking %.0f ops/s, batched %.0f ops/s, ratio %.1fx", blocking, batched, ratio)
+	t.Logf("median of %d rounds: blocking %.0f ops/s, batched %.0f ops/s, ratio %.2fx", rounds, blocking, batched, ratio)
 	if ratio < 1.25 {
 		t.Errorf("batched path only %.2fx blocking, want >= 1.25x", ratio)
 	}

@@ -558,9 +558,3 @@ func (t *Tree) Sync(th *simos.Thread) error {
 	}
 	return t.cache.Sync(th)
 }
-
-// CacheStats exposes cache effectiveness.
-func (t *Tree) CacheStats() (hits, misses uint64) {
-	st := t.cache.Stats()
-	return st.Hits, st.Misses
-}

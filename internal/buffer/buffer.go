@@ -335,6 +335,15 @@ func (b *ReadWrite) DirtyPages() []Dirty {
 	return out
 }
 
+// DirtyImage returns id's image and epoch if it is cached dirty, without
+// counting a lookup or touching recency.
+func (b *ReadWrite) DirtyImage(id storage.PageID) (Dirty, bool) {
+	if e := b.l.peek(id); e != nil && e.dirty {
+		return Dirty{ID: e.id, Data: e.data, Epoch: e.epoch}, true
+	}
+	return Dirty{}, false
+}
+
 // Contains reports whether id is cached, without counting a lookup or
 // touching recency.
 func (b *ReadWrite) Contains(id storage.PageID) bool { return b.l.peek(id) != nil }

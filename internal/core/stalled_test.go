@@ -154,6 +154,32 @@ func TestWeakSyncResumesFromFullQueue(t *testing.T) {
 	}
 }
 
+// TestWeakSyncWritesNewestImage pins that an unjournaled sync whose page
+// writes wait out a full queue sends each page's newest image: its
+// snapshot can be older than one an eviction has since written back, and
+// written after it, the snapshot would bring back a leaf's pre-split image
+// and cut its right link. A full scan must find every key.
+func TestWeakSyncWritesNewestImage(t *testing.T) {
+	r := newStormRig(t, Config{Persistence: WeakPersistence, BufferPages: 32, QueueDepth: 6})
+	r.qp.rejectEvery = 0 // the six-slot ring is the choke
+	for c := uint64(0); c < 3; c++ {
+		var ops []*Op
+		for i := 200*c + 1; i <= 200*c+200; i++ {
+			ops = append(ops, NewInsert(i%400+1, []byte(fmt.Sprintf("value-%d", i)), nil))
+			if i%40 == 0 {
+				ops = append(ops, NewSync(nil))
+			}
+		}
+		r.drive(ops)
+		r.drive([]*Op{NewRange(100*c, 100*c+60, 0, nil)})
+	}
+	scan := NewRange(0, 1000, 0, nil)
+	r.drive([]*Op{scan})
+	if n := len(scan.Res.Pairs); n != 400 {
+		t.Fatalf("full scan returned %d of 400 keys", n)
+	}
+}
+
 // TestResubmitStalledTimeoutStorm drives a concurrent mixed batch
 // while every 7th Submit bounces with ErrQueueFull and ~30% of the
 // commands that do get in complete with nvme.ErrTimeout. Every

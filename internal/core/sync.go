@@ -73,7 +73,7 @@ func (t *Tree) runSync(o *Op) {
 		switch o.syncPhase {
 		case spPages:
 			for len(o.syncQueue) > 0 && !t.walHolds(o.syncQueue[0].ID) {
-				if !t.submitSyncPage(o, o.syncQueue[0]) {
+				if d, ok := t.syncImage(o.syncQueue[0]); ok && !t.submitSyncPage(o, d) {
 					return // queue full: stalled list resumes us
 				}
 				o.syncQueue = o.syncQueue[1:]
@@ -216,6 +216,25 @@ func (t *Tree) walGenCurrent() uint32 {
 		return t.wal.Generation()
 	}
 	return t.metaWALGen
+}
+
+// syncImage returns what a sync writes for its snapshot entry d: the
+// page's newest image, which is its dirty buffer copy, else the one an
+// eviction is writing back. An unjournaled sync does not stop mutations,
+// and its writes can wait out a full queue, so the snapshot may be older
+// than an image already sent to the device, which it would overwrite
+// there. False means the device has been sent the newest image already.
+func (t *Tree) syncImage(d buffer.Dirty) (buffer.Dirty, bool) {
+	if d.ID == 0 {
+		return d, true // the meta page
+	}
+	if cur, ok := t.rw.DirtyImage(d.ID); ok {
+		return cur, true
+	}
+	if data, ok := t.inflight.Get(d.ID); ok {
+		return buffer.Dirty{ID: d.ID, Data: data}, true
+	}
+	return d, false
 }
 
 // submitSyncPage issues one write of the sync's page snapshot. A

@@ -140,9 +140,6 @@ func New(inner nvme.Device, cfg Config) *Device {
 	return d
 }
 
-// Inner returns the wrapped device.
-func (d *Device) Inner() nvme.Device { return d.inner }
-
 // SetEnabled toggles fault injection (crash tracking continues either
 // way). Disable it while loading fixtures, enable it for the measured
 // phase.
@@ -166,13 +163,6 @@ func (d *Device) Counts() Counts {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.counts
-}
-
-// Crashed reports whether Crash has been called.
-func (d *Device) Crashed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.crashed
 }
 
 // BlockSize implements nvme.Device.

@@ -105,5 +105,5 @@ func FigPipeline(scale Scale) Report {
 			float64(r.Off.P99Latency)/1e3, float64(r.On.P99Latency)/1e3)
 	}
 	return Report{ID: "figpipeline", Title: "Overlapped I/O and computation: classic vs pipelined polled loop", Table: tb,
-		Notes: "read-ahead of each scan's leaves under shared latches, one command per run of adjacent pages, collapses the cold scan mix's serial leaf chains (~2.0x); the journaled write mix runs the same both ways (1.0x), since every journaled tree keeps 8 WAL block writes in flight and writes its pages back; with the feature off the schedules are byte-identical to the classic loop"}
+		Notes: "read-ahead of each scan's leaves under shared latches, one command per run of adjacent pages, collapses the cold scan mix's serial leaf chains (~2.0x); the journaled write mix runs the same both ways (1.0x), since every journaled tree keeps up to 8 WAL write commands in flight and writes its pages back; with the feature off the schedules are byte-identical to the classic loop"}
 }

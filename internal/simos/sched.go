@@ -56,9 +56,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DefaultConfig returns the paper-testbed machine: 8 cores.
-func DefaultConfig() Config { return Config{}.withDefaults() }
-
 type reqKind int
 
 const (

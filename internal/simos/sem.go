@@ -66,9 +66,6 @@ func (m *Sem) post() {
 // Value returns the current count (waiters imply zero).
 func (m *Sem) Value() int { return m.count }
 
-// Waiters returns the number of blocked threads.
-func (m *Sem) Waiters() int { return len(m.waiters) }
-
 // Mutex is a binary semaphore with Lock/Unlock naming, used by baselines
 // for short critical sections (it still costs a syscall per operation,
 // matching the futex-under-contention behaviour the paper measures).

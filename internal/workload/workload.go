@@ -193,9 +193,6 @@ func NewYCSB(cfg YCSBConfig) *YCSB {
 // Name implements Generator.
 func (y *YCSB) Name() string { return y.name }
 
-// KeyOf maps a rank to its key.
-func (y *YCSB) KeyOf(rank uint64) uint64 { return scramble(rank) }
-
 // Preload implements Generator.
 func (y *YCSB) Preload() []core.KV {
 	pairs := make([]core.KV, 0, y.cfg.Keys)

@@ -35,45 +35,19 @@ func TestOpenPutGetClose(t *testing.T) {
 }
 
 func TestCRUDAndScan(t *testing.T) {
-	db, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+	var stream [][]BatchOp
 	for i := uint64(0); i < 500; i++ {
-		if err := db.Put(i*2, []byte(fmt.Sprintf("v%d", i*2))); err != nil {
-			t.Fatal(err)
-		}
+		stream = append(stream, []BatchOp{{Kind: OpPut, Key: i * 2, Value: []byte(fmt.Sprintf("v%d", i*2))}})
 	}
-	if ok, _ := db.Update(10, []byte("new")); !ok {
-		t.Fatal("update failed")
-	}
-	if ok, _ := db.Update(11, []byte("x")); ok {
-		t.Fatal("update of absent key")
-	}
-	if ok, _ := db.Delete(20); !ok {
-		t.Fatal("delete failed")
-	}
-	pairs, err := db.Scan(8, 30, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{8, 10, 12, 14, 16, 18, 22, 24, 26, 28, 30}
-	if len(pairs) != len(want) {
-		t.Fatalf("scan: %d pairs", len(pairs))
-	}
-	for i, kv := range pairs {
-		if kv.Key != want[i] {
-			t.Fatalf("scan[%d] = %d, want %d", i, kv.Key, want[i])
-		}
-	}
-	if string(pairs[1].Value) != "new" {
-		t.Fatalf("updated value = %q", pairs[1].Value)
-	}
-	st := db.Stats()
-	if st.NumKeys != 499 || st.Ops == 0 {
-		t.Fatalf("stats: %+v", st)
-	}
+	stream = append(stream, []BatchOp{{Kind: OpUpdate, Key: 10, Value: []byte("new")}},
+		[]BatchOp{{Kind: OpUpdate, Key: 11, Value: []byte("x")}}, // absent: not found
+		[]BatchOp{{Kind: OpDelete, Key: 20}}, []BatchOp{{Kind: OpScan, Key: 8, End: 30}})
+	runOracle(t, stream, dbTarget{shards: 1, devices: 1, sp: mixed,
+		check: func(t *testing.T, db *DB, _ map[uint64][]byte) {
+			if st := db.Stats(); st.NumKeys != 499 || st.Ops == 0 {
+				t.Fatalf("stats: %+v", st)
+			}
+		}})
 }
 
 func TestConcurrentClients(t *testing.T) {
@@ -114,33 +88,10 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestPersistenceAcrossReopen: Close syncs a weak DB, so what it held
+// in its buffer reads back after a reopen.
 func TestPersistenceAcrossReopen(t *testing.T) {
-	dev := nvme.NewRAMDevice(nvme.RAMConfig{})
-	defer dev.Close()
-	db, err := Open(Options{Device: dev, Persistence: Weak})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 300; i++ {
-		db.Put(i, []byte(fmt.Sprintf("v%d", i)))
-	}
-	if err := db.Close(); err != nil { // Close syncs
-		t.Fatal(err)
-	}
-	db2, err := Open(Options{Device: dev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	for _, k := range []uint64{0, 150, 299} {
-		v, ok, err := db2.Get(k)
-		if err != nil || !ok || string(v) != fmt.Sprintf("v%d", k) {
-			t.Fatalf("reopened key %d: %q %v %v", k, v, ok, err)
-		}
-	}
-	if _, ok, _ := db2.Get(300); ok {
-		t.Fatal("phantom key after reopen")
-	}
+	runOracle(t, putStream(300), dbTarget{shards: 1, devices: 1, weak: true, sp: mixed, reopen: true})
 }
 
 func TestFormatWipes(t *testing.T) {
