@@ -156,11 +156,11 @@ type Config struct {
 	// under both Persistence modes: an operation acknowledges once its redo
 	// group is durable, and its pages stay dirty in the read-write buffer
 	// until eviction write-back or a checkpoint writes them, never ahead of
-	// their records (walHolds). The WAL writer keeps up to eight block
-	// writes in flight. Requires a device formatted with a WAL region
-	// (Format always lays one out); ignored when the meta page records no
-	// region. Off by default: the paper's experiments measure the
-	// unjournaled write path.
+	// their records (walHolds). The WAL writer keeps up to eight write
+	// commands in flight, each a run of adjacent log blocks. Requires a
+	// device formatted with a WAL region (Format always lays one out);
+	// ignored when the meta page records no region. Off by default: the
+	// paper's experiments measure the unjournaled write path.
 	Journal bool
 	// Tracer, when non-nil, receives lifecycle events (admission, queue
 	// and latch waits, I/O slices, completions, probes, yields) from the

@@ -43,11 +43,16 @@ type request struct {
 	grant func()
 }
 
-// nodeLatch is the per-node latch state.
+// nodeLatch is the per-node latch state. The live queue is
+// pending[head:]: a grant advances head, so a dequeue is O(1).
 type nodeLatch struct {
 	r, w    int
+	head    int
 	pending []request
 }
+
+// queued returns the number of requests waiting.
+func (nl *nodeLatch) queued() int { return len(nl.pending) - nl.head }
 
 // Table holds latch state for all nodes, indexed by an open-addressed
 // page table (internal/pagemap): a node visit's acquire and release are
@@ -88,7 +93,7 @@ func (t *Table) Acquire(id storage.PageID, mode Mode, grant func()) bool {
 	}
 	// First-request-first-grant: if anyone is queued, go behind them even
 	// if the current counts would admit us (prevents writer starvation).
-	if len(nl.pending) == 0 && nl.admits(mode) {
+	if nl.queued() == 0 && nl.admits(mode) {
 		nl.take(mode)
 		t.grants++
 		return true
@@ -101,7 +106,7 @@ func (t *Table) Acquire(id storage.PageID, mode Mode, grant func()) bool {
 // TryAcquire takes a latch on id only if Acquire would grant it at once,
 // and otherwise leaves the table as it found it: it never queues.
 func (t *Table) TryAcquire(id storage.PageID, mode Mode) bool {
-	if nl, _ := t.nodes.Get(id); nl != nil && (len(nl.pending) > 0 || !nl.admits(mode)) {
+	if nl, _ := t.nodes.Get(id); nl != nil && (nl.queued() > 0 || !nl.admits(mode)) {
 		return false
 	}
 	return t.Acquire(id, mode, nil) // granted: nothing queues
@@ -145,18 +150,23 @@ func (t *Table) Release(id storage.PageID, mode Mode) {
 		}
 		nl.r--
 	}
-	for len(nl.pending) > 0 && nl.admits(nl.pending[0].mode) {
-		req := nl.pending[0]
-		// Shift-dequeue so the slice keeps its base pointer and capacity
-		// for reuse via the free list; queues are short, the copy is cheap.
-		copy(nl.pending, nl.pending[1:])
-		nl.pending[len(nl.pending)-1] = request{}
-		nl.pending = nl.pending[:len(nl.pending)-1]
+	for nl.queued() > 0 && nl.admits(nl.pending[nl.head].mode) {
+		req := nl.pending[nl.head]
+		nl.pending[nl.head] = request{}
+		nl.head++
 		nl.take(req.mode)
 		t.grants++
 		req.grant()
 	}
-	if nl.r == 0 && nl.w == 0 && len(nl.pending) == 0 {
+	// Once the granted prefix passes half the slice, move the live queue
+	// to the front, keeping the capacity: the slice holds at most twice
+	// the live queue, and the copying costs O(1) per grant amortised.
+	if nl.head > len(nl.pending)/2 {
+		n := copy(nl.pending, nl.pending[nl.head:])
+		clear(nl.pending[n:])
+		nl.pending, nl.head = nl.pending[:n], 0
+	}
+	if nl.r == 0 && nl.w == 0 && nl.queued() == 0 {
 		t.nodes.Delete(id)
 		t.free = append(t.free, nl)
 	}
@@ -173,7 +183,7 @@ func (t *Table) Held(id storage.PageID) (r, w int) {
 // PendingCount returns the number of queued requests on id.
 func (t *Table) PendingCount(id storage.PageID) int {
 	if nl, _ := t.nodes.Get(id); nl != nil {
-		return len(nl.pending)
+		return nl.queued()
 	}
 	return 0
 }

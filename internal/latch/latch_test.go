@@ -1,8 +1,11 @@
 package latch
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/patree/patree/internal/storage"
 )
@@ -206,30 +209,35 @@ func TestModeString(t *testing.T) {
 }
 
 // Property: under any sequence of acquires and releases the invariants
-// hold: w <= 1, never r > 0 and w > 0 simultaneously, and every queued
-// request is eventually granted once all held latches are released.
+// hold: w <= 1, never r > 0 and w > 0 simultaneously, grants come in
+// request order, the queue's slice holds at most twice its live
+// requests, and every queued request is eventually granted once all held
+// latches are released. Sequences run to 600 steps, so queues grow long
+// enough for Release to move a live queue to the front of its slice.
 func TestLatchInvariantsProperty(t *testing.T) {
+	moved := 0 // releases that moved a live queue to the slice's front
 	f := func(raw []byte) bool {
 		tb := NewTable()
 		id := storage.PageID(7)
-		type held struct{ mode Mode }
-		var holds []held
-		queued := 0
-		grantsPending := 0
-		onGrant := func(m Mode) func() {
-			return func() {
-				holds = append(holds, held{m})
-				grantsPending--
-			}
+		var holds []Mode
+		requests, granted := 0, 0
+		inOrder := true
+		grant := func(req int, m Mode) {
+			inOrder = inOrder && req == granted
+			granted++
+			holds = append(holds, m)
 		}
 		check := func() bool {
 			r, w := tb.Held(id)
-			if w > 1 || (r > 0 && w > 0) {
+			if !inOrder || w > 1 || (r > 0 && w > 0) {
+				return false
+			}
+			if nl, _ := tb.nodes.Get(id); nl != nil && len(nl.pending) > 2*nl.queued() {
 				return false
 			}
 			nr, nw := 0, 0
-			for _, h := range holds {
-				if h.mode == Exclusive {
+			for _, m := range holds {
+				if m == Exclusive {
 					nw++
 				} else {
 					nr++
@@ -237,23 +245,30 @@ func TestLatchInvariantsProperty(t *testing.T) {
 			}
 			return r == nr && w == nw
 		}
+		release := func(i int) {
+			m := holds[i]
+			holds = append(holds[:i], holds[i+1:]...)
+			nl, _ := tb.nodes.Get(id)
+			dead := nl.head
+			before := granted
+			tb.Release(id, m)
+			if dead+granted-before > 0 && nl.head == 0 && nl.queued() > 0 {
+				moved++
+			}
+		}
 		for _, b := range raw {
 			if b%3 != 0 || len(holds) == 0 { // acquire
 				mode := Shared
 				if b%2 == 0 {
 					mode = Exclusive
 				}
-				grantsPending++
-				if tb.Acquire(id, mode, onGrant(mode)) {
-					holds = append(holds, held{mode})
-					grantsPending--
-				} else {
-					queued++
+				req := requests
+				requests++
+				if tb.Acquire(id, mode, func() { grant(req, mode) }) {
+					grant(req, mode)
 				}
 			} else { // release a random holder
-				h := holds[int(b)%len(holds)]
-				holds = append(holds[:int(b)%len(holds)], holds[int(b)%len(holds)+1:]...)
-				tb.Release(id, h.mode)
+				release(int(b) % len(holds))
 			}
 			if !check() {
 				return false
@@ -261,17 +276,46 @@ func TestLatchInvariantsProperty(t *testing.T) {
 		}
 		// Drain: release everything; all queued grants must fire.
 		for len(holds) > 0 {
-			h := holds[len(holds)-1]
-			holds = holds[:len(holds)-1]
-			tb.Release(id, h.mode)
+			release(len(holds) - 1)
 			if !check() {
 				return false
 			}
 		}
-		return grantsPending == 0 && tb.ActiveNodes() == 0
+		return granted == requests && tb.ActiveNodes() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	cfg := &quick.Config{MaxCount: 500, Values: func(v []reflect.Value, rng *rand.Rand) {
+		raw := make([]byte, rng.Intn(600))
+		rng.Read(raw)
+		v[0] = reflect.ValueOf(raw)
+	}}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+	if moved == 0 {
+		t.Fatal("no release moved a live queue; the sequences are too short to test compaction")
+	}
+}
+
+// TestLongQueueDrainsLinearly releases 100 000 queued exclusive waiters
+// one at a time. Each grant must cost O(1): a dequeue that shifts the
+// whole queue makes this drain quadratic, several seconds long.
+func TestLongQueueDrainsLinearly(t *testing.T) {
+	const waiters = 100_000
+	tb := NewTable()
+	tb.Acquire(nodeA, Exclusive, nil)
+	granted := 0
+	for i := 0; i < waiters; i++ {
+		tb.Acquire(nodeA, Exclusive, func() { granted++ })
+	}
+	start := time.Now()
+	for i := 0; i <= waiters; i++ {
+		tb.Release(nodeA, Exclusive)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("draining %d waiters took %v, want under 1s", waiters, elapsed)
+	}
+	if granted != waiters || tb.ActiveNodes() != 0 {
+		t.Fatalf("granted %d of %d, %d nodes active", granted, waiters, tb.ActiveNodes())
 	}
 }
 

@@ -561,20 +561,7 @@ func (c coreTarget) start(t *testing.T) targetRun {
 		ops := make([]*core.Op, len(chunk))
 		open := len(chunk)
 		for i, bo := range chunk {
-			switch bo.Kind {
-			case OpPut:
-				ops[i] = core.NewInsert(bo.Key, bo.Value, nil)
-			case OpGet:
-				ops[i] = core.NewSearch(bo.Key, nil)
-			case OpUpdate:
-				ops[i] = core.NewUpdate(bo.Key, bo.Value, nil)
-			case OpDelete:
-				ops[i] = core.NewDelete(bo.Key, nil)
-			case OpScan:
-				ops[i] = core.NewRange(bo.Key, bo.End, bo.Limit, nil)
-			default:
-				ops[i] = core.NewSync(nil)
-			}
+			ops[i] = coreOp(bo)
 			ops[i].Done = func(*core.Op) { open-- }
 		}
 		eng.After(0, func() {
@@ -662,17 +649,30 @@ func fuzzOracle(t *testing.T, data []byte, maxOps int, targets ...target) {
 }
 
 // FuzzOracle makes the configuration a fuzz input: the first four bytes
-// choose a DB target (two bytes) and two core targets (one byte each),
-// and the rest is the stream every one of them must answer alike.
+// choose a DB target (bits 0–11 of the first two) and two core targets
+// (one byte each), and the rest is the stream every one of them must
+// answer alike. A non-zero top nibble of the second byte also runs the
+// stream through the crash runner (fuzzCrash).
 func FuzzOracle(f *testing.F) {
 	f.Add([]byte{0x02, 0x00, 0x00, 0x01, 0, 0, 1, 5, 1, 0, 1, 5, 2, 0, 1, 0})
 	f.Add([]byte{0xAF, 0x0D, 0x36, 0x2F, 4, 1, 0, 3, 0, 1, 0, 7, 0x83, 0, 0, 0, 2, 1, 0, 0, 0xF0, 0, 0, 0})
 	f.Add(append([]byte{0x7E, 0x0B, 0x2E, 0x2B}, bytes.Repeat([]byte{0, 2, 3, 9, 0x81, 2, 3, 0, 4, 0, 200, 3, 0xF3, 0, 0, 0}, 24)...))
+	// One crash seed per topology: runs of puts, updates and syncs over
+	// some 200 keys, with deletes, gets and scans between them.
+	for _, in := range [][]byte{{0x02, 0x40, 0x2A, 0x01}, {0x0D, 0x80, 0x70, 0x2F}, {0x02, 0xC0, 0x22, 0x01}} {
+		for k := 0; k < 150; k++ {
+			in = append(in, []byte{0x00, 0x84, 0x85, 0x02, 0x03, 0x82, 0x05, 0xF0}[k%8], byte(k*37), byte(k*11), byte(k))
+		}
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			t.Skip()
 		}
 		fuzzOracle(t, data[4:], 400, dbTargetOf(data[0], data[1]), coreTargetOf(data[2]), coreTargetOf(data[3]))
+		if n := data[1] >> 4; n != 0 {
+			fuzzCrash(t, n, data[2], decodeStream(data[4:], 400))
+		}
 	})
 }
 
