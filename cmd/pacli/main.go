@@ -18,9 +18,8 @@
 // instead of the shell:
 //
 //	pacli stats [-n ops]            run the workload, print the full
-//	                                metrics snapshot (stage latency
-//	                                breakdown, CPU categories, probe
-//	                                model accuracy)
+//	                                metrics snapshot (counters, stage
+//	                                latency breakdown, CPU categories)
 //	pacli stats -remote host:7071   instead of a local workload, fetch
 //	                                and print /statsz from a running
 //	                                paserve admin endpoint

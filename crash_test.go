@@ -138,7 +138,7 @@ func carve[D nvme.Device](t *testing.T, c crashTarget, ds []D) []nvme.Device {
 	if c.shards == 1 {
 		return devs
 	}
-	parts, err := nvme.ShardPartitions(devs, c.shards, nil)
+	parts, err := nvme.ShardPartitions(devs, c.shards)
 	if err != nil {
 		t.Fatalf("crash%+v: %v", c, err)
 	}

@@ -35,8 +35,7 @@ func (db *DB) PublishExpvar(name string) {
 }
 
 // WritePrometheus renders m in the Prometheus text exposition format:
-// one series per declared counter and gauge, then the stage and
-// probe-error summaries.
+// one series per declared counter and gauge, then the stage summaries.
 func (m Metrics) WritePrometheus(w io.Writer) error {
 	var e metrics.Exposition
 	e.Fields(&m)
@@ -44,9 +43,6 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 		e.Summary("patree_stage_seconds", "Per-stage operation latency decomposition.",
 			metrics.Summary{Count: s.Count, Mean: s.Mean, P50: s.P50, P95: s.P95, P99: s.P99}, true, "stage", s.Stage, "op", s.Op)
 	}
-	e.Summary("patree_probe_abs_err_seconds", "Absolute completion-prediction error.", metrics.Summary{
-		Count: m.Probe.Matched, Mean: m.Probe.AbsErrMean, P50: m.Probe.AbsErrP50, P95: m.Probe.AbsErrP95, P99: m.Probe.AbsErrP99,
-	}, true)
 	_, err := e.WriteTo(w)
 	return err
 }

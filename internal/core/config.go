@@ -124,7 +124,7 @@ type Config struct {
 	// concurrency must stay below this bound (see Tree.Admit).
 	InboxDepth int
 	// Policy is the probe/yield policy; nil selects the workload-aware
-	// policy with the package-default trained model and 50µs yield
+	// policy with the package-default trained model and 20µs yield
 	// granularity.
 	Policy sched.Policy
 	// Prioritized enables the §IV-B prioritized ready queue

@@ -548,3 +548,67 @@ func recoversWhole(img map[uint64][]byte, acked, written map[uint64]string) stri
 	}
 	return ""
 }
+
+// TestFaultCheckpointAppendFence pins the checkpoint's append fence. A
+// checkpoint snapshots the dirty pages, makes them durable and then
+// resets the log, retiring every record in it. An update admitted in
+// between must wait for the reset: its pages are not in the snapshot, so
+// records appended before the reset would be retired with nothing on the
+// device to show for them. Updates are admitted with a checkpoint and
+// while it runs, the device crashes after the reset lands, and every
+// acknowledged update must survive recovery.
+func TestFaultCheckpointAppendFence(t *testing.T) {
+	const keys = 1000
+	cfg := Config{Persistence: WeakPersistence, BufferPages: 1024}
+	r := newJournalRig(t, cfg, 1<<12)
+	acked := map[uint64]string{}
+	for k := uint64(1); k <= keys; k++ {
+		if err := r.insert(k, "old").Err; err != nil {
+			t.Fatalf("insert %d: %v", k, err)
+		}
+		acked[k] = "old"
+	}
+	// A checkpoint leaves every page clean and the log empty; a few fresh
+	// updates give the next one a snapshot to write.
+	if err := r.do(NewSync(nil)).Err; err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	for k := uint64(1); k <= 8; k++ {
+		if err := r.do(NewUpdate(k, []byte("mid"), nil)).Err; err != nil {
+			t.Fatalf("update %d: %v", k, err)
+		}
+		acked[k] = "mid"
+	}
+
+	checkpoint := NewSync(nil)
+	synced := false
+	checkpoint.Done = func(*Op) { synced = true }
+	pending := 0
+	r.eng.After(0, func() { r.tree.Admit(checkpoint) })
+	for i := 0; i < 20; i++ {
+		// Admissions spread over the checkpoint's device round trips.
+		r.eng.After(time.Duration(i)*10*time.Microsecond, func() {
+			for k := uint64(i*50 + 1); k <= uint64(i*50+50); k++ {
+				val := fmt.Sprintf("new%d", k)
+				pending++
+				r.tree.Admit(NewUpdate(k, []byte(val), func(o *Op) {
+					pending--
+					if o.Res.Err == nil {
+						acked[k] = val
+					}
+				}))
+			}
+		})
+	}
+	for (!synced || pending > 0) && r.eng.Now() < sim.Time(time.Second) && r.eng.Step() {
+	}
+	if !synced || checkpoint.Res.Err != nil {
+		t.Fatalf("checkpoint done %v, err %v", synced, checkpoint.Res.Err)
+	}
+	if pending > 0 {
+		t.Errorf("%d updates never completed", pending)
+	}
+	if msg := recoversAcked(r.dev.ImageSnapshot(), acked); msg != "" {
+		t.Fatal(msg)
+	}
+}

@@ -70,10 +70,7 @@ type Counters struct {
 type Stats struct {
 	Counters
 	Completed       [numKinds]uint64 // by Kind
-	Latency         *metrics.Histogram
-	SearchLatency   *metrics.Histogram
-	UpdateLatency   *metrics.Histogram
-	ProbeHits       uint64 // probes that reaped >= 1 completion
+	ProbeHits       uint64           // probes that reaped >= 1 completion
 	CompletionsSeen uint64
 	Splits          uint64
 	// Stages holds per-stage, per-kind latency histograms: where each
@@ -290,9 +287,6 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	} else {
 		t.ready = sched.NewFIFO()
 	}
-	t.stats.Latency = metrics.NewHistogram()
-	t.stats.SearchLatency = metrics.NewHistogram()
-	t.stats.UpdateLatency = metrics.NewHistogram()
 	t.stats.Stages = metrics.NewStageSet(numKinds)
 	return t, nil
 }
@@ -340,12 +334,9 @@ func (t *Tree) StatsSnapshot() Stats {
 // ResetStats zeroes counters and histograms (used by the harness to
 // exclude warm-up).
 func (t *Tree) ResetStats() {
-	lat, sl, ul, stg := t.stats.Latency, t.stats.SearchLatency, t.stats.UpdateLatency, t.stats.Stages
-	lat.Reset()
-	sl.Reset()
-	ul.Reset()
+	stg := t.stats.Stages
 	stg.Reset()
-	t.stats = Stats{Latency: lat, SearchLatency: sl, UpdateLatency: ul, Stages: stg}
+	t.stats = Stats{Stages: stg}
 	t.latches.ResetStats()
 	if t.ro != nil {
 		t.ro.ResetStats()
@@ -628,15 +619,6 @@ func (t *Tree) completeOp(o *Op) {
 	o.Res.Completed = t.now()
 	t.liveOps--
 	t.stats.Completed[o.kind]++
-	if o.Res.Err == nil {
-		lat := o.Res.Latency()
-		t.stats.Latency.Record(lat)
-		if o.kind == KindSearch || o.kind == KindRange {
-			t.stats.SearchLatency.Record(lat)
-		} else {
-			t.stats.UpdateLatency.Record(lat)
-		}
-	}
 	t.recordStages(o)
 	if t.tr != nil {
 		t.tr.Emit(tcOp, uint16(o.kind), o.seq, uint64(o.key), int64(o.Res.Admitted), int64(o.Res.Latency()))

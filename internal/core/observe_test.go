@@ -127,9 +127,9 @@ func TestTraceObservationOnly(t *testing.T) {
 		off.Yields != on.Yields {
 		t.Fatalf("tracer perturbed the schedule:\noff: %+v\non:  %+v", off, on)
 	}
-	if off.Latency.Mean() != on.Latency.Mean() || off.Latency.Max() != on.Latency.Max() {
+	if lo, ln := totalLatency(off), totalLatency(on); lo.Mean() != ln.Mean() || lo.Max() != ln.Max() {
 		t.Fatalf("tracer perturbed latencies: off mean=%v max=%v, on mean=%v max=%v",
-			off.Latency.Mean(), off.Latency.Max(), on.Latency.Mean(), on.Latency.Max())
+			lo.Mean(), lo.Max(), ln.Mean(), ln.Max())
 	}
 }
 

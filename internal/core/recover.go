@@ -67,7 +67,8 @@ var ErrUnformatted = errors.New("core: device holds no tree")
 // converges to the same image.
 //
 // The sequence is: read the superblock (tolerating a torn one — its
-// replacement may be sitting in the journal); scan the WAL region; drop
+// replacement may be sitting in the journal); scan the WAL region (its
+// first block only, when that holds no frame: an empty log); drop
 // record groups fenced out by the superblock's generation watermark and
 // any incomplete trailing group (a live record of another format is
 // ErrJournalFormat, with nothing written); fold the surviving records per
@@ -125,16 +126,26 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 	}
 	rep.Journaled = true
 
-	// Read the whole region in bounded chunks, all in flight together.
-	region := make([]byte, walBlocks*pageSize)
-	const chunk = 128
-	err = io.run(int((walBlocks+chunk-1)/chunk), func(i, _ int) nvme.Command {
-		off := uint64(i) * chunk
-		n := min(chunk, walBlocks-off)
-		return nvme.Command{Op: nvme.OpRead, LBA: walStart + off, Blocks: int(n), Buf: region[off*pageSize : (off+n)*pageSize]}
-	}, nil)
-	if err != nil {
+	// Read the region's first block; only a log with a frame there (not
+	// one a checkpoint or a clean close left empty) is read in full, the
+	// rest in bounded chunks, all in flight together.
+	head := pageRead(storage.PageID(walStart), 1)
+	if err := io.seq(head); err != nil {
 		return nil, nil, fmt.Errorf("core: recover: read journal region: %w", err)
+	}
+	region := head.Buf
+	if !wal.Empty(region) {
+		region = make([]byte, walBlocks*pageSize)
+		copy(region, head.Buf)
+		const chunk = 128
+		err = io.run(int((walBlocks-1+chunk-1)/chunk), func(i, _ int) nvme.Command {
+			off := 1 + uint64(i)*chunk
+			n := min(chunk, walBlocks-off)
+			return nvme.Command{Op: nvme.OpRead, LBA: walStart + off, Blocks: int(n), Buf: region[off*pageSize : (off+n)*pageSize]}
+		}, nil)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: recover: read journal region: %w", err)
+		}
 	}
 
 	records, gen := wal.Recover(region)

@@ -573,6 +573,13 @@ func TestColdGetBufferAccounting(t *testing.T) {
 	}
 }
 
+// totalLatency merges every kind's end-to-end latency histogram.
+func totalLatency(st Stats) *metrics.Histogram {
+	h := metrics.NewHistogram()
+	st.Stages.MergedInto(metrics.StageTotal, h)
+	return h
+}
+
 func TestStatsAccounting(t *testing.T) {
 	r := newRig(t, Config{})
 	for i := 0; i < 50; i++ {
@@ -585,8 +592,8 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Completed[KindInsert] != 50 || st.Completed[KindSearch] != 30 {
 		t.Fatalf("completed = %v", st.Completed)
 	}
-	if st.Latency.Count() != 80 {
-		t.Fatalf("latency count = %d", st.Latency.Count())
+	if n := totalLatency(st).Count(); n != 80 {
+		t.Fatalf("latency count = %d", n)
 	}
 	if st.ReadsIssued == 0 || st.WritesIssued == 0 || st.Probes == 0 {
 		t.Fatalf("io stats: %+v", st)
@@ -643,7 +650,7 @@ func TestDeterministicRuns(t *testing.T) {
 		st := tree.StatsSnapshot()
 		tree.Stop()
 		eng.RunFor(time.Second)
-		return st.TotalOps(), st.Latency.Mean()
+		return st.TotalOps(), totalLatency(st).Mean()
 	}
 	a1, b1 := run()
 	a2, b2 := run()

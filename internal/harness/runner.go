@@ -189,9 +189,6 @@ type PAConfig struct {
 	// must host at least one shard.
 	Shards  int
 	Devices int
-	// Placement maps shard index -> device index. Nil means round-robin
-	// (shard i on device i % Devices), the same default the embedder uses.
-	Placement []int
 	// MkTree builds one shard's tree configuration. It is called once per
 	// shard because sched.Policy instances are stateful: every worker
 	// needs its own.
@@ -246,7 +243,7 @@ func RunPATree(cfg PAConfig) RunStats {
 	for d, sd := range m.devs {
 		devs[d] = sd
 	}
-	parts, err := nvme.ShardPartitions(devs, n, cfg.Placement)
+	parts, err := nvme.ShardPartitions(devs, n)
 	if err != nil {
 		panic(err)
 	}
@@ -359,7 +356,7 @@ func RunPATree(cfg PAConfig) RunStats {
 	var walBlocks, devCmds uint64
 	for i, sh := range shards {
 		st := sh.tree.StatsSnapshot()
-		lat.Merge(st.Latency)
+		st.Stages.MergedInto(metrics.StageTotal, lat)
 		idleSpin += st.IdleSpinTime
 		// The tree's own live accounting (the same account Metrics
 		// exposes): on SimEnv this is the worker thread's virtual-CPU ledger.

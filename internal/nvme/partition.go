@@ -43,48 +43,28 @@ func (p *Partition) Start() uint64 { return p.start }
 func (p *Partition) Parent() Device { return p.parent }
 
 // ShardPartitions carves one partition per shard across several parent
-// devices: placement[i] names shard i's device, and the shards assigned
-// to one device split it equally, in shard order. It is the one layout
-// routine shared by the embedder's multi-device open, the simulation
-// harness and the fault tests, so all three agree on where a shard's
-// blocks live. A nil placement defaults to round-robin (shard i on
-// device i mod len(devs)); a placement entry out of range, a device with
-// no shards, or a device too small for its share is an error.
-func ShardPartitions(devs []Device, shards int, placement []int) ([]*Partition, error) {
-	if len(devs) == 0 {
+// devices, round-robin: shard i lives on device i mod len(devs), and the
+// shards on one device split it equally, in shard order. It is the one
+// layout routine shared by the embedder's multi-device open, the
+// simulation harness and the crash tests, so all three agree on where a
+// shard's blocks live. Fewer shards than devices (a device with no
+// shards) or a device too small for its share is an error.
+func ShardPartitions(devs []Device, shards int) ([]*Partition, error) {
+	m := len(devs)
+	if m == 0 {
 		return nil, fmt.Errorf("nvme: no devices to place %d shards on", shards)
 	}
-	if placement == nil {
-		placement = make([]int, shards)
-		for i := range placement {
-			placement[i] = i % len(devs)
-		}
+	if shards < m {
+		return nil, fmt.Errorf("nvme: device %d hosts no shards — remove it from the topology", shards)
 	}
-	if len(placement) != shards {
-		return nil, fmt.Errorf("nvme: placement names %d shards, topology has %d", len(placement), shards)
-	}
-	perDev := make([]int, len(devs))
-	for i, d := range placement {
-		if d < 0 || d >= len(devs) {
-			return nil, fmt.Errorf("nvme: shard %d placed on device %d, have %d devices", i, d, len(devs))
-		}
-		perDev[d]++
-	}
-	for d, k := range perDev {
-		if k == 0 {
-			return nil, fmt.Errorf("nvme: device %d hosts no shards — remove it from the topology", d)
-		}
-	}
-	// next[d] is the index (on device d) of the next shard assigned there.
-	next := make([]int, len(devs))
 	parts := make([]*Partition, shards)
-	for i, d := range placement {
-		per := devs[d].NumBlocks() / uint64(perDev[d])
-		p, err := NewPartition(devs[d], uint64(next[d])*per, per)
+	for i := range parts {
+		d := i % m
+		per := devs[d].NumBlocks() / uint64((shards-d+m-1)/m) // split among the device's shards
+		p, err := NewPartition(devs[d], uint64(i/m)*per, per)
 		if err != nil {
 			return nil, fmt.Errorf("nvme: shard %d on device %d: %w", i, d, err)
 		}
-		next[d]++
 		parts[i] = p
 	}
 	return parts, nil

@@ -163,25 +163,16 @@ func TestShardPartitionsValidation(t *testing.T) {
 	}
 	devs := []nvme.Device{mk(4096), mk(4096)}
 
-	if _, err := nvme.ShardPartitions(nil, 4, nil); err == nil {
+	if _, err := nvme.ShardPartitions(nil, 4); err == nil {
 		t.Error("no devices accepted")
 	}
-	if _, err := nvme.ShardPartitions(devs, 4, []int{0, 1}); err == nil {
-		t.Error("short placement accepted")
-	}
-	if _, err := nvme.ShardPartitions(devs, 2, []int{0, 2}); err == nil {
-		t.Error("out-of-range placement accepted")
-	}
-	if _, err := nvme.ShardPartitions(devs, 2, []int{0, -1}); err == nil {
-		t.Error("negative placement accepted")
-	}
-	if _, err := nvme.ShardPartitions(devs, 2, []int{1, 1}); err == nil {
+	if _, err := nvme.ShardPartitions(devs, 1); err == nil {
 		t.Error("starved device accepted")
 	}
 
-	// Round-robin default: shards alternate devices, each device's
-	// shards split it equally in shard order.
-	parts, err := nvme.ShardPartitions(devs, 4, nil)
+	// Round-robin: shards alternate devices, each device's shards split
+	// it equally in shard order.
+	parts, err := nvme.ShardPartitions(devs, 4)
 	if err != nil {
 		t.Fatalf("round-robin: %v", err)
 	}
@@ -197,7 +188,7 @@ func TestShardPartitionsValidation(t *testing.T) {
 	// Uneven split truncates: 3 shards on one 4096-block device get 1365
 	// blocks each, in shard order.
 	single := []nvme.Device{mk(4096)}
-	parts, err = nvme.ShardPartitions(single, 3, nil)
+	parts, err = nvme.ShardPartitions(single, 3)
 	if err != nil {
 		t.Fatalf("uneven split: %v", err)
 	}
@@ -207,18 +198,20 @@ func TestShardPartitionsValidation(t *testing.T) {
 		}
 	}
 
-	// Explicit packing: all shards on one device of two is refused (the
-	// other hosts none), but a 3:1 split is honored.
-	parts, err = nvme.ShardPartitions(devs, 4, []int{0, 0, 0, 1})
+	// Devices with unequal shard counts: 3 shards on two devices put
+	// shards 0 and 2 on the first, half of it each, and shard 1 alone on
+	// the whole second.
+	parts, err = nvme.ShardPartitions(devs, 3)
 	if err != nil {
-		t.Fatalf("3:1 placement: %v", err)
+		t.Fatalf("3 shards on 2 devices: %v", err)
 	}
-	if parts[3].Parent() != devs[1] || parts[3].NumBlocks() != 4096 {
-		t.Errorf("lone shard should own its whole device: %d blocks", parts[3].NumBlocks())
-	}
-	for i := 0; i < 3; i++ {
-		if parts[i].Parent() != devs[0] || parts[i].NumBlocks() != 1365 {
-			t.Errorf("packed shard %d: %d blocks on %p", i, parts[i].NumBlocks(), parts[i].Parent())
+	wantParent = []nvme.Device{devs[0], devs[1], devs[0]}
+	wantStart = []uint64{0, 0, 2048}
+	wantBlocks := []uint64{2048, 4096, 2048}
+	for i, p := range parts {
+		if p.Parent() != wantParent[i] || p.Start() != wantStart[i] || p.NumBlocks() != wantBlocks[i] {
+			t.Errorf("shard %d of 3: parent/start/blocks = %p/%d/%d, want %p/%d/%d",
+				i, p.Parent(), p.Start(), p.NumBlocks(), wantParent[i], wantStart[i], wantBlocks[i])
 		}
 	}
 }

@@ -33,9 +33,17 @@ type Policy interface {
 	Overhead() time.Duration
 }
 
-// AlwaysProbe is the naive Algorithm 1 behaviour: probe on every loop
-// iteration that has blocked I/O, never yield.
-type AlwaysProbe struct{}
+// AlwaysProbe is Algorithm 1's rule: probe on every loop iteration that
+// has blocked I/O. Its zero value never yields, the paper's naive
+// baseline. With Idle set it is the wall-clock backend's rule: a probe
+// there is cheap host work with no controller interference to amortise,
+// so a posted completion is reaped at once, and a worker with nothing in
+// flight yields Idle (a wall-clock park that the next admission ends).
+type AlwaysProbe struct {
+	// Idle is the yield granularity when no I/O is outstanding (0 =
+	// keep spinning).
+	Idle time.Duration
+}
 
 // NewAlwaysProbe returns the naive policy.
 func NewAlwaysProbe() *AlwaysProbe { return &AlwaysProbe{} }
@@ -55,8 +63,13 @@ func (*AlwaysProbe) OnProbe(sim.Time) {}
 // ShouldProbe implements Policy.
 func (*AlwaysProbe) ShouldProbe(_ sim.Time, ioBlocked int) bool { return ioBlocked > 0 }
 
-// YieldFor implements Policy.
-func (*AlwaysProbe) YieldFor(sim.Time, int) time.Duration { return 0 }
+// YieldFor implements Policy: Idle when nothing is in flight, else 0.
+func (p *AlwaysProbe) YieldFor(_ sim.Time, ioBlocked int) time.Duration {
+	if ioBlocked == 0 {
+		return p.Idle
+	}
+	return 0
+}
 
 // Overhead implements Policy.
 func (*AlwaysProbe) Overhead() time.Duration { return 20 * time.Nanosecond }
@@ -189,15 +202,6 @@ type Workload struct {
 	lastProbe   sim.Time
 	vecBuf      []float64
 
-	// polled makes the policy probe whenever I/O is outstanding and
-	// never yield while it is: the wall-clock backend's rule, where a
-	// probe is cheap host work with no controller interference to
-	// amortise, so a completion already posted is reaped at once. The
-	// model and tracker keep running, scored (acc) but not obeyed. Off
-	// by default: the simulated experiments run Algorithm 2 as the paper
-	// gives it and must keep byte-identical schedules.
-	polled bool
-
 	// acc, when enabled, scores the model's predictions against observed
 	// completion times (probe introspection). Pure observation: it never
 	// changes probe or yield decisions.
@@ -299,24 +303,16 @@ func (p *Workload) OnDetected(op nvme.Opcode, submittedAt, now sim.Time) {
 // OnProbe implements Policy.
 func (p *Workload) OnProbe(now sim.Time) { p.lastProbe = now }
 
-// SetPolled switches the policy to polled mode (see the field comment).
-// The wall-clock backend turns it on; simulated experiments leave it off.
-func (p *Workload) SetPolled(on bool) { p.polled = on }
-
 // ShouldProbe implements Policy: probe when the model predicts completed
 // I/Os are available to reap (Algorithm 2 lines 6–8). The model estimates
 // the per-slice completion rate (w0, r0) = T·β; the number available
 // since the last probe is rate × elapsed. Probing is worth its driver
 // interference when a small batch has accumulated, or after a modest
 // interval when at least one completion is expected; the safety deadline
-// bounds mispredictions. In polled mode any outstanding I/O is reason
-// enough.
+// bounds mispredictions.
 func (p *Workload) ShouldProbe(now sim.Time, ioBlocked int) bool {
 	if ioBlocked == 0 {
 		return false
-	}
-	if p.polled {
-		return true
 	}
 	elapsed := now.Sub(p.lastProbe)
 	if elapsed >= probeSafety {
@@ -336,8 +332,7 @@ func (p *Workload) ShouldProbe(now sim.Time, ioBlocked int) bool {
 // vector shifted t µs into the future, yield when the completions
 // expected within the yield granularity fall short of a probe batch —
 // spinning would only wait for work the probe gate will not reap yet, so
-// sleeping loses nothing and saves the CPU (Figure 13). In polled mode
-// the worker yields only when nothing is in flight.
+// sleeping loses nothing and saves the CPU (Figure 13).
 func (p *Workload) YieldFor(now sim.Time, ioBlocked int) time.Duration {
 	if p.yieldGranularity <= 0 {
 		return 0
@@ -347,9 +342,6 @@ func (p *Workload) YieldFor(now sim.Time, ioBlocked int) time.Duration {
 		// admissions, which the yield period bounds (and which end a
 		// wall-clock park early), so the idle worker always yields.
 		return p.yieldGranularity
-	}
-	if p.polled {
-		return 0
 	}
 	shift := int(p.yieldGranularity / p.tracker.SliceDur())
 	if shift < 1 {

@@ -72,16 +72,35 @@ func TestQueueLen(t *testing.T) {
 	}
 }
 
+// TestAlwaysProbe pins Algorithm 1's rule and its idle park: with any
+// I/O outstanding the worker probes at once, however little time has
+// passed since the last probe, and never yields; with none it never
+// probes and yields Idle. The zero value (Idle 0) is the paper's naive
+// baseline, which never yields.
 func TestAlwaysProbe(t *testing.T) {
-	p := NewAlwaysProbe()
-	if !p.ShouldProbe(0, 1) {
-		t.Fatal("naive with blocked IO must probe")
+	now := sim.Time(10 * time.Millisecond)
+	for _, idle := range []time.Duration{0, 20 * time.Microsecond} {
+		p := &AlwaysProbe{Idle: idle}
+		p.OnSubmit(nvme.OpWrite, now)
+		p.OnProbe(now)
+		for _, elapsed := range []time.Duration{0, time.Nanosecond, time.Microsecond, time.Millisecond} {
+			at := now.Add(elapsed)
+			for _, blocked := range []int{0, 1, 64} {
+				wantYield := time.Duration(0)
+				if blocked == 0 {
+					wantYield = idle
+				}
+				if got := p.ShouldProbe(at, blocked); got != (blocked > 0) {
+					t.Errorf("idle=%v: ShouldProbe(%v after a probe, %d outstanding) = %v", idle, elapsed, blocked, got)
+				}
+				if got := p.YieldFor(at, blocked); got != wantYield {
+					t.Errorf("idle=%v: YieldFor(%v after a probe, %d outstanding) = %v, want %v", idle, elapsed, blocked, got, wantYield)
+				}
+			}
+		}
 	}
-	if p.ShouldProbe(0, 0) {
-		t.Fatal("probe with no blocked IO")
-	}
-	if p.YieldFor(0, 0) != 0 {
-		t.Fatal("naive must not yield")
+	if *NewAlwaysProbe() != (AlwaysProbe{}) {
+		t.Fatal("NewAlwaysProbe is not the zero value")
 	}
 }
 
@@ -201,54 +220,16 @@ func TestWorkloadYield(t *testing.T) {
 }
 
 // TestWorkloadIdleYieldIgnoresAdmission pins the idle rule: with nothing
-// in flight the worker yields the granularity in either mode, even right
-// after a submission and its completion (the wall-clock park ends on the
-// next admission's Wake); the policy sees no admission signal at all.
+// in flight the worker yields the granularity, even right after a
+// submission and its completion; the policy sees no admission signal at
+// all.
 func TestWorkloadIdleYieldIgnoresAdmission(t *testing.T) {
-	for _, polled := range []bool{false, true} {
-		p := newWorkloadPolicy(t, 20*time.Microsecond)
-		p.SetPolled(polled)
-		now := sim.Time(10 * time.Millisecond)
-		p.OnSubmit(nvme.OpWrite, now)
-		p.OnDetected(nvme.OpWrite, now, now)
-		if got := p.YieldFor(now, 0); got != 20*time.Microsecond {
-			t.Fatalf("polled=%v: idle yield = %v, want the 20µs granularity", polled, got)
-		}
-	}
-}
-
-// TestWorkloadPolled pins polled mode: with any I/O outstanding the
-// worker probes at once, whatever the model predicts and however little
-// time has passed since the last probe, and never yields; with none it
-// never probes and yields the granularity.
-func TestWorkloadPolled(t *testing.T) {
 	p := newWorkloadPolicy(t, 20*time.Microsecond)
-	p.SetPolled(true)
 	now := sim.Time(10 * time.Millisecond)
 	p.OnSubmit(nvme.OpWrite, now)
-	p.OnProbe(now)
-	for _, elapsed := range []time.Duration{0, time.Nanosecond, time.Microsecond, time.Millisecond} {
-		at := now.Add(elapsed)
-		for _, blocked := range []int{1, 2, 64} {
-			if !p.ShouldProbe(at, blocked) {
-				t.Errorf("ShouldProbe(%v after a probe, %d outstanding) = false", elapsed, blocked)
-			}
-			if got := p.YieldFor(at, blocked); got != 0 {
-				t.Errorf("YieldFor(%v after a probe, %d outstanding) = %v, want 0", elapsed, blocked, got)
-			}
-		}
-		if p.ShouldProbe(at, 0) {
-			t.Errorf("ShouldProbe(%v after a probe, nothing outstanding) = true", elapsed)
-		}
-		if got := p.YieldFor(at, 0); got != 20*time.Microsecond {
-			t.Errorf("YieldFor(%v after a probe, nothing outstanding) = %v, want 20µs", elapsed, got)
-		}
-	}
-	// The model that polled mode overrides would not probe yet.
-	q := newWorkloadPolicy(t, 20*time.Microsecond)
-	q.OnProbe(now)
-	if q.ShouldProbe(now, 1) {
-		t.Fatal("the model probes with no elapsed time: the pin above proves nothing")
+	p.OnDetected(nvme.OpWrite, now, now)
+	if got := p.YieldFor(now, 0); got != 20*time.Microsecond {
+		t.Fatalf("idle yield = %v, want the 20µs granularity", got)
 	}
 }
 

@@ -94,7 +94,8 @@ func parseExposition(t *testing.T, body string) map[string]string {
 // TestAdminMetricsExposition's workload, so that every family once written
 // only when non-zero is in it. Stage series for the waits that
 // depend on timing (admit-wait, latch-wait) and for pipeline no-ops are
-// left out.
+// left out, and so are the completion-prediction series
+// (patree_probe_*): the serving worker runs no model to score.
 var parentSeries = func() map[string]string {
 	s := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(`
@@ -113,15 +114,6 @@ counter patree_journal_leaf_records_total
 counter patree_journal_records_total
 gauge patree_keys
 counter patree_ops_total
-summary patree_probe_abs_err_seconds_count
-summary patree_probe_abs_err_seconds_sum
-summary patree_probe_abs_err_seconds{quantile="0.5"}
-summary patree_probe_abs_err_seconds{quantile="0.95"}
-summary patree_probe_abs_err_seconds{quantile="0.99"}
-gauge patree_probe_bias_seconds
-counter patree_probe_predictions_total{outcome="dropped"}
-counter patree_probe_predictions_total{outcome="early"}
-counter patree_probe_predictions_total{outcome="late"}
 counter patree_probes_total
 counter patree_read_ahead_total{outcome="hit"}
 counter patree_read_ahead_total{outcome="issued"}
@@ -260,5 +252,10 @@ func TestAdminMetricsExposition(t *testing.T) {
 	sort.Strings(missing)
 	for _, s := range missing {
 		t.Errorf("series missing or retyped: %s", s)
+	}
+	for s := range got {
+		if strings.HasPrefix(s, "patree_probe_") {
+			t.Errorf("unexpected series %s: nothing on the serving path predicts completions", s)
+		}
 	}
 }

@@ -199,6 +199,14 @@ func (l *Log) Reset(write BlockWriter) {
 	write(0, make([]byte, l.blockSize))
 }
 
+// Empty reports whether a region whose first block is head holds no
+// frame: Recover stops at the first block without a frame's magic, and
+// Reset zeroes the first block, so a head without one is an empty log
+// and the rest of the region need not be read.
+func Empty(head []byte) bool {
+	return len(head) < 2 || binary.LittleEndian.Uint16(head) != frameMagic
+}
+
 // Recover scans the raw region content (concatenated blocks, starting at
 // block 0) and returns the payloads of all valid frames of the newest
 // generation found at the head of the region. Scanning stops at the first

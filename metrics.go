@@ -47,37 +47,26 @@ type CPUBreakdown struct {
 	Total    time.Duration `metric:"- counter sum"`
 }
 
-// ProbeStats reports how well the workload-aware scheduler's model
-// predicted I/O completion times: each submission records a
-// model-implied completion time, each detected completion is matched
-// FIFO within its class, and the signed error is aggregated.
+// ProbeStats is always zero: the serving worker runs no completion
+// model, so there are no predictions to score.
 //
-// Matched counts completions matched to a prediction: Late ones were
-// detected after the predicted time, Early ones at or before it.
-// Dropped counts submissions left untracked because the bounded matcher
-// was full. A positive Bias means completions are detected later than
-// predicted; it and the |error| figures are derived from every shard's
-// matches at once.
+// Deprecated: kept only because the benchmark module (bench/run.go)
+// still reads Metrics.Probe.AbsErrP50 and .Bias; the type and the field
+// leave with that read. Its fields carry no metric tag, so it adds no
+// series and no text line.
 type ProbeStats struct {
-	Matched    uint64        `metric:"- counter sum"`
-	Late       uint64        `metric:"patree_probe_predictions_total{outcome=late} counter sum" help:"Completion predictions by outcome."`
-	Early      uint64        `metric:"patree_probe_predictions_total{outcome=early} counter sum"`
-	Dropped    uint64        `metric:"patree_probe_predictions_total{outcome=dropped} counter sum"`
-	Bias       time.Duration `metric:"patree_probe_bias_seconds gauge derived" help:"Mean signed completion-prediction error."`
-	AbsErrMean time.Duration `metric:"- gauge derived"`
-	AbsErrP50  time.Duration `metric:"- gauge derived"`
-	AbsErrP95  time.Duration `metric:"- gauge derived"`
-	AbsErrP99  time.Duration `metric:"- gauge derived"`
+	Bias      time.Duration
+	AbsErrP50 time.Duration
 }
 
 // Metrics is the full observability snapshot: activity counters, the
-// per-stage latency decomposition, the CPU-category breakdown and the
-// probe model's prediction accuracy. Like Stats it is collected on the
-// working thread, so it is a consistent view.
+// per-stage latency decomposition and the CPU-category breakdown. Like
+// Stats it is collected on the working thread, so it is a consistent view.
 type Metrics struct {
 	Stats
-	Stages      []StageStats
-	CPU         CPUBreakdown
+	Stages []StageStats
+	CPU    CPUBreakdown
+	// Deprecated: always zero; see ProbeStats.
 	Probe       ProbeStats
 	TraceEvents uint64 `metric:"patree_trace_events_total counter sum" help:"Lifecycle trace events emitted."` // 0 unless Options.Trace
 }
@@ -87,10 +76,9 @@ type Metrics struct {
 // the live histograms keep mutating on the worker after the snapshot
 // no-op completes, so cross-shard merging must never touch them.
 type shardMetricsSnap struct {
-	m           Metrics // the tagged fields, before the cross-shard fold
-	buf         bufferCounts
-	stages      *metrics.StageSet
-	probeAbsErr *metrics.Histogram
+	m      Metrics // the tagged fields, before the cross-shard fold
+	buf    bufferCounts
+	stages *metrics.StageSet
 }
 
 // snapMetrics builds the shard's snapshot; call only on its worker.
@@ -114,19 +102,12 @@ func (s *shard) snapMetrics() shardMetricsSnap {
 		Total:    cpu.Total(),
 	}
 
-	if acc := s.policy.Accuracy(); acc != nil {
-		snap.m.Probe = ProbeStats{Matched: acc.Matched(), Late: acc.Late(), Early: acc.Early(), Dropped: acc.Dropped(), Bias: acc.Bias()}
-		snap.probeAbsErr = metrics.NewHistogram()
-		snap.probeAbsErr.Merge(acc.AbsErr())
-	}
-
 	snap.m.TraceEvents = s.tracer.Emitted()
 	return snap
 }
 
 // Metrics snapshots the full observability state, merged across shards:
-// tagged fields fold as their tags say, stage and probe-error histograms
-// merge, the probe bias is weighted by each shard's matched completions.
+// tagged fields fold as their tags say, stage histograms merge.
 func (db *DB) Metrics() Metrics {
 	snaps := make([]shardMetricsSnap, len(db.shards))
 	for i, s := range db.shards {
@@ -138,25 +119,14 @@ func (db *DB) Metrics() Metrics {
 	var m Metrics
 	var buf bufferCounts
 	var classes int
-	var biasWeighted float64
-	absErr := metrics.NewHistogram()
 	for _, snap := range snaps {
 		metrics.Fold(&m, &snap.m)
 		buf.add(snap.buf)
 		if snap.stages != nil && snap.stages.Classes() > classes {
 			classes = snap.stages.Classes()
 		}
-		biasWeighted += float64(snap.m.Probe.Bias) * float64(snap.m.Probe.Matched)
-		if snap.probeAbsErr != nil {
-			absErr.Merge(snap.probeAbsErr)
-		}
 	}
 	db.deriveStats(&m.Stats, buf)
-	if m.Probe.Matched > 0 {
-		m.Probe.Bias = time.Duration(biasWeighted / float64(m.Probe.Matched))
-	}
-	abs := metrics.Summarize(absErr)
-	m.Probe.AbsErrMean, m.Probe.AbsErrP50, m.Probe.AbsErrP95, m.Probe.AbsErrP99 = abs.Mean, abs.P50, abs.P95, abs.P99
 
 	if classes > 0 {
 		merged := metrics.NewStageSet(classes)

@@ -99,8 +99,6 @@ func TestMultiDeviceTopologyMismatch(t *testing.T) {
 	// Same devices, swapped order: the partition that should hold shard 0
 	// (placed on device 0) actually holds a shard stamped device 1.
 	refuse("reopening a 4×2 layout with devices swapped", Options{Devices: []nvme.Device{devs[1], devs[0]}, Shards: 4})
-	// Same devices, different placement: shard-to-device assignment moved.
-	refuse("reopening a 4×2 layout with a different placement", Options{Devices: devs, Shards: 4, Placement: []int{0, 0, 1, 1}})
 
 	// The matching topology still opens, data intact.
 	db, err = Open(Options{Devices: devs, Shards: 4})
@@ -114,8 +112,8 @@ func TestMultiDeviceTopologyMismatch(t *testing.T) {
 }
 
 // TestMultiDeviceOptionsValidation pins the Open-time refusals: both
-// device fields set, more devices than shards, a device left without a
-// shard, out-of-range or short placements, and a too-small device.
+// device fields set, more devices than shards (a device left without a
+// shard), and a too-small device.
 func TestMultiDeviceOptionsValidation(t *testing.T) {
 	devs := ramDevices(t, 2, 1<<15)
 	cases := []struct {
@@ -125,10 +123,6 @@ func TestMultiDeviceOptionsValidation(t *testing.T) {
 	}{
 		{"both device fields", Options{Device: devs[0], Devices: devs, Shards: 2}, "not both"},
 		{"more devices than shards", Options{Devices: devs, Shards: 1}, "every device"},
-		{"placement starves a device", Options{Devices: devs, Shards: 2, Placement: []int{0, 0}}, "hosts no shards"},
-		{"placement out of range", Options{Devices: devs, Shards: 2, Placement: []int{0, 5}}, "placed on device"},
-		{"placement too short", Options{Devices: devs, Shards: 4, Placement: []int{0, 1}}, "placement"},
-		{"single-device placement out of range", Options{Devices: devs[:1], Shards: 2, Placement: []int{0, 1}}, "have 1 device"},
 	}
 	for _, tc := range cases {
 		if db, err := Open(tc.opts); err == nil {
@@ -148,14 +142,6 @@ func TestMultiDeviceOptionsValidation(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "too small") {
 		t.Errorf("too-small error: %v", err)
 	}
-}
-
-// TestMultiDeviceExplicitPlacement verifies a non-default placement
-// works end to end and round-trips: shards packed onto devices
-// explicitly, reopened with the same placement.
-func TestMultiDeviceExplicitPlacement(t *testing.T) {
-	// Three shards on device 0, one on device 1.
-	runOracle(t, putStream(300), dbTarget{shards: 4, devices: 2, placement: []int{0, 0, 0, 1}, sp: mixed, reopen: true})
 }
 
 // TestMultiDeviceRaceHammer hammers the largest tested topology — 8

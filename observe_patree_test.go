@@ -187,13 +187,18 @@ func TestMetricsHandlerServesPrometheus(t *testing.T) {
 		"# TYPE patree_ops_total counter",
 		"patree_stage_seconds{",
 		"patree_cpu_seconds_total{category=",
-		"patree_probe_predictions_total{outcome=",
 		"# TYPE patree_worker_yields_total counter",
 		"patree_worker_idle_spin_seconds_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	if strings.Contains(body, "patree_probe_") {
+		t.Error("exposition has completion-prediction series; the serving worker runs no model")
+	}
+	if m := db.Metrics(); m.Probe != (ProbeStats{}) {
+		t.Errorf("Metrics.Probe = %+v after traffic, want zero", m.Probe)
 	}
 	// Prometheus text format: every non-comment line is "name{labels} value".
 	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,4 +147,86 @@ func TestOpenNeverFormatsOnIOError(t *testing.T) {
 			t.Fatal("open over an unreadable superblock changed the device image")
 		}
 	})
+}
+
+// logReads counts the blocks read in [from, to) through its queue pairs.
+type logReads struct {
+	nvme.Device
+	from, to uint64
+	blocks   atomic.Int64
+}
+
+func (d *logReads) AllocQueuePair(depth int) (nvme.QueuePair, error) {
+	inner, err := d.Device.AllocQueuePair(depth)
+	if err != nil {
+		return nil, err
+	}
+	return &logReadsQP{QueuePair: inner, d: d}, nil
+}
+
+type logReadsQP struct {
+	nvme.QueuePair
+	d *logReads
+}
+
+func (q *logReadsQP) Submit(cmd *nvme.Command) error {
+	if cmd.Op == nvme.OpRead {
+		if lo, hi := max(cmd.LBA, q.d.from), min(cmd.LBA+uint64(cmd.Blocks), q.d.to); lo < hi {
+			q.d.blocks.Add(int64(hi - lo))
+		}
+	}
+	return q.QueuePair.Submit(cmd)
+}
+
+// TestRecoverCleanReopenReadsLogHead pins that a restart after a clean
+// Close reads the journal region's first block and nothing more of it:
+// Close's checkpoint leaves the log empty, and an empty log has no frame
+// in its first block. Recovery reports the same as it would after reading
+// the whole region.
+func TestRecoverCleanReopenReadsLogHead(t *testing.T) {
+	const keys = 500
+	ram := nvme.NewRAMDevice(nvme.RAMConfig{NumBlocks: 1 << 16})
+	defer ram.Close()
+	db, err := Open(Options{Device: ram, Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= keys; k++ {
+		if err := db.Put(k, []byte(fmt.Sprintf("value-%06d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := core.ReadMeta(ram)
+	if err != nil || meta.WALBlocks < 2 {
+		t.Fatalf("meta after close: %+v, %v", meta, err)
+	}
+	dev := &logReads{Device: ram, from: meta.WALStart + 1, to: meta.WALStart + meta.WALBlocks}
+
+	_, rep, err := core.Recover(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (core.RecoverReport{Journaled: true, KeysCounted: keys}); *rep != want {
+		t.Errorf("report after a clean close = %+v, want %+v", *rep, want)
+	}
+	if n := dev.blocks.Load(); n != 0 {
+		t.Errorf("Recover read %d journal blocks past the first of an empty log", n)
+	}
+
+	db, err = Open(Options{Device: dev, Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := db.Get(keys / 2); err != nil || !ok || string(v) != fmt.Sprintf("value-%06d", keys/2) {
+		t.Fatalf("get after reopen: %q %v %v", v, ok, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := dev.blocks.Load(); n != 0 {
+		t.Errorf("reopen read %d journal blocks past the first of an empty log", n)
+	}
 }

@@ -452,8 +452,7 @@ var mixed = spelling{"mixed", func(db *DB, chunk []BatchOp) ([]Result, error) {
 // dbTarget runs a stream through the public API of a DB over its own RAM
 // devices.
 type dbTarget struct {
-	shards, devices int   // devices <= shards, each of 1<<15 blocks
-	placement       []int // shard i on device placement[i]; nil = round robin
+	shards, devices int // devices <= shards, each of 1<<15 blocks
 	journal, weak   bool
 	buffer          int
 	sp              spelling
@@ -472,7 +471,6 @@ func (d dbTarget) start(t *testing.T) targetRun {
 	opts := Options{
 		Devices:     ramDevices(t, d.devices, 1<<15),
 		Shards:      d.shards,
-		Placement:   d.placement,
 		Journal:     d.journal,
 		BufferPages: d.buffer,
 	}

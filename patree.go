@@ -70,7 +70,6 @@ import (
 	"github.com/patree/patree/internal/core"
 	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/nvme"
-	"github.com/patree/patree/internal/probe"
 	"github.com/patree/patree/internal/sched"
 	"github.com/patree/patree/internal/storage"
 	"github.com/patree/patree/internal/trace"
@@ -144,9 +143,8 @@ type Options struct {
 	// refuses to open under another: reformat or match the count.
 	Shards int
 	// Devices spreads the shards across several block devices instead of
-	// one: shard i lives on a partition of Devices[Placement[i]] (or of
-	// Devices[i mod len(Devices)] when Placement is nil), so shards on
-	// different devices stop sharing one controller's interference
+	// one: shard i lives on a partition of Devices[i mod len(Devices)],
+	// so shards on different devices stop sharing one controller's interference
 	// accounting — the Fig 3c ceiling that caps single-device scaling.
 	// Mutually exclusive with Device; the DB never owns the devices.
 	// Shards must be at least len(Devices) (every device hosts at least
@@ -154,10 +152,6 @@ type Options struct {
 	// superblock: reopening with a different device count or order is
 	// refused. A single-entry Devices is exactly the classic layout.
 	Devices []nvme.Device
-	// Placement maps shard index to device index (len must equal the
-	// shard count, checked for a single-entry Devices too; nil =
-	// round-robin). Ignored unless Devices is set.
-	Placement []int
 }
 
 // Counters are the working threads' activity counters: device commands
@@ -189,7 +183,6 @@ type Stats struct {
 type shard struct {
 	idx    int
 	tree   *core.Tree
-	policy *sched.Workload
 	tracer *trace.Tracer
 	done   chan struct{}
 }
@@ -236,7 +229,6 @@ func Open(opts Options) (*DB, error) {
 			owns = true
 		}
 		devs = []nvme.Device{opts.Device}
-		opts.Placement = nil // documented as ignored unless Devices is set
 	}
 	if opts.BufferPages == 0 {
 		opts.BufferPages = 4096
@@ -251,14 +243,7 @@ func Open(opts Options) (*DB, error) {
 	if n < m {
 		return nil, fmt.Errorf("patree: %d shards cannot cover %d devices — every device must host at least one shard (raise Options.Shards or drop devices)", n, m)
 	}
-	place := opts.Placement
-	if place == nil {
-		place = make([]int, n)
-		for i := range place {
-			place[i] = i % m
-		}
-	}
-	parts, err := nvme.ShardPartitions(devs, n, place)
+	parts, err := nvme.ShardPartitions(devs, n)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +253,7 @@ func Open(opts Options) (*DB, error) {
 		for i, p := range parts {
 			if p.NumBlocks() < minShardBlocks {
 				return nil, fmt.Errorf("patree: device %d of %d blocks too small for its shards (shard %d gets %d blocks, needs %d)",
-					place[i], devs[place[i]].NumBlocks(), i, p.NumBlocks(), minShardBlocks)
+					i%m, devs[i%m].NumBlocks(), i, p.NumBlocks(), minShardBlocks)
 			}
 		}
 	}
@@ -285,7 +270,7 @@ func Open(opts Options) (*DB, error) {
 			dev, count = devs[0], 0
 		}
 		if m > 1 {
-			devID, devCount = uint16(place[i]), uint16(m)
+			devID, devCount = uint16(i%m), uint16(m)
 		}
 		s, err := openShard(dev, opts, bufPer, id, count, devID, devCount)
 		if err != nil {
@@ -295,7 +280,7 @@ func Open(opts Options) (*DB, error) {
 				<-prev.done
 			}
 			if n > 1 {
-				err = fmt.Errorf("patree: shard %d/%d (device %d/%d): %w", i, n, place[i], m, err)
+				err = fmt.Errorf("patree: shard %d/%d (device %d/%d): %w", i, n, i%m, m, err)
 			}
 			return nil, err
 		}
@@ -350,20 +335,10 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 		return nil, err
 	}
 	env := core.NewRealEnv()
-	model, err := probe.Default()
-	if err != nil {
-		return nil, err
-	}
-	// Polled mode: probes are cheap host work, so the worker probes
-	// whenever I/O is outstanding and reaps a completion the moment it is
-	// posted; an idle worker parks and every admission wakes it
-	// (RealEnv.Wake). The model, fitted to the simulated controller, is
-	// scored but not obeyed.
-	policy := sched.NewWorkload(model, nil, 20*time.Microsecond)
-	policy.SetPolled(true)
-	// Prediction-error introspection is pure observation (it never alters
-	// probe decisions), so it is always on and Metrics can report it.
-	policy.EnableAccuracy()
+	// Probes are cheap host work, so the worker probes whenever I/O is
+	// outstanding and reaps a completion the moment it is posted; an idle
+	// worker parks and every admission wakes it (RealEnv.Wake).
+	policy := &sched.AlwaysProbe{Idle: 20 * time.Microsecond}
 	var tracer *trace.Tracer
 	if opts.Trace {
 		tracer = core.NewTracer(trace.RingEvents)
@@ -381,7 +356,7 @@ func openShard(dev nvme.Device, opts Options, bufferPages int, id, count, devID,
 	if err != nil {
 		return nil, err
 	}
-	s := &shard{tree: tree, policy: policy, tracer: tracer, done: make(chan struct{})}
+	s := &shard{tree: tree, tracer: tracer, done: make(chan struct{})}
 	go func() {
 		// The working thread is an ordinary goroutine, not a locked OS
 		// thread: when it parks it hands its P to the caller it just

@@ -19,7 +19,6 @@ var metricStructs = map[reflect.Type]bool{
 	reflect.TypeOf(patree.Stats{}):        true,
 	reflect.TypeOf(patree.Counters{}):     true,
 	reflect.TypeOf(patree.CPUBreakdown{}): true,
-	reflect.TypeOf(patree.ProbeStats{}):   true,
 	reflect.TypeOf(server.Stats{}):        true,
 }
 
