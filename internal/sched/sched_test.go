@@ -233,6 +233,38 @@ func TestWorkloadIdleYieldIgnoresAdmission(t *testing.T) {
 	}
 }
 
+// TestWorkloadPolled pins the polled rule a serving worker runs in place of
+// Workload: AlwaysProbe with Workload's idle granularity probes whenever I/O
+// is outstanding, where the model would still wait, and parks for the same
+// granularity as Workload when nothing is.
+func TestWorkloadPolled(t *testing.T) {
+	const idle = 20 * time.Microsecond
+	now := sim.Time(10 * time.Millisecond)
+	w := newWorkloadPolicy(t, idle)
+	w.OnSubmit(nvme.OpWrite, now)
+	w.OnProbe(now)
+	if w.ShouldProbe(now, 1) {
+		t.Fatal("the model probes with no elapsed time: the pin below proves nothing")
+	}
+	p := &AlwaysProbe{Idle: idle}
+	p.OnSubmit(nvme.OpWrite, now)
+	p.OnProbe(now)
+	for _, blocked := range []int{1, 2, 64} {
+		if !p.ShouldProbe(now, blocked) {
+			t.Errorf("polled ShouldProbe(no time after a probe, %d outstanding) = false", blocked)
+		}
+		if got := p.YieldFor(now, blocked); got != 0 {
+			t.Errorf("polled YieldFor(%d outstanding) = %v, want 0", blocked, got)
+		}
+	}
+	if p.ShouldProbe(now, 0) {
+		t.Error("polled ShouldProbe(nothing outstanding) = true")
+	}
+	if got, want := p.YieldFor(now, 0), w.YieldFor(now, 0); got != want || got != idle {
+		t.Errorf("idle yield: polled %v, Workload %v, want both %v", got, want, idle)
+	}
+}
+
 func TestPolicyNamesAndOverheads(t *testing.T) {
 	m, _ := probe.Default()
 	ps := []Policy{NewAlwaysProbe(), NewFixedCycle(time.Microsecond), NewAvgLatency(), NewWorkload(m, nil, 0)}
