@@ -12,9 +12,12 @@ import (
 	"github.com/patree/patree/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/runpatree_golden.json from the current driver")
+var update = flag.Bool("update", false, "rewrite the testdata/*_golden.json files from the current drivers")
 
-const goldenPath = "testdata/runpatree_golden.json"
+const (
+	goldenPath     = "testdata/runpatree_golden.json"
+	syncGoldenPath = "testdata/runsync_golden.json"
+)
 
 // goldenRun is one pinned RunPATree result.
 type goldenRun struct {
@@ -80,17 +83,24 @@ func TestRunPATreeGolden(t *testing.T) {
 	for _, c := range goldenConfigs(s) {
 		got = append(got, goldenRun{Name: c.name, Stats: RunPATree(c.cfg)})
 	}
+	checkGolden(t, goldenPath, got)
+}
+
+// checkGolden compares got field by field with the runs stored at path,
+// or rewrites the file under -update.
+func checkGolden(t *testing.T, path string, got []goldenRun) {
+	t.Helper()
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
