@@ -185,14 +185,14 @@ func (n *node) covers(key uint64) bool {
 
 // Config parameterizes a Blink tree.
 type Config struct {
-	Persistence syncbtree.Persistence
+	Persistence core.Persistence
 	CachePages  int
-	Costs       core.CostModel
 }
 
 // Tree is a multi-thread Blink tree over blocking I/O.
 type Tree struct {
 	cfg   Config
+	costs core.CostModel // PA-Tree's, so CPU-efficiency comparisons are fair
 	io    syncbtree.IO
 	locks *syncbtree.CASLatch
 	cache *syncbtree.Cache
@@ -206,11 +206,9 @@ type Tree struct {
 // Format initializes an empty Blink tree on the device region via io,
 // returning the tree. Must run on a simulated thread.
 func Format(th *simos.Thread, sched *simos.Sched, io syncbtree.IO, cfg Config) (*Tree, error) {
-	if cfg.Costs == (core.CostModel{}) {
-		cfg.Costs = core.DefaultCosts()
-	}
 	t := &Tree{
 		cfg:    cfg,
+		costs:  core.DefaultCosts(),
 		io:     io,
 		locks:  syncbtree.NewCASLatch(sched),
 		cache:  syncbtree.NewCache(cfg.CachePages, io),
@@ -233,7 +231,7 @@ func (t *Tree) Height() int { return t.height }
 
 func (t *Tree) read(th *simos.Thread, id storage.PageID) (*node, error) {
 	if data, ok := t.cache.Get(id); ok {
-		th.Work(metrics.CatRealWork, t.cfg.Costs.NodeVisit)
+		th.Work(metrics.CatRealWork, t.costs.NodeVisit)
 		return decode(id, data)
 	}
 	buf := make([]byte, pageSize)
@@ -243,19 +241,19 @@ func (t *Tree) read(th *simos.Thread, id storage.PageID) (*node, error) {
 	if err := t.cache.FillOnRead(th, id, buf); err != nil {
 		return nil, err
 	}
-	th.Work(metrics.CatRealWork, t.cfg.Costs.NodeVisit)
+	th.Work(metrics.CatRealWork, t.costs.NodeVisit)
 	return decode(id, buf)
 }
 
 func (t *Tree) write(th *simos.Thread, n *node) error {
 	data := n.encode()
-	if t.cfg.Persistence == syncbtree.Weak {
+	if t.cfg.Persistence == core.WeakPersistence {
 		return t.cache.Write(th, n.id, data)
 	}
 	if err := t.io.Write(th, uint64(n.id), data); err != nil {
 		return err
 	}
-	return t.cache.PutClean(th, n.id, data)
+	return t.cache.FillOnRead(th, n.id, data)
 }
 
 // Search is a latch-free point lookup: descend, chasing right-links when
@@ -386,7 +384,7 @@ func (t *Tree) Insert(th *simos.Thread, key uint64, value []byte) (bool, error) 
 		old := n.vals[i]
 		if n.used()-len(old)+len(value) <= pageSize {
 			n.vals[i] = append([]byte(nil), value...)
-			th.Work(metrics.CatRealWork, t.cfg.Costs.LeafMutate)
+			th.Work(metrics.CatRealWork, t.costs.LeafMutate)
 			err := t.write(th, n)
 			t.locks.Unlock(th, n.id)
 			return true, err
@@ -422,7 +420,7 @@ func (t *Tree) Update(th *simos.Thread, key uint64, value []byte) (bool, error) 
 	old := n.vals[i]
 	if n.used()-len(old)+len(value) <= pageSize {
 		n.vals[i] = append([]byte(nil), value...)
-		th.Work(metrics.CatRealWork, t.cfg.Costs.LeafMutate)
+		th.Work(metrics.CatRealWork, t.costs.LeafMutate)
 		err := t.write(th, n)
 		t.locks.Unlock(th, n.id)
 		return true, err
@@ -457,7 +455,7 @@ func (t *Tree) insertLocked(th *simos.Thread, n *node, stack []storage.PageID,
 				t.numKeys++
 			}
 		}
-		th.Work(metrics.CatRealWork, t.cfg.Costs.LeafMutate)
+		th.Work(metrics.CatRealWork, t.costs.LeafMutate)
 		err := t.write(th, n)
 		t.locks.Unlock(th, n.id)
 		return replaced, err
@@ -496,7 +494,7 @@ func (t *Tree) insertLocked(th *simos.Thread, n *node, stack []storage.PageID,
 			target.right = right.id
 			target.high = sep
 		}
-		th.Work(metrics.CatRealWork, t.cfg.Costs.Split)
+		th.Work(metrics.CatRealWork, t.costs.Split)
 		seps = append(seps, pending{sep: sep, right: right.id})
 		rights = append(rights, right)
 		if key >= sep {
@@ -611,7 +609,7 @@ func (t *Tree) insertSeparator(th *simos.Thread, stack []storage.PageID,
 	p.kids = p.kids[: mid+1 : mid+1]
 	p.right = right.id
 	p.high = upSep
-	th.Work(metrics.CatRealWork, t.cfg.Costs.Split)
+	th.Work(metrics.CatRealWork, t.costs.Split)
 	if err := t.write(th, right); err != nil {
 		t.locks.Unlock(th, p.id)
 		return err
@@ -682,7 +680,7 @@ func (t *Tree) Delete(th *simos.Thread, key uint64) (bool, error) {
 	n.keys = append(n.keys[:i], n.keys[i+1:]...)
 	n.vals = append(n.vals[:i], n.vals[i+1:]...)
 	t.numKeys--
-	th.Work(metrics.CatRealWork, t.cfg.Costs.LeafMutate)
+	th.Work(metrics.CatRealWork, t.costs.LeafMutate)
 	err = t.write(th, n)
 	t.locks.Unlock(th, n.id)
 	return true, err
@@ -694,7 +692,7 @@ func (t *Tree) Sync(th *simos.Thread) error { return t.cache.Sync(th) }
 // SetPersistence switches the persistence mode and replaces the cache
 // (callers must Sync first so no dirty pages are dropped). Used by the
 // harness to load fast (weak) and then measure in the target mode.
-func (t *Tree) SetPersistence(p syncbtree.Persistence, cachePages int) {
+func (t *Tree) SetPersistence(p core.Persistence, cachePages int) {
 	if t.cache.DirtyCount() > 0 {
 		panic("blink: SetPersistence with dirty pages; Sync first")
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/patree/patree/internal/baseline/syncbtree"
+	"github.com/patree/patree/internal/core"
 	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/sim"
 	"github.com/patree/patree/internal/simos"
@@ -213,7 +214,7 @@ func TestBlinkLargeValuesMultiSplit(t *testing.T) {
 }
 
 func TestBlinkWeakPersistence(t *testing.T) {
-	r := newRig(t, Config{Persistence: syncbtree.Weak, CachePages: 4096})
+	r := newRig(t, Config{Persistence: core.WeakPersistence, CachePages: 4096})
 	r.spawn("w", func(th *simos.Thread) {
 		for i := 0; i < 200; i++ {
 			r.tree.Insert(th, 1, []byte(fmt.Sprintf("v%d", i)))

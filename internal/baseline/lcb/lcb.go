@@ -25,18 +25,9 @@ import (
 	"github.com/patree/patree/internal/wal"
 )
 
-// Persistence re-exports the baseline modes.
-type Persistence = syncbtree.Persistence
-
-// Modes.
-const (
-	Strong = syncbtree.Strong
-	Weak   = syncbtree.Weak
-)
-
 // Config parameterizes an LCB tree.
 type Config struct {
-	Persistence Persistence
+	Persistence core.Persistence
 	CachePages  int
 	// WALBlocks is the log region size in 512B blocks (default 1M blocks
 	// = 512 MB at the top of the device).
@@ -74,7 +65,7 @@ func New(sched *simos.Sched, io syncbtree.IO, dev nvme.Device, cfg Config, meta 
 		// The inner tree defers page writes (the log provides
 		// durability); its cache is the method's 10%-of-index buffer.
 		inner: syncbtree.NewTree(sched, io, syncbtree.Config{
-			Persistence: syncbtree.Weak,
+			Persistence: core.WeakPersistence,
 			CachePages:  cfg.CachePages,
 		}, meta),
 		log:       wal.NewLog(storage.PageSize, cfg.WALBlocks),
@@ -104,26 +95,17 @@ func (t *Tree) logUpdate(th *simos.Thread, op byte, key uint64, value []byte) er
 		if err := t.inner.Sync(th); err != nil {
 			return err
 		}
-		t.log.Reset(func(idx uint64, data []byte) {
-			t.io.Write(th, t.walStart+idx, data)
-		})
+		if err := syncbtree.ResetLog(th, t.io, t.log, t.walStart); err != nil {
+			return err
+		}
 		if _, err := t.log.Append(encodeRec(op, key, value)); err != nil {
 			return err
 		}
 	} else if err != nil {
 		return err
 	}
-	if t.cfg.Persistence == Strong {
-		var ioErr error
-		t.log.Flush(func(idx uint64, data []byte) {
-			if err := t.io.Write(th, t.walStart+idx, data); err != nil {
-				ioErr = err
-			}
-		})
-		if ioErr != nil {
-			return ioErr
-		}
-		return t.io.Flush(th)
+	if t.cfg.Persistence == core.StrongPersistence {
+		return syncbtree.FlushLog(th, t.io, t.log, t.walStart)
 	}
 	return nil
 }
@@ -169,17 +151,13 @@ func (t *Tree) RangeScan(th *simos.Thread, lo, hi uint64, limit int) ([]core.KV,
 // issue a device flush.
 func (t *Tree) Sync(th *simos.Thread) error {
 	t.logMu.Lock(th)
-	var ioErr error
-	t.log.Flush(func(idx uint64, data []byte) {
-		if err := t.io.Write(th, t.walStart+idx, data); err != nil {
-			ioErr = err
-		}
-	})
+	var err error
+	t.log.Flush(syncbtree.LogBlocks(th, t.io, t.walStart, &err))
 	t.logMu.Unlock(th)
-	if ioErr != nil {
-		return ioErr
+	if err != nil {
+		return err
 	}
-	if err := t.inner.Sync(th); err != nil {
+	if err = t.inner.Sync(th); err != nil {
 		return err
 	}
 	return t.io.Flush(th)

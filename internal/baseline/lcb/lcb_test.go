@@ -70,7 +70,7 @@ func (r *rig) drive(t *testing.T) {
 }
 
 func TestLCBBasicOps(t *testing.T) {
-	r := newRig(t, Config{Persistence: Weak, CachePages: 4096})
+	r := newRig(t, Config{Persistence: core.WeakPersistence, CachePages: 4096})
 	r.spawn("w", func(th *simos.Thread) {
 		for i := 0; i < 300; i++ {
 			if _, err := r.tree.Insert(th, uint64(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -100,7 +100,7 @@ func TestLCBBasicOps(t *testing.T) {
 }
 
 func TestLCBStrongFlushesPerUpdate(t *testing.T) {
-	r := newRig(t, Config{Persistence: Strong, CachePages: 4096})
+	r := newRig(t, Config{Persistence: core.StrongPersistence, CachePages: 4096})
 	r.spawn("w", func(th *simos.Thread) {
 		for i := 0; i < 50; i++ {
 			r.tree.Insert(th, uint64(i), []byte("v"))
@@ -118,7 +118,7 @@ func TestLCBStrongFlushesPerUpdate(t *testing.T) {
 }
 
 func TestLCBWeakDefersLogWrites(t *testing.T) {
-	r := newRig(t, Config{Persistence: Weak, CachePages: 4096})
+	r := newRig(t, Config{Persistence: core.WeakPersistence, CachePages: 4096})
 	r.spawn("w", func(th *simos.Thread) {
 		for i := 0; i < 200; i++ {
 			r.tree.Insert(th, uint64(i), []byte("v"))
@@ -141,7 +141,7 @@ func TestLCBWeakDefersLogWrites(t *testing.T) {
 }
 
 func TestLCBRecoveryReplaysLog(t *testing.T) {
-	cfg := Config{Persistence: Strong, CachePages: 4096}
+	cfg := Config{Persistence: core.StrongPersistence, CachePages: 4096}
 	r := newRig(t, cfg)
 	r.spawn("w", func(th *simos.Thread) {
 		for i := 0; i < 120; i++ {

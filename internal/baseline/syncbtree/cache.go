@@ -18,7 +18,7 @@ import (
 // that do not block are naturally atomic; only operations spanning a
 // blocking I/O need the in-flight table.
 type Cache struct {
-	rw        *buffer.ReadWrite
+	buf       *buffer.Buffer
 	io        IO
 	writeBack map[storage.PageID][]byte
 }
@@ -26,12 +26,12 @@ type Cache struct {
 // NewCache creates a cache of capacity pages over io (capacity 0
 // disables caching).
 func NewCache(capacity int, io IO) *Cache {
-	return &Cache{rw: buffer.NewReadWrite(capacity), io: io, writeBack: make(map[storage.PageID][]byte)}
+	return &Cache{buf: buffer.New(capacity), io: io, writeBack: make(map[storage.PageID][]byte)}
 }
 
 // Get returns the cached image of id.
 func (c *Cache) Get(id storage.PageID) ([]byte, bool) {
-	if data, ok := c.rw.Get(id); ok {
+	if data, ok := c.buf.Get(id); ok {
 		return data, true
 	}
 	if data, ok := c.writeBack[id]; ok {
@@ -40,10 +40,11 @@ func (c *Cache) Get(id storage.PageID) ([]byte, bool) {
 	return nil, false
 }
 
-// FillOnRead caches a page read from the device, writing back any evicted
-// dirty victim synchronously on th.
+// FillOnRead caches a page read from the device, or one a write-through
+// write made durable, writing back any evicted dirty victim synchronously
+// on th.
 func (c *Cache) FillOnRead(th *simos.Thread, id storage.PageID, data []byte) error {
-	victim, ev := c.rw.FillOnRead(id, data)
+	victim, ev := c.buf.FillOnRead(id, data)
 	if ev {
 		return c.flushVictim(th, victim)
 	}
@@ -53,16 +54,11 @@ func (c *Cache) FillOnRead(th *simos.Thread, id storage.PageID, data []byte) err
 // Write absorbs a dirty page (weak persistence), writing back any evicted
 // victim synchronously.
 func (c *Cache) Write(th *simos.Thread, id storage.PageID, data []byte) error {
-	victim, ev := c.rw.Write(id, data)
+	victim, ev := c.buf.Write(id, data)
 	if ev {
 		return c.flushVictim(th, victim)
 	}
 	return nil
-}
-
-// PutClean caches a page known durable (strong mode, after write-through).
-func (c *Cache) PutClean(th *simos.Thread, id storage.PageID, data []byte) error {
-	return c.FillOnRead(th, id, data)
 }
 
 func (c *Cache) flushVictim(th *simos.Thread, victim buffer.Dirty) error {
@@ -72,24 +68,21 @@ func (c *Cache) flushVictim(th *simos.Thread, victim buffer.Dirty) error {
 		delete(c.writeBack, victim.ID)
 	}
 	if err == nil {
-		c.rw.MarkClean(victim.ID, victim.Epoch)
+		c.buf.MarkClean(victim.ID, victim.Epoch)
 	}
 	return err
 }
 
 // Sync flushes every dirty page and issues a device flush.
 func (c *Cache) Sync(th *simos.Thread) error {
-	for _, d := range c.rw.DirtyPages() {
+	for _, d := range c.buf.DirtyPages() {
 		if err := c.io.Write(th, uint64(d.ID), d.Data); err != nil {
 			return err
 		}
-		c.rw.MarkClean(d.ID, d.Epoch)
+		c.buf.MarkClean(d.ID, d.Epoch)
 	}
 	return c.io.Flush(th)
 }
 
 // DirtyCount exposes the number of dirty pages.
-func (c *Cache) DirtyCount() int { return c.rw.DirtyCount() }
-
-// Stats returns the underlying buffer counters.
-func (c *Cache) Stats() buffer.Stats { return c.rw.Stats() }
+func (c *Cache) DirtyCount() int { return c.buf.DirtyCount() }

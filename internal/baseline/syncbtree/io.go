@@ -18,27 +18,12 @@ package syncbtree
 import (
 	"time"
 
+	"github.com/patree/patree/internal/core"
 	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/simos"
+	"github.com/patree/patree/internal/wal"
 )
-
-// IOCosts are the CPU constants charged for device interaction; they
-// match the PA-Tree cost model so CPU comparisons are fair.
-type IOCosts struct {
-	Submit      time.Duration
-	ProbeCall   time.Duration
-	ProbePerCQE time.Duration
-}
-
-// DefaultIOCosts mirrors core.DefaultCosts.
-func DefaultIOCosts() IOCosts {
-	return IOCosts{
-		Submit:      250 * time.Nanosecond,
-		ProbeCall:   300 * time.Nanosecond,
-		ProbePerCQE: 60 * time.Nanosecond,
-	}
-}
 
 // IO is a blocking block-I/O service for simulated threads.
 type IO interface {
@@ -55,7 +40,7 @@ type IO interface {
 type Dedicated struct {
 	dev        nvme.Device
 	sched      *simos.Sched
-	costs      IOCosts
+	costs      core.CostModel // PA-Tree's IOSubmit, ProbeCall, ProbePerCQE
 	probeSleep time.Duration
 	qps        map[int]nvme.QueuePair // thread id -> queue pair
 }
@@ -65,7 +50,7 @@ func NewDedicated(dev nvme.Device, sched *simos.Sched) *Dedicated {
 	return &Dedicated{
 		dev:        dev,
 		sched:      sched,
-		costs:      DefaultIOCosts(),
+		costs:      core.DefaultCosts(),
 		probeSleep: 100 * time.Microsecond,
 		qps:        make(map[int]nvme.QueuePair),
 	}
@@ -89,7 +74,7 @@ func (d *Dedicated) do(th *simos.Thread, cmd *nvme.Command) error {
 	done := false
 	var ioErr error
 	cmd.Callback = func(c nvme.Completion) { done = true; ioErr = c.Err }
-	th.Work(metrics.CatNVMe, d.costs.Submit)
+	th.Work(metrics.CatNVMe, d.costs.IOSubmit)
 	if err := qp.Submit(cmd); err != nil {
 		return err
 	}
@@ -121,10 +106,9 @@ func (d *Dedicated) Flush(th *simos.Thread) error {
 
 // sharedReq is one queued request in the shared discipline.
 type sharedReq struct {
-	cmd  *nvme.Command
-	sem  *simos.Sem
-	err  error
-	done bool
+	cmd *nvme.Command
+	sem *simos.Sem
+	err error
 }
 
 // Shared implements IO with a global request queue and a daemon thread
@@ -132,9 +116,8 @@ type sharedReq struct {
 // Synchronization between workers and the daemon uses semaphore
 // wait/post, exactly the mechanism whose cost Figure 9 highlights.
 type Shared struct {
-	dev   nvme.Device
 	sched *simos.Sched
-	costs IOCosts
+	costs core.CostModel // PA-Tree's IOSubmit, ProbeCall, ProbePerCQE
 
 	qp      nvme.QueuePair
 	mu      *simos.Mutex
@@ -153,9 +136,8 @@ func NewShared(dev nvme.Device, sched *simos.Sched) *Shared {
 		panic("syncbtree: daemon queue pair allocation failed: " + err.Error())
 	}
 	s := &Shared{
-		dev:     dev,
 		sched:   sched,
-		costs:   DefaultIOCosts(),
+		costs:   core.DefaultCosts(),
 		qp:      qp,
 		mu:      sched.NewMutex(),
 		pending: sched.NewSem(0),
@@ -191,11 +173,10 @@ func (s *Shared) daemon(th *simos.Thread) {
 			req := r
 			req.cmd.Callback = func(c nvme.Completion) {
 				req.err = c.Err
-				req.done = true
 				s.daemonInflight--
 				req.sem.Post(nil) // daemon-side post cost charged below
 			}
-			th.Work(metrics.CatNVMe, s.costs.Submit)
+			th.Work(metrics.CatNVMe, s.costs.IOSubmit)
 			th.Work(metrics.CatSync, s.sched.Config().SyscallCost) // future post
 			for s.qp.Submit(req.cmd) != nil {
 				// Queue full: reap some completions, then retry.
@@ -245,4 +226,33 @@ func (s *Shared) Write(th *simos.Thread, id uint64, data []byte) error {
 // Flush implements IO.
 func (s *Shared) Flush(th *simos.Thread) error {
 	return s.do(th, &nvme.Command{Op: nvme.OpFlush})
+}
+
+// LogBlocks returns a wal.BlockWriter that writes a log's block i to page
+// base+i of io, blocking th, and keeps the first write error in *err.
+func LogBlocks(th *simos.Thread, io IO, base uint64, err *error) wal.BlockWriter {
+	return func(idx uint64, data []byte) {
+		if e := io.Write(th, base+idx, data); e != nil && *err == nil {
+			*err = e
+		}
+	}
+}
+
+// FlushLog is a log-based baseline's strong commit: write every unflushed
+// block of log (based at page base), then flush the device.
+func FlushLog(th *simos.Thread, io IO, log *wal.Log, base uint64) error {
+	var err error
+	log.Flush(LogBlocks(th, io, base, &err))
+	if err != nil {
+		return err
+	}
+	return io.Flush(th)
+}
+
+// ResetLog recycles log, rewriting its first block, and returns the first
+// write error.
+func ResetLog(th *simos.Thread, io IO, log *wal.Log, base uint64) error {
+	var err error
+	log.Reset(LogBlocks(th, io, base, &err))
+	return err
 }

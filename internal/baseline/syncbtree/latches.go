@@ -1,112 +1,57 @@
 package syncbtree
 
 import (
+	"github.com/patree/patree/internal/latch"
 	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/simos"
 	"github.com/patree/patree/internal/storage"
 )
 
-// Latches is a blocking latch table for simulated threads: the same
-// shared/exclusive semantics and FIFO fairness as PA-Tree's operation
-// latches, but implemented — as the paper's baselines are — with
-// semaphore-style blocking: a thread that cannot take a latch parks and
-// is woken by the releaser, paying syscall and context-switch costs.
+// Latches is PA-Tree's latch table (internal/latch) for blocking
+// simulated threads: the same shared/exclusive semantics and FIFO grants,
+// but used as the paper's baselines latch, with semaphore-style blocking.
+// A thread that cannot take a latch parks and is woken by the releaser,
+// paying syscall and context-switch costs.
 type Latches struct {
 	sched *simos.Sched
-	nodes map[storage.PageID]*blockLatch
-	waits uint64
+	tab   *latch.Table
+	woken []*simos.Parker // waiters granted by the Release in progress
 }
-
-type blockWaiter struct {
-	mode   Mode
-	parker *simos.Parker
-}
-
-type blockLatch struct {
-	r, w    int
-	pending []blockWaiter
-}
-
-// Mode aliases the latch modes.
-type Mode int
-
-// Latch modes.
-const (
-	SLatch Mode = iota
-	XLatch
-)
 
 // NewLatches creates an empty blocking latch table.
 func NewLatches(sched *simos.Sched) *Latches {
-	return &Latches{sched: sched, nodes: make(map[storage.PageID]*blockLatch)}
-}
-
-func (l *blockLatch) admits(m Mode) bool {
-	if m == XLatch {
-		return l.r == 0 && l.w == 0
-	}
-	return l.w == 0
-}
-
-func (l *blockLatch) take(m Mode) {
-	if m == XLatch {
-		l.w++
-	} else {
-		l.r++
-	}
+	return &Latches{sched: sched, tab: latch.NewTable()}
 }
 
 // Acquire blocks th until the latch on id is held in mode m. Every call
 // pays the semaphore syscall cost (CatSync), like sem_wait.
-func (t *Latches) Acquire(th *simos.Thread, id storage.PageID, m Mode) {
-	th.Work(metrics.CatSync, t.sched.Config().SyscallCost)
-	nl := t.nodes[id]
-	if nl == nil {
-		nl = &blockLatch{}
-		t.nodes[id] = nl
-	}
-	if len(nl.pending) == 0 && nl.admits(m) {
-		nl.take(m)
+func (l *Latches) Acquire(th *simos.Thread, id storage.PageID, m latch.Mode) {
+	th.Work(metrics.CatSync, l.sched.Config().SyscallCost)
+	if l.tab.TryAcquire(id, m) {
 		return
 	}
-	t.waits++
-	p := t.sched.NewParker()
-	nl.pending = append(nl.pending, blockWaiter{mode: m, parker: p})
-	p.Park(th) // releaser takes the latch on our behalf before unparking
+	p := l.sched.NewParker()
+	// The grant only records the waiter: Release wakes it once the table
+	// is done, since charging the wake here would yield inside the
+	// table's grant pass, which is not re-entrant.
+	l.tab.Acquire(id, m, func() { l.woken = append(l.woken, p) })
+	p.Park(th) // the releaser's grant has taken the latch on our behalf
 }
 
-// Release drops a latch and wakes eligible waiters in FIFO order, paying
-// the sem_post syscall cost per wake.
-func (t *Latches) Release(th *simos.Thread, id storage.PageID, m Mode) {
-	nl := t.nodes[id]
-	if nl == nil {
-		panic("syncbtree: release of unlatched node")
-	}
-	if m == XLatch {
-		nl.w--
-	} else {
-		nl.r--
-	}
-	if nl.w < 0 || nl.r < 0 {
-		panic("syncbtree: latch underflow")
-	}
-	for len(nl.pending) > 0 && nl.admits(nl.pending[0].mode) {
-		wtr := nl.pending[0]
-		nl.pending = nl.pending[1:]
-		nl.take(wtr.mode)
-		th.Work(metrics.CatSync, t.sched.Config().SyscallCost)
-		wtr.parker.Unpark()
-	}
-	if nl.r == 0 && nl.w == 0 && len(nl.pending) == 0 {
-		delete(t.nodes, id)
+// Release drops a latch and wakes the waiters it granted, in FIFO order,
+// paying the sem_post syscall cost per wake.
+func (l *Latches) Release(th *simos.Thread, id storage.PageID, m latch.Mode) {
+	l.tab.Release(id, m)
+	woken := l.woken
+	l.woken = nil
+	for _, p := range woken {
+		th.Work(metrics.CatSync, l.sched.Config().SyscallCost)
+		p.Unpark()
 	}
 }
 
 // Waits returns how many acquisitions had to block.
-func (t *Latches) Waits() uint64 { return t.waits }
-
-// Active returns the number of nodes with latch state.
-func (t *Latches) Active() int { return len(t.nodes) }
+func (l *Latches) Waits() uint64 { return l.tab.Waits() }
 
 // CASLatch is a test-and-set spinlock used by the lock-free baselines
 // (Blink-Tree, LCB-Tree): acquiring costs only a CAS (no syscall), but

@@ -2,37 +2,19 @@ package syncbtree
 
 import (
 	"github.com/patree/patree/internal/core"
+	"github.com/patree/patree/internal/latch"
 	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/simos"
 	"github.com/patree/patree/internal/storage"
 )
 
-// Persistence mirrors core.Persistence for the baselines.
-type Persistence int
-
-// Persistence modes.
-const (
-	Strong Persistence = iota
-	Weak
-)
-
 // Config parameterizes a baseline tree.
 type Config struct {
 	// Persistence selects write-through (strong) or buffered (weak).
-	Persistence Persistence
+	Persistence core.Persistence
 	// CachePages is the shared cache capacity (0 = no cache, the §V-A
 	// configuration).
 	CachePages int
-	// Costs are the index-logic CPU constants, shared with PA-Tree so
-	// CPU-efficiency comparisons are fair.
-	Costs core.CostModel
-}
-
-func (c Config) withDefaults() Config {
-	if c.Costs == (core.CostModel{}) {
-		c.Costs = core.DefaultCosts()
-	}
-	return c
 }
 
 // Tree is a synchronous-paradigm B+ tree over blocking I/O: identical
@@ -41,6 +23,7 @@ func (c Config) withDefaults() Config {
 // simulated threads.
 type Tree struct {
 	cfg     Config
+	costs   core.CostModel // PA-Tree's, so CPU-efficiency comparisons are fair
 	io      IO
 	latches *Latches
 	cache   *Cache
@@ -53,9 +36,9 @@ type Tree struct {
 
 // NewTree opens a baseline tree over io from a meta image.
 func NewTree(sched *simos.Sched, io IO, cfg Config, meta *storage.Meta) *Tree {
-	cfg = cfg.withDefaults()
 	return &Tree{
 		cfg:     cfg,
+		costs:   core.DefaultCosts(),
 		io:      io,
 		latches: NewLatches(sched),
 		cache:   NewCache(cfg.CachePages, io),
@@ -69,16 +52,13 @@ func NewTree(sched *simos.Sched, io IO, cfg Config, meta *storage.Meta) *Tree {
 // NumKeys returns the key count.
 func (t *Tree) NumKeys() uint64 { return t.numKeys }
 
-// Height returns the tree height.
-func (t *Tree) Height() int { return t.height }
-
 // LatchWaits returns the number of blocked latch acquisitions.
 func (t *Tree) LatchWaits() uint64 { return t.latches.Waits() }
 
 // readNode loads and decodes a page (cache first, then blocking I/O).
 func (t *Tree) readNode(th *simos.Thread, id storage.PageID) (*storage.Node, error) {
 	if data, ok := t.cache.Get(id); ok {
-		th.Work(metrics.CatRealWork, t.cfg.Costs.NodeVisit)
+		th.Work(metrics.CatRealWork, t.costs.NodeVisit)
 		return storage.DecodeNode(id, data)
 	}
 	buf := make([]byte, storage.PageSize)
@@ -88,20 +68,20 @@ func (t *Tree) readNode(th *simos.Thread, id storage.PageID) (*storage.Node, err
 	if err := t.cache.FillOnRead(th, id, buf); err != nil {
 		return nil, err
 	}
-	th.Work(metrics.CatRealWork, t.cfg.Costs.NodeVisit)
+	th.Work(metrics.CatRealWork, t.costs.NodeVisit)
 	return storage.DecodeNode(id, buf)
 }
 
 // writeNode persists a modified node per the persistence mode.
 func (t *Tree) writeNode(th *simos.Thread, n *storage.Node) error {
 	data := n.Encode()
-	if t.cfg.Persistence == Weak {
+	if t.cfg.Persistence == core.WeakPersistence {
 		return t.cache.Write(th, n.ID, data)
 	}
 	if err := t.io.Write(th, uint64(n.ID), data); err != nil {
 		return err
 	}
-	return t.cache.PutClean(th, n.ID, data)
+	return t.cache.FillOnRead(th, n.ID, data)
 }
 
 func (t *Tree) writeMeta(th *simos.Thread) error {
@@ -111,14 +91,14 @@ func (t *Tree) writeMeta(th *simos.Thread) error {
 		Watermark: t.alloc.Watermark(),
 		NumKeys:   t.numKeys,
 	}
-	if t.cfg.Persistence == Weak {
+	if t.cfg.Persistence == core.WeakPersistence {
 		return t.cache.Write(th, 0, meta.Encode())
 	}
 	return t.io.Write(th, 0, meta.Encode())
 }
 
 // entryLatch acquires the root latch with the root-change recheck.
-func (t *Tree) entryLatch(th *simos.Thread, mode Mode) (storage.PageID, error) {
+func (t *Tree) entryLatch(th *simos.Thread, mode latch.Mode) (storage.PageID, error) {
 	for {
 		id := t.rootID
 		t.latches.Acquire(th, id, mode)
@@ -131,14 +111,14 @@ func (t *Tree) entryLatch(th *simos.Thread, mode Mode) (storage.PageID, error) {
 
 // Search performs a blocking point lookup with S-latch coupling.
 func (t *Tree) Search(th *simos.Thread, key uint64) ([]byte, bool, error) {
-	id, err := t.entryLatch(th, SLatch)
+	id, err := t.entryLatch(th, latch.Shared)
 	if err != nil {
 		return nil, false, err
 	}
 	for {
 		node, err := t.readNode(th, id)
 		if err != nil {
-			t.latches.Release(th, id, SLatch)
+			t.latches.Release(th, id, latch.Shared)
 			return nil, false, err
 		}
 		if node.IsLeaf() {
@@ -147,12 +127,12 @@ func (t *Tree) Search(th *simos.Thread, key uint64) ([]byte, bool, error) {
 			if found {
 				val = node.Vals[i]
 			}
-			t.latches.Release(th, id, SLatch)
+			t.latches.Release(th, id, latch.Shared)
 			return val, found, nil
 		}
 		child := node.Children[node.ChildIndex(key)]
-		t.latches.Acquire(th, child, SLatch)
-		t.latches.Release(th, id, SLatch)
+		t.latches.Acquire(th, child, latch.Shared)
+		t.latches.Release(th, id, latch.Shared)
 		id = child
 	}
 }
@@ -160,7 +140,7 @@ func (t *Tree) Search(th *simos.Thread, key uint64) ([]byte, bool, error) {
 // RangeScan collects pairs in [lo, hi] (limit <= 0 means unlimited),
 // coupling S latches down the tree and across the leaf chain.
 func (t *Tree) RangeScan(th *simos.Thread, lo, hi uint64, limit int) ([]core.KV, error) {
-	id, err := t.entryLatch(th, SLatch)
+	id, err := t.entryLatch(th, latch.Shared)
 	if err != nil {
 		return nil, err
 	}
@@ -169,15 +149,15 @@ func (t *Tree) RangeScan(th *simos.Thread, lo, hi uint64, limit int) ([]core.KV,
 	for {
 		node, err = t.readNode(th, id)
 		if err != nil {
-			t.latches.Release(th, id, SLatch)
+			t.latches.Release(th, id, latch.Shared)
 			return nil, err
 		}
 		if node.IsLeaf() {
 			break
 		}
 		child := node.Children[node.ChildIndex(lo)]
-		t.latches.Acquire(th, child, SLatch)
-		t.latches.Release(th, id, SLatch)
+		t.latches.Acquire(th, child, latch.Shared)
+		t.latches.Release(th, id, latch.Shared)
 		id = child
 	}
 	var out []core.KV
@@ -186,27 +166,27 @@ func (t *Tree) RangeScan(th *simos.Thread, lo, hi uint64, limit int) ([]core.KV,
 		i, _ := node.SearchLeaf(start)
 		for ; i < len(node.Keys); i++ {
 			if node.Keys[i] > hi {
-				t.latches.Release(th, id, SLatch)
+				t.latches.Release(th, id, latch.Shared)
 				return out, nil
 			}
 			out = append(out, core.KV{Key: node.Keys[i], Value: node.Vals[i]})
 			if limit > 0 && len(out) >= limit {
-				t.latches.Release(th, id, SLatch)
+				t.latches.Release(th, id, latch.Shared)
 				return out, nil
 			}
 		}
 		if node.Next == storage.NilPage {
-			t.latches.Release(th, id, SLatch)
+			t.latches.Release(th, id, latch.Shared)
 			return out, nil
 		}
 		next := node.Next
-		t.latches.Acquire(th, next, SLatch)
-		t.latches.Release(th, id, SLatch)
+		t.latches.Acquire(th, next, latch.Shared)
+		t.latches.Release(th, id, latch.Shared)
 		id = next
 		start = 0
 		node, err = t.readNode(th, id)
 		if err != nil {
-			t.latches.Release(th, id, SLatch)
+			t.latches.Release(th, id, latch.Shared)
 			return nil, err
 		}
 	}
@@ -249,11 +229,11 @@ func (t *Tree) update(th *simos.Thread, key uint64, value []byte, mustExist bool
 // optimisticUpdate attempts the S-inner/X-leaf descent; done=false means
 // the caller must retry with exclusive coupling.
 func (t *Tree) optimisticUpdate(th *simos.Thread, key uint64, value []byte, mustExist bool) (done, replaced bool, err error) {
-	id, err := t.entryLatch(th, SLatch)
+	id, err := t.entryLatch(th, latch.Shared)
 	if err != nil {
 		return true, false, err
 	}
-	mode := SLatch
+	mode := latch.Shared
 	for {
 		node, err := t.readNode(th, id)
 		if err != nil {
@@ -261,7 +241,7 @@ func (t *Tree) optimisticUpdate(th *simos.Thread, key uint64, value []byte, must
 			return true, false, err
 		}
 		if node.IsLeaf() {
-			if mode != XLatch {
+			if mode != latch.Exclusive {
 				// Height shrank to a root leaf mid-flight; retry.
 				t.latches.Release(th, id, mode)
 				return false, false, nil
@@ -280,15 +260,15 @@ func (t *Tree) optimisticUpdate(th *simos.Thread, key uint64, value []byte, must
 			if !rep {
 				t.numKeys++
 			}
-			th.Work(metrics.CatRealWork, t.cfg.Costs.LeafMutate)
+			th.Work(metrics.CatRealWork, t.costs.LeafMutate)
 			werr := t.writeNode(th, node)
 			t.latches.Release(th, id, mode)
 			return true, rep, werr
 		}
 		child := node.Children[node.ChildIndex(key)]
-		childMode := SLatch
+		childMode := latch.Shared
 		if node.Level == 1 {
-			childMode = XLatch
+			childMode = latch.Exclusive
 		}
 		t.latches.Acquire(th, child, childMode)
 		t.latches.Release(th, id, mode)
@@ -297,8 +277,8 @@ func (t *Tree) optimisticUpdate(th *simos.Thread, key uint64, value []byte, must
 }
 
 func (t *Tree) pessimisticUpdate(th *simos.Thread, key uint64, value []byte, mustExist bool) (bool, error) {
-	costs := &t.cfg.Costs
-	id, err := t.entryLatch(th, XLatch)
+	costs := &t.costs
+	id, err := t.entryLatch(th, latch.Exclusive)
 	if err != nil {
 		return false, err
 	}
@@ -306,7 +286,7 @@ func (t *Tree) pessimisticUpdate(th *simos.Thread, key uint64, value []byte, mus
 	var modified []*storage.Node
 	releaseAll := func() {
 		for _, h := range held {
-			t.latches.Release(th, h.id, XLatch)
+			t.latches.Release(th, h.id, latch.Exclusive)
 		}
 	}
 	isModified := func(id storage.PageID) bool {
@@ -327,7 +307,7 @@ func (t *Tree) pessimisticUpdate(th *simos.Thread, key uint64, value []byte, mus
 				kept = append(kept, h)
 				continue
 			}
-			t.latches.Release(th, h.id, XLatch)
+			t.latches.Release(th, h.id, latch.Exclusive)
 		}
 		held = kept
 	}
@@ -383,7 +363,7 @@ func (t *Tree) pessimisticUpdate(th *simos.Thread, key uint64, value []byte, mus
 		releaseSafe()
 		parent = node
 		child := node.Children[node.ChildIndex(key)]
-		t.latches.Acquire(th, child, XLatch)
+		t.latches.Acquire(th, child, latch.Exclusive)
 		held = append(held, pathEntry{id: child})
 	}
 }
@@ -426,12 +406,12 @@ func (t *Tree) needsSplit(node *storage.Node, key uint64, value []byte) bool {
 // one level above that target.
 func (t *Tree) split(th *simos.Thread, held *[]pathEntry, modified *[]*storage.Node,
 	parent **storage.Node, node *storage.Node, key uint64, value []byte, rootChanged *bool) {
-	costs := &t.cfg.Costs
+	costs := &t.costs
 	if *parent == nil {
 		newRootID := t.alloc.Alloc()
 		newRoot := storage.NewInner(newRootID, node.Level+1)
 		newRoot.Children = []storage.PageID{node.ID}
-		t.latches.Acquire(th, newRootID, XLatch)
+		t.latches.Acquire(th, newRootID, latch.Exclusive)
 		addHeld(held, pathEntry{id: newRootID, node: newRoot})
 		t.markMod(modified, newRoot)
 		t.rootID = newRootID
@@ -444,7 +424,7 @@ func (t *Tree) split(th *simos.Thread, held *[]pathEntry, modified *[]*storage.N
 	if !node.IsLeaf() {
 		rightID := t.alloc.Alloc()
 		sep, right := node.SplitInner(rightID)
-		t.latches.Acquire(th, rightID, XLatch)
+		t.latches.Acquire(th, rightID, latch.Exclusive)
 		p.InsertInner(sep, rightID)
 		th.Work(metrics.CatRealWork, costs.Split)
 		t.markMod(modified, node)
@@ -471,7 +451,7 @@ func (t *Tree) split(th *simos.Thread, held *[]pathEntry, modified *[]*storage.N
 			}
 			rightID := t.alloc.Alloc()
 			sep, right := target.SplitLeaf(rightID)
-			t.latches.Acquire(th, rightID, XLatch)
+			t.latches.Acquire(th, rightID, latch.Exclusive)
 			p.InsertInner(sep, rightID)
 			th.Work(metrics.CatRealWork, costs.Split)
 			t.markMod(modified, target)
@@ -521,32 +501,32 @@ func (t *Tree) flushModified(th *simos.Thread, modified []*storage.Node, rootCha
 
 // Delete removes key (no structural shrinking, matching PA-Tree).
 func (t *Tree) Delete(th *simos.Thread, key uint64) (bool, error) {
-	id, err := t.entryLatch(th, XLatch)
+	id, err := t.entryLatch(th, latch.Exclusive)
 	if err != nil {
 		return false, err
 	}
 	for {
 		node, err := t.readNode(th, id)
 		if err != nil {
-			t.latches.Release(th, id, XLatch)
+			t.latches.Release(th, id, latch.Exclusive)
 			return false, err
 		}
 		if node.IsLeaf() {
 			i, found := node.SearchLeaf(key)
 			if !found {
-				t.latches.Release(th, id, XLatch)
+				t.latches.Release(th, id, latch.Exclusive)
 				return false, nil
 			}
 			node.DeleteLeafAt(i)
 			t.numKeys--
-			th.Work(metrics.CatRealWork, t.cfg.Costs.LeafMutate)
+			th.Work(metrics.CatRealWork, t.costs.LeafMutate)
 			err := t.writeNode(th, node)
-			t.latches.Release(th, id, XLatch)
+			t.latches.Release(th, id, latch.Exclusive)
 			return true, err
 		}
 		child := node.Children[node.ChildIndex(key)]
-		t.latches.Acquire(th, child, XLatch)
-		t.latches.Release(th, id, XLatch)
+		t.latches.Acquire(th, child, latch.Exclusive)
+		t.latches.Release(th, id, latch.Exclusive)
 		id = child
 	}
 }

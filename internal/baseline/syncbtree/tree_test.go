@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"github.com/patree/patree/internal/core"
+	"github.com/patree/patree/internal/latch"
+	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/sim"
 	"github.com/patree/patree/internal/simos"
@@ -184,7 +186,7 @@ func TestSyncTreeSharedDaemonPath(t *testing.T) {
 }
 
 func TestSyncTreeWeakPersistenceAndSync(t *testing.T) {
-	r := newRig(t, false, Config{Persistence: Weak, CachePages: 4096})
+	r := newRig(t, false, Config{Persistence: core.WeakPersistence, CachePages: 4096})
 	r.spawnTracked("w", func(th *simos.Thread) {
 		for i := 0; i < 300; i++ {
 			r.tree.Insert(th, uint64(i), []byte("v"))
@@ -210,7 +212,7 @@ func TestSyncTreeWeakPersistenceAndSync(t *testing.T) {
 }
 
 func TestSyncTreeWeakMergesWrites(t *testing.T) {
-	r := newRig(t, false, Config{Persistence: Weak, CachePages: 4096})
+	r := newRig(t, false, Config{Persistence: core.WeakPersistence, CachePages: 4096})
 	r.spawnTracked("w", func(th *simos.Thread) {
 		for i := 0; i < 200; i++ {
 			r.tree.Insert(th, 1, []byte(fmt.Sprintf("v%d", i)))
@@ -336,32 +338,55 @@ func TestCASLatch(t *testing.T) {
 	driveAll(t, r)
 }
 
+// TestBlockingLatchesFIFO queues three waiters behind an exclusive
+// holder. They are granted first come, first served and resume in request
+// order, and a release charges the releasing thread one sem_post syscall
+// (CatSync) per waiter it wakes — the charge Figure 9's baseline breakdown
+// attributes to synchronization. Exclusive waiters are granted one per
+// release; shared ones all three by the holder's one release.
 func TestBlockingLatchesFIFO(t *testing.T) {
-	r := newRig(t, false, Config{})
-	lt := NewLatches(r.os)
-	var order []int
-	r.spawnTracked("holder", func(th *simos.Thread) {
-		lt.Acquire(th, 5, XLatch)
-		th.Sleep(time.Millisecond)
-		lt.Release(th, 5, XLatch)
-	})
-	for i := 0; i < 3; i++ {
-		i := i
-		r.spawnTracked("w", func(th *simos.Thread) {
-			th.Sleep(time.Duration(i+1) * 10 * time.Microsecond) // stagger arrival
-			lt.Acquire(th, 5, XLatch)
-			order = append(order, i)
-			lt.Release(th, 5, XLatch)
+	for _, tc := range []struct {
+		mode  latch.Mode
+		wakes int // waiters the holder's release wakes
+	}{{latch.Exclusive, 1}, {latch.Shared, 3}} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			// One core: woken threads run in the order they were woken, not
+			// in the order their cores' context-switch costs happen to allow.
+			r := &rig{eng: sim.NewEngine()}
+			r.os = simos.New(r.eng, simos.Config{Cores: 1})
+			lt := NewLatches(r.os)
+			var order []int
+			var released time.Duration
+			r.spawnTracked("holder", func(th *simos.Thread) {
+				lt.Acquire(th, 5, latch.Exclusive)
+				th.Sleep(time.Millisecond)
+				before := th.CPU.Get(metrics.CatSync)
+				lt.Release(th, 5, latch.Exclusive)
+				released = th.CPU.Get(metrics.CatSync) - before
+			})
+			for i := 0; i < 3; i++ {
+				i := i
+				r.spawnTracked("w", func(th *simos.Thread) {
+					th.Sleep(time.Duration(i+1) * 10 * time.Microsecond) // stagger arrival
+					lt.Acquire(th, 5, tc.mode)
+					order = append(order, i)
+					th.Sleep(time.Microsecond)
+					lt.Release(th, 5, tc.mode)
+				})
+			}
+			driveAll(t, r)
+			if fmt.Sprint(order) != "[0 1 2]" {
+				t.Fatalf("wake order = %v", order)
+			}
+			if want := time.Duration(tc.wakes) * r.os.Config().SyscallCost; released != want {
+				t.Fatalf("holder's release charged %v of CatSync, want %v (%d wakes)", released, want, tc.wakes)
+			}
+			if lt.Waits() != 3 {
+				t.Fatalf("waits = %d", lt.Waits())
+			}
+			if lt.tab.ActiveNodes() != 0 {
+				t.Fatal("latch state leaked")
+			}
 		})
-	}
-	driveAll(t, r)
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Fatalf("wake order = %v", order)
-	}
-	if lt.Waits() != 3 {
-		t.Fatalf("waits = %d", lt.Waits())
-	}
-	if lt.Active() != 0 {
-		t.Fatal("latch state leaked")
 	}
 }

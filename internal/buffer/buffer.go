@@ -1,7 +1,7 @@
-// Package buffer implements the two software buffers of §III-C over the
+// Package buffer implements the software page buffer of §III-C over the
 // NVMe interface.
 //
-// Both keep pages in a segmented LRU (slru below): a page enters a
+// It keeps pages in a segmented LRU (slru below): a page enters a
 // probation segment and only a second lookup promotes it to a protected
 // segment of about 80 % of capacity, and evictions take the probation
 // tail. A key stream that touches many pages once (cold leaves, scans)
@@ -9,18 +9,20 @@
 // levels, hot leaves). A fill, a read-ahead fill and a write are not
 // references; Get is.
 //
-// The strong-persistence buffer (ReadOnly) caches clean page images only.
-// Crucially, a page written by an update operation enters the cache only
-// after its write I/O *completes* — never at submission — so cached data
-// is always consistent with the NVM contents and a power failure can never
-// expose a cached-but-unpersisted page (the rule §III-C derives).
+// One type serves both persistence modes of §III-C. A write-through
+// (strong-persistence) user only ever fills clean images, and a page
+// written by an update enters the buffer only after its write I/O
+// *completes* — never at submission — so cached data is always
+// consistent with the NVM contents and a power failure can never expose
+// a cached-but-unpersisted page (the rule §III-C derives). Such a buffer
+// never holds a dirty page, so it never hands one back.
 //
-// The weak-persistence buffer (ReadWrite) additionally absorbs writes in
-// memory, marking pages dirty; dirty pages reach the device only on
-// eviction or Sync(), which merges multiple updates of a hot page into one
-// NVMe write and cuts the write-amplification factor.
+// A write-back (weak-persistence or journaled) user additionally absorbs
+// writes in memory with Write, marking pages dirty; dirty pages reach the
+// device only on eviction or Sync(), which merges multiple updates of a
+// hot page into one NVMe write and cuts the write-amplification factor.
 //
-// Buffers are passive: they never perform I/O. Eviction hands dirty
+// The buffer is passive: it never performs I/O. Eviction hands dirty
 // victims back to the caller, which owns scheduling the write-back.
 package buffer
 
@@ -203,13 +205,6 @@ func (l *slru) put(id storage.PageID, data []byte, dirty, prefetched bool) (evic
 	return nil
 }
 
-func (l *slru) remove(id storage.PageID) {
-	if e, _ := l.m.Get(id); e != nil {
-		l.unlink(e)
-		l.m.Delete(id)
-	}
-}
-
 // coldestFirst calls fn for every entry in eviction order: probation tail
 // to head, then protected tail to head.
 func (l *slru) coldestFirst(fn func(*entry)) {
@@ -221,98 +216,53 @@ func (l *slru) coldestFirst(fn func(*entry)) {
 	}
 }
 
-// ReadOnly is the strong-persistence buffer: clean pages only.
-type ReadOnly struct{ l *slru }
-
-// NewReadOnly creates a read-only buffer holding up to capacity pages.
-// Capacity 0 disables caching (every Get misses).
-func NewReadOnly(capacity int) *ReadOnly { return &ReadOnly{l: newSLRU(capacity)} }
-
-// Get returns the cached image of id, if present. The returned slice is
-// owned by the buffer; callers must not mutate it.
-func (b *ReadOnly) Get(id storage.PageID) ([]byte, bool) {
-	if e := b.l.get(id); e != nil {
-		return e.data, true
-	}
-	return nil, false
-}
-
-// FillOnRead caches data after a read I/O completed. The buffer takes
-// ownership of data.
-func (b *ReadOnly) FillOnRead(id storage.PageID, data []byte) {
-	b.l.put(id, data, false, false)
-}
-
-// FillOnPrefetch caches data read ahead of any lookup: it enters probation
-// like FillOnRead, but the first Get that finds it does not promote it.
-func (b *ReadOnly) FillOnPrefetch(id storage.PageID, data []byte) {
-	b.l.put(id, data, false, true)
-}
-
-// FillOnWriteComplete caches data after a write I/O *completed*. Callers
-// must not invoke this at submission time — see the package comment. A
-// cached page keeps its place.
-func (b *ReadOnly) FillOnWriteComplete(id storage.PageID, data []byte) {
-	b.l.put(id, data, false, false)
-}
-
-// Contains reports whether id is cached, without counting a lookup or
-// touching recency.
-func (b *ReadOnly) Contains(id storage.PageID) bool { return b.l.peek(id) != nil }
-
-// Invalidate drops id from the cache (e.g. when a page is freed).
-func (b *ReadOnly) Invalidate(id storage.PageID) { b.l.remove(id) }
-
-// Cap returns the configured capacity in pages (0 = caching disabled).
-func (b *ReadOnly) Cap() int { return b.l.cap }
-
-// Len returns the number of cached pages.
-func (b *ReadOnly) Len() int { return b.l.m.Len() }
-
-// Stats returns cumulative counters.
-func (b *ReadOnly) Stats() Stats { return b.l.stats }
-
-// ResetStats zeroes the counters.
-func (b *ReadOnly) ResetStats() { b.l.stats = Stats{} }
-
-// Dirty describes a dirty page handed back by the ReadWrite buffer.
+// Dirty describes a dirty page handed back by the buffer.
 type Dirty struct {
 	ID    storage.PageID
 	Data  []byte
 	Epoch uint64
 }
 
-// ReadWrite is the weak-persistence buffer.
-type ReadWrite struct{ l *slru }
+// Buffer is the page buffer of both persistence modes.
+type Buffer struct{ l *slru }
 
-// NewReadWrite creates a read-write buffer holding up to capacity pages.
-// Capacity 0 disables caching.
-func NewReadWrite(capacity int) *ReadWrite { return &ReadWrite{l: newSLRU(capacity)} }
+// New creates a buffer holding up to capacity pages. Capacity 0 disables
+// caching (every Get misses).
+func New(capacity int) *Buffer { return &Buffer{l: newSLRU(capacity)} }
 
-// Get returns the cached image of id, if present.
-func (b *ReadWrite) Get(id storage.PageID) ([]byte, bool) {
+// NewReadOnly is New.
+//
+// Deprecated: use New. The benchmark module (bench/isolated.go) still
+// calls it; it goes when that module moves to New.
+func NewReadOnly(capacity int) *Buffer { return New(capacity) }
+
+// Get returns the cached image of id, if present. The returned slice is
+// owned by the buffer; callers must not mutate it.
+func (b *Buffer) Get(id storage.PageID) ([]byte, bool) {
 	if e := b.l.get(id); e != nil {
 		return e.data, true
 	}
 	return nil, false
 }
 
-// FillOnRead caches a clean page after a read I/O completed. If filling
-// evicts a dirty victim, it is returned for write-back.
-func (b *ReadWrite) FillOnRead(id storage.PageID, data []byte) (Dirty, bool) {
+// FillOnRead caches a clean page after a read I/O completed, or after a
+// write-through write completed (a cached page keeps its place). The
+// buffer takes ownership of data. If filling evicts a dirty victim, it is
+// returned for write-back.
+func (b *Buffer) FillOnRead(id storage.PageID, data []byte) (Dirty, bool) {
 	return wrapEvict(b.l.put(id, data, false, false))
 }
 
 // FillOnPrefetch is FillOnRead for a page read ahead of any lookup: the
 // first Get that finds it does not promote it.
-func (b *ReadWrite) FillOnPrefetch(id storage.PageID, data []byte) (Dirty, bool) {
+func (b *Buffer) FillOnPrefetch(id storage.PageID, data []byte) (Dirty, bool) {
 	return wrapEvict(b.l.put(id, data, false, true))
 }
 
 // Write absorbs a page update in memory, marking it dirty. No I/O happens;
 // a cached page keeps its place, and if the insert of a new one evicts a
 // dirty victim, it is returned for write-back.
-func (b *ReadWrite) Write(id storage.PageID, data []byte) (Dirty, bool) {
+func (b *Buffer) Write(id storage.PageID, data []byte) (Dirty, bool) {
 	return wrapEvict(b.l.put(id, data, true, false))
 }
 
@@ -325,7 +275,7 @@ func wrapEvict(e *entry) (Dirty, bool) {
 
 // DirtyPages snapshots all dirty pages (for Sync) of both segments. Order
 // is eviction order, coldest first.
-func (b *ReadWrite) DirtyPages() []Dirty {
+func (b *Buffer) DirtyPages() []Dirty {
 	var out []Dirty
 	b.l.coldestFirst(func(e *entry) {
 		if e.dirty {
@@ -337,7 +287,7 @@ func (b *ReadWrite) DirtyPages() []Dirty {
 
 // DirtyImage returns id's image and epoch if it is cached dirty, without
 // counting a lookup or touching recency.
-func (b *ReadWrite) DirtyImage(id storage.PageID) (Dirty, bool) {
+func (b *Buffer) DirtyImage(id storage.PageID) (Dirty, bool) {
 	if e := b.l.peek(id); e != nil && e.dirty {
 		return Dirty{ID: e.id, Data: e.data, Epoch: e.epoch}, true
 	}
@@ -346,37 +296,22 @@ func (b *ReadWrite) DirtyImage(id storage.PageID) (Dirty, bool) {
 
 // Contains reports whether id is cached, without counting a lookup or
 // touching recency.
-func (b *ReadWrite) Contains(id storage.PageID) bool { return b.l.peek(id) != nil }
+func (b *Buffer) Contains(id storage.PageID) bool { return b.l.peek(id) != nil }
 
 // MarkClean marks id clean if its dirty epoch still equals epoch; a page
 // rewritten after the snapshot keeps its dirty bit, so no update can be
 // lost between a Sync snapshot and its write-back completions.
-func (b *ReadWrite) MarkClean(id storage.PageID, epoch uint64) {
+func (b *Buffer) MarkClean(id storage.PageID, epoch uint64) {
 	if e := b.l.peek(id); e != nil && e.dirty && e.epoch == epoch {
 		e.dirty = false
 	}
 }
 
-// Invalidate drops id, returning its content if it was dirty so the
-// caller can decide what to do with the lost update (used when freeing
-// pages: the answer is "nothing").
-func (b *ReadWrite) Invalidate(id storage.PageID) (Dirty, bool) {
-	e := b.l.peek(id)
-	if e == nil {
-		return Dirty{}, false
-	}
-	b.l.remove(id)
-	if e.dirty {
-		return Dirty{ID: e.id, Data: e.data, Epoch: e.epoch}, true
-	}
-	return Dirty{}, false
-}
-
 // Cap returns the configured capacity in pages (0 = caching disabled).
-func (b *ReadWrite) Cap() int { return b.l.cap }
+func (b *Buffer) Cap() int { return b.l.cap }
 
 // DirtyCount returns the number of dirty pages.
-func (b *ReadWrite) DirtyCount() int {
+func (b *Buffer) DirtyCount() int {
 	n := 0
 	b.l.coldestFirst(func(e *entry) {
 		if e.dirty {
@@ -387,10 +322,10 @@ func (b *ReadWrite) DirtyCount() int {
 }
 
 // Len returns the number of cached pages.
-func (b *ReadWrite) Len() int { return b.l.m.Len() }
+func (b *Buffer) Len() int { return b.l.m.Len() }
 
 // Stats returns cumulative counters.
-func (b *ReadWrite) Stats() Stats { return b.l.stats }
+func (b *Buffer) Stats() Stats { return b.l.stats }
 
 // ResetStats zeroes the counters.
-func (b *ReadWrite) ResetStats() { b.l.stats = Stats{} }
+func (b *Buffer) ResetStats() { b.l.stats = Stats{} }

@@ -11,7 +11,7 @@ import (
 func pid(i int) storage.PageID { return storage.PageID(i) }
 
 func TestReadOnlyBasicHitMiss(t *testing.T) {
-	b := NewReadOnly(2)
+	b := New(2)
 	if _, ok := b.Get(pid(1)); ok {
 		t.Fatal("hit on empty buffer")
 	}
@@ -29,35 +29,44 @@ func TestReadOnlyBasicHitMiss(t *testing.T) {
 	}
 }
 
+// remove drops id from the index and its segment, as an eviction does.
+func (l *slru) remove(id storage.PageID) {
+	if e, _ := l.m.Get(id); e != nil {
+		l.unlink(e)
+		l.m.Delete(id)
+	}
+}
+
 // TestIndexBoundedByCapacity churns 100 × capacity distinct pages through
-// each buffer: the index's slot array is sized by the pages it holds,
-// at most capacity+1, not by how many pages it has seen.
+// clean fills and dirtying writes: the index's slot array is sized by the
+// pages it holds, at most capacity+1, not by how many pages it has seen.
 func TestIndexBoundedByCapacity(t *testing.T) {
 	const capacity = 64
-	ro, rw := NewReadOnly(capacity), NewReadWrite(capacity)
+	clean, dirty := New(capacity), New(capacity)
 	for id := 0; id < 100*capacity; id++ {
-		ro.FillOnRead(pid(id), nil)
-		rw.Write(pid(id), nil)
+		clean.FillOnRead(pid(id), nil)
+		dirty.Write(pid(id), nil)
 		if id%3 == 0 {
-			ro.Invalidate(pid(id - 1))
-			rw.Invalidate(pid(id - 1))
+			clean.l.remove(pid(id - 1))
+			dirty.l.remove(pid(id - 1))
 		}
 	}
-	for _, l := range []*slru{ro.l, rw.l} {
+	for _, l := range []*slru{clean.l, dirty.l} {
 		if l.m.Len() > capacity || l.m.Slots() > 4*capacity {
 			t.Fatalf("%d pages in %d index slots, want at most %d in at most %d", l.m.Len(), l.m.Slots(), capacity, 4*capacity)
 		}
 	}
 }
 
-// TestGetHitAllocs pins that a buffer hit allocates nothing.
+// TestGetHitAllocs pins that a buffer hit allocates nothing, on a clean
+// page and on a dirty one.
 func TestGetHitAllocs(t *testing.T) {
-	ro, rw := NewReadOnly(4), NewReadWrite(4)
-	ro.FillOnRead(pid(1), []byte("one"))
-	rw.Write(pid(1), []byte("one"))
+	b := New(4)
+	b.FillOnRead(pid(1), []byte("one"))
+	b.Write(pid(2), []byte("two"))
 	if n := testing.AllocsPerRun(100, func() {
-		ro.Get(pid(1))
-		rw.Get(pid(1))
+		b.Get(pid(1))
+		b.Get(pid(2))
 	}); n != 0 {
 		t.Fatalf("buffer hit allocates %v times, want 0", n)
 	}
@@ -79,7 +88,7 @@ func cached(b interface{ Contains(storage.PageID) bool }, ids ...int) []int {
 // overflowing its segment is demoted to the probation head, and leaves
 // from there.
 func TestReadOnlyLRUEviction(t *testing.T) {
-	b := NewReadOnly(3) // protected holds 2
+	b := New(3) // protected holds 2
 	b.FillOnRead(pid(1), []byte("1"))
 	b.Get(pid(1)) // second reference: 1 is protected
 	b.FillOnRead(pid(2), []byte("2"))
@@ -102,7 +111,7 @@ func TestReadOnlyLRUEviction(t *testing.T) {
 // A stream of pages touched once (a cold scan, a run of point misses)
 // cannot evict a page that was referenced twice.
 func TestSingleTouchFillsKeepProtectedPage(t *testing.T) {
-	b := NewReadWrite(10)
+	b := New(10)
 	b.FillOnRead(pid(1), []byte("hot"))
 	b.Get(pid(1))
 	for id := 100; id < 200; id++ {
@@ -120,20 +129,20 @@ func TestSingleTouchFillsKeepProtectedPage(t *testing.T) {
 	}
 }
 
-// Write and FillOnWriteComplete update a cached page in place: the op
-// that writes a page has already looked it up, so the write is not a
-// second reference.
+// Write and a write-through refill (FillOnRead after a write completed)
+// update a cached page in place: the op that writes a page has already
+// looked it up, so the write is not a second reference.
 func TestWriteDoesNotPromote(t *testing.T) {
-	ro := NewReadOnly(2) // protected holds 1
-	ro.FillOnRead(pid(1), []byte("1"))
-	ro.FillOnRead(pid(2), []byte("2"))
-	ro.FillOnWriteComplete(pid(1), []byte("1'"))
-	ro.FillOnRead(pid(3), []byte("3"))
-	if got := fmt.Sprint(cached(ro, 1, 2, 3)); got != "[2 3]" {
-		t.Fatalf("read-only: cached %s, want [2 3]: FillOnWriteComplete promoted or refreshed 1", got)
+	wt := New(2) // protected holds 1
+	wt.FillOnRead(pid(1), []byte("1"))
+	wt.FillOnRead(pid(2), []byte("2"))
+	wt.FillOnRead(pid(1), []byte("1'"))
+	wt.FillOnRead(pid(3), []byte("3"))
+	if got := fmt.Sprint(cached(wt, 1, 2, 3)); got != "[2 3]" {
+		t.Fatalf("write-through: cached %s, want [2 3]: the refill promoted or refreshed 1", got)
 	}
 
-	rw := NewReadWrite(2)
+	rw := New(2)
 	rw.FillOnRead(pid(1), []byte("1"))
 	rw.FillOnRead(pid(2), []byte("2"))
 	rw.Write(pid(1), []byte("1'"))
@@ -149,7 +158,7 @@ func TestWriteDoesNotPromote(t *testing.T) {
 // A read-ahead fill is not a reference: the first hit on a prefetched
 // page leaves it in probation, and only the second promotes it.
 func TestPrefetchFirstHitStaysInProbation(t *testing.T) {
-	b := NewReadOnly(3) // protected holds 2
+	b := New(3) // protected holds 2
 	b.FillOnPrefetch(pid(1), []byte("1"))
 	b.Get(pid(1)) // first reference
 	b.FillOnRead(pid(2), []byte("2"))
@@ -172,7 +181,7 @@ func TestPrefetchFirstHitStaysInProbation(t *testing.T) {
 
 // Contains neither counts a lookup nor refreshes the page.
 func TestContainsHasNoSideEffects(t *testing.T) {
-	b := NewReadOnly(2)
+	b := New(2)
 	b.FillOnRead(pid(1), []byte("1"))
 	b.FillOnRead(pid(2), []byte("2"))
 	if !b.Contains(pid(1)) || b.Contains(pid(9)) {
@@ -188,7 +197,7 @@ func TestContainsHasNoSideEffects(t *testing.T) {
 }
 
 func TestReadOnlyZeroCapacityDisabled(t *testing.T) {
-	b := NewReadOnly(0)
+	b := New(0)
 	b.FillOnRead(pid(1), []byte("1"))
 	if b.Len() != 0 {
 		t.Fatal("zero-capacity buffer cached a page")
@@ -199,9 +208,9 @@ func TestReadOnlyZeroCapacityDisabled(t *testing.T) {
 }
 
 func TestReadOnlyWriteCompleteUpdates(t *testing.T) {
-	b := NewReadOnly(4)
+	b := New(4)
 	b.FillOnRead(pid(1), []byte("old"))
-	b.FillOnWriteComplete(pid(1), []byte("new"))
+	b.FillOnRead(pid(1), []byte("new")) // the write-through write completed
 	got, _ := b.Get(pid(1))
 	if string(got) != "new" {
 		t.Fatalf("got %q", got)
@@ -211,18 +220,8 @@ func TestReadOnlyWriteCompleteUpdates(t *testing.T) {
 	}
 }
 
-func TestReadOnlyInvalidate(t *testing.T) {
-	b := NewReadOnly(4)
-	b.FillOnRead(pid(1), []byte("1"))
-	b.Invalidate(pid(1))
-	if _, ok := b.Get(pid(1)); ok {
-		t.Fatal("invalidated page still cached")
-	}
-	b.Invalidate(pid(42)) // no-op must not panic
-}
-
 func TestReadWriteDirtyLifecycle(t *testing.T) {
-	b := NewReadWrite(4)
+	b := New(4)
 	if _, ev := b.Write(pid(1), []byte("v1")); ev {
 		t.Fatal("unexpected eviction")
 	}
@@ -244,7 +243,7 @@ func TestReadWriteDirtyLifecycle(t *testing.T) {
 }
 
 func TestReadWriteMarkCleanEpochGuard(t *testing.T) {
-	b := NewReadWrite(4)
+	b := New(4)
 	b.Write(pid(1), []byte("v1"))
 	snap := b.DirtyPages()
 	// A second write lands between snapshot and write-back completion.
@@ -261,7 +260,7 @@ func TestReadWriteMarkCleanEpochGuard(t *testing.T) {
 }
 
 func TestReadWriteWriteMergeCounting(t *testing.T) {
-	b := NewReadWrite(4)
+	b := New(4)
 	b.Write(pid(1), []byte("a"))
 	b.Write(pid(1), []byte("b"))
 	b.Write(pid(1), []byte("c"))
@@ -275,7 +274,7 @@ func TestReadWriteWriteMergeCounting(t *testing.T) {
 }
 
 func TestReadWriteEvictionReturnsDirtyVictim(t *testing.T) {
-	b := NewReadWrite(2)
+	b := New(2)
 	b.Write(pid(1), []byte("1"))
 	b.FillOnRead(pid(2), []byte("2"))
 	// Insert a third page; LRU victim is dirty page 1.
@@ -290,25 +289,10 @@ func TestReadWriteEvictionReturnsDirtyVictim(t *testing.T) {
 	}
 }
 
-func TestReadWriteInvalidateDirty(t *testing.T) {
-	b := NewReadWrite(4)
-	b.Write(pid(1), []byte("1"))
-	d, wasDirty := b.Invalidate(pid(1))
-	if !wasDirty || string(d.Data) != "1" {
-		t.Fatalf("invalidate = %+v, %v", d, wasDirty)
-	}
-	if _, ok := b.Get(pid(1)); ok {
-		t.Fatal("page still present")
-	}
-	if _, wasDirty := b.Invalidate(pid(9)); wasDirty {
-		t.Fatal("absent page reported dirty")
-	}
-}
-
 // DirtyPages walks both segments in eviction order: probation tail to
 // head, then protected tail to head. Clean pages are skipped.
 func TestDirtyPagesColdestFirst(t *testing.T) {
-	b := NewReadWrite(8)
+	b := New(8)
 	for id := 1; id <= 5; id++ {
 		b.Write(pid(id), []byte{byte(id)})
 	}
@@ -352,7 +336,7 @@ func segmentsIntact(l *slru) bool {
 func TestBufferConsistencyProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const capacity = 8
-		b := NewReadWrite(capacity)
+		b := New(capacity)
 		shadow := map[storage.PageID][]byte{} // last value per id
 		for _, o := range ops {
 			id := pid(int(o % 16))
@@ -393,7 +377,7 @@ func TestBufferConsistencyProperty(t *testing.T) {
 func TestNoSilentDirtyLossProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		const capacity = 4
-		b := NewReadWrite(capacity)
+		b := New(capacity)
 		pending := map[storage.PageID]bool{} // dirty writes not yet accounted
 		for _, o := range ops {
 			id := pid(int(o % 8))

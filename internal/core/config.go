@@ -15,10 +15,11 @@ type Persistence int
 
 const (
 	// StrongPersistence writes every node update straight to the NVM; the
-	// read-only buffer serves reads and is filled only on I/O completion.
+	// buffer serves reads, is filled only on I/O completion and never
+	// holds a dirty page.
 	// A completed update operation is durable.
 	StrongPersistence Persistence = iota
-	// WeakPersistence absorbs updates in a read-write buffer; dirty pages
+	// WeakPersistence absorbs updates in the buffer; dirty pages
 	// reach the NVM on eviction or Sync(), merging repeated writes.
 	WeakPersistence
 )
@@ -60,9 +61,10 @@ func (p Poller) String() string {
 
 // CostModel holds the virtual CPU cost constants charged by the working
 // thread. They are calibrated so PA-Tree's per-operation CPU and its
-// Figure 9 breakdown land in the paper's observed ranges (see DESIGN.md);
-// the baselines share the same index-logic costs, so all CPU-efficiency
-// comparisons are apples-to-apples.
+// Figure 9 breakdown land in the paper's observed ranges (see DESIGN.md).
+// Every engine, PA-Tree and each baseline, charges DefaultCosts, read once
+// when it is built: the index-logic and device-interaction constants are
+// one set, so all CPU-efficiency comparisons are apples-to-apples.
 type CostModel struct {
 	// NodeVisit: decode a 512B page and binary-search it (real work).
 	NodeVisit time.Duration
@@ -134,8 +136,6 @@ type Config struct {
 	// Poller selects inline (PA-Tree), dedicated spin (PAD-Tree) or
 	// dedicated model-gated (PAD+-Tree) polling.
 	Poller Poller
-	// Costs are the virtual CPU constants; zero value selects defaults.
-	Costs CostModel
 	// MaxIORetries bounds how many times one operation's failed device
 	// commands are retried before the tree declares the device failed
 	// (ErrDeviceFailed). Transient statuses (media error, timeout,
@@ -154,7 +154,7 @@ type Config struct {
 	// acknowledged, so a crash can never lose an acknowledged write or
 	// expose a torn multi-page update. The log is then the commit point
 	// under both Persistence modes: an operation acknowledges once its redo
-	// group is durable, and its pages stay dirty in the read-write buffer
+	// group is durable, and its pages stay dirty in the buffer
 	// until eviction write-back or a checkpoint writes them, never ahead of
 	// their records (walHolds). The WAL writer keeps up to eight write
 	// commands in flight, each a run of adjacent log blocks. Requires a
@@ -185,9 +185,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.InboxDepth <= 0 {
 		c.InboxDepth = 4096
-	}
-	if c.Costs == (CostModel{}) {
-		c.Costs = DefaultCosts()
 	}
 	if c.MaxIORetries == 0 {
 		c.MaxIORetries = 3

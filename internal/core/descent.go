@@ -117,7 +117,7 @@ func (t *Tree) process(o *Op) {
 				}
 				o.curNode = node
 			}
-			t.charge(metrics.CatRealWork, t.cfg.Costs.NodeVisit)
+			t.charge(metrics.CatRealWork, t.costs.NodeVisit)
 			o.state = stProcess
 
 		case stProcess:
@@ -160,7 +160,7 @@ func (t *Tree) searchStep(o *Op, data []byte) bool {
 		t.failOp(o, err)
 		return true
 	}
-	t.charge(metrics.CatRealWork, t.cfg.Costs.NodeVisit)
+	t.charge(metrics.CatRealWork, t.costs.NodeVisit)
 	if step.Leaf {
 		o.Res.Found, o.Res.Value = step.Found, step.Value
 		t.finishOp(o)
@@ -267,7 +267,7 @@ func (t *Tree) leafAction(o *Op) bool {
 	case !found:
 		t.numKeys++
 	}
-	t.charge(metrics.CatRealWork, t.cfg.Costs.LeafMutate)
+	t.charge(metrics.CatRealWork, t.costs.LeafMutate)
 	o.page = img
 	o.holdsWrite = true
 	if len(o.modified) > 0 && !o.isModified(o.cur) {
@@ -314,7 +314,7 @@ func (t *Tree) scanLeaf(o *Op) bool {
 func (t *Tree) splitCurrent(o *Op) {
 	node := o.curNode
 	parent := o.prevNode
-	costs := &t.cfg.Costs
+	costs := &t.costs
 
 	if parent == nil {
 		// Root split: hoist a new root above the current node.
@@ -422,7 +422,7 @@ func (t *Tree) releaseSafeAncestors(o *Op) {
 			kept = append(kept, h)
 			continue
 		}
-		t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
+		t.charge(metrics.CatSync, t.costs.LatchOp)
 		t.latches.Release(h.id, h.mode)
 	}
 	o.held = kept
@@ -439,16 +439,15 @@ func (o *Op) isModified(id storage.PageID) bool {
 
 // beginWriteback finishes an update operation. Its leaf edit and each node
 // a split modified, encoded once, are its images, in o.writes, and every
-// consumer takes them: the in-place write (strong), the read-write buffer
-// (weak or journaled) and the redo record. An unjournaled strong tree
+// consumer takes them: the in-place write (strong), the buffer (weak or
+// journaled) and the redo record. An unjournaled strong tree
 // orders the pages leaves before parents, meta last, and moves the op to
 // the write pipeline; a buffering tree stores them and completes,
 // scheduling evicted victims in the background (§III-C) — with the
 // journal on, once stJournal has made the redo group durable. Returns
 // true iff the op left the ready set (the processNode convention).
 func (t *Tree) beginWriteback(o *Op) bool {
-	buffered := t.rw != nil
-	if !buffered {
+	if !t.writeBack {
 		// Children-first, so a parent never points to an unwritten child
 		// on the device.
 		mods := o.modified
@@ -471,12 +470,12 @@ func (t *Tree) beginWriteback(o *Op) bool {
 		}
 		o.writes = append(o.writes, writeReq{id: n.ID, data: img})
 	}
-	if buffered {
+	if t.writeBack {
 		for _, w := range o.writes {
 			t.bufferWrite(w.id, w.data)
 		}
 	}
-	if o.commit != nil && (!buffered || t.journalOn) {
+	if o.commit != nil && (!t.writeBack || t.journalOn) {
 		// Root changed: the new meta image is written last (strong) or
 		// journaled with the group (a buffering tree writes page 0 only at
 		// a sync, but its redo group must carry the move).
@@ -488,7 +487,7 @@ func (t *Tree) beginWriteback(o *Op) bool {
 		// acknowledged; the buffered pages reach the device much later.
 		o.state = stJournal
 		return false
-	case buffered:
+	case t.writeBack:
 		t.finishOp(o)
 		return true
 	}
@@ -512,24 +511,18 @@ func (t *Tree) pendingMeta(o *Op) *storage.Meta {
 
 // ─── Page access ────────────────────────────────────────────────────────
 
-// lookupPage consults the buffers (and, with the read-write buffer, the
-// in-flight write-back table) for the page image of id.
+// lookupPage consults the buffer, then the in-flight write-back table
+// (empty in a write-through tree), for the page image of id.
 func (t *Tree) lookupPage(id storage.PageID) ([]byte, bool) {
-	if t.rw != nil {
-		if data, ok := t.rw.Get(id); ok {
-			return data, true
-		}
-		if data, ok := t.inflight.Get(id); ok {
-			// Refill the buffer: content is identical to what is being
-			// persisted right now.
-			if victim, ev := t.rw.FillOnRead(id, data); ev {
-				t.queueBG(victim)
-			}
-			return data, true
-		}
-		return nil, false
+	if data, ok := t.buf.Get(id); ok {
+		return data, true
 	}
-	if data, ok := t.ro.Get(id); ok {
+	if data, ok := t.inflight.Get(id); ok {
+		// Refill the buffer: content is identical to what is being
+		// persisted right now.
+		if victim, ev := t.buf.FillOnRead(id, data); ev {
+			t.queueBG(victim)
+		}
 		return data, true
 	}
 	return nil, false
@@ -563,24 +556,17 @@ func (t *Tree) readDone(c *ioCmd, res ioResult, now sim.Time) {
 // fill installs a page image a read brought in; prefetch marks a
 // read-ahead's, which no lookup has referenced yet.
 func (t *Tree) fill(id storage.PageID, data []byte, prefetch bool) {
-	switch {
-	case t.rw != nil:
-		fill := t.rw.FillOnRead
-		if prefetch {
-			fill = t.rw.FillOnPrefetch
-		}
-		if victim, ev := fill(id, data); ev {
-			t.queueBG(victim)
-		}
-	case prefetch:
-		t.ro.FillOnPrefetch(id, data)
-	default:
-		t.ro.FillOnRead(id, data)
+	fill := t.buf.FillOnRead
+	if prefetch {
+		fill = t.buf.FillOnPrefetch
+	}
+	if victim, ev := fill(id, data); ev {
+		t.queueBG(victim)
 	}
 }
 
 // submitOpWrite issues o.writes[o.wIdx] (unjournaled strong mode). On
-// completion the page enters the read-only buffer (§III-C's
+// completion the page enters the buffer clean (§III-C's
 // fill-on-write-complete rule) and the op advances to the next write.
 func (t *Tree) submitOpWrite(o *Op) {
 	w := o.writes[o.wIdx]
@@ -601,7 +587,7 @@ func (t *Tree) opWriteDone(c *ioCmd, res ioResult, now sim.Time) {
 		return
 	case ioOK:
 		if c.LBA != 0 {
-			t.ro.FillOnWriteComplete(storage.PageID(c.LBA), c.Buf)
+			t.buf.FillOnRead(storage.PageID(c.LBA), c.Buf) // never dirty: no victim
 		}
 		o.wIdx++
 	}
@@ -615,7 +601,7 @@ func (t *Tree) opWriteDone(c *ioCmd, res ioResult, now sim.Time) {
 // most one latch at a time, so the request parameters ride in
 // o.pendingLatch rather than a fresh closure) pushes o back to ready.
 func (t *Tree) acquireLatch(o *Op, id storage.PageID, mode latch.Mode) bool {
-	t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
+	t.charge(metrics.CatSync, t.costs.LatchOp)
 	o.pendingLatch = heldLatch{id: id, mode: mode}
 	granted := t.latches.Acquire(id, mode, o.grantFn)
 	if granted {
@@ -644,7 +630,7 @@ func (t *Tree) releaseLatch(o *Op, id storage.PageID) {
 	for i, h := range o.held {
 		if h.id == id {
 			o.held = append(o.held[:i], o.held[i+1:]...)
-			t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
+			t.charge(metrics.CatSync, t.costs.LatchOp)
 			t.latches.Release(id, h.mode)
 			return
 		}
@@ -660,7 +646,7 @@ func (t *Tree) releaseAllExcept(o *Op, keep storage.PageID) {
 			kept = append(kept, h)
 			continue
 		}
-		t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
+		t.charge(metrics.CatSync, t.costs.LatchOp)
 		t.latches.Release(h.id, h.mode)
 	}
 	o.held = kept
@@ -669,7 +655,7 @@ func (t *Tree) releaseAllExcept(o *Op, keep storage.PageID) {
 // releaseAll drops every held latch.
 func (t *Tree) releaseAll(o *Op) {
 	for _, h := range o.held {
-		t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
+		t.charge(metrics.CatSync, t.costs.LatchOp)
 		t.latches.Release(h.id, h.mode)
 	}
 	o.held = o.held[:0]

@@ -123,7 +123,7 @@ func (t *Tree) submit(c *ioCmd) bool {
 		c.callback = func(done nvme.Completion) { t.reap(c, done.Err) }
 	}
 	c.Callback = c.callback // set each time: a wrapping device may have replaced it
-	t.charge(metrics.CatNVMe, t.cfg.Costs.IOSubmit)
+	t.charge(metrics.CatNVMe, t.costs.IOSubmit)
 	if err := t.qp.Submit(&c.Command); err != nil {
 		if c.op != nil {
 			t.stalled = append(t.stalled, c.op)
@@ -274,7 +274,7 @@ type bgWrite struct {
 	due     sim.Time
 }
 
-// bufferWrite stores a page update in the read-write buffer and schedules
+// bufferWrite stores a page update in the buffer, dirty, and schedules
 // any evicted dirty victim for background write-back. With the journal on, the page
 // is held from the device until journalBuild, which runs next, has logged
 // it and says where (walHolds).
@@ -282,12 +282,12 @@ func (t *Tree) bufferWrite(id storage.PageID, data []byte) {
 	if t.journalOn {
 		t.jPageEnd.Put(id, math.MaxInt)
 	}
-	if victim, ev := t.rw.Write(id, data); ev {
+	if victim, ev := t.buf.Write(id, data); ev {
 		t.queueBG(victim)
 	}
 	// With buffering disabled (capacity 0) the write must still reach the
 	// device: treat it as its own write-back.
-	if t.rw.Len() == 0 {
+	if t.buf.Len() == 0 {
 		t.queueBG(buffer.Dirty{ID: id, Data: data, Epoch: 0})
 	}
 }
@@ -367,7 +367,7 @@ func (t *Tree) bgDone(c *ioCmd, res ioResult, now sim.Time) {
 		t.inflight.Delete(d.ID)
 	}
 	if res == ioOK && d.Epoch != 0 {
-		t.rw.MarkClean(d.ID, d.Epoch)
+		t.buf.MarkClean(d.ID, d.Epoch)
 	}
 }
 

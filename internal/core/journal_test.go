@@ -372,7 +372,7 @@ func writeAheadRig(t *testing.T, p Persistence, bufferPages, syncs int) {
 	if tree, err = New(dev, Config{Persistence: p, BufferPages: bufferPages, Journal: true}, SimEnv{T: th}, meta); err != nil {
 		t.Fatal(err)
 	}
-	if tree.rw == nil {
+	if !tree.writeBack {
 		t.Fatal("a journaled tree must buffer its pages and write them back")
 	}
 	acked := map[uint64]string{}

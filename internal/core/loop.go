@@ -99,10 +99,11 @@ func (s Stats) TotalOps() uint64 {
 // execution environment. All methods except Admit and Stop must be called
 // from the working thread.
 type Tree struct {
-	cfg Config
-	dev nvme.Device
-	qp  nvme.QueuePair
-	env Env
+	cfg   Config
+	costs CostModel // DefaultCosts: the CPU constants every engine charges
+	dev   nvme.Device
+	qp    nvme.QueuePair
+	env   Env
 
 	// In-memory superblock state (persisted via the meta page on Sync).
 	rootID    storage.PageID
@@ -121,8 +122,11 @@ type Tree struct {
 	deviceCount uint16
 
 	latches *latch.Table
-	ro      *buffer.ReadOnly  // strong persistence, unjournaled
-	rw      *buffer.ReadWrite // weak persistence, or any journaled tree
+	buf     *buffer.Buffer
+	// writeBack: updates are absorbed in buf and written back later (weak
+	// persistence, or any journaled tree). Otherwise every update writes
+	// through and buf only ever holds clean images.
+	writeBack bool
 
 	// inflight tracks write-backs between queueing and completion so read
 	// misses never fetch stale pages from the device.
@@ -242,6 +246,7 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	}
 	t := &Tree{
 		cfg:       cfg,
+		costs:     DefaultCosts(),
 		dev:       dev,
 		qp:        qp,
 		env:       env,
@@ -276,12 +281,9 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	}
 	// The journal makes the log the commit point: every journaled tree
 	// acks at log durability and writes its pages back, so Persistence
-	// picks the buffer only without it.
-	if cfg.Persistence == WeakPersistence || t.journalOn {
-		t.rw = buffer.NewReadWrite(cfg.BufferPages)
-	} else {
-		t.ro = buffer.NewReadOnly(cfg.BufferPages)
-	}
+	// picks the write path only without it.
+	t.buf = buffer.New(cfg.BufferPages)
+	t.writeBack = cfg.Persistence == WeakPersistence || t.journalOn
 	if cfg.Prioritized {
 		t.ready = sched.NewPriority()
 	} else {
@@ -338,21 +340,11 @@ func (t *Tree) ResetStats() {
 	stg.Reset()
 	t.stats = Stats{Stages: stg}
 	t.latches.ResetStats()
-	if t.ro != nil {
-		t.ro.ResetStats()
-	}
-	if t.rw != nil {
-		t.rw.ResetStats()
-	}
+	t.buf.ResetStats()
 }
 
-// BufferStats returns the active buffer's counters.
-func (t *Tree) BufferStats() buffer.Stats {
-	if t.rw != nil {
-		return t.rw.Stats()
-	}
-	return t.ro.Stats()
-}
+// BufferStats returns the buffer's counters.
+func (t *Tree) BufferStats() buffer.Stats { return t.buf.Stats() }
 
 // LatchWaits exposes latch contention (Figure 12 analysis).
 func (t *Tree) LatchWaits() uint64 { return t.latches.Waits() }
@@ -381,7 +373,7 @@ func (t *Tree) pushReady(o *Op, at sim.Time) {
 	}
 	o.inReady = true
 	o.readyAt = at
-	t.charge(metrics.CatSched, t.cfg.Costs.ReadyPushPop)
+	t.charge(metrics.CatSched, t.costs.ReadyPushPop)
 	t.ready.Push(sched.Entry{Seq: o.seq, HoldsWrite: o.holdsWrite, Op: o})
 }
 
@@ -390,7 +382,7 @@ func (t *Tree) pushReady(o *Op, at sim.Time) {
 // It returns after Stop() once every admitted operation has completed.
 func (t *Tree) Run() {
 	t.running = true
-	costs := &t.cfg.Costs
+	costs := &t.costs
 	for {
 		t.drainInbox()
 		t.promoteRetries()
@@ -483,7 +475,7 @@ func (t *Tree) PollerPolicy() sched.Policy {
 // Call in its own environment; it exits when the main Run loop exits.
 func (t *Tree) RunPoller(env Env, policy sched.Policy) {
 	t.pollerLive = true
-	costs := &t.cfg.Costs
+	costs := &t.costs
 	for t.running || !t.stopped.Load() {
 		env.Work(metrics.CatSched, policy.Overhead())
 		if policy.ShouldProbe(env.Now(), t.ioBlocked) {
@@ -501,9 +493,9 @@ func (t *Tree) RunPoller(env Env, policy sched.Policy) {
 
 // probe polls the completion queue from the working thread.
 func (t *Tree) probe(policy sched.Policy) int {
-	t.charge(metrics.CatNVMe, t.cfg.Costs.ProbeCall)
+	t.charge(metrics.CatNVMe, t.costs.ProbeCall)
 	n := t.qp.Probe(0)
-	t.charge(metrics.CatNVMe, time.Duration(n)*t.cfg.Costs.ProbePerCQE)
+	t.charge(metrics.CatNVMe, time.Duration(n)*t.costs.ProbePerCQE)
 	now := t.now()
 	policy.OnProbe(now)
 	t.stats.Probes++
@@ -523,11 +515,11 @@ func (t *Tree) probe(policy sched.Policy) int {
 // probePoller polls from a dedicated thread, paying the cross-thread
 // handoff penalty per completion.
 func (t *Tree) probePoller(env Env, policy sched.Policy) int {
-	env.Work(metrics.CatNVMe, t.cfg.Costs.ProbeCall)
+	env.Work(metrics.CatNVMe, t.costs.ProbeCall)
 	n := t.qp.Probe(0)
 	if n > 0 {
-		env.Work(metrics.CatNVMe, time.Duration(n)*t.cfg.Costs.ProbePerCQE)
-		env.Work(metrics.CatSync, time.Duration(n)*t.cfg.Costs.CrossThreadHandoff)
+		env.Work(metrics.CatNVMe, time.Duration(n)*t.costs.ProbePerCQE)
+		env.Work(metrics.CatSync, time.Duration(n)*t.costs.CrossThreadHandoff)
 	}
 	policy.OnProbe(env.Now())
 	t.stats.Probes++

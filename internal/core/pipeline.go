@@ -50,7 +50,7 @@ type raWaiter struct {
 // run. With no buffer there is nothing to read into, and nothing is
 // issued.
 func (t *Tree) readAhead(o *Op, page []byte, idx int) {
-	if storage.PageLevel(page) != 1 || t.bufferCap() == 0 {
+	if storage.PageLevel(page) != 1 || t.buf.Cap() == 0 {
 		return
 	}
 	end := idx + 1 + readAheadDepth
@@ -82,7 +82,7 @@ func (t *Tree) readAhead(o *Op, page []byte, idx int) {
 // tryLatch takes a read-ahead's shared latch on id unless a writer holds
 // or awaits the page.
 func (t *Tree) tryLatch(id storage.PageID) bool {
-	t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
+	t.charge(metrics.CatSync, t.costs.LatchOp)
 	return t.latches.TryAcquire(id, latch.Shared)
 }
 
@@ -131,7 +131,7 @@ func (t *Tree) readAheadDone(c *ioCmd, res ioResult, now sim.Time) {
 		}
 		t.wakeReadAhead(id, now)
 		t.readAheads.Delete(id)
-		t.charge(metrics.CatSync, t.cfg.Costs.LatchOp)
+		t.charge(metrics.CatSync, t.costs.LatchOp)
 		t.latches.Release(id, latch.Shared)
 	}
 }
@@ -152,21 +152,10 @@ func (t *Tree) wakeReadAhead(id storage.PageID, now sim.Time) {
 	t.readAheads.Put(id, nil)
 }
 
-// resident reports whether a page is in the buffers or the in-flight
+// resident reports whether a page is in the buffer or the in-flight
 // write-back map with no side effect: no fill (unlike lookupPage), no
 // lookup counted and no recency touched.
 func (t *Tree) resident(id storage.PageID) bool {
-	if t.rw != nil {
-		_, ok := t.inflight.Get(id)
-		return ok || t.rw.Contains(id)
-	}
-	return t.ro.Contains(id)
-}
-
-// bufferCap is the active buffer's capacity in pages.
-func (t *Tree) bufferCap() int {
-	if t.rw != nil {
-		return t.rw.Cap()
-	}
-	return t.ro.Cap()
+	_, ok := t.inflight.Get(id)
+	return ok || t.buf.Contains(id)
 }

@@ -59,9 +59,7 @@ func (t *Tree) runSync(o *Op) {
 			t.journalCommit()
 		}
 		o.syncStarted = true
-		if t.rw != nil {
-			o.syncQueue = t.rw.DirtyPages()
-		}
+		o.syncQueue = t.buf.DirtyPages()
 		if !t.journalOn {
 			// No log generation to fence: the meta page rides with the
 			// snapshot under the one flush.
@@ -228,7 +226,7 @@ func (t *Tree) syncImage(d buffer.Dirty) (buffer.Dirty, bool) {
 	if d.ID == 0 {
 		return d, true // the meta page
 	}
-	if cur, ok := t.rw.DirtyImage(d.ID); ok {
+	if cur, ok := t.buf.DirtyImage(d.ID); ok {
 		return cur, true
 	}
 	if data, ok := t.inflight.Get(d.ID); ok {
@@ -262,8 +260,8 @@ func (t *Tree) syncPageDone(c *ioCmd, res ioResult, now sim.Time) {
 	case ioRetry:
 		o.syncQueue = append(o.syncQueue, d)
 	case ioOK:
-		if d.ID != 0 && t.rw != nil {
-			t.rw.MarkClean(d.ID, d.Epoch)
+		if d.ID != 0 {
+			t.buf.MarkClean(d.ID, d.Epoch)
 		}
 		if t.journalOn {
 			t.stats.CheckpointPageWrites++

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/patree/patree/internal/baseline/syncbtree"
 	"github.com/patree/patree/internal/core"
 	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/nvme"
@@ -386,20 +385,18 @@ func Fig15(scale Scale) Report {
 	indexPages := scale.PreloadKeys / 12
 	bufPages := indexPages / 10
 	for _, wl := range []string{"ycsb-default", "t-drive", "sse"} {
-		for _, persist := range []syncbtree.Persistence{syncbtree.Strong, syncbtree.Weak} {
-			pmode := core.StrongPersistence
+		for _, persist := range []core.Persistence{core.StrongPersistence, core.WeakPersistence} {
 			syncEvery := 0
-			if persist == syncbtree.Weak {
-				pmode = core.WeakPersistence
+			if persist == core.WeakPersistence {
 				syncEvery = 1000
 			}
-			pa := RunPATree(PAConfig{Scale: scale, MkTree: paTree(bufPages, pmode),
+			pa := RunPATree(PAConfig{Scale: scale, MkTree: paTree(bufPages, persist),
 				Gen: gens(wl), SyncEvery: syncEvery})
-			tb.AddRow(wl, "PA-Tree", persistName(persist), pa.Throughput/1e3, float64(pa.MeanLatency)/1e3)
+			tb.AddRow(wl, "PA-Tree", persist.String(), pa.Throughput/1e3, float64(pa.MeanLatency)/1e3)
 			for _, kind := range []SyncKind{KindBlink, KindLCB, KindLSM} {
 				s := RunSync(SyncConfig{Scale: scale, Kind: kind, Threads: threads,
 					Gen: gens(wl), Persistence: persist, CachePages: bufPages, SyncEvery: syncEvery})
-				tb.AddRow(wl, kind.String(), persistName(persist), s.Throughput/1e3, float64(s.MeanLatency)/1e3)
+				tb.AddRow(wl, kind.String(), persist.String(), s.Throughput/1e3, float64(s.MeanLatency)/1e3)
 			}
 		}
 	}
@@ -446,13 +443,6 @@ func FigMultiDev(scale Scale) Report {
 	}
 	return Report{ID: "figmultidev", Title: "PA-Tree shard scaling across devices (default workload, device parallelism 256)", Table: tb,
 		Notes: "on one device throughput peaks at 4 shards (~2.4x one shard) and declines at 8; the same 8 shards on 2 devices clear that peak ~2x because each controller serves half the submit/probe traffic; at 8x4 every pair of shards has a private controller and the curve returns to near-linear (~3.9x the 2-shard point)"}
-}
-
-func persistName(p syncbtree.Persistence) string {
-	if p == syncbtree.Weak {
-		return "weak"
-	}
-	return "strong"
 }
 
 // Experiment is one regenerable report and its paexp -run id.

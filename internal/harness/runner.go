@@ -426,7 +426,7 @@ type SyncConfig struct {
 	Threads     int
 	Gen         workload.Generator
 	Device      nvme.SimConfig
-	Persistence syncbtree.Persistence
+	Persistence core.Persistence
 	CachePages  int
 	SyncEvery   int
 }
@@ -503,7 +503,7 @@ func RunSync(cfg SyncConfig) RunStats {
 		var bt *blink.Tree
 		m.os.Spawn("loader", func(th *simos.Thread) {
 			t2, err := blink.Format(th, m.os, io, blink.Config{
-				Persistence: syncbtree.Weak, CachePages: 1 << 20})
+				Persistence: core.WeakPersistence, CachePages: 1 << 20})
 			if err != nil {
 				panic(err)
 			}
@@ -533,7 +533,7 @@ func RunSync(cfg SyncConfig) RunStats {
 		// LSM cannot use the B+ tree bulk image; load through its write
 		// path with weak persistence, then flip the mode.
 		m.os.Spawn("loader", func(th *simos.Thread) {
-			save := tr.SetPersistence(syncbtree.Weak)
+			save := tr.SetPersistence(core.WeakPersistence)
 			for _, kv := range preload {
 				if err := tr.Put(th, kv.Key, kv.Value); err != nil {
 					panic(err)

@@ -17,7 +17,7 @@ import (
 type Config struct {
 	// Persistence: strong flushes the WAL (plus a device flush — the
 	// sync() LevelDB issues) on every update; weak flushes on Sync().
-	Persistence syncbtree.Persistence
+	Persistence core.Persistence
 	// MemtableBytes triggers a flush to L0 (default 128 KiB).
 	MemtableBytes int
 	// L0Limit is the number of L0 runs that triggers compaction into L1
@@ -102,19 +102,6 @@ func encodeWALRec(key uint64, value []byte, tomb bool) []byte {
 	return rec
 }
 
-func (t *Tree) flushWAL(th *simos.Thread) error {
-	var ioErr error
-	t.log.Flush(func(idx uint64, data []byte) {
-		if err := t.io.Write(th, t.walStart+idx, data); err != nil {
-			ioErr = err
-		}
-	})
-	if ioErr != nil {
-		return ioErr
-	}
-	return t.io.Flush(th)
-}
-
 // put is the shared write path.
 func (t *Tree) put(th *simos.Thread, key uint64, value []byte, tomb bool) error {
 	t.mu.Lock(th)
@@ -140,10 +127,10 @@ func (t *Tree) put(th *simos.Thread, key uint64, value []byte, tomb bool) error 
 	if err != nil {
 		return err
 	}
-	if t.cfg.Persistence == syncbtree.Strong {
+	if t.cfg.Persistence == core.StrongPersistence {
 		// LevelDB with sync=true: every write costs a log write + fsync.
 		t.mu.Lock(th)
-		err = t.flushWAL(th)
+		err = syncbtree.FlushLog(th, t.io, t.log, t.walStart)
 		t.mu.Unlock(th)
 	}
 	return err
@@ -174,10 +161,12 @@ func (t *Tree) flushMemtable(th *simos.Thread) error {
 		return err
 	}
 	// The WAL content is now redundant: flush it once (cheap) and reset.
-	if err := t.flushWAL(th); err != nil {
+	if err := syncbtree.FlushLog(th, t.io, t.log, t.walStart); err != nil {
 		return err
 	}
-	t.log.Reset(func(idx uint64, data []byte) { t.io.Write(th, t.walStart+idx, data) })
+	if err := syncbtree.ResetLog(th, t.io, t.log, t.walStart); err != nil {
+		return err
+	}
 	t.mem = newSkiplist(t.cfg.Seed ^ t.nextID)
 	t.l0 = append([]*table{tbl}, t.l0...)
 	t.Flushes++
@@ -436,7 +425,7 @@ func (t *Tree) RangeScan(th *simos.Thread, lo, hi uint64, limit int) ([]core.KV,
 // SetPersistence switches the persistence mode, returning the previous
 // one; the harness loads with weak persistence and measures in the
 // target mode.
-func (t *Tree) SetPersistence(p syncbtree.Persistence) syncbtree.Persistence {
+func (t *Tree) SetPersistence(p core.Persistence) core.Persistence {
 	old := t.cfg.Persistence
 	t.cfg.Persistence = p
 	return old
@@ -445,7 +434,7 @@ func (t *Tree) SetPersistence(p syncbtree.Persistence) syncbtree.Persistence {
 // Sync makes all buffered updates durable (weak persistence's sync()).
 func (t *Tree) Sync(th *simos.Thread) error {
 	t.mu.Lock(th)
-	err := t.flushWAL(th)
+	err := syncbtree.FlushLog(th, t.io, t.log, t.walStart)
 	t.mu.Unlock(th)
 	return err
 }

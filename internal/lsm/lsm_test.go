@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/patree/patree/internal/baseline/syncbtree"
+	"github.com/patree/patree/internal/core"
 	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/sim"
 	"github.com/patree/patree/internal/simos"
@@ -139,7 +140,7 @@ func TestSpanAlloc(t *testing.T) {
 }
 
 func TestLSMBasicPutGetDelete(t *testing.T) {
-	r := newRig(t, Config{Persistence: syncbtree.Weak})
+	r := newRig(t, Config{Persistence: core.WeakPersistence})
 	r.spawn(func(th *simos.Thread) {
 		for i := 0; i < 500; i++ {
 			if err := r.tree.Put(th, uint64(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -170,7 +171,7 @@ func TestLSMBasicPutGetDelete(t *testing.T) {
 
 func TestLSMFlushAndCompaction(t *testing.T) {
 	// Small memtable forces flushes; L0Limit forces compaction.
-	r := newRig(t, Config{Persistence: syncbtree.Weak, MemtableBytes: 4 << 10, L0Limit: 3})
+	r := newRig(t, Config{Persistence: core.WeakPersistence, MemtableBytes: 4 << 10, L0Limit: 3})
 	const n = 3000
 	rng := sim.NewRNG(9)
 	model := map[uint64]string{}
@@ -210,7 +211,7 @@ func TestLSMFlushAndCompaction(t *testing.T) {
 }
 
 func TestLSMRangeScanAcrossSources(t *testing.T) {
-	r := newRig(t, Config{Persistence: syncbtree.Weak, MemtableBytes: 2 << 10, L0Limit: 3})
+	r := newRig(t, Config{Persistence: core.WeakPersistence, MemtableBytes: 2 << 10, L0Limit: 3})
 	r.spawn(func(th *simos.Thread) {
 		// Interleave keys so ranges span memtable, L0 and L1.
 		for i := 0; i < 1200; i++ {
@@ -247,7 +248,7 @@ func TestLSMRangeScanAcrossSources(t *testing.T) {
 }
 
 func TestLSMStrongSyncPerWrite(t *testing.T) {
-	r := newRig(t, Config{Persistence: syncbtree.Strong})
+	r := newRig(t, Config{Persistence: core.StrongPersistence})
 	r.spawn(func(th *simos.Thread) {
 		for i := 0; i < 40; i++ {
 			r.tree.Put(th, uint64(i), []byte("v"))
@@ -261,7 +262,7 @@ func TestLSMStrongSyncPerWrite(t *testing.T) {
 }
 
 func TestLSMWeakDefersAllIO(t *testing.T) {
-	r := newRig(t, Config{Persistence: syncbtree.Weak})
+	r := newRig(t, Config{Persistence: core.WeakPersistence})
 	r.spawn(func(th *simos.Thread) {
 		for i := 0; i < 200; i++ {
 			r.tree.Put(th, uint64(i), []byte("v"))
@@ -283,7 +284,7 @@ func TestLSMWeakDefersAllIO(t *testing.T) {
 }
 
 func TestLSMConcurrentWriters(t *testing.T) {
-	r := newRig(t, Config{Persistence: syncbtree.Weak, MemtableBytes: 8 << 10})
+	r := newRig(t, Config{Persistence: core.WeakPersistence, MemtableBytes: 8 << 10})
 	const workers = 6
 	for w := 0; w < workers; w++ {
 		w := w
@@ -320,7 +321,7 @@ func TestLSMConcurrentWriters(t *testing.T) {
 // Property: LSM behaves like a map under random put/delete/get sequences.
 func TestLSMModelProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		r := newRig(nil, Config{Persistence: syncbtree.Weak, MemtableBytes: 2 << 10, L0Limit: 2, Seed: seed})
+		r := newRig(nil, Config{Persistence: core.WeakPersistence, MemtableBytes: 2 << 10, L0Limit: 2, Seed: seed})
 		rng := sim.NewRNG(seed)
 		model := map[uint64][]byte{}
 		ok := true
