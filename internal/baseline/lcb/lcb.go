@@ -78,6 +78,9 @@ func New(sched *simos.Sched, io syncbtree.IO, dev nvme.Device, cfg Config, meta 
 // NumKeys returns the key count.
 func (t *Tree) NumKeys() uint64 { return t.inner.NumKeys() }
 
+// LatchWaits returns the inner tree's blocked latch acquisitions.
+func (t *Tree) LatchWaits() uint64 { return t.inner.LatchWaits() }
+
 func encodeRec(op byte, key uint64, value []byte) []byte {
 	rec := make([]byte, 9+len(value))
 	rec[0] = op
@@ -147,8 +150,8 @@ func (t *Tree) RangeScan(th *simos.Thread, lo, hi uint64, limit int) ([]core.KV,
 	return t.inner.RangeScan(th, lo, hi, limit)
 }
 
-// Sync makes all updates durable: flush the log, flush tree pages, and
-// issue a device flush.
+// Sync makes all updates durable: flush the log, then the tree pages;
+// the inner tree's Sync ends in the one device flush.
 func (t *Tree) Sync(th *simos.Thread) error {
 	t.logMu.Lock(th)
 	var err error
@@ -157,10 +160,7 @@ func (t *Tree) Sync(th *simos.Thread) error {
 	if err != nil {
 		return err
 	}
-	if err = t.inner.Sync(th); err != nil {
-		return err
-	}
-	return t.io.Flush(th)
+	return t.inner.Sync(th)
 }
 
 // RecoverRecords reads the log region of dev directly (setup-path, not

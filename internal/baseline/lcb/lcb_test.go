@@ -140,6 +140,31 @@ func TestLCBWeakDefersLogWrites(t *testing.T) {
 	}
 }
 
+// TestLCBSyncFlushesOnce: a Sync writes the log and the dirty pages and
+// then sends exactly one flush command; the inner tree's Sync already ends
+// in it.
+func TestLCBSyncFlushesOnce(t *testing.T) {
+	r := newRig(t, Config{Persistence: core.WeakPersistence, CachePages: 4096})
+	r.spawn("w", func(th *simos.Thread) {
+		for i := 0; i < 100; i++ {
+			r.tree.Insert(th, uint64(i), []byte("v"))
+		}
+	})
+	r.drive(t)
+	for round := 1; round <= 3; round++ {
+		before := r.dev.Stats().CompletedFlushes
+		r.spawn("s", func(th *simos.Thread) {
+			if err := r.tree.Sync(th); err != nil {
+				t.Errorf("sync: %v", err)
+			}
+		})
+		r.drive(t)
+		if n := r.dev.Stats().CompletedFlushes - before; n != 1 {
+			t.Fatalf("sync %d sent %d flush commands, want 1", round, n)
+		}
+	}
+}
+
 func TestLCBRecoveryReplaysLog(t *testing.T) {
 	cfg := Config{Persistence: core.StrongPersistence, CachePages: 4096}
 	r := newRig(t, cfg)

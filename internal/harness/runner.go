@@ -577,14 +577,24 @@ func RunSync(cfg SyncConfig) RunStats {
 		})
 		cpus = append(cpus, &th.CPU)
 	}
+	// The latch-coupled engines (shared, dedicated, LCB) block on PA-Tree's
+	// latch table; count the acquisitions that blocked in the window.
+	latches, _ := store.(interface{ LatchWaits() uint64 })
+	var waitsBefore uint64
 	m.resetAt(base.Add(cfg.Scale.Warmup), func() {
 		for _, a := range cpus {
 			a.Reset()
+		}
+		if latches != nil {
+			waitsBefore = latches.LatchWaits()
 		}
 		inWindow = true
 	})
 	m.eng.RunUntil(end)
 	rs := RunStats{Label: fmt.Sprintf("%s(%d)", cfg.Kind, cfg.Threads)}
+	if latches != nil {
+		rs.LatchWaits = latches.LatchWaits() - waitsBefore
+	}
 	m.finish(&rs, cfg.Scale.Measure, cpus, measuredOps, lat, 0)
 	if shared != nil {
 		shared.Stop()

@@ -4,7 +4,8 @@
 // completion, bounded internal parallelism, asymmetric read/write service
 // times, and per-probe controller interference.
 //
-// Two backends implement the same Device/QueuePair interface:
+// Two backends implement the same Device/QueuePair interface over one
+// sparse extent store (blockStore):
 //
 //   - SimDevice: a deterministic device model on the internal/sim virtual
 //     clock. It substitutes for the paper's SPDK-driven Intel NVMe SSD and
@@ -13,8 +14,8 @@
 //     rate, sensitivity to probe frequency).
 //   - RAMDevice: a real-time, memory-backed device polled like one: a
 //     command runs on the thread that submits it and its completion waits
-//     in the queue pair's ring until that thread probes. It makes the examples and the wall-clock
-//     benchmark ordinary runnable programs.
+//     in the queue pair's ring until that thread probes. It makes the
+//     examples and the wall-clock benchmark ordinary runnable programs.
 package nvme
 
 import (

@@ -39,14 +39,15 @@ type RAMDevice struct {
 	cfg RAMConfig
 
 	mu     sync.Mutex
-	data   map[uint64][]byte
+	store  blockStore
 	nextQP int
 	closed bool
 }
 
 // NewRAMDevice creates a memory-backed device.
 func NewRAMDevice(cfg RAMConfig) *RAMDevice {
-	return &RAMDevice{cfg: cfg.withDefaults(), data: make(map[uint64][]byte)}
+	cfg = cfg.withDefaults()
+	return &RAMDevice{cfg: cfg, store: blockStore{bs: cfg.BlockSize}}
 }
 
 // BlockSize implements Device.
@@ -81,48 +82,21 @@ func (d *RAMDevice) AllocQueuePair(depth int) (QueuePair, error) {
 	return &ramQP{dev: d, ring: make([]ramCQE, depth)}, nil
 }
 
-// ReadAt copies blocks starting at lba into buf (len must be a multiple
-// of the block size), bypassing the queue pairs. Unwritten blocks read
-// as zeros. Together with WriteAt it gives test harnesses (fault
-// injection, crash simulation) direct image access.
+// ReadAt copies blocks starting at lba into buf, bypassing the queue
+// pairs. Unwritten blocks read as zeros. Together with WriteAt it gives
+// test harnesses (fault injection, crash simulation) direct image access.
 func (d *RAMDevice) ReadAt(lba uint64, buf []byte) {
 	d.mu.Lock()
-	d.read(lba, buf)
+	d.store.read(lba, buf)
 	d.mu.Unlock()
 }
 
-// WriteAt stores buf (a whole number of blocks) at lba, bypassing the
-// queue pairs.
+// WriteAt stores buf at lba, bypassing the queue pairs. A buf that ends
+// mid-block zero-fills the rest of that block.
 func (d *RAMDevice) WriteAt(lba uint64, buf []byte) {
 	d.mu.Lock()
-	d.write(lba, buf)
+	d.store.write(lba, buf)
 	d.mu.Unlock()
-}
-
-// read and write move whole blocks between buf and the store, d.mu held.
-// A block is allocated when first written and overwritten in place after.
-func (d *RAMDevice) read(lba uint64, buf []byte) {
-	bs := d.cfg.BlockSize
-	for i := 0; i*bs < len(buf); i++ {
-		dst := buf[i*bs : (i+1)*bs]
-		if blk := d.data[lba+uint64(i)]; blk != nil {
-			copy(dst, blk)
-		} else {
-			clear(dst)
-		}
-	}
-}
-
-func (d *RAMDevice) write(lba uint64, buf []byte) {
-	bs := d.cfg.BlockSize
-	for i := 0; i*bs < len(buf); i++ {
-		blk := d.data[lba+uint64(i)]
-		if blk == nil {
-			blk = make([]byte, bs)
-			d.data[lba+uint64(i)] = blk
-		}
-		copy(blk, buf[i*bs:(i+1)*bs])
-	}
 }
 
 // ImageSnapshot returns a deep copy of every written block, keyed by
@@ -130,26 +104,15 @@ func (d *RAMDevice) write(lba uint64, buf []byte) {
 func (d *RAMDevice) ImageSnapshot() map[uint64][]byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	img := make(map[uint64][]byte, len(d.data))
-	for lba, blk := range d.data {
-		cp := make([]byte, len(blk))
-		copy(cp, blk)
-		img[lba] = cp
-	}
-	return img
+	return d.store.snapshot()
 }
 
 // LoadImage replaces the device content with img (deep-copied), the
 // counterpart of ImageSnapshot for reopen-after-crash tests.
 func (d *RAMDevice) LoadImage(img map[uint64][]byte) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.data = make(map[uint64][]byte, len(img))
-	for lba, blk := range img {
-		cp := make([]byte, len(blk))
-		copy(cp, blk)
-		d.data[lba] = cp
-	}
+	d.store.load(img)
+	d.mu.Unlock()
 }
 
 // ramQP is a queue pair on a RAMDevice. Its completion ring is touched
@@ -192,9 +155,9 @@ func (q *ramQP) Submit(cmd *Command) error {
 	if err == nil {
 		switch n := cmd.Blocks * d.cfg.BlockSize; cmd.Op {
 		case OpRead:
-			d.read(cmd.LBA, cmd.Buf[:n])
+			d.store.read(cmd.LBA, cmd.Buf[:n])
 		case OpWrite:
-			d.write(cmd.LBA, cmd.Buf[:n])
+			d.store.write(cmd.LBA, cmd.Buf[:n])
 		}
 	}
 	d.mu.Unlock()

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/patree/patree/internal/sim"
 )
 
 func TestRAMReadWriteRoundTrip(t *testing.T) {
@@ -284,6 +286,21 @@ func TestRAMRoundTripAllocs(t *testing.T) {
 	}
 	if reaped != 2*1001 {
 		t.Fatalf("reaped %d of %d", reaped, 2*1001)
+	}
+}
+
+// TestSimWriteAtAllocs: on the simulated device too, an overwrite of a
+// written block and a read allocate nothing; the block store keeps one
+// slice per extent, not one per block.
+func TestSimWriteAtAllocs(t *testing.T) {
+	d := NewSimDevice(sim.NewEngine(), SimConfig{Seed: 1})
+	buf := make([]byte, 1024)
+	d.WriteAt(7, buf)
+	if allocs := testing.AllocsPerRun(1000, func() { d.WriteAt(7, buf) }); allocs != 0 {
+		t.Errorf("overwrite allocates %.2f", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { d.ReadAt(7, buf) }); allocs != 0 {
+		t.Errorf("read allocates %.2f", allocs)
 	}
 }
 

@@ -135,7 +135,7 @@ type SimDevice struct {
 	cfg SimConfig
 	rng *sim.RNG
 
-	data   map[uint64][]byte // LBA -> block content (sparse)
+	store  blockStore
 	qps    []*simQP
 	nextQP int
 
@@ -162,10 +162,10 @@ type SimDevice struct {
 func NewSimDevice(eng *sim.Engine, cfg SimConfig) *SimDevice {
 	cfg = cfg.WithDefaults()
 	d := &SimDevice{
-		eng:  eng,
-		cfg:  cfg,
-		rng:  sim.NewRNG(cfg.Seed ^ 0x5dee7a11),
-		data: make(map[uint64][]byte),
+		eng:   eng,
+		cfg:   cfg,
+		rng:   sim.NewRNG(cfg.Seed ^ 0x5dee7a11),
+		store: blockStore{bs: cfg.BlockSize},
 	}
 	d.stats.readLat = metrics.NewHistogram()
 	d.stats.writeLat = metrics.NewHistogram()
@@ -223,56 +223,22 @@ func (d *SimDevice) ResetStats() {
 	d.outstanding.Set(int64(d.eng.Now()), lvl)
 }
 
-// ReadAt copies block contents without going through a queue pair; used by
-// recovery/verification code in tests, not by the index hot paths.
-func (d *SimDevice) ReadAt(lba uint64, buf []byte) {
-	bs := d.cfg.BlockSize
-	for i := 0; i*bs < len(buf); i++ {
-		blk := d.data[lba+uint64(i)]
-		dst := buf[i*bs : min(len(buf), (i+1)*bs)]
-		if blk == nil {
-			for j := range dst {
-				dst[j] = 0
-			}
-		} else {
-			copy(dst, blk)
-		}
-	}
-}
+// ReadAt copies blocks from lba into buf, bypassing queues and timing, for
+// recovery and verification code; unwritten blocks read as zeros.
+func (d *SimDevice) ReadAt(lba uint64, buf []byte) { d.store.read(lba, buf) }
 
-// WriteAt stores block contents directly, bypassing queues and timing;
-// used by bulk loaders to pre-populate the device before timed runs.
-func (d *SimDevice) WriteAt(lba uint64, buf []byte) {
-	bs := d.cfg.BlockSize
-	for i := 0; i*bs < len(buf); i++ {
-		blk := make([]byte, bs)
-		copy(blk, buf[i*bs:min(len(buf), (i+1)*bs)])
-		d.data[lba+uint64(i)] = blk
-	}
-}
+// WriteAt stores buf at lba, bypassing queues and timing, for bulk loaders;
+// a buf that ends mid-block zero-fills the rest of that block.
+func (d *SimDevice) WriteAt(lba uint64, buf []byte) { d.store.write(lba, buf) }
 
-// ImageSnapshot deep-copies the device's current block image. Combined
-// with LoadImage on a fresh device it lets crash-recovery tests freeze a
-// device mid-run and reopen the surviving bytes under a new engine.
-func (d *SimDevice) ImageSnapshot() map[uint64][]byte {
-	img := make(map[uint64][]byte, len(d.data))
-	for lba, blk := range d.data {
-		cp := make([]byte, len(blk))
-		copy(cp, blk)
-		img[lba] = cp
-	}
-	return img
-}
+// ImageSnapshot deep-copies the device's written blocks, keyed by LBA.
+// Combined with LoadImage on a fresh device it lets crash-recovery tests
+// freeze a device mid-run and reopen the surviving bytes under a new
+// engine.
+func (d *SimDevice) ImageSnapshot() map[uint64][]byte { return d.store.snapshot() }
 
 // LoadImage replaces the device's block image with a deep copy of img.
-func (d *SimDevice) LoadImage(img map[uint64][]byte) {
-	d.data = make(map[uint64][]byte, len(img))
-	for lba, blk := range img {
-		cp := make([]byte, len(blk))
-		copy(cp, blk)
-		d.data[lba] = cp
-	}
-}
+func (d *SimDevice) LoadImage(img map[uint64][]byte) { d.store.load(img) }
 
 // Advance steps the simulation engine until every submitted command has
 // posted its completion. Intended for setup and recovery code (Format,
@@ -355,15 +321,10 @@ func (d *SimDevice) tryDispatch() {
 func (d *SimDevice) complete(inf *inflight) {
 	d.busyUnits--
 	cmd := inf.cmd
-	if inf.err == nil {
-		switch cmd.Op {
-		case OpRead:
-			d.ReadAt(cmd.LBA, cmd.Buf[:cmd.Blocks*d.cfg.BlockSize])
-		case OpWrite:
-			// Data was snapshotted at submit; nothing further to do.
-		case OpFlush:
-			// Cache flush: data map is already durable in the model.
-		}
+	// A write was stored at submit, and the model's store is already
+	// durable, so only a read moves data here.
+	if inf.err == nil && cmd.Op == OpRead {
+		d.store.read(cmd.LBA, cmd.Buf[:cmd.Blocks*d.cfg.BlockSize])
 	}
 	postAt := d.occupyController(d.cfg.CompleteOverhead)
 	d.eng.At(postAt, func() { d.post(inf) })
@@ -421,7 +382,7 @@ func (q *simQP) Submit(cmd *Command) error {
 		// real controller posting an error CQE.
 		inf.err = err
 	} else if cmd.Op == OpWrite {
-		q.dev.WriteAt(cmd.LBA, cmd.Buf[:cmd.Blocks*q.dev.cfg.BlockSize])
+		q.dev.store.write(cmd.LBA, cmd.Buf[:cmd.Blocks*q.dev.cfg.BlockSize])
 	}
 	q.inSQ++
 	q.dev.unposted++
@@ -463,20 +424,8 @@ func (q *simQP) Probe(max int) int {
 // Outstanding implements QueuePair.
 func (q *simQP) Outstanding() int { return q.inSQ }
 
-// Completions returns the number of reapable CQ entries without reaping
-// them (used by tests; a real driver cannot peek for free, so the index
-// never relies on this).
-func (q *simQP) Completions() int { return len(q.cq) }
-
 // Free implements QueuePair.
 func (q *simQP) Free() error {
 	q.freed = true
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
