@@ -36,18 +36,22 @@ import (
 	"github.com/patree/patree/internal/trace"
 )
 
-// Options tunes a Conn. The zero value selects sensible defaults.
-type Options struct {
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
-	// BackoffBase/BackoffMax bound the jittered exponential backoff
-	// between BUSY retransmits (defaults 100µs and 10ms).
-	BackoffBase, BackoffMax time.Duration
-	// ReadBuf/WriteBuf size the buffered reader/writer (default 64 KiB).
-	ReadBuf, WriteBuf int
-	// SendQueue bounds requests queued for the writer (default 1024).
-	SendQueue int
+// The connection's fixed parameters.
+const (
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 5 * time.Second
+	// backoffBase and backoffMax bound the jittered exponential backoff
+	// between BUSY retransmits.
+	backoffBase = 100 * time.Microsecond
+	backoffMax  = 10 * time.Millisecond
+	// bufSize sizes the buffered reader and writer.
+	bufSize = 64 << 10
+	// sendQueue bounds requests queued for the writer.
+	sendQueue = 1024
+)
 
+// Options tunes a Conn's tracing. The zero value traces nothing.
+type Options struct {
 	// Trace enables client-side span tracing: the connection offers the
 	// protocol handshake at dial and, once the server negotiates trace
 	// propagation, samples requests into spans whose ids travel on the
@@ -65,24 +69,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 100 * time.Microsecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 10 * time.Millisecond
-	}
-	if o.ReadBuf <= 0 {
-		o.ReadBuf = 64 << 10
-	}
-	if o.WriteBuf <= 0 {
-		o.WriteBuf = 64 << 10
-	}
-	if o.SendQueue <= 0 {
-		o.SendQueue = 1024
-	}
 	if o.SampleEvery <= 0 {
 		o.SampleEvery = 64
 	}
@@ -153,7 +139,7 @@ var _ patree.Store = (*Conn)(nil)
 // Dial connects to a PA-Tree server.
 func Dial(addr string, opts Options) (*Conn, error) {
 	opts.fill()
-	nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
@@ -163,7 +149,7 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	c := &Conn{
 		c:     nc,
 		opts:  opts,
-		sendQ: make(chan *pending, opts.SendQueue),
+		sendQ: make(chan *pending, sendQueue),
 		dead:  make(chan struct{}),
 		pend:  make(map[uint64]*pending),
 	}
@@ -250,15 +236,15 @@ func (c *Conn) retransmit(id uint64) {
 }
 
 // backoff returns the jittered exponential delay before retransmit
-// attempt n.
-func (c *Conn) backoff(n int) time.Duration {
-	d := c.opts.BackoffBase << uint(n)
-	if d > c.opts.BackoffMax || d <= 0 {
-		d = c.opts.BackoffMax
+// attempt n, always within [backoffBase, backoffMax].
+func backoff(n int) time.Duration {
+	d := backoffMax
+	if n < 32 && backoffBase<<n < backoffMax {
+		d = backoffBase << n
 	}
 	// Full jitter: desynchronizes the retry storms of many clients
 	// hammering one saturated server.
-	return time.Duration(rand.Int63n(int64(d)) + int64(c.opts.BackoffBase))
+	return backoffBase + time.Duration(rand.Int63n(int64(d-backoffBase)+1))
 }
 
 // fail resolves every in-flight operation with the terminal error and
@@ -295,7 +281,7 @@ func (c *Conn) fail(cause error) {
 // each flush.
 func (c *Conn) writeLoop() {
 	defer c.wg.Done()
-	bw := bufio.NewWriterSize(c.c, c.opts.WriteBuf)
+	bw := bufio.NewWriterSize(c.c, bufSize)
 	for {
 		select {
 		case p := <-c.sendQ:
@@ -330,7 +316,7 @@ func (c *Conn) writeLoop() {
 // of registered pendings.
 func (c *Conn) readLoop() {
 	defer c.wg.Done()
-	br := bufio.NewReaderSize(c.c, c.opts.ReadBuf)
+	br := bufio.NewReaderSize(c.c, bufSize)
 	var rbuf []byte
 	for {
 		body, err := proto.ReadFrame(br, rbuf)
@@ -356,7 +342,7 @@ func (c *Conn) readLoop() {
 			p.attempts++
 			c.pmu.Unlock()
 			c.busy.Add(1)
-			d := c.backoff(p.attempts)
+			d := backoff(p.attempts)
 			if p.span != 0 {
 				c.tr.Emit(ctBackoff, uint16(p.kind), p.span, uint64(p.attempts), c.tr.NowNanos(), int64(d))
 			}

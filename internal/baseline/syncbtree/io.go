@@ -177,7 +177,7 @@ func (s *Shared) daemon(th *simos.Thread) {
 				req.sem.Post(nil) // daemon-side post cost charged below
 			}
 			th.Work(metrics.CatNVMe, s.costs.IOSubmit)
-			th.Work(metrics.CatSync, s.sched.Config().SyscallCost) // future post
+			th.Work(metrics.CatSync, simos.SyscallCost) // future post
 			for s.qp.Submit(req.cmd) != nil {
 				// Queue full: reap some completions, then retry.
 				th.Work(metrics.CatNVMe, s.costs.ProbeCall)

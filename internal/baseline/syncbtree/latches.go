@@ -26,7 +26,7 @@ func NewLatches(sched *simos.Sched) *Latches {
 // Acquire blocks th until the latch on id is held in mode m. Every call
 // pays the semaphore syscall cost (CatSync), like sem_wait.
 func (l *Latches) Acquire(th *simos.Thread, id storage.PageID, m latch.Mode) {
-	th.Work(metrics.CatSync, l.sched.Config().SyscallCost)
+	th.Work(metrics.CatSync, simos.SyscallCost)
 	if l.tab.TryAcquire(id, m) {
 		return
 	}
@@ -45,7 +45,7 @@ func (l *Latches) Release(th *simos.Thread, id storage.PageID, m latch.Mode) {
 	woken := l.woken
 	l.woken = nil
 	for _, p := range woken {
-		th.Work(metrics.CatSync, l.sched.Config().SyscallCost)
+		th.Work(metrics.CatSync, simos.SyscallCost)
 		p.Unpark()
 	}
 }

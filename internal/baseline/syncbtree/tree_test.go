@@ -378,7 +378,7 @@ func TestBlockingLatchesFIFO(t *testing.T) {
 			if fmt.Sprint(order) != "[0 1 2]" {
 				t.Fatalf("wake order = %v", order)
 			}
-			if want := time.Duration(tc.wakes) * r.os.Config().SyscallCost; released != want {
+			if want := time.Duration(tc.wakes) * simos.SyscallCost; released != want {
 				t.Fatalf("holder's release charged %v of CatSync, want %v (%d wakes)", released, want, tc.wakes)
 			}
 			if lt.Waits() != 3 {

@@ -8,10 +8,11 @@
 // sparse extent store (blockStore):
 //
 //   - SimDevice: a deterministic device model on the internal/sim virtual
-//     clock. It substitutes for the paper's SPDK-driven Intel NVMe SSD and
-//     is calibrated to reproduce the behavioural shapes of the paper's
-//     Figure 3 (IOPS vs queue depth, latency vs queue depth and write
-//     rate, sensitivity to probe frequency).
+//     clock. It substitutes for the paper's SPDK-driven Intel NVMe SSD;
+//     its timing is a set of calibrated constants that reproduce the
+//     behavioural shapes of the paper's Figure 3 (IOPS vs queue depth,
+//     latency vs queue depth and write rate, sensitivity to probe
+//     frequency).
 //   - RAMDevice: a real-time, memory-backed device polled like one: a
 //     command runs on the thread that submits it and its completion waits
 //     in the queue pair's ring until that thread probes. It makes the

@@ -2,31 +2,11 @@ package nvme
 
 import "sync"
 
-// RAMConfig parameterizes the real-time memory-backed device.
+// RAMConfig sizes the real-time memory-backed device. Its block size
+// and queue-pair bounds are the constants it shares with SimDevice.
 type RAMConfig struct {
-	// BlockSize is the access granularity (default 512).
-	BlockSize int
 	// NumBlocks is the capacity in blocks (default 1M blocks = 512 MiB).
 	NumBlocks uint64
-	// MaxQueuePairs and MaxQueueDepth bound AllocQueuePair.
-	MaxQueuePairs int
-	MaxQueueDepth int
-}
-
-func (c RAMConfig) withDefaults() RAMConfig {
-	if c.BlockSize <= 0 {
-		c.BlockSize = 512
-	}
-	if c.NumBlocks == 0 {
-		c.NumBlocks = 1 << 20
-	}
-	if c.MaxQueuePairs <= 0 {
-		c.MaxQueuePairs = 256
-	}
-	if c.MaxQueueDepth <= 0 {
-		c.MaxQueueDepth = 2048
-	}
-	return c
 }
 
 // RAMDevice is a real-time Device backed by host memory and polled like
@@ -36,7 +16,7 @@ func (c RAMConfig) withDefaults() RAMConfig {
 // No goroutine or timer stands between the two. The block store is shared
 // by every queue pair and the direct-access methods, under one mutex.
 type RAMDevice struct {
-	cfg RAMConfig
+	numBlocks uint64
 
 	mu     sync.Mutex
 	store  blockStore
@@ -46,15 +26,17 @@ type RAMDevice struct {
 
 // NewRAMDevice creates a memory-backed device.
 func NewRAMDevice(cfg RAMConfig) *RAMDevice {
-	cfg = cfg.withDefaults()
-	return &RAMDevice{cfg: cfg, store: blockStore{bs: cfg.BlockSize}}
+	if cfg.NumBlocks == 0 {
+		cfg.NumBlocks = 1 << 20
+	}
+	return &RAMDevice{numBlocks: cfg.NumBlocks}
 }
 
 // BlockSize implements Device.
-func (d *RAMDevice) BlockSize() int { return d.cfg.BlockSize }
+func (d *RAMDevice) BlockSize() int { return blockSize }
 
 // NumBlocks implements Device.
-func (d *RAMDevice) NumBlocks() uint64 { return d.cfg.NumBlocks }
+func (d *RAMDevice) NumBlocks() uint64 { return d.numBlocks }
 
 // Close implements Device: later submissions and allocations fail with
 // ErrClosed; completions already posted can still be reaped.
@@ -72,11 +54,11 @@ func (d *RAMDevice) AllocQueuePair(depth int) (QueuePair, error) {
 	if d.closed {
 		return nil, ErrClosed
 	}
-	if d.nextQP >= d.cfg.MaxQueuePairs {
+	if d.nextQP >= maxQueuePairs {
 		return nil, ErrTooManyQP
 	}
-	if depth <= 0 || depth > d.cfg.MaxQueueDepth {
-		depth = d.cfg.MaxQueueDepth
+	if depth <= 0 || depth > maxQueueDepth {
+		depth = maxQueueDepth
 	}
 	d.nextQP++
 	return &ramQP{dev: d, ring: make([]ramCQE, depth)}, nil
@@ -153,7 +135,7 @@ func (q *ramQP) Submit(cmd *Command) error {
 	}
 	err := validate(d, cmd)
 	if err == nil {
-		switch n := cmd.Blocks * d.cfg.BlockSize; cmd.Op {
+		switch n := cmd.Blocks * blockSize; cmd.Op {
 		case OpRead:
 			d.store.read(cmd.LBA, cmd.Buf[:n])
 		case OpWrite:

@@ -304,6 +304,77 @@ func TestSimWriteAtAllocs(t *testing.T) {
 	}
 }
 
+// TestSimCommandAllocs pins the host allocations of one simulated read
+// (Submit, Advance, Probe); Probe reaps into a scratch slice the queue
+// pair keeps, so the count is what the command's own events cost.
+func TestSimCommandAllocs(t *testing.T) {
+	d := NewSimDevice(sim.NewEngine(), SimConfig{Seed: 1})
+	qp, err := d.AllocQueuePair(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 512)
+	d.WriteAt(7, buf)
+	cmd := &Command{Op: OpRead, LBA: 7, Blocks: 1, Buf: buf}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := qp.Submit(cmd); err != nil {
+			t.Fatal(err)
+		}
+		d.Advance()
+		if qp.Probe(0) != 1 {
+			t.Fatal("read not reaped")
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("one read allocates %.2f, want <= 8", allocs)
+	}
+}
+
+// TestSimNestedProbe: a Probe from inside a completion callback reaps
+// into its own batch, so the outer Probe still delivers every completion
+// it reaped, each exactly once.
+func TestSimNestedProbe(t *testing.T) {
+	d := NewSimDevice(sim.NewEngine(), SimConfig{Seed: 1})
+	qp, err := d.AllocQueuePair(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the pair's scratch slice so both Probes could reuse it.
+	for i := 0; i < 4; i++ {
+		if err := qp.Submit(&Command{Op: OpRead, Blocks: 1, Buf: make([]byte, 512)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Advance()
+	qp.Probe(0)
+	seen := map[uint64]int{}
+	nested := false
+	for lba := uint64(0); lba < 4; lba++ {
+		cmd := &Command{Op: OpRead, LBA: lba, Blocks: 1, Buf: make([]byte, 512)}
+		cmd.Callback = func(c Completion) {
+			seen[c.Cmd.LBA]++
+			if !nested {
+				nested = true
+				if n := qp.Probe(0); n != 2 {
+					t.Errorf("nested Probe reaped %d, want 2", n)
+				}
+			}
+		}
+		if err := qp.Submit(cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Advance()
+	if n := qp.Probe(2); n != 2 {
+		t.Fatalf("outer Probe reaped %d, want 2", n)
+	}
+	for lba := uint64(0); lba < 4; lba++ {
+		if seen[lba] != 1 {
+			t.Errorf("LBA %d delivered %d times, want 1 (%v)", lba, seen[lba], seen)
+		}
+	}
+}
+
 // TestRAMConcurrentPairs is a -race hammer: four goroutines each own a
 // queue pair on their own partition of one device and write, read back
 // and verify, while another goroutine reads the image directly.

@@ -7,14 +7,50 @@ import (
 	"github.com/patree/patree/internal/sim"
 )
 
-// SimConfig parameterizes the simulated device. The defaults are
-// calibrated so the device reproduces the behavioural shapes of the
-// paper's Figure 3 for a ~400K read IOPS enterprise NVMe SSD of the
-// i3.x2large class (see DESIGN.md §1).
+// The simulated device's calibrated constants. Together they reproduce
+// the behavioural shapes of the paper's Figure 3 for a ~400K read IOPS
+// enterprise NVMe SSD of the i3.x2large class (DESIGN.md §1, §8); they
+// are fixed so that every figure describes one stated device.
+const (
+	// blockSize is the minimal access granularity on both devices,
+	// matching the paper's device and the PA-Tree node size.
+	blockSize = 512
+	// readService and writeService are the per-command channel occupancy
+	// times. Writes are slower (flash program time), which produces the
+	// write-rate sensitivity of Fig 3a/3b.
+	readService  = 75 * time.Microsecond
+	writeService = 150 * time.Microsecond
+	// flushService is the cost of a flush command.
+	flushService = 100 * time.Microsecond
+	// serviceJitter is the relative spread of service times (uniform in
+	// [1-j, 1+j]); it makes completions genuinely out of order.
+	serviceJitter = 0.25
+	// submitOverhead is the controller occupancy per command intake.
+	submitOverhead = 150 * time.Nanosecond
+	// completeOverhead is the controller occupancy to post a completion
+	// entry; a completion only becomes visible to Probe once posted.
+	completeOverhead = 150 * time.Nanosecond
+	// probeOverhead is the controller occupancy per Probe call — the
+	// "interruption to the NVMe" of §II (doorbell reads and driver work
+	// serialized with command intake). Because intake and completion
+	// posting share the controller, frequent probing starves them and
+	// collapses IOPS (Fig 3c, Table I). It is calibrated so the
+	// baselines' per-thread 100µs probe loops depress device throughput
+	// the way the paper's Table I reports.
+	probeOverhead = 3 * time.Microsecond
+	// perCQEOverhead is the extra controller occupancy per reaped
+	// completion.
+	perCQEOverhead = 50 * time.Nanosecond
+	// maxQueuePairs and maxQueueDepth bound AllocQueuePair (the paper's
+	// SSD: 256 pairs of depth 2048): always on RAMDevice, by default on
+	// SimDevice.
+	maxQueuePairs = 256
+	maxQueueDepth = 2048
+)
+
+// SimConfig sizes the simulated device; its timing is the calibrated
+// constants above.
 type SimConfig struct {
-	// BlockSize is the minimal access granularity (default 512 bytes,
-	// matching the paper's device and the PA-Tree node size).
-	BlockSize int
 	// NumBlocks is the capacity in blocks (default 64M blocks = 32 GiB).
 	NumBlocks uint64
 	// Parallelism is the number of internal channels that serve commands
@@ -22,83 +58,26 @@ type SimConfig struct {
 	// Default 32: with 75µs reads this saturates at ~427K read IOPS,
 	// roughly 32x the QD1 rate — the "order of magnitude" of Fig 3a.
 	Parallelism int
-	// ReadService and WriteService are the per-command channel occupancy
-	// times. Writes are slower (flash program time), which produces the
-	// write-rate sensitivity of Fig 3a/3b. Defaults 75µs / 150µs.
-	ReadService  time.Duration
-	WriteService time.Duration
-	// FlushService is the cost of a flush command. Default 100µs.
-	FlushService time.Duration
-	// ServiceJitter is the relative spread of service times (uniform in
-	// [1-j, 1+j]); it makes completions genuinely out of order.
-	// Default 0.25.
-	ServiceJitter float64
-	// SubmitOverhead is the controller occupancy per command intake.
-	// Default 150ns.
-	SubmitOverhead time.Duration
-	// CompleteOverhead is the controller occupancy to post a completion
-	// entry; a completion only becomes visible to Probe once posted.
-	// Default 150ns.
-	CompleteOverhead time.Duration
-	// ProbeOverhead is the controller occupancy per Probe call — the
-	// "interruption to the NVMe" of §II (doorbell reads and driver work
-	// serialized with command intake). Because intake and completion
-	// posting share the controller, frequent probing starves them and
-	// collapses IOPS (Fig 3c, Table I). Default 3µs — calibrated so the
-	// baselines' per-thread 100µs probe loops depress device throughput
-	// the way the paper's Table I reports.
-	ProbeOverhead time.Duration
-	// PerCQEOverhead is the extra controller occupancy per reaped
-	// completion. Default 50ns.
-	PerCQEOverhead time.Duration
-	// MaxQueuePairs and MaxQueueDepth bound AllocQueuePair (the paper's
-	// SSD: 256 pairs of depth 2048).
+	// MaxQueuePairs and MaxQueueDepth bound AllocQueuePair (defaults 256
+	// and 2048, the paper's SSD).
 	MaxQueuePairs int
 	MaxQueueDepth int
 	// Seed drives service-time jitter.
 	Seed uint64
 }
 
-// WithDefaults fills zero fields with calibrated defaults.
-func (c SimConfig) WithDefaults() SimConfig {
-	if c.BlockSize <= 0 {
-		c.BlockSize = 512
-	}
+func (c SimConfig) withDefaults() SimConfig {
 	if c.NumBlocks == 0 {
 		c.NumBlocks = 64 << 20
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = 32
 	}
-	if c.ReadService <= 0 {
-		c.ReadService = 75 * time.Microsecond
-	}
-	if c.WriteService <= 0 {
-		c.WriteService = 150 * time.Microsecond
-	}
-	if c.FlushService <= 0 {
-		c.FlushService = 100 * time.Microsecond
-	}
-	if c.ServiceJitter == 0 {
-		c.ServiceJitter = 0.25
-	}
-	if c.SubmitOverhead <= 0 {
-		c.SubmitOverhead = 150 * time.Nanosecond
-	}
-	if c.CompleteOverhead <= 0 {
-		c.CompleteOverhead = 150 * time.Nanosecond
-	}
-	if c.ProbeOverhead <= 0 {
-		c.ProbeOverhead = 3 * time.Microsecond
-	}
-	if c.PerCQEOverhead <= 0 {
-		c.PerCQEOverhead = 50 * time.Nanosecond
-	}
 	if c.MaxQueuePairs <= 0 {
-		c.MaxQueuePairs = 256
+		c.MaxQueuePairs = maxQueuePairs
 	}
 	if c.MaxQueueDepth <= 0 {
-		c.MaxQueueDepth = 2048
+		c.MaxQueueDepth = maxQueueDepth
 	}
 	return c
 }
@@ -160,23 +139,19 @@ type SimDevice struct {
 
 // NewSimDevice creates a simulated device on eng.
 func NewSimDevice(eng *sim.Engine, cfg SimConfig) *SimDevice {
-	cfg = cfg.WithDefaults()
+	cfg = cfg.withDefaults()
 	d := &SimDevice{
-		eng:   eng,
-		cfg:   cfg,
-		rng:   sim.NewRNG(cfg.Seed ^ 0x5dee7a11),
-		store: blockStore{bs: cfg.BlockSize},
+		eng: eng,
+		cfg: cfg,
+		rng: sim.NewRNG(cfg.Seed ^ 0x5dee7a11),
 	}
 	d.stats.readLat = metrics.NewHistogram()
 	d.stats.writeLat = metrics.NewHistogram()
 	return d
 }
 
-// Config returns the effective configuration.
-func (d *SimDevice) Config() SimConfig { return d.cfg }
-
 // BlockSize implements Device.
-func (d *SimDevice) BlockSize() int { return d.cfg.BlockSize }
+func (d *SimDevice) BlockSize() int { return blockSize }
 
 // NumBlocks implements Device.
 func (d *SimDevice) NumBlocks() uint64 { return d.cfg.NumBlocks }
@@ -281,17 +256,14 @@ func (d *SimDevice) occupyController(dur time.Duration) sim.Time {
 
 // serviceTime draws the channel occupancy for cmd.
 func (d *SimDevice) serviceTime(op Opcode) time.Duration {
-	var base time.Duration
+	base := flushService
 	switch op {
 	case OpRead:
-		base = d.cfg.ReadService
+		base = readService
 	case OpWrite:
-		base = d.cfg.WriteService
-	default:
-		base = d.cfg.FlushService
+		base = writeService
 	}
-	j := d.cfg.ServiceJitter
-	f := 1 - j + 2*j*d.rng.Float64()
+	f := 1 - serviceJitter + 2*serviceJitter*d.rng.Float64()
 	return time.Duration(float64(base) * f)
 }
 
@@ -324,9 +296,9 @@ func (d *SimDevice) complete(inf *inflight) {
 	// A write was stored at submit, and the model's store is already
 	// durable, so only a read moves data here.
 	if inf.err == nil && cmd.Op == OpRead {
-		d.store.read(cmd.LBA, cmd.Buf[:cmd.Blocks*d.cfg.BlockSize])
+		d.store.read(cmd.LBA, cmd.Buf[:cmd.Blocks*blockSize])
 	}
-	postAt := d.occupyController(d.cfg.CompleteOverhead)
+	postAt := d.occupyController(completeOverhead)
 	d.eng.At(postAt, func() { d.post(inf) })
 	d.tryDispatch()
 }
@@ -353,12 +325,13 @@ func (d *SimDevice) post(inf *inflight) {
 
 // simQP is a queue pair on a SimDevice.
 type simQP struct {
-	dev   *SimDevice
-	id    int
-	depth int
-	inSQ  int // commands submitted and not yet reaped (ring occupancy)
-	cq    []Completion
-	freed bool
+	dev     *SimDevice
+	id      int
+	depth   int
+	inSQ    int // commands submitted and not yet reaped (ring occupancy)
+	cq      []Completion
+	scratch []Completion // Probe's reaped batch, reused across calls
+	freed   bool
 }
 
 // Submit implements QueuePair. The write payload is snapshotted
@@ -382,12 +355,12 @@ func (q *simQP) Submit(cmd *Command) error {
 		// real controller posting an error CQE.
 		inf.err = err
 	} else if cmd.Op == OpWrite {
-		q.dev.store.write(cmd.LBA, cmd.Buf[:cmd.Blocks*q.dev.cfg.BlockSize])
+		q.dev.store.write(cmd.LBA, cmd.Buf[:cmd.Blocks*blockSize])
 	}
 	q.inSQ++
 	q.dev.unposted++
 	q.dev.outstanding.Add(int64(q.dev.eng.Now()), 1)
-	readyAt := q.dev.occupyController(q.dev.cfg.SubmitOverhead)
+	readyAt := q.dev.occupyController(submitOverhead)
 	q.dev.eng.At(readyAt, func() { q.dev.intake(inf) })
 	return nil
 }
@@ -404,13 +377,15 @@ func (q *simQP) Probe(max int) int {
 	if max > 0 && n > max {
 		n = max
 	}
-	d.occupyController(d.cfg.ProbeOverhead + time.Duration(n)*d.cfg.PerCQEOverhead)
+	d.occupyController(probeOverhead + time.Duration(n)*perCQEOverhead)
 	if n == 0 {
 		return 0
 	}
-	batch := make([]Completion, n)
-	copy(batch, q.cq)
-	q.cq = q.cq[n:]
+	// The reaped entries move to the pair's scratch slice, detached while
+	// the callbacks run so that a nested Probe reaps into its own.
+	batch := append(q.scratch[:0], q.cq[:n]...)
+	q.scratch = nil
+	q.cq = append(q.cq[:0], q.cq[n:]...)
 	q.inSQ -= n
 	d.outstanding.Add(int64(d.eng.Now()), -int64(n))
 	for _, c := range batch {
@@ -418,6 +393,7 @@ func (q *simQP) Probe(max int) int {
 			c.Cmd.Callback(c)
 		}
 	}
+	q.scratch = batch
 	return n
 }
 

@@ -24,7 +24,6 @@ type extent struct {
 // and memory follows the extents written, not the device's capacity.
 // Each device guards its store as it guards the rest of its state.
 type blockStore struct {
-	bs      int
 	extents pagemap.Map[extent]
 }
 
@@ -33,15 +32,15 @@ type blockStore struct {
 func (s *blockStore) read(lba uint64, buf []byte) {
 	for len(buf) > 0 {
 		e, _ := s.extents.Get(storage.PageID(lba / extentBlocks))
-		off := int(lba%extentBlocks) * s.bs
-		n := min(len(buf), extentBlocks*s.bs-off)
+		off := int(lba%extentBlocks) * blockSize
+		n := min(len(buf), extentBlocks*blockSize-off)
 		if e.data != nil {
 			copy(buf[:n], e.data[off:])
 		} else {
 			clear(buf[:n])
 		}
 		buf = buf[n:]
-		lba += uint64(n / s.bs)
+		lba += uint64(n / blockSize)
 	}
 }
 
@@ -51,14 +50,14 @@ func (s *blockStore) write(lba uint64, buf []byte) {
 	for len(buf) > 0 {
 		e := s.extents.Ref(storage.PageID(lba / extentBlocks))
 		if e.data == nil {
-			e.data = make([]byte, extentBlocks*s.bs)
+			e.data = make([]byte, extentBlocks*blockSize)
 		}
 		first := int(lba % extentBlocks)
-		off := first * s.bs
-		n := min(len(buf), extentBlocks*s.bs-off)
-		nb := (n + s.bs - 1) / s.bs
+		off := first * blockSize
+		n := min(len(buf), extentBlocks*blockSize-off)
+		nb := (n + blockSize - 1) / blockSize
 		copy(e.data[off:], buf[:n])
-		clear(e.data[off+n : off+nb*s.bs])
+		clear(e.data[off+n : off+nb*blockSize])
 		e.written |= (1<<nb - 1) << first
 		buf = buf[n:]
 		lba += uint64(nb)
@@ -72,7 +71,7 @@ func (s *blockStore) snapshot() map[uint64][]byte {
 		e, _ := s.extents.Get(id)
 		for w := e.written; w != 0; w &= w - 1 {
 			i := bits.TrailingZeros64(w)
-			img[uint64(id)*extentBlocks+uint64(i)] = bytes.Clone(e.data[i*s.bs : (i+1)*s.bs])
+			img[uint64(id)*extentBlocks+uint64(i)] = bytes.Clone(e.data[i*blockSize : (i+1)*blockSize])
 		}
 	}
 	return img

@@ -7,6 +7,9 @@ import (
 	"github.com/patree/patree/internal/sim"
 )
 
+// ridge is the damping Train adds to the normal equations.
+const ridge = 1e-6
+
 // TrainConfig controls training-trace generation.
 type TrainConfig struct {
 	// Window and Slices define the feature geometry (defaults: paper's
@@ -20,12 +23,10 @@ type TrainConfig struct {
 	WritePercents []int
 	// RunPerConfig is the virtual time simulated per grid point.
 	RunPerConfig time.Duration
-	// Ridge is the damping added to the normal equations.
-	Ridge float64
 	// Seed drives the generator and the device model.
 	Seed uint64
-	// Device overrides the device model parameters (zero = calibrated
-	// defaults). Training on the same model the experiments use mirrors
+	// Device sizes the device model, whose timing is nvme's calibrated
+	// constants. Training on the same model the experiments use mirrors
 	// the paper training on the same SSD it evaluates on.
 	Device nvme.SimConfig
 }
@@ -46,9 +47,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.RunPerConfig <= 0 {
 		c.RunPerConfig = 40 * time.Millisecond
 	}
-	if c.Ridge == 0 {
-		c.Ridge = 1e-6
-	}
 	return c
 }
 
@@ -65,7 +63,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 			ys = append(ys, y...)
 		}
 	}
-	beta, err := OLS(xs, ys, cfg.Ridge)
+	beta, err := OLS(xs, ys, ridge)
 	if err != nil {
 		return nil, err
 	}

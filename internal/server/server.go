@@ -42,20 +42,23 @@ import (
 	"github.com/patree/patree/internal/trace"
 )
 
+// Each connection's fixed parameters.
+const (
+	// dispatchers bounds the per-connection completion dispatchers, and
+	// with them the admitted-but-unanswered bursts in flight. When all
+	// are busy the reader stalls, pushing backpressure into the TCP
+	// window.
+	dispatchers = 8
+	// bufSize sizes the per-connection buffered reader and writer.
+	bufSize = 64 << 10
+)
+
 // Options tunes a Server. The zero value selects sensible defaults.
 type Options struct {
 	// BurstOps caps how many pipelined single-op requests are staged
 	// into one admission transaction (default 256). It must not exceed
 	// the store's admission ring depth or bursts could never admit.
 	BurstOps int
-	// Dispatchers bounds the per-connection completion dispatchers, and
-	// with them the admitted-but-unanswered bursts in flight (default
-	// 8). When all are busy the reader stalls, pushing backpressure
-	// into the TCP window.
-	Dispatchers int
-	// ReadBuf/WriteBuf size the per-connection buffered reader/writer
-	// (default 64 KiB).
-	ReadBuf, WriteBuf int
 	// Logf, when set, receives connection-level error logs and the
 	// slow-op log.
 	Logf func(format string, args ...any)
@@ -78,15 +81,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.BurstOps <= 0 {
 		o.BurstOps = 256
-	}
-	if o.Dispatchers <= 0 {
-		o.Dispatchers = 8
-	}
-	if o.ReadBuf <= 0 {
-		o.ReadBuf = 64 << 10
-	}
-	if o.WriteBuf <= 0 {
-		o.WriteBuf = 64 << 10
 	}
 	if o.TraceNow == nil {
 		o.TraceNow = defaultServerNow
@@ -279,10 +273,10 @@ func newSrvConn(s *Server, c net.Conn) *srvConn {
 	return &srvConn{
 		s:    s,
 		c:    c,
-		br:   bufio.NewReaderSize(c, s.opts.ReadBuf),
-		resp: make(chan []byte, 4*s.opts.Dispatchers),
+		br:   bufio.NewReaderSize(c, bufSize),
+		resp: make(chan []byte, 4*dispatchers),
 		dead: make(chan struct{}),
-		sem:  make(chan struct{}, s.opts.Dispatchers),
+		sem:  make(chan struct{}, dispatchers),
 	}
 }
 
@@ -664,7 +658,7 @@ func (c *srvConn) send(buf []byte) bool {
 // before each flush.
 func (c *srvConn) writeLoop() {
 	defer c.wg.Done()
-	bw := bufio.NewWriterSize(c.c, c.s.opts.WriteBuf)
+	bw := bufio.NewWriterSize(c.c, bufSize)
 	for {
 		select {
 		case buf := <-c.resp:

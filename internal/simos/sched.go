@@ -13,7 +13,9 @@
 // This substrate replaces the Linux kernel of the paper's testbed. It is
 // what lets us measure — exactly, not via perf sampling — the context
 // switches, CPU core consumption, and synchronization costs that the
-// paper's Figures 7–9 and Tables I–II are about.
+// paper's Figures 7–9 and Tables I–II are about. The timeslice and the
+// context-switch and syscall costs are calibrated constants (DESIGN.md §8);
+// only the core count is configuration.
 package simos
 
 import (
@@ -26,35 +28,24 @@ import (
 
 // Config describes the simulated machine.
 type Config struct {
-	// Cores is the number of physical CPU cores. The paper's testbed has 8.
+	// Cores is the number of physical CPU cores (default 8, the paper's
+	// testbed).
 	Cores int
-	// Timeslice is the preemption quantum. Linux CFS grants a few
-	// milliseconds under load; we default to 2ms.
-	Timeslice time.Duration
-	// CtxSwitchCost is the direct cost of a context switch: register/state
-	// save-restore, scheduler work, and the cache/TLB-pollution penalty
-	// the paper attributes to frequent switches. Default 5µs.
-	CtxSwitchCost time.Duration
-	// SyscallCost is the user/kernel mode-switch cost charged by blocking
-	// primitives (semaphore wait/post, sleep). Default 3µs.
-	SyscallCost time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.Cores <= 0 {
-		c.Cores = 8
-	}
-	if c.Timeslice <= 0 {
-		c.Timeslice = 2 * time.Millisecond
-	}
-	if c.CtxSwitchCost <= 0 {
-		c.CtxSwitchCost = 5 * time.Microsecond
-	}
-	if c.SyscallCost <= 0 {
-		c.SyscallCost = 3 * time.Microsecond
-	}
-	return c
-}
+// The simulated kernel's calibrated constants.
+const (
+	// timeslice is the preemption quantum. Linux CFS grants a few
+	// milliseconds under load.
+	timeslice = 2 * time.Millisecond
+	// ctxSwitchCost is the direct cost of a context switch: register/state
+	// save-restore, scheduler work, and the cache/TLB-pollution penalty
+	// the paper attributes to frequent switches.
+	ctxSwitchCost = 5 * time.Microsecond
+	// SyscallCost is the user/kernel mode-switch cost charged by blocking
+	// primitives (semaphore wait/post, sleep).
+	SyscallCost = 3 * time.Microsecond
+)
 
 type reqKind int
 
@@ -130,7 +121,7 @@ func (t *Thread) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t.Work(metrics.CatOther, t.sched.cfg.SyscallCost)
+	t.Work(metrics.CatOther, SyscallCost)
 	t.call(request{kind: reqSleep, d: d})
 }
 
@@ -180,7 +171,6 @@ func (c *core) markIdle(now sim.Time) {
 // Sched is the simulated OS scheduler.
 type Sched struct {
 	eng   *sim.Engine
-	cfg   Config
 	cores []*core
 	runq  []*Thread // FIFO run queue
 
@@ -194,8 +184,10 @@ type Sched struct {
 
 // New creates a scheduler on the given engine.
 func New(eng *sim.Engine, cfg Config) *Sched {
-	cfg = cfg.withDefaults()
-	s := &Sched{eng: eng, cfg: cfg, startT: eng.Now()}
+	if cfg.Cores <= 0 {
+		cfg.Cores = 8
+	}
+	s := &Sched{eng: eng, startT: eng.Now()}
 	for i := 0; i < cfg.Cores; i++ {
 		s.cores = append(s.cores, &core{id: i})
 	}
@@ -204,9 +196,6 @@ func New(eng *sim.Engine, cfg Config) *Sched {
 
 // Engine returns the underlying DES engine.
 func (s *Sched) Engine() *sim.Engine { return s.eng }
-
-// Config returns the machine configuration.
-func (s *Sched) Config() Config { return s.cfg }
 
 // ContextSwitches returns the total number of context switches so far.
 func (s *Sched) ContextSwitches() uint64 { return s.ctxSwitch.Value() }
@@ -341,12 +330,12 @@ func (s *Sched) startOn(c *core, t *Thread) {
 	t.core = c
 	var switchCost time.Duration
 	if c.last != t {
-		switchCost = s.cfg.CtxSwitchCost
+		switchCost = ctxSwitchCost
 		s.ctxSwitch.Inc()
 		t.CPU.Charge(metrics.CatOther, switchCost)
 	}
 	c.last = t
-	sliceEnd := now.Add(switchCost + s.cfg.Timeslice)
+	sliceEnd := now.Add(switchCost + timeslice)
 	if switchCost > 0 {
 		s.eng.After(switchCost, func() { s.runStep(c, t, sliceEnd) })
 	} else {
@@ -399,7 +388,7 @@ func (s *Sched) runStep(c *core, t *Thread, sliceEnd sim.Time) {
 			if t.state != stateRunning {
 				return
 			}
-			sliceEnd = now.Add(s.cfg.Timeslice)
+			sliceEnd = now.Add(timeslice)
 		}
 		// Consume demand until it finishes or the slice expires.
 		runFor := t.demand

@@ -23,7 +23,7 @@ func TestSingleThreadWork(t *testing.T) {
 	})
 	eng.Run()
 	// 100us of work plus the initial switch-in cost.
-	want := sim.Time(100*time.Microsecond + s.Config().CtxSwitchCost)
+	want := sim.Time(100*time.Microsecond + ctxSwitchCost)
 	if done != want {
 		t.Fatalf("work finished at %v, want %v", done, want)
 	}
@@ -228,7 +228,7 @@ func TestSemWaitChargesSyncCategory(t *testing.T) {
 	var th *Thread
 	th = s.Spawn("w", func(tt *Thread) { sem.Wait(tt) })
 	eng.Run()
-	if th.CPU.Get(metrics.CatSync) != s.Config().SyscallCost {
+	if th.CPU.Get(metrics.CatSync) != SyscallCost {
 		t.Fatalf("sync charge = %v", th.CPU.Get(metrics.CatSync))
 	}
 }

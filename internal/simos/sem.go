@@ -21,7 +21,7 @@ func (s *Sched) NewSem(initial int) *Sem {
 // Wait decrements the semaphore, blocking the calling thread while the
 // count is zero. FIFO wake order.
 func (m *Sem) Wait(t *Thread) {
-	t.Work(metrics.CatSync, m.sched.cfg.SyscallCost)
+	t.Work(metrics.CatSync, SyscallCost)
 	if m.count > 0 {
 		m.count--
 		return
@@ -32,7 +32,7 @@ func (m *Sem) Wait(t *Thread) {
 
 // TryWait decrements without blocking; reports whether it succeeded.
 func (m *Sem) TryWait(t *Thread) bool {
-	t.Work(metrics.CatSync, m.sched.cfg.SyscallCost)
+	t.Work(metrics.CatSync, SyscallCost)
 	if m.count > 0 {
 		m.count--
 		return true
@@ -44,7 +44,7 @@ func (m *Sem) TryWait(t *Thread) bool {
 // The waiter is handed the token directly (it does not re-contend).
 func (m *Sem) Post(t *Thread) {
 	if t != nil {
-		t.Work(metrics.CatSync, m.sched.cfg.SyscallCost)
+		t.Work(metrics.CatSync, SyscallCost)
 	}
 	m.post()
 }
@@ -96,7 +96,7 @@ func (s *Sched) NewParker() *Parker { return &Parker{sched: s} }
 
 // Park blocks the calling thread until a token is available, consuming it.
 func (p *Parker) Park(t *Thread) {
-	t.Work(metrics.CatSync, p.sched.cfg.SyscallCost)
+	t.Work(metrics.CatSync, SyscallCost)
 	if p.token {
 		p.token = false
 		return

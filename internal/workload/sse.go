@@ -7,6 +7,9 @@ import (
 	"github.com/patree/patree/internal/sim"
 )
 
+// recordBytes is the order record size, the paper's 108-byte average.
+const recordBytes = 108
+
 // SSEConfig parameterizes the synthetic stock-order workload standing in
 // for the proprietary Shanghai Stock Exchange traces: orders on
 // Zipf-popular stocks at mean-reverting prices, stored under composite
@@ -20,8 +23,6 @@ type SSEConfig struct {
 	PreloadOrders int
 	// UpdatePercent is the share of order insertions (default 28).
 	UpdatePercent int
-	// RecordBytes is the order record size (default 108).
-	RecordBytes int
 	// Theta is the stock-popularity skew.
 	Theta float64
 	// Seed drives the generator.
@@ -37,9 +38,6 @@ func (c SSEConfig) withDefaults() SSEConfig {
 	}
 	if c.UpdatePercent <= 0 {
 		c.UpdatePercent = 28
-	}
-	if c.RecordBytes <= 0 {
-		c.RecordBytes = 108
 	}
 	if c.Theta == 0 {
 		c.Theta = 0.6
@@ -97,7 +95,7 @@ func (s *SSE) tick(stock int) uint32 {
 
 // order builds a ~108-byte order record.
 func (s *SSE) order(stock int, price uint32) []byte {
-	v := make([]byte, s.cfg.RecordBytes)
+	v := make([]byte, recordBytes)
 	binary.LittleEndian.PutUint32(v[0:4], uint32(stock))
 	binary.LittleEndian.PutUint32(v[4:8], price)
 	binary.LittleEndian.PutUint64(v[8:16], s.seq)

@@ -8,6 +8,16 @@ import (
 	"github.com/patree/patree/internal/zorder"
 )
 
+// The city grid's fixed geometry.
+const (
+	// gridBits is the per-axis resolution (2^gridBits × 2^gridBits
+	// cells), and gridMax the last cell on each axis.
+	gridBits = 12
+	gridMax  = 1<<gridBits - 1
+	// rangeCells is the query window edge length in cells.
+	rangeCells = 4
+)
+
 // TDriveConfig parameterizes the synthetic taxi-trajectory workload
 // standing in for the proprietary T-Drive dataset: taxis random-walk a
 // city grid (with a hot centre, like Beijing's), each position report is
@@ -17,14 +27,10 @@ import (
 type TDriveConfig struct {
 	// Taxis is the fleet size (paper: >10,000).
 	Taxis int
-	// GridBits is the per-axis resolution (2^GridBits × 2^GridBits cells).
-	GridBits uint
 	// PreloadRecords is the number of initial position records.
 	PreloadRecords int
 	// UpdatePercent is the share of inserts (default 70, per the paper).
 	UpdatePercent int
-	// RangeCells is the query window edge length in cells.
-	RangeCells uint32
 	// Seed drives the walk.
 	Seed uint64
 }
@@ -33,17 +39,11 @@ func (c TDriveConfig) withDefaults() TDriveConfig {
 	if c.Taxis <= 0 {
 		c.Taxis = 10000
 	}
-	if c.GridBits == 0 {
-		c.GridBits = 12
-	}
 	if c.PreloadRecords <= 0 {
 		c.PreloadRecords = 1 << 20
 	}
 	if c.UpdatePercent <= 0 {
 		c.UpdatePercent = 70
-	}
-	if c.RangeCells == 0 {
-		c.RangeCells = 4
 	}
 	return c
 }
@@ -54,7 +54,6 @@ type TDrive struct {
 	rng  *sim.RNG
 	x, y []uint32 // taxi positions
 	seq  uint64
-	max  uint32
 }
 
 // NewTDrive builds the generator; taxis start clustered around the city
@@ -63,9 +62,8 @@ type TDrive struct {
 func NewTDrive(cfg TDriveConfig) *TDrive {
 	cfg = cfg.withDefaults()
 	t := &TDrive{cfg: cfg, rng: sim.NewRNG(cfg.Seed ^ 0x7d51fe)}
-	t.max = uint32(1)<<cfg.GridBits - 1
-	centre := float64(t.max) / 2
-	spread := float64(t.max) / 8
+	centre := float64(gridMax) / 2
+	spread := float64(gridMax) / 8
 	for i := 0; i < cfg.Taxis; i++ {
 		t.x = append(t.x, t.clamp(t.rng.Norm(centre, spread)))
 		t.y = append(t.y, t.clamp(t.rng.Norm(centre, spread)))
@@ -77,8 +75,8 @@ func (t *TDrive) clamp(v float64) uint32 {
 	if v < 0 {
 		return 0
 	}
-	if v > float64(t.max) {
-		return t.max
+	if v > float64(gridMax) {
+		return gridMax
 	}
 	return uint32(v)
 }
@@ -131,15 +129,8 @@ func (t *TDrive) Next() Op {
 		return Op{Kind: OpInsert, Key: t.keyFor(t.x[i], t.y[i]), Value: record(i, t.seq)}
 	}
 	// Query the window around taxi i's position.
-	w := t.cfg.RangeCells
 	x0, y0 := t.x[i], t.y[i]
-	x1, y1 := x0+w, y0+w
-	if x1 > t.max {
-		x1 = t.max
-	}
-	if y1 > t.max {
-		y1 = t.max
-	}
+	x1, y1 := min(x0+rangeCells, gridMax), min(y0+rangeCells, gridMax)
 	lo, hi := zorder.RangeOf(x0, y0, x1, y1)
 	return Op{Kind: OpRange, Key: lo << 16, EndKey: hi<<16 | 0xFFFF, Limit: 256}
 }

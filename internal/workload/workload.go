@@ -128,6 +128,14 @@ func scramble(rank uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// The YCSB mixes' fixed shape.
+const (
+	// valueSize is the payload size in bytes.
+	valueSize = 8
+	// rangeLimit is how many pairs each scan asks for.
+	rangeLimit = 64
+)
+
 // YCSBConfig parameterizes the synthetic workload.
 type YCSBConfig struct {
 	// Keys is the number of distinct keys (preloaded).
@@ -137,14 +145,9 @@ type YCSBConfig struct {
 	UpdatePercent int
 	// Theta is the Zipfian skewness α (default 0.3).
 	Theta float64
-	// ValueSize is the payload size (default 8 bytes).
-	ValueSize int
 	// RangePercent is the share of short range scans (YCSB-E style);
 	// the default 0 keeps the paper's point-only mixes.
 	RangePercent int
-	// RangeLimit is how many pairs each scan asks for (default 64 when
-	// RangePercent > 0).
-	RangeLimit int
 	// Seed drives the generator.
 	Seed uint64
 }
@@ -167,12 +170,6 @@ func NewYCSB(cfg YCSBConfig) *YCSB {
 	if cfg.Theta == 0 {
 		cfg.Theta = 0.3
 	}
-	if cfg.ValueSize <= 0 {
-		cfg.ValueSize = 8
-	}
-	if cfg.RangePercent > 0 && cfg.RangeLimit <= 0 {
-		cfg.RangeLimit = 64
-	}
 	rng := sim.NewRNG(cfg.Seed ^ 0x9c5b)
 	name := "ycsb-default"
 	switch {
@@ -185,7 +182,7 @@ func NewYCSB(cfg YCSBConfig) *YCSB {
 		cfg:  cfg,
 		rng:  rng,
 		zipf: NewZipf(rng.Split(), cfg.Keys, cfg.Theta),
-		val:  make([]byte, cfg.ValueSize),
+		val:  make([]byte, valueSize),
 		name: name,
 	}
 }
@@ -197,7 +194,7 @@ func (y *YCSB) Name() string { return y.name }
 func (y *YCSB) Preload() []core.KV {
 	pairs := make([]core.KV, 0, y.cfg.Keys)
 	for r := uint64(0); r < y.cfg.Keys; r++ {
-		pairs = append(pairs, core.KV{Key: scramble(r), Value: make([]byte, y.cfg.ValueSize)})
+		pairs = append(pairs, core.KV{Key: scramble(r), Value: make([]byte, valueSize)})
 	}
 	sortKVs(pairs)
 	return dedupKVs(pairs)
@@ -208,15 +205,15 @@ func (y *YCSB) Next() Op {
 	key := scramble(y.zipf.Next())
 	r := int(y.rng.Uint64n(100))
 	if r < y.cfg.UpdatePercent {
-		v := make([]byte, y.cfg.ValueSize)
+		v := make([]byte, valueSize)
 		y.rng.FillBytes(v)
 		return Op{Kind: OpUpdate, Key: key, Value: v}
 	}
 	if r < y.cfg.UpdatePercent+y.cfg.RangePercent {
-		// Scans start at a popular key and take the next RangeLimit pairs
+		// Scans start at a popular key and take the next rangeLimit pairs
 		// in key order, whatever they are (the scrambled domain makes the
 		// span a random slice of the tree).
-		return Op{Kind: OpRange, Key: key, EndKey: ^uint64(0), Limit: y.cfg.RangeLimit}
+		return Op{Kind: OpRange, Key: key, EndKey: ^uint64(0), Limit: rangeLimit}
 	}
 	return Op{Kind: OpSearch, Key: key}
 }
