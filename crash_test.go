@@ -213,6 +213,9 @@ func (c crashTarget) walk(t *testing.T, label string, shard int, meta *storage.M
 	page := func(id storage.PageID) *storage.Node {
 		buf := make([]byte, storage.PageSize)
 		sd.ReadAt(base+uint64(id), buf)
+		if !storage.VerifyPage(buf) {
+			t.Fatalf("%s: page %d fails its checksum", label, id)
+		}
 		n, err := storage.DecodeNode(id, buf)
 		if err != nil {
 			t.Fatalf("%s: page %d unreadable: %v", label, id, err)

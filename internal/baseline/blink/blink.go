@@ -104,17 +104,20 @@ func (n *node) encode() []byte {
 	return buf
 }
 
+// verify reports, without writing to buf, whether it holds a full node
+// page whose crc matches. read verifies a fresh read before caching it.
+func verify(buf []byte) bool {
+	if len(buf) < pageSize {
+		return false
+	}
+	var zero [4]byte
+	sum := crc32.Update(crc32.Checksum(buf[:20], crcTable), crcTable, zero[:])
+	return crc32.Update(sum, crcTable, buf[24:pageSize]) == binary.LittleEndian.Uint32(buf[20:24])
+}
+
+// decode parses a verified node page; buf may be the cache's image.
 func decode(id storage.PageID, buf []byte) (*node, error) {
 	if len(buf) < pageSize {
-		return nil, ErrCorrupt
-	}
-	want := binary.LittleEndian.Uint32(buf[20:24])
-	tmp := make([]byte, 4)
-	copy(tmp, buf[20:24])
-	binary.LittleEndian.PutUint32(buf[20:24], 0)
-	got := crc32.Checksum(buf[:pageSize], crcTable)
-	copy(buf[20:24], tmp)
-	if got != want {
 		return nil, ErrCorrupt
 	}
 	n := &node{
@@ -237,6 +240,9 @@ func (t *Tree) read(th *simos.Thread, id storage.PageID) (*node, error) {
 	buf := make([]byte, pageSize)
 	if err := t.io.Read(th, uint64(id), buf); err != nil {
 		return nil, err
+	}
+	if !verify(buf) {
+		return nil, ErrCorrupt
 	}
 	if err := t.cache.FillOnRead(th, id, buf); err != nil {
 		return nil, err

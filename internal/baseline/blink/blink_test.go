@@ -1,12 +1,14 @@
 package blink
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"github.com/patree/patree/internal/baseline/syncbtree"
 	"github.com/patree/patree/internal/core"
+	"github.com/patree/patree/internal/fault"
 	"github.com/patree/patree/internal/nvme"
 	"github.com/patree/patree/internal/sim"
 	"github.com/patree/patree/internal/simos"
@@ -96,10 +98,49 @@ func TestBlinkNodeRoundTrip(t *testing.T) {
 		t.Fatalf("inner = %+v", gi)
 	}
 	// Corruption rejected.
+	if !verify(n.encode()) {
+		t.Fatal("sealed node fails verify")
+	}
 	buf := n.encode()
 	buf[30] ^= 1
-	if _, err := decode(5, buf); err != ErrCorrupt {
-		t.Fatalf("err = %v", err)
+	if verify(buf) {
+		t.Fatal("corrupt node verifies")
+	}
+}
+
+// TestFaultBitRotIsNotCached reads a loaded tree through a cold cache
+// over a fault wrapper that rots the first read: the op that reads the
+// rotten page fails, and since the page was refused rather than cached,
+// the next op on the same key reads it again and succeeds.
+func TestFaultBitRotIsNotCached(t *testing.T) {
+	r := newRig(t, Config{})
+	r.spawn("load", func(th *simos.Thread) {
+		for i := 0; i < 200; i++ {
+			if _, err := r.tree.Insert(th, uint64(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+		}
+	})
+	r.drive(t)
+	// The loaded tree again, behind an empty cache and the fault wrapper.
+	fd := fault.New(r.dev, fault.Config{Seed: 1})
+	cold := *r.tree
+	cold.io = syncbtree.NewDedicated(fd, r.os)
+	cold.cache = syncbtree.NewCache(64, cold.io)
+	r.spawn("read", func(th *simos.Thread) {
+		fd.SetProbs(fault.Probs{BitRot: 1})
+		if _, _, err := cold.Search(th, 42); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("search over a rotten read: err = %v, want ErrCorrupt", err)
+		}
+		fd.SetProbs(fault.Probs{})
+		if v, found, err := cold.Search(th, 42); err != nil || !found || string(v) != "v42" {
+			t.Errorf("search after the rotten read: %q %v %v", v, found, err)
+		}
+	})
+	r.drive(t)
+	if n := fd.Counts().BitRots; n != 1 {
+		t.Fatalf("%d reads rotted, want 1", n)
 	}
 }
 

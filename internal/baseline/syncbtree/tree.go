@@ -55,7 +55,8 @@ func (t *Tree) NumKeys() uint64 { return t.numKeys }
 // LatchWaits returns the number of blocked latch acquisitions.
 func (t *Tree) LatchWaits() uint64 { return t.latches.Waits() }
 
-// readNode loads and decodes a page (cache first, then blocking I/O).
+// readNode loads and decodes a page (cache first, then blocking I/O),
+// verifying a fresh read before it is cached: a cached image is trusted.
 func (t *Tree) readNode(th *simos.Thread, id storage.PageID) (*storage.Node, error) {
 	if data, ok := t.cache.Get(id); ok {
 		th.Work(metrics.CatRealWork, t.costs.NodeVisit)
@@ -64,6 +65,9 @@ func (t *Tree) readNode(th *simos.Thread, id storage.PageID) (*storage.Node, err
 	buf := make([]byte, storage.PageSize)
 	if err := t.io.Read(th, uint64(id), buf); err != nil {
 		return nil, err
+	}
+	if !storage.VerifyPage(buf) {
+		return nil, storage.ErrCorruptPage
 	}
 	if err := t.cache.FillOnRead(th, id, buf); err != nil {
 		return nil, err

@@ -1,11 +1,13 @@
 package syncbtree
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"github.com/patree/patree/internal/core"
+	"github.com/patree/patree/internal/fault"
 	"github.com/patree/patree/internal/latch"
 	"github.com/patree/patree/internal/metrics"
 	"github.com/patree/patree/internal/nvme"
@@ -206,8 +208,48 @@ func TestSyncTreeWeakPersistenceAndSync(t *testing.T) {
 	}
 	buf := make([]byte, storage.PageSize)
 	r.dev.ReadAt(uint64(meta.Root), buf)
+	if !storage.VerifyPage(buf) {
+		t.Fatal("root not durable: checksum mismatch")
+	}
 	if _, err := storage.DecodeNode(meta.Root, buf); err != nil {
 		t.Fatalf("root not durable: %v", err)
+	}
+}
+
+// TestFaultBitRotIsNotCached reads a loaded tree through a cold cache
+// over a fault wrapper that rots the first read: the op that reads the
+// rotten page fails, and since the page was refused rather than cached,
+// the next op on the same key reads it again and succeeds.
+func TestFaultBitRotIsNotCached(t *testing.T) {
+	r := newRig(t, false, Config{})
+	r.spawnTracked("load", func(th *simos.Thread) {
+		for i := 0; i < 200; i++ {
+			if _, err := r.tree.Insert(th, uint64(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+		}
+	})
+	driveAll(t, r)
+	meta, err := core.ReadMeta(r.dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := fault.New(r.dev, fault.Config{Seed: 1})
+	cold := NewTree(r.os, NewDedicated(fd, r.os), Config{CachePages: 64}, meta)
+	r.spawnTracked("read", func(th *simos.Thread) {
+		fd.SetProbs(fault.Probs{BitRot: 1})
+		if _, _, err := cold.Search(th, 42); !errors.Is(err, storage.ErrCorruptPage) {
+			t.Errorf("search over a rotten read: err = %v, want ErrCorruptPage", err)
+		}
+		fd.SetProbs(fault.Probs{})
+		if v, found, err := cold.Search(th, 42); err != nil || !found || string(v) != "v42" {
+			t.Errorf("search after the rotten read: %q %v %v", v, found, err)
+		}
+	})
+	driveAll(t, r)
+	if n := fd.Counts().BitRots; n != 1 {
+		t.Fatalf("%d reads rotted, want 1", n)
 	}
 }
 

@@ -283,10 +283,6 @@ func (t *Tree) leafAction(o *Op) bool {
 // coupling; every key there exceeds everything here, so the scan resumes
 // from its first slot.
 func (t *Tree) scanLeaf(o *Op) bool {
-	if !storage.VerifyPage(o.page) {
-		t.failOp(o, storage.ErrCorruptPage)
-		return true
-	}
 	next, beyond, err := storage.LeafRangeShared(o.page, o.key, o.endKey, func(k uint64, v []byte) bool {
 		o.Res.Pairs = append(o.Res.Pairs, KV{Key: k, Value: v})
 		return o.limit <= 0 || len(o.Res.Pairs) < o.limit

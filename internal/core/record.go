@@ -123,7 +123,8 @@ func decodeRecord(rec []byte) (redoRecord, error) {
 // states that fit, though: an image written back late already holds what
 // a later record made room for. So a set that does not fit yet waits for
 // a second pass, behind every other key's last record; what is left then
-// only grows the page towards its newest state, which fits.
+// only grows the page towards its newest state, which fits. image must be
+// verified, as recovery's base reads and journaled images are.
 func applyLeafRecords(id storage.PageID, image []byte, recs []redoRecord) ([]byte, error) {
 	last := make(map[uint64]int, len(recs))
 	for i, r := range recs {

@@ -363,10 +363,10 @@ func walkTree(io *setupIO, root storage.PageID, visit func(*storage.Node)) error
 		err := io.run(len(level), func(i, slot int) nvme.Command {
 			return nvme.Command{Op: nvme.OpRead, LBA: uint64(level[i]), Blocks: 1, Buf: page(slot)}
 		}, func(i, slot int) error {
-			n, err := storage.DecodeNode(level[i], page(slot))
-			if errors.Is(err, storage.ErrCorruptPage) {
-				err = errCorruptRead
+			if !storage.VerifyPage(page(slot)) {
+				return fmt.Errorf("page %d unreadable: %w", level[i], errCorruptRead)
 			}
+			n, err := storage.DecodeNode(level[i], page(slot))
 			if err != nil {
 				return fmt.Errorf("page %d unreadable: %w", level[i], err)
 			}

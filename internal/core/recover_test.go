@@ -162,6 +162,9 @@ func recoverQD1(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 			rep.BaseReads++
 		}
 		if len(after) > 0 {
+			if !storage.VerifyPage(image) {
+				return nil, nil, fmt.Errorf("base of page %d: %w", id, storage.ErrCorruptPage)
+			}
 			n, err := storage.DecodeNode(id, image)
 			if err != nil {
 				return nil, nil, err
@@ -225,6 +228,9 @@ func recoverQD1(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 			}
 			if err := io.read(uint64(id), 1, buf); err != nil {
 				return nil, nil, err
+			}
+			if !storage.VerifyPage(buf) {
+				return nil, nil, fmt.Errorf("page %d unreadable after replay: %w", id, storage.ErrCorruptPage)
 			}
 			n, err := storage.DecodeNode(id, buf)
 			if err != nil {
@@ -607,6 +613,9 @@ func pathTo(t *testing.T, img map[uint64][]byte, key uint64) (leaf, parent *stor
 		t.Fatal(err)
 	}
 	for id := meta.Root; ; {
+		if !storage.VerifyPage(img[uint64(id)]) {
+			t.Fatalf("page %d fails its checksum", id)
+		}
 		n, err := storage.DecodeNode(id, img[uint64(id)])
 		if err != nil {
 			t.Fatal(err)
@@ -824,6 +833,60 @@ func TestSetupIORetriesTransient(t *testing.T) {
 			}
 			if dev.liveAtFree != 0 {
 				t.Fatalf("%d commands in flight when Recover returned", dev.liveAtFree)
+			}
+		})
+	}
+}
+
+// TestFaultRecoverBaseReadRot rots the device image of a page the log
+// holds leaf records for: its redo base read fails its checksum and is
+// re-read within the setup budget, so the records fold onto the clean
+// base, and beyond the budget recovery fails rather than fold onto rot.
+func TestFaultRecoverBaseReadRot(t *testing.T) {
+	base := bulkImage(t, 200)
+	p, _ := pathTo(t, base, 300)
+	k := p.Keys[1]
+	img := withLog(t, base, setRecord(1, p.ID, k, []byte("new")))
+	for _, tc := range []struct {
+		name     string
+		failures int
+		wantErr  error
+	}{
+		{"within-budget", setupRetries, nil},
+		{"beyond-budget", setupRetries + 1, errCorruptRead},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sd := simWith(img, nvme.SimConfig{})
+			lba := uint64(p.ID)
+			rotten := append([]byte(nil), img[lba]...)
+			rotten[100] ^= 0x10
+			sd.WriteAt(lba, rotten)
+			seen := 0
+			dev := &hookDev{Device: sd, fail: func(_ int, cmd *nvme.Command) error {
+				if cmd.Op == nvme.OpRead && cmd.LBA == lba {
+					if seen++; seen == tc.failures+1 {
+						sd.WriteAt(lba, img[lba]) // heal it for the next read
+					}
+				}
+				return nil
+			}}
+			meta, rep, err := Recover(dev)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("recover: %v, want %v", err, tc.wantErr)
+			}
+			if err != nil {
+				if seen != setupRetries+1 {
+					t.Fatalf("base read %d times, want %d", seen, setupRetries+1)
+				}
+				return
+			}
+			// The base reads, then the walk reads the redone page once.
+			if seen != tc.failures+2 || rep.BaseReads != 1 {
+				t.Fatalf("page %d read %d times (%d base reads), want %d and 1", lba, seen, rep.BaseReads, tc.failures+2)
+			}
+			got := collectFromDevice(t, sd, meta)
+			if string(got[k]) != "new" || len(got) != 200 {
+				t.Fatalf("recovered %d pairs, key %d = %q; want 200 and the record's value", len(got), k, got[k])
 			}
 		})
 	}

@@ -97,6 +97,9 @@ func collectFromDevice(t *testing.T, dev *nvme.SimDevice, meta *storage.Meta) ma
 	read := func(id storage.PageID) *storage.Node {
 		buf := make([]byte, storage.PageSize)
 		dev.ReadAt(uint64(id), buf)
+		if !storage.VerifyPage(buf) {
+			t.Fatalf("page %d fails its checksum", id)
+		}
 		n, err := storage.DecodeNode(id, buf)
 		if err != nil {
 			t.Fatalf("decode page %d: %v", id, err)
@@ -544,6 +547,9 @@ func TestColdGetBufferAccounting(t *testing.T) {
 			read := func(id storage.PageID) *storage.Node {
 				buf := make([]byte, storage.PageSize)
 				r.dev.ReadAt(uint64(id), buf)
+				if !storage.VerifyPage(buf) {
+					t.Fatalf("page %d fails its checksum", id)
+				}
 				n, err := storage.DecodeNode(id, buf)
 				if err != nil {
 					t.Fatal(err)

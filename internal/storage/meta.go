@@ -94,7 +94,7 @@ func DecodeMeta(buf []byte) (*Meta, error) {
 	if len(buf) < PageSize {
 		return nil, fmt.Errorf("storage: short meta page (%d bytes)", len(buf))
 	}
-	if !checkSeal(buf[:PageSize]) {
+	if !VerifyPage(buf) {
 		return nil, ErrCorruptPage
 	}
 	if buf[0] != KindMeta || getU32(buf[16:20]) != MetaMagic {

@@ -143,14 +143,15 @@ func pageSum(buf []byte) uint32 {
 // seal computes and stores the page checksum.
 func seal(buf []byte) { putU32(buf[12:16], pageSum(buf)) }
 
-// checkSeal verifies the page checksum without writing to buf.
-func checkSeal(buf []byte) bool { return getU32(buf[12:16]) == pageSum(buf) }
-
 // VerifyPage reports whether buf holds a full page whose checksum matches
-// its contents. It is how readers detect bit-rot and torn writes before
-// trusting a page image. It only reads buf, so the image may be shared.
+// its contents. It is the only checksum check (DecodeMeta makes it on the
+// superblock), made where bytes leave the device and before anything
+// caches or decodes them: it catches bit rot, torn writes and misdirected
+// reads. An image in memory is trusted from then on, so SearchPage,
+// EditLeaf and DecodeNode do not repeat it. It only reads buf, so the
+// image may be shared.
 func VerifyPage(buf []byte) bool {
-	return len(buf) >= PageSize && checkSeal(buf[:PageSize])
+	return len(buf) >= PageSize && getU32(buf[12:16]) == pageSum(buf)
 }
 
 // UsedExtent returns how many leading and trailing bytes of a page image
@@ -254,13 +255,12 @@ func (n *Node) Encode() []byte {
 	return buf
 }
 
-// DecodeNode parses a sealed page image into a Node with the given id.
+// DecodeNode parses a verified page image (see VerifyPage) into a Node
+// with the given id. It checks the kind, level and every slot's bounds,
+// but not the checksum.
 func DecodeNode(id PageID, buf []byte) (*Node, error) {
 	if len(buf) < PageSize {
 		return nil, fmt.Errorf("storage: short page (%d bytes)", len(buf))
-	}
-	if !checkSeal(buf[:PageSize]) {
-		return nil, ErrCorruptPage
 	}
 	kind := buf[0]
 	n := &Node{ID: id, Level: buf[1]}

@@ -12,15 +12,13 @@ import "fmt"
 // delete always fits.
 //
 // src is left as it was, so it may be an image the buffer, an in-flight
-// write and a log record all share; dst must not overlap it. It checks
-// the checksum and every slot as DecodeNode does, and like VerifyPage it
-// never writes to src. The caller bounds value by MaxValueSize.
+// write and a log record all share; dst must not overlap it. src must be
+// verified (see VerifyPage): EditLeaf checks every slot as DecodeNode
+// does, but not the checksum, and never writes to src. The caller bounds
+// value by MaxValueSize.
 func EditLeaf(dst, src []byte, key uint64, value []byte, del bool) (found, fits bool, err error) {
 	if len(src) < PageSize {
 		return false, false, fmt.Errorf("storage: short page (%d bytes)", len(src))
-	}
-	if !checkSeal(src[:PageSize]) {
-		return false, false, ErrCorruptPage
 	}
 	if src[0] != KindLeaf || src[1] != 0 {
 		return false, false, fmt.Errorf("storage: kind %d level %d in leaf edit: %w", src[0], src[1], ErrBadKind)

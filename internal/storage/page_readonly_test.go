@@ -9,11 +9,12 @@ import (
 	"testing"
 )
 
-// TestVerifiersNeverWritePage maps a sealed leaf read-only and runs every
-// function that checks a page's seal over it: a write to the image — even
-// one that puts the bytes back — faults, and SetPanicOnFault turns the
-// fault into a panic the test reports. The buffer, an in-flight write and
-// a log record may share one image, so checking it must only read it.
+// TestVerifiersNeverWritePage maps a sealed leaf read-only and runs
+// VerifyPage and every reader of a verified image over it: a write to the
+// image — even one that puts the bytes back — faults, and SetPanicOnFault
+// turns the fault into a panic the test reports. The buffer, an in-flight
+// write and a log record may share one image, so reading it must only
+// read it.
 func TestVerifiersNeverWritePage(t *testing.T) {
 	mem, err := syscall.Mmap(-1, 0, syscall.Getpagesize(), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {

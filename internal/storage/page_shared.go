@@ -3,8 +3,8 @@ package storage
 import "fmt"
 
 // This file reads verified page images in place, without decoding a Node
-// and without writing to buf: the descent's inner steps, a scan's leaf
-// walk and the accessors scan read-ahead uses to pick sibling leaves.
+// and without writing to buf: a scan's leaf walk and the accessors scan
+// read-ahead uses to pick sibling leaves.
 
 // PageIsLeaf reports whether a sealed page image encodes a leaf. The
 // caller must have verified the image.
@@ -30,58 +30,6 @@ func InnerKey(buf []byte, i int) (uint64, bool) {
 		return 0, false
 	}
 	return getU64(buf[headerSize+8+i*innerEntry:]), true
-}
-
-// searchSealed runs the kind dispatch and binary search of SearchPage on
-// an already-verified image.
-func searchSealed(buf []byte, key uint64) (SearchStep, error) {
-	kind := buf[0]
-	level := buf[1]
-	nkeys := int(getU16(buf[2:4]))
-	switch kind {
-	case KindLeaf:
-		if level != 0 {
-			return SearchStep{}, fmt.Errorf("storage: leaf with level %d: %w", level, ErrBadKind)
-		}
-		lo, hi := 0, nkeys
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if getU64(buf[headerSize+mid*slotSize:]) < key {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo >= nkeys || getU64(buf[headerSize+lo*slotSize:]) != key {
-			return SearchStep{Leaf: true}, nil
-		}
-		vo := int(getU16(buf[headerSize+lo*slotSize+8:]))
-		vl := int(getU16(buf[headerSize+lo*slotSize+10:]))
-		if vo+vl > PageSize || vo < headerSize {
-			return SearchStep{}, fmt.Errorf("storage: leaf slot %d out of range", lo)
-		}
-		v := make([]byte, vl)
-		copy(v, buf[vo:vo+vl])
-		return SearchStep{Leaf: true, Found: true, Value: v}, nil
-
-	case KindInner:
-		if level == 0 {
-			return SearchStep{}, fmt.Errorf("storage: inner with level 0: %w", ErrBadKind)
-		}
-		lo, hi := 0, nkeys
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if key >= getU64(buf[headerSize+8+mid*innerEntry:]) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return SearchStep{Child: InnerChild(buf, lo), Index: lo}, nil
-
-	default:
-		return SearchStep{}, fmt.Errorf("storage: kind %d: %w", kind, ErrBadKind)
-	}
 }
 
 // LeafRangeShared iterates the pairs of a verified leaf image that fall in

@@ -48,6 +48,9 @@ func TestOpenReadsAhead(t *testing.T) {
 	buf := make([]byte, storage.PageSize)
 	for lba := uint64(1); lba < 1<<12; lba++ {
 		dev.ReadAt(lba, buf)
+		if !storage.VerifyPage(buf) {
+			continue
+		}
 		n, err := storage.DecodeNode(storage.PageID(lba), buf)
 		if err == nil && n.IsLeaf() && len(n.Keys) > 0 && n.Keys[0] <= hi && n.Keys[len(n.Keys)-1] >= lo {
 			leaves++
