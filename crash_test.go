@@ -213,8 +213,8 @@ func (c crashTarget) walk(t *testing.T, label string, shard int, meta *storage.M
 	page := func(id storage.PageID) *storage.Node {
 		buf := make([]byte, storage.PageSize)
 		sd.ReadAt(base+uint64(id), buf)
-		if !storage.VerifyPage(buf) {
-			t.Fatalf("%s: page %d fails its checksum", label, id)
+		if !storage.VerifyPage(id, buf) {
+			t.Fatalf("%s: page %d fails verification", label, id)
 		}
 		n, err := storage.DecodeNode(id, buf)
 		if err != nil {

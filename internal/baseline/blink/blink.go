@@ -10,7 +10,6 @@ package blink
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 
 	"github.com/patree/patree/internal/baseline/syncbtree"
@@ -43,7 +42,7 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt reports a checksum failure.
+// ErrCorrupt reports a page that fails verify.
 var ErrCorrupt = errors.New("blink: corrupt page")
 
 type node struct {
@@ -105,21 +104,40 @@ func (n *node) encode() []byte {
 }
 
 // verify reports, without writing to buf, whether it holds a full node
-// page whose crc matches. read verifies a fresh read before caching it.
+// page whose crc matches and whose shape decode can trust: a leaf's slots
+// and every value lie inside the page and the values fit it together, an
+// inner node holds at most maxInnerKeys keys. read verifies a fresh read before caching it; a
+// cached image is trusted.
 func verify(buf []byte) bool {
 	if len(buf) < pageSize {
 		return false
 	}
 	var zero [4]byte
 	sum := crc32.Update(crc32.Checksum(buf[:20], crcTable), crcTable, zero[:])
-	return crc32.Update(sum, crcTable, buf[24:pageSize]) == binary.LittleEndian.Uint32(buf[20:24])
+	if crc32.Update(sum, crcTable, buf[24:pageSize]) != binary.LittleEndian.Uint32(buf[20:24]) {
+		return false
+	}
+	nk := int(binary.LittleEndian.Uint16(buf[2:4]))
+	slots := headerSize + nk*slotSize
+	switch {
+	case buf[0] == 2:
+		return nk <= maxInnerKeys
+	case buf[0] != 1 || slots > pageSize:
+		return false
+	}
+	used := slots
+	for off := headerSize; off < slots; off += slotSize {
+		vo, vl := int(binary.LittleEndian.Uint16(buf[off+8:])), int(binary.LittleEndian.Uint16(buf[off+10:]))
+		if vo < slots || vo+vl > pageSize {
+			return false
+		}
+		used += vl
+	}
+	return used <= pageSize
 }
 
 // decode parses a verified node page; buf may be the cache's image.
-func decode(id storage.PageID, buf []byte) (*node, error) {
-	if len(buf) < pageSize {
-		return nil, ErrCorrupt
-	}
+func decode(id storage.PageID, buf []byte) *node {
 	n := &node{
 		id:    id,
 		leaf:  buf[0] == 1,
@@ -136,9 +154,6 @@ func decode(id storage.PageID, buf []byte) (*node, error) {
 			n.keys[i] = binary.LittleEndian.Uint64(buf[off:])
 			vo := int(binary.LittleEndian.Uint16(buf[off+8:]))
 			vl := int(binary.LittleEndian.Uint16(buf[off+10:]))
-			if vo+vl > pageSize || vo < headerSize {
-				return nil, fmt.Errorf("blink: bad slot %d", i)
-			}
 			n.vals[i] = append([]byte(nil), buf[vo:vo+vl]...)
 			off += slotSize
 		}
@@ -152,7 +167,7 @@ func decode(id storage.PageID, buf []byte) (*node, error) {
 			off += innerEntry
 		}
 	}
-	return n, nil
+	return n
 }
 
 func (n *node) searchLeaf(key uint64) (int, bool) {
@@ -235,7 +250,7 @@ func (t *Tree) Height() int { return t.height }
 func (t *Tree) read(th *simos.Thread, id storage.PageID) (*node, error) {
 	if data, ok := t.cache.Get(id); ok {
 		th.Work(metrics.CatRealWork, t.costs.NodeVisit)
-		return decode(id, data)
+		return decode(id, data), nil
 	}
 	buf := make([]byte, pageSize)
 	if err := t.io.Read(th, uint64(id), buf); err != nil {
@@ -248,7 +263,7 @@ func (t *Tree) read(th *simos.Thread, id storage.PageID) (*node, error) {
 		return nil, err
 	}
 	th.Work(metrics.CatRealWork, t.costs.NodeVisit)
-	return decode(id, buf)
+	return decode(id, buf), nil
 }
 
 func (t *Tree) write(th *simos.Thread, n *node) error {

@@ -30,7 +30,7 @@ func TestReadersNeverWritePage(t *testing.T) {
 		call func() bool
 	}{
 		{"verify", func() bool { return verify(page) }},
-		{"decode", func() bool { n, err := decode(3, page); return err == nil && len(n.keys) == 3 }},
+		{"decode", func() bool { return len(decode(3, page).keys) == 3 }},
 	} {
 		func() {
 			defer func() {

@@ -1,8 +1,10 @@
 package blink
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"time"
 
@@ -78,10 +80,7 @@ func TestBlinkNodeRoundTrip(t *testing.T) {
 	n := &node{id: 5, leaf: true, right: 9, high: 100}
 	n.keys = []uint64{1, 2, 3}
 	n.vals = [][]byte{[]byte("a"), {}, []byte("ccc")}
-	got, err := decode(5, n.encode())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := decode(5, n.encode())
 	if !got.leaf || got.right != 9 || got.high != 100 || len(got.keys) != 3 {
 		t.Fatalf("decoded %+v", got)
 	}
@@ -90,10 +89,7 @@ func TestBlinkNodeRoundTrip(t *testing.T) {
 	}
 	inner := &node{id: 6, level: 1, right: 7, high: 50,
 		keys: []uint64{10, 20}, kids: []storage.PageID{1, 2, 3}}
-	gi, err := decode(6, inner.encode())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gi := decode(6, inner.encode())
 	if gi.leaf || gi.kids[2] != 3 || gi.keys[1] != 20 {
 		t.Fatalf("inner = %+v", gi)
 	}
@@ -105,6 +101,40 @@ func TestBlinkNodeRoundTrip(t *testing.T) {
 	buf[30] ^= 1
 	if verify(buf) {
 		t.Fatal("corrupt node verifies")
+	}
+}
+
+// TestBlinkVerifyRefusesShapes: verify is the one check Blink makes
+// before a read is cached and decoded, so a sealed page decode would trip
+// on is refused there.
+func TestBlinkVerifyRefusesShapes(t *testing.T) {
+	leaf := &node{id: 5, leaf: true, keys: []uint64{1, 2}, vals: [][]byte{[]byte("a"), []byte("b")}}
+	inner := &node{id: 6, level: 1, keys: []uint64{10, 20}, kids: []storage.PageID{1, 2, 3}}
+	for _, c := range []struct {
+		name string
+		n    *node
+		edit func([]byte)
+	}{
+		{"inner nkeys 1000", inner, func(b []byte) { binary.LittleEndian.PutUint16(b[2:4], 1000) }},
+		{"inner nkeys past capacity", inner, func(b []byte) { binary.LittleEndian.PutUint16(b[2:4], maxInnerKeys+1) }},
+		{"leaf nkeys 1000", leaf, func(b []byte) { binary.LittleEndian.PutUint16(b[2:4], 1000) }},
+		{"slot past the page end", leaf, func(b []byte) { binary.LittleEndian.PutUint16(b[headerSize+8:], pageSize) }},
+		{"slot over the slot array", leaf, func(b []byte) { binary.LittleEndian.PutUint16(b[headerSize+8:], headerSize) }},
+		{"values that overlap past the page", leaf, func(b []byte) {
+			for off := headerSize; off < headerSize+2*slotSize; off += slotSize {
+				binary.LittleEndian.PutUint16(b[off+8:], pageSize-300)
+				binary.LittleEndian.PutUint16(b[off+10:], 300)
+			}
+		}},
+		{"kind 0", leaf, func(b []byte) { b[0] = 0 }},
+	} {
+		buf := c.n.encode()
+		c.edit(buf)
+		binary.LittleEndian.PutUint32(buf[20:24], 0)
+		binary.LittleEndian.PutUint32(buf[20:24], crc32.Checksum(buf, crcTable))
+		if verify(buf) {
+			t.Errorf("%s: sealed page verifies", c.name)
+		}
 	}
 }
 

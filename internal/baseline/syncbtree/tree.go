@@ -66,7 +66,7 @@ func (t *Tree) readNode(th *simos.Thread, id storage.PageID) (*storage.Node, err
 	if err := t.io.Read(th, uint64(id), buf); err != nil {
 		return nil, err
 	}
-	if !storage.VerifyPage(buf) {
+	if !storage.VerifyPage(id, buf) {
 		return nil, storage.ErrCorruptPage
 	}
 	if err := t.cache.FillOnRead(th, id, buf); err != nil {

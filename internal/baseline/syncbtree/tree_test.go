@@ -208,8 +208,8 @@ func TestSyncTreeWeakPersistenceAndSync(t *testing.T) {
 	}
 	buf := make([]byte, storage.PageSize)
 	r.dev.ReadAt(uint64(meta.Root), buf)
-	if !storage.VerifyPage(buf) {
-		t.Fatal("root not durable: checksum mismatch")
+	if !storage.VerifyPage(meta.Root, buf) {
+		t.Fatal("root not durable: fails verification")
 	}
 	if _, err := storage.DecodeNode(meta.Root, buf); err != nil {
 		t.Fatalf("root not durable: %v", err)

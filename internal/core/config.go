@@ -139,7 +139,7 @@ type Config struct {
 	// MaxIORetries bounds how many times one operation's failed device
 	// commands are retried before the tree declares the device failed
 	// (ErrDeviceFailed). Transient statuses (media error, timeout,
-	// checksum-failed read) are retried with exponential backoff; anything
+	// read that fails page verification) are retried with exponential backoff; anything
 	// else fails immediately. 0 selects the default (3); negative disables
 	// retries entirely.
 	MaxIORetries int

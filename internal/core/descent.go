@@ -101,8 +101,8 @@ func (t *Tree) process(o *Op) {
 			case !o.pessimistic:
 				// A descent that cannot split steps over the sealed page
 				// image: the binary search runs over the encoded slot
-				// array, with the same page validation, latch protocol
-				// and CPU charge as a decoded visit, and no allocation.
+				// array, with the same latch protocol and CPU charge as
+				// a decoded visit, and no allocation.
 				if t.searchStep(o, data) {
 					return
 				}
@@ -228,11 +228,8 @@ func (t *Tree) leafAction(o *Op) bool {
 		return true
 	}
 	img := make([]byte, storage.PageSize)
-	found, fits, err := storage.EditLeaf(img, o.page, o.key, o.value, o.kind == KindDelete)
+	found, fits := storage.EditLeaf(img, o.page, o.cur, o.key, o.value, o.kind == KindDelete)
 	switch {
-	case err != nil:
-		t.failOp(o, err)
-		return true
 	case !found && (o.kind == KindDelete || (o.kind == KindUpdate && !fits)):
 		// Nothing to delete, or no key to update that would be worth a
 		// split: done, Found false.
@@ -247,7 +244,7 @@ func (t *Tree) leafAction(o *Op) bool {
 		return false
 	case !fits:
 		// Exclusive coupling holds the parent: split, then edit the half
-		// covering the key. EditLeaf checked what DecodeNode checks.
+		// covering the key. A leaf always decodes.
 		o.curNode, _ = storage.DecodeNode(o.cur, o.page)
 		t.splitCurrent(o)
 		o.page, o.curNode = o.curNode.Encode(), nil
@@ -283,14 +280,10 @@ func (t *Tree) leafAction(o *Op) bool {
 // coupling; every key there exceeds everything here, so the scan resumes
 // from its first slot.
 func (t *Tree) scanLeaf(o *Op) bool {
-	next, beyond, err := storage.LeafRangeShared(o.page, o.key, o.endKey, func(k uint64, v []byte) bool {
+	next, beyond := storage.LeafRangeShared(o.page, o.key, o.endKey, func(k uint64, v []byte) bool {
 		o.Res.Pairs = append(o.Res.Pairs, KV{Key: k, Value: v})
 		return o.limit <= 0 || len(o.Res.Pairs) < o.limit
 	})
-	if err != nil {
-		t.failOp(o, err)
-		return true
-	}
 	if beyond || next == storage.NilPage {
 		t.finishOp(o)
 		return true

@@ -48,10 +48,11 @@ import (
 // Tree.FailCause reports the underlying device error.
 var ErrDeviceFailed = errors.New("core: device failed")
 
-// errCorruptRead marks a read whose page image failed its checksum
-// (bit rot, or a torn write surfacing later). It is transient from the
-// retry machinery's point of view: a re-read may return clean data.
-var errCorruptRead = errors.New("core: page image failed checksum")
+// errCorruptRead marks a read whose page image failed storage.VerifyPage
+// (bit rot, a torn write surfacing later, a misdirected read, a malformed
+// page). It is transient from the retry machinery's point of view: a
+// re-read may return clean data.
+var errCorruptRead = errors.New("core: page image failed verification")
 
 // transientIOErr reports whether a device error is worth retrying.
 func transientIOErr(err error) bool {
@@ -161,9 +162,10 @@ func (t *Tree) reap(c *ioCmd, err error) {
 		t.tr.Emit(code, class, seq, c.LBA, int64(c.submitted), int64(now.Sub(c.submitted)))
 	}
 	for i := 0; err == nil && c.Op == nvme.OpRead && i < c.Blocks; i++ {
-		if !storage.VerifyPage(c.Buf[i*storage.PageSize:]) {
-			// Bit rot or a torn write: never admit a checksum-failed image
-			// into the buffers. A re-read may heal transient corruption.
+		if !storage.VerifyPage(storage.PageID(c.LBA)+storage.PageID(i), c.Buf[i*storage.PageSize:]) {
+			// Bit rot, a torn write, a misdirected read or a malformed
+			// page: never admit an image that fails verification into the
+			// buffers. A re-read may heal transient corruption.
 			err = errCorruptRead
 		}
 	}

@@ -22,7 +22,6 @@ import (
 type scriptQP struct {
 	full    bool
 	pending []*nvme.Command
-	image   []byte // copied into a successfully completed read
 }
 
 func (q *scriptQP) Submit(c *nvme.Command) error {
@@ -40,14 +39,21 @@ func (q *scriptQP) Free() error      { return nil }
 func (q *scriptQP) complete(err error) { q.completeAt(0, err) }
 
 // completeAt reaps the i-th oldest accepted command with status err. A
-// successful read gets the image in every block it covers.
+// successful read gets in every block it covers the sealed empty leaf of
+// that block's page.
 func (q *scriptQP) completeAt(i int, err error) {
 	c := q.pending[i]
 	q.pending = append(q.pending[:i], q.pending[i+1:]...)
-	for b := 0; err == nil && c.Op == nvme.OpRead && b < c.Blocks; b++ {
-		copy(c.Buf[b*storage.PageSize:], q.image)
+	if err == nil && c.Op == nvme.OpRead {
+		fillLeaves(c)
 	}
 	c.Callback(nvme.Completion{Cmd: c, Err: err})
+}
+
+func fillLeaves(c *nvme.Command) {
+	for b := range c.Blocks {
+		storage.NewLeaf(storage.PageID(c.LBA + uint64(b))).EncodeTo(c.Buf[b*storage.PageSize:])
+	}
 }
 
 type scriptDev struct{ qp *scriptQP }
@@ -74,7 +80,7 @@ func (e *tickEnv) CPU() *metrics.CPUAccount                    { return &e.cpu }
 // directly.
 func seamTree(t *testing.T, cfg Config) (*Tree, *scriptQP) {
 	t.Helper()
-	qp := &scriptQP{image: storage.NewLeaf(seamPage).Encode()}
+	qp := &scriptQP{}
 	cfg.Policy = sched.NewAlwaysProbe()
 	cfg.MaxIORetries = 2
 	meta := &storage.Meta{Root: 1, Height: 1, Watermark: 2, WALStart: 1 << 15, WALBlocks: 256, WALGen: 1}
@@ -540,16 +546,14 @@ func TestReadAheadRuns(t *testing.T) {
 }
 
 // TestReadAheadCorruptPage pins that the reaper checks every page of a
-// run, not just the first: one page failing its checksum drops the whole
+// run, not just the first: one page failing verification drops the whole
 // run like any transient error, and its waiters read on demand.
 func TestReadAheadCorruptPage(t *testing.T) {
 	tree, qp := seamTree(t, pipelinedCfg)
 	issueReadAhead(tree)
 	c := qp.pending[0]
 	qp.pending = nil
-	for b := range c.Blocks {
-		copy(c.Buf[b*storage.PageSize:], qp.image)
-	}
+	fillLeaves(c)
 	c.Buf[len(c.Buf)-1] ^= 0xFF // bit rot in the run's last page
 	c.Callback(nvme.Completion{Cmd: c})
 	if tree.stats.IOErrors != 1 || !raReaped(tree, false) || tree.latches.ActiveNodes() != 0 {

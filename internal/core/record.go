@@ -124,8 +124,13 @@ func decodeRecord(rec []byte) (redoRecord, error) {
 // a later record made room for. So a set that does not fit yet waits for
 // a second pass, behind every other key's last record; what is left then
 // only grows the page towards its newest state, which fits. image must be
-// verified, as recovery's base reads and journaled images are.
+// verified, as recovery's base reads and journaled images are; one that is
+// not a leaf is refused, since the log that names the page is device input
+// too.
 func applyLeafRecords(id storage.PageID, image []byte, recs []redoRecord) ([]byte, error) {
+	if !storage.PageIsLeaf(image) {
+		return nil, fmt.Errorf("leaf records for page %d of kind %d: %w", id, image[0], storage.ErrBadKind)
+	}
 	last := make(map[uint64]int, len(recs))
 	for i, r := range recs {
 		last[r.key] = i
@@ -139,11 +144,7 @@ func applyLeafRecords(id storage.PageID, image []byte, recs []redoRecord) ([]byt
 			if pass == 0 && last[r.key] != i {
 				continue
 			}
-			_, fits, err := storage.EditLeaf(scratch[n], cur, r.key, r.value, r.del)
-			if err != nil {
-				return nil, fmt.Errorf("leaf records for page %d: %w", id, err)
-			}
-			if !fits {
+			if _, fits := storage.EditLeaf(scratch[n], cur, id, r.key, r.value, r.del); !fits {
 				wait = append(wait, r)
 				continue
 			}

@@ -86,8 +86,8 @@ func roundTrip(t *testing.T, name string, id storage.PageID, image []byte) int {
 	if !bytes.Equal(r.image, image) {
 		t.Fatalf("%s: image differs after the round trip", name)
 	}
-	if !storage.VerifyPage(r.image) {
-		t.Fatalf("%s: re-inflated image fails its checksum", name)
+	if !storage.VerifyPage(id, r.image) {
+		t.Fatalf("%s: re-inflated image fails verification", name)
 	}
 	return len(rec)
 }
@@ -186,8 +186,8 @@ func TestApplyLeafRecords(t *testing.T) {
 			}
 		}
 	}
-	if _, err := applyLeafRecords(6, innerOf(6, 2).Encode(), recs); err == nil {
-		t.Error("leaf records folded onto an inner page")
+	if _, err := applyLeafRecords(6, innerOf(6, 2).Encode(), recs); !errors.Is(err, storage.ErrBadKind) {
+		t.Errorf("leaf records folded onto an inner page: err = %v, want ErrBadKind", err)
 	}
 	big := []redoRecord{{id: 5, key: 2, value: make([]byte, storage.MaxValueSize)}, {id: 5, key: 3, value: make([]byte, storage.MaxValueSize)}}
 	if _, err := applyLeafRecords(5, start.Encode(), big); err == nil {
@@ -311,12 +311,13 @@ func FuzzJournalRecord(f *testing.F) {
 		}
 		for _, p := range redo {
 			if p.image != nil {
-				if len(p.image) != storage.PageSize || !storage.VerifyPage(p.image) {
+				if len(p.image) != storage.PageSize || !storage.VerifyPage(p.id, p.image) {
 					t.Fatalf("accepted for redo: page %d with an image that does not verify", p.id)
 				}
 				continue
 			}
 			want := cloneNode(leafNode)
+			want.ID = p.id
 			if i, found := want.SearchLeaf(p.key); p.del && found {
 				want.DeleteLeafAt(i)
 			} else if !p.del {

@@ -181,7 +181,7 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 	err = io.run(len(bases), func(i, _ int) nvme.Command {
 		return nvme.Command{Op: nvme.OpRead, LBA: uint64(bases[i].id), Blocks: 1, Buf: base(i)}
 	}, func(i, _ int) error {
-		if bases[i].image = base(i); !storage.VerifyPage(base(i)) {
+		if bases[i].image = base(i); !storage.VerifyPage(bases[i].id, base(i)) {
 			return errCorruptRead
 		}
 		return nil
@@ -228,8 +228,8 @@ func Recover(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 		meta.WALStart, meta.WALBlocks = walStart, walBlocks
 	}
 
-	// Verification walk: every reachable page must read and decode (the
-	// checksum rejects torn pages), recounting keys and the allocation
+	// Verification walk: every reachable page must read and verify (which
+	// rejects torn and malformed pages), recounting keys and the allocation
 	// watermark.
 	var keys uint64
 	maxID := meta.Root
@@ -335,8 +335,8 @@ func parseRedo(records [][]byte, rep *RecoverReport) (redo []redoRecord, err err
 			continue
 		}
 		for _, p := range group {
-			if p.image != nil && !storage.VerifyPage(p.image) {
-				return nil, fmt.Errorf("journaled image for page %d fails checksum", p.id)
+			if p.image != nil && !storage.VerifyPage(p.id, p.image) {
+				return nil, fmt.Errorf("journaled image for page %d fails verification", p.id)
 			}
 		}
 		redo = append(redo, group...)
@@ -351,7 +351,7 @@ func parseRedo(records [][]byte, rep *RecoverReport) (redo []redoRecord, err err
 // node to visit. It goes breadth-first, so all of a level's page ids are
 // known before any of them is read: the level is issued at queue depth
 // into per-slot buffers and decoded as completions arrive, in their
-// order. A page that fails its checksum is re-read within the setup
+// order. A page that fails VerifyPage is re-read within the setup
 // budget and is an error beyond it; reading more pages than the device
 // has blocks means the links form a cycle.
 func walkTree(io *setupIO, root storage.PageID, visit func(*storage.Node)) error {
@@ -363,7 +363,7 @@ func walkTree(io *setupIO, root storage.PageID, visit func(*storage.Node)) error
 		err := io.run(len(level), func(i, slot int) nvme.Command {
 			return nvme.Command{Op: nvme.OpRead, LBA: uint64(level[i]), Blocks: 1, Buf: page(slot)}
 		}, func(i, slot int) error {
-			if !storage.VerifyPage(page(slot)) {
+			if !storage.VerifyPage(level[i], page(slot)) {
 				return fmt.Errorf("page %d unreadable: %w", level[i], errCorruptRead)
 			}
 			n, err := storage.DecodeNode(level[i], page(slot))

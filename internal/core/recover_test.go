@@ -127,8 +127,8 @@ func recoverQD1(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 	}
 	rep.DroppedTail += len(group)
 	for _, r := range redo {
-		if r.image != nil && !storage.VerifyPage(r.image) {
-			return nil, nil, fmt.Errorf("journaled image for page %d fails checksum", r.id)
+		if r.image != nil && !storage.VerifyPage(r.id, r.image) {
+			return nil, nil, fmt.Errorf("journaled image for page %d fails verification", r.id)
 		}
 	}
 
@@ -162,7 +162,7 @@ func recoverQD1(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 			rep.BaseReads++
 		}
 		if len(after) > 0 {
-			if !storage.VerifyPage(image) {
+			if !storage.VerifyPage(id, image) {
 				return nil, nil, fmt.Errorf("base of page %d: %w", id, storage.ErrCorruptPage)
 			}
 			n, err := storage.DecodeNode(id, image)
@@ -229,7 +229,7 @@ func recoverQD1(dev nvme.Device) (*storage.Meta, *RecoverReport, error) {
 			if err := io.read(uint64(id), 1, buf); err != nil {
 				return nil, nil, err
 			}
-			if !storage.VerifyPage(buf) {
+			if !storage.VerifyPage(id, buf) {
 				return nil, nil, fmt.Errorf("page %d unreadable after replay: %w", id, storage.ErrCorruptPage)
 			}
 			n, err := storage.DecodeNode(id, buf)
@@ -613,8 +613,8 @@ func pathTo(t *testing.T, img map[uint64][]byte, key uint64) (leaf, parent *stor
 		t.Fatal(err)
 	}
 	for id := meta.Root; ; {
-		if !storage.VerifyPage(img[uint64(id)]) {
-			t.Fatalf("page %d fails its checksum", id)
+		if !storage.VerifyPage(id, img[uint64(id)]) {
+			t.Fatalf("page %d fails verification", id)
 		}
 		n, err := storage.DecodeNode(id, img[uint64(id)])
 		if err != nil {

@@ -97,8 +97,8 @@ func collectFromDevice(t *testing.T, dev *nvme.SimDevice, meta *storage.Meta) ma
 	read := func(id storage.PageID) *storage.Node {
 		buf := make([]byte, storage.PageSize)
 		dev.ReadAt(uint64(id), buf)
-		if !storage.VerifyPage(buf) {
-			t.Fatalf("page %d fails its checksum", id)
+		if !storage.VerifyPage(id, buf) {
+			t.Fatalf("page %d fails verification", id)
 		}
 		n, err := storage.DecodeNode(id, buf)
 		if err != nil {
@@ -547,8 +547,8 @@ func TestColdGetBufferAccounting(t *testing.T) {
 			read := func(id storage.PageID) *storage.Node {
 				buf := make([]byte, storage.PageSize)
 				r.dev.ReadAt(uint64(id), buf)
-				if !storage.VerifyPage(buf) {
-					t.Fatalf("page %d fails its checksum", id)
+				if !storage.VerifyPage(id, buf) {
+					t.Fatalf("page %d fails verification", id)
 				}
 				n, err := storage.DecodeNode(id, buf)
 				if err != nil {

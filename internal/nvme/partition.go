@@ -1,6 +1,9 @@
 package nvme
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Partition is a Device view of a contiguous LBA range of a parent
 // device. Each PA-Tree shard opens its own Partition and allocates its
@@ -152,8 +155,11 @@ func (q *partQP) Probe(max int) int {
 		if max > 0 && take > max {
 			take = max
 		}
+		// The reaped batch keeps the array; the rest moves to a new one,
+		// so a callback that submits another rejected command cannot
+		// write over a completion still to be delivered.
 		batch := q.failed[:take]
-		q.failed = append(q.failed[:0], q.failed[take:]...)
+		q.failed = slices.Clone(q.failed[take:])
 		for _, c := range batch {
 			if c.Cmd.Callback != nil {
 				c.Cmd.Callback(c)

@@ -6,6 +6,7 @@ package nvme_test
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -152,6 +153,65 @@ func TestPartitionBoundaryIOFaultWrapped(t *testing.T) {
 	boundaryRoundTrip(t, fdev, ram, 2048, 1024)
 	if c := fdev.Counts(); c.ReadErrs+c.WriteErrs+c.Timeouts+c.BitRots != 0 {
 		t.Fatalf("zero-probability wrapper injected faults: %+v", c)
+	}
+}
+
+// TestPartitionRejectedExactlyOnce: commands a partition refuses for
+// their range complete through Probe, each exactly once and in order —
+// reaped one per Probe(1), and when a callback submits further refused
+// commands while its batch is being delivered.
+func TestPartitionRejectedExactlyOnce(t *testing.T) {
+	ram := nvme.NewRAMDevice(nvme.RAMConfig{NumBlocks: 64})
+	defer ram.Close()
+	part, err := nvme.NewPartition(ram, 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, err := part.AllocQueuePair(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	var submit func(lba uint64, then func())
+	submit = func(lba uint64, then func()) {
+		cmd := &nvme.Command{Op: nvme.OpRead, LBA: lba, Blocks: 1, Buf: make([]byte, ram.BlockSize())}
+		cmd.Callback = func(c nvme.Completion) {
+			if !errors.Is(c.Err, nvme.ErrOutOfRange) {
+				t.Errorf("LBA %d completed with %v, want ErrOutOfRange", lba, c.Err)
+			}
+			got = append(got, c.Cmd.LBA)
+			if then != nil {
+				then()
+			}
+		}
+		if err := qp.Submit(cmd); err != nil {
+			t.Fatalf("submit LBA %d: %v", lba, err)
+		}
+	}
+	check := func(name string, want []uint64) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: delivered %v, want %v", name, got, want)
+		}
+		got = nil
+	}
+
+	for lba := uint64(100); lba <= 102; lba++ {
+		submit(lba, nil)
+	}
+	for range 5 {
+		qp.Probe(1)
+	}
+	check("Probe(1)", []uint64{100, 101, 102})
+
+	submit(100, func() { submit(200, nil); submit(201, nil) })
+	submit(101, nil)
+	for range 3 {
+		qp.Probe(0)
+	}
+	check("callback submits", []uint64{100, 101, 200, 201})
+	if n := qp.Outstanding(); n != 0 {
+		t.Fatalf("%d commands outstanding after every completion", n)
 	}
 }
 

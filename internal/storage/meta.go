@@ -79,7 +79,7 @@ func (m *Meta) EncodeTo(buf []byte) {
 	putU16(buf[78:80], m.ShardCount)
 	putU16(buf[80:82], m.DeviceID)
 	putU16(buf[82:84], m.DeviceCount)
-	seal(buf[:PageSize])
+	seal(NilPage, buf)
 }
 
 // Encode allocates and returns a sealed meta page image.
@@ -89,12 +89,10 @@ func (m *Meta) Encode() []byte {
 	return buf
 }
 
-// DecodeMeta parses a meta page image.
+// DecodeMeta verifies and parses a meta page image: the superblock is read
+// only at open and recovery, so it is checked where it is decoded.
 func DecodeMeta(buf []byte) (*Meta, error) {
-	if len(buf) < PageSize {
-		return nil, fmt.Errorf("storage: short meta page (%d bytes)", len(buf))
-	}
-	if !VerifyPage(buf) {
+	if !VerifyPage(NilPage, buf) {
 		return nil, ErrCorruptPage
 	}
 	if buf[0] != KindMeta || getU32(buf[16:20]) != MetaMagic {

@@ -19,6 +19,12 @@
 //	leaf node: header, then a slot array growing forward — each slot is
 //	  (key 8, valueOffset 2, valueLen 2) — with value bytes packed at the
 //	  tail of the page growing backward.
+//
+// VerifyPage is the one check of a page: where bytes leave the device it
+// decides, from the checksum, the page id and the layout above, whether
+// they are a page. Every reader in this package (SearchPage, EditLeaf,
+// LeafRangeShared, DecodeNode, the inner accessors, UsedExtent) trusts a
+// verified image, or one this package wrote, and re-checks nothing.
 package storage
 
 import (
@@ -66,7 +72,7 @@ const (
 // Errors.
 var (
 	ErrValueTooLarge = errors.New("storage: value exceeds MaxValueSize")
-	ErrCorruptPage   = errors.New("storage: page checksum mismatch")
+	ErrCorruptPage   = errors.New("storage: page fails verification")
 	ErrBadKind       = errors.New("storage: unexpected page kind")
 	ErrNodeFull      = errors.New("storage: node full")
 )
@@ -75,8 +81,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // fieldCRC[k][b] is what byte value b at offset 12+k of a page adds to
 // the page's CRC. A CRC is affine in its input, so the CRC of a page with
-// its checksum field zeroed is the page's plain CRC XOR the four entries
-// of the field's bytes: pageSum reads the page and never writes it.
+// its checksum field zeroed is the page's CRC, however seeded, XOR the
+// four entries of the field's bytes: pageSum reads the page and never
+// writes it.
 var fieldCRC = func() (t [4][256]uint32) {
 	var page [PageSize]byte
 	zero := crc32.Checksum(page[:], crcTable)
@@ -132,51 +139,148 @@ func getU32(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
 func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
 
-// pageSum returns the checksum of the page in buf[:PageSize]: the CRC of
-// the image with its checksum field zeroed, whatever the field holds.
-func pageSum(buf []byte) uint32 {
+// pageSum returns the checksum of page id in buf[:PageSize]: the CRC,
+// seeded by the id, of the image with its checksum field zeroed, whatever
+// the field holds. Distinct seeds give distinct sums for the same bytes,
+// so on a device under 2^32 blocks one page's image never verifies as
+// another's. Seed 0 is the plain CRC, so the meta page's sum is unseeded.
+func pageSum(id PageID, buf []byte) uint32 {
 	buf = buf[:PageSize]
-	return crc32.Checksum(buf, crcTable) ^
+	return crc32.Update(uint32(id)^uint32(id>>32), crcTable, buf) ^
 		fieldCRC[0][buf[12]] ^ fieldCRC[1][buf[13]] ^ fieldCRC[2][buf[14]] ^ fieldCRC[3][buf[15]]
 }
 
-// seal computes and stores the page checksum.
-func seal(buf []byte) { putU32(buf[12:16], pageSum(buf)) }
+// seal computes and stores the checksum of page id.
+func seal(id PageID, buf []byte) { putU32(buf[12:16], pageSum(id, buf)) }
 
-// VerifyPage reports whether buf holds a full page whose checksum matches
-// its contents. It is the only checksum check (DecodeMeta makes it on the
-// superblock), made where bytes leave the device and before anything
-// caches or decodes them: it catches bit rot, torn writes and misdirected
-// reads. An image in memory is trusted from then on, so SearchPage,
-// EditLeaf and DecodeNode do not repeat it. It only reads buf, so the
-// image may be shared.
-func VerifyPage(buf []byte) bool {
-	return len(buf) >= PageSize && getU32(buf[12:16]) == pageSum(buf)
+// VerifyPage reports whether buf holds page id as a write sealed it. It
+// is the only check of a page, made where bytes leave the device, before
+// anything caches or decodes them:
+//   - the checksum, seeded by id, catches bit rot, torn writes and
+//     misdirected reads (another page's image at id's address);
+//   - the shape: a leaf is at level 0, the value of every slot of its
+//     nkeys lies inside the page, behind the slot array, and the values
+//     together fit the page (so the leaf re-encodes); an inner node is
+//     above level 0, holds at most InnerMaxKeys keys and no nil child; a
+//     meta page is page 0; no other kind is a page.
+//
+// A verified image, like one this package wrote, is trusted from then on:
+// the readers index it without bounds checks of their own. VerifyPage
+// only reads buf, so the image may be shared.
+func VerifyPage(id PageID, buf []byte) bool {
+	if len(buf) < PageSize || getU32(buf[12:16]) != pageSum(id, buf) {
+		return false
+	}
+	nkeys := numKeys(buf)
+	switch buf[0] {
+	case KindLeaf:
+		slots := headerSize + nkeys*slotSize
+		if buf[1] != 0 || slots > PageSize {
+			return false
+		}
+		used := slots
+		for i := range nkeys {
+			vo, vl := leafSlot(buf, i)
+			if vo < slots || vo+vl > PageSize {
+				return false
+			}
+			used += vl
+		}
+		return used <= PageSize
+	case KindInner:
+		if buf[1] == 0 || nkeys > InnerMaxKeys {
+			return false
+		}
+		for i := range nkeys + 1 {
+			if InnerChild(buf, i) == NilPage {
+				return false
+			}
+		}
+		return true
+	case KindMeta:
+		return id == NilPage
+	}
+	return false
+}
+
+// The slot accessors read a trusted image (see VerifyPage).
+
+func numKeys(buf []byte) int            { return int(getU16(buf[2:4])) }
+func leafKey(buf []byte, i int) uint64  { return getU64(buf[headerSize+i*slotSize:]) }
+func innerKey(buf []byte, i int) uint64 { return getU64(buf[headerSize+8+i*innerEntry:]) }
+
+// leafSlot returns the offset and length of slot i's value.
+func leafSlot(buf []byte, i int) (vo, vl int) {
+	s := buf[headerSize+i*slotSize:]
+	return int(getU16(s[8:])), int(getU16(s[10:]))
+}
+
+// leafValue returns slot i's value, aliasing buf.
+func leafValue(buf []byte, i int) []byte {
+	vo, vl := leafSlot(buf, i)
+	return buf[vo : vo+vl]
+}
+
+// leafValueCopy returns a fresh copy of slot i's value: make and copy
+// compile to one allocation and one copy, where bytes.Clone's append
+// costs several times as much on the lookup path.
+func leafValueCopy(buf []byte, i int) []byte {
+	v := leafValue(buf, i)
+	c := make([]byte, len(v))
+	copy(c, v)
+	return c
+}
+
+// leafSearch is Node.SearchLeaf over the encoded slots of a leaf image:
+// the index of key, or of the first slot above it, and whether key is
+// there.
+func leafSearch(buf []byte, key uint64) (int, bool) {
+	n := numKeys(buf)
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if leafKey(buf, mid) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < n && leafKey(buf, lo) == key
+}
+
+// innerSearch is Node.ChildIndex over the encoded entries of an inner
+// image: the index of the child whose subtree covers key.
+func innerSearch(buf []byte, key uint64) int {
+	lo, hi := 0, numKeys(buf)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if key >= innerKey(buf, mid) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // UsedExtent returns how many leading and trailing bytes of a page image
-// written by EncodeTo carry content: header and slot array in front and
-// value heap at the back for a leaf, header and entries in front for an
-// inner node or the meta page. Every byte between the two is zero. An
-// image of any other shape is reported as used throughout.
+// carry content: header and slot array in front and value heap at the
+// back for a leaf, header and entries in front for an inner node or the
+// meta page. Every byte between the two is zero in an image this package
+// wrote, which is what UsedExtent is for.
 func UsedExtent(buf []byte) (prefix, suffix int) {
-	nkeys := int(getU16(buf[2:4]))
-	heap := PageSize
 	switch buf[0] {
-	case KindLeaf:
-		prefix = headerSize + nkeys*slotSize
-		for off := headerSize; off < min(prefix, PageSize); off += slotSize {
-			heap = min(heap, int(getU16(buf[off+8:])))
-		}
-	case KindInner:
-		prefix = headerSize + 8 + nkeys*innerEntry
 	case KindMeta:
-		prefix = metaUsed
+		return metaUsed, 0
+	case KindInner:
+		return headerSize + 8 + numKeys(buf)*innerEntry, 0
 	}
-	if prefix == 0 || prefix > heap {
-		return PageSize, 0
+	heap := PageSize
+	for i := range numKeys(buf) {
+		vo, _ := leafSlot(buf, i)
+		heap = min(heap, vo)
 	}
-	return prefix, PageSize - heap
+	return headerSize + numKeys(buf)*slotSize, PageSize - heap
 }
 
 // LeafUsed returns the bytes a leaf currently occupies (header + slots +
@@ -245,7 +349,7 @@ func (n *Node) EncodeTo(buf []byte) {
 			off += innerEntry
 		}
 	}
-	seal(buf[:PageSize])
+	seal(n.ID, buf)
 }
 
 // Encode allocates and returns a sealed page image.
@@ -256,51 +360,29 @@ func (n *Node) Encode() []byte {
 }
 
 // DecodeNode parses a verified page image (see VerifyPage) into a Node
-// with the given id. It checks the kind, level and every slot's bounds,
-// but not the checksum.
+// with the given id. Only a page that is not a tree node is an error.
 func DecodeNode(id PageID, buf []byte) (*Node, error) {
-	if len(buf) < PageSize {
-		return nil, fmt.Errorf("storage: short page (%d bytes)", len(buf))
-	}
-	kind := buf[0]
-	n := &Node{ID: id, Level: buf[1]}
-	nkeys := int(getU16(buf[2:4]))
-	n.Next = PageID(getU64(buf[4:12]))
-	switch kind {
+	n := &Node{ID: id, Level: buf[1], Next: PageID(getU64(buf[4:12]))}
+	nkeys := numKeys(buf)
+	switch buf[0] {
 	case KindLeaf:
-		if n.Level != 0 {
-			return nil, fmt.Errorf("storage: leaf with level %d: %w", n.Level, ErrBadKind)
-		}
 		n.Keys = make([]uint64, nkeys)
 		n.Vals = make([][]byte, nkeys)
-		off := headerSize
-		for i := 0; i < nkeys; i++ {
-			n.Keys[i] = getU64(buf[off:])
-			vo := int(getU16(buf[off+8:]))
-			vl := int(getU16(buf[off+10:]))
-			if vo+vl > PageSize || vo < headerSize {
-				return nil, fmt.Errorf("storage: leaf slot %d out of range", i)
-			}
-			v := make([]byte, vl)
-			copy(v, buf[vo:vo+vl])
-			n.Vals[i] = v
-			off += slotSize
+		for i := range nkeys {
+			n.Keys[i] = leafKey(buf, i)
+			n.Vals[i] = leafValueCopy(buf, i)
 		}
 	case KindInner:
-		if n.Level == 0 {
-			return nil, fmt.Errorf("storage: inner with level 0: %w", ErrBadKind)
-		}
 		n.Keys = make([]uint64, nkeys)
 		n.Children = make([]PageID, nkeys+1)
-		n.Children[0] = PageID(getU64(buf[headerSize:]))
-		off := headerSize + 8
-		for i := 0; i < nkeys; i++ {
-			n.Keys[i] = getU64(buf[off:])
-			n.Children[i+1] = PageID(getU64(buf[off+8:]))
-			off += innerEntry
+		for i := range n.Keys {
+			n.Keys[i] = innerKey(buf, i)
+		}
+		for i := range n.Children {
+			n.Children[i] = InnerChild(buf, i)
 		}
 	default:
-		return nil, fmt.Errorf("storage: kind %d: %w", kind, ErrBadKind)
+		return nil, fmt.Errorf("storage: kind %d: %w", buf[0], ErrBadKind)
 	}
 	return n, nil
 }

@@ -1,62 +1,35 @@
 package storage
 
-import "fmt"
-
-// EditLeaf writes into dst (len >= PageSize) the sealed image of leaf src
-// with key set to value, or removed when del is set. The image is byte
-// for byte what DecodeNode, then InsertLeaf or DeleteLeafAt, then EncodeTo
-// produce, but no Node is built: the slots are copied in key order with
-// the one change spliced in, and the values are packed again from the
-// tail. found reports whether src held key. A set that would overflow the
-// page reports fits=false and leaves dst unwritten; the caller splits. A
-// delete always fits.
+// EditLeaf writes into dst (len >= PageSize) the sealed image of leaf id,
+// whose image src holds, with key set to value, or removed when del is
+// set. The image is byte for byte what DecodeNode, then InsertLeaf or
+// DeleteLeafAt, then EncodeTo produce, but no Node is built: the slots are
+// copied in key order with the one change spliced in, and the values are
+// packed again from the tail. found reports whether src held key. A set
+// that would overflow the page reports fits=false and leaves dst
+// unwritten; the caller splits. A delete always fits.
 //
 // src is left as it was, so it may be an image the buffer, an in-flight
 // write and a log record all share; dst must not overlap it. src must be
-// verified (see VerifyPage): EditLeaf checks every slot as DecodeNode
-// does, but not the checksum, and never writes to src. The caller bounds
-// value by MaxValueSize.
-func EditLeaf(dst, src []byte, key uint64, value []byte, del bool) (found, fits bool, err error) {
-	if len(src) < PageSize {
-		return false, false, fmt.Errorf("storage: short page (%d bytes)", len(src))
-	}
-	if src[0] != KindLeaf || src[1] != 0 {
-		return false, false, fmt.Errorf("storage: kind %d level %d in leaf edit: %w", src[0], src[1], ErrBadKind)
-	}
-	nkeys := int(getU16(src[2:4]))
-	if headerSize+nkeys*slotSize > PageSize {
-		return false, false, fmt.Errorf("storage: leaf with %d slots", nkeys)
-	}
+// a verified leaf image (see VerifyPage), and the caller bounds value by
+// MaxValueSize.
+func EditLeaf(dst, src []byte, id PageID, key uint64, value []byte, del bool) (found, fits bool) {
+	nkeys := numKeys(src)
 	used := headerSize + nkeys*slotSize
-	for i := 0; i < nkeys; i++ {
-		s := src[headerSize+i*slotSize:]
-		vo, vl := int(getU16(s[8:])), int(getU16(s[10:]))
-		if vo+vl > PageSize || vo < headerSize {
-			return false, false, fmt.Errorf("storage: leaf slot %d out of range", i)
-		}
-		used += vl
+	for i := range nkeys {
+		used += len(leafValue(src, i))
 	}
-	// at is key's slot, or the slot it goes before: Node.SearchLeaf's.
-	at, hi := 0, nkeys
-	for at < hi {
-		mid := int(uint(at+hi) >> 1)
-		if getU64(src[headerSize+mid*slotSize:]) < key {
-			at = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	found = at < nkeys && getU64(src[headerSize+at*slotSize:]) == key
+	at, found := leafSearch(src, key)
 	switch {
 	case found && del:
-		used -= slotSize + int(getU16(src[headerSize+at*slotSize+10:]))
+		used -= slotSize + len(leafValue(src, at))
 	case found:
-		used += len(value) - int(getU16(src[headerSize+at*slotSize+10:]))
+		used += len(value) - len(leafValue(src, at))
 	case !del:
 		used += slotSize + len(value)
 	}
 	if used > PageSize {
-		return found, false, nil
+		return found, false
 	}
 
 	clear(dst[:PageSize])
@@ -78,11 +51,9 @@ func EditLeaf(dst, src []byte, key uint64, value []byte, del bool) (found, fits 
 		if i == nkeys || (i == at && found) {
 			continue
 		}
-		s := src[headerSize+i*slotSize:]
-		vo := int(getU16(s[8:]))
-		put(getU64(s), src[vo:vo+int(getU16(s[10:]))])
+		put(leafKey(src, i), leafValue(src, i))
 	}
 	putU16(dst[2:4], uint16((off-headerSize)/slotSize))
-	seal(dst[:PageSize])
-	return found, true, nil
+	seal(id, dst)
+	return found, true
 }

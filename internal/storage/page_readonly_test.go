@@ -36,13 +36,18 @@ func TestVerifiersNeverWritePage(t *testing.T) {
 		name string
 		call func() bool
 	}{
-		{"VerifyPage", func() bool { return VerifyPage(page) }},
+		{"VerifyPage", func() bool { return VerifyPage(3, page) }},
 		{"SearchPage", func() bool { s, err := SearchPage(page, 30); return err == nil && s.Found }},
 		{"EditLeaf", func() bool {
-			found, fits, err := EditLeaf(dst, page, 30, nil, true)
-			return err == nil && found && fits
+			found, fits := EditLeaf(dst, page, 3, 30, nil, true)
+			return found && fits
 		}},
 		{"DecodeNode", func() bool { n, err := DecodeNode(3, page); return err == nil && n.NumKeys() == 5 }},
+		{"LeafRangeShared", func() bool {
+			pairs := 0
+			LeafRangeShared(page, 20, 40, func(uint64, []byte) bool { pairs++; return true })
+			return pairs == 3
+		}},
 	} {
 		func() {
 			defer func() {
@@ -58,15 +63,16 @@ func TestVerifiersNeverWritePage(t *testing.T) {
 }
 
 // TestPageSumIsZeroedFieldCRC checks the affine checksum against its
-// definition, the CRC of the page with bytes 12–15 zeroed, for every
-// value of each field byte.
+// definition, the CRC seeded by the page id of the page with bytes 12–15
+// zeroed, for every value of each field byte.
 func TestPageSumIsZeroedFieldCRC(t *testing.T) {
-	n := NewLeaf(9)
+	const id = 9 | 5<<32
+	n := NewLeaf(id)
 	n.InsertLeaf(7, []byte("seven"))
 	buf := n.Encode()
 	zeroed := append([]byte(nil), buf...)
 	putU32(zeroed[12:16], 0)
-	want := crc32.Checksum(zeroed, crcTable)
+	want := crc32.Update(9^5, crcTable, zeroed)
 	if got := getU32(buf[12:16]); got != want {
 		t.Fatalf("sealed checksum %08x, zeroed-field CRC %08x", got, want)
 	}
@@ -74,7 +80,7 @@ func TestPageSumIsZeroedFieldCRC(t *testing.T) {
 		for b := range 256 {
 			img := append([]byte(nil), zeroed...)
 			img[k] = byte(b)
-			if got := pageSum(img); got != want {
+			if got := pageSum(id, img); got != want {
 				t.Fatalf("byte %d = %#x: pageSum %08x, want %08x", k, b, got, want)
 			}
 		}

@@ -147,10 +147,7 @@ func TestEditLeafMatchesNode(t *testing.T) {
 		}
 
 		dst := bytes.Repeat([]byte{0xA5}, PageSize)
-		found, fits, err := EditLeaf(dst, src, k, value, del)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		found, fits := EditLeaf(dst, src, 7, k, value, del)
 		if found != wantFound || fits != wantFits {
 			t.Fatalf("trial %d (del=%v, key %d, %d-byte value): found=%v fits=%v, want %v %v",
 				trial, del, k, len(value), found, fits, wantFound, wantFits)
@@ -185,39 +182,14 @@ func TestEditLeafMatchesNode(t *testing.T) {
 	}
 }
 
-func TestEditLeafErrors(t *testing.T) {
-	dst := make([]byte, PageSize)
-	if _, _, err := EditLeaf(dst, make([]byte, 10), 1, nil, false); err == nil {
-		t.Fatal("short page accepted")
-	}
-	n := NewLeaf(3)
-	n.InsertLeaf(5, []byte("v"))
-	buf := n.Encode()
-	buf[20] ^= 0xff
-	if VerifyPage(buf) {
-		t.Fatal("corrupt page verifies: EditLeaf's source would be trusted")
-	}
-	inner := NewInner(4, 1)
-	inner.Children = []PageID{9}
-	if _, _, err := EditLeaf(dst, inner.Encode(), 5, nil, false); !errors.Is(err, ErrBadKind) {
-		t.Fatalf("inner page: err = %v, want ErrBadKind", err)
-	}
-}
-
+// TestSearchPageErrors: a verified page that is not a tree node (the
+// meta page) is the one page SearchPage refuses; every other bad page is
+// VerifyPage's to refuse (TestVerifyPageRefusesShapes).
 func TestSearchPageErrors(t *testing.T) {
-	if _, err := SearchPage(make([]byte, 10), 1); err == nil {
-		t.Fatal("short page accepted")
+	meta := (&Meta{Root: 1}).Encode()
+	if !VerifyPage(NilPage, meta) {
+		t.Fatal("meta page does not verify")
 	}
-	n := NewLeaf(3)
-	n.InsertLeaf(5, []byte("v"))
-	buf := n.Encode()
-	buf[20] ^= 0xff // corrupt a slot byte under the checksum
-	if VerifyPage(buf) {
-		t.Fatal("corrupt page verifies: SearchPage would step over it")
-	}
-	meta := make([]byte, PageSize)
-	meta[0] = KindMeta
-	seal(meta)
 	if _, err := SearchPage(meta, 5); !errors.Is(err, ErrBadKind) {
 		t.Fatalf("meta page: err = %v, want ErrBadKind", err)
 	}
@@ -258,9 +230,7 @@ func BenchmarkSearchPage(b *testing.B) {
 	b.Run("editleaf", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := EditLeaf(dst, buf, 30, val, false); err != nil {
-				b.Fatal(err)
-			}
+			EditLeaf(dst, buf, 1, 30, val, false)
 		}
 	})
 	b.Run("decode-encode", func(b *testing.B) {

@@ -1,8 +1,10 @@
 package patree
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 
 	"github.com/patree/patree/internal/core"
 	"github.com/patree/patree/internal/nvme"
+	"github.com/patree/patree/internal/storage"
 )
 
 // loadedRAM is a RAM device holding a bulk-loaded tree of n keys with a
@@ -66,6 +69,35 @@ func TestOpenSingleP(t *testing.T) {
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("Open, Get and Close with GOMAXPROCS(1) took %v, want well under 5 s", took)
+	}
+}
+
+// TestOpenRefusesMalformedRoot: a root page sealed with a key count no
+// page can hold fails recovery's walk, and Open returns that as an error,
+// without a panic and without formatting over the image.
+func TestOpenRefusesMalformedRoot(t *testing.T) {
+	ram := loadedRAM(t, 2000)
+	buf := make([]byte, storage.PageSize)
+	ram.ReadAt(0, buf)
+	meta, err := storage.DecodeMeta(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seal it as storage does: the CRC-32C, seeded by the page id, of the
+	// image with its checksum field zeroed.
+	id := meta.Root
+	ram.ReadAt(uint64(id), buf)
+	binary.LittleEndian.PutUint16(buf[2:4], 1000)
+	binary.LittleEndian.PutUint32(buf[12:16], 0)
+	binary.LittleEndian.PutUint32(buf[12:16], crc32.Update(uint32(id)^uint32(id>>32), crc32.MakeTable(crc32.Castagnoli), buf))
+	ram.WriteAt(uint64(id), buf)
+	before := ram.ImageSnapshot()
+	if db, err := Open(Options{Device: ram}); err == nil {
+		db.Close()
+		t.Fatal("open over a malformed root succeeded")
+	}
+	if !reflect.DeepEqual(ram.ImageSnapshot(), before) {
+		t.Fatal("open over a malformed root changed the device image")
 	}
 }
 

@@ -48,7 +48,7 @@ func TestOpenReadsAhead(t *testing.T) {
 	buf := make([]byte, storage.PageSize)
 	for lba := uint64(1); lba < 1<<12; lba++ {
 		dev.ReadAt(lba, buf)
-		if !storage.VerifyPage(buf) {
+		if !storage.VerifyPage(storage.PageID(lba), buf) {
 			continue
 		}
 		n, err := storage.DecodeNode(storage.PageID(lba), buf)
