@@ -196,9 +196,14 @@ func (c *Conn) Stats() Stats {
 	return Stats{Sent: c.sent.Load(), Received: c.received.Load(), BusyRetries: c.busy.Load()}
 }
 
-// register files p under its id, or reports the terminal error if the
-// connection already failed (nothing is filed then).
+// register files p under its id, or reports why it cannot be sent
+// (nothing is filed then): the connection already failed, or p's frame
+// exceeds proto.MaxFrame, which the server would drop the connection
+// over.
 func (c *Conn) register(p *pending) error {
+	if len(p.frame)-4 > proto.MaxFrame {
+		return fmt.Errorf("client: request of %d bytes: %w", len(p.frame), proto.ErrFrameTooLarge)
+	}
 	c.pmu.Lock()
 	if c.terminal != nil {
 		err := c.terminal
@@ -437,7 +442,7 @@ func (c *Conn) issue(op patree.BatchOp) (*patree.Handle, error) {
 		p.issuedAt = c.tr.NowNanos()
 	}
 	if err := c.register(p); err != nil {
-		// Never admitted: reclaim the handle like a refused embedded
+		// Never sent: reclaim the handle like a refused embedded
 		// admission would.
 		resolve(patree.Result{Err: err})
 		h.Release()
@@ -548,8 +553,9 @@ func (c *Conn) Sync() error {
 }
 
 // NewBatch returns a batch whose commit travels as one wire frame and
-// is admitted server-side as one atomic transaction — cross-shard
-// TryCommit all-or-nothing semantics hold end to end.
+// is admitted server-side as an embedded batch is: TryCommit
+// all-or-nothing across shards, Commit always, in ring-sized pieces if
+// the batch outgrows a shard's ring.
 func (c *Conn) NewBatch() *patree.Batch {
 	return patree.NewRemoteBatch(committer{c})
 }
@@ -560,8 +566,7 @@ type committer struct{ c *Conn }
 
 // CommitStaged encodes the staged batch as one frame. try waits for the
 // admission answer (BUSY → ErrBacklog, batch stays staged); non-try
-// returns once queued, with BUSY absorbed by backoff + retransmit like
-// any other request.
+// returns once queued, and the server commits it whatever its size.
 func (cm committer) CommitStaged(ops []patree.BatchOp, resolve []func(patree.Result), try bool) error {
 	c := cm.c
 	// CommitStaged's slices are only valid until it returns; the

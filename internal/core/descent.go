@@ -279,13 +279,28 @@ func (t *Tree) leafAction(o *Op) bool {
 // wants, then finishes or moves on to the right sibling with latch
 // coupling; every key there exceeds everything here, so the scan resumes
 // from its first slot.
+//
+// A right step that does not advance is a cycle in the leaf chain, which
+// no single page's check can see: a leaf linked to itself, a leaf whose
+// keys do not exceed those already returned, or more steps than the
+// allocator has handed out pages. It fails the scan alone with
+// ErrCorruptPage instead of circling forever.
 func (t *Tree) scanLeaf(o *Op) bool {
+	had := len(o.Res.Pairs)
 	next, beyond := storage.LeafRangeShared(o.page, o.key, o.endKey, func(k uint64, v []byte) bool {
 		o.Res.Pairs = append(o.Res.Pairs, KV{Key: k, Value: v})
 		return o.limit <= 0 || len(o.Res.Pairs) < o.limit
 	})
+	if had > 0 && len(o.Res.Pairs) > had && o.Res.Pairs[had].Key <= o.Res.Pairs[had-1].Key {
+		t.failOp(o, storage.ErrCorruptPage)
+		return true
+	}
 	if beyond || next == storage.NilPage {
 		t.finishOp(o)
+		return true
+	}
+	if next == o.cur || storage.PageID(o.depth) >= t.alloc.Watermark() {
+		t.failOp(o, storage.ErrCorruptPage)
 		return true
 	}
 	o.key = 0

@@ -31,8 +31,8 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("request %+v re-encodes to\n%x, decoded from\n%x", op, got, want)
 			}
 		}
-		if ops, err := DecodeBatch(p, nil); err == nil {
-			if got, want := AppendBatch(nil, 1, 0, p[0] == batchTry, ops), AppendFrame(nil, 1, KindBatch, p); !bytes.Equal(got, want) {
+		if ops, try, err := DecodeBatch(p, nil); err == nil {
+			if got, want := AppendBatch(nil, 1, 0, try, ops), AppendFrame(nil, 1, KindBatch, p); !bytes.Equal(got, want) {
 				t.Fatalf("batch %+v re-encodes to\n%x, decoded from\n%x", ops, got, want)
 			}
 		}

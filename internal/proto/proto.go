@@ -32,12 +32,13 @@
 //
 // Encoded pairs: count u32 | count × (key u64 | vlen u32 | value).
 //
-// A batch frame is the protocol's atomicity unit: the server admits it
-// through Batch.TryCommit, so a cross-shard batch applies all-or-
-// nothing and a full admission ring yields one StatusBusy response for
-// the whole frame with nothing admitted. StatusBusy is the wire form of
-// ErrBacklog — flow control, never a dropped ack: the client backs off
-// and retransmits the identical frame under the same request id.
+// A batch frame is admitted as Batch admits it embedded: a try batch
+// all-or-nothing, so a full admission ring yields one StatusBusy
+// response for the whole frame with nothing admitted, and a non-try
+// batch always, in ring-sized pieces if it must. StatusBusy is the wire
+// form of ErrBacklog — flow control, never a dropped ack: the client
+// backs off and retransmits the identical frame under the same request
+// id, except for a try batch, whose TryCommit returns ErrBacklog.
 //
 // # Protocol versions and trace propagation
 //
@@ -137,14 +138,18 @@ const (
 const FoundFlag = 1
 
 // MaxFrame is the largest frame either side accepts (length prefix
-// excluded). It bounds a batch and a scan result; both sides enforce it.
+// excluded). It bounds a batch and a scan result. ReadFrame enforces it
+// where frames are read, and each end where it encodes them: the client
+// refuses to send a longer request, and AppendResponse and
+// AppendBatchResponse answer a longer result with StatusInternal.
 const MaxFrame = 16 << 20
 
 // HeaderLen is the fixed prefix of every frame body: id + kind/status.
 const HeaderLen = 8 + 1
 
-// ErrFrameTooLarge reports a frame exceeding MaxFrame; the connection
-// is unrecoverable afterwards (framing is lost).
+// ErrFrameTooLarge reports a frame exceeding MaxFrame. ReadFrame's
+// connection is unrecoverable afterwards (framing is lost), so neither
+// end ever sends one.
 var ErrFrameTooLarge = errors.New("proto: frame exceeds MaxFrame")
 
 // StatusOf maps an operation error to its wire status code. Unknown
@@ -373,28 +378,28 @@ func DecodeRequest(kind uint8, p []byte) (patree.BatchOp, error) {
 	return op, err
 }
 
-// DecodeBatch decodes a batch request body and appends its sub-ops to
-// ops. The server admits every wire batch with TryCommit, so the try flag
-// is checked for shape and otherwise unused.
-func DecodeBatch(p []byte, ops []patree.BatchOp) ([]patree.BatchOp, error) {
+// DecodeBatch decodes a batch request body, appends its sub-ops to ops
+// and reports its try flag: the client committed the batch with
+// TryCommit, and the server admits it the same way.
+func DecodeBatch(p []byte, ops []patree.BatchOp) ([]patree.BatchOp, bool, error) {
 	// A sub-op takes at least its kind byte: a count above the bytes left
 	// is refused before it sizes anything.
 	if len(p) < 5 || p[0]&^batchTry != 0 || uint64(binary.LittleEndian.Uint32(p[1:])) > uint64(len(p)-5) {
-		return ops, malformed(KindBatch)
+		return ops, false, malformed(KindBatch)
 	}
-	n := int(binary.LittleEndian.Uint32(p[1:]))
+	try, n := p[0] == batchTry, int(binary.LittleEndian.Uint32(p[1:]))
 	ops = slices.Grow(ops, n)
 	for p = p[5:]; n > 0 && len(p) > 0; n-- {
 		op, rest, err := decodeOp(p[0], p[1:], true)
 		if err != nil {
-			return ops, err
+			return ops, try, err
 		}
 		ops, p = append(ops, op), rest
 	}
 	if n != 0 || len(p) != 0 {
-		return ops, malformed(KindBatch)
+		return ops, try, malformed(KindBatch)
 	}
-	return ops, nil
+	return ops, try, nil
 }
 
 // appendResult appends one successful op's flags, then its payload: a
@@ -456,6 +461,17 @@ func AppendResponse(dst []byte, id uint64, kind patree.OpKind, r patree.Result) 
 	if status == StatusOK {
 		dst = appendResult(dst, kind, r, false)
 	}
+	return finishResponse(dst, at, id)
+}
+
+// finishResponse patches the length of the response frame begun at at.
+// A frame longer than MaxFrame is replaced by a StatusInternal one
+// saying so: the request fails alone, where sending the frame would
+// cost the peer its connection.
+func finishResponse(dst []byte, at int, id uint64) []byte {
+	if len(dst)-at-4 > MaxFrame {
+		return AppendFrame(dst[:at], id, StatusInternal, []byte(ErrFrameTooLarge.Error()))
+	}
 	return FinishFrame(dst, at)
 }
 
@@ -484,7 +500,7 @@ func AppendBatchResponse(dst []byte, id uint64, ops []patree.BatchOp, result fun
 			dst = appendResult(append(dst, status), op.Kind, r, true)
 		}
 	}
-	return FinishFrame(dst, at)
+	return finishResponse(dst, at, id)
 }
 
 // DecodeBatchResponse decodes a StatusOK batch response body into one

@@ -155,7 +155,7 @@ func TestDecodeCountsBeforeAllocating(t *testing.T) {
 	if _, err := DecodePairs([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
 		t.Error("DecodePairs of a 2^32-1 count with no pairs must fail")
 	}
-	if _, err := DecodeBatch([]byte{0, 0xff, 0xff, 0xff, 0xff}, nil); err == nil {
+	if _, _, err := DecodeBatch([]byte{0, 0xff, 0xff, 0xff, 0xff}, nil); err == nil {
 		t.Error("DecodeBatch of a 2^32-1 count with no sub-ops must fail")
 	}
 	// Counts the bytes could hold, whose entries are not there.
@@ -164,7 +164,7 @@ func TestDecodeCountsBeforeAllocating(t *testing.T) {
 	if _, err := DecodePairs(pairs); err == nil {
 		t.Error("DecodePairs of two pairs holding one must fail")
 	}
-	if _, err := DecodeBatch([]byte{0, 2, 0, 0, 0, KindGet, KindSync}, nil); err == nil {
+	if _, _, err := DecodeBatch([]byte{0, 2, 0, 0, 0, KindGet, KindSync}, nil); err == nil {
 		t.Error("DecodeBatch of a get without its key must fail")
 	}
 	var allocs runtime.MemStats

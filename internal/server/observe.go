@@ -5,7 +5,7 @@
 // atomics, latency observations land in lazily-allocated log-bucketed
 // histograms behind one mutex (internal/metrics.Histogram is
 // single-threaded by design), and timestamps ride in the pooled
-// burstState arrays next to the decoded ops. Span tracing reuses the
+// burstState's requests next to the decoded ops. Span tracing reuses the
 // same ring tracer as the engine, wrapped for concurrent emitters, and
 // costs nothing when no frame carries a span.
 package server

@@ -7,22 +7,23 @@
 // network boundary:
 //
 //   - Each connection's reader goroutine decodes pipelined request
-//     frames and stages them on a patree.Batch — one admission-ring
+//     frames, single ops and wire batches alike, into one burst and
+//     stages the burst on a patree.Batch: one admission-ring
 //     transaction per network read burst, so a burst of N pipelined
 //     requests costs one ring hand-off, exactly like an embedded
-//     caller using the batch API.
-//   - Admission is always non-blocking (Batch.TryCommit). When a
-//     shard's MPSC ring is full, ErrBacklog surfaces to the client as
-//     one StatusBusy response per refused request — wire-level flow
-//     control the client backs off on, never a dropped ack and never a
-//     reader goroutine wedged against a saturated worker.
+//     caller using the batch API. A request's ops are admitted in
+//     arrival order, behind those of the requests before it.
+//   - Admission is non-blocking (Batch.TryCommit). When a shard's MPSC
+//     ring is full the burst is halved at request boundaries, and a
+//     single op or a try batch that cannot be admitted even alone is
+//     answered StatusBusy: wire-level flow control the client backs
+//     off on, never a dropped ack. A non-try batch is admitted as
+//     embedded Batch.Commit admits it, in ring-sized pieces, with the
+//     reader waiting meanwhile; so it always commits, whatever its size.
 //   - A bounded pool of completion dispatchers waits on the admitted
 //     batches' handles and streams responses back through a writer
 //     goroutine that coalesces frames per flush. Responses complete
 //     out of order across bursts, keyed by request id.
-//   - A wire batch frame (proto.KindBatch) is admitted as one
-//     patree.Batch TryCommit, so its atomicity — including cross-shard
-//     all-or-nothing — holds end to end.
 //
 // The server programs only against patree.Store, so it can front an
 // embedded *DB or, in principle, another remote store.
@@ -33,6 +34,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,9 +57,10 @@ const (
 
 // Options tunes a Server. The zero value selects sensible defaults.
 type Options struct {
-	// BurstOps caps how many pipelined single-op requests are staged
-	// into one admission transaction (default 256). It must not exceed
-	// the store's admission ring depth or bursts could never admit.
+	// BurstOps caps how many pipelined ops are staged before the burst
+	// is admitted (default 256); a wire batch joins a burst whole. A
+	// burst larger than the store's admission ring admits in pieces, so
+	// the cap need not fit the ring.
 	BurstOps int
 	// Logf, when set, receives connection-level error logs and the
 	// slow-op log.
@@ -208,9 +211,9 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close stops accepting, tears down every connection and waits for all
-// connection goroutines to drain. Operations already admitted to the
-// store complete there; their responses are dropped with the
-// connections. The store itself is not closed — it belongs to the
+// connection goroutines to drain, a reader inside a non-try batch's
+// Commit once that returns. Operations already admitted to the store
+// complete there; their responses are dropped with the connections. The store itself is not closed — it belongs to the
 // caller.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -245,17 +248,52 @@ func (s *Server) logf(format string, args ...any) {
 // the writer.
 var respBufPool = sync.Pool{New: func() any { return make([]byte, 0, 512) }}
 
-// burstState accumulates one read burst of pipelined single-op
-// requests in neutral form. Ops are kept decoded (not staged on a
-// Batch) until flush so that a backlogged admission can retry smaller
-// prefixes without re-decoding.
+// burstState accumulates one read burst of pipelined requests in
+// neutral form. Ops are kept decoded (not staged on a Batch) until flush
+// so that a backlogged admission can retry smaller prefixes without
+// re-decoding.
 type burstState struct {
-	ids []uint64
-	ops []patree.BatchOp // Span is the request's trace span (0 = unsampled)
-	arr []int64          // arrival timestamps (server clock), for wire latency
+	reqs []request
+	ops  []patree.BatchOp // every request's ops in arrival order; Span is the request's trace span (0 = unsampled)
+}
+
+// request is one request frame of a burst: a single op or a wire batch,
+// whose ops are ops[lo:hi] of its burst.
+type request struct {
+	id      uint64
+	span    uint64
+	arrival int64 // server clock, for wire latency
+	lo, hi  int
+	kind    uint8 // bare wire kind: the op's, or proto.KindBatch
+	try     bool  // a batch the client committed with TryCommit
 }
 
 var burstPool = sync.Pool{New: func() any { return new(burstState) }}
+
+// add decodes request r's payload onto the burst. A malformed request
+// leaves the burst as it was.
+func (bs *burstState) add(r request, payload []byte) error {
+	r.lo = len(bs.ops)
+	var err error
+	if r.kind == proto.KindBatch {
+		bs.ops, r.try, err = proto.DecodeBatch(payload, bs.ops)
+	} else {
+		var op patree.BatchOp
+		op, err = proto.DecodeRequest(r.kind, payload)
+		bs.ops = append(bs.ops, op)
+	}
+	if err != nil {
+		clear(bs.ops[r.lo:])
+		bs.ops = bs.ops[:r.lo]
+		return err
+	}
+	r.hi = len(bs.ops)
+	for i := r.lo; i < r.hi; i++ {
+		bs.ops[i].Span = r.span
+	}
+	bs.reqs = append(bs.reqs, r)
+	return nil
+}
 
 // srvConn is one client connection.
 type srvConn struct {
@@ -311,7 +349,7 @@ func (c *srvConn) run() {
 	for {
 		body, err := proto.ReadFrame(c.br, rbuf)
 		if err != nil {
-			if burst != nil {
+			if burst != nil && len(burst.reqs) > 0 {
 				c.flushBurst(burst)
 			}
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -321,55 +359,29 @@ func (c *srvConn) run() {
 		}
 		c.s.bytesIn.Add(uint64(4 + len(body)))
 		rbuf = body[:0]
-		id := proto.FrameID(body)
-		rawKind := proto.FrameKind(body)
-		kind, span, payload, ok := proto.SplitSpan(rawKind, proto.FrameBody(body))
-		if !ok {
-			c.s.badFrames.Add(1)
-			c.sendStatus(id, proto.StatusBadRequest, "short span prefix")
-			continue
-		}
-		arrival := c.s.now()
-		if span != 0 && c.s.tr != nil {
-			c.s.tr.Emit(stRecv, uint16(kind), span, id, arrival, trace.Instant)
-		}
-
-		if kind == proto.KindHello {
-			// Negotiate version/flags. The hello is a pipeline barrier like
-			// a wire batch: admit the pending burst first so the response
-			// order mirrors admission order.
-			if burst != nil {
-				burst = c.flushBurst(burst)
+		r := request{id: proto.FrameID(body)}
+		kind, span, payload, ok := proto.SplitSpan(proto.FrameKind(body), proto.FrameBody(body))
+		switch {
+		case !ok:
+			c.badRequest(r.id, "short span prefix")
+		case kind == proto.KindHello:
+			c.handleHello(r.id, payload)
+		default:
+			r.kind, r.span, r.arrival = kind, span, c.s.now()
+			if span != 0 && c.s.tr != nil {
+				c.s.tr.Emit(stRecv, uint16(kind), span, r.id, r.arrival, trace.Instant)
 			}
-			c.handleHello(id, payload)
-			continue
-		}
-		if kind == proto.KindBatch {
-			// A wire batch is its own atomicity unit; admit the pending
-			// burst first so per-connection admission order is preserved.
-			if burst != nil {
-				burst = c.flushBurst(burst)
+			if burst == nil {
+				burst = burstPool.Get().(*burstState)
 			}
-			c.handleWireBatch(id, span, payload, arrival)
-			continue
-		}
-		if burst == nil {
-			burst = burstPool.Get().(*burstState)
-		}
-		if op, err := proto.DecodeRequest(kind, payload); err != nil {
-			// Malformed op: answered with BadRequest, nothing staged.
-			c.s.badFrames.Add(1)
-			c.sendStatus(id, proto.StatusBadRequest, err.Error())
-		} else {
-			op.Span = span
-			burst.ids = append(burst.ids, id)
-			burst.ops = append(burst.ops, op)
-			burst.arr = append(burst.arr, arrival)
+			if err := burst.add(r, payload); err != nil {
+				c.badRequest(r.id, err.Error())
+			}
 		}
 		// Admit when the burst is full or the next complete frame is not
 		// already buffered — blocking on the socket with staged-but-
 		// unadmitted work would stall the pipeline.
-		if len(burst.ops) >= c.s.opts.BurstOps || !c.frameBuffered() {
+		if burst != nil && len(burst.reqs) > 0 && (len(burst.ops) >= c.s.opts.BurstOps || !c.frameBuffered()) {
 			burst = c.flushBurst(burst)
 		}
 	}
@@ -385,14 +397,19 @@ func (c *srvConn) frameBuffered() bool {
 	return err == nil && c.br.Buffered() >= proto.FrameSize(hdr)
 }
 
+// badRequest answers a malformed request, which admits nothing.
+func (c *srvConn) badRequest(id uint64, msg string) {
+	c.s.badFrames.Add(1)
+	c.sendStatus(id, proto.StatusBadRequest, msg)
+}
+
 // handleHello answers the protocol handshake: the offered (version,
 // flags) clamped to what this build speaks, with the trace flag only
 // granted when the server itself records spans.
 func (c *srvConn) handleHello(id uint64, p []byte) {
 	v, f, err := proto.ParseHello(p)
 	if err != nil {
-		c.s.badFrames.Add(1)
-		c.sendStatus(id, proto.StatusBadRequest, "malformed hello")
+		c.badRequest(id, "malformed hello")
 		return
 	}
 	v, f = proto.Negotiate(v, f)
@@ -407,73 +424,64 @@ func (c *srvConn) handleHello(id uint64, p []byte) {
 
 // flushBurst admits the pending burst as one ring transaction when it
 // fits. When the rings are backlogged it degrades gracefully instead of
-// livelocking: progressively smaller prefixes are tried (the ops are
-// independent pipelined singles, so splitting them is semantically
-// free), and ops that cannot be admitted even alone are refused with
-// StatusBusy — wire flow control the client backs off and retransmits
-// on. This also removes any coupling between BurstOps and the store's
-// ring depth: a burst larger than the ring admits in chunks. Any
-// non-backlog admission error maps through the taxonomy. Always returns
-// nil, for `burst = c.flushBurst(burst)` call sites.
+// livelocking: progressively smaller prefixes of whole requests are
+// tried (the requests are independent pipelined frames, so splitting
+// between them is semantically free, and a burst larger than the ring
+// admits in pieces). A request that cannot be admitted even alone is
+// refused with StatusBusy — wire flow control the client backs off and
+// retransmits on — unless it is a non-try batch, which Batch.Commit
+// admits as it does embedded: in ring-sized chunks, with this reader
+// waiting meanwhile. Any non-backlog admission error maps through the
+// taxonomy. Always returns nil, for `burst = c.flushBurst(burst)` call
+// sites.
 func (c *srvConn) flushBurst(burst *burstState) *burstState {
 	flushed := c.s.now()
 	c.s.met.recordBurst(len(burst.ops))
-	i := 0
-	for i < len(burst.ops) {
-		n := len(burst.ops) - i
-		attempts := 0
-		for {
-			attempts++
+	reqs := burst.reqs
+	for i := 0; i < len(reqs); {
+		n := len(reqs) - i
+		for attempts := 1; ; attempts++ {
+			part := reqs[i : i+n]
+			lo, hi := part[0].lo, part[n-1].hi
 			b := c.s.store.NewBatch()
-			for _, op := range burst.ops[i : i+n] {
+			for _, op := range burst.ops[lo:hi] {
 				b.Stage(op)
 			}
 			err := b.TryCommit()
+			if n == 1 && part[0].kind == proto.KindBatch && !part[0].try && proto.StatusOf(err) == proto.StatusBusy {
+				err = b.Commit()
+			}
 			if err == nil {
-				c.s.ops.Add(uint64(n))
-				admitted := c.s.now()
-				if c.s.tr != nil {
-					for _, op := range burst.ops[i : i+n] {
-						if op.Span != 0 {
-							c.s.tr.Emit(stAdmit, uint16(op.Kind), op.Span,
-								uint64(attempts), flushed, admitted-flushed)
-						}
-					}
-				}
-				if n == len(burst.ops) && i == 0 {
+				admitted := c.admitted(part, hi-lo, flushed, attempts)
+				if n == len(reqs) {
 					// Common case: the whole burst admitted at once; the
 					// dispatcher takes ownership of the state's slices.
-					c.dispatch(b, burst.ids, burst.ops, burst.arr, admitted, attempts,
-						func() { releaseBurst(burst) })
+					c.dispatch(b, reqs, burst.ops, admitted, attempts, func() { releaseBurst(burst) })
 					return nil
 				}
-				// Split admission: copy the chunk's ids/ops/arrivals, the
-				// state is reused for the rest of the loop.
-				ids := append([]uint64(nil), burst.ids[i:i+n]...)
-				ops := append([]patree.BatchOp(nil), burst.ops[i:i+n]...)
-				arr := append([]int64(nil), burst.arr[i:i+n]...)
-				c.dispatch(b, ids, ops, arr, admitted, attempts, nil)
+				// Split admission: copy the part's requests and ops, the state
+				// is reused for the rest of the loop.
+				c.dispatch(b, slices.Clone(part), slices.Clone(burst.ops[lo:hi]), admitted, attempts, nil)
 				i += n
 				break
 			}
 			b.Release()
 			if status := proto.StatusOf(err); status != proto.StatusBusy {
 				// Terminal (closed, device failed): refuse everything left.
-				for _, id := range burst.ids[i:] {
-					c.sendStatus(id, status, "")
+				for _, r := range reqs[i:] {
+					c.sendStatus(r.id, status, "")
 				}
 				releaseBurst(burst)
 				return nil
 			}
 			if n == 1 {
 				c.s.busy.Add(1)
-				now := c.s.now()
-				op := &burst.ops[i]
-				c.s.met.recordLatency(uint8(op.Kind), proto.StatusBusy, time.Duration(now-burst.arr[i]))
-				if op.Span != 0 && c.s.tr != nil {
-					c.s.tr.Emit(stBusy, uint16(op.Kind), op.Span, uint64(attempts), now, trace.Instant)
+				now, r := c.s.now(), &part[0]
+				c.s.met.recordLatency(r.kind, proto.StatusBusy, time.Duration(now-r.arrival))
+				if r.span != 0 && c.s.tr != nil {
+					c.s.tr.Emit(stBusy, uint16(r.kind), r.span, uint64(attempts), now, trace.Instant)
 				}
-				c.sendStatus(burst.ids[i], proto.StatusBusy, "")
+				c.sendStatus(r.id, proto.StatusBusy, "")
 				i++
 				break
 			}
@@ -484,11 +492,28 @@ func (c *srvConn) flushBurst(burst *burstState) *burstState {
 	return nil
 }
 
+// admitted counts the requests of an admitted part of a burst, ops in
+// all, traces the sampled ones and returns the admission time.
+func (c *srvConn) admitted(part []request, ops int, flushed int64, attempts int) int64 {
+	admitted, batched := c.s.now(), 0
+	for _, r := range part {
+		if r.kind == proto.KindBatch {
+			c.s.wireBatches.Add(1)
+			batched += r.hi - r.lo
+		}
+		if r.span != 0 && c.s.tr != nil {
+			c.s.tr.Emit(stAdmit, uint16(r.kind), r.span, uint64(attempts), flushed, admitted-flushed)
+		}
+	}
+	c.s.ops.Add(uint64(ops - batched))
+	c.s.batchOps.Add(uint64(batched))
+	return admitted
+}
+
 func releaseBurst(b *burstState) {
-	b.ids = b.ids[:0]
+	b.reqs = b.reqs[:0]
 	clear(b.ops) // drop value references
 	b.ops = b.ops[:0]
-	b.arr = b.arr[:0]
 	burstPool.Put(b)
 }
 
@@ -496,18 +521,20 @@ func releaseBurst(b *burstState) {
 // busy, which pushes backpressure into the TCP window — and hands the
 // committed batch to a goroutine that streams its responses. cleanup,
 // if set, runs after the batch is released.
-func (c *srvConn) dispatch(b *patree.Batch, ids []uint64, ops []patree.BatchOp, arr []int64, admitted int64, attempts int, cleanup func()) {
+func (c *srvConn) dispatch(b *patree.Batch, reqs []request, ops []patree.BatchOp, admitted int64, attempts int, cleanup func()) {
 	c.sem <- struct{}{}
 	c.wg.Add(1)
-	go c.dispatchBurst(b, ids, ops, arr, admitted, attempts, cleanup)
+	go c.dispatchBurst(b, reqs, ops, admitted, attempts, cleanup)
 }
 
-// dispatchBurst waits for each operation of an admitted burst in
-// staging order and streams its responses. Waiting in order is cheap —
-// the batch completes as a group — while responses across concurrently
-// dispatched bursts interleave freely (out-of-order completion, keyed
-// by request id).
-func (c *srvConn) dispatchBurst(b *patree.Batch, ids []uint64, ops []patree.BatchOp, arr []int64, admitted int64, attempts int, cleanup func()) {
+// dispatchBurst waits for each request of an admitted burst in staging
+// order and streams its responses: AppendResponse for a single op,
+// AppendBatchResponse for a wire batch. ops are the ops staged on b,
+// the first of them reqs[0]'s. Waiting in order is cheap — the batch
+// completes as a group — while responses across concurrently dispatched
+// bursts interleave freely (out-of-order completion, keyed by request
+// id).
+func (c *srvConn) dispatchBurst(b *patree.Batch, reqs []request, ops []patree.BatchOp, admitted int64, attempts int, cleanup func()) {
 	defer func() {
 		b.Release() // waits for any completions not yet consumed
 		if cleanup != nil {
@@ -518,27 +545,29 @@ func (c *srvConn) dispatchBurst(b *patree.Batch, ids []uint64, ops []patree.Batc
 	}()
 	// All of a burst's response frames ride in one buffer: one channel
 	// hand-off and (usually) one writer syscall per burst instead of per
-	// operation — the response-side mirror of burst admission.
+	// request — the response-side mirror of burst admission.
+	base := reqs[0].lo
 	buf := respBufPool.Get().([]byte)[:0]
-	for i, id := range ids {
+	for i := range reqs {
+		r := &reqs[i]
 		var t0 int64
-		kind, span := uint8(ops[i].Kind), ops[i].Span
-		if span != 0 && c.s.tr != nil {
+		if r.span != 0 && c.s.tr != nil {
 			t0 = c.s.now()
 		}
-		status := proto.StatusOf(b.Err(i))
-		buf = appendResponse(buf, b, i, id, ops[i].Kind)
+		at := len(buf)
+		buf = appendResponse(buf, b, r, ops, base)
+		status := proto.FrameKind(buf[at+4:])
 		done := c.s.now()
-		d := time.Duration(done - arr[i])
-		c.s.met.recordOp(kind, status, d)
-		if span != 0 && c.s.tr != nil {
-			c.s.tr.Emit(stRespond, uint16(kind), span, id, t0, done-t0)
+		d := time.Duration(done - r.arrival)
+		c.s.met.recordOp(r.kind, status, d)
+		if r.span != 0 && c.s.tr != nil {
+			c.s.tr.Emit(stRespond, uint16(r.kind), r.span, r.id, t0, done-t0)
 		}
 		if slow := c.s.opts.SlowOp; slow > 0 && d > slow {
-			// arr[i]..flushed is folded into the admit stage here: the
-			// flush timestamp lives with the burst, and admitted-arr[i]
+			// arrival..flushed is folded into the admit stage here: the
+			// flush timestamp lives with the burst, and admitted-arrival
 			// is the full pre-engine wait either way.
-			c.s.slowOp(id, span, kind, status, attempts, arr[i], arr[i], admitted, done)
+			c.s.slowOp(r.id, r.span, r.kind, status, attempts, r.arrival, r.arrival, admitted, done)
 		}
 		if len(buf) >= 32<<10 {
 			if !c.send(buf) {
@@ -562,76 +591,18 @@ func result(b *patree.Batch, i int) patree.Result {
 	return patree.Result{Err: b.Err(i), Found: b.Found(i), Value: b.Value(i), Pairs: b.Pairs(i)}
 }
 
-// appendResponse appends the response frame of operation i, already
-// waited for. Kept out of line: with the result in dispatchBurst's frame,
-// each fresh dispatcher goroutine outgrew its initial stack.
+// appendResponse appends request r's response frame, waiting for its
+// ops; base is the batch index of ops[0]. Kept out of line: with the
+// results in dispatchBurst's frame, each fresh dispatcher goroutine
+// outgrew its initial stack.
 //
 //go:noinline
-func appendResponse(buf []byte, b *patree.Batch, i int, id uint64, kind patree.OpKind) []byte {
-	return proto.AppendResponse(buf, id, kind, result(b, i))
-}
-
-// handleWireBatch decodes and admits one wire batch frame as a single
-// patree.Batch TryCommit — the protocol's atomic unit. A frame-level
-// span covers every sub-op: the batch is one request to the client.
-func (c *srvConn) handleWireBatch(id, span uint64, p []byte, arrival int64) {
-	ops, err := proto.DecodeBatch(p, nil)
-	if err != nil {
-		c.s.badFrames.Add(1)
-		c.sendStatus(id, proto.StatusBadRequest, err.Error())
-		return
+func appendResponse(buf []byte, b *patree.Batch, r *request, ops []patree.BatchOp, base int) []byte {
+	lo := r.lo - base
+	if r.kind != proto.KindBatch {
+		return proto.AppendResponse(buf, r.id, ops[lo].Kind, result(b, lo))
 	}
-	b := c.s.store.NewBatch()
-	for _, op := range ops {
-		op.Span = span
-		b.Stage(op)
-	}
-	if err := b.TryCommit(); err != nil {
-		status := proto.StatusOf(err)
-		if status == proto.StatusBusy {
-			c.s.busy.Add(1)
-			c.s.met.recordLatency(proto.KindBatch, status, time.Duration(c.s.now()-arrival))
-			if span != 0 && c.s.tr != nil {
-				c.s.tr.Emit(stBusy, uint16(proto.KindBatch), span, 1, c.s.now(), trace.Instant)
-			}
-		}
-		b.Release()
-		c.sendStatus(id, status, "")
-		return
-	}
-	admitted := c.s.now()
-	if span != 0 && c.s.tr != nil {
-		c.s.tr.Emit(stAdmit, uint16(proto.KindBatch), span, 1, arrival, admitted-arrival)
-	}
-	c.s.wireBatches.Add(1)
-	c.s.batchOps.Add(uint64(len(ops)))
-	c.sem <- struct{}{}
-	c.wg.Add(1)
-	go c.dispatchWireBatch(b, id, span, ops, arrival, admitted)
-}
-
-// dispatchWireBatch waits out an admitted wire batch and sends its one
-// aggregated response: per-op status, flags and payload.
-func (c *srvConn) dispatchWireBatch(b *patree.Batch, id, span uint64, ops []patree.BatchOp, arrival, admitted int64) {
-	defer func() {
-		b.Release()
-		<-c.sem
-		c.wg.Done()
-	}()
-	buf := respBufPool.Get().([]byte)[:0]
-	t0 := c.s.now()
-	b.Wait() // park on this shallow frame, not under the encoder (see appendResponse)
-	buf = proto.AppendBatchResponse(buf, id, ops, func(i int) patree.Result { return result(b, i) })
-	done := c.s.now()
-	d := time.Duration(done - arrival)
-	c.s.met.recordOp(proto.KindBatch, proto.StatusOK, d)
-	if span != 0 && c.s.tr != nil {
-		c.s.tr.Emit(stRespond, uint16(proto.KindBatch), span, id, t0, done-t0)
-	}
-	if slow := c.s.opts.SlowOp; slow > 0 && d > slow {
-		c.s.slowOp(id, span, proto.KindBatch, proto.StatusOK, 1, arrival, arrival, admitted, done)
-	}
-	c.send(buf)
+	return proto.AppendBatchResponse(buf, r.id, ops[lo:r.hi-base], func(i int) patree.Result { return result(b, lo+i) })
 }
 
 // sendStatus enqueues a bare status response (and counts it).

@@ -697,3 +697,162 @@ func TestMalformedFrames(t *testing.T) {
 }
 
 var _ io.Reader = (*net.TCPConn)(nil) // keep io imported alongside net
+
+// TestNonTryBatchOutgrowsRing: a non-try wire batch larger than a
+// shard's admission ring commits, as the same batch does embedded, and
+// every write reads back. A server that admitted wire batches only whole
+// refused it with StatusBusy forever, which the deadline bounds.
+func TestNonTryBatchOutgrowsRing(t *testing.T) {
+	for _, tc := range []struct{ shards, puts int }{{1, 100}, {2, 200}} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			addr, srv, stop := startServer(t, patree.Options{Shards: tc.shards, InboxDepth: 64}, server.Options{})
+			defer stop()
+			c, err := client.Dial(addr, client.Options{})
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer c.Close() // first: a refused batch's retransmits end with the connection
+			b := c.NewBatch()
+			for k := 1; k <= tc.puts; k++ {
+				b.Put(uint64(k), []byte(fmt.Sprintf("v%d", k)))
+			}
+			done := make(chan error, 1)
+			go func() {
+				if err := b.Commit(); err != nil {
+					done <- err
+					return
+				}
+				done <- b.Wait()
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("batch of %d puts: %v", tc.puts, err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("batch of %d puts over a 64-slot ring not committed after 20 s (server busy count %d)", tc.puts, srv.Stats().Busy)
+			}
+			b.Release()
+			pairs, err := c.Scan(0, ^uint64(0), 0)
+			if err != nil || len(pairs) != tc.puts {
+				t.Fatalf("scan after the batch: %d pairs, %v; want %d", len(pairs), err, tc.puts)
+			}
+			for _, kv := range pairs {
+				if want := fmt.Sprintf("v%d", kv.Key); string(kv.Value) != want {
+					t.Fatalf("key %d = %q, want %q", kv.Key, kv.Value, want)
+				}
+			}
+			if st := srv.Stats(); st.WireBatches != 1 || st.BatchOps != uint64(tc.puts) {
+				t.Fatalf("server admitted %d wire batches of %d ops, want 1 of %d", st.WireBatches, st.BatchOps, tc.puts)
+			}
+		})
+	}
+}
+
+// TestPipelinedOrderAcrossBatches pins per-connection order between
+// singles and wire batches, which share one admission path: a single
+// Put pipelined before a batch Get of the same key is seen by it, and so
+// is a batch Put by a single Get pipelined after it.
+func TestPipelinedOrderAcrossBatches(t *testing.T) {
+	addr, _, stop := startServer(t, patree.Options{Shards: 2}, server.Options{})
+	defer stop()
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	for k := uint64(1); k <= 200; k++ {
+		v1, v2 := []byte(fmt.Sprintf("single%d", k)), []byte(fmt.Sprintf("batch%d", k))
+		put, err := c.PutAsync(k, v1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := c.NewBatch()
+		gi := b.Get(k)
+		b.Put(k+1000, v2)
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		get, err := c.GetAsync(k + 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := put.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := b.Value(gi), b.Err(gi); err != nil || !bytes.Equal(v, v1) {
+			t.Fatalf("batch get(%d) after a pipelined put = %q, %v; want %q", k, v, err, v1)
+		}
+		if v, err := get.Value(), get.Err(); err != nil || !bytes.Equal(v, v2) {
+			t.Fatalf("get(%d) after a pipelined batch put = %q, %v; want %q", k+1000, v, err, v2)
+		}
+		put.Release()
+		get.Release()
+		b.Release()
+	}
+}
+
+// TestOversizeFrames: a result or a request larger than proto.MaxFrame
+// fails alone and the connection survives. The server answers an
+// over-limit scan StatusInternal for that request id; the client refuses
+// to send an over-limit request and returns an error from the call.
+// Either frame on the wire lost the whole connection before.
+func TestOversizeFrames(t *testing.T) {
+	addr, db, _, stop := startTracedServer(t, patree.Options{}, server.Options{})
+	defer stop()
+	val := bytes.Repeat([]byte("v"), 200)
+	const n = 90000 // 90 000 pairs of 212 bytes encode to over 16 MiB
+	for k := 0; k < n; k += 1000 {
+		b := db.NewBatch()
+		for i := k; i < k+1000; i++ {
+			b.Put(uint64(i+1), val)
+		}
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+	}
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	alive := func(what string) {
+		t.Helper()
+		if pairs, err := c.Scan(1, 10, 0); err != nil || len(pairs) != 10 {
+			t.Fatalf("scan after %s: %d pairs, %v", what, len(pairs), err)
+		}
+	}
+
+	if pairs, err := c.Scan(0, ^uint64(0), 0); err == nil || errors.Is(err, patree.ErrBatchAborted) {
+		t.Fatalf("scan of %d pairs over the wire: %d pairs, %v; want the request refused alone", n, len(pairs), err)
+	}
+	alive("an over-limit result")
+	b := c.NewBatch()
+	for k := uint64(1); k <= 4; k++ {
+		b.Scan(0, ^uint64(0), 0)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Wait(); err == nil || errors.Is(err, patree.ErrBatchAborted) {
+		t.Fatalf("batch of four full scans: %v, want its response refused alone", err)
+	}
+	b.Release()
+	alive("an over-limit batch result")
+
+	huge := make([]byte, proto.MaxFrame)
+	if err := c.Put(1, huge); !errors.Is(err, proto.ErrFrameTooLarge) {
+		t.Fatalf("put of a %d-byte value: %v, want %v", len(huge), err, proto.ErrFrameTooLarge)
+	}
+	b = c.NewBatch()
+	b.Put(1, huge)
+	if err := b.Commit(); !errors.Is(err, proto.ErrFrameTooLarge) {
+		t.Fatalf("batch put of a %d-byte value: %v, want %v", len(huge), err, proto.ErrFrameTooLarge)
+	}
+	b.Release()
+	alive("an over-limit request")
+}

@@ -101,6 +101,101 @@ func TestOpenRefusesMalformedRoot(t *testing.T) {
 	}
 }
 
+// TestScanRefusesCyclicLeafChain: a leaf chain that loops passes every
+// page's own check and recovery, whose walk follows child pointers only.
+// A scan over it fails alone with ErrCorruptPage, the tree keeps serving,
+// and Close returns. Before the scan checked its right steps, the
+// unlimited scan ran forever and Close waited on it; the deadline bounds
+// that.
+func TestScanRefusesCyclicLeafChain(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		relink func(leaves []*storage.Node)
+	}{
+		{"self", func(l []*storage.Node) { l[0].Next = l[0].ID }},
+		{"back", func(l []*storage.Node) { l[len(l)-1].Next = l[0].ID }},
+		{"empty", func(l []*storage.Node) {
+			for _, n := range l[:2] {
+				n.Keys, n.Vals = nil, nil
+			}
+			l[1].Next = l[0].ID
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ram := loadedRAM(t, 200)
+			leaves := leafChain(t, ram)
+			if len(leaves) < 3 {
+				t.Fatalf("%d leaves, want at least 3", len(leaves))
+			}
+			c.relink(leaves)
+			for _, n := range leaves[:2] {
+				ram.WriteAt(uint64(n.ID), n.Encode())
+			}
+			ram.WriteAt(uint64(leaves[len(leaves)-1].ID), leaves[len(leaves)-1].Encode())
+			done := make(chan error, 1)
+			go func() {
+				db, err := Open(Options{Device: ram})
+				if err != nil {
+					done <- fmt.Errorf("open: %w", err)
+					return
+				}
+				for _, limit := range []int{5000, 0} {
+					if pairs, err := db.Scan(0, ^uint64(0), limit); !errors.Is(err, storage.ErrCorruptPage) {
+						err = fmt.Errorf("scan limit %d: %d pairs, err %v, want %v", limit, len(pairs), err, storage.ErrCorruptPage)
+						db.Close()
+						done <- err
+						return
+					}
+				}
+				if v, found, err := db.Get(200); err != nil || !found || string(v) != "value-000200" {
+					err = fmt.Errorf("get after the refused scans: %q %v %v", v, found, err)
+					db.Close()
+					done <- err
+					return
+				}
+				done <- db.Close()
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("scan over a cyclic leaf chain, or Close after it, still running after 30 s")
+			}
+		})
+	}
+}
+
+// leafChain decodes the leaves of the tree on dev from left to right.
+func leafChain(t *testing.T, dev *nvme.RAMDevice) []*storage.Node {
+	t.Helper()
+	buf := make([]byte, storage.PageSize)
+	read := func(id storage.PageID) *storage.Node {
+		dev.ReadAt(uint64(id), buf)
+		n, err := storage.DecodeNode(id, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	dev.ReadAt(0, buf)
+	meta, err := storage.DecodeMeta(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := read(meta.Root)
+	for !n.IsLeaf() {
+		n = read(n.Children[0])
+	}
+	leaves := []*storage.Node{n}
+	for n.Next != storage.NilPage {
+		n = read(n.Next)
+		leaves = append(leaves, n)
+	}
+	return leaves
+}
+
 // flakyMeta fails the first reads of LBA 0 with a transient status, as a
 // device with a marginal block (or a congested fabric) would.
 type flakyMeta struct {
