@@ -7,7 +7,7 @@ import (
 )
 
 // Cache is a shared page cache for the multi-threaded baselines. The
-// underlying buffer is the segmented LRU PA-Tree uses (internal/buffer),
+// underlying buffer is the W-TinyLFU one PA-Tree uses (internal/buffer),
 // so every tree compared runs one replacement policy. It is wrapped for
 // use by many simulated threads: write-back of evicted dirty pages happens
 // synchronously on the evicting thread (the baselines' sync paradigm),

@@ -83,115 +83,149 @@ func cached(b interface{ Contains(storage.PageID) bool }, ids ...int) []int {
 	return out
 }
 
-// TestReadOnlyLRUEviction pins the segmented eviction order: probation
-// tail first, even when a protected page is older; a protected page
-// overflowing its segment is demoted to the probation head, and leaves
-// from there.
-func TestReadOnlyLRUEviction(t *testing.T) {
-	b := New(3) // protected holds 2
-	b.FillOnRead(pid(1), []byte("1"))
-	b.Get(pid(1)) // second reference: 1 is protected
-	b.FillOnRead(pid(2), []byte("2"))
-	b.FillOnRead(pid(3), []byte("3"))
-	b.FillOnRead(pid(4), []byte("4")) // evicts 2, not the older 1
-	if got := fmt.Sprint(cached(b, 1, 2, 3, 4)); got != "[1 3 4]" {
-		t.Fatalf("after filling 4: cached %s, want [1 3 4]", got)
-	}
-	b.Get(pid(4)) // protected: 4, 1
-	b.Get(pid(3)) // protected: 3, 4; 1 is demoted to the probation head
-	b.FillOnRead(pid(5), []byte("5"))
-	if got := fmt.Sprint(cached(b, 1, 3, 4, 5)); got != "[3 4 5]" {
-		t.Fatalf("after filling 5: cached %s, want [3 4 5]", got)
-	}
-	if st := b.Stats(); st.Evictions != 2 || st.Hits != 3 || st.Misses != 0 {
-		t.Fatalf("stats = %+v, want 2 evictions, 3 hits, 0 misses", st)
+// touch looks id up and fills it on a miss, as the tree does: one
+// reference, counted by the sketch.
+func touch(b *Buffer, id int) {
+	if _, ok := b.Get(pid(id)); !ok {
+		b.FillOnRead(pid(id), []byte{byte(id)})
 	}
 }
 
-// A stream of pages touched once (a cold scan, a run of point misses)
-// cannot evict a page that was referenced twice.
+// TestReadOnlyLRUEviction pins the eviction order at capacity 3: a
+// one-page window in front of a two-page main whose protected segment
+// holds one. A new page enters the window and pushes the window's tail
+// out as the candidate. While main has room the candidate enters it;
+// once main is full, the candidate replaces main's probation tail only
+// if it was looked up more often, and is otherwise the page evicted.
+// A hit in probation promotes; protected overflow demotes its tail to
+// the probation head.
+func TestReadOnlyLRUEviction(t *testing.T) {
+	b := New(3)
+	touch(b, 1)
+	touch(b, 2)
+	touch(b, 3) // window: 3; probation: 2, 1
+	touch(b, 4) // candidate 3 (1 lookup) is no more popular than victim 1
+	if got := fmt.Sprint(cached(b, 1, 2, 3, 4)); got != "[1 2 4]" {
+		t.Fatalf("after 4: cached %s, want [1 2 4]", got)
+	}
+	touch(b, 3) // 3's second lookup: candidate 4 is refused
+	touch(b, 5) // candidate 3 (2 lookups) evicts victim 1 (1 lookup)
+	if got := fmt.Sprint(cached(b, 1, 2, 3, 4, 5)); got != "[2 3 5]" {
+		t.Fatalf("after 5: cached %s, want [2 3 5]", got)
+	}
+	b.Get(pid(2)) // protected: 2
+	b.Get(pid(3)) // protected: 3; 2 is demoted to the probation head
+	if got := fmt.Sprint(b.l.segs[probation].next.id, b.l.segs[protected].next.id); got != "2 3" {
+		t.Fatalf("probation head, protected head = %s, want 2 3", got)
+	}
+	st := b.Stats()
+	if st.Evictions != 3 || st.AdmissionRejects != 2 || st.Hits != 2 || st.Misses != 6 {
+		t.Fatalf("stats = %+v, want 3 evictions (2 refused candidates), 2 hits, 6 misses", st)
+	}
+}
+
+// A page looked up twice, by its miss and by a hit in main, is
+// protected: no stream of pages looked up once (a cold scan, a run of
+// point misses) can evict it, and neither can a stream of writes, which
+// are no references at all.
 func TestSingleTouchFillsKeepProtectedPage(t *testing.T) {
-	b := New(10)
-	b.FillOnRead(pid(1), []byte("hot"))
+	const capacity = 10
+	b := New(capacity)
+	touch(b, 1)
+	touch(b, 2) // pushes 1 from the window into main
 	b.Get(pid(1))
-	for id := 100; id < 200; id++ {
-		b.Get(pid(id)) // the lookup that misses is the page's one reference
-		b.FillOnRead(pid(id), []byte("cold"))
+	for id := 100; id < 100+100*capacity; id++ {
+		touch(b, id)
 		if !b.Contains(pid(1)) {
-			t.Fatalf("page referenced twice evicted by single-touch fill %d", id)
+			t.Fatalf("page looked up twice evicted by single-touch fill %d", id)
 		}
 	}
-	for id := 100; id < 200; id += 3 {
-		b.Write(pid(id), []byte("w")) // writes: no reference either
-	}
-	if !b.Contains(pid(1)) {
-		t.Fatal("page referenced twice evicted by writes")
+	for id := 5000; id < 5000+10*capacity; id++ {
+		b.Write(pid(id), []byte("w"))
+		if !b.Contains(pid(1)) {
+			t.Fatalf("page looked up twice evicted by write %d", id)
+		}
 	}
 }
 
 // Write and a write-through refill (FillOnRead after a write completed)
 // update a cached page in place: the op that writes a page has already
-// looked it up, so the write is not a second reference.
+// looked it up, so the write is not a second reference. It neither moves
+// the page nor counts in the sketch.
 func TestWriteDoesNotPromote(t *testing.T) {
-	wt := New(2) // protected holds 1
-	wt.FillOnRead(pid(1), []byte("1"))
-	wt.FillOnRead(pid(2), []byte("2"))
-	wt.FillOnRead(pid(1), []byte("1'"))
-	wt.FillOnRead(pid(3), []byte("3"))
-	if got := fmt.Sprint(cached(wt, 1, 2, 3)); got != "[2 3]" {
-		t.Fatalf("write-through: cached %s, want [2 3]: the refill promoted or refreshed 1", got)
-	}
-
-	rw := New(2)
-	rw.FillOnRead(pid(1), []byte("1"))
-	rw.FillOnRead(pid(2), []byte("2"))
-	rw.Write(pid(1), []byte("1'"))
-	victim, ev := rw.FillOnRead(pid(3), []byte("3"))
-	if !ev || victim.ID != pid(1) || string(victim.Data) != "1'" {
-		t.Fatalf("read-write: victim = %+v, %v; want the written page 1", victim, ev)
-	}
-	if st := rw.Stats(); st.Evictions != 1 || st.DirtyEvictions != 1 {
-		t.Fatalf("stats = %+v, want 1 eviction, dirty", st)
+	for _, write := range []func(*Buffer, storage.PageID, []byte) (Dirty, bool){
+		(*Buffer).FillOnRead, (*Buffer).Write,
+	} {
+		b := New(3)
+		touch(b, 1)
+		touch(b, 2)
+		touch(b, 3) // window: 3; probation: 2, 1
+		for range 5 {
+			write(b, pid(1), []byte("1'"))
+		}
+		touch(b, 3) // 3's second lookup
+		// Candidate 3 (2 lookups) evicts 1 (1 lookup): had the writes
+		// refreshed 1, the victim would be 2; had they counted, 1 would
+		// outrank 3.
+		victim, ev := b.FillOnRead(pid(4), []byte("4"))
+		if got := fmt.Sprint(cached(b, 1, 2, 3, 4)); got != "[2 3 4]" {
+			t.Fatalf("cached %s, want [2 3 4]: a write promoted, refreshed or counted page 1", got)
+		}
+		if dirty := b.Stats().DirtyEvictions == 1; ev != dirty || dirty && (victim.ID != pid(1) || string(victim.Data) != "1'") {
+			t.Fatalf("victim = %+v, %v; stats %+v", victim, ev, b.Stats())
+		}
 	}
 }
 
-// A read-ahead fill is not a reference: the first hit on a prefetched
-// page leaves it in probation, and only the second promotes it.
+// A read-ahead fill is not a reference, and the filter never refuses a
+// prefetched page no lookup has touched: its scan has not reached it.
+// Its first hit is its first reference, so it does not promote; only
+// the second does.
 func TestPrefetchFirstHitStaysInProbation(t *testing.T) {
-	b := New(3) // protected holds 2
-	b.FillOnPrefetch(pid(1), []byte("1"))
-	b.Get(pid(1)) // first reference
-	b.FillOnRead(pid(2), []byte("2"))
-	b.FillOnRead(pid(3), []byte("3"))
-	b.FillOnRead(pid(4), []byte("4"))
-	if b.Contains(pid(1)) {
-		t.Fatal("prefetched page promoted by its first hit")
+	b := New(3)
+	touch(b, 1)
+	touch(b, 1)
+	touch(b, 2)
+	touch(b, 2) // window: 2; probation: 1, both looked up twice
+	b.FillOnRead(pid(8), []byte("8"))
+	touch(b, 3) // candidate 8, never looked up, is refused
+	b.FillOnPrefetch(pid(9), []byte("9"))
+	touch(b, 4) // candidate 9, never looked up either, is admitted
+	if got := fmt.Sprint(cached(b, 1, 2, 3, 4, 8, 9)); got != "[2 4 9]" {
+		t.Fatalf("cached %s, want [2 4 9]: the untouched prefetched page was refused", got)
 	}
-
-	b.FillOnPrefetch(pid(1), []byte("1"))
-	b.Get(pid(1))
-	b.Get(pid(1)) // second reference: protected
-	for id := 5; id < 10; id++ {
-		b.FillOnRead(pid(id), []byte("x"))
+	b.Get(pid(9)) // first reference: 9 stays in probation
+	if e := b.l.peek(pid(9)); e.seg != probation {
+		t.Fatalf("prefetched page in segment %d after its first hit, want probation", e.seg)
 	}
-	if !b.Contains(pid(1)) {
-		t.Fatal("prefetched page referenced twice was not protected")
+	b.Get(pid(9)) // second reference: protected
+	for id := 10; id < 100; id++ {
+		touch(b, id)
+	}
+	if !b.Contains(pid(9)) {
+		t.Fatal("prefetched page looked up twice was not protected")
 	}
 }
 
-// Contains neither counts a lookup nor refreshes the page.
+// Contains and DirtyImage touch neither recency nor the sketch, and
+// count no lookup.
 func TestContainsHasNoSideEffects(t *testing.T) {
-	b := New(2)
-	b.FillOnRead(pid(1), []byte("1"))
-	b.FillOnRead(pid(2), []byte("2"))
-	if !b.Contains(pid(1)) || b.Contains(pid(9)) {
-		t.Fatal("Contains wrong")
+	b := New(3)
+	touch(b, 1)
+	touch(b, 2)
+	touch(b, 3) // window: 3; probation: 2, 1
+	for range 5 {
+		if !b.Contains(pid(1)) || b.Contains(pid(9)) {
+			t.Fatal("Contains wrong")
+		}
+		b.DirtyImage(pid(1))
 	}
-	b.FillOnRead(pid(3), []byte("3"))
-	if b.Contains(pid(1)) {
-		t.Fatal("Contains refreshed page 1")
+	touch(b, 3)
+	touch(b, 4) // candidate 3 (2 lookups) evicts victim 1 (1 lookup)
+	if got := fmt.Sprint(cached(b, 1, 2, 3, 4)); got != "[2 3 4]" {
+		t.Fatalf("cached %s, want [2 3 4]: Contains refreshed or counted page 1", got)
 	}
-	if st := b.Stats(); st.Hits != 0 || st.Misses != 0 {
+	if st := b.Stats(); st.Hits != 1 || st.Misses != 4 {
 		t.Fatalf("Contains counted lookups: %+v", st)
 	}
 }
@@ -204,6 +238,9 @@ func TestReadOnlyZeroCapacityDisabled(t *testing.T) {
 	}
 	if _, ok := b.Get(pid(1)); ok {
 		t.Fatal("zero-capacity buffer hit")
+	}
+	if b.l.sketch != nil {
+		t.Fatal("zero-capacity buffer allocated a sketch")
 	}
 }
 
@@ -273,19 +310,57 @@ func TestReadWriteWriteMergeCounting(t *testing.T) {
 	}
 }
 
+// The filter never refuses a dirty candidate: write-backs stay what the
+// writes make them. A dirty victim is handed back; a clean one is not.
 func TestReadWriteEvictionReturnsDirtyVictim(t *testing.T) {
-	b := New(2)
+	b := New(3)
 	b.Write(pid(1), []byte("1"))
-	b.FillOnRead(pid(2), []byte("2"))
-	// Insert a third page; LRU victim is dirty page 1.
-	victim, ev := b.FillOnRead(pid(3), []byte("3"))
+	touch(b, 2)
+	touch(b, 2)
+	touch(b, 3)
+	touch(b, 3) // window: 3; probation: 2, 1
+	// Candidate 3 (2 lookups) evicts dirty page 1 (none).
+	victim, ev := b.Write(pid(4), []byte("4"))
 	if !ev || victim.ID != pid(1) || string(victim.Data) != "1" {
 		t.Fatalf("victim = %+v, %v", victim, ev)
 	}
-	// Clean victims are not surfaced.
-	_, ev = b.Write(pid(4), []byte("4")) // evicts clean page 2
-	if ev {
+	// Dirty candidate 4, never looked up, is admitted over clean page 2.
+	if _, ev := b.Write(pid(5), []byte("5")); ev {
 		t.Fatal("clean victim surfaced as dirty")
+	}
+	if got := fmt.Sprint(cached(b, 2, 3, 4, 5)); got != "[3 4 5]" {
+		t.Fatalf("cached %s, want [3 4 5]: the dirty candidate was refused", got)
+	}
+	if st := b.Stats(); st.Evictions != 2 || st.DirtyEvictions != 1 || st.AdmissionRejects != 0 {
+		t.Fatalf("stats = %+v, want 2 evictions, 1 dirty, none refused", st)
+	}
+}
+
+// Two buffers fed the same calls evict the same pages: the sketch's hash
+// is fixed, so a simulated schedule replays bit for bit.
+func TestSameCallsSameEvictions(t *testing.T) {
+	order := func(b *Buffer) string {
+		var ids []storage.PageID
+		b.l.coldestFirst(func(e *entry) { ids = append(ids, e.id) })
+		return fmt.Sprint(ids, b.Stats())
+	}
+	r := &splitmix{s: 7}
+	x, y := New(32), New(32)
+	for i := range 20_000 {
+		id, val := pid(int(r.next()%200)), []byte{byte(i)}
+		for _, b := range []*Buffer{x, y} {
+			switch i % 4 {
+			case 0:
+				b.Write(id, val)
+			case 1:
+				b.FillOnPrefetch(id, val)
+			default:
+				touch(b, int(id))
+			}
+		}
+		if order(x) != order(y) {
+			t.Fatalf("call %d: %s\nvs %s", i, order(x), order(y))
+		}
 	}
 }
 
@@ -312,21 +387,20 @@ func TestDirtyPagesColdestFirst(t *testing.T) {
 	}
 }
 
-// segmentsIntact reports whether l's two lists hold exactly its indexed
-// pages, each once, the protected one as many as it counts and no more
-// than its share.
+// segmentsIntact reports whether l's three lists hold exactly its indexed
+// pages, each once, the window and the protected one as many as they
+// count and no more than their shares.
 func segmentsIntact(l *slru) bool {
-	seen, prot := map[storage.PageID]bool{}, 0
+	seen, n := map[storage.PageID]bool{}, [3]int{}
 	ok := true
 	l.coldestFirst(func(e *entry) {
 		got, _ := l.m.Get(e.id)
 		ok = ok && !seen[e.id] && got == e
 		seen[e.id] = true
-		if e.seg == protected {
-			prot++
-		}
+		n[e.seg]++
 	})
-	return ok && len(seen) == l.m.Len() && prot == l.nProtected && prot <= l.protCap
+	return ok && len(seen) == l.m.Len() && n[window] == l.nWindow && n[window] <= l.winCap &&
+		n[protected] == l.nProtected && n[protected] <= l.protCap
 }
 
 // Property: cache never exceeds capacity, its segments stay intact, and a

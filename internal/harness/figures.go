@@ -178,12 +178,22 @@ func RunSchemes(scale Scale, updatePcts []int) []SchemeRows {
 	return out
 }
 
+// perOp returns v, a rate or a mean over s's operations, or "—" if s
+// completed none: its window measured nothing, which is not a zero.
+func perOp(s RunStats, v float64) any {
+	if s.Ops == 0 {
+		return "—"
+	}
+	return v
+}
+
 // Fig7 renders throughput vs threads.
 func Fig7(rows []SchemeRows, scale Scale) Report {
 	tb := metrics.NewTable("workload", "threads", "PA-Tree (Kops/s)", "shared (Kops/s)", "dedicated (Kops/s)")
+	kops := func(s RunStats) any { return perOp(s, s.Throughput/1e3) }
 	for _, r := range rows {
 		for _, n := range scale.Threads {
-			tb.AddRow(r.Workload, n, r.PA.Throughput/1e3, r.Shared[n].Throughput/1e3, r.Dedic[n].Throughput/1e3)
+			tb.AddRow(r.Workload, n, kops(r.PA), kops(r.Shared[n]), kops(r.Dedic[n]))
 		}
 	}
 	return Report{ID: "fig7", Title: "Index throughput vs #threads (PA-Tree uses 1 thread)", Table: tb,
@@ -193,12 +203,10 @@ func Fig7(rows []SchemeRows, scale Scale) Report {
 // Fig8 renders latency vs threads.
 func Fig8(rows []SchemeRows, scale Scale) Report {
 	tb := metrics.NewTable("workload", "threads", "PA-Tree (us)", "shared (us)", "dedicated (us)")
+	us := func(s RunStats) any { return perOp(s, float64(s.MeanLatency)/1e3) }
 	for _, r := range rows {
 		for _, n := range scale.Threads {
-			tb.AddRow(r.Workload, n,
-				float64(r.PA.MeanLatency)/1e3,
-				float64(r.Shared[n].MeanLatency)/1e3,
-				float64(r.Dedic[n].MeanLatency)/1e3)
+			tb.AddRow(r.Workload, n, us(r.PA), us(r.Shared[n]), us(r.Dedic[n]))
 		}
 	}
 	return Report{ID: "fig8", Title: "Operation latency vs #threads", Table: tb,
@@ -290,12 +298,10 @@ func Fig11(scale Scale) Report {
 		return RunPATree(PAConfig{Scale: scale, MkTree: func() core.Config { return cfg },
 			Gen: defaultGen(scale, 10, 0.3)})
 	}
-	s := run(core.PollerInline)
-	tb.AddRow("PA-Tree", s.Throughput/1e3, s.CPU)
-	s = run(core.PollerDedicatedSpin)
-	tb.AddRow("PAD-Tree", s.Throughput/1e3, s.CPU)
-	s = run(core.PollerDedicatedModel)
-	tb.AddRow("PAD+-Tree", s.Throughput/1e3, s.CPU)
+	add := func(name string, s RunStats) { tb.AddRow(name, perOp(s, s.Throughput/1e3), s.CPU) }
+	add("PA-Tree", run(core.PollerInline))
+	add("PAD-Tree", run(core.PollerDedicatedSpin))
+	add("PAD+-Tree", run(core.PollerDedicatedModel))
 	return Report{ID: "fig11", Title: "Workload-aware vs dedicated polling", Table: tb,
 		Notes: "PAD-Tree is much worse despite higher CPU (spin-probing interferes with the device); PAD+-Tree has similar CPU to PA-Tree but slightly lower throughput (cross-thread handoff)"}
 }

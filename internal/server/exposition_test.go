@@ -239,6 +239,7 @@ func TestAdminMetricsExposition(t *testing.T) {
 		"patree_journal_write_commands_total":          "counter",
 		`patree_buffer_evictions_total{state="clean"}`: "counter",
 		`patree_buffer_evictions_total{state="dirty"}`: "counter",
+		"patree_buffer_admission_rejects_total":        "counter",
 	}
 	for s, typ := range parentSeries {
 		want[s] = typ

@@ -92,7 +92,8 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 // TestBufferEvictionsByState checks that a buffer smaller than the
 // working set reports its evictions split by page state: writes into it
 // push out dirty pages (each a write-back), and a read sweep after a
-// Sync pushes out clean ones.
+// Sync pushes out clean ones, some of them new pages the frequency
+// filter refused.
 func TestBufferEvictionsByState(t *testing.T) {
 	db := openTest(t, Options{BufferPages: 8, Journal: true})
 	for i := uint64(0); i < 2048; i++ {
@@ -117,6 +118,10 @@ func TestBufferEvictionsByState(t *testing.T) {
 	if m.EvictionsClean <= before.EvictionsClean || m.EvictionsDirty != before.EvictionsDirty {
 		t.Fatalf("read sweep after Sync: clean evictions %d -> %d, dirty %d -> %d; want only clean ones to grow",
 			before.EvictionsClean, m.EvictionsClean, before.EvictionsDirty, m.EvictionsDirty)
+	}
+	if m.AdmissionRejects <= before.AdmissionRejects || m.AdmissionRejects > m.EvictionsClean {
+		t.Fatalf("read sweep after Sync: admission rejects %d -> %d of %d clean evictions; want some, all clean",
+			before.AdmissionRejects, m.AdmissionRejects, m.EvictionsClean)
 	}
 }
 

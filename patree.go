@@ -171,6 +171,10 @@ type Stats struct {
 	// make room, by state: a dirty eviction queues a write-back.
 	EvictionsClean uint64 `metric:"patree_buffer_evictions_total{state=clean} counter sum" help:"Pages evicted from the page buffer, by state (a dirty one is written back)."`
 	EvictionsDirty uint64 `metric:"patree_buffer_evictions_total{state=dirty} counter sum"`
+	// AdmissionRejects counts the clean evictions of a new page the
+	// buffer's frequency filter refused: it was looked up no more often
+	// than the page it would have displaced.
+	AdmissionRejects uint64 `metric:"patree_buffer_admission_rejects_total counter sum" help:"New pages the page buffer evicted instead of admitting, being looked up no more often than its victim."`
 	// Shards is the number of independent workers backing this DB (1 for
 	// the classic single-worker tree) and Devices the number of block
 	// devices they are spread over (1 unless Options.Devices named more).
@@ -536,12 +540,13 @@ func (s *shard) statsSnapshot() (Stats, bufferCounts) {
 	st := s.tree.StatsSnapshot()
 	bs := s.tree.BufferStats()
 	return Stats{
-		Ops:            st.TotalOps(),
-		NumKeys:        s.tree.NumKeys(),
-		Height:         s.tree.Height(),
-		Counters:       st.Counters,
-		EvictionsClean: bs.Evictions - bs.DirtyEvictions,
-		EvictionsDirty: bs.DirtyEvictions,
+		Ops:              st.TotalOps(),
+		NumKeys:          s.tree.NumKeys(),
+		Height:           s.tree.Height(),
+		Counters:         st.Counters,
+		EvictionsClean:   bs.Evictions - bs.DirtyEvictions,
+		EvictionsDirty:   bs.DirtyEvictions,
+		AdmissionRejects: bs.AdmissionRejects,
 	}, bufferCounts{hits: bs.Hits, misses: bs.Misses}
 }
 
