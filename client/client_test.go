@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,8 +48,9 @@ func TestBackoffBounds(t *testing.T) {
 // from its admission ring.
 type heldDevice struct {
 	nvme.Device
-	gate sync.RWMutex // write-held while held
-	held bool         // touched only by the test goroutine
+	gate    sync.RWMutex // write-held while held
+	held    bool         // touched only by the test goroutine
+	waiting atomic.Int32 // Submits at the gate
 }
 
 func (d *heldDevice) hold() { d.gate.Lock(); d.held = true }
@@ -71,7 +73,9 @@ type heldQP struct {
 }
 
 func (q *heldQP) Submit(cmd *nvme.Command) error {
+	q.dev.waiting.Add(1)
 	q.dev.gate.RLock()
+	q.dev.waiting.Add(-1)
 	q.dev.gate.RUnlock()
 	return q.QueuePair.Submit(cmd)
 }
@@ -121,7 +125,14 @@ func TestTryBatchBacklog(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
-	for deadline := time.Now().Add(30 * time.Second); srv.Stats().Busy == 0; time.Sleep(time.Millisecond) {
+	// A refusal proves the ring full only once the worker waits at the
+	// gate: before that it may still drain the ring into its ready set.
+	for deadline := time.Now().Add(30 * time.Second); dev.waiting.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never reached the held device")
+		}
+	}
+	for busy, deadline := srv.Stats().Busy, time.Now().Add(30*time.Second); srv.Stats().Busy == busy; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("server never refused with StatusBusy behind a held device")
 		}

@@ -3,6 +3,9 @@ package probe
 import (
 	"fmt"
 	"strings"
+	"time"
+
+	"github.com/patree/patree/internal/nvme"
 )
 
 // Model is the trained estimator (w0, r0) = T·β of equation (1): β is a
@@ -49,6 +52,24 @@ func (m *Model) Predict(T []float64) (w0, r0 float64) {
 		r0 = 0
 	}
 	return w0, r0
+}
+
+// MedianAge is the age by which a lone command of op's class has even
+// odds of having completed: the age where the class's own coefficients
+// (its slice rows of β, its column), summed from the youngest slice,
+// cross ½, interpolated within the slice that crosses. slice is one
+// slice's length; a class whose sum never reaches ½ gets the whole window.
+func (m *Model) MedianAge(op nvme.Opcode, slice time.Duration) time.Duration {
+	c := class(op)
+	sum := 0.0
+	for i, row := range m.beta[c*m.n : (c+1)*m.n] {
+		b := row[c]
+		if b > 0 && sum+b >= 0.5 {
+			return time.Duration((float64(i) + (0.5-sum)/b) * float64(slice))
+		}
+		sum += b
+	}
+	return time.Duration(m.n) * slice
 }
 
 // Beta returns the coefficient matrix (not a copy; treat as read-only).

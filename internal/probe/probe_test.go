@@ -211,6 +211,47 @@ func TestModelClampsNegative(t *testing.T) {
 	}
 }
 
+// TestModelMedianAge plants a β and checks each class's median age: the
+// crossing of ½ by its own cumulative coefficients, interpolated within
+// the slice, blind to the other class's rows and column and to a dip
+// below the running sum; a class that never reaches ½ gets the window.
+func TestModelMedianAge(t *testing.T) {
+	const slice = 50 * time.Microsecond
+	m, err := NewModel([][]float64{
+		// write slices (→w0, →r0): 0.1, 0.3, then 0.7 — ½ at 2.5 slices.
+		{0.1, 0.9}, {0.2, 0.9}, {0.4, 0}, {0.3, 0},
+		// read slices: 0.3, 0.2, then 0.6 — ½ at 2.75 slices.
+		{0.9, 0.3}, {0.9, -0.1}, {0, 0.4}, {0, 0.4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.MedianAge(nvme.OpWrite, slice), 125*time.Microsecond; got != want {
+		t.Errorf("write median age = %v, want %v", got, want)
+	}
+	if got, want := m.MedianAge(nvme.OpRead, slice), 137500*time.Nanosecond; got != want {
+		t.Errorf("read median age = %v, want %v", got, want)
+	}
+	short, _ := NewModel([][]float64{{0.2, 0}, {0.2, 0}, {0, 0.5}, {0, 0}})
+	if got, want := short.MedianAge(nvme.OpWrite, slice), 2*slice; got != want {
+		t.Errorf("write median age of a class summing to 0.4 = %v, want the window %v", got, want)
+	}
+	if got, want := short.MedianAge(nvme.OpRead, slice), slice; got != want {
+		t.Errorf("read median age = %v, want %v", got, want)
+	}
+	// The default model: 69.8 µs for a read (0.26 in the first slice,
+	// 0.61 in the second), 130.4 µs for a write.
+	d, _ := Default()
+	for _, c := range []struct {
+		op   nvme.Opcode
+		want time.Duration
+	}{{nvme.OpRead, 69_800 * time.Nanosecond}, {nvme.OpWrite, 130_400 * time.Nanosecond}} {
+		if got := d.MedianAge(c.op, DefaultWindow/DefaultSlices).Round(100 * time.Nanosecond); got != c.want {
+			t.Errorf("default model: %v median age = %v, want %v", c.op, got, c.want)
+		}
+	}
+}
+
 // TestTrainedModelQuality trains on the device model and checks the
 // estimator is actually informative: with a saturated queue it predicts
 // completions; with an empty device it predicts ~none.

@@ -219,6 +219,74 @@ func TestWorkloadYield(t *testing.T) {
 	}
 }
 
+// TestWorkloadIntegratesExpected pins the integrated gate: two reads
+// submitted at a slice boundary are expected at 0.52 per slice in their
+// first slice and 0.26 in their third, so the sum since the last probe
+// passes one at 149µs, where the current rate times the time since the
+// probe (0.76) does not; a probe, empty or not, starts the sum over.
+func TestWorkloadIntegratesExpected(t *testing.T) {
+	p := newWorkloadPolicy(t, 20*time.Microsecond)
+	now := sim.Time(10 * time.Millisecond)
+	p.OnProbe(now)
+	p.OnSubmit(nvme.OpRead, now)
+	p.OnSubmit(nvme.OpRead, now)
+	if p.ShouldProbe(now.Add(49*time.Microsecond), 2) {
+		t.Fatal("probed at 49µs with about half a completion expected")
+	}
+	if !p.ShouldProbe(now.Add(149*time.Microsecond), 2) {
+		t.Fatal("no probe at 149µs with more than one completion expected since the last")
+	}
+	p.OnProbe(now.Add(149 * time.Microsecond))
+	if p.ShouldProbe(now.Add(199*time.Microsecond), 2) {
+		t.Fatal("the sum survived an empty probe")
+	}
+	if got := p.Backstops(); got != 0 {
+		t.Fatalf("Backstops = %d, want 0", got)
+	}
+}
+
+// TestWorkloadLoneCommand pins the median-age rule: one command in
+// flight is probed for at its class's median age and every minInterval
+// after, and the worker sleeps until then, never spinning.
+func TestWorkloadLoneCommand(t *testing.T) {
+	m, err := probe.Default()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice := probe.DefaultWindow / probe.DefaultSlices
+	for _, op := range []nvme.Opcode{nvme.OpRead, nvme.OpWrite} {
+		p := NewWorkload(m, nil, 20*time.Microsecond)
+		now := sim.Time(10 * time.Millisecond)
+		p.OnProbe(now)
+		p.OnSubmit(op, now)
+		due := now.Add(m.MedianAge(op, slice))
+		before := due.Add(-5 * time.Microsecond)
+		if p.ShouldProbe(before, 1) {
+			t.Fatalf("%v: probed 5µs before the median age", op)
+		}
+		if got := p.YieldFor(before, 1); got != 5*time.Microsecond {
+			t.Fatalf("%v: yield 5µs before the median age = %v, want 5µs", op, got)
+		}
+		if got := p.YieldFor(now.Add(time.Microsecond), 1); got != 20*time.Microsecond {
+			t.Fatalf("%v: fresh command's yield = %v, want the 20µs granularity", op, got)
+		}
+		if !p.ShouldProbe(due, 1) {
+			t.Fatalf("%v: no probe at the median age", op)
+		}
+		p.OnProbe(due) // it finds nothing
+		later := due.Add(10 * time.Microsecond)
+		if p.ShouldProbe(later, 1) {
+			t.Fatalf("%v: probed 10µs after an empty probe", op)
+		}
+		if got := p.YieldFor(later, 1); got != 15*time.Microsecond {
+			t.Fatalf("%v: overdue yield = %v, want 15µs to the next allowed probe", op, got)
+		}
+		if !p.ShouldProbe(due.Add(25*time.Microsecond), 1) {
+			t.Fatalf("%v: no probe minInterval after the empty one", op)
+		}
+	}
+}
+
 // TestWorkloadIdleYieldIgnoresAdmission pins the idle rule: with nothing
 // in flight the worker yields the granularity, even right after a
 // submission and its completion; the policy sees no admission signal at
