@@ -16,33 +16,6 @@ import (
 	"github.com/patree/patree/internal/server"
 )
 
-// TestBackoffBounds: every retransmit delay lies in [backoffBase, hi],
-// where hi doubles per attempt until backoffMax caps it, including the
-// attempts whose shift would overflow.
-func TestBackoffBounds(t *testing.T) {
-	const us = time.Microsecond
-	for _, tc := range []struct {
-		from, to int
-		hi       time.Duration
-	}{
-		{1, 1, 200 * us},
-		{2, 2, 400 * us},
-		{3, 3, 800 * us},
-		{4, 4, 1600 * us},
-		{5, 5, 3200 * us},
-		{6, 6, 6400 * us},
-		{7, 70, 10 * time.Millisecond},
-	} {
-		for n := tc.from; n <= tc.to; n++ {
-			for i := 0; i < 1000; i++ {
-				if d := backoff(n); d < 100*us || d > tc.hi {
-					t.Fatalf("attempt %d: delay %v outside [100µs, %v]", n, d, tc.hi)
-				}
-			}
-		}
-	}
-}
-
 // heldDevice blocks every Submit while held. The working thread issues
 // its commands itself, so while one waits here the worker drains nothing
 // from its admission ring.
@@ -108,33 +81,54 @@ func serve(t *testing.T, dev nvme.Device) (*Conn, *server.Server, func()) {
 // TestTryBatchBacklog: a try batch against a full admission ring returns
 // ErrBacklog from TryCommit, as it does embedded. The server admitted
 // nothing of it, the batch stays staged, and the same batch commits on a
-// retry once the worker drains its ring.
+// retry once the worker drains its ring. The ring is filled from a
+// second connection: the singles of this one would hold its own reader
+// in Commit, and its try batch behind them.
 func TestTryBatchBacklog(t *testing.T) {
 	dev := &heldDevice{Device: nvme.NewRAMDevice(nvme.RAMConfig{NumBlocks: 1 << 16})}
 	c, srv, stop := serve(t, dev)
 	defer stop()
+	filler, err := Dial(c.c.RemoteAddr().String(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer filler.Close()
 	defer dev.release() // runs first: teardown must not wait on a held worker
 
 	// Fill the ring behind a worker held at its first write.
 	dev.hold()
 	var handles []*patree.Handle
 	for k := uint64(1); k <= 64; k++ {
-		h, err := c.PutAsync(k, []byte("single"))
+		h, err := filler.PutAsync(k, []byte("single"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		handles = append(handles, h)
 	}
-	// A refusal proves the ring full only once the worker waits at the
-	// gate: before that it may still drain the ring into its ready set.
+	// The ring is full only once the worker waits at the gate: before
+	// that it may still drain the ring into its ready set. Probe with
+	// one-op try batches until one is refused; a probe admitted before
+	// the ring filled commits later like any other write.
 	for deadline := time.Now().Add(30 * time.Second); dev.waiting.Load() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the worker never reached the held device")
 		}
 	}
-	for busy, deadline := srv.Stats().Busy, time.Now().Add(30*time.Second); srv.Stats().Busy == busy; time.Sleep(time.Millisecond) {
+	var probes []*patree.Batch
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		p := c.NewBatch()
+		p.Put(200+uint64(len(probes)), []byte("probe"))
+		err := p.TryCommit()
+		if errors.Is(err, patree.ErrBacklog) {
+			p.Release()
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes = append(probes, p)
 		if time.Now().After(deadline) {
-			t.Fatal("server never refused with StatusBusy behind a held device")
+			t.Fatal("no try batch refused behind a held device")
 		}
 	}
 
@@ -145,8 +139,8 @@ func TestTryBatchBacklog(t *testing.T) {
 	if err := b.TryCommit(); !errors.Is(err, patree.ErrBacklog) {
 		t.Fatalf("TryCommit against a full ring = %v, want ErrBacklog", err)
 	}
-	if st := srv.Stats(); st.WireBatches != 0 || st.BatchOps != 0 {
-		t.Fatalf("refused try batch: server admitted %d batches, %d ops", st.WireBatches, st.BatchOps)
+	if st := srv.Stats(); st.WireBatches != uint64(len(probes)) || st.BatchOps != uint64(len(probes)) {
+		t.Fatalf("refused try batch: server admitted %d batches, %d ops; want the %d probes", st.WireBatches, st.BatchOps, len(probes))
 	}
 	if b.Len() != 4 {
 		t.Fatalf("refused batch holds %d ops, want 4 still staged", b.Len())
@@ -166,6 +160,12 @@ func TestTryBatchBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Release()
+	for _, p := range probes {
+		if err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+	}
 	for _, h := range handles {
 		if err := h.Err(); err != nil {
 			t.Fatal(err)
@@ -177,6 +177,7 @@ func TestTryBatchBacklog(t *testing.T) {
 			t.Fatalf("get(%d) after the retried batch = %q %v %v", k, v, found, err)
 		}
 	}
+	t.Logf("%d probes admitted before the ring filled", len(probes))
 }
 
 // TestRemoteWaitContext: WaitContext on a remote handle whose operation

@@ -13,19 +13,15 @@ import (
 // looks for (trace.SpanCodeRequest): one slice per sampled request with
 // Seq = span id, covering issue → response resolved. The rest break the
 // client's share of the latency down: queueing to the writer, the
-// socket write, BUSY backoff + retransmit rounds, and response decode.
+// socket write, and response decode.
 const (
-	ctRequest    = iota // slice: issue → resolved (Seq = span)
-	ctEnqueue           // instant: handed to the writer queue
-	ctWrite             // instant: frame written to the socket buffer (arg: bytes)
-	ctBackoff           // slice: BUSY received → retransmit scheduled (arg: attempt)
-	ctRetransmit        // instant: frame re-enqueued after backoff
-	ctDecode            // slice: response frame read → result delivered
+	ctRequest = iota // slice: issue → resolved (Seq = span)
+	ctEnqueue        // instant: handed to the writer queue
+	ctWrite          // instant: frame written to the socket buffer (arg: bytes)
+	ctDecode         // slice: response frame read → result delivered
 )
 
-var clientCodeNames = []string{
-	trace.SpanCodeRequest, "enqueue", "write", "backoff", "retransmit", "decode",
-}
+var clientCodeNames = []string{trace.SpanCodeRequest, "enqueue", "write", "decode"}
 
 // spanIDs mints process-unique, nonzero span ids: unique across every
 // Conn (pooled or not) so a merged trace never aliases two requests.

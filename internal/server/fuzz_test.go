@@ -79,11 +79,11 @@ func joinFrames(frames ...fuzzFrame) []byte {
 }
 
 // answers reports whether status is a right answer to f: StatusBadRequest
-// exactly when f is malformed, and never StatusBusy to a non-try batch,
-// which commits whatever its size.
+// exactly when f is malformed, and StatusBusy only to a try batch; every
+// other request waits for ring room and commits whatever its size.
 func (f fuzzFrame) answers(status uint8) bool {
 	kind, _, p, ok := proto.SplitSpan(f.kind, f.body)
-	busyOK := true
+	busyOK := false
 	var err error
 	switch {
 	case !ok:
@@ -118,7 +118,7 @@ func opFrame(span uint64, op patree.BatchOp) fuzzFrame {
 // bodies — down one connection to a server over an in-memory DB with a
 // 64-slot admission ring. Nothing may panic, every request id is
 // answered exactly once, a malformed frame gets StatusBadRequest and
-// nothing else does, a non-try batch is never refused StatusBusy, and
+// nothing else does, only a try batch is ever refused StatusBusy, and
 // nothing of the server or the DB is left running after both close.
 func FuzzServerFrames(f *testing.F) {
 	puts := make([]patree.BatchOp, 100)

@@ -23,12 +23,12 @@ import (
 
 // Server trace event codes. Code 1 is the span anchor the stitcher
 // looks for (trace.SpanCodeAdmit): one slice per sampled op covering
-// burst-flush start → admission, Arg = TryCommit attempts (shrinking-
-// prefix re-admissions included).
+// burst-flush start → admission, which includes any wait for ring room.
+// Every code's Arg is the request id.
 const (
 	stRecv    = iota // instant: request frame decoded (Seq = span)
-	stAdmit          // slice: flush start → admitted (Seq = span, Arg = attempts)
-	stBusy           // instant: refused with StatusBusy (Seq = span, Arg = attempts)
+	stAdmit          // slice: flush start → admitted (Seq = span)
+	stBusy           // instant: try batch refused with StatusBusy (Seq = span)
 	stRespond        // slice: response encode → enqueued to the writer (Seq = span)
 )
 
@@ -124,9 +124,9 @@ type Metrics struct {
 	StatusLatency map[string]HistSummary `json:"status_latency"` // by response status
 	StatusCounts  map[string]uint64      `json:"status_counts"`
 	// BusyRate is Busy / (Ops + BatchOps + Busy): the fraction of
-	// admission attempts refused with StatusBusy — the server-side view
-	// of the client's retransmit rate.
-	BusyRate float64 `json:"busy_rate" metric:"patree_server_busy_rate gauge derived" help:"Fraction of admission attempts refused with StatusBusy."`
+	// admissions refused with StatusBusy. Only a try batch can be
+	// refused, so it reads 0 for a client that never calls TryCommit.
+	BusyRate float64 `json:"busy_rate" metric:"patree_server_busy_rate gauge derived" help:"Fraction of admissions refused with StatusBusy (try batches only)."`
 }
 
 // Metrics snapshots the wire instrumentation. Safe to call from any
@@ -211,18 +211,17 @@ func (s *Server) TraceProcess(name string) *trace.Process {
 
 // slowOp logs one request that blew past Options.SlowOp with its full
 // server-side stage breakdown.
-func (s *Server) slowOp(id, span uint64, kind, status uint8, attempts int, arrival, flushed, admitted, responded int64) {
+func (s *Server) slowOp(id, span uint64, kind, status uint8, arrival, flushed, admitted, responded int64) {
 	if int(kind) >= numWireKinds {
 		kind = 0
 	}
 	if status >= numWireStatuses {
 		status = numWireStatuses - 1
 	}
-	s.logf("patree/server: slow op: kind=%s id=%d span=%d status=%s total=%v stage_read=%v stage_admit=%v attempts=%d stage_engine_respond=%v",
+	s.logf("patree/server: slow op: kind=%s id=%d span=%d status=%s total=%v stage_read=%v stage_admit=%v stage_engine_respond=%v",
 		proto.KindNames[kind], id, span, wireStatusNames[status],
 		time.Duration(responded-arrival),
 		time.Duration(flushed-arrival),
 		time.Duration(admitted-flushed),
-		attempts,
 		time.Duration(responded-admitted))
 }

@@ -236,10 +236,13 @@ func TestSlowOpLog(t *testing.T) {
 		}
 		mu.Unlock()
 		if slow != "" {
-			for _, want := range []string{"kind=put", "status=ok", "stage_admit=", "stage_engine_respond=", "attempts="} {
+			for _, want := range []string{"kind=put", "status=ok", "stage_read=", "stage_admit=", "stage_engine_respond="} {
 				if !strings.Contains(slow, want) {
 					t.Fatalf("slow-op line missing %s: %q", want, slow)
 				}
+			}
+			if strings.Contains(slow, "attempts=") {
+				t.Fatalf("slow-op line still counts admission attempts: %q", slow)
 			}
 			return
 		}

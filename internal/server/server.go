@@ -13,13 +13,12 @@
 //     requests costs one ring hand-off, exactly like an embedded
 //     caller using the batch API. A request's ops are admitted in
 //     arrival order, behind those of the requests before it.
-//   - Admission is non-blocking (Batch.TryCommit). When a shard's MPSC
-//     ring is full the burst is halved at request boundaries, and a
-//     single op or a try batch that cannot be admitted even alone is
-//     answered StatusBusy: wire-level flow control the client backs
-//     off on, never a dropped ack. A non-try batch is admitted as
-//     embedded Batch.Commit admits it, in ring-sized pieces, with the
-//     reader waiting meanwhile; so it always commits, whatever its size.
+//   - Admission blocks as embedded admission does (Batch.Commit): when
+//     a shard's MPSC ring is full the reader waits for room, and TCP's
+//     window pushes back on the client. Only a try batch is admitted
+//     with Batch.TryCommit, at its place in the order; a full ring
+//     refuses it whole with StatusBusy, the wire form of
+//     patree.ErrBacklog, and no other request is ever refused for room.
 //   - A bounded pool of completion dispatchers waits on the admitted
 //     batches' handles and streams responses back through a writer
 //     goroutine that coalesces frames per flush. Responses complete
@@ -104,7 +103,7 @@ type Stats struct {
 	Ops         uint64 `metric:"patree_server_ops_total counter sum" help:"Single operations admitted."`
 	BatchOps    uint64 `metric:"patree_server_batch_ops_total counter sum" help:"Operations admitted inside wire batches."`
 	WireBatches uint64 `metric:"patree_server_wire_batches_total counter sum" help:"Wire batch frames admitted."`
-	Busy        uint64 `metric:"patree_server_busy_total counter sum" help:"Requests refused with StatusBusy (flow control)."`
+	Busy        uint64 `metric:"patree_server_busy_total counter sum" help:"Try batches refused with StatusBusy (ring full, nothing admitted)."`
 	BadFrames   uint64 `metric:"patree_server_bad_frames_total counter sum" help:"Malformed requests answered with StatusBadRequest."`
 }
 
@@ -211,10 +210,10 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close stops accepting, tears down every connection and waits for all
-// connection goroutines to drain, a reader inside a non-try batch's
-// Commit once that returns. Operations already admitted to the store
-// complete there; their responses are dropped with the connections. The store itself is not closed — it belongs to the
-// caller.
+// connection goroutines to drain, a reader waiting in Commit once that
+// returns. Operations already admitted to the store complete there;
+// their responses are dropped with the connections. The store itself is
+// not closed — it belongs to the caller.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -249,9 +248,8 @@ func (s *Server) logf(format string, args ...any) {
 var respBufPool = sync.Pool{New: func() any { return make([]byte, 0, 512) }}
 
 // burstState accumulates one read burst of pipelined requests in
-// neutral form. Ops are kept decoded (not staged on a Batch) until flush
-// so that a backlogged admission can retry smaller prefixes without
-// re-decoding.
+// neutral form. Ops are kept decoded (not staged on a Batch) until flush,
+// where a try batch splits the burst into separate admissions.
 type burstState struct {
 	reqs []request
 	ops  []patree.BatchOp // every request's ops in arrival order; Span is the request's trace span (0 = unsampled)
@@ -422,71 +420,66 @@ func (c *srvConn) handleHello(id uint64, p []byte) {
 	c.send(buf)
 }
 
-// flushBurst admits the pending burst as one ring transaction when it
-// fits. When the rings are backlogged it degrades gracefully instead of
-// livelocking: progressively smaller prefixes of whole requests are
-// tried (the requests are independent pipelined frames, so splitting
-// between them is semantically free, and a burst larger than the ring
-// admits in pieces). A request that cannot be admitted even alone is
-// refused with StatusBusy — wire flow control the client backs off and
-// retransmits on — unless it is a non-try batch, which Batch.Commit
-// admits as it does embedded: in ring-sized chunks, with this reader
-// waiting meanwhile. Any non-backlog admission error maps through the
-// taxonomy. Always returns nil, for `burst = c.flushBurst(burst)` call
-// sites.
+// flushBurst admits the burst in arrival order. Each maximal run of
+// non-try requests is staged on one Batch and admitted with the blocking
+// Commit, which admits per shard in ring-sized pieces while this reader
+// waits, so TCP's window pushes back on the client. Each try batch keeps
+// its own TryCommit at its place in the order, and is the only request a
+// full ring refuses (StatusBusy, nothing admitted). Any other admission
+// error maps through the taxonomy and refuses the rest of the burst.
+// Always returns nil, for `burst = c.flushBurst(burst)` call sites.
 func (c *srvConn) flushBurst(burst *burstState) *burstState {
 	flushed := c.s.now()
 	c.s.met.recordBurst(len(burst.ops))
 	reqs := burst.reqs
 	for i := 0; i < len(reqs); {
-		n := len(reqs) - i
-		for attempts := 1; ; attempts++ {
-			part := reqs[i : i+n]
-			lo, hi := part[0].lo, part[n-1].hi
-			b := c.s.store.NewBatch()
-			for _, op := range burst.ops[lo:hi] {
-				b.Stage(op)
-			}
-			err := b.TryCommit()
-			if n == 1 && part[0].kind == proto.KindBatch && !part[0].try && proto.StatusOf(err) == proto.StatusBusy {
-				err = b.Commit()
-			}
-			if err == nil {
-				admitted := c.admitted(part, hi-lo, flushed, attempts)
-				if n == len(reqs) {
-					// Common case: the whole burst admitted at once; the
-					// dispatcher takes ownership of the state's slices.
-					c.dispatch(b, reqs, burst.ops, admitted, attempts, func() { releaseBurst(burst) })
-					return nil
-				}
-				// Split admission: copy the part's requests and ops, the state
-				// is reused for the rest of the loop.
-				c.dispatch(b, slices.Clone(part), slices.Clone(burst.ops[lo:hi]), admitted, attempts, nil)
-				i += n
-				break
-			}
-			b.Release()
-			if status := proto.StatusOf(err); status != proto.StatusBusy {
-				// Terminal (closed, device failed): refuse everything left.
-				for _, r := range reqs[i:] {
-					c.sendStatus(r.id, status, "")
-				}
-				releaseBurst(burst)
+		try, n := reqs[i].try, 1
+		for !try && i+n < len(reqs) && !reqs[i+n].try {
+			n++
+		}
+		part := reqs[i : i+n]
+		lo, hi := part[0].lo, part[n-1].hi
+		b := c.s.store.NewBatch()
+		for _, op := range burst.ops[lo:hi] {
+			b.Stage(op)
+		}
+		var err error
+		if try {
+			err = b.TryCommit()
+		} else {
+			err = b.Commit()
+		}
+		switch status := proto.StatusOf(err); {
+		case err == nil:
+			admitted := c.admitted(part, hi-lo, flushed)
+			if n == len(reqs) {
+				// Common case: the whole burst in one admission; the
+				// dispatcher takes ownership of the state's slices.
+				c.dispatch(b, reqs, burst.ops, flushed, admitted, func() { releaseBurst(burst) })
 				return nil
 			}
-			if n == 1 {
-				c.s.busy.Add(1)
-				now, r := c.s.now(), &part[0]
-				c.s.met.recordLatency(r.kind, proto.StatusBusy, time.Duration(now-r.arrival))
-				if r.span != 0 && c.s.tr != nil {
-					c.s.tr.Emit(stBusy, uint16(r.kind), r.span, uint64(attempts), now, trace.Instant)
-				}
-				c.sendStatus(r.id, proto.StatusBusy, "")
-				i++
-				break
+			// Split admission: copy the part's requests and ops, the state
+			// is reused for the rest of the loop.
+			c.dispatch(b, slices.Clone(part), slices.Clone(burst.ops[lo:hi]), flushed, admitted, nil)
+		case status == proto.StatusBusy:
+			b.Release()
+			c.s.busy.Add(1)
+			now, r := c.s.now(), &part[0]
+			c.s.met.recordLatency(r.kind, status, time.Duration(now-r.arrival))
+			if r.span != 0 && c.s.tr != nil {
+				c.s.tr.Emit(stBusy, uint16(r.kind), r.span, r.id, now, trace.Instant)
 			}
-			n /= 2
+			c.sendStatus(r.id, status, "")
+		default:
+			// Terminal (closed, device failed): refuse everything left.
+			b.Release()
+			for _, r := range reqs[i:] {
+				c.sendStatus(r.id, status, "")
+			}
+			releaseBurst(burst)
+			return nil
 		}
+		i += n
 	}
 	releaseBurst(burst)
 	return nil
@@ -494,7 +487,7 @@ func (c *srvConn) flushBurst(burst *burstState) *burstState {
 
 // admitted counts the requests of an admitted part of a burst, ops in
 // all, traces the sampled ones and returns the admission time.
-func (c *srvConn) admitted(part []request, ops int, flushed int64, attempts int) int64 {
+func (c *srvConn) admitted(part []request, ops int, flushed int64) int64 {
 	admitted, batched := c.s.now(), 0
 	for _, r := range part {
 		if r.kind == proto.KindBatch {
@@ -502,7 +495,7 @@ func (c *srvConn) admitted(part []request, ops int, flushed int64, attempts int)
 			batched += r.hi - r.lo
 		}
 		if r.span != 0 && c.s.tr != nil {
-			c.s.tr.Emit(stAdmit, uint16(r.kind), r.span, uint64(attempts), flushed, admitted-flushed)
+			c.s.tr.Emit(stAdmit, uint16(r.kind), r.span, r.id, flushed, admitted-flushed)
 		}
 	}
 	c.s.ops.Add(uint64(ops - batched))
@@ -521,10 +514,10 @@ func releaseBurst(b *burstState) {
 // busy, which pushes backpressure into the TCP window — and hands the
 // committed batch to a goroutine that streams its responses. cleanup,
 // if set, runs after the batch is released.
-func (c *srvConn) dispatch(b *patree.Batch, reqs []request, ops []patree.BatchOp, admitted int64, attempts int, cleanup func()) {
+func (c *srvConn) dispatch(b *patree.Batch, reqs []request, ops []patree.BatchOp, flushed, admitted int64, cleanup func()) {
 	c.sem <- struct{}{}
 	c.wg.Add(1)
-	go c.dispatchBurst(b, reqs, ops, admitted, attempts, cleanup)
+	go c.dispatchBurst(b, reqs, ops, flushed, admitted, cleanup)
 }
 
 // dispatchBurst waits for each request of an admitted burst in staging
@@ -534,7 +527,7 @@ func (c *srvConn) dispatch(b *patree.Batch, reqs []request, ops []patree.BatchOp
 // completes as a group — while responses across concurrently dispatched
 // bursts interleave freely (out-of-order completion, keyed by request
 // id).
-func (c *srvConn) dispatchBurst(b *patree.Batch, reqs []request, ops []patree.BatchOp, admitted int64, attempts int, cleanup func()) {
+func (c *srvConn) dispatchBurst(b *patree.Batch, reqs []request, ops []patree.BatchOp, flushed, admitted int64, cleanup func()) {
 	defer func() {
 		b.Release() // waits for any completions not yet consumed
 		if cleanup != nil {
@@ -564,10 +557,7 @@ func (c *srvConn) dispatchBurst(b *patree.Batch, reqs []request, ops []patree.Ba
 			c.s.tr.Emit(stRespond, uint16(r.kind), r.span, r.id, t0, done-t0)
 		}
 		if slow := c.s.opts.SlowOp; slow > 0 && d > slow {
-			// arrival..flushed is folded into the admit stage here: the
-			// flush timestamp lives with the burst, and admitted-arrival
-			// is the full pre-engine wait either way.
-			c.s.slowOp(r.id, r.span, r.kind, status, attempts, r.arrival, r.arrival, admitted, done)
+			c.s.slowOp(r.id, r.span, r.kind, status, r.arrival, flushed, admitted, done)
 		}
 		if len(buf) >= 32<<10 {
 			if !c.send(buf) {

@@ -9,7 +9,7 @@ import "sort"
 //   - the client emits one "request" slice per sampled request with
 //     Seq = span id (issue → response delivered);
 //   - the server emits one "admit" slice per sampled operation with
-//     Seq = span id (burst flush start → admission), Arg = attempts;
+//     Seq = span id (burst flush start → admission), Arg = request id;
 //   - the engine emits a "span" instant per traced operation with
 //     Seq = its own op sequence number and Arg = the span id (the
 //     cross-process link), next to its usual "op" slice keyed by Seq.
