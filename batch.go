@@ -151,10 +151,10 @@ func (b *Batch) clearGroups() {
 
 // Commit admits every staged operation in order as one transaction per
 // shard's admission ring. If a ring is full it blocks until that
-// working thread frees space (backpressure; a remote batch retries
-// transparently instead of blocking — see the client package). Commit
-// may be called once; after it the batch only serves Wait, the
-// accessors and Release.
+// working thread frees space (backpressure; a remote batch returns once
+// sent, and the server waits for room in its stead — see the client
+// package). Commit may be called once; after it the batch only serves
+// Wait, the accessors and Release.
 func (b *Batch) Commit() error {
 	if b.committed {
 		panic("patree: Batch.Commit called twice")

@@ -25,8 +25,9 @@ var ErrClosed = errors.New("patree: closed")
 // ErrBacklog is returned by TryCommit when the admission pipeline
 // cannot accept the whole batch atomically — the device-side pipeline
 // is full and the caller should apply backpressure (wait, or shed
-// load). Over the network it is the BUSY status: the server refused
-// admission without processing anything, and the caller may retry.
+// load). Over the network it is the BUSY status answering a try batch:
+// the server admitted nothing of it, and the caller may retry. No other
+// remote request is refused for room; the server waits instead.
 var ErrBacklog = core.ErrBacklog
 
 // ErrDeviceFailed is returned by every operation once the device has

@@ -32,13 +32,13 @@
 //
 // Encoded pairs: count u32 | count × (key u64 | vlen u32 | value).
 //
-// A batch frame is admitted as Batch admits it embedded: a try batch
-// all-or-nothing, so a full admission ring yields one StatusBusy
-// response for the whole frame with nothing admitted, and a non-try
-// batch always, in ring-sized pieces if it must. StatusBusy is the wire
-// form of ErrBacklog — flow control, never a dropped ack: the client
-// backs off and retransmits the identical frame under the same request
-// id, except for a try batch, whose TryCommit returns ErrBacklog.
+// A request is admitted as its embedded spelling is, in the order the
+// connection sent it: a single op or a non-try batch always, the server
+// waiting for ring room (in ring-sized pieces if it must), and a try
+// batch all-or-nothing, so a full admission ring yields one StatusBusy
+// response for the whole frame with nothing admitted. StatusBusy is the
+// wire form of ErrBacklog, which the try batch's TryCommit returns; no
+// other request draws it, and no request is ever resent.
 //
 // # Protocol versions and trace propagation
 //
