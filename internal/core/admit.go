@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/patree/patree/internal/sim"
@@ -30,7 +32,7 @@ func (t *Tree) Admit(o *Op) {
 // (remaining) op with ErrStopped once the tree has stopped.
 func (t *Tree) AdmitBatch(ops []*Op) {
 	t.admitters.Add(1)
-	t.stamp(ops, t.now())
+	t.stamp(ops, t.env.Now())
 	for len(ops) > 0 {
 		chunk := ops[:min(len(ops), t.inbox.Cap())]
 		for spins := 0; ; {
@@ -52,7 +54,7 @@ func (t *Tree) AdmitBatch(ops []*Op) {
 			// admit-wait (enqueuedAt − Admitted) measures the backpressure
 			// the ops absorbed. The ring's release-store publishes it with
 			// the rest of the op.
-			retry := t.now()
+			retry := t.env.Now()
 			for _, o := range chunk {
 				o.enqueuedAt = retry
 			}
@@ -122,7 +124,7 @@ func (r Reservation) Publish(ops []*Op) {
 	if r.t == nil {
 		return
 	}
-	r.t.stamp(ops, r.t.now())
+	r.t.stamp(ops, r.t.env.Now())
 	for i, o := range ops {
 		r.t.inbox.publishAt(r.pos, i, o)
 	}
@@ -137,7 +139,7 @@ func (r Reservation) Abort() {
 	if r.t == nil {
 		return
 	}
-	now := r.t.now()
+	now := r.t.env.Now()
 	for i := 0; i < r.n; i++ {
 		o := AcquireOp().InitNop()
 		o.Done = (*Op).Release
@@ -175,20 +177,15 @@ func (t *Tree) admitBackoff(spins *int) {
 	}
 }
 
+// drainInbox enrolls every op on the ring. The pass's clock reading
+// covers the whole drain: every op in it becomes ready at that instant.
 func (t *Tree) drainInbox() {
-	drained := 0
-	var drainNow sim.Time
+	drainNow := t.clock
 	for {
 		o, ok := t.inbox.Pop()
 		if !ok {
 			break
 		}
-		if drained == 0 {
-			// One clock read covers the whole drain batch: every op in it
-			// becomes ready at the same instant.
-			drainNow = t.now()
-		}
-		drained++
 		if o.kind == KindSync {
 			t.enroll(o, stSyncRun)
 		} else {
@@ -236,7 +233,7 @@ func (t *Tree) inboxEmpty() bool { return t.inbox.Empty() }
 // adoptOp injects a tree-spawned operation directly into the live set,
 // bypassing the admission ring. Worker-thread only.
 func (t *Tree) adoptOp(o *Op, st opState) {
-	now := t.now()
+	now := t.clock
 	o.Res.Admitted = now
 	o.enqueuedAt = now
 	o.drainedAt = now
@@ -254,4 +251,65 @@ func (t *Tree) enroll(o *Op, st opState) {
 	}
 	o.state = st
 	t.liveOps++
+}
+
+// Call runs f on the working thread, between two loop passes, and returns
+// once it has run: f sees the tree quiescent, with no op inside process.
+// It does not go through the admission ring, so a full ring does not
+// delay it; an admin snapshot taken under overload is served at the next
+// pass. Once Run has returned, f runs on the caller, which then has the
+// tree to itself as well. Safe from any goroutine of the real
+// environment; a simulated worker has no Wake and must be stepped.
+func (t *Tree) Call(f func()) {
+	ran := make(chan struct{})
+	if !t.calls.post(func() { f(); close(ran) }) {
+		f()
+		return
+	}
+	if t.wake != nil {
+		t.wake()
+	}
+	<-ran
+}
+
+// callBox is Call's mailbox. Run checks posted, one atomic load, every
+// pass, and takes the lock only when it is set.
+type callBox struct {
+	posted atomic.Bool
+	mu     sync.Mutex
+	fns    []func()
+	closed bool // Run has returned: post refuses
+}
+
+// post queues f for the worker, or reports false once Run has returned.
+func (b *callBox) post(f func()) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return false
+	}
+	b.fns = append(b.fns, f)
+	b.posted.Store(true)
+	return true
+}
+
+// run runs the queued calls on the worker.
+func (b *callBox) run() {
+	b.mu.Lock()
+	fns := b.fns
+	b.fns = nil
+	b.posted.Store(false)
+	b.mu.Unlock()
+	for _, f := range fns {
+		f()
+	}
+}
+
+// close runs what is still queued as Run returns and turns every later
+// Call into a direct one.
+func (b *callBox) close() {
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	b.run()
 }

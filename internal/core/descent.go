@@ -22,7 +22,22 @@ var ErrValueTooLarge = storage.ErrValueTooLarge
 // process runs o's transitions until it leaves the ready set (§III-A:
 // process(c) is the maximal sequence of transitions until the operation
 // completes or enters a waiting state).
+//
+// No other operation runs inside one process call, so a latch granted at
+// once is recorded on o alone (deferred, see acquireLatch): only if o is
+// still live when its steps end, waiting on I/O, a latch, the journal or
+// a retry, does it enter the latch table, where other ops can see it.
 func (t *Tree) process(o *Op) {
+	t.stepping = o
+	t.step(o)
+	if t.stepping == o { // completeOp clears it: o is still live
+		t.stepping = nil
+		t.enterLatches(o)
+	}
+}
+
+// step is process's transition loop.
+func (t *Tree) step(o *Op) {
 	for {
 		if t.failed && o.state != stDone {
 			// Terminal device failure: fail the operation as soon as it has
@@ -86,7 +101,7 @@ func (t *Tree) process(o *Op) {
 					// A scan's read-ahead of this page is in flight: park
 					// on it instead of issuing a duplicate (pipeline.go
 					// hands the image over when it is reaped).
-					t.readAheads.Put(o.cur, append(ws, raWaiter{op: o, since: t.now()}))
+					t.readAheads.Put(o.cur, append(ws, raWaiter{op: o, since: t.clock}))
 					t.stats.ReadAheadHits++
 					return // I/O-blocked on the read-ahead
 				}
@@ -426,8 +441,7 @@ func (t *Tree) releaseSafeAncestors(o *Op) {
 			kept = append(kept, h)
 			continue
 		}
-		t.charge(metrics.CatSync, t.costs.LatchOp)
-		t.latches.Release(h.id, h.mode)
+		t.dropLatch(h)
 	}
 	o.held = kept
 }
@@ -601,24 +615,56 @@ func (t *Tree) opWriteDone(c *ioCmd, res ioResult, now sim.Time) {
 // ─── Latch helpers ──────────────────────────────────────────────────────
 
 // acquireLatch requests a latch for o, returning true on immediate grant.
-// On a queued request the op's reusable grant callback (an op waits on at
-// most one latch at a time, so the request parameters ride in
+// An immediate grant is deferred: o records it and the table is left
+// alone, because no other op runs before o leaves process, which enters
+// the latch then if o is still live (enterLatches). The table never sees
+// a deferred latch, so o must not ask it about a page it holds deferred.
+// A conflict queues the request; the op's reusable grant callback (an op
+// waits on at most one latch at a time, so the request parameters ride in
 // o.pendingLatch rather than a fresh closure) pushes o back to ready.
+// Every acquire and release is charged LatchOp, deferred or not.
 func (t *Tree) acquireLatch(o *Op, id storage.PageID, mode latch.Mode) bool {
 	t.charge(metrics.CatSync, t.costs.LatchOp)
-	o.pendingLatch = heldLatch{id: id, mode: mode}
-	granted := t.latches.Acquire(id, mode, o.grantFn)
-	if granted {
-		o.held = append(o.held, o.pendingLatch)
-	} else {
-		o.latchFrom = t.now() // contended: wait starts now
+	o.assertNotDeferred(id)
+	if t.latches.Grantable(id, mode) {
+		o.held = append(o.held, heldLatch{id: id, mode: mode, deferred: true})
+		return true
 	}
-	return granted
+	o.pendingLatch = heldLatch{id: id, mode: mode}
+	t.latches.Acquire(id, mode, o.grantFn) // queues: not grantable
+	o.latchFrom = t.clock                  // contended: wait starts now
+	return false
+}
+
+// assertNotDeferred panics if o holds a deferred latch on id: the table
+// cannot see it, so a second request there would be judged without it.
+func (o *Op) assertNotDeferred(id storage.PageID) {
+	for _, h := range o.held {
+		if h.id == id && h.deferred {
+			panic(fmt.Sprintf("core: op %d asks for page %d, which it holds deferred", o.seq, id))
+		}
+	}
+}
+
+// enterLatches enters o's deferred latches in the table, in the order o
+// took them. Nothing ran since each was found grantable, so each is
+// granted at once.
+func (t *Tree) enterLatches(o *Op) {
+	for i := range o.held {
+		h := &o.held[i]
+		if !h.deferred {
+			continue
+		}
+		if !t.latches.Acquire(h.id, h.mode, nil) {
+			panic(fmt.Sprintf("core: deferred %v latch on page %d was not grantable", h.mode, h.id))
+		}
+		h.deferred = false
+	}
 }
 
 // grantLatch is the body of every op's reusable grant callback.
 func (t *Tree) grantLatch(o *Op) {
-	now := t.now()
+	now := t.clock
 	if w := now.Sub(o.latchFrom); w > 0 {
 		o.latchWait += w
 		if t.tr != nil {
@@ -629,13 +675,21 @@ func (t *Tree) grantLatch(o *Op) {
 	t.pushReady(o, now)
 }
 
+// dropLatch releases one of o's latches: a deferred one was never in the
+// table, so releasing it only charges its cost.
+func (t *Tree) dropLatch(h heldLatch) {
+	t.charge(metrics.CatSync, t.costs.LatchOp)
+	if !h.deferred {
+		t.latches.Release(h.id, h.mode)
+	}
+}
+
 // releaseLatch drops one held latch by id.
 func (t *Tree) releaseLatch(o *Op, id storage.PageID) {
 	for i, h := range o.held {
 		if h.id == id {
 			o.held = append(o.held[:i], o.held[i+1:]...)
-			t.charge(metrics.CatSync, t.costs.LatchOp)
-			t.latches.Release(id, h.mode)
+			t.dropLatch(h)
 			return
 		}
 	}
@@ -650,8 +704,7 @@ func (t *Tree) releaseAllExcept(o *Op, keep storage.PageID) {
 			kept = append(kept, h)
 			continue
 		}
-		t.charge(metrics.CatSync, t.costs.LatchOp)
-		t.latches.Release(h.id, h.mode)
+		t.dropLatch(h)
 	}
 	o.held = kept
 }
@@ -659,8 +712,7 @@ func (t *Tree) releaseAllExcept(o *Op, keep storage.PageID) {
 // releaseAll drops every held latch.
 func (t *Tree) releaseAll(o *Op) {
 	for _, h := range o.held {
-		t.charge(metrics.CatSync, t.costs.LatchOp)
-		t.latches.Release(h.id, h.mode)
+		t.dropLatch(h)
 	}
 	o.held = o.held[:0]
 }

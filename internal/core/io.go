@@ -119,7 +119,7 @@ func pageWrite(id storage.PageID, data []byte) nvme.Command {
 // not accepted; c.op, if any, is then on the stalled list and re-enters
 // the ready set on the next main-loop pass.
 func (t *Tree) submit(c *ioCmd) bool {
-	c.submitted = t.now()
+	c.submitted = t.clock
 	if c.callback == nil {
 		c.callback = func(done nvme.Completion) { t.reap(c, done.Err) }
 	}
@@ -147,7 +147,9 @@ func (t *Tree) submit(c *ioCmd) bool {
 // hands the verdict to the class handler.
 func (t *Tree) reap(c *ioCmd, err error) {
 	t.ioBlocked--
-	now := t.now()
+	// A fresh reading: a submit and its reap can share a pass, and a
+	// dedicated poller reaps on a thread of its own.
+	now := t.tick()
 	t.policy.OnDetected(c.Op, c.submitted, now)
 	class, seq := uint16(classNone), uint64(0)
 	if o := c.op; o != nil {
@@ -212,7 +214,7 @@ func (t *Tree) retryDelay(attempt int) time.Duration {
 // request) may be parked here, so a promotion can never double-schedule
 // an op that moved on in the meantime.
 func (t *Tree) scheduleRetry(o *Op, d time.Duration) {
-	t.retryq = append(t.retryq, retryEntry{op: o, due: t.now().Add(d)})
+	t.retryq = append(t.retryq, retryEntry{op: o, due: t.clock.Add(d)})
 }
 
 // promoteRetries pushes parked ops whose backoff elapsed back into the
@@ -222,11 +224,10 @@ func (t *Tree) promoteRetries() {
 	if len(t.retryq) == 0 {
 		return
 	}
-	now := t.now()
 	rest := t.retryq[:0]
 	for _, e := range t.retryq {
-		if t.failed || e.due <= now {
-			t.pushReady(e.op, now)
+		if t.failed || e.due <= t.clock {
+			t.pushReady(e.op, t.clock)
 		} else {
 			rest = append(rest, e)
 		}
@@ -254,7 +255,7 @@ func (t *Tree) enterFailed(cause error) {
 	ids := t.readAheads.Keys(nil)
 	slices.Sort(ids)
 	for _, id := range ids {
-		t.wakeReadAhead(id, t.now())
+		t.wakeReadAhead(id, t.clock)
 	}
 }
 
@@ -328,11 +329,10 @@ func (t *Tree) drainBG() {
 		t.bgQueue = t.bgQueue[:0]
 		return
 	}
-	now := t.now()
 	rest := t.bgQueue[:0]
 	for i := 0; i < len(t.bgQueue); i++ {
 		w := t.bgQueue[i]
-		if w.due > now || t.walHolds(w.ID) {
+		if w.due > t.clock || t.walHolds(w.ID) {
 			rest = append(rest, w)
 			continue
 		}

@@ -183,7 +183,7 @@ func ioClassRows() []ioClassRow {
 			issue: func(t *Tree, _ *Op) { t.queueBG(buffer.Dirty{ID: seamPage, Data: page}) },
 			kept:  func(t *Tree) bool { return len(t.bgQueue) == 1 && t.inflight.Len() == 1 },
 			retried: func(t *Tree, _ *Op, _ *scriptQP) bool {
-				return len(t.bgQueue) == 1 && t.bgQueue[0].retries == 1 && t.bgQueue[0].due > t.now() && t.inflight.Len() == 1
+				return len(t.bgQueue) == 1 && t.bgQueue[0].retries == 1 && t.bgQueue[0].due > t.env.Now() && t.inflight.Len() == 1
 			},
 		},
 		{
@@ -373,8 +373,10 @@ func TestIOSeamClasses(t *testing.T) {
 					t.Fatalf("still healthy after %d transient errors on a budget of %d", i, tree.cfg.MaxIORetries)
 				}
 				if len(qp.pending) == 0 {
-					// Play the main loop: let backoffs elapse and reissue.
+					// Play the main loop: let backoffs elapse, take the
+					// pass's clock reading and reissue.
 					tree.env.(*tickEnv).now += sim.Time(time.Second)
+					tree.tick()
 					tree.promoteRetries()
 					tree.drainBG()
 					if o != nil {

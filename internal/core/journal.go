@@ -337,12 +337,11 @@ func (t *Tree) promoteJWaiters() {
 	if len(t.jWaiters) == 0 {
 		return
 	}
-	now := t.now()
 	rest := t.jWaiters[:0]
 	for _, o := range t.jWaiters {
 		if t.failed || o.jNeed <= t.jDurable {
 			o.jParked = false
-			t.pushReady(o, now)
+			t.pushReady(o, t.clock)
 		} else {
 			rest = append(rest, o)
 		}

@@ -96,8 +96,9 @@ func (s Stats) TotalOps() uint64 {
 }
 
 // Tree is a PA-Tree instance bound to a device queue pair and an
-// execution environment. All methods except Admit and Stop must be called
-// from the working thread.
+// execution environment. All methods except the admission ones (Admit,
+// AdmitBatch, TryReserve), Call and Stop must be called from the working
+// thread.
 type Tree struct {
 	cfg   Config
 	costs CostModel // DefaultCosts: the CPU constants every engine charges
@@ -228,7 +229,17 @@ type Tree struct {
 	// same key, so a batch's Get could miss its own batch's earlier Put.
 	// Range scans and syncs do not participate: they are documented as
 	// unordered with respect to concurrent point writes.
-	keyDeps    map[uint64]*Op
+	keyDeps map[uint64]*Op
+	// clock is the worker's newest clock reading: Run takes one at the top
+	// of every pass, and the fresh readings a completion and a reap take
+	// replace it. Every other stamp on the worker reuses it. Producers
+	// read env.Now() themselves.
+	clock sim.Time
+	// stepping is the op inside process until completeOp retires it (see
+	// process: an op still stepping when its steps end is live).
+	stepping *Op
+	// calls is the working thread's call mailbox (Call).
+	calls      callBox
 	liveOps    int
 	ioBlocked  int
 	charges    [5]time.Duration
@@ -293,8 +304,11 @@ func New(dev nvme.Device, cfg Config, env Env, meta *storage.Meta) (*Tree, error
 	return t, nil
 }
 
-// now returns the environment clock.
-func (t *Tree) now() sim.Time { return t.env.Now() }
+// tick takes a fresh clock reading and makes it the worker's (clock).
+func (t *Tree) tick() sim.Time {
+	t.clock = t.env.Now()
+	return t.clock
+}
 
 // charge accumulates CPU cost; chargeFlush turns the accumulation into
 // actual environment work (one batch per main-loop pass keeps the
@@ -384,13 +398,17 @@ func (t *Tree) Run() {
 	t.running = true
 	costs := &t.costs
 	for {
+		t.tick()
+		if t.calls.posted.Load() {
+			t.calls.run()
+		}
 		t.drainInbox()
 		t.promoteRetries()
 		progressed := false
 		if e, ok := t.ready.Pop(); ok {
 			op := e.Op.(*Op)
 			op.inReady = false
-			if w := t.now().Sub(op.readyAt); w > 0 {
+			if w := t.clock.Sub(op.readyAt); w > 0 {
 				op.queueWait += w
 				if t.tr != nil {
 					t.tr.Emit(tcQueueWait, uint16(op.kind), op.seq, 0, int64(op.readyAt), int64(w))
@@ -401,9 +419,8 @@ func (t *Tree) Run() {
 		}
 		if t.cfg.Poller == PollerInline {
 			t.charge(metrics.CatSched, t.policy.Overhead())
-			// Every policy declines with nothing outstanding; checking
-			// first skips the clock read on an idle pass.
-			if t.ioBlocked > 0 && t.policy.ShouldProbe(t.now(), t.ioBlocked) {
+			// Every policy declines with nothing outstanding.
+			if t.ioBlocked > 0 && t.policy.ShouldProbe(t.clock, t.ioBlocked) {
 				t.probe(t.policy)
 			}
 		}
@@ -424,12 +441,12 @@ func (t *Tree) Run() {
 				t.admitters.Load() == 0 && t.inboxEmpty() {
 				break
 			}
-			if y := t.policy.YieldFor(t.now(), t.ioBlocked); y > 0 {
+			if y := t.policy.YieldFor(t.clock, t.ioBlocked); y > 0 {
 				t.chargeFlush()
 				t.stats.Yields++
 				t.stats.YieldTime += y
 				if t.tr != nil {
-					t.tr.Emit(tcYield, classNone, 0, uint64(t.ioBlocked), int64(t.now()), int64(y))
+					t.tr.Emit(tcYield, classNone, 0, uint64(t.ioBlocked), int64(t.env.Now()), int64(y))
 				}
 				t.env.Sleep(y)
 			} else {
@@ -449,6 +466,7 @@ func (t *Tree) Run() {
 	}
 	t.running = false
 	t.chargeFlush()
+	t.calls.close()
 	// Defensive sweep: the admitters protocol means no op should remain,
 	// but anything that somehow does must fail rather than strand a
 	// waiter.
@@ -496,7 +514,7 @@ func (t *Tree) probe(policy sched.Policy) int {
 	t.charge(metrics.CatNVMe, t.costs.ProbeCall)
 	n := t.qp.Probe(0)
 	t.charge(metrics.CatNVMe, time.Duration(n)*t.costs.ProbePerCQE)
-	now := t.now()
+	now := t.clock // refreshed by the reaps, if any
 	policy.OnProbe(now)
 	t.stats.Probes++
 	if n > 0 {
@@ -537,9 +555,8 @@ func (t *Tree) resubmitStalled() {
 	}
 	batch := t.stalled
 	t.stalled = nil
-	now := t.now()
 	for _, o := range batch {
-		t.pushReady(o, now)
+		t.pushReady(o, t.clock)
 	}
 }
 
@@ -572,8 +589,9 @@ func (t *Tree) opTeardown(o *Op) {
 			// successor pointer must be severed before completeOp recycles
 			// this op into the pool.
 			o.keyNext = nil
-			t.pushReady(next, t.now())
-		} else if t.keyDeps[o.key] == o {
+			t.pushReady(next, t.clock)
+		} else {
+			// No successor: o is its key's tail.
 			delete(t.keyDeps, o.key)
 		}
 	}
@@ -603,12 +621,16 @@ func (t *Tree) opTeardown(o *Op) {
 // completeOp retires a finished or failed op: it drops the op's latches
 // and pipeline state, records its latency and stage timings, and runs its
 // completion callback, timing the delivery. The callback may Release o
-// back to the pool, so every field used afterwards is captured first.
+// back to the pool, so every field used afterwards is captured first, and
+// process learns that o completed from stepping, not from o.
 func (t *Tree) completeOp(o *Op) {
 	t.releaseAll(o)
 	t.opTeardown(o)
+	if t.stepping == o {
+		t.stepping = nil
+	}
 	o.state = stDone
-	o.Res.Completed = t.now()
+	o.Res.Completed = t.tick()
 	t.liveOps--
 	t.stats.Completed[o.kind]++
 	t.recordStages(o)
@@ -624,7 +646,7 @@ func (t *Tree) completeOp(o *Op) {
 	kind, seq, done := o.kind, o.seq, o.Res.Completed
 	if o.Done != nil {
 		o.Done(o)
-		d := t.now().Sub(done)
+		d := t.tick().Sub(done)
 		t.stats.Stages.Record(metrics.StageDeliver, int(kind), d)
 		if t.tr != nil && d > 0 {
 			t.tr.Emit(tcDeliver, uint16(kind), seq, 0, int64(done), int64(d))

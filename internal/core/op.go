@@ -110,10 +110,12 @@ const (
 	stDone
 )
 
-// heldLatch records one latch the op holds.
+// heldLatch records one latch the op holds. A deferred latch was granted
+// while the op ran and is not in the latch table yet (acquireLatch).
 type heldLatch struct {
-	id   storage.PageID
-	mode latch.Mode
+	id       storage.PageID
+	mode     latch.Mode
+	deferred bool
 }
 
 // writeReq is one encoded page image of an op's group.

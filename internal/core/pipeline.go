@@ -72,17 +72,18 @@ func (t *Tree) readAhead(o *Op, page []byte, idx int) {
 			}
 			first, n = id, 0
 		}
-		if _, reading := t.readAheads.Get(id); !reading && !t.resident(id) && t.tryLatch(id) {
+		if _, reading := t.readAheads.Get(id); !reading && !t.resident(id) && t.tryLatch(o, id) {
 			n++
 		}
 	}
 	t.readRun(first, n)
 }
 
-// tryLatch takes a read-ahead's shared latch on id unless a writer holds
-// or awaits the page.
-func (t *Tree) tryLatch(id storage.PageID) bool {
+// tryLatch takes a read-ahead's shared latch on id for scan o unless a
+// writer holds or awaits the page.
+func (t *Tree) tryLatch(o *Op, id storage.PageID) bool {
 	t.charge(metrics.CatSync, t.costs.LatchOp)
+	o.assertNotDeferred(id)
 	return t.latches.TryAcquire(id, latch.Shared)
 }
 

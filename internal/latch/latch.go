@@ -103,13 +103,17 @@ func (t *Table) Acquire(id storage.PageID, mode Mode, grant func()) bool {
 	return false
 }
 
+// Grantable reports whether Acquire would grant a latch on id in mode at
+// once: no conflicting holder and nothing queued. It changes nothing.
+func (t *Table) Grantable(id storage.PageID, mode Mode) bool {
+	nl, _ := t.nodes.Get(id)
+	return nl == nil || (nl.queued() == 0 && nl.admits(mode))
+}
+
 // TryAcquire takes a latch on id only if Acquire would grant it at once,
 // and otherwise leaves the table as it found it: it never queues.
 func (t *Table) TryAcquire(id storage.PageID, mode Mode) bool {
-	if nl, _ := t.nodes.Get(id); nl != nil && (nl.queued() > 0 || !nl.admits(mode)) {
-		return false
-	}
-	return t.Acquire(id, mode, nil) // granted: nothing queues
+	return t.Grantable(id, mode) && t.Acquire(id, mode, nil) // granted: nothing queues
 }
 
 // admits reports whether a latch in the given mode can be taken now.

@@ -49,6 +49,38 @@ func TestExclusiveExcludes(t *testing.T) {
 	}
 }
 
+// TestGrantableMatchesAcquire: on a table driven through random
+// acquires and releases, Grantable answers exactly what the next Acquire
+// does, and asking changes nothing.
+func TestGrantableMatchesAcquire(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tb := NewTable()
+	var held []Mode // granted latches on nodeA, in grant order
+	for i := 0; i < 2000; i++ {
+		if len(held) > 0 && rng.Intn(3) == 0 {
+			j := rng.Intn(len(held))
+			m := held[j]
+			held = append(held[:j], held[j+1:]...)
+			tb.Release(nodeA, m)
+			continue
+		}
+		mode := Mode(rng.Intn(2))
+		r, w := tb.Held(nodeA)
+		pending := tb.PendingCount(nodeA)
+		want := tb.Grantable(nodeA, mode)
+		if r2, w2 := tb.Held(nodeA); r2 != r || w2 != w || tb.PendingCount(nodeA) != pending {
+			t.Fatalf("Grantable changed the node: (%d,%d,%d) -> (%d,%d,%d)", r, w, pending, r2, w2, tb.PendingCount(nodeA))
+		}
+		got := tb.Acquire(nodeA, mode, func() { held = append(held, mode) })
+		if got != want {
+			t.Fatalf("step %d: Grantable(%v) = %v on (r=%d, w=%d, %d queued), Acquire granted %v", i, mode, want, r, w, pending, got)
+		}
+		if got {
+			held = append(held, mode)
+		}
+	}
+}
+
 // TestTryAcquireNeverQueues pins the non-blocking grant: it succeeds
 // exactly when Acquire would grant at once, and a refusal leaves no
 // request behind — including behind a queued writer, which a shared
