@@ -407,22 +407,6 @@ func (db *DB) span(bo *BatchOp) (lo, hi int) {
 	return lo, lo + 1
 }
 
-// admit checks closed and hands op (whose Done is already set) to s's
-// working thread. It is the way in for onWorker's observability no-ops,
-// which are not index operations; those go through issue or a Batch. It
-// holds the admission lock shared across the whole hand-off; see DB.mu.
-func (db *DB) admit(s *shard, op *core.Op) error {
-	db.mu.RLock()
-	if db.closed {
-		db.mu.RUnlock()
-		op.Release()
-		return ErrClosed
-	}
-	s.tree.Admit(op)
-	db.mu.RUnlock()
-	return nil
-}
-
 // do is the blocking spelling of every operation: issue it, wait, and
 // recycle the pooled handle.
 func (db *DB) do(bo BatchOp) (core.Result, error) {
@@ -478,25 +462,13 @@ func (db *DB) Sync() error {
 	return err
 }
 
-// onWorker runs f on s's working thread (via a pipeline no-op), giving
-// it a quiescent, consistent view of that shard's state with no racing
-// mutations. On a closed DB it waits for the worker to exit and runs f
-// directly — the final state is then equally race-free.
-func (db *DB) onWorker(s *shard, f func()) {
-	op := core.AcquireOp().InitNop()
-	ch := make(chan struct{})
-	op.Done = func(o *core.Op) {
-		f()
-		o.Release()
-		close(ch)
-	}
-	if err := db.admit(s, op); err != nil {
-		<-s.done
-		f()
-		return
-	}
-	<-ch
-}
+// onWorker runs f on s's working thread between two loop passes
+// (core.Tree.Call), giving it a quiescent, consistent view of that shard's
+// state with no racing mutations. It does not queue on the admission
+// ring, so a scrape under overload waits one pass, not for room. Once the
+// worker has exited (a closed DB) f runs on the caller, the final state
+// being equally race-free.
+func (db *DB) onWorker(s *shard, f func()) { s.tree.Call(f) }
 
 // Stats snapshots activity counters, summed across shards; each shard's
 // contribution is taken on its working thread so it is a consistent

@@ -424,9 +424,7 @@ func TestAllocsPerOp(t *testing.T) {
 		h := acquireHandle()
 		op := core.AcquireOp().InitNop()
 		op.Done = h.doneFn
-		if err := db.admit(db.shards[0], op); err != nil {
-			t.Fatal(err)
-		}
+		db.shards[0].tree.Admit(op)
 		h.Release()
 	})
 	t.Logf("pipeline no-op: %.2f allocs/op", nop)
