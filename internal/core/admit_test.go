@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -138,5 +140,44 @@ func TestReserveTwoTreesSecondRefused(t *testing.T) {
 	}
 	if done != b.tree.inbox.Cap() || b.tree.NumKeys() != uint64(b.tree.inbox.Cap()) {
 		t.Fatalf("refusing tree completed %d ops and holds %d keys, want its own %d", done, b.tree.NumKeys(), b.tree.inbox.Cap())
+	}
+}
+
+// TestCallFromManyGoroutines: Call runs each function on the working
+// thread, one at a time, from any number of callers at once, while ops
+// flow; the count is a plain int, so the race detector sees any call that
+// runs beside the worker or another call. Calls racing Stop are all
+// served, by the worker or, once Run has returned, on their callers.
+func TestCallFromManyGoroutines(t *testing.T) {
+	h := newHotTree(t, 1000, 64, NewRealEnv())
+	const callers, calls = 8, 200
+	spray := func(f func()) *sync.WaitGroup {
+		var wg sync.WaitGroup
+		for range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range calls {
+					h.tree.Call(f)
+				}
+			}()
+		}
+		return &wg
+	}
+	count := 0
+	wg := spray(func() { count++ })
+	h.gets(hotKeys(1000, 5000, 7))
+	wg.Wait()
+	if count != callers*calls {
+		t.Fatalf("%d calls ran, want %d", count, callers*calls)
+	}
+	var late atomic.Int64
+	wg = spray(func() { late.Add(1) })
+	h.tree.Stop()
+	<-h.done
+	wg.Wait()
+	h.tree.Call(func() { late.Add(1) })
+	if n := late.Load(); n != callers*calls+1 {
+		t.Fatalf("%d calls ran across Stop, want %d", n, callers*calls+1)
 	}
 }

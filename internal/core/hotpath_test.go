@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,42 +74,60 @@ func (h *hotTree) onWorker(f func()) {
 	<-ran
 }
 
-// gets runs Gets of keys[0], keys[1], ... in batches of 64, each batch
-// admitted at once and awaited before the next, and checks every value.
+// gets runs Gets of keys[0], keys[1], ... in batches of 64 and checks
+// every value. Each batch is admitted at once, and the next is admitted
+// before the one ahead of it is awaited, so the worker always has work
+// and takes no idle passes (whose clock readings no op would own).
 func (h *hotTree) gets(keys []uint64) { h.stream(keys, 0) }
+
+// hotBatch is one batch of stream's in flight.
+type hotBatch struct {
+	keys    []uint64
+	ops     []*Op
+	pending atomic.Int64
+	done    chan struct{}
+}
 
 // stream is gets with every writeEvery-th op (0: none) a Put that
 // rewrites its key's value, so exclusive latches meet shared ones.
 func (h *hotTree) stream(keys []uint64, writeEvery int) {
 	h.t.Helper()
 	const batch = 64
-	ops := make([]*Op, 0, batch)
-	var pending atomic.Int64
-	wait := make(chan struct{}, 1)
-	done := func(*Op) {
-		if pending.Add(-1) == 0 {
-			wait <- struct{}{}
+	var inflight []*hotBatch
+	wait := func() {
+		b := inflight[0]
+		inflight = inflight[1:]
+		<-b.done
+		for i, o := range b.ops {
+			if want := hotValue(b.keys[i]); o.Res.Err != nil || !o.Res.Found || (o.kind == KindSearch && !bytes.Equal(o.Res.Value, want)) {
+				h.t.Fatalf("Get(%d) = %q found=%v err=%v, want %q", b.keys[i], o.Res.Value, o.Res.Found, o.Res.Err, want)
+			}
 		}
 	}
 	for len(keys) > 0 {
 		n := min(batch, len(keys))
-		ops = ops[:0]
-		for i, k := range keys[:n] {
-			if writeEvery > 0 && i%writeEvery == 0 {
-				ops = append(ops, NewInsert(k, hotValue(k), done))
-			} else {
-				ops = append(ops, NewSearch(k, done))
+		b := &hotBatch{keys: keys[:n], done: make(chan struct{})}
+		done := func(*Op) {
+			if b.pending.Add(-1) == 0 {
+				close(b.done)
 			}
 		}
-		pending.Store(int64(n))
-		h.tree.AdmitBatch(ops)
-		<-wait
-		for i, o := range ops {
-			if want := hotValue(keys[i]); o.Res.Err != nil || !o.Res.Found || (o.kind == KindSearch && !bytes.Equal(o.Res.Value, want)) {
-				h.t.Fatalf("Get(%d) = %q found=%v err=%v, want %q", keys[i], o.Res.Value, o.Res.Found, o.Res.Err, want)
+		for i, k := range b.keys {
+			if writeEvery > 0 && i%writeEvery == 0 {
+				b.ops = append(b.ops, NewInsert(k, hotValue(k), done))
+			} else {
+				b.ops = append(b.ops, NewSearch(k, done))
 			}
+		}
+		b.pending.Store(int64(n))
+		h.tree.AdmitBatch(b.ops)
+		if inflight = append(inflight, b); len(inflight) == 2 {
+			wait()
 		}
 		keys = keys[n:]
+	}
+	for len(inflight) > 0 {
+		wait()
 	}
 }
 
@@ -178,7 +197,12 @@ func (e *countingEnv) Now() sim.Time {
 // TestClockReadsPerOp: the worker stamps from one clock reading per loop
 // pass; completion takes two fresh ones (Completed, the end of delivery)
 // and a reap one. A resident Get, one pass plus its completion, costs
-// about three readings; a Get that misses about seven.
+// about three readings; a Get that misses about seven. Passes that run
+// no op also read the clock once each: a pass that finds nothing and
+// parks (Stats.Yields counts these, and they are not counted here), and
+// one that spins while a producer it cannot see yet publishes. How many
+// there are depends on how the test's goroutine is scheduled, and they
+// only ever add, so the figure is the least of four rounds.
 func TestClockReadsPerOp(t *testing.T) {
 	for _, c := range []struct {
 		name         string
@@ -192,10 +216,17 @@ func TestClockReadsPerOp(t *testing.T) {
 			env := &countingEnv{RealEnv: NewRealEnv()}
 			h := newHotTree(t, c.keys, c.buffer, env)
 			h.gets(hotKeys(c.keys, c.keys, 7919)) // warm
-			const gets = 64000
-			before := env.reads.Load()
-			h.gets(hotKeys(c.keys, gets, 7919))
-			per := float64(env.reads.Load()-before) / gets
+			const gets = 16000
+			per := math.Inf(1)
+			for _, stride := range []int{7919, 7927, 7933, 7937} { // primes
+				var parks0, parks1 uint64
+				h.onWorker(func() { parks0 = h.tree.stats.Yields })
+				before := env.reads.Load()
+				h.gets(hotKeys(c.keys, gets, stride))
+				reads := env.reads.Load() - before
+				h.onWorker(func() { parks1 = h.tree.stats.Yields })
+				per = min(per, float64(reads-(parks1-parks0))/gets)
+			}
 			t.Logf("%.3f clock readings per Get", per)
 			if per > c.max {
 				t.Fatalf("%.3f clock readings per Get, want <= %.2f", per, c.max)

@@ -11,10 +11,11 @@ import (
 
 // slowDevice makes every Submit take the delay it holds (0: none), on
 // the calling thread, so the worker is busy in each device command and
-// ops pile up behind it.
+// ops pile up behind it. slowed counts the delayed Submits.
 type slowDevice struct {
 	nvme.Device
-	delay atomic.Int64 // nanoseconds
+	delay  atomic.Int64 // nanoseconds
+	slowed atomic.Int64
 }
 
 func (d *slowDevice) AllocQueuePair(depth int) (nvme.QueuePair, error) {
@@ -30,6 +31,7 @@ type slowQP struct {
 func (q *slowQP) Submit(cmd *nvme.Command) error {
 	if d := q.dev.delay.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
+		q.dev.slowed.Add(1)
 	}
 	return q.QueuePair.Submit(cmd)
 }
@@ -84,7 +86,11 @@ func TestStatsUnderFullRing(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(200 * time.Millisecond) // the ring fills within the first command
+	// The readers fill the ring while the worker sits in its first slow
+	// command; by the third, a queue of Gets is ahead of any newcomer.
+	for dev.slowed.Load() < 3 {
+		time.Sleep(time.Millisecond)
+	}
 	start := time.Now()
 	st := db.Stats()
 	if took := time.Since(start); took > time.Second {
