@@ -17,7 +17,8 @@ import (
 //	http.Handle("/metrics", db.MetricsHandler())
 //
 // Each request takes a fresh on-worker snapshot, so scraping a busy
-// tree costs one pipeline no-op per scrape.
+// tree costs one call on each shard's working thread per scrape
+// (core.Tree.Call), never a slot in the admission ring.
 func (db *DB) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
